@@ -70,7 +70,7 @@ def _geometry_section(report: FlatnessReport) -> dict:
         "nonplanar_faces": nonplanar,
         "nonsimple_faces": nonsimple,
         "all_defects_zero": report.all_defects_zero,
-        "max_abs_defect": max((abs(v.defect) for v in report.vertices), default=0.0),
+        "max_abs_defect": report.max_abs_defect,
         "nonflat_vertices": nonflat,
         "all_links_embedded": report.all_links_embedded,
         "link_failures": link_failures,

@@ -25,10 +25,14 @@ def _add_mesh_arguments(p: argparse.ArgumentParser) -> None:
                    help="two-file face indices count from 0 instead of 1")
 
 
+def _add_planarity_argument(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--planarity-tol", type=float, default=ToleranceProfile().planarity_tol,
+                   help="max relative deviation from the fitted face plane")
+
+
 def _add_check_arguments(p: argparse.ArgumentParser) -> None:
     defaults = ToleranceProfile()
-    p.add_argument("--planarity-tol", type=float, default=defaults.planarity_tol,
-                   help="max relative deviation from the fitted face plane")
+    _add_planarity_argument(p)
     p.add_argument("--defect-tol", type=float, default=defaults.defect_tol,
                    help="max |angle defect| in radians for a flat vertex")
     p.add_argument("--link-tol", type=float, default=defaults.link_tol,
@@ -56,15 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_mesh_arguments(p)
         _add_check_arguments(p)
 
-    p = sub.add_parser("triangulate", help="triangulate all faces, write the result")
-    _add_mesh_arguments(p)
-    _add_check_arguments(p)
-    p.add_argument("-o", "--output", required=True, help="output mesh path (.off/.obj)")
-
-    p = sub.add_parser("subdivide", help="barycentric subdivision of the triangulated mesh")
-    _add_mesh_arguments(p)
-    _add_check_arguments(p)
-    p.add_argument("-o", "--output", required=True, help="output mesh path (.off/.obj)")
+    for name, blurb in (
+        ("triangulate", "triangulate all faces, write the result"),
+        ("subdivide", "barycentric subdivision of the triangulated mesh"),
+    ):
+        p = sub.add_parser(name, help=blurb)
+        _add_mesh_arguments(p)
+        _add_planarity_argument(p)
+        p.add_argument("-o", "--output", required=True, help="output mesh path (.off/.obj)")
 
     p = sub.add_parser("generate", help="emit a built-in test surface")
     p.add_argument("kind", help="tetrahedron | cube | icosahedron | grid_torus m n | "
@@ -195,7 +198,8 @@ def _run_check(args, scope: str) -> int:
 
 def _run_refine(args, subdivide: bool) -> int:
     loaded = _load(args)
-    refinement = triangulate_faces(loaded.complex, _tolerances(args))
+    refinement = triangulate_faces(loaded.complex,
+                                   ToleranceProfile(planarity_tol=args.planarity_tol))
     if subdivide:
         refinement = barycentric_subdivision(refinement.derived)
     write_mesh(refinement.derived, args.output)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import CellComplex, HalfEdgeMesh, MeshError, euler_characteristic
+from .predicates import orient2d
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -150,20 +151,16 @@ class FaceGeometry:
 def _segments_properly_disjoint(a0, a1, b0, b1) -> bool:
     """True if 2-d segments a and b share no point at all.
 
-    Uses sign tests on cross products; any contact (proper crossing,
-    endpoint touching an interior, collinear overlap) counts as not
-    disjoint.  Intended for non-adjacent polygon edges, where a simple
-    polygon demands full disjointness.
+    Uses exact orientation signs; any contact (proper crossing, endpoint
+    touching an interior, collinear overlap) counts as not disjoint.
+    Intended for non-adjacent polygon edges, where a simple polygon
+    demands full disjointness.
     """
-    def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-    d1 = cross(b0, b1, a0)
-    d2 = cross(b0, b1, a1)
-    d3 = cross(a0, a1, b0)
-    d4 = cross(a0, a1, b1)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
-       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
+    d1 = orient2d(b0, b1, a0)
+    d2 = orient2d(b0, b1, a1)
+    d3 = orient2d(a0, a1, b0)
+    d4 = orient2d(a0, a1, b1)
+    if d1 * d2 < 0 and d3 * d4 < 0:
         return False
     def on_segment(p, q, r):
         return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
@@ -218,10 +215,7 @@ def face_geometry(complex: CellComplex, face_index: int) -> FaceGeometry:
     for i in range(k):
         raw = corner_angle(pts[(i - 1) % k], pts[i], pts[(i + 1) % k])
         if simple:
-            e_in = p2[i] - p2[(i - 1) % k]
-            e_out = p2[(i + 1) % k] - p2[i]
-            turn = e_in[0] * e_out[1] - e_in[1] * e_out[0]
-            if turn * orientation < 0.0:
+            if orient2d(p2[(i - 1) % k], p2[i], p2[(i + 1) % k]) * orientation < 0.0:
                 angles.append(TWO_PI - raw)
                 reflex.append(i)
             else:
@@ -309,11 +303,6 @@ class SphericalLink:
     vertex: int
     directions: tuple[np.ndarray, ...]
     arcs: tuple[LinkArc, ...]
-    reflex_faces: tuple[int, ...]      # faces contributing an arc >= pi
-
-    @property
-    def total_length(self) -> float:
-        return math.fsum(a.length for a in self.arcs)
 
 
 def _rotate(p: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
@@ -349,7 +338,6 @@ def vertex_link(mesh: HalfEdgeMesh, vertex: int, _faces: _FaceCache | None = Non
         directions.append(d / norm)
 
     arcs: list[LinkArc] = []
-    reflex_faces: list[int] = []
     for k in range(count):
         f, i = star[k]
         geo = faces[f]
@@ -392,14 +380,12 @@ def vertex_link(mesh: HalfEdgeMesh, vertex: int, _faces: _FaceCache | None = Non
                 axis = cross / nc
             if theta > math.pi:
                 axis = -axis
-                reflex_faces.append(f)
         arcs.append(LinkArc(start=d_start, end=d_end, axis=axis, length=theta, face=f))
 
     return SphericalLink(
         vertex=vertex,
         directions=tuple(directions),
         arcs=tuple(arcs),
-        reflex_faces=tuple(reflex_faces),
     )
 
 

@@ -109,15 +109,23 @@ def build_complex(
 
     index_base says how the face indices count vertices: 1 for data coming
     from interchange files that number vertices from one, 0 for data built
-    in memory.  Raises InvalidComplexError on out-of-range indices, faces
-    with fewer than three vertices, repeated vertices inside a face, or
-    duplicate faces (up to rotation and reversal).
+    in memory.  Raises InvalidComplexError on NaN or infinite coordinates,
+    out-of-range indices, faces with fewer than three vertices, repeated
+    vertices inside a face, or duplicate faces (up to rotation and
+    reversal).
     """
     if index_base not in (0, 1):
         raise InvalidComplexError(f"index_base must be 0 or 1, got {index_base}")
     verts = np.asarray(list(raw_vertices), dtype=np.float64)
     if verts.size == 0:
         verts = verts.reshape(0, 3)
+    if verts.ndim == 2:
+        bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+        if bad.size:
+            v = int(bad[0])
+            raise InvalidComplexError(
+                f"vertex {v + index_base} has a non-finite coordinate: {verts[v].tolist()}"
+            )
     n = verts.shape[0]
     faces: list[tuple[int, ...]] = []
     seen: dict[tuple[int, ...], int] = {}
@@ -181,7 +189,6 @@ class HalfEdgeMesh:
     origin: tuple[int, ...]          # half-edge -> source vertex
     destination: tuple[int, ...]     # half-edge -> target vertex
     face_of: tuple[int, ...]         # half-edge -> face index
-    next: tuple[int, ...]            # half-edge -> next side of the same face
     twin: tuple[int, ...]            # half-edge -> opposite side of its edge
     edges: tuple[tuple[int, int], ...]           # sorted pairs, lexicographic order
     edge_faces: dict[tuple[int, int], tuple[int, int]]
@@ -199,10 +206,6 @@ class HalfEdgeMesh:
     @property
     def n_faces(self) -> int:
         return self.complex.n_faces
-
-    def star_corner_angles_count(self) -> int:
-        """Total number of face corners, summed over all vertices."""
-        return sum(len(s) for s in self.vertex_stars)
 
 
 def _half_edges(complex: CellComplex):
@@ -225,7 +228,7 @@ def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
     sides and (b) the corners around every vertex form a single cycle.
     Raises NotManifoldError carrying every defect found (boundary edges,
     over-used edges, pinched vertices, isolated vertices); on success the
-    returned mesh satisfies the twin involution and next-cycle invariants.
+    returned mesh satisfies the twin involution invariant.
     """
     origin, destination, face_of, pos_in_face = _half_edges(complex)
     nh = len(origin)
@@ -254,14 +257,6 @@ def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
     twin = [-1] * nh
     for a, b in sides.values():
         twin[a], twin[b] = b, a
-
-    nxt = [-1] * nh
-    base = 0
-    for face in complex.faces:
-        k = len(face)
-        for i in range(k):
-            nxt[base + i] = base + (i + 1) % k
-        base += k
 
     # Corners around each vertex: corner (f, i) at v = faces[f][i] is entered
     # and left through its two incident edges {v, prev} and {v, next}.  The
@@ -335,7 +330,6 @@ def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
         origin=tuple(origin),
         destination=tuple(destination),
         face_of=tuple(face_of),
-        next=tuple(nxt),
         twin=tuple(twin),
         edges=tuple(sorted(sides)),
         edge_faces={e: (face_of[sides[e][0]], face_of[sides[e][1]]) for e in sides},
@@ -355,9 +349,6 @@ class ComponentLabels:
 
     count: int
     face_component: tuple[int, ...]
-
-    def faces_of(self, label: int) -> tuple[int, ...]:
-        return tuple(f for f, c in enumerate(self.face_component) if c == label)
 
 
 def connected_components(mesh: HalfEdgeMesh) -> ComponentLabels:

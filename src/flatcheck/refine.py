@@ -15,6 +15,7 @@ import numpy as np
 
 from .flatness import DegenerateFaceError, ToleranceProfile, face_geometry
 from .mesh import CellComplex, MeshError, build_complex
+from .predicates import orient2d
 
 
 class TriangulationError(MeshError):
@@ -115,8 +116,7 @@ def _ear_clip(face: tuple[int, ...], pts2d: np.ndarray, orientation: float) -> l
             cur = idx[pos]
             nxt = idx[(pos + 1) % len(idx)]
             a, b, c = pts2d[prev], pts2d[cur], pts2d[nxt]
-            turn = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if turn * orientation <= 0.0:
+            if orient2d(a, b, c) * orientation <= 0.0:
                 continue   # reflex or straight corner: not an ear tip
             blocked = False
             for other in idx:
@@ -140,10 +140,7 @@ def _ear_clip(face: tuple[int, ...], pts2d: np.ndarray, orientation: float) -> l
 
 def _point_in_triangle(p, a, b, c) -> bool:
     """Inclusive point-in-triangle test; boundary contact blocks an ear."""
-    def cross(o, q, r):
-        return (q[0] - o[0]) * (r[1] - o[1]) - (q[1] - o[1]) * (r[0] - o[0])
-
-    d1, d2, d3 = cross(a, b, p), cross(b, c, p), cross(c, a, p)
+    d1, d2, d3 = orient2d(a, b, p), orient2d(b, c, p), orient2d(c, a, p)
     has_neg = d1 < 0 or d2 < 0 or d3 < 0
     has_pos = d1 > 0 or d2 > 0 or d3 > 0
     return not (has_neg and has_pos)

@@ -11,8 +11,11 @@ from flatcheck import (
     CellComplex,
     GeneratorSpec,
     build_complex,
+    build_hierarchy,
+    candidate_pairs,
     check_closed_manifold,
     generate,
+    self_intersections,
     standard_corpus,
 )
 
@@ -48,6 +51,14 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def brute_report(soup):
+    """Referee scan: a single-leaf hierarchy makes every pair a candidate."""
+    h = build_hierarchy(soup, leaf_size=max(1, len(soup)))
+    n = len(soup)
+    assert len(candidate_pairs(h)) == n * (n - 1) // 2
+    return self_intersections(soup, h)
 
 
 @pytest.fixture(scope="session")

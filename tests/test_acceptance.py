@@ -25,8 +25,6 @@ from flatcheck import (
     barycentric_subdivision,
     boundary_matrices,
     build_complex,
-    build_hierarchy,
-    candidate_pairs,
     check_closed_manifold,
     classify_immersion,
     classify_surface,
@@ -51,6 +49,8 @@ from flatcheck import (
 )
 from flatcheck.corpus import fold_vertex_ids
 from flatcheck.cli import main as cli_main
+
+from conftest import brute_report
 
 
 def _gate(n: int, detail: str) -> None:
@@ -220,13 +220,6 @@ def test_criterion_07_refinement_invariance():
              "vertex defects survive both refinement operators corpus-wide")
 
 
-def _brute_report(soup):
-    h = build_hierarchy(soup, leaf_size=max(1, len(soup)))
-    n = len(soup)
-    assert len(candidate_pairs(h)) == n * (n - 1) // 2
-    return self_intersections(soup, h)
-
-
 def _random_triangle(rng, snapped: bool):
     while True:
         if snapped:
@@ -245,7 +238,7 @@ def test_criterion_08_hierarchy_equals_brute_force():
     for spec in standard_corpus():
         soup = triangle_soup(triangulate_faces(generate(spec)))
         fast = self_intersections(soup)
-        brute = _brute_report(soup)
+        brute = brute_report(soup)
         assert fast.pairs == brute.pairs, spec.label
         assert fast.local_overlaps == brute.local_overlaps, spec.label
 
@@ -257,7 +250,7 @@ def test_criterion_08_hierarchy_equals_brute_force():
             np.stack([_random_triangle(rng, snapped) for _ in range(n)])
         )
         fast = self_intersections(soup)
-        brute = _brute_report(soup)
+        brute = brute_report(soup)
         assert fast.pairs == brute.pairs, trial
         assert fast.local_overlaps == brute.local_overlaps, trial
     _gate(8, "hierarchy scan equals exhaustive scan on the corpus and 50 "

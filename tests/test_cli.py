@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcheck import read_off
 from flatcheck.cli import main
+
+from conftest import cube, tetra
 
 
 def run(capsys, *argv):
@@ -153,3 +161,92 @@ def test_console_script_wiring(tetra_off):
     )
     assert proc.returncode == 0
     assert "sphere" in proc.stdout
+
+
+def test_pair_nonmanifold_certificate(capsys, tmp_path):
+    # a lone triangle in the 1-based two-file layout: every edge is a boundary edge
+    fp, vp = tmp_path / "faces.txt", tmp_path / "vertices.txt"
+    fp.write_text("1 2 3\n")
+    vp.write_text("0 0 0\n1 0 0\n0 1 0\n")
+    report = tmp_path / "cert.json"
+    rc, out, _ = run(capsys, "check", str(fp), str(vp), "--report", str(report))
+    assert rc == 1
+    assert "boundary-edge" in out
+    cert = json.loads(report.read_text())
+    assert cert["verdict"]["closed_manifold"] is False
+    assert [(d["kind"], d["location"]) for d in cert["combinatorics"]["defects"]] == [
+        ("boundary-edge", [0, 1]), ("boundary-edge", [0, 2]), ("boundary-edge", [1, 2]),
+    ]
+
+
+@pytest.mark.parametrize("command", ["triangulate", "subdivide"])
+@pytest.mark.parametrize("option", [
+    ["--report", "x.json"], ["--quiet"], ["--defect-tol", "1"], ["--link-tol", "1"],
+])
+def test_refine_rejects_check_options(capsys, tetra_off, tmp_path, command, option):
+    out_path = tmp_path / "out.off"
+    rc, _, _ = run(capsys, command, str(tetra_off), "-o", str(out_path), *option)
+    assert rc == 2
+    assert not out_path.exists()
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_nonfinite_coordinate_is_located(capsys, tmp_path, token):
+    off = tmp_path / "bad.off"
+    off.write_text(f"OFF\n4 4 6\n0 0 0\n1 0 0\n0 {token} 0\n0 0 1\n"
+                   "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n")
+    rc, _, err = run(capsys, "check", str(off))
+    assert rc == 2
+    assert f"{off}: vertex 2 has a non-finite coordinate" in err
+    # the two-file layout counts vertices from 1 by default
+    fp, vp = tmp_path / "faces.txt", tmp_path / "vertices.txt"
+    fp.write_text("1 3 2\n1 2 4\n2 3 4\n1 4 3\n")
+    vp.write_text(f"0 0 0\n1 0 0\n0 {token} 0\n0 0 1\n")
+    rc, _, err = run(capsys, "check", str(fp), str(vp))
+    assert rc == 2
+    assert "vertex 3 has a non-finite coordinate" in err
+
+
+_NUMBERS = ["-1", "0", "1", "2", "0.5"]
+_SPECIALS = ["nan", "inf", "-inf", "1e300", "1e-300"]
+_GARBAGE = ["x", "1/2", "#", "OFF", "3 0 1"]
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 3)) == 0
+
+
+@st.composite
+def _off_text(draw):
+    """OFF text, well-formed often enough for degenerate geometry to reach
+    every stage, with rare non-finite values, garbage tokens and bad counts."""
+    if draw(st.booleans()):
+        # closed combinatorics with coordinates from a tiny pool, so vertices
+        # repeat and faces collapse onto lines and points
+        faces = list(draw(st.sampled_from([tetra().faces, cube().faces])))
+        nv = max(max(f) for f in faces) + 1
+    else:
+        nv = draw(st.integers(0, 12))
+        faces = draw(st.lists(st.lists(st.integers(-1, nv), max_size=5), max_size=12))
+    pool = _NUMBERS + (_SPECIALS if _rarely(draw) else [])
+    coords = draw(st.lists(st.lists(st.sampled_from(pool), min_size=3, max_size=3),
+                           min_size=nv, max_size=nv))
+    lines = ["OFF", f"{nv} {len(faces) + (draw(st.integers(-1, 1)) if _rarely(draw) else 0)} 0"]
+    lines += [" ".join(c) for c in coords]
+    lines += [" ".join(str(i) for i in [len(f), *f]) for f in faces]
+    if _rarely(draw):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_GARBAGE)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_off_text())
+def test_check_never_raises_on_fuzzed_off(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.off"
+        path.write_text(text)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            rc = main(["check", str(path), "--quiet"])
+    assert rc in (0, 1, 2)

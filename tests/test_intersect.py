@@ -30,20 +30,13 @@ from flatcheck import (
     triangulate_faces,
 )
 
-from conftest import grid_klein, grid_torus, random_rotation
+from conftest import brute_report, grid_klein, grid_torus, random_rotation
 
 T_BASE = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
 
 
 def _soup_for(label_spec):
     return triangle_soup(triangulate_faces(generate(label_spec)))
-
-
-def _brute_report(soup):
-    """Same scan with a single-leaf hierarchy: every pair is considered."""
-    h = build_hierarchy(soup, leaf_size=max(1, len(soup)))
-    assert len(candidate_pairs(h)) == len(soup) * (len(soup) - 1) // 2
-    return self_intersections(soup, h)
 
 
 def test_disjoint_triangles():
@@ -154,7 +147,7 @@ def test_hierarchy_matches_brute_on_quotients():
     ):
         soup = _soup_for(spec)
         fast = self_intersections(soup)
-        brute = _brute_report(soup)
+        brute = brute_report(soup)
         assert fast.pairs == brute.pairs, spec.label
         assert fast.local_overlaps == brute.local_overlaps, spec.label
 
