@@ -4,20 +4,18 @@ intrinsic flatness, and global self-intersection classification."""
 from .certificate import (TOOL_VERSION, build_certificate, canonical_json,
                           certificate_text, write_certificate)
 from .corpus import GeneratorError, GeneratorSpec, generate, standard_corpus
-from .flatness import (DegenerateCornerError, DegenerateFaceError, FlatnessReport,
-                       LinkVerdict, PlaneFit, SphericalLink, ToleranceProfile,
-                       angle_defect, corner_angle, face_geometry, face_plane_fit,
-                       flatness_report, gauss_bonnet_check, link_is_embedded,
-                       vertex_link)
+from .flatness import (DegenerateFaceError, FlatnessReport, LinkVerdict, PlaneFit,
+                       SphericalLink, ToleranceProfile, angle_defect, corner_angle,
+                       face_geometry, face_plane_fit, flatness_report,
+                       gauss_bonnet_check, link_is_embedded, vertex_link)
 from .formats import (FormatError, LoadedMesh, read_mesh, read_obj, read_off,
                       read_pair, write_mesh, write_obj, write_off, write_pair)
 from .homology import (BoundaryMatrices, HomologyProfile, SmithNormalForm,
                        SurfaceClass, boundary_matrices, classify_surface,
                        homology_profile, smith_normal_form)
 from .intersect import (BoundingHierarchy, Contact, DegenerateTriangleError,
-                        IntersectionReport, LocalOverlap, PairContact, SoupTriangle,
-                        TriangleSoup, build_hierarchy, candidate_pairs,
-                        classify_immersion, self_intersections, soup_from_arrays,
+                        IntersectionReport, PairContact, TriangleSoup, build_hierarchy,
+                        candidate_pairs, classify_immersion, self_intersections,
                         triangle_contact, triangle_soup)
 from .mesh import (CellComplex, HalfEdgeMesh, InvalidComplexError, ManifoldDefect,
                    MeshError, NotManifoldError, OrientabilityReport, build_complex,

@@ -176,15 +176,15 @@ def build_certificate(
     try:
         geo = flatness_report(mesh, tol)
     except DegenerateFaceError as exc:
-        # a collinear face has no plane, no angles and no defects; the
-        # certificate records the failure instead of crashing
+        # a collinear face or a zero-length edge leaves no plane or no
+        # angles, hence no defects; the certificate records the failure
+        # instead of crashing
         cert["geometry"] = {"error": str(exc)}
-        geo = None
         flat = False
         locally_embedded = False
     else:
         cert["geometry"] = _geometry_section(geo)
-        flat = geo.all_faces_planar and geo.all_defects_zero
+        flat = geo.flat
         locally_embedded = geo.all_links_embedded
 
     refinement = triangulate_faces(complex, tol)

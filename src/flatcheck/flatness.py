@@ -29,11 +29,8 @@ _PARALLEL_GUARD = 1e-12
 
 
 class DegenerateFaceError(MeshError):
-    """Face has no usable supporting plane (coincident or collinear points)."""
-
-
-class DegenerateCornerError(MeshError):
-    """Corner has a zero-length incident edge."""
+    """Face has no usable supporting plane (coincident or collinear points)
+    or a corner with a zero-length incident edge."""
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ def corner_angle(p_prev: np.ndarray, p_vertex: np.ndarray, p_next: np.ndarray) -
     """Unsigned angle at p_vertex between the rays to p_prev and p_next.
 
     atan2 of the cross and dot products, numerically stable near 0 and pi;
-    the result lies in [0, pi].  Raises DegenerateCornerError on a
+    the result lies in [0, pi].  Raises DegenerateFaceError on a
     zero-length incident edge.
     """
     u = np.asarray(p_prev, dtype=np.float64) - np.asarray(p_vertex, dtype=np.float64)
@@ -121,7 +118,7 @@ def corner_angle(p_prev: np.ndarray, p_vertex: np.ndarray, p_next: np.ndarray) -
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
-        raise DegenerateCornerError("corner has a zero-length incident edge")
+        raise DegenerateFaceError("corner has a zero-length incident edge")
     cross = float(np.linalg.norm(np.cross(u, v)))
     dot = float(u @ v)
     return math.atan2(cross, dot)
@@ -332,7 +329,7 @@ def vertex_link(mesh: HalfEdgeMesh, vertex: int, _faces: _FaceCache | None = Non
         d = complex.vertices[u] - pos_v
         norm = float(np.linalg.norm(d))
         if norm == 0.0:
-            raise DegenerateCornerError(
+            raise DegenerateFaceError(
                 f"edge ({vertex}, {u}) has zero length; link is undefined"
             )
         directions.append(d / norm)
@@ -353,7 +350,7 @@ def vertex_link(mesh: HalfEdgeMesh, vertex: int, _faces: _FaceCache | None = Non
             e_out2 = geo.points2d[(i + 1) % kk] - geo.points2d[i]
             nrm = math.hypot(e_out2[0], e_out2[1])
             if nrm == 0.0:
-                raise DegenerateCornerError("straight corner with zero-length projected edge")
+                raise DegenerateFaceError("straight corner with zero-length projected edge")
             e_out2 = e_out2 / nrm
             w2 = geo.orientation * np.array([-e_out2[1], e_out2[0]])
             # The interior normal must point away from the direction we

@@ -1,12 +1,15 @@
 """Global self-intersection detection for triangulated surfaces.
 
-Broad phase: an axis-aligned bounding-box hierarchy over the triangle
-soup.  Narrow phase: orientation-sign gauntlet with exact rational
-fallback, so every reported contact is the true intersection of the
-given float coordinates.  Contacts between triangles from the same or
-vertex-adjacent source faces are excluded from the self-intersection
-list, but flagged separately when they extend beyond the cells the
-faces legitimately share (a local embedding failure).
+The triangle soup is three arrays built once from a refinement: corner
+coordinates (n, 3, 3), derived corner ids and source faces, plus the
+vertex and edge sets of every source face.  Broad phase: an axis-aligned
+bounding-box hierarchy over the soup.  Narrow phase: orientation-sign
+gauntlet with exact rational fallback, so every reported contact is the
+true intersection of the given float coordinates.  Contacts between
+triangles from the same or vertex-adjacent source faces are excluded from
+the self-intersection list, but flagged separately when they extend
+beyond the cells the faces legitimately share (a local embedding
+failure).
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .mesh import MeshError
-from .predicates import orient3d
+from .predicates import orient2d, orient3d
 from .refine import Refinement
 
 
@@ -27,31 +30,30 @@ class DegenerateTriangleError(MeshError):
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class SoupTriangle:
-    """One triangle with provenance back to the refinement source."""
-
-    coords: np.ndarray                 # (3, 3) float64 corner rows
-    source_face: int
-    corners: tuple[int, int, int]      # derived vertex indices
-
-
 @dataclass(frozen=True, eq=False)
 class TriangleSoup:
-    triangles: tuple[SoupTriangle, ...]
+    """Triangles of a refinement, one row per triangle, with source-face
+    adjacency data."""
+
+    coords: np.ndarray                          # (n, 3, 3) float64 corner rows
+    corners: np.ndarray                         # (n, 3) derived vertex ids
+    source_face: np.ndarray                     # (n,) source face of each triangle
     points: np.ndarray                          # derived vertex coordinates
-    face_vertices: dict[int, frozenset[int]]    # source face -> source vertex ids
-    face_edges: dict[int, frozenset[tuple[int, int]]]
+    face_vertices: tuple[frozenset[int], ...]   # source face -> source vertex ids
+    face_edges: tuple[frozenset[tuple[int, int]], ...]
 
     def __len__(self) -> int:
-        return len(self.triangles)
+        return len(self.coords)
 
 
 def _is_degenerate(p0, p1, p2) -> bool:
-    u = (_rat(p1)[0] - _rat(p0)[0], _rat(p1)[1] - _rat(p0)[1], _rat(p1)[2] - _rat(p0)[2])
-    v = (_rat(p2)[0] - _rat(p0)[0], _rat(p2)[1] - _rat(p0)[1], _rat(p2)[2] - _rat(p0)[2])
-    c = _cross(u, v)
-    return c[0] == 0 and c[1] == 0 and c[2] == 0
+    """Exact zero-area test: the cross product (p1 - p0) x (p2 - p0)
+    vanishes iff its xy, yz and zx components, the orientations of the
+    three coordinate-plane projections, are all zero."""
+    return all(
+        orient2d((p0[a], p0[b]), (p1[a], p1[b]), (p2[a], p2[b])) == 0
+        for a, b in ((0, 1), (1, 2), (2, 0))
+    )
 
 
 def triangle_soup(refinement: Refinement) -> TriangleSoup:
@@ -62,68 +64,24 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
     """
     derived = refinement.derived
     pts = derived.vertices
-    tris = []
-    bad = []
-    for ti, face in enumerate(derived.faces):
-        a, b, c = face
-        if _is_degenerate(pts[a], pts[b], pts[c]):
-            bad.append(ti)
-            continue
-        tris.append(SoupTriangle(
-            coords=pts[list(face)],
-            source_face=refinement.triangle_sources[ti],
-            corners=(a, b, c),
-        ))
+    corners = np.array(derived.faces, dtype=np.intp).reshape(-1, 3)
+    coords = pts[corners]
+    bad = [ti for ti, (p0, p1, p2) in enumerate(coords.tolist()) if _is_degenerate(p0, p1, p2)]
     if bad:
         raise DegenerateTriangleError(
             f"{len(bad)} zero-area derived triangle(s), first at index {bad[0]}"
         )
-    source = refinement.source
-    face_vertices = {}
-    face_edges = {}
-    for fi, face in enumerate(source.faces):
-        face_vertices[fi] = frozenset(face)
-        face_edges[fi] = frozenset(
-            tuple(sorted((face[i], face[(i + 1) % len(face)]))) for i in range(len(face))
-        )
+    faces = refinement.source.faces
     return TriangleSoup(
-        triangles=tuple(tris),
+        coords=coords,
+        corners=corners,
+        source_face=np.array(refinement.triangle_sources, dtype=np.intp),
         points=pts,
-        face_vertices=face_vertices,
-        face_edges=face_edges,
-    )
-
-
-def soup_from_arrays(coords: np.ndarray) -> TriangleSoup:
-    """Soup of independent triangles (shape (n, 3, 3)), no shared cells.
-
-    Every triangle gets its own source face and corner ids, so no pair is
-    excluded as adjacent.  Intended for randomized testing and ad-hoc use.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 3 or coords.shape[1:] != (3, 3):
-        raise ValueError(f"expected (n, 3, 3) corner array, got {coords.shape}")
-    tris = []
-    for ti in range(coords.shape[0]):
-        p = coords[ti]
-        if _is_degenerate(p[0], p[1], p[2]):
-            raise DegenerateTriangleError(f"zero-area triangle at index {ti}")
-        tris.append(SoupTriangle(
-            coords=p.copy(),
-            source_face=ti,
-            corners=(3 * ti, 3 * ti + 1, 3 * ti + 2),
-        ))
-    return TriangleSoup(
-        triangles=tuple(tris),
-        points=coords.reshape(-1, 3),
-        face_vertices={t.source_face: frozenset(t.corners) for t in tris},
-        face_edges={
-            t.source_face: frozenset(
-                tuple(sorted(pair)) for pair in
-                ((t.corners[0], t.corners[1]), (t.corners[1], t.corners[2]), (t.corners[2], t.corners[0]))
-            )
-            for t in tris
-        },
+        face_vertices=tuple(frozenset(face) for face in faces),
+        face_edges=tuple(
+            frozenset(tuple(sorted((face[i], face[i - 1]))) for i in range(len(face)))
+            for face in faces
+        ),
     )
 
 
@@ -168,8 +126,8 @@ def build_hierarchy(soup: TriangleSoup, leaf_size: int = 8) -> BoundingHierarchy
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
     n = len(soup)
-    tri_lo = np.stack([t.coords.min(axis=0) for t in soup.triangles])
-    tri_hi = np.stack([t.coords.max(axis=0) for t in soup.triangles])
+    tri_lo = soup.coords.min(axis=1)
+    tri_hi = soup.coords.max(axis=1)
     centroid = 0.5 * (tri_lo + tri_hi)
     order = list(range(n))
 
@@ -275,6 +233,15 @@ class Contact:
         return tuple((float(p[0]), float(p[1]), float(p[2])) for p in self.points)
 
 
+def _dedupe(pts: list[Vec3]) -> list[Vec3]:
+    """The distinct points of pts, in order of first appearance."""
+    uniq: list[Vec3] = []
+    for p in pts:
+        if p not in uniq:
+            uniq.append(p)
+    return uniq
+
+
 def _plane_section(tri: tuple[Vec3, Vec3, Vec3], d: tuple[Fraction, ...]) -> list[Vec3]:
     """Points of a triangle's intersection with a plane, given the three
     signed plane values of its corners (not all one strict sign)."""
@@ -286,11 +253,7 @@ def _plane_section(tri: tuple[Vec3, Vec3, Vec3], d: tuple[Fraction, ...]) -> lis
         if d[a] * d[b] < 0:
             t = d[a] / (d[a] - d[b])
             pts.append(_lerp(tri[a], tri[b], t))
-    uniq: list[Vec3] = []
-    for p in pts:
-        if p not in uniq:
-            uniq.append(p)
-    return uniq
+    return _dedupe(pts)
 
 
 def _dominant_axis(n: Vec3) -> int:
@@ -347,11 +310,7 @@ def _clip_coplanar(subject: tuple[Vec3, ...], clip: tuple[Vec3, ...], axis: int)
             if (scur > 0 and snxt < 0) or (scur < 0 and snxt > 0):
                 t = scur / (scur - snxt)
                 out.append(_lerp(cur, nxt, t))
-    uniq: list[Vec3] = []
-    for p in out:
-        if p not in uniq:
-            uniq.append(p)
-    return uniq
+    return _dedupe(out)
 
 
 def _collinear_extremes(pts: list[Vec3]) -> tuple[Vec3, Vec3]:
@@ -467,25 +426,23 @@ def _segment_allowed(p: Vec3, q: Vec3, segs: list[tuple[Vec3, Vec3]]) -> bool:
     return covered >= need_hi
 
 
-def _allowed_cells(soup: TriangleSoup, i: int, j: int):
-    """Shared-cell geometry of an adjacent pair: points and segments the
-    two triangles may legitimately have in common."""
-    ti, tj = soup.triangles[i], soup.triangles[j]
-    pts: list[Vec3] = []
-    segs: list[tuple[Vec3, Vec3]] = []
-    if ti.source_face == tj.source_face:
-        shared = sorted(set(ti.corners) & set(tj.corners))
+def _shared_cells(soup: TriangleSoup, i: int, j: int):
+    """Points and segments that triangles i and j may legitimately have in
+    common, or None when their source faces differ and share no vertex."""
+    fi, fj = soup.source_face[i], soup.source_face[j]
+    if fi == fj:
+        shared = sorted(set(soup.corners[i].tolist()) & set(soup.corners[j].tolist()))
         pts = [_rat(soup.points[c]) for c in shared]
-        for s in range(len(pts)):
-            for t in range(s + 1, len(pts)):
-                segs.append((pts[s], pts[t]))
-    else:
-        fv = soup.face_vertices
-        fe = soup.face_edges
-        for v in sorted(fv[ti.source_face] & fv[tj.source_face]):
-            pts.append(_rat(soup.points[v]))
-        for u, v in sorted(fe[ti.source_face] & fe[tj.source_face]):
-            segs.append((_rat(soup.points[u]), _rat(soup.points[v])))
+        segs = [(pts[s], pts[t]) for s in range(len(pts)) for t in range(s + 1, len(pts))]
+        return pts, segs
+    common = soup.face_vertices[fi] & soup.face_vertices[fj]
+    if not common:
+        return None
+    pts = [_rat(soup.points[v]) for v in sorted(common)]
+    segs = [
+        (_rat(soup.points[u]), _rat(soup.points[v]))
+        for u, v in sorted(soup.face_edges[fi] & soup.face_edges[fj])
+    ]
     return pts, segs
 
 
@@ -503,17 +460,8 @@ def _beyond_allowed(contact: Contact, pts, segs) -> bool:
 
 @dataclass(frozen=True)
 class PairContact:
-    """A self-intersection between triangles of non-adjacent source faces."""
-
-    i: int
-    j: int
-    kind: str
-    witness: tuple[tuple[float, float, float], ...]
-
-
-@dataclass(frozen=True)
-class LocalOverlap:
-    """Adjacent-face contact extending beyond the cells the faces share."""
+    """A contact between triangles i < j: a self-intersection of
+    non-adjacent source faces, or a local overlap of adjacent ones."""
 
     i: int
     j: int
@@ -524,7 +472,7 @@ class LocalOverlap:
 @dataclass(frozen=True)
 class IntersectionReport:
     pairs: tuple[PairContact, ...]
-    local_overlaps: tuple[LocalOverlap, ...]
+    local_overlaps: tuple[PairContact, ...]
     n_candidates: int
 
     @property
@@ -539,13 +487,6 @@ class IntersectionReport:
         return census
 
 
-def _adjacent(soup: TriangleSoup, i: int, j: int) -> bool:
-    ti, tj = soup.triangles[i], soup.triangles[j]
-    if ti.source_face == tj.source_face:
-        return True
-    return bool(soup.face_vertices[ti.source_face] & soup.face_vertices[tj.source_face])
-
-
 def self_intersections(
     soup: TriangleSoup, hierarchy: BoundingHierarchy | None = None
 ) -> IntersectionReport:
@@ -558,21 +499,21 @@ def self_intersections(
     if hierarchy is None:
         hierarchy = build_hierarchy(soup)
     pairs: list[PairContact] = []
-    overlaps: list[LocalOverlap] = []
+    overlaps: list[PairContact] = []
     cands = candidate_pairs(hierarchy)
+    ij = np.array(cands, dtype=np.intp).reshape(-1, 2)
     lo, hi = hierarchy.tri_lo, hierarchy.tri_hi
-    for i, j in cands:
-        if not (np.all(lo[i] <= hi[j]) and np.all(lo[j] <= hi[i])):
-            continue
-        contact = triangle_contact(soup.triangles[i].coords, soup.triangles[j].coords)
+    first, second = ij[:, 0], ij[:, 1]
+    boxes_meet = np.all(lo[first] <= hi[second], axis=1) & np.all(lo[second] <= hi[first], axis=1)
+    for i, j in ij[boxes_meet].tolist():
+        contact = triangle_contact(soup.coords[i], soup.coords[j])
         if contact is None:
             continue
-        if _adjacent(soup, i, j):
-            pts, segs = _allowed_cells(soup, i, j)
-            if _beyond_allowed(contact, pts, segs):
-                overlaps.append(LocalOverlap(i, j, contact.kind, contact.witness()))
-        else:
+        cells = _shared_cells(soup, i, j)
+        if cells is None:
             pairs.append(PairContact(i, j, contact.kind, contact.witness()))
+        elif _beyond_allowed(contact, *cells):
+            overlaps.append(PairContact(i, j, contact.kind, contact.witness()))
     pairs.sort(key=lambda pc: (pc.i, pc.j))
     overlaps.sort(key=lambda ov: (ov.i, ov.j))
     return IntersectionReport(

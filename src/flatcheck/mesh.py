@@ -111,8 +111,8 @@ def build_complex(
     from interchange files that number vertices from one, 0 for data built
     in memory.  Raises InvalidComplexError on NaN or infinite coordinates,
     out-of-range indices, faces with fewer than three vertices, repeated
-    vertices inside a face, or duplicate faces (up to rotation and
-    reversal).
+    vertices inside a face, duplicate faces (up to rotation and reversal),
+    or no faces at all.
     """
     if index_base not in (0, 1):
         raise InvalidComplexError(f"index_base must be 0 or 1, got {index_base}")
@@ -148,6 +148,8 @@ def build_complex(
             )
         seen[key] = pos
         faces.append(face)
+    if not faces:
+        raise InvalidComplexError("complex has no faces")
     return CellComplex(vertices=verts, faces=tuple(faces))
 
 
@@ -191,7 +193,6 @@ class HalfEdgeMesh:
     face_of: tuple[int, ...]         # half-edge -> face index
     twin: tuple[int, ...]            # half-edge -> opposite side of its edge
     edges: tuple[tuple[int, int], ...]           # sorted pairs, lexicographic order
-    edge_faces: dict[tuple[int, int], tuple[int, int]]
     vertex_stars: tuple[tuple[tuple[int, int], ...], ...]
     star_entry_neighbors: tuple[tuple[int, ...], ...]
 
@@ -332,7 +333,6 @@ def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
         face_of=tuple(face_of),
         twin=tuple(twin),
         edges=tuple(sorted(sides)),
-        edge_faces={e: (face_of[sides[e][0]], face_of[sides[e][1]]) for e in sides},
         vertex_stars=tuple(stars),
         star_entry_neighbors=tuple(entry_neighbors),
     )
@@ -395,17 +395,18 @@ def orientability(mesh: HalfEdgeMesh) -> OrientabilityReport:
     nonorientable.  Disconnected input is reported per component rather
     than rejected.
     """
-    comps = connected_components(mesh)
     nf = mesh.n_faces
     flip = [-1] * nf
-    verdict = [True] * comps.count
+    verdict: list[bool] = []
     he_of_face: list[list[int]] = [[] for _ in range(nf)]
     for h, f in enumerate(mesh.face_of):
         he_of_face[f].append(h)
     for seed in range(nf):
         if flip[seed] != -1:
             continue
-        comp = comps.face_component[seed]
+        # seeds run in face order, as in connected_components, so
+        # verdict[k] belongs to component k
+        verdict.append(True)
         flip[seed] = 0
         queue = deque([seed])
         while queue:
@@ -419,5 +420,5 @@ def orientability(mesh: HalfEdgeMesh) -> OrientabilityReport:
                     flip[g] = expected
                     queue.append(g)
                 elif flip[g] != expected:
-                    verdict[comp] = False
+                    verdict[-1] = False
     return OrientabilityReport(per_component=tuple(verdict))

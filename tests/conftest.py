@@ -17,6 +17,8 @@ from flatcheck import (
     generate,
     self_intersections,
     standard_corpus,
+    triangle_soup,
+    triangulate_faces,
 )
 
 
@@ -51,6 +53,14 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def independent_soup(coords):
+    """Soup of independent triangles, shape (n, 3, 3): triangle t gets
+    source face t and corners 3t, 3t+1, 3t+2, so no pair is adjacent."""
+    coords = np.asarray(coords, dtype=np.float64)
+    faces = [(3 * t, 3 * t + 1, 3 * t + 2) for t in range(len(coords))]
+    return triangle_soup(triangulate_faces(build_complex(coords.reshape(-1, 3), faces)))
 
 
 def brute_report(soup):

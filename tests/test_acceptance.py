@@ -38,7 +38,6 @@ from flatcheck import (
     orientability,
     read_pair,
     self_intersections,
-    soup_from_arrays,
     standard_corpus,
     total_area,
     triangle_soup,
@@ -50,7 +49,7 @@ from flatcheck import (
 from flatcheck.corpus import fold_vertex_ids
 from flatcheck.cli import main as cli_main
 
-from conftest import brute_report
+from conftest import brute_report, independent_soup
 
 
 def _gate(n: int, detail: str) -> None:
@@ -228,7 +227,7 @@ def _random_triangle(rng, snapped: bool):
             center = rng.uniform(0.0, 4.0, size=3)
             tri = center + rng.uniform(-0.6, 0.6, size=(3, 3))
         try:
-            soup_from_arrays(tri[None])
+            independent_soup(tri[None])
         except Exception:
             continue  # zero-area draw, try again
         return tri
@@ -246,7 +245,7 @@ def test_criterion_08_hierarchy_equals_brute_force():
     for trial in range(50):
         snapped = trial % 5 == 4  # every fifth soup lives on a coarse grid
         n = int(rng.integers(10, 81)) if snapped else int(rng.integers(2, 201))
-        soup = soup_from_arrays(
+        soup = independent_soup(
             np.stack([_random_triangle(rng, snapped) for _ in range(n)])
         )
         fast = self_intersections(soup)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatcheck import read_off
+from flatcheck import build_complex, read_off, write_off
 from flatcheck.cli import main
 
 from conftest import cube, tetra
@@ -206,6 +206,35 @@ def test_nonfinite_coordinate_is_located(capsys, tmp_path, token):
     rc, _, err = run(capsys, "check", str(fp), str(vp))
     assert rc == 2
     assert "vertex 3 has a non-finite coordinate" in err
+
+
+def test_zero_length_edge_is_located_in_certificate(capsys, tmp_path):
+    # vertex 1 of the cube moved onto vertex 0: face 0 keeps a plane but
+    # has a zero-length edge
+    cx = cube()
+    verts = cx.vertices.copy()
+    verts[1] = verts[0]
+    path = tmp_path / "pinched.off"
+    write_off(build_complex(verts, cx.faces), path)
+    rc, out, _ = run(capsys, "check", str(path), "--quiet")
+    assert rc == 1
+    cert = json.loads(out)
+    assert cert["geometry"] == {"error": "face 0: corner has a zero-length incident edge"}
+    assert cert["immersion"]["error"] is not None
+
+
+def test_empty_input_is_located(capsys, tmp_path):
+    off = tmp_path / "empty.off"
+    off.write_text("OFF\n0 0 0\n")
+    rc, _, err = run(capsys, "check", str(off))
+    assert rc == 2
+    assert err == f"error: {off}: complex has no faces\n"
+    fp, vp = tmp_path / "faces.txt", tmp_path / "vertices.txt"
+    fp.write_text("")
+    vp.write_text("")
+    rc, _, err = run(capsys, "check", str(fp), str(vp))
+    assert rc == 2
+    assert err == f"error: {fp}: complex has no faces\n"
 
 
 _NUMBERS = ["-1", "0", "1", "2", "0.5"]

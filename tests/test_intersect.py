@@ -24,13 +24,12 @@ from flatcheck import (
     classify_immersion,
     generate,
     self_intersections,
-    soup_from_arrays,
     triangle_contact,
     triangle_soup,
     triangulate_faces,
 )
 
-from conftest import brute_report, grid_klein, grid_torus, random_rotation
+from conftest import brute_report, grid_klein, grid_torus, independent_soup, random_rotation
 
 T_BASE = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
 
@@ -118,14 +117,19 @@ def test_contact_witness_floats():
 def test_soup_rejects_degenerate():
     flat = np.array([[[0, 0, 0], [1, 1, 1], [2, 2, 2]]], dtype=float)
     with pytest.raises(DegenerateTriangleError):
-        soup_from_arrays(flat)
+        independent_soup(flat)
+    # proper triangles: one ulp off the line, and one whose xy shadow is a
+    # segment while its yz and zx shadows have area
+    near = np.array([[[0, 0, 0], [1, 1, 1], [2, 2, 2 + 2.0**-51]]])
+    upright = np.array([[[0, 0, 0], [1, 1, 0], [2, 2, 1]]], dtype=float)
+    assert len(independent_soup(near)) == len(independent_soup(upright)) == 1
 
 
 def test_soup_from_arrays_metadata():
     coords = np.stack([T_BASE, T_BASE + 10.0])
-    soup = soup_from_arrays(coords)
+    soup = independent_soup(coords)
     assert len(soup) == 2
-    assert soup.triangles[1].corners == (3, 4, 5)
+    assert soup.corners[1].tolist() == [3, 4, 5]
     assert soup.face_vertices[0].isdisjoint(soup.face_vertices[1])
 
 
@@ -242,13 +246,13 @@ def test_distinct_faces_crossing_counted():
 
 def test_insertion_order_independence():
     soup = _soup_for(GeneratorSpec("grid_klein", m=3, n=3))
-    coords = np.stack([t.coords for t in soup.triangles])
-    base = self_intersections(soup_from_arrays(coords))
+    coords = soup.coords
+    base = self_intersections(independent_soup(coords))
     base_set = {(p.i, p.j, p.kind) for p in base.pairs}
 
     rng = np.random.default_rng(11)
     perm = rng.permutation(len(coords))
-    permuted = self_intersections(soup_from_arrays(coords[perm]))
+    permuted = self_intersections(independent_soup(coords[perm]))
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(len(perm))
     mapped = set()
@@ -260,12 +264,12 @@ def test_insertion_order_independence():
 
 def test_axis_permutation_and_scaling_exact():
     soup = _soup_for(GeneratorSpec("grid_klein", m=3, n=3))
-    coords = np.stack([t.coords for t in soup.triangles])
-    base = self_intersections(soup_from_arrays(coords))
+    coords = soup.coords
+    base = self_intersections(independent_soup(coords))
     base_set = {(p.i, p.j, p.kind) for p in base.pairs}
     # exact float transforms: axis swap, sign flip, power-of-two scale, shift
     moved = coords[:, :, [2, 0, 1]] * np.array([4.0, -0.5, 8.0]) + 3.0
-    got = self_intersections(soup_from_arrays(moved))
+    got = self_intersections(independent_soup(moved))
     assert {(p.i, p.j, p.kind) for p in got.pairs} == base_set
 
 
@@ -278,13 +282,13 @@ def test_rotation_preserves_contact_structure():
     """
     rng = np.random.default_rng(5)
     coords = rng.uniform(-1.0, 1.0, size=(40, 3, 3))
-    base = self_intersections(soup_from_arrays(coords))
+    base = self_intersections(independent_soup(coords))
     base_set = {(p.i, p.j, p.kind) for p in base.pairs}
     assert base_set, "expected some crossings in a dense random soup"
     assert {k for _, _, k in base_set} == {"transversal"}
     for _ in range(3):
         rot = random_rotation(rng)
-        got = self_intersections(soup_from_arrays(coords @ rot.T))
+        got = self_intersections(independent_soup(coords @ rot.T))
         assert {(p.i, p.j, p.kind) for p in got.pairs} == base_set
 
 
