@@ -1,14 +1,20 @@
 """Integral cellular homology of a polygonal complex.
 
 Boundary matrices are built over Z with a fixed orientation convention
-(edges run from lower to higher vertex index, faces as listed), reduced
-by an exact Smith normal form over Python's arbitrary-precision integers.
-Betti numbers come from the ranks, torsion from the invariant factors.
+(edges run from lower to higher vertex index, faces as listed) and kept
+as sparse rows.  Their Smith normal form comes from eliminating unit
+(+-1) pivots in Markowitz order on those rows, after Dumas, Saunders and
+Villard (2001) and Kaczynski, Mrozek and Slusarek (1998); the exact dense
+Smith normal form over Python's arbitrary-precision integers finishes the
+small block that has no unit entry left.  Betti numbers come from the
+ranks, torsion from the invariant factors.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import gcd
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -17,29 +23,27 @@ from .mesh import CellComplex, HalfEdgeMesh, edge_census
 
 @dataclass(frozen=True)
 class BoundaryMatrices:
-    """Signed incidence matrices of a 2-complex.
+    """Signed incidence matrices of a 2-complex, as sparse rows.
 
-    d1 has one row per edge and one column per vertex (boundary of the
-    oriented 1-cells); d2 has one row per face and one column per edge.
-    With chains as row vectors the boundary of a boundary being empty
-    reads d2 @ d1 == 0, which the constructor path verifies.
+    d1 has one row per edge over the vertex columns (boundary of the
+    oriented 1-cells); d2 has one row per face over the edge columns.
+    Each row maps a column to its nonzero entry.  With chains as row
+    vectors the boundary of a boundary being empty reads d2 @ d1 == 0,
+    which the constructor path verifies face by face.
     """
 
-    d1: np.ndarray
-    d2: np.ndarray
+    d1: tuple[dict[int, int], ...]
+    d2: tuple[dict[int, int], ...]
     edges: tuple[tuple[int, int], ...]   # row order of d1 / column order of d2
-
-    @property
-    def n_vertices(self) -> int:
-        return int(self.d1.shape[1])
+    n_vertices: int
 
     @property
     def n_edges(self) -> int:
-        return int(self.d1.shape[0])
+        return len(self.d1)
 
     @property
     def n_faces(self) -> int:
-        return int(self.d2.shape[0])
+        return len(self.d2)
 
 
 def boundary_matrices(mesh: HalfEdgeMesh | CellComplex) -> BoundaryMatrices:
@@ -48,29 +52,33 @@ def boundary_matrices(mesh: HalfEdgeMesh | CellComplex) -> BoundaryMatrices:
     Each edge is oriented from its lower to its higher vertex index; each
     face is traversed in its listed direction, contributing +1 where it
     runs along an edge's orientation and -1 where it runs against it.
+    A half-edge mesh supplies its sorted edge list; a bare complex gets
+    one from its edge census.
     """
-    complex = mesh.complex if isinstance(mesh, HalfEdgeMesh) else mesh
-    edges = tuple(sorted(edge_census(complex)))
+    if isinstance(mesh, HalfEdgeMesh):
+        complex, edges = mesh.complex, mesh.edges
+    else:
+        complex, edges = mesh, tuple(sorted(edge_census(mesh)))
     edge_row = {e: r for r, e in enumerate(edges)}
+    d1 = tuple({u: -1, v: 1} for u, v in edges)
 
-    d1 = np.zeros((len(edges), complex.n_vertices), dtype=np.int64)
-    for r, (u, v) in enumerate(edges):
-        d1[r, u] = -1
-        d1[r, v] = 1
-
-    d2 = np.zeros((complex.n_faces, len(edges)), dtype=np.int64)
-    for fi, face in enumerate(complex.faces):
-        k = len(face)
-        for i in range(k):
-            u, v = face[i], face[(i + 1) % k]
+    d2: list[dict[int, int]] = []
+    for face in complex.faces:
+        row: dict[int, int] = {}
+        for u, v in zip(face, face[1:] + face[:1]):
             if u < v:
-                d2[fi, edge_row[(u, v)]] += 1
+                row[edge_row[(u, v)]] = 1
             else:
-                d2[fi, edge_row[(v, u)]] -= 1
-
-    if np.any(d2 @ d1):
-        raise AssertionError("boundary of a boundary is nonzero; incidence build is broken")
-    return BoundaryMatrices(d1=d1, d2=d2, edges=edges)
+                row[edge_row[(v, u)]] = -1
+        # the boundary of this face's boundary, summed over its edges
+        acc: dict[int, int] = {}
+        for r, s in row.items():
+            for vtx, a in d1[r].items():
+                acc[vtx] = acc.get(vtx, 0) + s * a
+        if any(acc.values()):
+            raise AssertionError("boundary of a boundary is nonzero; incidence build is broken")
+        d2.append(row)
+    return BoundaryMatrices(d1=d1, d2=tuple(d2), edges=edges, n_vertices=complex.n_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +196,62 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     return SmithNormalForm(invariant_factors=tuple(factors), rank=len(factors))
 
 
+def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]]) -> SmithNormalForm:
+    """Smith normal form of an integer matrix given as sparse rows.
+
+    Each row maps a column to its nonzero entry.  Unit pivots are taken in
+    Markowitz order, the shortest row first and then its shortest unit
+    column.  Row operations clear the pivot's column; column operations
+    would then clear its row without touching anything else, so the pivot
+    row and column are dropped and contribute an invariant factor of 1.
+    What is left once no row holds a +-1 goes to the dense
+    smith_normal_form.  The input rows are not modified.
+    """
+    live = [dict(r) for r in rows]
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(live):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(live) if row]
+    heapq.heapify(heap)
+
+    units = 0
+    while heap:
+        length, r = heapq.heappop(heap)
+        prow = live[r]
+        if len(prow) != length:
+            continue   # dropped, or a newer entry for this row is queued
+        unit_cols = [j for j, a in prow.items() if a == 1 or a == -1]
+        if not unit_cols:
+            continue   # queued again if a later elimination changes it
+        c = min(unit_cols, key=lambda j: (len(cols[j]), j))
+        p = prow[c]
+        for i in cols[c] - {r}:
+            row = live[i]
+            f = row[c] * p   # p is its own inverse
+            for j, a in prow.items():
+                x = row.get(j, 0) - f * a
+                if x:
+                    row[j] = x
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
+        for j in prow:
+            cols[j].discard(r)
+        live[r] = {}
+        units += 1
+
+    left = [row for row in live if row]
+    order = sorted({j for row in left for j in row})
+    block = np.array([[row.get(j, 0) for j in order] for row in left], dtype=object)
+    rest = smith_normal_form(block.reshape(len(left), len(order)))
+    return SmithNormalForm(invariant_factors=(1,) * units + rest.invariant_factors,
+                           rank=units + rest.rank)
+
+
 # ---------------------------------------------------------------------------
 # Homology profile and surface classification
 # ---------------------------------------------------------------------------
@@ -211,8 +275,8 @@ def homology_profile(b: BoundaryMatrices) -> HomologyProfile:
     b_k = (#k-cells) - rank d_k - rank d_{k+1}, with d_0 and d_3 zero;
     the torsion of H_k is carried by the invariant factors of d_{k+1}.
     """
-    snf1 = smith_normal_form(b.d1)
-    snf2 = smith_normal_form(b.d2)
+    snf1 = sparse_smith_normal_form(b.d1)
+    snf2 = sparse_smith_normal_form(b.d2)
     r1, r2 = snf1.rank, snf2.rank
     betti = (
         b.n_vertices - r1,

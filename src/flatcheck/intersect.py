@@ -70,6 +70,7 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
     if bad:
         raise DegenerateTriangleError(
             f"{len(bad)} zero-area derived triangle(s), first at index {bad[0]}"
+            f" (source face {refinement.triangle_sources[bad[0]]})"
         )
     faces = refinement.source.faces
     return TriangleSoup(

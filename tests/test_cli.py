@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -221,6 +222,22 @@ def test_zero_length_edge_is_located_in_certificate(capsys, tmp_path):
     cert = json.loads(out)
     assert cert["geometry"] == {"error": "face 0: corner has a zero-length incident edge"}
     assert cert["immersion"]["error"] is not None
+
+
+def test_zero_area_triangle_names_source_face(capsys, tmp_path):
+    # the same pinched cube: the derived triangles are not listed in the
+    # certificate, so the error must name the cube face they come from
+    cx = cube()
+    verts = cx.vertices.copy()
+    verts[1] = verts[0]
+    path = tmp_path / "pinched.off"
+    write_off(build_complex(verts, cx.faces), path)
+    rc, out, _ = run(capsys, "check", str(path), "--quiet")
+    assert rc == 1
+    error = json.loads(out)["immersion"]["error"]
+    found = re.search(r"first at index \d+ \(source face (\d+)\)$", error)
+    assert found, error
+    assert {0, 1} <= set(cx.faces[int(found.group(1))])
 
 
 def test_empty_input_is_located(capsys, tmp_path):

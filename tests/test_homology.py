@@ -1,8 +1,9 @@
 """Integral homology: Smith normal form, boundary maps, surface classification.
 
-The Smith form is cross-checked against the determinantal-divisor definition:
-the k-th invariant factor equals gcd(k-minors) / gcd((k-1)-minors), computed
-here by brute cofactor expansion over all k-by-k submatrices.
+The dense Smith form is cross-checked against the determinantal-divisor
+definition: the k-th invariant factor equals gcd(k-minors) / gcd((k-1)-minors),
+computed here by brute cofactor expansion over all k-by-k submatrices.  The
+sparse Smith form, which homology_profile uses, is refereed by the dense one.
 """
 
 from __future__ import annotations
@@ -28,9 +29,30 @@ from flatcheck import (
     homology_profile,
     orientability,
     smith_normal_form,
+    sparse_smith_normal_form,
 )
 
 from conftest import grid_klein, grid_torus, tetra
+
+
+def _dense(rows, n_cols) -> np.ndarray:
+    """Object-dtype dense matrix of sparse rows (column -> entry maps)."""
+    out = np.zeros((len(rows), n_cols), dtype=object)
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            out[i, j] = a
+    return out
+
+
+def _sparse(mat) -> list[dict[int, int]]:
+    return [{j: int(a) for j, a in enumerate(r) if a} for r in mat]
+
+
+def _assert_sparse_matches_dense(rows, n_cols, label=""):
+    sparse = sparse_smith_normal_form(rows)
+    dense = smith_normal_form(_dense(rows, n_cols))
+    assert sparse.invariant_factors == dense.invariant_factors, label
+    assert sparse.rank == dense.rank, label
 
 
 def _det_int(rows) -> int:
@@ -125,14 +147,75 @@ def test_smith_invariant_under_permutation_and_transpose(seed):
     assert smith_normal_form(mat.T).invariant_factors == base
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n_rows=st.integers(0, 6),
+    n_cols=st.integers(0, 6),
+    no_units=st.booleans(),
+    data=st.data(),
+)
+def test_sparse_smith_matches_dense(n_rows, n_cols, no_units, data):
+    entry = st.integers(-9, 9)
+    if no_units:
+        entry = entry.filter(lambda a: abs(a) != 1)
+    mat = [[data.draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    _assert_sparse_matches_dense(_sparse(mat), n_cols)
+
+
+def test_sparse_smith_leaves_input_rows_alone():
+    rows = [{0: 1, 1: 2}, {0: 3, 1: 4}]
+    assert sparse_smith_normal_form(rows).invariant_factors == (1, 2)
+    assert rows == [{0: 1, 1: 2}, {0: 3, 1: 4}]
+
+
+def test_sparse_smith_matches_dense_on_corpus(corpus_halfedge):
+    for label, mesh in corpus_halfedge.items():
+        b = boundary_matrices(mesh)
+        _assert_sparse_matches_dense(b.d1, b.n_vertices, f"{label} d1")
+        _assert_sparse_matches_dense(b.d2, b.n_edges, f"{label} d2")
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sparse_smith_matches_dense_on_relabelled_klein(seed):
+    base = grid_klein(3, 3)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(base.n_vertices)
+    verts = [None] * base.n_vertices
+    for old, new in enumerate(perm):
+        verts[new] = tuple(base.vertices[old])
+    faces = []
+    for face in base.faces:
+        g = [int(perm[i]) for i in face]
+        k = int(rng.integers(len(g)))
+        faces.append(tuple(g[k:] + g[:k]))
+    rng.shuffle(faces)
+    b = boundary_matrices(check_closed_manifold(build_complex(verts, faces)))
+    _assert_sparse_matches_dense(b.d1, b.n_vertices, "d1")
+    _assert_sparse_matches_dense(b.d2, b.n_edges, "d2")
+    prof = homology_profile(b)
+    assert prof.betti == (1, 1, 0)
+    assert prof.torsion == ((), (2,), ())
+
+
 def test_boundary_composition_is_zero(corpus_halfedge):
     # rows index cells: d1 is edges-by-vertices, d2 is faces-by-edges,
     # so boundary-of-boundary reads d2 @ d1
     for label, mesh in corpus_halfedge.items():
         b = boundary_matrices(mesh)
-        prod = np.asarray(b.d2, dtype=object) @ np.asarray(b.d1, dtype=object)
+        d1 = _dense(b.d1, b.n_vertices)
+        prod = _dense(b.d2, b.n_edges) @ d1
         assert not prod.any(), label
-        assert np.asarray(b.d1).shape == (len(b.edges), mesh.complex.n_vertices)
+        assert d1.shape == (len(b.edges), mesh.complex.n_vertices)
+
+
+def test_boundary_rows_follow_mesh_edges():
+    mesh = check_closed_manifold(grid_klein(3, 3))
+    from_mesh = boundary_matrices(mesh)
+    from_complex = boundary_matrices(mesh.complex)
+    assert from_mesh.edges == from_complex.edges == mesh.edges
+    assert from_mesh.d1 == from_complex.d1
+    assert from_mesh.d2 == from_complex.d2
 
 
 @pytest.mark.parametrize(
@@ -148,6 +231,34 @@ def test_homology_profiles(maker, betti, torsion):
     prof = homology_profile(boundary_matrices(mesh))
     assert prof.betti == betti
     assert prof.torsion == torsion
+
+
+@pytest.mark.parametrize(
+    "maker,betti,torsion",
+    [
+        (grid_torus, (1, 2, 1), ((), (), ())),
+        (grid_klein, (1, 1, 0), ((), (2,), ())),
+    ],
+)
+def test_homology_profiles_at_64(maker, betti, torsion):
+    # 8192 faces: far beyond what a dense Smith form of d2 handles quickly
+    mesh = check_closed_manifold(maker(64, 64))
+    prof = homology_profile(boundary_matrices(mesh))
+    assert prof.betti == betti
+    assert prof.torsion == torsion
+
+
+def test_open_complexes():
+    triangle = build_complex([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
+    assert homology_profile(boundary_matrices(triangle)).betti == (1, 0, 0)
+    # a ring of four quads between an inner and an outer square
+    n = 4
+    ring = [(math.cos(a), math.sin(a), 0.0) for a in (2 * math.pi * i / n for i in range(n))]
+    verts = ring + [(2 * x, 2 * y, 0.0) for x, y, _ in ring]
+    faces = [(i, (i + 1) % n, n + (i + 1) % n, n + i) for i in range(n)]
+    annulus = homology_profile(boundary_matrices(build_complex(verts, faces)))
+    assert annulus.betti == (1, 1, 0)
+    assert annulus.torsion == ((), (), ())
 
 
 def test_euler_poincare_on_corpus(corpus_halfedge):
