@@ -17,9 +17,9 @@ from .flatness import (DegenerateFaceError, FlatnessReport, ToleranceProfile,
 from .homology import boundary_matrices, classify_surface, homology_profile
 from .intersect import (DegenerateTriangleError, classify_immersion, self_intersections,
                         triangle_soup)
-from .mesh import (CellComplex, NotManifoldError, check_closed_manifold,
-                   connected_components, edge_census, euler_characteristic, orientability)
-from .refine import triangulate_faces
+from .mesh import (CellComplex, NotManifoldError, check_closed_manifold, edge_census,
+                   euler_characteristic, orientability)
+from .refine import TriangulationError, triangulate_faces
 
 TOOL_NAME = "flatcheck"
 TOOL_VERSION = "0.1.0"
@@ -94,6 +94,18 @@ def build_certificate(
     """
     tol = tolerances or ToleranceProfile()
     census = complex.face_degree_census()
+    try:
+        mesh = check_closed_manifold(complex)
+        n_edges = mesh.n_edges
+        defects = []
+    except NotManifoldError as exc:
+        mesh = None
+        n_edges = len(edge_census(complex))
+        defects = [
+            {"kind": d.kind, "location": list(d.location), "detail": d.detail}
+            for d in exc.defects
+        ]
+
     cert: dict = {
         "tool": {
             "name": TOOL_NAME,
@@ -107,21 +119,11 @@ def build_certificate(
         "input": {
             "sources": [{"path": p, "sha256": h} for p, h in sources],
             "n_vertices": complex.n_vertices,
-            "n_edges": len(edge_census(complex)),
+            "n_edges": n_edges,
             "n_faces": complex.n_faces,
             "face_degree_census": {str(k): census[k] for k in sorted(census)},
         },
     }
-
-    try:
-        mesh = check_closed_manifold(complex)
-        defects = []
-    except NotManifoldError as exc:
-        mesh = None
-        defects = [
-            {"kind": d.kind, "location": list(d.location), "detail": d.detail}
-            for d in exc.defects
-        ]
 
     if mesh is None:
         cert["combinatorics"] = {
@@ -146,13 +148,13 @@ def build_certificate(
         }
         return cert
 
-    comps = connected_components(mesh)
     chi = euler_characteristic(mesh)
     orient = orientability(mesh)
+    components = len(orient.per_component)
     cert["combinatorics"] = {
         "closed_manifold": True,
         "defects": [],
-        "components": comps.count,
+        "components": components,
         "euler_characteristic": chi,
         "orientable": orient.orientable,
         "orientable_per_component": list(orient.per_component),
@@ -187,16 +189,17 @@ def build_certificate(
         flat = geo.flat
         locally_embedded = geo.all_links_embedded
 
-    refinement = triangulate_faces(complex, tol)
-    immersion: dict = {
-        "triangles": refinement.derived.n_faces,
-        "triangulation_fallbacks": [
-            {"face": r.face, "reason": r.reason} for r in refinement.fallbacks
-        ],
-    }
+    immersion: dict = {"triangles": None, "triangulation_fallbacks": None}
     try:
+        refinement = triangulate_faces(complex, tol)
+        immersion["triangles"] = refinement.derived.n_faces
+        immersion["triangulation_fallbacks"] = [
+            {"face": r.face, "reason": r.reason} for r in refinement.fallbacks
+        ]
         soup = triangle_soup(refinement)
-    except DegenerateTriangleError as exc:
+    except (TriangulationError, DegenerateTriangleError) as exc:
+        # two faces yielding one triangle, or a zero-area triangle, leave
+        # no soup to test; the certificate records the failure instead
         immersion["error"] = str(exc)
         immersion["pairs"] = None
         immersion["local_overlaps"] = None
@@ -223,7 +226,7 @@ def build_certificate(
 
     cert["verdict"] = {
         "closed_manifold": True,
-        "connected": comps.count == 1,
+        "connected": components == 1,
         "surface": surface.name,
         "flat": flat,
         "locally_embedded": locally_embedded,

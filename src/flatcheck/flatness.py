@@ -119,9 +119,17 @@ def corner_angle(p_prev: np.ndarray, p_vertex: np.ndarray, p_next: np.ndarray) -
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         raise DegenerateFaceError("corner has a zero-length incident edge")
-    cross = float(np.linalg.norm(np.cross(u, v)))
-    dot = float(u @ v)
-    return math.atan2(cross, dot)
+    return _angular_distance(u, v)
+
+
+def _angular_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
+
+
+def _any_perpendicular(d: np.ndarray) -> np.ndarray:
+    seed = np.array([1.0, 0.0, 0.0]) if abs(d[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
+    p = np.cross(d, seed)
+    return p / np.linalg.norm(p)
 
 
 @dataclass(frozen=True)
@@ -180,9 +188,7 @@ def face_geometry(complex: CellComplex, face_index: int) -> FaceGeometry:
     fit = face_plane_fit(pts)
     # In-plane frame: two unit vectors orthogonal to the fitted normal.
     n = fit.normal
-    seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(n, seed)
-    u /= np.linalg.norm(u)
+    u = _any_perpendicular(n)
     w = np.cross(n, u)
     basis = np.vstack([u, w])
     centered = pts - pts.mean(axis=0)
@@ -231,45 +237,43 @@ def face_geometry(complex: CellComplex, face_index: int) -> FaceGeometry:
     )
 
 
-class _FaceCache:
-    """Lazily computed FaceGeometry per face, shared across vertex loops."""
-
-    def __init__(self, complex: CellComplex):
-        self.complex = complex
-        self._cache: dict[int, FaceGeometry] = {}
-
-    def __getitem__(self, face_index: int) -> FaceGeometry:
-        geo = self._cache.get(face_index)
-        if geo is None:
-            geo = face_geometry(self.complex, face_index)
-            self._cache[face_index] = geo
-        return geo
+def _star_geometry(mesh: HalfEdgeMesh, vertex: int) -> dict[int, FaceGeometry]:
+    """FaceGeometry of every face around the vertex, keyed by face."""
+    return {f: face_geometry(mesh.complex, f) for f, _ in mesh.vertex_stars[vertex]}
 
 
-def angle_defect(mesh: HalfEdgeMesh, vertex: int, _faces: _FaceCache | None = None) -> float:
+def _defect(mesh: HalfEdgeMesh, vertex: int, geos) -> float:
+    """angle_defect over geos, which maps each face of the star to its geometry."""
+    total = 0.0
+    for f, i in mesh.vertex_stars[vertex]:
+        total += geos[f].angles[i]
+    return TWO_PI - total
+
+
+def angle_defect(mesh: HalfEdgeMesh, vertex: int) -> float:
     """2*pi minus the sum of interior corner angles around the vertex.
 
     Interior angles are reflex-aware for faces that are simple in their
     fitted plane, so nonconvex faces contribute their true wedge angles.
     """
-    faces = _faces if _faces is not None else _FaceCache(mesh.complex)
-    total = 0.0
-    for f, i in mesh.vertex_stars[vertex]:
-        total += faces[f].angles[i]
-    return TWO_PI - total
+    return _defect(mesh, vertex, _star_geometry(mesh, vertex))
 
 
-def gauss_bonnet_check(mesh: HalfEdgeMesh, _faces: _FaceCache | None = None) -> tuple[float, float, float]:
+def _gauss_bonnet(mesh: HalfEdgeMesh, defects) -> tuple[float, float, float]:
+    total = math.fsum(defects)
+    reference = TWO_PI * euler_characteristic(mesh)
+    return total, reference, total - reference
+
+
+def gauss_bonnet_check(mesh: HalfEdgeMesh) -> tuple[float, float, float]:
     """(sum of defects, 2*pi*chi, residual).
 
     For planar-faced complexes the total defect equals 2*pi*chi exactly;
     the residual measures only floating-point accumulation and broken
     corner bookkeeping.
     """
-    faces = _faces if _faces is not None else _FaceCache(mesh.complex)
-    total = math.fsum(angle_defect(mesh, v, faces) for v in range(mesh.n_vertices))
-    reference = TWO_PI * euler_characteristic(mesh)
-    return total, reference, total - reference
+    geos = [face_geometry(mesh.complex, f) for f in range(mesh.n_faces)]
+    return _gauss_bonnet(mesh, (_defect(mesh, v, geos) for v in range(mesh.n_vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +312,7 @@ def _rotate(p: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
     return p * c + np.cross(axis, p) * s + axis * float(axis @ p) * (1.0 - c)
 
 
-def vertex_link(mesh: HalfEdgeMesh, vertex: int, _faces: _FaceCache | None = None) -> SphericalLink:
+def vertex_link(mesh: HalfEdgeMesh, vertex: int) -> SphericalLink:
     """Build the link of a vertex as a closed spherical polygon.
 
     Link vertices are the unit directions of the incident edges in star
@@ -317,7 +321,11 @@ def vertex_link(mesh: HalfEdgeMesh, vertex: int, _faces: _FaceCache | None = Non
     corners (angle pi) are oriented using the face's in-plane frame, since
     the two directions alone leave the great semicircle ambiguous.
     """
-    faces = _faces if _faces is not None else _FaceCache(mesh.complex)
+    return _link(mesh, vertex, _star_geometry(mesh, vertex))
+
+
+def _link(mesh: HalfEdgeMesh, vertex: int, geos) -> SphericalLink:
+    """vertex_link over geos, which maps each face of the star to its geometry."""
     complex = mesh.complex
     pos_v = complex.vertices[vertex]
     star = mesh.vertex_stars[vertex]
@@ -337,7 +345,7 @@ def vertex_link(mesh: HalfEdgeMesh, vertex: int, _faces: _FaceCache | None = Non
     arcs: list[LinkArc] = []
     for k in range(count):
         f, i = star[k]
-        geo = faces[f]
+        geo = geos[f]
         theta = geo.angles[i]
         d_start = directions[k]
         d_end = directions[(k + 1) % count]
@@ -386,12 +394,6 @@ def vertex_link(mesh: HalfEdgeMesh, vertex: int, _faces: _FaceCache | None = Non
     )
 
 
-def _any_perpendicular(d: np.ndarray) -> np.ndarray:
-    seed = np.array([1.0, 0.0, 0.0]) if abs(d[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    p = np.cross(d, seed)
-    return p / np.linalg.norm(p)
-
-
 @dataclass(frozen=True)
 class LinkVerdict:
     """Embedding verdict for one vertex link, with a witness on failure."""
@@ -399,10 +401,6 @@ class LinkVerdict:
     vertex: int
     embedded: bool
     witness: str | None = None
-
-
-def _angular_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
 
 
 @dataclass(frozen=True)
@@ -614,14 +612,15 @@ class FlatnessReport:
 def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None) -> FlatnessReport:
     """Run every geometric check once and collect the results."""
     tol = tol or ToleranceProfile()
-    faces = _FaceCache(mesh.complex)
 
+    geos = []
     face_records = []
     for fi in range(mesh.n_faces):
         try:
-            geo = faces[fi]
+            geo = face_geometry(mesh.complex, fi)
         except DegenerateFaceError as exc:
             raise DegenerateFaceError(f"face {fi}: {exc}") from exc
+        geos.append(geo)
         face_records.append(
             FaceFlatnessRecord(
                 face=fi,
@@ -634,19 +633,19 @@ def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None) -> 
 
     vertex_records = []
     for v in range(mesh.n_vertices):
-        d = angle_defect(mesh, v, faces)
+        d = _defect(mesh, v, geos)
         vertex_records.append(VertexFlatnessRecord(vertex=v, defect=d, flat=abs(d) <= tol.defect_tol))
 
     links = []
     for v in range(mesh.n_vertices):
         try:
-            link = vertex_link(mesh, v, faces)
+            link = _link(mesh, v, geos)
         except MeshError as exc:
             links.append(LinkVerdict(vertex=v, embedded=False, witness=str(exc)))
             continue
         links.append(link_is_embedded(link, tol.link_tol))
 
-    total, reference, residual = gauss_bonnet_check(mesh, faces)
+    total, reference, residual = _gauss_bonnet(mesh, [r.defect for r in vertex_records])
     return FlatnessReport(
         faces=tuple(face_records),
         vertices=tuple(vertex_records),

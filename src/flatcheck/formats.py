@@ -31,26 +31,30 @@ class LoadedMesh:
     sources: tuple[tuple[str, str], ...]    # (path, sha256 hex)
 
 
-def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _fail(path, lineno: int, message: str):
     raise FormatError(f"{path}:{lineno}: {message}")
 
 
-def _data_lines(path: str | Path):
-    """(lineno, stripped content) for lines that are not blank or comments."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+def _data_lines(path: str | Path) -> tuple[list[tuple[int, str]], tuple[str, str]]:
+    """Read the file once: (lineno, stripped content) for every line that
+    is not blank or a comment, and the (path, sha256) of the bytes parsed.
+
+    Lines end at \n, \r\n or \r, as in text mode; str.splitlines would
+    also split on \x0c and \x85 and shift the line numbers.
+    """
+    data = Path(path).read_bytes()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    lines = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    return lines, (str(path), hashlib.sha256(data).hexdigest())
 
 
 def read_off(path: str | Path) -> LoadedMesh:
     """Parse an ASCII OFF file (header, counts, vertices, 0-based faces)."""
-    lines = list(_data_lines(path))
+    lines, source = _data_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty file")
     lineno, header = lines[0]
@@ -104,14 +108,15 @@ def read_off(path: str | Path) -> LoadedMesh:
         faces.append(tuple(tokens[1:]))
 
     complex = _build(vertices, faces, index_base=0, path=path)
-    return LoadedMesh(complex=complex, sources=((str(path), _sha256(path)),))
+    return LoadedMesh(complex=complex, sources=(source,))
 
 
 def read_obj(path: str | Path) -> LoadedMesh:
     """Parse the v/f records of a Wavefront OBJ file (1-based, polygonal)."""
     vertices: list[list[float]] = []
     faces: list[tuple[int, ...]] = []
-    for lineno, line in _data_lines(path):
+    lines, source = _data_lines(path)
+    for lineno, line in lines:
         parts = line.split()
         if parts[0] == "v":
             if len(parts) not in (4, 5):
@@ -140,7 +145,7 @@ def read_obj(path: str | Path) -> LoadedMesh:
         # every other record type (vn, vt, usemtl, ...) is irrelevant here
     arr = np.array(vertices, dtype=np.float64).reshape(len(vertices), 3)
     complex = _build(arr, faces, index_base=1, path=path)
-    return LoadedMesh(complex=complex, sources=((str(path), _sha256(path)),))
+    return LoadedMesh(complex=complex, sources=(source,))
 
 
 def read_pair(faces_path: str | Path, vertices_path: str | Path,
@@ -148,7 +153,8 @@ def read_pair(faces_path: str | Path, vertices_path: str | Path,
     """Parse the two-file form: one face per line in the first file, one
     coordinate triple per line in the second."""
     vertices: list[list[float]] = []
-    for lineno, line in _data_lines(vertices_path):
+    vertex_lines, vertex_source = _data_lines(vertices_path)
+    for lineno, line in vertex_lines:
         parts = line.split()
         if len(parts) != 3:
             _fail(vertices_path, lineno, f"expected 3 coordinates, got {len(parts)}")
@@ -157,7 +163,8 @@ def read_pair(faces_path: str | Path, vertices_path: str | Path,
         except ValueError:
             _fail(vertices_path, lineno, f"bad coordinate in {line!r}")
     faces: list[tuple[int, ...]] = []
-    for lineno, line in _data_lines(faces_path):
+    face_lines, face_source = _data_lines(faces_path)
+    for lineno, line in face_lines:
         parts = line.split()
         if len(parts) < 3:
             _fail(faces_path, lineno, f"face needs at least 3 vertices, got {len(parts)}")
@@ -167,13 +174,7 @@ def read_pair(faces_path: str | Path, vertices_path: str | Path,
             _fail(faces_path, lineno, f"bad face index in {line!r}")
     arr = np.array(vertices, dtype=np.float64).reshape(len(vertices), 3)
     complex = _build(arr, faces, index_base=index_base, path=faces_path)
-    return LoadedMesh(
-        complex=complex,
-        sources=(
-            (str(faces_path), _sha256(faces_path)),
-            (str(vertices_path), _sha256(vertices_path)),
-        ),
-    )
+    return LoadedMesh(complex=complex, sources=(face_source, vertex_source))
 
 
 def _build(vertices, faces, index_base: int, path) -> CellComplex:

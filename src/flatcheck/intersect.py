@@ -495,7 +495,8 @@ def self_intersections(
     local overlaps of adjacent ones beyond their shared cells.
 
     The result is a pure set function of the coordinates: pair lists are
-    sorted by index and independent of hierarchy shape.
+    sorted by index, because candidate_pairs returns the candidates sorted,
+    and independent of hierarchy shape.
     """
     if hierarchy is None:
         hierarchy = build_hierarchy(soup)
@@ -515,8 +516,6 @@ def self_intersections(
             pairs.append(PairContact(i, j, contact.kind, contact.witness()))
         elif _beyond_allowed(contact, *cells):
             overlaps.append(PairContact(i, j, contact.kind, contact.witness()))
-    pairs.sort(key=lambda pc: (pc.i, pc.j))
-    overlaps.sort(key=lambda ov: (ov.i, ov.j))
     return IntersectionReport(
         pairs=tuple(pairs), local_overlaps=tuple(overlaps), n_candidates=len(cands)
     )

@@ -9,7 +9,7 @@ way in.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -189,7 +189,6 @@ class HalfEdgeMesh:
 
     complex: CellComplex
     origin: tuple[int, ...]          # half-edge -> source vertex
-    destination: tuple[int, ...]     # half-edge -> target vertex
     face_of: tuple[int, ...]         # half-edge -> face index
     twin: tuple[int, ...]            # half-edge -> opposite side of its edge
     edges: tuple[tuple[int, int], ...]           # sorted pairs, lexicographic order
@@ -267,12 +266,8 @@ def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
     for h in range(nh):
         corners_at[origin[h]].append((face_of[h], pos_in_face[h]))
 
-    he_index: dict[tuple[int, int], int] = {}
-    base = 0
-    for fi, face in enumerate(complex.faces):
-        for i in range(len(face)):
-            he_index[(fi, i)] = base + i
-        base += len(face)
+    # half-edges are numbered face by face: side i of face fi is first[fi] + i
+    first = [h for h in range(nh) if pos_in_face[h] == 0]
 
     stars: list[tuple[tuple[int, int], ...]] = []
     entry_neighbors: list[tuple[int, ...]] = []
@@ -297,9 +292,9 @@ def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
             fi, i = corner
             k = len(complex.faces[fi])
             if entered_via_incoming:
-                exit_he = he_index[(fi, i)]             # leave over v -> next
+                exit_he = first[fi] + i             # leave over v -> next
             else:
-                exit_he = he_index[(fi, (i - 1) % k)]   # leave over prev -> v
+                exit_he = first[fi] + (i - 1) % k   # leave over prev -> v
             entry_neighbor = destination[exit_he] if origin[exit_he] == v else origin[exit_he]
             t = twin[exit_he]
             tf, ti = face_of[t], pos_in_face[t]
@@ -329,7 +324,6 @@ def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
     return HalfEdgeMesh(
         complex=complex,
         origin=tuple(origin),
-        destination=tuple(destination),
         face_of=tuple(face_of),
         twin=tuple(twin),
         edges=tuple(sorted(sides)),
@@ -344,40 +338,12 @@ def euler_characteristic(mesh: HalfEdgeMesh) -> int:
 
 
 @dataclass(frozen=True)
-class ComponentLabels:
-    """Connected components of the face-adjacency graph."""
-
-    count: int
-    face_component: tuple[int, ...]
-
-
-def connected_components(mesh: HalfEdgeMesh) -> ComponentLabels:
-    """Label faces by connected component (adjacency across shared edges)."""
-    nf = mesh.n_faces
-    label = [-1] * nf
-    count = 0
-    he_of_face: list[list[int]] = [[] for _ in range(nf)]
-    for h, f in enumerate(mesh.face_of):
-        he_of_face[f].append(h)
-    for seed in range(nf):
-        if label[seed] != -1:
-            continue
-        queue = deque([seed])
-        label[seed] = count
-        while queue:
-            f = queue.popleft()
-            for h in he_of_face[f]:
-                g = mesh.face_of[mesh.twin[h]]
-                if label[g] == -1:
-                    label[g] = count
-                    queue.append(g)
-        count += 1
-    return ComponentLabels(count=count, face_component=tuple(label))
-
-
-@dataclass(frozen=True)
 class OrientabilityReport:
-    """Orientability verdict, overall and per face-component."""
+    """Orientability verdict, overall and per face-component.
+
+    per_component[k] belongs to the k-th component in order of its
+    lowest-numbered face.
+    """
 
     per_component: tuple[bool, ...]
 
@@ -404,8 +370,6 @@ def orientability(mesh: HalfEdgeMesh) -> OrientabilityReport:
     for seed in range(nf):
         if flip[seed] != -1:
             continue
-        # seeds run in face order, as in connected_components, so
-        # verdict[k] belongs to component k
         verdict.append(True)
         flip[seed] = 0
         queue = deque([seed])
@@ -422,3 +386,16 @@ def orientability(mesh: HalfEdgeMesh) -> OrientabilityReport:
                 elif flip[g] != expected:
                     verdict[-1] = False
     return OrientabilityReport(per_component=tuple(verdict))
+
+
+@dataclass(frozen=True)
+class ComponentLabels:
+    """Connected components of the face-adjacency graph."""
+
+    count: int
+
+
+def connected_components(mesh: HalfEdgeMesh) -> ComponentLabels:
+    """Count the components of the face-adjacency graph (faces sharing an
+    edge); orientability's sweep visits each component once."""
+    return ComponentLabels(count=len(orientability(mesh).per_component))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flatness import DegenerateFaceError, ToleranceProfile, face_geometry
-from .mesh import CellComplex, MeshError, build_complex
+from .mesh import CellComplex, MeshError, build_complex, canonical_face
 from .predicates import orient2d
 
 
@@ -153,9 +153,9 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None)
     their fitted plane when they are planar (within tol) and simple there;
     otherwise the face falls back to the fan from its lowest-index corner
     and the substitution is recorded in `fallbacks`.  An n-gon always
-    yields n-2 triangles.  Faces that cannot be triangulated at all
-    (no ear exists even though the polygon passed the simplicity test)
-    raise TriangulationError.
+    yields n-2 triangles.  TriangulationError is raised when a face cannot
+    be triangulated at all (no ear exists even though the polygon passed
+    the simplicity test) and when two faces yield the same triangle.
     """
     tol = tol or ToleranceProfile()
     triangles: list[tuple[int, int, int]] = []
@@ -193,10 +193,20 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None)
             sources.extend([fi] * len(fans))
             fallbacks.append(FallbackRecord(face=fi, reason=reason))
 
-    derived = build_complex(complex.vertices, triangles)
+    # the triangles reuse the validated vertices of distinct-vertex faces,
+    # so a repeated triangle is the only way the derived complex can fail
+    seen: dict[tuple[int, ...], int] = {}
+    for tri, fi in zip(triangles, sources):
+        key = canonical_face(tri)
+        if key in seen:
+            raise TriangulationError(
+                f"faces {seen[key]} and {fi} both yield triangle {tri} "
+                "(identical up to rotation/reversal)"
+            )
+        seen[key] = fi
     return Refinement(
         source=complex,
-        derived=derived,
+        derived=CellComplex(vertices=complex.vertices, faces=tuple(triangles)),
         triangle_sources=tuple(sources),
         vertex_origins=tuple(SourceVertex(i) for i in range(complex.n_vertices)),
         fallbacks=tuple(fallbacks),

@@ -2,24 +2,59 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from flatcheck import certificate
 from flatcheck import (
     GeneratorSpec,
     ToleranceProfile,
+    angle_defect,
     build_certificate,
     build_complex,
     canonical_json,
     certificate_text,
+    check_closed_manifold,
+    connected_components,
+    edge_census,
+    flatness_report,
+    gauss_bonnet_check,
     generate,
+    orientability,
     write_certificate,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "tetrahedron_certificate.json"
+
+# sha256 of certificate_text(build_certificate(...)) with default
+# tolerances: any change to a certificate byte shows here
+CERTIFICATE_SHA256 = {
+    "tetrahedron": "47d0d7c8a4b177c2dc75f3d9628a3b1103427d335f9e3e439c91811c014e1488",
+    "cube": "7bdea5c2bf026b67d1b64e9faa99ba7dcec80c4591c13ece767c5521d8587c5e",
+    "icosahedron": "764a7281454f991273385d15940ff156d3de11f7a694a78d4c767919b29daeae",
+    "grid_torus_3x3": "e48a9eeb5218bfc173b9f67622ebe136233a13f1d6e44c12cb59be8dc2eb88f3",
+    "grid_torus_4x5": "ed6228c7587a652ec837cd57ee8197195594c550908a9e045a838e2951d74600",
+    "grid_klein_3x3": "6d6cb72a7633d17cfeed922dfbd37b694fec4d576d2b073bc98d07636e1f3566",
+    "grid_klein_5x4": "f523b9b5ba93791588ed5f5acbef5f1c1c00a652bcb6b9ecff905b7b1c9c5f1b",
+    "folded_flat_torus_4x4_folds2":
+        "35e31c428f8b7f2ecc6f15c59a6ef7b3cae353561acff2c621461d116dc2e5f5",
+    "doubled_cone_angle6.28319":
+        "45972cf2410761d306434e126251e0c94d541862a856b7731b8ef6108b7c78eb",
+    "doubled_cone_angle12.5664":
+        "5a30121498d249f01f6698e8cd40b12f960b10a09efd4d6fd31706cc354e421d",
+    "two_tetrahedra": "6c6900b26346429a75ae6381a3b3b5186a6b51023e712140165e7a673c9ac269",
+}
+
+
+def _two_tetrahedra():
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+    return build_complex(verts + [(10 + x, y, z) for x, y, z in verts],
+                         faces + [tuple(i + 4 for i in f) for f in faces])
 
 
 def test_canonical_json_scalars():
@@ -60,6 +95,38 @@ def test_canonical_json_rejects_unknown():
 def test_certificate_matches_golden():
     text = certificate_text(build_certificate(generate(GeneratorSpec("tetrahedron"))))
     assert text == GOLDEN.read_text()
+
+
+def test_certificate_bytes_pinned_over_corpus(corpus_meshes):
+    meshes = {label: cx for label, (_, cx) in corpus_meshes.items()}
+    meshes["two_tetrahedra"] = _two_tetrahedra()
+    assert set(meshes) == set(CERTIFICATE_SHA256)
+    for label, cx in meshes.items():
+        cert = build_certificate(cx)
+        text = certificate_text(cert)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERTIFICATE_SHA256[label], label
+        # the public functions agree, bit for bit, with what the
+        # certificate reads from its single producer of each fact
+        mesh = check_closed_manifold(cx)
+        report = flatness_report(mesh)
+        recorded = math.fsum(v.defect for v in report.vertices)
+        assert report.defect_total.hex() == recorded.hex(), label
+        assert gauss_bonnet_check(mesh)[0].hex() == recorded.hex(), label
+        assert [angle_defect(mesh, v) for v in range(cx.n_vertices)] == [
+            v.defect for v in report.vertices], label
+        components = len(orientability(mesh).per_component)
+        assert connected_components(mesh).count == components == cert["combinatorics"]["components"]
+        assert cert["input"]["n_edges"] == mesh.n_edges == len(edge_census(cx)), label
+
+
+def test_closed_input_counts_edges_once(monkeypatch):
+    # the half-edge mesh already holds the edge list; the census is only
+    # for input that is not a closed manifold
+    def census(complex):
+        raise AssertionError("edge_census called on closed input")
+
+    monkeypatch.setattr(certificate, "edge_census", census)
+    assert build_certificate(generate(GeneratorSpec("cube")))["input"]["n_edges"] == 12
 
 
 def test_certificate_deterministic_bytes(tmp_path):

@@ -240,6 +240,39 @@ def test_zero_area_triangle_names_source_face(capsys, tmp_path):
     assert {0, 1} <= set(cx.faces[int(found.group(1))])
 
 
+def test_repeated_derived_triangle_names_source_faces(capsys, tmp_path):
+    # a sphere with V 4, E 5, F 3: the quad's ear clip yields (3, 0, 1),
+    # which is face 1 again
+    off = tmp_path / "sphere.off"
+    off.write_text("OFF\n4 3 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+                   "4 0 1 2 3\n3 1 0 3\n3 1 2 3\n")
+    message = "faces 0 and 1 both yield triangle (1, 0, 3) (identical up to rotation/reversal)"
+    rc, out, err = run(capsys, "check", str(off), "--quiet")
+    assert (rc, err) == (1, "")
+    cert = json.loads(out)
+    assert cert["verdict"]["closed_manifold"] is True
+    assert cert["verdict"]["surface"] == "sphere"
+    assert cert["input"]["n_edges"] == 5
+    assert cert["immersion"] == {
+        "triangles": None, "triangulation_fallbacks": None, "error": message,
+        "pairs": None, "local_overlaps": None, "classification": None,
+    }
+    out_path = tmp_path / "tri.off"
+    rc, _, err = run(capsys, "triangulate", str(off), "-o", str(out_path))
+    assert (rc, err) == (1, f"error: {message}\n")
+    assert not out_path.exists()
+
+
+def test_intersections_fails_on_nonmanifold_input(capsys, tmp_path):
+    # two triangles sharing one edge: four boundary edges, no soup is tested
+    off = tmp_path / "pair.off"
+    off.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n3 0 1 3\n")
+    rc, out, _ = run(capsys, "intersections", str(off))
+    assert rc == 1
+    assert "closed manifold: FAIL" in out
+    assert "boundary-edge" in out
+
+
 def test_empty_input_is_located(capsys, tmp_path):
     off = tmp_path / "empty.off"
     off.write_text("OFF\n0 0 0\n")

@@ -98,6 +98,16 @@ def test_off_reports_line_numbers(tmp_path):
     assert ":5:" in str(exc.value)
 
 
+def test_line_numbers_follow_text_mode_newlines(tmp_path):
+    # \r\n and a lone \r end a line; a form feed or NEL inside one does not
+    path = tmp_path / "bad.off"
+    path.write_bytes("OFF\r\n# filler\x0cmore\r3 1 3\n0 0 0\x85\nnope\x0c nope nope\r\n"
+                     "0 1 0\n3 0 1 2\n".encode("utf-8"))
+    with pytest.raises(FormatError) as exc:
+        read_off(path)
+    assert f"{path}:5: bad coordinate" in str(exc.value)
+
+
 def test_obj_round_trip_exact(tmp_path):
     cx = _awkward_complex()
     path = tmp_path / "mesh.obj"
@@ -182,6 +192,15 @@ def test_sources_record_sha256(tmp_path):
     loaded = read_off(path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert loaded.sources == ((str(path), digest),)
+
+
+def test_pair_sources_record_sha256(tmp_path):
+    fp, vp = tmp_path / "faces.txt", tmp_path / "vertices.txt"
+    write_pair(_awkward_complex(), fp, vp)
+    assert read_pair(fp, vp).sources == (
+        (str(fp), hashlib.sha256(fp.read_bytes()).hexdigest()),
+        (str(vp), hashlib.sha256(vp.read_bytes()).hexdigest()),
+    )
 
 
 def test_nonmanifold_file_still_loads(tmp_path):
