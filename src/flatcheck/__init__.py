@@ -13,8 +13,8 @@ from .formats import (FormatError, LoadedMesh, read_mesh, read_obj, read_off,
 from .homology import (BoundaryMatrices, HomologyProfile, SmithNormalForm,
                        SurfaceClass, boundary_matrices, classify_surface,
                        homology_profile, smith_normal_form, sparse_smith_normal_form)
-from .intersect import (BoundingHierarchy, Contact, DegenerateTriangleError,
-                        IntersectionReport, PairContact, TriangleSoup, build_hierarchy,
+from .intersect import (Contact, DegenerateTriangleError, IntersectionReport,
+                        PairContact, TriangleBoxes, TriangleSoup, build_hierarchy,
                         candidate_pairs, classify_immersion, self_intersections,
                         triangle_contact, triangle_soup)
 from .mesh import (CellComplex, HalfEdgeMesh, InvalidComplexError, ManifoldDefect,

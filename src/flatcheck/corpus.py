@@ -219,9 +219,12 @@ def doubled_cone(total_angle: float, segments: int | None = None) -> CellComplex
     sheets coincide in the plane.  The apex link winds the same number of
     times: embedded for total_angle 2pi, not embedded for 4pi.
     """
-    if not total_angle > 0.0:
-        raise GeneratorError(f"total_angle must be positive, got {total_angle}")
-    k = segments if segments is not None else max(3, math.ceil(2.0 * total_angle / math.pi))
+    if not 0.0 < total_angle < math.inf:
+        raise GeneratorError(f"total_angle must be positive and finite, got {total_angle}")
+    quarter_turns = 2.0 * total_angle / math.pi
+    if quarter_turns == math.inf:
+        raise GeneratorError(f"total_angle {total_angle:g} is too large")
+    k = segments if segments is not None else max(3, math.ceil(quarter_turns))
     if k < 3:
         raise GeneratorError(f"segments must be >= 3, got {k}")
     if total_angle / k >= math.pi:

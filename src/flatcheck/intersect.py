@@ -2,14 +2,14 @@
 
 The triangle soup is three arrays built once from a refinement: corner
 coordinates (n, 3, 3), derived corner ids and source faces, plus the
-vertex and edge sets of every source face.  Broad phase: an axis-aligned
-bounding-box hierarchy over the soup.  Narrow phase: orientation-sign
-gauntlet with exact rational fallback, so every reported contact is the
-true intersection of the given float coordinates.  Contacts between
-triangles from the same or vertex-adjacent source faces are excluded from
-the self-intersection list, but flagged separately when they extend
-beyond the cells the faces legitimately share (a local embedding
-failure).
+vertex and edge sets of every source face.  Broad phase: one sort-and-sweep
+over the triangles' axis-aligned boxes, which yields exactly the pairs
+whose boxes meet.  Narrow phase: orientation-sign gauntlet with exact
+rational fallback, so every reported contact is the true intersection of
+the given float coordinates.  Contacts between triangles from the same or
+vertex-adjacent source faces are excluded from the self-intersection list,
+but flagged separately when they extend beyond the cells the faces
+legitimately share (a local embedding failure).
 """
 from __future__ import annotations
 
@@ -89,106 +89,61 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
 # ---------------------------------------------------------------------------
 # broad phase
 
-@dataclass(eq=False)
-class BvhNode:
-    lo: np.ndarray
-    hi: np.ndarray
-    start: int
-    end: int
-    left: "BvhNode | None" = None
-    right: "BvhNode | None" = None
+@dataclass(frozen=True, eq=False)
+class TriangleBoxes:
+    """Axis-aligned bounding box of every soup triangle."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    @property
-    def count(self) -> int:
-        return self.end - self.start
+    lo: np.ndarray      # (n, 3) low corners
+    hi: np.ndarray      # (n, 3) high corners
 
 
-@dataclass(eq=False)
-class BoundingHierarchy:
-    root: BvhNode
-    order: tuple[int, ...]      # leaves partition this permutation by [start, end)
-    tri_lo: np.ndarray
-    tri_hi: np.ndarray
-    leaf_size: int
+def build_hierarchy(soup: TriangleSoup) -> TriangleBoxes:
+    """Bounding boxes of the soup's triangles, the broad phase's input."""
+    return TriangleBoxes(lo=soup.coords.min(axis=1), hi=soup.coords.max(axis=1))
 
 
-def build_hierarchy(soup: TriangleSoup, leaf_size: int = 8) -> BoundingHierarchy:
-    """Median-split box tree over the soup, split on the longest box axis.
+# Pairs expanded per block of the sweep.  The runs on the sweep axis hold
+# many times the pairs whose boxes meet on all three axes: 1.87 million
+# against 53,029 on grid_torus 64^2, and 14.9 million at 128^2.  Expanding
+# them all at once peaked at 81 MB at 64^2 against 4.3 MB in blocks, so
+# fixed blocks bound the scratch memory and the kept pairs dominate the peak.
+_PAIR_BLOCK = 1 << 16
 
-    The split sorts by (box centroid, triangle index), so the tree is a
-    pure function of the coordinates and deterministic across runs.
+
+def candidate_pairs(boxes: TriangleBoxes) -> np.ndarray:
+    """All triangle index pairs (i < j) whose boxes meet (inclusive), as an
+    (m, 2) array sorted lexicographically.
+
+    Sort and sweep: in the order of low ends on one axis, the boxes that
+    meet box s on that axis and come after it are the contiguous run whose
+    low ends are at most s's high end, found by one searchsorted.  The axis
+    whose runs hold the fewest pairs is swept; its runs are expanded in
+    fixed blocks and masked on all three axes.
     """
-    if len(soup) == 0:
-        raise ValueError("empty soup")
-    if leaf_size < 1:
-        raise ValueError("leaf_size must be >= 1")
-    n = len(soup)
-    tri_lo = soup.coords.min(axis=1)
-    tri_hi = soup.coords.max(axis=1)
-    centroid = 0.5 * (tri_lo + tri_hi)
-    order = list(range(n))
-
-    def build(start: int, end: int) -> BvhNode:
-        idx = order[start:end]
-        lo = tri_lo[idx].min(axis=0)
-        hi = tri_hi[idx].max(axis=0)
-        node = BvhNode(lo=lo, hi=hi, start=start, end=end)
-        if end - start > leaf_size:
-            axis = int(np.argmax(hi - lo))
-            idx.sort(key=lambda t: (centroid[t, axis], t))
-            order[start:end] = idx
-            mid = start + (end - start) // 2
-            node.left = build(start, mid)
-            node.right = build(mid, end)
-        return node
-
-    root = build(0, n)
-    return BoundingHierarchy(
-        root=root, order=tuple(order), tri_lo=tri_lo, tri_hi=tri_hi, leaf_size=leaf_size
-    )
-
-
-def _boxes_overlap(a: BvhNode, b: BvhNode) -> bool:
-    return bool(np.all(a.lo <= b.hi) and np.all(b.lo <= a.hi))
-
-
-def candidate_pairs(h: BoundingHierarchy) -> list[tuple[int, int]]:
-    """All triangle index pairs (i < j) whose node boxes overlap (inclusive)."""
-    order = h.order
-    out: list[tuple[int, int]] = []
-    stack: list[tuple[BvhNode, BvhNode]] = [(h.root, h.root)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            if a.is_leaf:
-                for s in range(a.start, a.end):
-                    for t in range(s + 1, a.end):
-                        i, j = order[s], order[t]
-                        out.append((i, j) if i < j else (j, i))
-            else:
-                stack.append((a.left, a.left))
-                stack.append((a.right, a.right))
-                stack.append((a.left, a.right))
-            continue
-        if not _boxes_overlap(a, b):
-            continue
-        if a.is_leaf and b.is_leaf:
-            for s in range(a.start, a.end):
-                for t in range(b.start, b.end):
-                    i, j = order[s], order[t]
-                    out.append((i, j) if i < j else (j, i))
-        elif a.is_leaf or (not b.is_leaf and b.count > a.count):
-            stack.append((a, b.left))
-            stack.append((a, b.right))
-        else:
-            stack.append((a.left, b))
-            stack.append((a.right, b))
-    out.sort()
-    return out
+    n = len(boxes.lo)
+    best = None
+    for axis in range(3):
+        order = np.argsort(boxes.lo[:, axis])
+        end = np.searchsorted(boxes.lo[order, axis], boxes.hi[order, axis], side="right")
+        counts = end - np.arange(1, n + 1)
+        total = int(counts.sum())
+        if best is None or total < best[0]:
+            best = (total, order, counts)
+    total, order, counts = best
+    lo, hi = boxes.lo[order].T.copy(), boxes.hi[order].T.copy()
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    keys = [np.empty(0, dtype=np.intp)]
+    for first in range(0, total, _PAIR_BLOCK):
+        k = np.arange(first, min(first + _PAIR_BLOCK, total))
+        s = np.searchsorted(starts, k, side="right") - 1
+        t = s + 1 + k - starts[s]
+        meet = np.ones(len(k), dtype=bool)
+        for axis in range(3):
+            meet &= (lo[axis, s] <= hi[axis, t]) & (lo[axis, t] <= hi[axis, s])
+        a, b = order[s[meet]], order[t[meet]]
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    i, j = np.divmod(np.sort(np.concatenate(keys)), n)
+    return np.column_stack((i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +184,6 @@ class Contact:
 
     kind: str
     points: tuple[Vec3, ...]
-
-    def witness(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple((float(p[0]), float(p[1]), float(p[2])) for p in self.points)
 
 
 def _dedupe(pts: list[Vec3]) -> list[Vec3]:
@@ -467,7 +419,6 @@ class PairContact:
     i: int
     j: int
     kind: str
-    witness: tuple[tuple[float, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -489,33 +440,29 @@ class IntersectionReport:
 
 
 def self_intersections(
-    soup: TriangleSoup, hierarchy: BoundingHierarchy | None = None
+    soup: TriangleSoup, boxes: TriangleBoxes | None = None
 ) -> IntersectionReport:
     """All contacts between triangles of non-adjacent source faces, plus
     local overlaps of adjacent ones beyond their shared cells.
 
     The result is a pure set function of the coordinates: pair lists are
-    sorted by index, because candidate_pairs returns the candidates sorted,
-    and independent of hierarchy shape.
+    sorted by index, because candidate_pairs returns exactly the
+    box-meeting pairs, sorted.
     """
-    if hierarchy is None:
-        hierarchy = build_hierarchy(soup)
+    if boxes is None:
+        boxes = build_hierarchy(soup)
     pairs: list[PairContact] = []
     overlaps: list[PairContact] = []
-    cands = candidate_pairs(hierarchy)
-    ij = np.array(cands, dtype=np.intp).reshape(-1, 2)
-    lo, hi = hierarchy.tri_lo, hierarchy.tri_hi
-    first, second = ij[:, 0], ij[:, 1]
-    boxes_meet = np.all(lo[first] <= hi[second], axis=1) & np.all(lo[second] <= hi[first], axis=1)
-    for i, j in ij[boxes_meet].tolist():
+    cands = candidate_pairs(boxes)
+    for i, j in cands.tolist():
         contact = triangle_contact(soup.coords[i], soup.coords[j])
         if contact is None:
             continue
         cells = _shared_cells(soup, i, j)
         if cells is None:
-            pairs.append(PairContact(i, j, contact.kind, contact.witness()))
+            pairs.append(PairContact(i, j, contact.kind))
         elif _beyond_allowed(contact, *cells):
-            overlaps.append(PairContact(i, j, contact.kind, contact.witness()))
+            overlaps.append(PairContact(i, j, contact.kind))
     return IntersectionReport(
         pairs=tuple(pairs), local_overlaps=tuple(overlaps), n_candidates=len(cands)
     )

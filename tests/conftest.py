@@ -10,8 +10,8 @@ import pytest
 from flatcheck import (
     CellComplex,
     GeneratorSpec,
+    TriangleBoxes,
     build_complex,
-    build_hierarchy,
     candidate_pairs,
     check_closed_manifold,
     generate,
@@ -64,11 +64,15 @@ def independent_soup(coords):
 
 
 def brute_report(soup):
-    """Referee scan: a single-leaf hierarchy makes every pair a candidate."""
-    h = build_hierarchy(soup, leaf_size=max(1, len(soup)))
+    """Referee scan: every triangle gets the whole soup's box, so every pair
+    is a candidate and the narrow phase classifies all n(n-1)/2 of them."""
     n = len(soup)
-    assert len(candidate_pairs(h)) == n * (n - 1) // 2
-    return self_intersections(soup, h)
+    whole = TriangleBoxes(
+        lo=np.broadcast_to(soup.coords.min(axis=(0, 1)), (n, 3)),
+        hi=np.broadcast_to(soup.coords.max(axis=(0, 1)), (n, 3)),
+    )
+    assert len(candidate_pairs(whole)) == n * (n - 1) // 2
+    return self_intersections(soup, whole)
 
 
 @pytest.fixture(scope="session")

@@ -252,7 +252,7 @@ def test_criterion_08_hierarchy_equals_brute_force():
         brute = brute_report(soup)
         assert fast.pairs == brute.pairs, trial
         assert fast.local_overlaps == brute.local_overlaps, trial
-    _gate(8, "hierarchy scan equals exhaustive scan on the corpus and 50 "
+    _gate(8, "box-sweep scan equals exhaustive scan on the corpus and 50 "
              "random soups up to 200 triangles")
 
 

@@ -142,6 +142,15 @@ def test_bad_generate_params(capsys, tmp_path):
     assert rc2 == 2
 
 
+def test_non_finite_cone_angle_is_usage_error(capsys, tmp_path):
+    # 1e308 is finite, but twice it overflows to inf before the segment count
+    for angle in ("inf", "nan", "1e308"):
+        rc, _, err = run(capsys, "generate", "doubled_cone", angle, "-o", str(tmp_path / "c.off"))
+        assert rc == 2, angle
+        assert "total_angle" in err, angle
+    assert not (tmp_path / "c.off").exists()
+
+
 def test_unknown_subcommand(capsys):
     rc, _, _ = run(capsys, "frobnicate")
     assert rc == 2

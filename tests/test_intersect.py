@@ -1,14 +1,16 @@
-"""Triangle contact classification, bounding hierarchy, self-intersection scan.
+"""Triangle contact classification, box sweep, self-intersection scan.
 
-The hierarchy is validated against exhaustive pair enumeration (a one-leaf
-hierarchy makes the same scan consider every pair), and contact verdicts are
-cross-checked with a separating-axis tester on robust configurations.
+The sweep's pairs are checked against an explicit all-pairs box test, the
+scan against exhaustive pair enumeration (every triangle given the whole
+soup's box makes the same scan consider every pair), and contact verdicts
+are cross-checked with a separating-axis tester on robust configurations.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,16 +20,19 @@ from hypothesis import strategies as st
 from flatcheck import (
     DegenerateTriangleError,
     GeneratorSpec,
+    TriangleBoxes,
     build_complex,
     build_hierarchy,
     candidate_pairs,
     classify_immersion,
     generate,
     self_intersections,
+    standard_corpus,
     triangle_contact,
     triangle_soup,
     triangulate_faces,
 )
+from flatcheck import intersect
 
 from conftest import brute_report, grid_klein, grid_torus, independent_soup, random_rotation
 
@@ -106,14 +111,6 @@ def test_identical_triangles_overlap():
     assert c is not None and c.kind == "coplanar-overlap"
 
 
-def test_contact_witness_floats():
-    stab = np.array([[1.0, 1.0, -1.0], [2.0, 1.0, -1.0], [1.5, 1.0, 1.0]])
-    c = triangle_contact(T_BASE, stab)
-    w = c.witness()
-    assert isinstance(w, tuple)
-    assert all(isinstance(x, float) for p in w for x in p)
-
-
 def test_soup_rejects_degenerate():
     flat = np.array([[[0, 0, 0], [1, 1, 1], [2, 2, 2]]], dtype=float)
     with pytest.raises(DegenerateTriangleError):
@@ -133,9 +130,52 @@ def test_soup_from_arrays_metadata():
     assert soup.face_vertices[0].isdisjoint(soup.face_vertices[1])
 
 
+def _all_pairs_meeting(lo, hi):
+    """Explicit O(n^2) inclusive box test: rows (i, j), i < j, sorted."""
+    meet = np.all(lo[:, None, :] <= hi[None, :, :], axis=2)
+    i, j = np.nonzero(np.triu(meet & meet.T, k=1))
+    return np.column_stack((i, j))
+
+
+def _assert_sweep_exact(lo, hi):
+    got = candidate_pairs(TriangleBoxes(lo=lo, hi=hi))
+    assert got.dtype == np.intp and got.shape == (len(got), 2)
+    assert np.all(got[:, 0] < got[:, 1])
+    keys = got[:, 0] * len(lo) + got[:, 1]
+    assert np.all(np.diff(keys) > 0), "pairs not sorted or repeated"
+    np.testing.assert_array_equal(got, _all_pairs_meeting(lo, hi))
+
+
+# grid-snapped values make ties and touching boxes (lo_j == hi_i) common
+_coord = st.one_of(st.integers(-4, 4).map(lambda v: v * 0.5), st.floats(-3.0, 3.0))
+_extent = st.one_of(st.just(0.0), st.integers(0, 3).map(lambda v: v * 0.5), st.floats(0.0, 2.0))
+_box = st.tuples(st.tuples(_coord, _coord, _coord), st.tuples(_extent, _extent, _extent))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    boxes=st.lists(_box, min_size=1, max_size=50),
+    repeats=st.integers(0, 10),
+    block=st.sampled_from([1, 5, 64, intersect._PAIR_BLOCK]),
+)
+def test_candidate_pairs_equal_all_pairs_box_test(boxes, repeats, block):
+    boxes = boxes + boxes[:repeats]     # duplicate boxes
+    lo = np.array([b[0] for b in boxes])
+    hi = lo + np.array([b[1] for b in boxes])
+    # small blocks split runs across block boundaries, as large meshes do
+    with mock.patch.object(intersect, "_PAIR_BLOCK", block):
+        _assert_sweep_exact(lo, hi)
+
+
+def test_candidate_pairs_exact_on_corpus():
+    for spec in standard_corpus():
+        h = build_hierarchy(_soup_for(spec))
+        _assert_sweep_exact(h.lo, h.hi)
+
+
 def test_hierarchy_candidates_cover_contacts():
     soup = _soup_for(GeneratorSpec("grid_klein", m=3, n=3))
-    cands = set(candidate_pairs(build_hierarchy(soup)))
+    cands = {(i, j) for i, j in candidate_pairs(build_hierarchy(soup)).tolist()}
     report = self_intersections(soup)
     for pair in report.pairs:
         assert (pair.i, pair.j) in cands
@@ -154,15 +194,6 @@ def test_hierarchy_matches_brute_on_quotients():
         brute = brute_report(soup)
         assert fast.pairs == brute.pairs, spec.label
         assert fast.local_overlaps == brute.local_overlaps, spec.label
-
-
-def test_leaf_size_independence():
-    soup = _soup_for(GeneratorSpec("grid_klein", m=3, n=3))
-    reference = self_intersections(soup, build_hierarchy(soup, leaf_size=8))
-    for leaf in (1, 2, 3, 5, 64):
-        got = self_intersections(soup, build_hierarchy(soup, leaf_size=leaf))
-        assert got.pairs == reference.pairs
-        assert got.local_overlaps == reference.local_overlaps
 
 
 def test_embedded_meshes_are_clean():
