@@ -151,13 +151,16 @@ def _summarize(cert: dict, scope: str, out) -> None:
         print(f"surface: {cls['name']}{tail}", file=out)
     if scope in ("check", "flatness"):
         geo = cert["geometry"]
-        print(f"faces planar: {_flag(geo['all_faces_planar'])} "
-              f"(max deviation {geo['max_planarity_deviation']:.3g})", file=out)
-        print(f"defects zero: {_flag(geo['all_defects_zero'])} "
-              f"(max |defect| {geo['max_abs_defect']:.3g})", file=out)
-        print(f"links embedded: {_flag(geo['all_links_embedded'])}"
-              + (f" (failures at {geo['link_failures'][:8]})" if geo["link_failures"] else ""),
-              file=out)
+        if "error" in geo:
+            print(f"geometry: FAIL ({geo['error']})", file=out)
+        else:
+            print(f"faces planar: {_flag(geo['all_faces_planar'])} "
+                  f"(max deviation {geo['max_planarity_deviation']:.3g})", file=out)
+            print(f"defects zero: {_flag(geo['all_defects_zero'])} "
+                  f"(max |defect| {geo['max_abs_defect']:.3g})", file=out)
+            print(f"links embedded: {_flag(geo['all_links_embedded'])}"
+                  + (f" (failures at {geo['link_failures'][:8]})" if geo["link_failures"] else ""),
+                  file=out)
     if scope in ("check", "intersections"):
         imm = cert["immersion"]
         if imm.get("error"):

@@ -23,6 +23,16 @@ class GeneratorError(MeshError):
     """Invalid generator parameters."""
 
 
+# Largest surface a generator builds: 2^22 faces, 128 times the 128^2 grid
+# torus, so a mistyped size is refused before any array is allocated.
+_MAX_FACES = 1 << 22
+
+
+def _check_face_count(kind: str, n_faces: int) -> None:
+    if n_faces > _MAX_FACES:
+        raise GeneratorError(f"{kind} would have {n_faces} faces, more than {_MAX_FACES}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Which surface to build and with what parameters."""
@@ -132,6 +142,7 @@ def _grid_triangles(m: int, n: int, cls) -> list[tuple[int, int, int]]:
 def grid_torus(mn: tuple[int, int], radius_major: float = 2.0, radius_minor: float = 1.0) -> CellComplex:
     """Triangulated m x n torus grid on the round embedded torus."""
     m, n = mn
+    _check_face_count("grid_torus", 2 * m * n)
     v = np.zeros((m * n, 3), dtype=np.float64)
     for j in range(n):
         phi = 2.0 * math.pi * j / n
@@ -162,6 +173,7 @@ def grid_klein(mn: tuple[int, int]) -> CellComplex:
     are meaningful for this surface.
     """
     m, n = mn
+    _check_face_count("grid_klein", 2 * m * n)
     v = np.array([[i, j, 0.0] for j in range(n) for i in range(m)], dtype=np.float64)
 
     def cls(i: int, j: int) -> int:
@@ -190,6 +202,7 @@ def folded_flat_torus(m: int, n: int, folds: int) -> CellComplex:
         raise GeneratorError(f"folds must divide both grid sizes, got {m}x{n} with {folds}")
     if m < 3 or n < 3:
         raise GeneratorError(f"folded_flat_torus needs m, n >= 3, got {m}x{n}")
+    _check_face_count("folded_flat_torus", 2 * m * n)
     lm, ln = m // folds, n // folds
     v = np.array(
         [[_zigzag(i, folds, lm), _zigzag(j, folds, ln), 0.0] for j in range(n) for i in range(m)],
@@ -225,6 +238,7 @@ def doubled_cone(total_angle: float, segments: int | None = None) -> CellComplex
     if quarter_turns == math.inf:
         raise GeneratorError(f"total_angle {total_angle:g} is too large")
     k = segments if segments is not None else max(3, math.ceil(quarter_turns))
+    _check_face_count("doubled_cone", 2 * k)
     if k < 3:
         raise GeneratorError(f"segments must be >= 3, got {k}")
     if total_angle / k >= math.pi:

@@ -4,12 +4,14 @@ The triangle soup is three arrays built once from a refinement: corner
 coordinates (n, 3, 3), derived corner ids and source faces, plus the
 vertex and edge sets of every source face.  Broad phase: one sort-and-sweep
 over the triangles' axis-aligned boxes, which yields exactly the pairs
-whose boxes meet.  Narrow phase: orientation-sign gauntlet with exact
-rational fallback, so every reported contact is the true intersection of
-the given float coordinates.  Contacts between triangles from the same or
-vertex-adjacent source faces are excluded from the self-intersection list,
-but flagged separately when they extend beyond the cells the faces
-legitimately share (a local embedding failure).
+whose boxes meet.  Narrow phase: each triangle's corners are evaluated
+once, exactly in rationals, against the other triangle's plane; those two
+sign vectors reject separated pairs and decide transversality, and the
+same values build the contact, so every reported contact is the true
+intersection of the given float coordinates.  Contacts between triangles
+from the same or vertex-adjacent source faces are excluded from the
+self-intersection list, but flagged separately when they extend beyond the
+cells the faces legitimately share (a local embedding failure).
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .mesh import MeshError
-from .predicates import orient2d, orient3d
+from .predicates import orient2d
 from .refine import Refinement
 
 
@@ -226,20 +228,6 @@ def _cross2(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _strictly_inside(p: Vec3, tri: tuple[Vec3, Vec3, Vec3], normal: Vec3) -> bool:
-    """True when a point of the triangle's plane is strictly interior."""
-    axis = _dominant_axis(normal)
-    q = _proj(p, axis)
-    t2 = tuple(_proj(v, axis) for v in tri)
-    sigma = _cross2(t2[0], t2[1], t2[2])
-    orient = 1 if sigma > 0 else -1
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        s = _cross2(t2[a], t2[b], q)
-        if (s > 0) - (s < 0) != orient:
-            return False
-    return True
-
-
 def _clip_coplanar(subject: tuple[Vec3, ...], clip: tuple[Vec3, ...], axis: int) -> list[Vec3]:
     """Sutherland-Hodgman clip of subject by a convex clip triangle, both in
     one plane; sidedness is computed on the 2-d projection along axis while
@@ -274,15 +262,19 @@ def _collinear_extremes(pts: list[Vec3]) -> tuple[Vec3, Vec3]:
     return keyed[0][1], keyed[-1][1]
 
 
-def triangle_contact(p: np.ndarray, q: np.ndarray) -> Contact | None:
-    """Exact contact of two positive-area triangles, or None if disjoint."""
-    sq = [orient3d(p[0], p[1], p[2], q[k]) for k in range(3)]
-    if all(s > 0 for s in sq) or all(s < 0 for s in sq):
-        return None
-    sp = [orient3d(q[0], q[1], q[2], p[k]) for k in range(3)]
-    if all(s > 0 for s in sp) or all(s < 0 for s in sp):
-        return None
+def _one_sign(d: tuple[Fraction, ...]) -> bool:
+    """True when every plane value is strictly positive, or every one is
+    strictly negative: the triangle lies off the plane, on one side."""
+    return all(v > 0 for v in d) or all(v < 0 for v in d)
 
+
+def triangle_contact(p: np.ndarray, q: np.ndarray) -> Contact | None:
+    """Exact contact of two positive-area triangles, or None if disjoint.
+
+    dq holds q's corners against p's plane and dp p's corners against q's
+    plane, n . (corner - origin) in rationals; they are the only 3-d signs
+    the narrow phase evaluates.
+    """
     a = (_rat(p[0]), _rat(p[1]), _rat(p[2]))
     b = (_rat(q[0]), _rat(q[1]), _rat(q[2]))
     n1 = _cross(_sub(a[1], a[0]), _sub(a[2], a[0]))
@@ -307,13 +299,17 @@ def triangle_contact(p: np.ndarray, q: np.ndarray) -> Contact | None:
         if lo == hi:
             return Contact("touch-point", (lo,))
         return Contact("touch-segment", (lo, hi))
+    if _one_sign(dq):
+        return None
 
     n2 = _cross(_sub(b[1], b[0]), _sub(b[2], b[0]))
     dp = tuple(_dot(n2, _sub(a[k], b[0])) for k in range(3))
+    if _one_sign(dp):
+        return None
+    # neither vector is one-signed or all zero, so both sections are
+    # non-empty: a point or a segment on the line the two planes share
     s1 = _plane_section(a, dp)
     s2 = _plane_section(b, dq)
-    if not s1 or not s2:
-        return None
 
     u = _cross(n1, n2)
     t1 = [(_dot(u, pt), pt) for pt in s1]
@@ -331,11 +327,12 @@ def triangle_contact(p: np.ndarray, q: np.ndarray) -> Contact | None:
 
     if lo == hi:
         return Contact("touch-point", (at(lo),))
-    plo, phi = at(lo), at(hi)
-    mid = tuple((plo[k] + phi[k]) / 2 for k in range(3))
-    if _strictly_inside(mid, a, n1) and _strictly_inside(mid, b, n2):
-        return Contact("transversal", (plo, phi))
-    return Contact("touch-segment", (plo, phi))
+    # A section lies in its triangle's boundary iff two corners are on the
+    # other plane (it is then that edge); otherwise its relative interior
+    # is interior to the triangle, and so is the overlap's, which has
+    # positive length here.
+    kind = "transversal" if dp.count(0) < 2 and dq.count(0) < 2 else "touch-segment"
+    return Contact(kind, (at(lo), at(hi)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,59 +1,21 @@
-"""Orientation predicates with exact rational fallback.
+"""The 2-d orientation predicate, with exact rational fallback.
 
-The float fast path evaluates the sign of a 4-point (or 3-point)
-determinant with a conservative forward-error bound on the expansion; when
-the magnitude falls below the bound the predicate is re-evaluated with
-fractions.Fraction, which represents every double exactly, so the returned
-sign is always the true sign of the determinant of the given coordinates.
+orient2d evaluates the sign of a 3-point determinant with a conservative
+forward-error bound; when the magnitude falls below the bound it is
+re-evaluated with fractions.Fraction, which represents every double
+exactly, so the returned sign is always the true sign of the determinant
+of the given coordinates.  Refinement, flatness and the soup's zero-area
+test take their 2-d turns from it; the narrow phase's 3-d plane signs are
+exact rationals computed in intersect.triangle_contact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-# Forward error of the 3x3 expansion below is < 8 eps * permanent once the
-# rounding of the coordinate differences is included; 1e-14 leaves two
-# orders of margin over that while still filtering almost everything.
-_O3D_GUARD = 1e-14
+# Forward error of the 2x2 expansion below is < 4 eps * permanent once the
+# rounding of the coordinate differences is included; 1e-14 leaves an order
+# of magnitude of margin over that while still filtering almost everything.
 _O2D_GUARD = 1e-14
-
-
-def orient3d(a, b, c, d) -> int:
-    """Sign of det[b-a; c-a; d-a]: +1 if d lies on the side of plane(a,b,c)
-    toward which (b-a) x (c-a) points, -1 on the other side, 0 on the plane.
-    """
-    adx, ady, adz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    bdx, bdy, bdz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    cdx, cdy, cdz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
-
-    t1 = bdy * cdz - bdz * cdy
-    t2 = bdz * cdx - bdx * cdz
-    t3 = bdx * cdy - bdy * cdx
-    det = adx * t1 + ady * t2 + adz * t3
-
-    permanent = (
-        abs(adx) * (abs(bdy * cdz) + abs(bdz * cdy))
-        + abs(ady) * (abs(bdz * cdx) + abs(bdx * cdz))
-        + abs(adz) * (abs(bdx * cdy) + abs(bdy * cdx))
-    )
-    if det > _O3D_GUARD * permanent:
-        return 1
-    if det < -_O3D_GUARD * permanent:
-        return -1
-    return orient3d_exact(a, b, c, d)
-
-
-def orient3d_exact(a, b, c, d) -> int:
-    """orient3d evaluated in exact rational arithmetic."""
-    ax, ay, az = Fraction(a[0]), Fraction(a[1]), Fraction(a[2])
-    ux, uy, uz = Fraction(b[0]) - ax, Fraction(b[1]) - ay, Fraction(b[2]) - az
-    vx, vy, vz = Fraction(c[0]) - ax, Fraction(c[1]) - ay, Fraction(c[2]) - az
-    wx, wy, wz = Fraction(d[0]) - ax, Fraction(d[1]) - ay, Fraction(d[2]) - az
-    det = (
-        ux * (vy * wz - vz * wy)
-        + uy * (vz * wx - vx * wz)
-        + uz * (vx * wy - vy * wx)
-    )
-    return (det > 0) - (det < 0)
 
 
 def orient2d(a, b, c) -> int:

@@ -7,6 +7,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flatcheck import certificate
@@ -117,6 +118,20 @@ def test_certificate_bytes_pinned_over_corpus(corpus_meshes):
         components = len(orientability(mesh).per_component)
         assert connected_components(mesh).count == components == cert["combinatorics"]["components"]
         assert cert["input"]["n_edges"] == mesh.n_edges == len(edge_census(cx)), label
+
+
+@pytest.mark.parametrize("k", [-900, -300, -3, 3, 600, 900])
+def test_power_of_two_scale_keeps_certificate(corpus_meshes, k):
+    # build_certificate's own scaling is exact, so a scaled mesh reaches
+    # every stage with the coordinates of the unscaled one; on raw
+    # coordinates, 2^-300 made the folded torus non-flat (defect 2 pi) and
+    # 2^600 made the tetrahedron's plane fit raise LinAlgError
+    meshes = {label: cx for label, (_, cx) in corpus_meshes.items()}
+    meshes["two_tetrahedra"] = _two_tetrahedra()
+    for label, cx in meshes.items():
+        scaled = build_complex(np.ldexp(cx.vertices, k), cx.faces)
+        text = certificate_text(build_certificate(scaled))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERTIFICATE_SHA256[label], label
 
 
 def test_closed_input_counts_edges_once(monkeypatch):

@@ -142,6 +142,15 @@ def test_bad_generate_params(capsys, tmp_path):
     assert rc2 == 2
 
 
+def test_oversized_generator_is_usage_error(capsys, tmp_path):
+    # the face count is checked before any array is allocated
+    rc, _, err = run(capsys, "generate", "doubled_cone", "1e300", "-o", str(tmp_path / "c.off"))
+    assert rc == 2
+    assert err.startswith("error: doubled_cone would have ")
+    assert err.endswith(" faces, more than 4194304\n")
+    assert not (tmp_path / "c.off").exists()
+
+
 def test_non_finite_cone_angle_is_usage_error(capsys, tmp_path):
     # 1e308 is finite, but twice it overflows to inf before the segment count
     for angle in ("inf", "nan", "1e308"):
@@ -231,6 +240,21 @@ def test_zero_length_edge_is_located_in_certificate(capsys, tmp_path):
     cert = json.loads(out)
     assert cert["geometry"] == {"error": "face 0: corner has a zero-length incident edge"}
     assert cert["immersion"]["error"] is not None
+
+
+@pytest.mark.parametrize("command", ["check", "flatness"])
+def test_geometry_error_in_summary(capsys, tmp_path, command):
+    # the pinched cube again, with the summary lines: the geometry section
+    # holds only its error, which takes the place of the flatness lines
+    cx = cube()
+    verts = cx.vertices.copy()
+    verts[1] = verts[0]
+    path = tmp_path / "pinched.off"
+    write_off(build_complex(verts, cx.faces), path)
+    rc, out, err = run(capsys, command, str(path))
+    assert (rc, err) == (1, "")
+    assert "geometry: FAIL (face 0: corner has a zero-length incident edge)\n" in out
+    assert "faces planar" not in out
 
 
 def test_zero_area_triangle_names_source_face(capsys, tmp_path):
@@ -329,12 +353,13 @@ def _off_text(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=_off_text())
-def test_check_never_raises_on_fuzzed_off(text):
+@given(text=_off_text(), command=st.sampled_from(["check", "topology", "flatness",
+                                                  "intersections"]), quiet=st.booleans())
+def test_check_never_raises_on_fuzzed_off(text, command, quiet):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "fuzz.off"
         path.write_text(text)
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            rc = main(["check", str(path), "--quiet"])
+            rc = main([command, str(path)] + (["--quiet"] if quiet else []))
     assert rc in (0, 1, 2)

@@ -157,6 +157,20 @@ def test_doubled_cone_default_segments():
     assert cx.n_vertices == 2 + 4  # ceil(2 * theta / pi) = 4 sectors
 
 
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec("grid_torus", m=1449, n=1449),
+    GeneratorSpec("grid_klein", m=3, n=10**12),
+    GeneratorSpec("folded_flat_torus", m=1450, n=1450, folds=2),
+    GeneratorSpec("doubled_cone", total_angle=1e9),
+    GeneratorSpec("doubled_cone", total_angle=2 * math.pi, segments=2**21 + 1),
+    GeneratorSpec("doubled_cone", total_angle=1e300),
+])
+def test_face_count_bound(spec):
+    # each one just over 2^22 faces, or far over; refused before allocating
+    with pytest.raises(GeneratorError, match=f"^{spec.kind} would have \\d+ faces, more than 4194304$"):
+        generate(spec)
+
+
 def test_unknown_kind():
     with pytest.raises(GeneratorError):
         generate(GeneratorSpec("octahedron"))

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
@@ -367,6 +367,142 @@ def test_contact_agrees_with_separating_axes(seed):
                 assert contact is None
             else:
                 assert contact is not None
+
+
+# ---------------------------------------------------------------------------
+# referee for the narrow phase's kinds: the contact set is found by clipping
+# in Fraction, with no plane-sign vector, and a contact segment is
+# transversal iff its midpoint is strictly inside both triangles
+
+
+def _r_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _r_cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _r_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _r_lerp(a, b, t):
+    return tuple(x + t * (y - x) for x, y in zip(a, b))
+
+
+def _r_edges(tri):
+    """Inward edge half-planes (m, v) of a triangle, within its plane: a
+    point x of the plane is in the triangle iff m . (x - v) >= 0 for all."""
+    n = _r_cross(_r_sub(tri[1], tri[0]), _r_sub(tri[2], tri[0]))
+    return [(_r_cross(n, _r_sub(tri[(k + 1) % 3], tri[k])), tri[k]) for k in range(3)]
+
+
+def _r_strictly_inside(x, tri):
+    return all(_r_dot(m, _r_sub(x, v)) > 0 for m, v in _r_edges(tri))
+
+
+def _referee_kind(p, q):
+    """Kind of the contact of two positive-area triangles, or None."""
+    a = [tuple(Fraction(float(c)) for c in v) for v in p]
+    b = [tuple(Fraction(float(c)) for c in v) for v in q]
+    n = _r_cross(_r_sub(a[1], a[0]), _r_sub(a[2], a[0]))
+    height = [_r_dot(n, _r_sub(v, a[0])) for v in b]
+    if all(h == 0 for h in height):
+        # clip q by p's three edge half-planes
+        poly = list(b)
+        for m, v in _r_edges(a):
+            side = [_r_dot(m, _r_sub(x, v)) for x in poly]
+            out = []
+            for k in range(len(poly)):
+                s0, s1 = side[k], side[(k + 1) % len(poly)]
+                if s0 >= 0:
+                    out.append(poly[k])
+                if s0 * s1 < 0:
+                    out.append(_r_lerp(poly[k], poly[(k + 1) % len(poly)], s0 / (s0 - s1)))
+            poly = out
+        pts = list(dict.fromkeys(poly))
+        if not pts:
+            return None
+        if len(pts) == 1:
+            return "touch-point"
+        spread = [_r_cross(_r_sub(x, pts[0]), _r_sub(y, pts[0])) for x in pts for y in pts]
+        if any(c != (0, 0, 0) for c in spread):
+            return "coplanar-overlap"
+        return "touch-segment"
+    # q's section by p's plane: at most two distinct points
+    section = [b[k] for k in range(3) if height[k] == 0]
+    for k in range(3):
+        h0, h1 = height[k], height[(k + 1) % 3]
+        if h0 * h1 < 0:
+            section.append(_r_lerp(b[k], b[(k + 1) % 3], h0 / (h0 - h1)))
+    section = list(dict.fromkeys(section))
+    if not section:
+        return None
+    s0, s1 = section[0], section[-1]
+    # Liang-Barsky clip of the section by p's edge half-planes
+    lo, hi = Fraction(0), Fraction(1)
+    for m, v in _r_edges(a):
+        base = _r_dot(m, _r_sub(s0, v))
+        slope = _r_dot(m, _r_sub(s1, s0))
+        if slope == 0:
+            if base < 0:
+                return None
+        elif slope > 0:
+            lo = max(lo, -base / slope)
+        else:
+            hi = min(hi, -base / slope)
+    if lo > hi:
+        return None
+    x0, x1 = _r_lerp(s0, s1, lo), _r_lerp(s0, s1, hi)
+    if x0 == x1:
+        return "touch-point"
+    mid = _r_lerp(x0, x1, Fraction(1, 2))
+    if _r_strictly_inside(mid, a) and _r_strictly_inside(mid, b):
+        return "transversal"
+    return "touch-segment"
+
+
+_grid = st.integers(-2, 2).map(lambda v: v * 0.5)
+_real = st.floats(-2.0, 2.0, allow_subnormal=False)
+_corner = st.tuples(_grid, _grid, _grid) | st.tuples(_real, _real, _real)
+
+
+@st.composite
+def _triangle_pair(draw):
+    """Two triangles, drawn from grid-snapped and float corners: unrelated,
+    sharing a corner, sharing an edge, or in one plane."""
+    family = draw(st.sampled_from(["free", "corner", "edge", "coplanar"]))
+    corner = _corner if family != "coplanar" else st.tuples(_grid, _grid, _grid)
+    p = draw(st.lists(corner, min_size=3, max_size=3))
+    q = draw(st.lists(corner, min_size=3, max_size=3))
+    if family == "corner":
+        q[0] = p[draw(st.integers(0, 2))]
+    elif family == "edge":
+        k = draw(st.integers(0, 2))
+        q[0], q[1] = p[k], p[(k + 1) % 3]
+        if draw(st.booleans()):
+            q[0], q[1] = q[1], q[0]
+    elif family == "coplanar":
+        # the plane z = x + y (or z = 0), exact on the half-integer grid
+        tilt = draw(st.booleans())
+        p = [(x, y, x + y if tilt else 0.0) for x, y, _ in p]
+        q = [(x, y, x + y if tilt else 0.0) for x, y, _ in q]
+    return np.array(p, dtype=float), np.array(q, dtype=float)
+
+
+def _positive_area(t) -> bool:
+    r = [tuple(Fraction(float(c)) for c in v) for v in t]
+    return _r_cross(_r_sub(r[1], r[0]), _r_sub(r[2], r[0])) != (0, 0, 0)
+
+
+@settings(max_examples=600, deadline=None)
+@given(pair=_triangle_pair(), swap=st.booleans())
+def test_contact_kind_matches_clipping_referee(pair, swap):
+    p, q = pair[::-1] if swap else pair
+    assume(_positive_area(p) and _positive_area(q))
+    contact = triangle_contact(p, q)
+    assert (None if contact is None else contact.kind) == _referee_kind(p, q)
 
 
 def test_classify_immersion_table():
