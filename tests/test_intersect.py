@@ -2,8 +2,9 @@
 
 The sweep's pairs are checked against an explicit all-pairs box test, the
 scan against exhaustive pair enumeration (every triangle given the whole
-soup's box makes the same scan consider every pair), and contact verdicts
-are cross-checked with a separating-axis tester on robust configurations.
+soup's box makes the same scan consider every pair), contact verdicts
+are cross-checked with a separating-axis tester on robust configurations,
+and contact kinds with a clipping referee in Fraction.
 """
 
 from __future__ import annotations
