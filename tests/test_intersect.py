@@ -399,7 +399,7 @@ def _r_edges(tri):
     return [(_r_cross(n, _r_sub(tri[(k + 1) % 3], tri[k])), tri[k]) for k in range(3)]
 
 
-def _r_strictly_inside(x, tri):
+def _r_interior(x, tri):
     return all(_r_dot(m, _r_sub(x, v)) > 0 for m, v in _r_edges(tri))
 
 
@@ -459,7 +459,7 @@ def _referee_kind(p, q):
     if x0 == x1:
         return "touch-point"
     mid = _r_lerp(x0, x1, Fraction(1, 2))
-    if _r_strictly_inside(mid, a) and _r_strictly_inside(mid, b):
+    if _r_interior(mid, a) and _r_interior(mid, b):
         return "transversal"
     return "touch-segment"
 
