@@ -12,8 +12,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 from .flatness import (DegenerateFaceError, FlatnessReport, ToleranceProfile,
                        flatness_report)
 from .homology import boundary_matrices, classify_surface, homology_profile
@@ -94,17 +92,13 @@ def build_certificate(
     Non-manifold input still yields a certificate: the combinatorics
     section carries the defects and the dependent sections are null.
 
-    The vertices are first multiplied by the power of two that brings the
-    largest |coordinate| into [0.5, 1).  That scaling is exact (unless a
-    nonzero coordinate is 2^1021 times smaller than the largest), every
-    predicate sign is scale-free and every float in the certificate is
-    dimensionless, so a mesh scaled by a power of two gets the same
-    certificate, and squares of coordinate differences cannot overflow.
-    Stage functions called directly still see raw coordinates.
+    The pipeline runs on complex.unit_scaled().  Every float in the
+    certificate is dimensionless, so a mesh scaled by a power of two gets
+    the same certificate.  Stage functions called directly still see raw
+    coordinates.
     """
     tol = tolerances or ToleranceProfile()
-    _, exponent = np.frexp(np.abs(complex.vertices).max(initial=0.0))
-    complex = CellComplex(np.ldexp(complex.vertices, -int(exponent)), complex.faces)
+    complex, _ = complex.unit_scaled()
     census = complex.face_degree_census()
     try:
         mesh = check_closed_manifold(complex)

@@ -8,11 +8,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .certificate import build_certificate, certificate_text, write_certificate
 from .corpus import GeneratorError, GeneratorSpec, generate
 from .flatness import ToleranceProfile
 from .formats import FormatError, LoadedMesh, read_mesh, write_mesh
-from .mesh import MeshError
+from .mesh import CellComplex, MeshError
 from .refine import TriangulationError, barycentric_subdivision, triangulate_faces
 
 
@@ -200,12 +202,13 @@ def _run_check(args, scope: str) -> int:
 
 
 def _run_refine(args, subdivide: bool) -> int:
-    loaded = _load(args)
-    refinement = triangulate_faces(loaded.complex,
-                                   ToleranceProfile(planarity_tol=args.planarity_tol))
+    # refine at unit scale, like the check, then scale the result back
+    scaled, exponent = _load(args).complex.unit_scaled()
+    refinement = triangulate_faces(scaled, ToleranceProfile(planarity_tol=args.planarity_tol))
     if subdivide:
         refinement = barycentric_subdivision(refinement.derived)
-    write_mesh(refinement.derived, args.output)
+    derived = refinement.derived
+    write_mesh(CellComplex(np.ldexp(derived.vertices, exponent), derived.faces), args.output)
     return 0
 
 

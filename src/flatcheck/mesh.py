@@ -82,6 +82,20 @@ class CellComplex:
         """Map face degree -> number of faces with that degree."""
         return dict(sorted(Counter(len(f) for f in self.faces).items()))
 
+    def unit_scaled(self) -> tuple[CellComplex, int]:
+        """This complex times the power of two 2^-e that brings its largest
+        |coordinate| into [0.5, 1), and e.
+
+        The scaling is exact unless a nonzero coordinate is 2^1021 times
+        smaller than the largest, and every predicate sign is scale-free,
+        so a stage run on the scaled complex decides as on the original,
+        while squares of coordinate differences cannot overflow.
+        np.ldexp(x, e) maps a derived point back.
+        """
+        _, exponent = np.frexp(np.abs(self.vertices).max(initial=0.0))
+        e = int(exponent)
+        return CellComplex(np.ldexp(self.vertices, -e), self.faces), e
+
 
 def canonical_face(face: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative of a face under rotation and reversal.

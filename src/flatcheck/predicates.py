@@ -5,8 +5,8 @@ forward-error bound; when the magnitude falls below the bound it is
 re-evaluated with fractions.Fraction, which represents every double
 exactly, so the returned sign is always the true sign of the determinant
 of the given coordinates.  Refinement, flatness and the soup's zero-area
-test take their 2-d turns from it; the narrow phase's 3-d plane signs are
-exact rationals computed in intersect.triangle_contact.
+test take their 2-d turns from it; the narrow phase computes its own
+signs exactly in integers, in intersect.
 """
 from __future__ import annotations
 

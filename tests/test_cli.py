@@ -11,11 +11,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatcheck import build_complex, read_off, write_off
+from flatcheck import (barycentric_subdivision, build_complex, generate, read_off,
+                       standard_corpus, triangulate_faces, write_off)
 from flatcheck.cli import main
 
 from conftest import cube, tetra
@@ -112,6 +114,39 @@ def test_subdivide_counts(capsys, tetra_off, tmp_path):
     cx = read_off(out_path).complex
     assert cx.n_vertices == 14
     assert cx.n_faces == 24
+
+
+@pytest.mark.parametrize("command", ["triangulate", "subdivide"])
+def test_refine_output_unchanged_at_scale_one(capsys, tmp_path, command):
+    # the command refines at unit scale and scales back; at scale 1 that
+    # must write the bytes of the stages run on the raw coordinates
+    for spec in standard_corpus():
+        cx = generate(spec)
+        src, got, want = (tmp_path / f"{name}.off" for name in ("src", "got", "want"))
+        write_off(cx, src)
+        rc, _, _ = run(capsys, command, str(src), "-o", str(got))
+        assert rc == 0, spec.label
+        refinement = triangulate_faces(cx)
+        if command == "subdivide":
+            refinement = barycentric_subdivision(refinement.derived)
+        write_off(refinement.derived, want)
+        assert got.read_bytes() == want.read_bytes(), spec.label
+
+
+@pytest.mark.parametrize("command", ["triangulate", "subdivide"])
+@pytest.mark.parametrize("k", [-660, 530, 600])
+def test_refine_is_scale_free(capsys, tmp_path, command, k):
+    base = cube()
+    outputs = []
+    for scale in (0, k):
+        src, dst = tmp_path / f"cube{scale}.off", tmp_path / f"out{scale}.off"
+        write_off(build_complex(np.ldexp(base.vertices, scale), base.faces), src)
+        rc, _, err = run(capsys, command, str(src), "-o", str(dst))
+        assert rc == 0, err
+        outputs.append(read_off(dst).complex)
+    unscaled, scaled = outputs
+    assert scaled.faces == unscaled.faces
+    np.testing.assert_array_equal(scaled.vertices, np.ldexp(unscaled.vertices, k))
 
 
 def test_pair_input_index_base(capsys, tmp_path):

@@ -9,7 +9,9 @@ and contact kinds with a clipping referee in Fraction.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -19,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
+    CellComplex,
     DegenerateTriangleError,
     GeneratorSpec,
     TriangleBoxes,
@@ -371,9 +374,9 @@ def test_contact_agrees_with_separating_axes(seed):
 
 
 # ---------------------------------------------------------------------------
-# referee for the narrow phase's kinds: the contact set is found by clipping
-# in Fraction, with no plane-sign vector, and a contact segment is
-# transversal iff its midpoint is strictly inside both triangles
+# referee for the narrow phase: the contact set is found by clipping in
+# Fraction, with no plane-sign vector, and a contact segment is transversal
+# iff its midpoint is strictly inside both triangles
 
 
 def _r_sub(a, b):
@@ -392,6 +395,10 @@ def _r_lerp(a, b, t):
     return tuple(x + t * (y - x) for x, y in zip(a, b))
 
 
+def _rational(t):
+    return [tuple(Fraction(float(c)) for c in v) for v in t]
+
+
 def _r_edges(tri):
     """Inward edge half-planes (m, v) of a triangle, within its plane: a
     point x of the plane is in the triangle iff m . (x - v) >= 0 for all."""
@@ -403,10 +410,17 @@ def _r_interior(x, tri):
     return all(_r_dot(m, _r_sub(x, v)) > 0 for m, v in _r_edges(tri))
 
 
+def _r_in_closed(x, tri):
+    n = _r_cross(_r_sub(tri[1], tri[0]), _r_sub(tri[2], tri[0]))
+    on_plane = _r_dot(n, _r_sub(x, tri[0])) == 0
+    return on_plane and all(_r_dot(m, _r_sub(x, v)) >= 0 for m, v in _r_edges(tri))
+
+
 def _referee_kind(p, q):
-    """Kind of the contact of two positive-area triangles, or None."""
-    a = [tuple(Fraction(float(c)) for c in v) for v in p]
-    b = [tuple(Fraction(float(c)) for c in v) for v in q]
+    """(kind, contact set) of two positive-area triangles, or None.  The
+    set is one point, the two ends of a segment, or a coplanar overlap's
+    clipped ring."""
+    a, b = _rational(p), _rational(q)
     n = _r_cross(_r_sub(a[1], a[0]), _r_sub(a[2], a[0]))
     height = [_r_dot(n, _r_sub(v, a[0])) for v in b]
     if all(h == 0 for h in height):
@@ -426,11 +440,14 @@ def _referee_kind(p, q):
         if not pts:
             return None
         if len(pts) == 1:
-            return "touch-point"
+            return "touch-point", pts
         spread = [_r_cross(_r_sub(x, pts[0]), _r_sub(y, pts[0])) for x in pts for y in pts]
         if any(c != (0, 0, 0) for c in spread):
-            return "coplanar-overlap"
-        return "touch-segment"
+            return "coplanar-overlap", pts
+        # collinear: the ends are the farthest pair
+        ends = max(((x, y) for x in pts for y in pts),
+                   key=lambda e: _r_dot(_r_sub(*e), _r_sub(*e)))
+        return "touch-segment", list(ends)
     # q's section by p's plane: at most two distinct points
     section = [b[k] for k in range(3) if height[k] == 0]
     for k in range(3):
@@ -457,11 +474,28 @@ def _referee_kind(p, q):
         return None
     x0, x1 = _r_lerp(s0, s1, lo), _r_lerp(s0, s1, hi)
     if x0 == x1:
-        return "touch-point"
+        return "touch-point", [x0]
     mid = _r_lerp(x0, x1, Fraction(1, 2))
     if _r_interior(mid, a) and _r_interior(mid, b):
-        return "transversal"
-    return "touch-segment"
+        return "transversal", [x0, x1]
+    return "touch-segment", [x0, x1]
+
+
+def _assert_matches_referee(p, q):
+    """triangle_contact's kind is the referee's; its points are the
+    referee's, or for an overlap lie in both closed triangles."""
+    contact, expect = triangle_contact(p, q), _referee_kind(p, q)
+    if expect is None:
+        assert contact is None
+        return
+    kind, points = expect
+    assert contact is not None and contact.kind == kind
+    if kind == "coplanar-overlap":
+        a, b = _rational(p), _rational(q)
+        assert len(contact.points) >= 3
+        assert all(_r_in_closed(x, a) and _r_in_closed(x, b) for x in contact.points)
+    else:
+        assert set(contact.points) == set(points)
 
 
 _grid = st.integers(-2, 2).map(lambda v: v * 0.5)
@@ -493,7 +527,7 @@ def _triangle_pair(draw):
 
 
 def _positive_area(t) -> bool:
-    r = [tuple(Fraction(float(c)) for c in v) for v in t]
+    r = _rational(t)
     return _r_cross(_r_sub(r[1], r[0]), _r_sub(r[2], r[0])) != (0, 0, 0)
 
 
@@ -502,8 +536,88 @@ def _positive_area(t) -> bool:
 def test_contact_kind_matches_clipping_referee(pair, swap):
     p, q = pair[::-1] if swap else pair
     assume(_positive_area(p) and _positive_area(q))
-    contact = triangle_contact(p, q)
-    assert (None if contact is None else contact.kind) == _referee_kind(p, q)
+    _assert_matches_referee(p, q)
+
+
+def _scaled(t, k):
+    """t times 2^k, or None when np.ldexp rounds or overflows."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(t, k)
+    return out if np.array_equal(np.ldexp(out, -k), t) else None
+
+
+def _assert_canonical_points(p, q):
+    """The kernel's points are canonical, (X, Y, Z, W) with W > 0 and gcd
+    1, so that equal points are equal tuples."""
+    corners, _ = intersect._grid(np.concatenate((p, q)))
+    found = intersect._contact(intersect._triangle(*corners[:3]),
+                               intersect._triangle(*corners[3:]))
+    for x in found[1] if found else ():
+        assert x[3] > 0 and math.gcd(*x) == 1, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pair=_triangle_pair(),
+    swap=st.booleans(),
+    k=st.integers(-1060, 1000),
+    offset=st.none() | st.tuples(st.integers(0, 5), st.integers(1, 2**20)),
+)
+def test_contact_exact_over_double_range(pair, swap, k, offset):
+    p, q = pair[::-1] if swap else pair
+    assume(_positive_area(p) and _positive_area(q))
+    sp, sq = _scaled(p, k), _scaled(q, k)
+    assume(sp is not None and sq is not None)
+    _assert_matches_referee(sp, sq)
+    _assert_canonical_points(sp, sq)
+    base, got = triangle_contact(p, q), triangle_contact(sp, sq)
+    if base is None:
+        assert got is None
+    else:
+        unit = Fraction(2) ** -k
+        assert got.kind == base.kind
+        assert tuple(tuple(c * unit for c in x) for x in got.points) == base.points
+    if offset is not None:
+        # a subnormal step on one coordinate, where it does not round away
+        at, steps = offset
+        sp = sp.copy()
+        sp.flat[at] += steps * 2.0**-1074
+        assume(_positive_area(sp))
+        _assert_matches_referee(sp, sq)
+
+
+@functools.cache
+def _refinement(spec):
+    return triangulate_faces(generate(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(-1060, 1000))
+def test_self_intersections_exact_over_double_range(k):
+    for spec in (
+        GeneratorSpec("grid_klein", m=3, n=3),
+        GeneratorSpec("folded_flat_torus", m=4, n=4, folds=2),
+        GeneratorSpec("doubled_cone", total_angle=4 * math.pi),
+    ):
+        refinement = _refinement(spec)
+        derived = refinement.derived
+        points = _scaled(derived.vertices, k)
+        assume(points is not None)
+        moved = replace(refinement, derived=CellComplex(points, derived.faces))
+        assert self_intersections(triangle_soup(moved)) == self_intersections(
+            triangle_soup(refinement)), spec.label
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec("folded_flat_torus", m=4, n=4, folds=2),
+    GeneratorSpec("grid_klein", m=3, n=3),
+    GeneratorSpec("doubled_cone", total_angle=4 * math.pi),
+], ids=lambda spec: spec.label)
+def test_verdict_path_builds_no_fraction(spec):
+    soup = _soup_for(spec)
+    with mock.patch.object(intersect, "Fraction", side_effect=AssertionError("Fraction built")):
+        report = self_intersections(soup)
+    assert report.pairs or report.local_overlaps
 
 
 def test_classify_immersion_table():
