@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 
 from .flatness import (DegenerateFaceError, FlatnessReport, ToleranceProfile,
-                       flatness_report)
+                       face_geometries, flatness_report)
 from .homology import boundary_matrices, classify_surface, homology_profile
 from .intersect import (DegenerateTriangleError, classify_immersion, self_intersections,
                         triangle_soup)
@@ -181,8 +181,10 @@ def build_certificate(
         },
     }
 
+    # one face table for both geometric stages
+    face_table = face_geometries(complex)
     try:
-        geo = flatness_report(mesh, tol)
+        geo = flatness_report(mesh, tol, face_table)
     except DegenerateFaceError as exc:
         # a collinear face or a zero-length edge leaves no plane or no
         # angles, hence no defects; the certificate records the failure
@@ -197,7 +199,7 @@ def build_certificate(
 
     immersion: dict = {"triangles": None, "triangulation_fallbacks": None}
     try:
-        refinement = triangulate_faces(complex, tol)
+        refinement = triangulate_faces(complex, tol, face_table)
         immersion["triangles"] = refinement.derived.n_faces
         immersion["triangulation_fallbacks"] = [
             {"face": r.face, "reason": r.reason} for r in refinement.fallbacks

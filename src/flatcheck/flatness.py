@@ -7,11 +7,18 @@ edge directions joined by great-circle arcs, one arc per corner).  A mesh
 is certified as a locally isometrically embedded flat surface when every
 face is planar, every defect vanishes, and every link is a simple closed
 spherical polygon.
+
+Face geometry is computed once per check, as one table (face_geometries)
+that flatness_report and refine.triangulate_faces share.  Faces of one
+degree are fitted as one NumPy stack, whose floats equal the one-face
+computation's bit for bit.  Links are built and tested on plain float
+3-tuples, with no NumPy call per vector.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -64,6 +71,61 @@ class PlaneFit:
     diameter: float           # largest pairwise point distance
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (..., 3) stacks.
+
+    The stacked matmul rounds every row exactly as the 1-d `a @ b` and
+    np.linalg.norm do, so the batched fit reproduces the one-face floats;
+    np.einsum and a hand-written sum of products do not.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dots(a, a))
+
+
+def _plane_fits(
+    pts: np.ndarray,
+) -> tuple[list[PlaneFit | DegenerateFaceError], np.ndarray, np.ndarray]:
+    """Plane fits of an (F, k, 3) stack of polygons, one per row.
+
+    Returns the fits, each a PlaneFit or the DegenerateFaceError of its
+    row, with the centered points and the unit normals of every row.
+    """
+    diffs = pts[:, :, None, :] - pts[:, None, :, :]
+    diameters = np.sqrt((diffs ** 2).sum(axis=3)).max(axis=(1, 2)).tolist()
+    centroids = pts.mean(axis=1)
+    centered = pts - centroids[:, None, :]
+    eigvals, eigvecs = np.linalg.eigh(centered.transpose(0, 2, 1) @ centered)  # ascending
+    normals = eigvecs[:, :, 0]
+    # Fix the sign deterministically: first nonzero component positive.
+    rows = np.arange(len(normals))
+    flip = normals[rows, np.argmax(normals != 0.0, axis=1)] < 0.0
+    normals = np.where(flip[:, None], -normals, normals)
+    # Width of each point set along its middle principal direction; if that
+    # also vanishes the points are collinear and every plane through the
+    # line fits equally badly.
+    widths = np.sqrt(np.maximum(eigvals[:, 1], 0.0)).tolist()
+    max_devs = np.abs((centered @ normals[:, :, None])[..., 0]).max(axis=1).tolist()
+    offsets = _dots(normals, centroids).tolist()
+    fits: list[PlaneFit | DegenerateFaceError] = []
+    for row, diameter in enumerate(diameters):
+        if diameter == 0.0:
+            fits.append(DegenerateFaceError("all points coincide"))
+        elif widths[row] <= _DEGENERATE_WIDTH * diameter:
+            fits.append(DegenerateFaceError("points are collinear within working precision"))
+        else:
+            fits.append(PlaneFit(
+                normal=normals[row],
+                offset=offsets[row],
+                max_deviation=max_devs[row],
+                rel_deviation=max_devs[row] / diameter,
+                diameter=diameter,
+            ))
+    return fits, centered, normals
+
+
 def face_plane_fit(points: np.ndarray) -> PlaneFit:
     """Fit the orthogonal-least-squares plane to a polygon's vertices.
 
@@ -75,61 +137,41 @@ def face_plane_fit(points: np.ndarray) -> PlaneFit:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
         raise DegenerateFaceError(f"need at least 3 points in R^3, got shape {pts.shape}")
-    diffs = pts[:, None, :] - pts[None, :, :]
-    diameter = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
-    if diameter == 0.0:
-        raise DegenerateFaceError("all points coincide")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    cov = centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(cov)     # ascending eigenvalues
-    # Width of the point set along the middle principal direction; if that
-    # also vanishes the points are collinear and every plane through the
-    # line fits equally badly.
-    if math.sqrt(max(eigvals[1], 0.0)) <= _DEGENERATE_WIDTH * diameter:
-        raise DegenerateFaceError("points are collinear within working precision")
-    normal = eigvecs[:, 0]
-    # Fix the sign deterministically: first nonzero component positive.
-    for c in normal:
-        if c != 0.0:
-            if c < 0.0:
-                normal = -normal
-            break
-    deviations = centered @ normal
-    max_dev = float(np.abs(deviations).max())
-    return PlaneFit(
-        normal=normal,
-        offset=float(normal @ centroid),
-        max_deviation=max_dev,
-        rel_deviation=max_dev / diameter,
-        diameter=diameter,
-    )
+    fits, _, _ = _plane_fits(pts[None])
+    return _checked(fits)[0]
+
+
+def _corner_angles(u: np.ndarray, v: np.ndarray) -> tuple[list[float], list[bool]]:
+    """Unsigned angles between the rows of two (n, 3) stacks, in [0, pi],
+    and whether each row has a zero-length side.
+
+    atan2 of the cross and dot products, numerically stable near 0 and pi.
+    """
+    zero = ((_norms(u) == 0.0) | (_norms(v) == 0.0)).tolist()
+    angles = list(map(math.atan2, _norms(np.cross(u, v)).tolist(), _dots(u, v).tolist()))
+    return angles, zero
 
 
 def corner_angle(p_prev: np.ndarray, p_vertex: np.ndarray, p_next: np.ndarray) -> float:
     """Unsigned angle at p_vertex between the rays to p_prev and p_next.
 
-    atan2 of the cross and dot products, numerically stable near 0 and pi;
-    the result lies in [0, pi].  Raises DegenerateFaceError on a
+    The result lies in [0, pi].  Raises DegenerateFaceError on a
     zero-length incident edge.
     """
-    u = np.asarray(p_prev, dtype=np.float64) - np.asarray(p_vertex, dtype=np.float64)
-    v = np.asarray(p_next, dtype=np.float64) - np.asarray(p_vertex, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+    vertex = np.asarray(p_vertex, dtype=np.float64)
+    u = np.asarray(p_prev, dtype=np.float64) - vertex
+    v = np.asarray(p_next, dtype=np.float64) - vertex
+    (angle,), (zero,) = _corner_angles(u[None], v[None])
+    if zero:
         raise DegenerateFaceError("corner has a zero-length incident edge")
-    return _angular_distance(u, v)
-
-
-def _angular_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
+    return angle
 
 
 def _any_perpendicular(d: np.ndarray) -> np.ndarray:
-    seed = np.array([1.0, 0.0, 0.0]) if abs(d[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    p = np.cross(d, seed)
-    return p / np.linalg.norm(p)
+    """A unit vector perpendicular to each unit row of an (n, 3) stack."""
+    seeds = np.where(np.abs(d[:, :1]) <= 0.9, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    p = np.cross(d, seeds)
+    return p / _norms(p)[:, None]
 
 
 @dataclass(frozen=True)
@@ -181,65 +223,108 @@ def _segments_properly_disjoint(a0, a1, b0, b1) -> bool:
     return True
 
 
-def face_geometry(complex: CellComplex, face_index: int) -> FaceGeometry:
-    """Fit, project and measure one face; see FaceGeometry for semantics."""
-    face = complex.faces[face_index]
-    pts = complex.vertices[list(face)]
-    fit = face_plane_fit(pts)
-    # In-plane frame: two unit vectors orthogonal to the fitted normal.
-    n = fit.normal
-    u = _any_perpendicular(n)
-    w = np.cross(n, u)
-    basis = np.vstack([u, w])
-    centered = pts - pts.mean(axis=0)
-    p2 = centered @ basis.T
-
-    k = len(face)
-    area2 = 0.0
-    for i in range(k):
-        x0, y0 = p2[i]
-        x1, y1 = p2[(i + 1) % k]
-        area2 += x0 * y1 - x1 * y0
-    orientation = 1.0 if area2 >= 0.0 else -1.0
-
-    simple = True
+def _is_simple(p2: list) -> bool:
+    """No two non-adjacent edges of the closed 2-d polygon p2 meet."""
+    k = len(p2)
     for i in range(k):
         for j in range(i + 1, k):
             if j == i + 1 or (i == 0 and j == k - 1):
                 continue   # adjacent edges share a corner by construction
             if not _segments_properly_disjoint(p2[i], p2[(i + 1) % k], p2[j], p2[(j + 1) % k]):
-                simple = False
-                break
-        if not simple:
-            break
+                return False
+    return True
 
-    angles: list[float] = []
-    reflex: list[int] = []
-    for i in range(k):
-        raw = corner_angle(pts[(i - 1) % k], pts[i], pts[(i + 1) % k])
-        if simple:
-            if orient2d(p2[(i - 1) % k], p2[i], p2[(i + 1) % k]) * orientation < 0.0:
-                angles.append(TWO_PI - raw)
+
+def _degree_group(faces: list[int],
+                  pts: np.ndarray) -> list[FaceGeometry | DegenerateFaceError]:
+    """face_geometries for faces of one degree k, whose corners are the
+    (F, k, 3) stack pts."""
+    k = pts.shape[1]
+    fits, centered, normals = _plane_fits(pts)
+    # In-plane frame: two unit vectors orthogonal to the fitted normal.
+    u = _any_perpendicular(normals)
+    basis = np.stack((u, np.cross(normals, u)), axis=1)
+    points2d = centered @ basis.transpose(0, 2, 1)
+    angles, zero = _corner_angles((np.roll(pts, 1, axis=1) - pts).reshape(-1, 3),
+                                  (np.roll(pts, -1, axis=1) - pts).reshape(-1, 3))
+    out: list[FaceGeometry | DegenerateFaceError] = []
+    for row, (face, fit, p2) in enumerate(zip(faces, fits, points2d.tolist())):
+        corners = range(row * k, (row + 1) * k)
+        if isinstance(fit, DegenerateFaceError):
+            out.append(fit)
+            continue
+        if any(zero[c] for c in corners):
+            out.append(DegenerateFaceError("corner has a zero-length incident edge"))
+            continue
+        area2 = 0.0
+        for i in range(k):
+            x0, y0 = p2[i]
+            x1, y1 = p2[(i + 1) % k]
+            area2 += x0 * y1 - x1 * y0
+        orientation = 1.0 if area2 >= 0.0 else -1.0
+        simple = _is_simple(p2)
+        interior: list[float] = []
+        reflex: list[int] = []
+        for i, c in enumerate(corners):
+            raw = angles[c]
+            if simple and orient2d(p2[i - 1], p2[i], p2[(i + 1) % k]) * orientation < 0.0:
+                interior.append(TWO_PI - raw)
                 reflex.append(i)
             else:
-                angles.append(raw)
-        else:
-            angles.append(raw)
-    return FaceGeometry(
-        face=face_index,
-        fit=fit,
-        angles=tuple(angles),
-        simple=simple,
-        reflex_corners=tuple(reflex),
-        basis=basis,
-        orientation=orientation,
-        points2d=p2,
-    )
+                interior.append(raw)
+        out.append(FaceGeometry(
+            face=face,
+            fit=fit,
+            angles=tuple(interior),
+            simple=simple,
+            reflex_corners=tuple(reflex),
+            basis=basis[row],
+            orientation=orientation,
+            points2d=points2d[row],
+        ))
+    return out
+
+
+def face_geometries(complex: CellComplex,
+                    faces: Iterable[int] | None = None) -> list[FaceGeometry | DegenerateFaceError]:
+    """Fit, project and measure the given faces (all by default), in order.
+
+    Each entry is the face's FaceGeometry or, for a face with no usable
+    plane or a zero-length edge, the DegenerateFaceError that face_geometry
+    raises for it: coincident points, then collinear points, then a
+    zero-length edge.  Faces of one degree are fitted as one stack, and
+    every float equals the one-face computation's.
+    """
+    faces = list(range(complex.n_faces) if faces is None else faces)
+    groups: dict[int, list[int]] = {}
+    for pos, fi in enumerate(faces):
+        groups.setdefault(len(complex.faces[fi]), []).append(pos)
+    table: list[FaceGeometry | DegenerateFaceError | None] = [None] * len(faces)
+    for positions in groups.values():
+        ids = [faces[pos] for pos in positions]
+        pts = complex.vertices[np.array([complex.faces[fi] for fi in ids], dtype=np.intp)]
+        for pos, geo in zip(positions, _degree_group(ids, pts)):
+            table[pos] = geo
+    return table
+
+
+def _checked(geos: list) -> list[FaceGeometry]:
+    """geos, unless one is a DegenerateFaceError: then the first one is raised."""
+    for geo in geos:
+        if isinstance(geo, DegenerateFaceError):
+            raise geo
+    return geos
+
+
+def face_geometry(complex: CellComplex, face_index: int) -> FaceGeometry:
+    """Fit, project and measure one face; see FaceGeometry for semantics."""
+    return _checked(face_geometries(complex, [face_index]))[0]
 
 
 def _star_geometry(mesh: HalfEdgeMesh, vertex: int) -> dict[int, FaceGeometry]:
     """FaceGeometry of every face around the vertex, keyed by face."""
-    return {f: face_geometry(mesh.complex, f) for f, _ in mesh.vertex_stars[vertex]}
+    faces = [f for f, _ in mesh.vertex_stars[vertex]]
+    return dict(zip(faces, _checked(face_geometries(mesh.complex, faces))))
 
 
 def _defect(mesh: HalfEdgeMesh, vertex: int, geos) -> float:
@@ -272,13 +357,54 @@ def gauss_bonnet_check(mesh: HalfEdgeMesh) -> tuple[float, float, float]:
     the residual measures only floating-point accumulation and broken
     corner bookkeeping.
     """
-    geos = [face_geometry(mesh.complex, f) for f in range(mesh.n_faces)]
+    geos = _checked(face_geometries(mesh.complex))
     return _gauss_bonnet(mesh, (_defect(mesh, v, geos) for v in range(mesh.n_vertices)))
 
 
 # ---------------------------------------------------------------------------
-# Vertex links as spherical polygons
+# Vertex links as spherical polygons, on float 3-tuples
 # ---------------------------------------------------------------------------
+
+Vec3 = tuple[float, float, float]
+
+
+def _sub(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _dot(a: Vec3, b: Vec3) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: Vec3, b: Vec3) -> Vec3:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _norm(a: Vec3) -> float:
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+
+
+def _divided(a: Vec3, s: float) -> Vec3:
+    return (a[0] / s, a[1] / s, a[2] / s)
+
+
+def _angular_distance(a: Vec3, b: Vec3) -> float:
+    return math.atan2(_norm(_cross(a, b)), _dot(a, b))
+
+
+def _rotate(p: Vec3, axis: Vec3, angle: float) -> Vec3:
+    """Rodrigues rotation of p around the unit axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    k = _cross(axis, p)
+    t = _dot(axis, p) * (1.0 - c)
+    return (p[0] * c + k[0] * s + axis[0] * t,
+            p[1] * c + k[1] * s + axis[1] * t,
+            p[2] * c + k[2] * s + axis[2] * t)
+
 
 @dataclass(frozen=True)
 class LinkArc:
@@ -290,9 +416,9 @@ class LinkArc:
     by the face's fitted plane.
     """
 
-    start: np.ndarray
-    end: np.ndarray
-    axis: np.ndarray
+    start: Vec3
+    end: Vec3
+    axis: Vec3
     length: float
     face: int
 
@@ -302,14 +428,8 @@ class SphericalLink:
     """The link of a vertex: unit edge directions joined by corner arcs."""
 
     vertex: int
-    directions: tuple[np.ndarray, ...]
+    directions: tuple[Vec3, ...]
     arcs: tuple[LinkArc, ...]
-
-
-def _rotate(p: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation of p around the unit axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    return p * c + np.cross(axis, p) * s + axis * float(axis @ p) * (1.0 - c)
 
 
 def vertex_link(mesh: HalfEdgeMesh, vertex: int) -> SphericalLink:
@@ -326,21 +446,20 @@ def vertex_link(mesh: HalfEdgeMesh, vertex: int) -> SphericalLink:
 
 def _link(mesh: HalfEdgeMesh, vertex: int, geos) -> SphericalLink:
     """vertex_link over geos, which maps each face of the star to its geometry."""
-    complex = mesh.complex
-    pos_v = complex.vertices[vertex]
     star = mesh.vertex_stars[vertex]
     neighbors = mesh.star_entry_neighbors[vertex]
     count = len(star)
+    pos_v, *ends = mesh.complex.vertices[[vertex, *neighbors]].tolist()
 
-    directions: list[np.ndarray] = []
-    for u in neighbors:
-        d = complex.vertices[u] - pos_v
-        norm = float(np.linalg.norm(d))
+    directions: list[Vec3] = []
+    for u, end in zip(neighbors, ends):
+        d = _sub(end, pos_v)
+        norm = _norm(d)
         if norm == 0.0:
             raise DegenerateFaceError(
                 f"edge ({vertex}, {u}) has zero length; link is undefined"
             )
-        directions.append(d / norm)
+        directions.append(_divided(d, norm))
 
     arcs: list[LinkArc] = []
     for k in range(count):
@@ -353,38 +472,37 @@ def _link(mesh: HalfEdgeMesh, vertex: int, geos) -> SphericalLink:
             # Straight corner: orient the semicircle through the face's
             # interior.  The interior side of the (projected) straight edge
             # is the left side for positive orientation.
-            face_tuple = complex.faces[f]
-            kk = len(face_tuple)
-            e_out2 = geo.points2d[(i + 1) % kk] - geo.points2d[i]
-            nrm = math.hypot(e_out2[0], e_out2[1])
+            (x0, y0), (x1, y1) = geo.points2d[[i, (i + 1) % len(geo.points2d)]].tolist()
+            ex, ey = x1 - x0, y1 - y0
+            nrm = math.hypot(ex, ey)
             if nrm == 0.0:
                 raise DegenerateFaceError("straight corner with zero-length projected edge")
-            e_out2 = e_out2 / nrm
-            w2 = geo.orientation * np.array([-e_out2[1], e_out2[0]])
+            wx, wy = geo.orientation * -(ey / nrm), geo.orientation * (ex / nrm)
             # The interior normal must point away from the direction we
             # start at; which of +-exit matches d_start is irrelevant for
             # the midpoint construction below.
-            w3 = w2[0] * geo.basis[0] + w2[1] * geo.basis[1]
-            w3 = w3 - d_start * float(w3 @ d_start)
-            nw = float(np.linalg.norm(w3))
+            b0, b1 = geo.basis.tolist()
+            w3 = (wx * b0[0] + wy * b1[0], wx * b0[1] + wy * b1[1], wx * b0[2] + wy * b1[2])
+            along = _dot(w3, d_start)
+            w3 = _sub(w3, (d_start[0] * along, d_start[1] * along, d_start[2] * along))
+            nw = _norm(w3)
             if nw <= _PARALLEL_GUARD:
                 raise DegenerateFaceError(
                     f"face {f}: cannot orient straight corner {i} from its plane"
                 )
-            w3 /= nw
-            axis = np.cross(d_start, w3)
-            axis /= np.linalg.norm(axis)
+            axis = _cross(d_start, _divided(w3, nw))
+            axis = _divided(axis, _norm(axis))
         else:
-            cross = np.cross(d_start, d_end)
-            nc = float(np.linalg.norm(cross))
+            cross = _cross(d_start, d_end)
+            nc = _norm(cross)
             if nc <= _PARALLEL_GUARD:
                 # Directions (anti)parallel away from a straight corner:
                 # a zero-angle spike; callers flag it via the embedding test.
-                axis = _any_perpendicular(d_start)
+                axis = tuple(_any_perpendicular(np.array([d_start]))[0].tolist())
             else:
-                axis = cross / nc
+                axis = _divided(cross, nc)
             if theta > math.pi:
-                axis = -axis
+                axis = (-axis[0], -axis[1], -axis[2])
         arcs.append(LinkArc(start=d_start, end=d_end, axis=axis, length=theta, face=f))
 
     return SphericalLink(
@@ -403,39 +521,37 @@ class LinkVerdict:
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class _SubArc:
-    start: np.ndarray
-    end: np.ndarray
-    axis: np.ndarray
+class _SubArc(NamedTuple):
+    start: Vec3
+    end: Vec3
+    axis: Vec3
+    frame: Vec3       # axis x start: angle pi/2 along the sub-arc's circle
     length: float
     parent: int
 
 
-def _split_arcs(link: SphericalLink) -> list[_SubArc]:
-    """Cut every arc into pieces of length < pi/2.
+def _split_arcs(arcs: list[tuple[Vec3, Vec3, Vec3, float]]) -> list[_SubArc]:
+    """Cut every (start, end, axis, length) arc into pieces of length < pi/2.
 
     Short pieces make the containment predicates unambiguous (a sub-arc
     never wraps past the antipode of its start), without changing the
     traced point set.
     """
     subs: list[_SubArc] = []
-    for idx, arc in enumerate(link.arcs):
-        pieces = max(1, math.ceil(arc.length / HALF_PI - 1e-12))
-        step = arc.length / pieces
-        p = arc.start
+    for idx, (start, end, axis, length) in enumerate(arcs):
+        pieces = max(1, math.ceil(length / HALF_PI - 1e-12))
+        step = length / pieces
+        p = start
         for j in range(pieces):
-            q = arc.end if j == pieces - 1 else _rotate(arc.start, arc.axis, step * (j + 1))
-            subs.append(_SubArc(start=p, end=q, axis=arc.axis, length=step, parent=idx))
+            q = end if j == pieces - 1 else _rotate(start, axis, step * (j + 1))
+            subs.append(_SubArc(p, q, axis, _cross(axis, p), step, idx))
             p = q
     return subs
 
 
-def _arc_frame_angle(p: np.ndarray, sub: _SubArc) -> float:
+def _arc_frame_angle(p: Vec3, sub: _SubArc) -> float:
     """Angle of p around sub's axis, measured from sub.start, in [0, 2*pi)."""
-    e1 = sub.start
-    e2 = np.cross(sub.axis, sub.start)
-    ang = math.atan2(float(p @ e2), float(p @ e1))
+    ang = math.atan2(_dot(p, sub.frame), _dot(p, sub.start))
     return ang + TWO_PI if ang < 0.0 else ang
 
 
@@ -445,13 +561,14 @@ def _subarc_contact(a: _SubArc, b: _SubArc, guard: float):
     Sign tests on triple products decide containment; guard only absorbs
     rounding at configuration boundaries (shared circles, shared endpoints).
     """
-    axis_cross = np.cross(a.axis, b.axis)
-    if float(np.linalg.norm(axis_cross)) <= guard:
+    axis_cross = _cross(a.axis, b.axis)
+    nc = _norm(axis_cross)
+    if nc <= guard:
         # Same great circle (axes parallel or antiparallel): compare the
         # two angular intervals in a's frame.  b covers lo..lo+length going
         # counterclockwise around a's axis, starting from whichever of its
         # endpoints is the counterclockwise start.
-        same_way = float(b.axis @ a.axis) > 0.0
+        same_way = _dot(b.axis, a.axis) > 0.0
         lo = _arc_frame_angle(b.start if same_way else b.end, a)
         pieces = [(lo, lo + b.length)]
         if lo + b.length > TWO_PI:
@@ -465,21 +582,25 @@ def _subarc_contact(a: _SubArc, b: _SubArc, guard: float):
                 ang = max(0.0, min(0.5 * (ilo + ihi), a.length))
                 best = ("point", _rotate(a.start, a.axis, ang))
         return best
-    axis = axis_cross / float(np.linalg.norm(axis_cross))
-    for cand in (axis, -axis):
+    axis = _divided(axis_cross, nc)
+    for cand in (axis, (-axis[0], -axis[1], -axis[2])):
         if _contains(a, cand, guard) and _contains(b, cand, guard):
             return ("point", cand)
     return None
 
 
-def _contains(sub: _SubArc, p: np.ndarray, guard: float) -> bool:
+def _contains(sub: _SubArc, p: Vec3, guard: float) -> bool:
     """Is p on the sub-arc (inclusive of endpoints, up to guard)?"""
-    if abs(float(p @ sub.axis)) > guard:
+    if abs(_dot(p, sub.axis)) > guard:
         return False
     ang = _arc_frame_angle(p, sub)
     if ang > math.pi:
         ang -= TWO_PI   # treat near-start wraparound as small negative
     return -guard <= ang <= sub.length + guard
+
+
+def _vec(v) -> Vec3:
+    return tuple(map(float, v))
 
 
 def link_is_embedded(link: SphericalLink, tol: float = 1e-9) -> LinkVerdict:
@@ -490,26 +611,27 @@ def link_is_embedded(link: SphericalLink, tol: float = 1e-9) -> LinkVerdict:
     arcs meeting only at their shared endpoint(s).  The witness names the
     first offending feature.
     """
-    n = len(link.directions)
+    directions = [_vec(d) for d in link.directions]
+    arcs = [(_vec(a.start), _vec(a.end), _vec(a.axis), float(a.length)) for a in link.arcs]
+    n = len(directions)
     if n < 2:
         return LinkVerdict(link.vertex, False, "fewer than two link vertices")
     for i in range(n):
         for j in range(i + 1, n):
-            if _angular_distance(link.directions[i], link.directions[j]) <= tol:
+            if _angular_distance(directions[i], directions[j]) <= tol:
                 return LinkVerdict(
                     link.vertex, False,
                     f"link vertices {i} and {j} coincide (incident edges point the same way)",
                 )
-    for idx, arc in enumerate(link.arcs):
-        if arc.length <= tol:
-            return LinkVerdict(link.vertex, False, f"arc {idx} has length {arc.length:.3e}")
+    for idx, (_, _, _, length) in enumerate(arcs):
+        if length <= tol:
+            return LinkVerdict(link.vertex, False, f"arc {idx} has length {length:.3e}")
 
     guard = max(tol, 1e-13)
-    subs = _split_arcs(link)
-    n_arcs = len(link.arcs)
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            a, b = subs[i], subs[j]
+    subs = _split_arcs(arcs)
+    n_arcs = len(arcs)
+    for i, a in enumerate(subs):
+        for b in subs[i + 1:]:
             if a.parent == b.parent:
                 continue   # one great-circle arc shorter than 2*pi cannot self-cross
             contact = _subarc_contact(a, b, guard)
@@ -533,9 +655,9 @@ def link_is_embedded(link: SphericalLink, tol: float = 1e-9) -> LinkVerdict:
             # construction; a two-arc link shares both.
             allowed = []
             if (pb - pa) % n_arcs == 1:
-                allowed.append(link.arcs[pa].end)
+                allowed.append(arcs[pa][1])
             if (pa - pb) % n_arcs == 1:
-                allowed.append(link.arcs[pb].end)
+                allowed.append(arcs[pb][1])
             if not any(_angular_distance(payload, q) <= max(tol, 1e-9) for q in allowed):
                 return LinkVerdict(
                     link.vertex, False,
@@ -609,18 +731,20 @@ class FlatnessReport:
         return max((abs(v.defect) for v in self.vertices), default=0.0)
 
 
-def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None) -> FlatnessReport:
-    """Run every geometric check once and collect the results."""
-    tol = tol or ToleranceProfile()
+def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None,
+                    geos: list[FaceGeometry | DegenerateFaceError] | None = None) -> FlatnessReport:
+    """Run every geometric check once and collect the results.
 
-    geos = []
+    geos is face_geometries(mesh.complex), built here when not given.
+    """
+    tol = tol or ToleranceProfile()
+    if geos is None:
+        geos = face_geometries(mesh.complex)
+
     face_records = []
-    for fi in range(mesh.n_faces):
-        try:
-            geo = face_geometry(mesh.complex, fi)
-        except DegenerateFaceError as exc:
-            raise DegenerateFaceError(f"face {fi}: {exc}") from exc
-        geos.append(geo)
+    for fi, geo in enumerate(geos):
+        if isinstance(geo, DegenerateFaceError):
+            raise DegenerateFaceError(f"face {fi}: {geo}") from geo
         face_records.append(
             FaceFlatnessRecord(
                 face=fi,

@@ -377,10 +377,15 @@ def triangle_contact(p: np.ndarray, q: np.ndarray) -> Contact | None:
     """Exact contact of two positive-area triangles, or None if disjoint.
 
     The 18 coordinates are put on their own grid 2^-s; the contact's
-    points are returned as rationals X / (W 2^s).
+    points are returned as rationals X / (W 2^s).  Raises
+    DegenerateTriangleError if either triangle has zero area.
     """
     corners, s = _grid(np.array((p, q), dtype=np.float64).reshape(6, 3))
-    found = _contact(_triangle(*corners[:3]), _triangle(*corners[3:]))
+    a, b = _triangle(*corners[:3]), _triangle(*corners[3:])
+    for name, tri in (("p", a), ("q", b)):
+        if tri[3] == (0, 0, 0):
+            raise DegenerateTriangleError(f"triangle {name} has zero area")
+    found = _contact(a, b)
     if found is None:
         return None
     kind, points = found

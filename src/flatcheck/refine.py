@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flatness import DegenerateFaceError, ToleranceProfile, face_geometry
+from .flatness import DegenerateFaceError, ToleranceProfile, face_geometries
 from .mesh import CellComplex, MeshError, build_complex, canonical_face
 from .predicates import orient2d
 
@@ -146,7 +146,8 @@ def _point_in_triangle(p, a, b, c) -> bool:
     return not (has_neg and has_pos)
 
 
-def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None) -> Refinement:
+def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
+                      geos=None) -> Refinement:
     """Triangulate every face without introducing new vertices.
 
     Triangles pass through unchanged.  Larger faces are ear-clipped in
@@ -156,8 +157,14 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None)
     yields n-2 triangles.  TriangulationError is raised when a face cannot
     be triangulated at all (no ear exists even though the polygon passed
     the simplicity test) and when two faces yield the same triangle.
+
+    geos maps every face of degree > 3 to its entry of
+    face_geometries(complex); it is built here when not given.
     """
     tol = tol or ToleranceProfile()
+    if geos is None:
+        polygons = [fi for fi, face in enumerate(complex.faces) if len(face) > 3]
+        geos = dict(zip(polygons, face_geometries(complex, polygons)))
     triangles: list[tuple[int, int, int]] = []
     sources: list[int] = []
     fallbacks: list[FallbackRecord] = []
@@ -167,17 +174,15 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None)
             triangles.append(face)
             sources.append(fi)
             continue
-        reason = None
-        try:
-            geo = face_geometry(complex, fi)
-        except DegenerateFaceError:
-            geo = None
+        geo = geos[fi]
+        if isinstance(geo, DegenerateFaceError):
             reason = "degenerate-fit"
-        if reason is None:
-            if geo.fit.rel_deviation > tol.planarity_tol:
-                reason = "planarity"
-            elif not geo.simple:
-                reason = "not-simple"
+        elif geo.fit.rel_deviation > tol.planarity_tol:
+            reason = "planarity"
+        elif not geo.simple:
+            reason = "not-simple"
+        else:
+            reason = None
         if reason is None:
             ears = _ear_clip(face, geo.points2d, geo.orientation)
             if ears is None:

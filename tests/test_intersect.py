@@ -126,6 +126,18 @@ def test_soup_rejects_degenerate():
     assert len(independent_soup(near)) == len(independent_soup(upright)) == 1
 
 
+def test_contact_rejects_zero_area():
+    """A collinear triangle has no plane, so no contact kind is defined;
+    both argument orders raise instead of returning an arbitrary kind."""
+    p = np.array([[-256.0, 512.0, 0.0], [-512.0, 512.0, 0.0], [1024.0, 512.0, 0.0]])
+    q = np.array([[-768.0, -1024.0, 0.0], [-768.0, 768.0, 0.0], [768.0, 768.0, 0.0]])
+    with pytest.raises(DegenerateTriangleError, match="triangle p has zero area"):
+        triangle_contact(p, q)
+    with pytest.raises(DegenerateTriangleError, match="triangle q has zero area"):
+        triangle_contact(q, p)
+    assert triangle_contact(q, q) is not None
+
+
 def test_soup_from_arrays_metadata():
     coords = np.stack([T_BASE, T_BASE + 10.0])
     soup = independent_soup(coords)

@@ -3,14 +3,20 @@
 The grid points (0.5 + i*2**-53, 0.5 + j*2**-53) are exactly representable
 and straddle the line y = x, so a float cross product taken relative to a
 far-away corner rounds some of them to the wrong side.  Every decision must
-match a Fraction evaluation of the same geometry.
+match a Fraction evaluation of the same geometry, also after the grid is
+scaled by a power of two far into the overflow and subnormal ranges.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from flatcheck.flatness import _segments_properly_disjoint
+from flatcheck.predicates import orient2d
 from flatcheck.refine import _point_in_triangle
 
 STEP = 2.0 ** -53
@@ -61,3 +67,20 @@ def test_segments_disjoint_matches_exact_on_near_diagonal_grid():
              if _segments_properly_disjoint(p, (p[0] + 1.0, p[1] + 1.0), A, B)
              != _exact_disjoint(p, (p[0] + 1.0, p[1] + 1.0), A, B)]
     assert wrong == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(-1060, 1000), row=st.integers(0, 63), tiny=st.integers(-3, 3))
+def test_orient2d_exact_over_double_range(k, row, tiny):
+    """orient2d equals the Fraction sign on one row of the grid scaled by
+    2^k, each grid point's y moved by `tiny` subnormal steps.  Near
+    k = -1060 the coordinates are subnormal, the grid's own steps round
+    away and the subnormal step alone decides the side of y = x; near
+    k = 1000 the float products overflow.  Either way the filter must hand
+    the call to the exact fallback."""
+    a = (math.ldexp(A[0], k), math.ldexp(A[1], k))
+    b = (math.ldexp(B[0], k), math.ldexp(B[1], k))
+    for x, y in GRID[64 * row:64 * (row + 1)]:
+        c = (math.ldexp(x, k), math.ldexp(y, k) + tiny * 2.0**-1074)
+        assert orient2d(a, b, c) == _sign(a, b, c)
+        assert orient2d(c, a, b) == _sign(c, a, b)
