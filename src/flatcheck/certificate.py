@@ -8,8 +8,8 @@ produce byte-identical text.
 """
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .flatness import (DegenerateFaceError, FlatnessReport, ToleranceProfile,
@@ -42,12 +42,12 @@ def canonical_json(value, indent: int = 0) -> str:
             raise ValueError(f"non-finite number in certificate: {value}")
         return format(value, ".17g")
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(k))}: {canonical_json(v, indent + 1)}"
+            f"{inner}{encode_basestring_ascii(str(k))}: {canonical_json(v, indent + 1)}"
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
@@ -220,9 +220,8 @@ def build_certificate(
         self_intersecting = rep.intersecting
         immersion["pair_count"] = len(rep.pairs)
         immersion["local_overlap_count"] = len(rep.local_overlaps)
-        immersion["kind_census"] = {
-            k: rep.kind_census[k] for k in sorted(rep.kind_census)
-        }
+        census = rep.kind_census
+        immersion["kind_census"] = {k: census[k] for k in sorted(census)}
         immersion["pairs"] = [
             {"i": pc.i, "j": pc.j, "kind": pc.kind} for pc in rep.pairs
         ]

@@ -10,16 +10,16 @@ import pytest
 from flatcheck import (
     CellComplex,
     GeneratorSpec,
-    TriangleBoxes,
+    IntersectionReport,
+    PairContact,
     build_complex,
-    candidate_pairs,
     check_closed_manifold,
     generate,
-    self_intersections,
     standard_corpus,
     triangle_soup,
     triangulate_faces,
 )
+from flatcheck import intersect
 
 
 def make_complex(vertices, faces) -> CellComplex:
@@ -64,15 +64,26 @@ def independent_soup(coords):
 
 
 def brute_report(soup):
-    """Referee scan: every triangle gets the whole soup's box, so every pair
-    is a candidate and the narrow phase classifies all n(n-1)/2 of them."""
+    """Referee scan: all n(n-1)/2 pairs, with no box test and no decision
+    from shared corner ids, each classified by the contact kernel and then
+    tested against the cells its source faces share."""
+    grid, _ = intersect._grid(soup.points)
+    corners, faces = soup.corners.tolist(), soup.source_face.tolist()
+    tris = [intersect._triangle(grid[a], grid[b], grid[c]) for a, b, c in corners]
+    pairs, overlaps = [], []
     n = len(soup)
-    whole = TriangleBoxes(
-        lo=np.broadcast_to(soup.coords.min(axis=(0, 1)), (n, 3)),
-        hi=np.broadcast_to(soup.coords.max(axis=(0, 1)), (n, 3)),
-    )
-    assert len(candidate_pairs(whole)) == n * (n - 1) // 2
-    return self_intersections(soup, whole)
+    for i in range(n):
+        for j in range(i + 1, n):
+            found = intersect._contact(tris[i], tris[j])
+            if found is None:
+                continue
+            cells = intersect._shared_cells(soup, grid, corners[i], corners[j],
+                                            faces[i], faces[j])
+            if cells is None:
+                pairs.append(PairContact(i, j, found[0]))
+            elif intersect._beyond_allowed(*found, *cells):
+                overlaps.append(PairContact(i, j, found[0]))
+    return IntersectionReport(tuple(pairs), tuple(overlaps), n * (n - 1) // 2)
 
 
 @pytest.fixture(scope="session")
