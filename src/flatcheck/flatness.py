@@ -11,8 +11,10 @@ spherical polygon.
 Face geometry is computed once per check, as one table (face_geometries)
 that flatness_report and refine.triangulate_faces share.  Faces of one
 degree are fitted as one NumPy stack, whose floats equal the one-face
-computation's bit for bit.  Links are built and tested on plain float
-3-tuples, with no NumPy call per vector.
+computation's bit for bit.  Links are decided by one NumPy pass per
+vertex valence (_azimuth_certified) wherever an azimuth lemma proves them
+embedded by a margin; the other links are built and tested on plain
+float 3-tuples, with no NumPy call per vector.
 """
 from __future__ import annotations
 
@@ -666,6 +668,87 @@ def link_is_embedded(link: SphericalLink, tol: float = 1e-9) -> LinkVerdict:
     return LinkVerdict(link.vertex, True)
 
 
+# Margin of the azimuth certificate: a link it certifies has corners with
+# sine >= _LINK_MARGIN, and features _LINK_MARGIN^2 or more apart.
+_LINK_MARGIN = 1e-3
+# Coordinates beyond this bound, and edges shorter than its inverse, leave
+# a vertex to the sub-arc test, so no square over- or underflows.
+_COORD_BOUND = 2.0 ** 500
+
+
+def _azimuth_certified(mesh: HalfEdgeMesh, geos, link_tol: float) -> list[bool]:
+    """Which vertex links the azimuth lemma proves embedded, in one NumPy
+    pass per valence; link_is_embedded calls each of them embedded.
+
+    Lemma: let n be a unit vector, every corner at v shorter than pi, every
+    corner normal d_k x d_k+1 have a positive component along n, and no
+    edge direction d_k be parallel to n.  A great-circle arc shorter than
+    pi whose circle misses +-n sweeps its azimuth interval around n
+    monotonically, so if the azimuth steps sum to 2*pi the link is a graph
+    over the azimuth circle, hence embedded.  n is the normalised sum of
+    the unit corner normals.
+
+    Every bound holds by the margin m, so the features link_is_embedded
+    compares are at least m^2 apart, and its guard (link_tol, at most
+    m^2 / 100 here) cannot join them.  Each face-table angle must equal the
+    angle between its two directions to within guard / 8, so no reflex or
+    straight corner is certified and adjacent arcs on one great circle do
+    not overlap by a guard.  The sub-arc test's one rounding-sensitive
+    case is left to it: adjacent arcs whose circles cross at an angle
+    between about the guard and 1e-4, where the crossing point it computes
+    can pass its containment test and still miss the shared endpoint.
+    """
+    certified = [False] * mesh.n_vertices
+    m = _LINK_MARGIN
+    if not link_tol < 1e-2 * m * m:
+        return certified     # a coarse link_tol is link_is_embedded's to apply
+    guard = max(link_tol, 1e-13)
+    pts = mesh.complex.vertices
+    usable = (np.abs(pts) <= _COORD_BOUND).all(axis=1)    # False on nan and inf too
+    pts = np.where(usable[:, None], pts, 0.0)
+    groups: dict[int, list[int]] = {}
+    for v, neighbors in enumerate(mesh.star_entry_neighbors):
+        groups.setdefault(len(neighbors), []).append(v)
+    for valence, vertices in groups.items():
+        if valence < 3:
+            continue
+        centers = np.array(vertices, dtype=np.intp)
+        ends = np.array([mesh.star_entry_neighbors[v] for v in vertices], dtype=np.intp)
+        theta = np.array([[geos[f].angles[i] for f, i in mesh.vertex_stars[v]]
+                          for v in vertices])
+        edges = pts[ends] - pts[centers][:, None, :]
+        lengths = _norms(edges)
+        long = lengths >= 1.0 / _COORD_BOUND
+        ok = usable[centers] & usable[ends].all(axis=1) & long.all(axis=1)
+        d = edges / np.where(long, lengths, 1.0)[..., None]
+        d_next = np.roll(d, -1, axis=1)
+        normals = np.cross(d, d_next)
+        sines = _norms(normals)
+        wide = sines >= m
+        ok &= (wide & (theta < math.pi - m)
+               & (np.abs(theta - np.arctan2(sines, _dots(d, d_next))) <= guard / 8)).all(axis=1)
+        normals /= np.where(wide, sines, 1.0)[..., None]
+        total = normals.sum(axis=1)
+        size = _norms(total)
+        ok &= size >= m
+        n = (total / np.where(size >= m, size, 1.0)[:, None])[:, None, :]
+        tilts = _dots(normals, n)
+        flat = d - _dots(d, n)[..., None] * n
+        flat_next = np.roll(flat, -1, axis=1)
+        steps = np.arctan2(_dots(np.cross(flat, flat_next), n), _dots(flat, flat_next))
+        ok &= ((tilts >= m) & (_norms(flat) >= m) & (steps > 0.0)).all(axis=1)
+        ok &= np.abs(steps.sum(axis=1) - TWO_PI) < math.pi
+        # Non-adjacent arcs lie in azimuth sectors a whole step apart, at
+        # distance >= min tilt from +-n.
+        ok &= tilts.min(axis=1) * np.sin(np.minimum(steps.min(axis=1), HALF_PI)) >= m * m
+        # Adjacent arcs: one great circle up to the guard, or clearly two
+        bends = _norms(np.cross(normals, np.roll(normals, -1, axis=1)))
+        ok &= ((bends <= guard / 4) | (bends >= 1e-4)).all(axis=1)
+        for v in centers[ok].tolist():
+            certified[v] = True
+    return certified
+
+
 # ---------------------------------------------------------------------------
 # Whole-mesh report
 # ---------------------------------------------------------------------------
@@ -761,7 +844,11 @@ def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None,
         vertex_records.append(VertexFlatnessRecord(vertex=v, defect=d, flat=abs(d) <= tol.defect_tol))
 
     links = []
+    certified = _azimuth_certified(mesh, geos, tol.link_tol)
     for v in range(mesh.n_vertices):
+        if certified[v]:
+            links.append(LinkVerdict(v, True))
+            continue
         try:
             link = _link(mesh, v, geos)
         except MeshError as exc:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .mesh import MeshError
 from .predicates import orient2d
-from .refine import Refinement
+from .refine import EdgeMidpoint, Refinement
 
 
 class DegenerateTriangleError(MeshError):
@@ -50,7 +50,9 @@ class TriangleSoup:
     corners: np.ndarray                         # (n, 3) derived vertex ids
     source_face: np.ndarray                     # (n,) source face of each triangle
     points: np.ndarray                          # derived vertex coordinates
-    face_vertices: tuple[frozenset[int], ...]   # source face -> source vertex ids
+    # per source face: the derived ids of its vertices and edge midpoints,
+    # and the derived edges along its boundary
+    face_vertices: tuple[frozenset[int], ...]
     face_edges: tuple[frozenset[tuple[int, int]], ...]
 
     def __len__(self) -> int:
@@ -83,17 +85,29 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
             f"{len(bad)} zero-area derived triangle(s), first at index {bad[0]}"
             f" (source face {refinement.triangle_sources[bad[0]]})"
         )
-    faces = refinement.source.faces
+    # Source vertices keep their ids in the derived complex.  A source edge
+    # with a midpoint m is the derived polyline u - m - v: a rounded
+    # midpoint need not lie on the segment uv, but it is a vertex of both
+    # faces at that edge.
+    midpoint = {(o.u, o.v): k for k, o in enumerate(refinement.vertex_origins)
+                if isinstance(o, EdgeMidpoint)}
+    face_vertices, face_edges = [], []
+    for face in refinement.source.faces:
+        verts, edges = set(), set()
+        for u, v in zip(face, face[1:] + face[:1]):
+            mid = midpoint.get((min(u, v), max(u, v)))
+            ends = (u, v) if mid is None else (u, mid, v)
+            verts.update(ends)
+            edges.update((min(p, q), max(p, q)) for p, q in zip(ends, ends[1:]))
+        face_vertices.append(frozenset(verts))
+        face_edges.append(frozenset(edges))
     return TriangleSoup(
         coords=coords,
         corners=corners,
         source_face=np.array(refinement.triangle_sources, dtype=np.intp),
         points=pts,
-        face_vertices=tuple(frozenset(face) for face in faces),
-        face_edges=tuple(
-            frozenset(tuple(sorted((face[i], face[i - 1]))) for i in range(len(face)))
-            for face in faces
-        ),
+        face_vertices=tuple(face_vertices),
+        face_edges=tuple(face_edges),
     )
 
 

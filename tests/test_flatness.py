@@ -10,7 +10,9 @@ from __future__ import annotations
 import importlib
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
+    CellComplex,
     DegenerateFaceError,
     GeneratorSpec,
+    LinkVerdict,
+    MeshError,
     ToleranceProfile,
     angle_defect,
     build_certificate,
@@ -40,7 +45,7 @@ from flatcheck import certificate, flatness, refine
 from flatcheck.corpus import doubled_cone, fold_vertex_ids, folded_flat_torus
 from flatcheck.flatness import face_geometries
 
-from conftest import cube, grid_torus, random_rotation, tetra
+from conftest import TWO_PI, cube, grid_torus, random_rotation, tetra
 
 LIFTED_SQUARE = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.1], [0.0, 1.0, 0.0]]
@@ -366,14 +371,19 @@ DEGENERATE_MIX = build_complex(
 
 
 @pytest.fixture(scope="module")
-def bench_meshes():
-    """Name -> complex for the meshes of perfbench's two check workloads."""
+def perfbench_meshes():
+    """perfbench's meshes module: its workloads and seeded symmetries."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
-        meshes = importlib.import_module("meshes")
+        return importlib.import_module("meshes")
+
+
+@pytest.fixture(scope="module")
+def bench_meshes(perfbench_meshes):
+    """Name -> complex for the meshes of perfbench's two check workloads."""
     return {name: build()
             for workload in ("check_embedded", "check_contacts")
-            for name, build in meshes.WORKLOADS[workload].meshes}
+            for name, build in perfbench_meshes.WORKLOADS[workload].meshes}
 
 
 def _bits(geo):
@@ -538,7 +548,8 @@ def test_sampling_oracle_decides_both_ways():
 def test_link_verdict_matches_sampling_oracle(data):
     """Vertex stars of doubled cones of any total angle and of jittered
     torus, Klein and folded grids: wherever sampling decides the link,
-    link_is_embedded agrees."""
+    link_is_embedded agrees, and flatness_report's verdicts on the whole
+    mesh, certified in advance or not, are link_is_embedded's."""
     kind = data.draw(st.sampled_from(["cone", "grid_torus", "grid_klein", "folded"]))
     if kind == "cone":
         cx = doubled_cone(data.draw(st.floats(0.05, 6 * math.pi - 0.05)))
@@ -553,6 +564,7 @@ def test_link_verdict_matches_sampling_oracle(data):
         cx = build_complex(base.vertices + rng.normal(scale=scale, size=base.vertices.shape),
                            base.faces)
     mesh = check_closed_manifold(cx)
+    assert flatness_report(mesh).links == _subarc_links(mesh)
     link = vertex_link(mesh, data.draw(st.integers(0, mesh.n_vertices - 1)))
     expect = _oracle_decision(link)
     if expect is not None:
@@ -569,3 +581,148 @@ def test_link_witnesses_pinned():
     klein = check_closed_manifold(generate(GeneratorSpec("grid_klein", m=5, n=4)))
     assert link_is_embedded(vertex_link(klein, 3)).witness == (
         "arcs 0 and 3 are not adjacent but intersect (overlap)")
+
+
+# ---------------------------------------------------------------------------
+# Links certified by the azimuth pass against the sub-arc test
+
+def _subarc_links(mesh, tol=None):
+    """link_is_embedded's verdict on every vertex link, with _link's error
+    as the witness where the link is undefined."""
+    tol = tol or ToleranceProfile()
+    geos = face_geometries(mesh.complex)
+    out = []
+    for v in range(mesh.n_vertices):
+        try:
+            link = flatness._link(mesh, v, geos)
+        except MeshError as exc:
+            out.append(LinkVerdict(v, False, str(exc)))
+        else:
+            out.append(link_is_embedded(link, tol.link_tol))
+    return tuple(out)
+
+
+def _assert_links_match(cx, tol=None):
+    mesh = check_closed_manifold(cx)
+    assert flatness_report(mesh, tol).links == _subarc_links(mesh, tol)
+
+
+def _subarc_tested(mesh, tol=None):
+    """The report, and the vertices whose links flatness_report hands to
+    link_is_embedded, in order."""
+    with mock.patch.object(flatness, "link_is_embedded", wraps=flatness.link_is_embedded) as test:
+        report = flatness_report(mesh, tol)
+    return report, [call.args[0].vertex for call in test.call_args_list]
+
+
+def test_certified_links_match_subarc_test(corpus_meshes, bench_meshes, perfbench_meshes):
+    """Verdicts and witnesses on the corpus and the benchmark's check
+    meshes, as generated and under three seeded symmetries each."""
+    for cx in [cx for _, cx in corpus_meshes.values()] + list(bench_meshes.values()):
+        _assert_links_match(cx)
+        for seed in range(3):
+            _assert_links_match(perfbench_meshes.transformed(cx, random.Random(seed)))
+
+
+_NEAR_ZERO = st.sampled_from([0.0, 1e-15, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6,
+                              1e-5, 1e-4, 1e-3, 1e-2, 0.3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_certified_links_match_on_near_degenerate_stars(data):
+    """Bipyramids squashed toward their equator and doubled cones of angle
+    near 2*pi, whose apex stars are nearly flat, jittered by down to 0 and
+    turned; link_tol from far below the pass's margin up to 1e-2."""
+    if data.draw(st.booleans()):
+        k, h = data.draw(st.integers(3, 9)), data.draw(_NEAR_ZERO)
+        ring = [(math.cos(TWO_PI * t / k), math.sin(TWO_PI * t / k), 0.0) for t in range(k)]
+        base = build_complex(ring + [(0.0, 0.0, h), (0.0, 0.0, -h)],
+                             [(t, (t + 1) % k, k) for t in range(k)]
+                             + [((t + 1) % k, t, k + 1) for t in range(k)])
+    else:
+        delta = data.draw(_NEAR_ZERO) * data.draw(st.sampled_from([-1.0, 1.0]))
+        base = doubled_cone(TWO_PI + delta, data.draw(st.integers(3, 9)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vertices = base.vertices + rng.normal(scale=data.draw(_NEAR_ZERO), size=base.vertices.shape)
+    if data.draw(st.booleans()):
+        vertices = vertices @ random_rotation(rng).T
+    tol = ToleranceProfile(link_tol=data.draw(st.sampled_from(
+        [1e-15, 1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3, 1e-2])))
+    _assert_links_match(build_complex(vertices, base.faces), tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300, None],
+                         ids=["nan", "inf", "huge", "zero-length-edge"])
+def test_azimuth_pass_leaves_unusable_rows_uncertified(bad):
+    """A coordinate that is not finite or beyond 2^500, or an edge of zero
+    length, at vertex 0 of a tetrahedron leaves every vertex to the sub-arc
+    test, with no RuntimeWarning on the way (the test configuration makes
+    one an error)."""
+    cx = tetra()
+    vertices = cx.vertices.copy()
+    vertices[0] = vertices[1] if bad is None else bad
+    mesh = replace(check_closed_manifold(cx), complex=CellComplex(vertices, cx.faces))
+    assert flatness._azimuth_certified(mesh, face_geometries(cx), 1e-9) == [False] * 4
+
+
+@pytest.mark.parametrize("name, failures", [
+    ("grid_torus_12x12", 0),
+    ("quad_torus_16x16", 0),
+    ("icosahedron_bary1", 0),
+    ("folded_flat_torus_12x12_2", 44),
+    ("grid_klein_8x8", 28),
+])
+def test_subarc_test_runs_only_on_link_failures(bench_meshes, name, failures):
+    """On the benchmark's check meshes the azimuth pass certifies every
+    embedded link, so the sub-arc test runs only where a link fails."""
+    report, tested = _subarc_tested(check_closed_manifold(bench_meshes[name]))
+    assert tested == [lv.vertex for lv in report.links if not lv.embedded]
+    assert len(tested) == failures
+
+
+# A prism of height 1 over a convex hexagon (0-5 below, 7-12 above), its
+# bottom cut into an L-shaped hexagon with its reflex corner at 6 = (1, 1)
+# and two triangles that fill the L's notch; every face points outward.
+_OUTLINE = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.6, 1.6), (1.0, 2.0), (0.0, 2.0)]
+NOTCHED_PRISM = build_complex(
+    [(x, y, 0.0) for x, y in _OUTLINE] + [(1.0, 1.0, 0.0)] + [(x, y, 1.0) for x, y in _OUTLINE],
+    [(6, 2, 1, 0, 5, 4), (6, 3, 2), (6, 4, 3), tuple(range(7, 13))]
+    + [(i, (i + 1) % 6, 7 + (i + 1) % 6, 7 + i) for i in range(6)],
+)
+
+
+def test_reflex_corner_links_pinned():
+    """At vertex 6 the L's reflex corner gives a link arc of 3*pi/2, which
+    _link orients by flipping the corner's axis: turned the other way, it
+    would run over the notch triangles' arcs in the same plane.  The
+    azimuth pass leaves the vertex to the sub-arc test."""
+    mesh = check_closed_manifold(NOTCHED_PRISM)
+    report, tested = _subarc_tested(mesh)
+    assert report.links == tuple(LinkVerdict(v, True) for v in range(13))
+    assert tested == [6]
+    assert [arc.length for arc in vertex_link(mesh, 6).arcs] == pytest.approx(
+        [1.5 * math.pi, 0.25 * math.pi, 0.25 * math.pi])
+
+
+def _squashed_octahedron(h):
+    """Equator (+-1, 0, 0), (0, +-1, 0) as vertices 0-3, apexes (0, 0, +-h)."""
+    return build_complex(
+        [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
+         (0.0, 0.0, h), (0.0, 0.0, -h)],
+        [(i, (i + 1) % 4, 4) for i in range(4)] + [((i + 1) % 4, i, 5) for i in range(4)],
+    )
+
+
+def test_link_tolerance_pinned_on_squashed_octahedron():
+    """Exactly embedded at every height, but at h = 1e-10 the two apex
+    directions at each equator vertex are within link_tol = 1e-9 of each
+    other; those vertices stay with the sub-arc test, which applies it.
+    (So may the apexes, whose stars are flat up to h.)"""
+    thin = build_certificate(_squashed_octahedron(1e-10))
+    assert thin["verdict"]["immersion"] == "not-an-immersion"
+    assert thin["geometry"]["link_failures"] == [0, 1, 2, 3]
+    assert build_certificate(_squashed_octahedron(1e-9))["verdict"]["immersion"] == "embedded"
+    for h in (1e-10, 1e-9):
+        _, tested = _subarc_tested(check_closed_manifold(_squashed_octahedron(h)))
+        assert {0, 1, 2, 3} <= set(tested)

@@ -695,6 +695,24 @@ def test_adjacent_decisions_match_kernel(cx, k):
     assert (fast.pairs, fast.local_overlaps) == (brute.pairs, brute.local_overlaps)
 
 
+def _face_pairs(soup, report):
+    """The source-face pairs of a report's pairs and of its local overlaps."""
+    faces = soup.source_face.tolist()
+    return tuple({tuple(sorted((faces[pc.i], faces[pc.j]))) for pc in contacts}
+                 for contacts in (report.pairs, report.local_overlaps))
+
+
+@pytest.mark.parametrize("spec", standard_corpus(), ids=lambda spec: spec.label)
+def test_subdivision_reports_the_same_face_pairs(spec):
+    """A rounded edge midpoint need not lie on its source edge, but it is a
+    corner both faces at that edge may share: barycentric subdivision
+    leaves the report's source-face pairs as they are, so the embedded
+    tori keep 0 local overlaps."""
+    cx = triangulate_faces(generate(spec)).derived
+    whole, split = triangle_soup(triangulate_faces(cx)), triangle_soup(barycentric_subdivision(cx))
+    assert _face_pairs(split, self_intersections(split)) == _face_pairs(whole, self_intersections(whole))
+
+
 @pytest.mark.parametrize("cx", [
     grid_torus(12, 12),
     barycentric_subdivision(generate(GeneratorSpec("icosahedron"))).derived,
