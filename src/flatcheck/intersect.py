@@ -1,27 +1,35 @@
 """Global self-intersection detection for triangulated surfaces.
 
-The triangle soup is three arrays built once from a refinement: corner
-coordinates (n, 3, 3), derived corner ids and source faces, plus the
-vertex and edge sets of every source face.  Broad phase: one sort-and-sweep
-over the triangles' axis-aligned boxes, which yields exactly the pairs
-whose boxes meet.  Narrow phase: the soup's points are put once on one
-power-of-two grid, so every corner is an integer triple, and every sign
-below is exact in Python integers.  Most box-meeting pairs are neighbours
-and are decided from their shared corner ids: two triangles that share an
-edge of both their source faces (or lie in one face) meet exactly in it
-unless they are coplanar, and then overlap iff their third corners lie on
-one side of it; two that share one corner meet only there when either
-one's other two corners lie strictly on one side of the other's plane.
-Every other pair goes to the contact kernel: each triangle's corners are
-evaluated once against the other triangle's plane; those two sign vectors
-reject separated pairs and decide transversality, and the same values
-build the contact as homogeneous integer points, so every reported
-contact is the true intersection of the given float coordinates; only
-triangle_contact turns them into Fractions, for its caller.  Contacts
-between triangles from the same or vertex-adjacent source faces are
-excluded from the self-intersection list, but flagged separately when
-they extend beyond the cells the faces legitimately share (a local
-embedding failure).
+The triangle soup is built once from a refinement: corner coordinates
+(n, 3, 3), derived corner ids and source faces, the vertex and edge sets
+of every source face, and per triangle which corners and opposite edges
+are cells of its source face.  Broad phase: one sort-and-sweep over the
+triangles' axis-aligned boxes, which yields exactly the pairs whose boxes
+meet.  Narrow phase, in two steps.  First a float filter decides, in
+blocks of pairs in NumPy, every pair whose contact is known to add nothing
+to the report: with Shewchuk's static error bounds on the power-of-two
+scaled coordinates, one triangle's remaining corners lie strictly on one
+side of the other's plane, or of an edge line in a coordinate projection,
+through the corners the two share; for free pairs that proves them
+disjoint, and for neighbours whose shared corner or edge is a cell both
+may share, that they meet only there.  Then every pair left is decided
+exactly: the soup's points are put once on one power-of-two grid, so
+every corner is an integer triple, and every sign is exact in Python
+integers.  Neighbours are decided from their shared corner ids where
+that suffices: two triangles that share an edge of both their source
+faces (or lie in one face) meet exactly in it unless they are coplanar,
+and then overlap iff their third corners lie on one side of it; two that
+share one corner meet only there when either one's other two corners lie
+strictly on one side of the other's plane.  Every other pair goes to the
+contact kernel: each triangle's corners are evaluated once against the
+other triangle's plane; those two sign vectors reject separated pairs
+and decide transversality, and the same values build the contact as
+homogeneous integer points, so every reported contact is the true
+intersection of the given float coordinates; only triangle_contact turns
+them into Fractions, for its caller.  Contacts between triangles from the
+same or vertex-adjacent source faces are excluded from the
+self-intersection list, but flagged separately when they extend beyond
+the cells the faces legitimately share (a local embedding failure).
 """
 from __future__ import annotations
 
@@ -31,8 +39,9 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .mesh import MeshError
-from .predicates import orient2d
+from .mesh import InvalidComplexError, MeshError
+from .predicates import (PLANE, area_signs, edge_separated, filter_scaled, normals,
+                         off_plane, orient2d)
 from .refine import EdgeMidpoint, Refinement
 
 
@@ -54,6 +63,10 @@ class TriangleSoup:
     # and the derived edges along its boundary
     face_vertices: tuple[frozenset[int], ...]
     face_edges: tuple[frozenset[tuple[int, int]], ...]
+    # (n, 3) bool: corner k of the triangle is in its source face's
+    # face_vertices, and the edge opposite corner k is in its face_edges
+    corner_cells: np.ndarray
+    edge_cells: np.ndarray
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -69,17 +82,40 @@ def _is_degenerate(p0, p1, p2) -> bool:
     )
 
 
+def _pairs_in(f_t: np.ndarray, k_t: np.ndarray, f_s: np.ndarray, k_s: np.ndarray) -> np.ndarray:
+    """Whether each pair (f_t, k_t) occurs among the pairs (f_s, k_s), by
+    binary search: a key k is ranked among the sorted k_s, and a pair
+    becomes f * len(k_s) + rank."""
+    ranks = np.sort(k_s)
+    at_t = np.searchsorted(ranks, k_t).clip(max=len(ranks) - 1)
+    cells = np.sort(f_s * len(ranks) + np.searchsorted(ranks, k_s))
+    find = f_t * len(ranks) + at_t
+    at = np.searchsorted(cells, find).clip(max=len(cells) - 1)
+    return (ranks[at_t] == k_t) & (cells[at] == find)
+
+
 def triangle_soup(refinement: Refinement) -> TriangleSoup:
     """Triangle soup of a refinement, with source-face adjacency data.
 
-    Raises DegenerateTriangleError if any derived triangle has zero area
-    (exact test), since the narrow phase assumes proper triangles.
+    Raises InvalidComplexError naming the first derived vertex with a
+    non-finite coordinate, and DegenerateTriangleError if any derived
+    triangle has zero area (exact test), since the narrow phase assumes
+    proper triangles.
     """
     derived = refinement.derived
     pts = derived.vertices
+    nonfinite = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if nonfinite.size:
+        v = int(nonfinite[0])
+        raise InvalidComplexError(
+            f"derived vertex {v} has a non-finite coordinate: {pts[v].tolist()}")
     corners = np.array(derived.faces, dtype=np.intp).reshape(-1, 3)
     coords = pts[corners]
-    bad = [ti for ti, (p0, p1, p2) in enumerate(coords.tolist()) if _is_degenerate(p0, p1, p2)]
+    # a certified nonzero normal component proves area; the rest (none on
+    # a proper mesh) take the exact test
+    scaled, unusable = filter_scaled(coords, pts)
+    area = area_signs(*normals(scaled)).any(axis=1) & ~unusable
+    bad = [ti for ti in np.flatnonzero(~area).tolist() if _is_degenerate(*coords[ti].tolist())]
     if bad:
         raise DegenerateTriangleError(
             f"{len(bad)} zero-area derived triangle(s), first at index {bad[0]}"
@@ -101,13 +137,27 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
             edges.update((min(p, q), max(p, q)) for p, q in zip(ends, ends[1:]))
         face_vertices.append(frozenset(verts))
         face_edges.append(frozenset(edges))
+    source_face = np.array(refinement.triangle_sources, dtype=np.intp)
+    # the cells as (face, key) rows, a vertex keyed by its id and an edge
+    # u < v by u * n + v, against the triangles' corners and opposite edges
+    n = len(pts)
+    tri_face = np.repeat(source_face, 3)
+    cell_face = np.repeat(np.arange(len(face_vertices)), [len(c) for c in face_vertices])
+    corner_cells = _pairs_in(tri_face, corners.ravel(), cell_face,
+                             np.fromiter((v for c in face_vertices for v in c), np.intp))
+    ends = np.sort(np.stack((np.roll(corners, -1, axis=1), np.roll(corners, -2, axis=1))), axis=0)
+    cell_face = np.repeat(np.arange(len(face_edges)), [len(c) for c in face_edges])
+    edge_cells = _pairs_in(tri_face, (ends[0] * n + ends[1]).ravel(), cell_face,
+                           np.fromiter((u * n + v for c in face_edges for u, v in c), np.intp))
     return TriangleSoup(
         coords=coords,
         corners=corners,
-        source_face=np.array(refinement.triangle_sources, dtype=np.intp),
+        source_face=source_face,
         points=pts,
         face_vertices=tuple(face_vertices),
         face_edges=tuple(face_edges),
+        corner_cells=corner_cells.reshape(-1, 3),
+        edge_cells=edge_cells.reshape(-1, 3),
     )
 
 
@@ -172,6 +222,81 @@ def candidate_pairs(boxes: TriangleBoxes) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# float filter: the box-meeting pairs whose answer static error bounds settle
+
+# Candidate rows filtered per block.  A block holds about 1.6 KB per row in
+# gathered columns and temporaries; 512 rows keep the filter's peak below
+# that of the exact loop on the contact-rich check meshes, at about 1 us
+# per row.
+_ROW_BLOCK = 1 << 9
+
+
+def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """table's rows at `rows`, transposed: the row axis comes last and is
+    contiguous, so that every operation of the filters runs over whole
+    blocks."""
+    return np.ascontiguousarray(table.take(rows, axis=0).T)
+
+
+def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> np.ndarray:
+    """The rows of cands, in order, that the float filter leaves to the
+    exact loop.  It drops a pair whose contact is known to add nothing to
+    the report: an empty contact, or, when the s = 1 or 2 corners the two
+    share are cells they may share (one source face, or a cell of both
+    faces), a contact within those corners.  Each test sees the 3 - s
+    other corners of one triangle strictly on one side of a plane or line
+    through the other's shared corners, whose own values are exact zeros:
+    - the other triangle's plane; for s = 0 the pair is then disjoint, for
+      s = 2 the two meet only in their edge, and for s = 1 only in their
+      corner;
+    - in some coordinate projection where the other has area, an edge line
+      through its shared corners, with its third corner on the other side;
+      the projections then meet only in the projected shared cell, and
+      the other triangle has only that cell over it.
+    Every row with a triangle the bounds cannot serve (see filter_scaled)
+    stays.
+    """
+    x, unusable = filter_scaled(soup.coords, soup.points)
+    normal, permanent = normals(x)
+    turn = area_signs(normal, permanent)
+    edges = np.roll(x, -1, axis=1) - x
+    # per triangle: corners, normal, permanent; the turned edges; and its
+    # corner ids, corner and edge cells, source face and unusable flag
+    planes = np.concatenate((x.reshape(-1, 9), normal, permanent), axis=1)
+    turned = (turn[:, :, None, None] * edges[:, None]).reshape(-1, 27)
+    ids = np.concatenate((soup.corners, soup.corner_cells, soup.edge_cells,
+                          soup.source_face[:, None], unusable[:, None]), axis=1)
+    keep = [np.empty((0, 2), dtype=cands.dtype)]
+    for first in range(0, len(cands), _ROW_BLOCK):
+        rows = cands[first:first + _ROW_BLOCK]
+        i, j = rows[:, 0], rows[:, 1]
+        pa, pb = _columns(planes, i), _columns(planes, j)
+        ia, ib = _columns(ids, i), _columns(ids, j)
+        xa, xb = pa[:9].reshape(3, 3, -1), pb[:9].reshape(3, 3, -1)
+        same = ia[:3, None] == ib[None, :3]
+        on_a, on_b = same.any(axis=1), same.any(axis=0)     # corners the other has
+        shared = on_a.sum(axis=0)
+        cell = np.where(shared == 1,
+                        (on_a & ia[3:6]).any(axis=0) & (on_b & ib[3:6]).any(axis=0),
+                        (~on_a & ia[6:9]).any(axis=0) & (~on_b & ib[6:9]).any(axis=0))
+        eligible = ((shared == 0) | ((shared < 3) & ((ia[9] == ib[9]) | cell))) & (ia[10] + ib[10] == 0)
+        settled = eligible & (off_plane(xa, pa[9:12], pa[12:], xb, on_b)
+                              | off_plane(xb, pb[9:12], pb[12:], xa, on_a))
+        left = eligible & ~settled
+        if left.any():
+            # compress keeps the row axis last and contiguous
+            xl, yl, sa, sb = (v.compress(left, axis=-1) for v in (xa, xb, on_a, on_b))
+            ta = _columns(turned, i[left]).reshape(3, 3, 3, -1)
+            tb = _columns(turned, j[left]).reshape(3, 3, 3, -1)
+            # edge k passes through every shared corner iff corner k + 2
+            # is not shared
+            settled[left] = (edge_separated(xl, ta, ~np.roll(sa, -2, axis=0), yl, sb)
+                             | edge_separated(yl, tb, ~np.roll(sb, -2, axis=0), xl, sa))
+        keep.append(rows[~settled])
+    return np.concatenate(keep)
+
+
+# ---------------------------------------------------------------------------
 # narrow phase, exact in integers on one power-of-two grid
 #
 # Every finite double is n / 2^k, so the points of one call share the grid
@@ -182,8 +307,11 @@ def candidate_pairs(boxes: TriangleBoxes) -> np.ndarray:
 
 IVec3 = tuple[int, int, int]
 Hom = tuple[int, int, int, int]
-# three grid corners, then the plane's normal n and offset n . corner 0
-Tri = tuple[Hom, Hom, Hom, IVec3, int]
+# three grid corners, the plane's normal n and offset n . corner 0, then the
+# coplanar clip setup: n's dominant axis, and the three edges of the
+# projection along it, counter-clockwise, each as (ex, ey, c): a point q is
+# on the inner side of the edge iff ex * q_y - ey * q_x - c * W >= 0
+Tri = tuple[Hom, Hom, Hom, IVec3, int, int, tuple[IVec3, IVec3, IVec3]]
 
 
 def _grid(values: np.ndarray) -> tuple[list[Hom], int]:
@@ -214,7 +342,16 @@ def _dot(a, b) -> int:
 
 def _triangle(c0: Hom, c1: Hom, c2: Hom) -> Tri:
     n = _cross(_sub(c1, c0), _sub(c2, c0))
-    return c0, c1, c2, n, _dot(n, c0)
+    axis = _dominant_axis(n)
+    i, j = PLANE[axis]
+    # the projection's doubled signed area is n[axis]
+    ring = (c0, c1, c2) if n[axis] >= 0 else (c2, c1, c0)
+    clip = []
+    for e in range(3):
+        p, q = ring[e], ring[(e + 1) % 3]
+        ex, ey = q[i] - p[i], q[j] - p[j]
+        clip.append((ex, ey, ex * p[j] - ey * p[i]))
+    return c0, c1, c2, n, _dot(n, c0), axis, tuple(clip)
 
 
 def _hom(x: int, y: int, z: int, w: int) -> Hom:
@@ -269,29 +406,20 @@ def _dominant_axis(n: IVec3) -> int:
     return max(range(3), key=lambda k: mags[k])
 
 
-# coordinates (first, second) of the projection along each axis
-_PLANE = ((1, 2), (2, 0), (0, 1))
-
-
-def _clip_coplanar(subject: tuple[Hom, ...], clip: tuple[Hom, ...], axis: int) -> list[Hom]:
-    """Sutherland-Hodgman clip of subject by a convex clip triangle, both in
-    one plane; sidedness is computed on the 2-d projection along axis while
-    crossing points are mixed from the 3-d homogeneous points."""
-    i, j = _PLANE[axis]
-    clip2 = [(p[i], p[j]) for p in clip]
-    (x0, y0), (x1, y1), (x2, y2) = clip2
-    if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0:
-        clip2.reverse()
+def _clip_coplanar(subject: tuple[Hom, ...], clip: Tri) -> list[Hom]:
+    """Sutherland-Hodgman clip of subject by the clip triangle, both in one
+    plane; sidedness is computed on the 2-d projection along the clip
+    triangle's axis while crossing points are mixed from the 3-d
+    homogeneous points."""
+    i, j = PLANE[clip[5]]
     out = list(subject)
-    for e in range(3):
+    for ex, ey, c in clip[6]:
         if not out:
             break
-        (ex0, ey0), (ex1, ey1) = clip2[e], clip2[(e + 1) % 3]
-        ex, ey = ex1 - ex0, ey1 - ey0
         inp = out
         out = []
         # e x (q - e0), times q's W > 0: the side of q, on the grid
-        sides = [ex * (q[j] - q[3] * ey0) - ey * (q[i] - q[3] * ex0) for q in inp]
+        sides = [ex * q[j] - ey * q[i] - c * q[3] for q in inp]
         for k in range(len(inp)):
             scur, snxt = sides[k], sides[(k + 1) % len(inp)]
             if scur >= 0:
@@ -304,7 +432,7 @@ def _clip_coplanar(subject: tuple[Hom, ...], clip: tuple[Hom, ...], axis: int) -
 def _has_area(ring: list[Hom], axis: int) -> bool:
     """A convex ring of distinct coplanar points has positive area iff some
     (p0, p1, pk) has a non-zero homogeneous determinant in the projection."""
-    i, j = _PLANE[axis]
+    i, j = PLANE[axis]
     p0, p1 = ring[0], ring[1]
     # the projected line through p0 and p1, as (x, y, W) . m = 0
     m = (p0[j] * p1[3] - p0[3] * p1[j], p0[3] * p1[i] - p0[i] * p1[3],
@@ -371,11 +499,10 @@ def _contact(a: Tri, b: Tri, dq=None, dp=None) -> tuple[str, tuple[Hom, ...]] | 
         dq = _plane_values(a, b)
 
     if dq == (0, 0, 0):
-        axis = _dominant_axis(n1)
-        poly = _clip_coplanar(b[:3], a[:3], axis)
+        poly = _clip_coplanar(b[:3], a)
         if not poly:
             return None
-        if len(poly) >= 3 and _has_area(poly, axis):
+        if len(poly) >= 3 and _has_area(poly, a[5]):
             return "coplanar-overlap", tuple(poly)
         if len(poly) == 1:
             return "touch-point", (poly[0],)
@@ -414,9 +541,17 @@ def triangle_contact(p: np.ndarray, q: np.ndarray) -> Contact | None:
 
     The 18 coordinates are put on their own grid 2^-s; the contact's
     points are returned as rationals X / (W 2^s).  Raises
-    DegenerateTriangleError if either triangle has zero area.
+    InvalidComplexError naming the first corner with a non-finite
+    coordinate, and DegenerateTriangleError if either triangle has zero
+    area.
     """
-    corners, s = _grid(np.array((p, q), dtype=np.float64).reshape(6, 3))
+    rows = np.array((p, q), dtype=np.float64).reshape(6, 3)
+    nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if nonfinite.size:
+        name, k = divmod(int(nonfinite[0]), 3)
+        raise InvalidComplexError(f"triangle {'pq'[name]} corner {k} has a non-finite"
+                                  f" coordinate: {rows[3 * name + k].tolist()}")
+    corners, s = _grid(rows)
     a, b = _triangle(*corners[:3]), _triangle(*corners[3:])
     for name, tri in (("p", a), ("q", b)):
         if tri[3] == (0, 0, 0):
@@ -472,10 +607,11 @@ def _segment_allowed(p: IVec3, q: IVec3, segs: list[tuple[IVec3, IVec3]]) -> boo
     return covered >= need_hi
 
 
-def _shared_cells(soup: TriangleSoup, grid: list[Hom], ci, cj, fi: int, fj: int):
+def _shared_cells(soup: TriangleSoup, grid, ci, cj, fi: int, fj: int):
     """Grid points and segments that two triangles, with corner ids ci and
     cj and source faces fi and fj, may legitimately have in common, or None
-    when their source faces differ and share no vertex."""
+    when their source faces differ and share no vertex.  grid maps vertex
+    ids to grid points."""
     if fi == fj:
         shared = sorted(set(ci) & set(cj))
         pts = [grid[c] for c in shared]
@@ -542,18 +678,27 @@ def self_intersections(
 
     The result is a pure set function of the coordinates: pair lists are
     sorted by index, because candidate_pairs returns exactly the
-    box-meeting pairs, sorted.
+    box-meeting pairs, sorted, and the float filter keeps their order.
     """
     if boxes is None:
         boxes = build_hierarchy(soup)
     pairs: list[PairContact] = []
     overlaps: list[PairContact] = []
     cands = candidate_pairs(boxes)
-    grid, _ = _grid(soup.points)
+    rows = _undecided_rows(soup, cands)
     corners, faces = soup.corners.tolist(), soup.source_face.tolist()
-    tris = [_triangle(grid[a], grid[b], grid[c]) for a, b, c in corners]
-    fv, fe = soup.face_vertices, soup.face_edges
-    for i, j in cands.tolist():
+    vcell, ecell = soup.corner_cells.tolist(), soup.edge_cells.tolist()
+    named = np.flatnonzero(np.bincount(rows.ravel(), minlength=len(corners))).tolist()
+    # the loop reads the grid points of the named triangles' corners and of
+    # their source faces' cells only
+    ids = sorted(set().union(*(corners[t] for t in named),
+                             *(soup.face_vertices[faces[t]] for t in named)))
+    grid = dict(zip(ids, _grid(soup.points[ids])[0]))
+    tris: list[Tri | None] = [None] * len(corners)
+    for t in named:
+        a, b, c = corners[t]
+        tris[t] = _triangle(grid[a], grid[b], grid[c])
+    for i, j in rows.tolist():
         a, b, ci, cj, fi, fj = tris[i], tris[j], corners[i], corners[j], faces[i], faces[j]
         own = [k for k in range(3) if ci[k] not in cj]     # a's corners b lacks
         dq = dp = None
@@ -563,8 +708,7 @@ def self_intersections(
             ka = own[0]
             u, v = ci[ka - 2], ci[ka - 1]
             kb = 3 - cj.index(u) - cj.index(v)
-            edge = (u, v) if u < v else (v, u)
-            if fi == fj or (edge in fe[fi] and edge in fe[fj]):
+            if fi == fj or (ecell[i][ka] and ecell[j][kb]):
                 # uv is a cell the two may share, and unless they are
                 # coplanar, the only one they meet in
                 if _dot(a[3], b[kb]) != a[4]:
@@ -581,7 +725,7 @@ def self_intersections(
             ka = 3 - own[0] - own[1]
             w = ci[ka]
             kb = cj.index(w)
-            if fi == fj or (w in fv[fi] and w in fv[fj]):
+            if fi == fj or (vcell[i][ka] and vcell[j][kb]):
                 dq = _plane_values_at(a, b, kb)
                 if dq[kb - 1] * dq[kb - 2] > 0:
                     continue

@@ -1,15 +1,35 @@
-"""The 2-d orientation predicate, with exact integer fallback.
+"""The 2-d orientation predicate, with exact integer fallback, and the
+batched float filters of the narrow phase.
 
 orient2d evaluates the sign of a 3-point determinant with a conservative
 forward-error bound; when the magnitude falls below the bound it is
 re-evaluated in Python integers: every double is n / 2^e, so the six
 coordinates put on one grid 2^-s are integers, and the returned sign is
 always the true sign of the determinant of the given coordinates.
-Refinement, flatness and the soup's zero-area test take their 2-d turns
-from it; the narrow phase computes its own signs exactly in integers, in
-intersect.
+Refinement, flatness and the soup's zero-area test, for the triangles
+the batched filter below leaves uncertain, take their 2-d turns from it;
+the narrow phase computes its own exact signs in integers, in intersect.
+
+The batched filters compute plane and edge-line signs over whole arrays of
+triangles in float64 with Shewchuk's static bounds ("Adaptive Precision
+Floating-Point Arithmetic and Fast Robust Geometric Predicates", DCG
+1997): a value whose magnitude exceeds the bound times its permanent has
+the sign of the exact value of the given coordinates, and a sign that no
+bound settles is left uncertain, for an exact test.  The plane value of a
+point d against triangle c0 c1 c2 is n . (d - c0) with n = (c1 - c0) x
+(c2 - c0): rounded differences, 2x2 minors of them, each times a rounded
+difference, three terms summed; that is the expression tree of his
+orient3d, so its bound applies, and each minor is his orient2d.  The
+bounds assume no overflow and no subnormal result, so the coordinates are
+first scaled by the power of two CellComplex.unit_scaled would use, which
+keeps every value below 2^6, and a triangle with a nonzero coordinate
+below 2^-200 after scaling is marked unusable: a nonzero difference of
+usable coordinates is at least 2^-252, and every nonzero product formed
+from them stays far from the subnormal range.
 """
 from __future__ import annotations
+
+import numpy as np
 
 # Forward error of the 2x2 expansion below is < 4 eps * permanent once the
 # rounding of the coordinate differences is included; 1e-14 leaves an order
@@ -34,3 +54,76 @@ def orient2d_exact(a, b, c) -> int:
     ax, ay, bx, by, cx, cy = (n << (s - d.bit_length()) for n, d in ratios)
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (det > 0) - (det < 0)
+
+
+_EPS = 2.0 ** -53
+_O2D_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_O3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
+_TINY = 2.0 ** -200
+
+# coordinates (first, second) of the projection along each axis
+PLANE = ((1, 2), (2, 0), (0, 1))
+
+
+def filter_scaled(coords: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles coords (n, 3, 3) scaled by 2^-e, 2^e the power of two that
+    brings the largest finite |coordinate| of points into [0.5, 1), and the
+    (n,) mask of the triangles the bounds cannot serve: a coordinate that
+    is not finite, or nonzero and below 2^-200 after scaling.  Those are
+    zeroed."""
+    _, e = np.frexp(np.abs(points).max(initial=0.0, where=np.isfinite(points)))
+    scaled = np.ldexp(coords, -int(e))
+    usable = np.isfinite(scaled) & ((coords == 0) | (np.abs(scaled) >= _TINY))
+    unusable = ~usable.all(axis=(1, 2))
+    scaled[unusable] = 0.0
+    return scaled, unusable
+
+
+def normals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per triangle of x (n, 3, 3): the normal (c1 - c0) x (c2 - c0) and
+    each normal component's permanent, the sum of its two |products|.
+    Component k is orient2d of the projection along axis k."""
+    u, v = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
+    normal, permanent = np.empty_like(u), np.empty_like(u)
+    for k, (i, j) in enumerate(PLANE):
+        left, right = u[:, i] * v[:, j], u[:, j] * v[:, i]
+        normal[:, k] = left - right
+        permanent[:, k] = np.abs(left) + np.abs(right)
+    return normal, permanent
+
+
+def area_signs(normal: np.ndarray, permanent: np.ndarray) -> np.ndarray:
+    """The filtered sign of each projected area, int8: +1 or -1 where the
+    normal component is certified, else 0."""
+    bound = _O2D_BOUND * permanent
+    return (normal > bound).view(np.int8) - (normal < -bound).view(np.int8)
+
+
+def off_plane(x, normal, permanent, pts, skip) -> np.ndarray:
+    """(m,) whether every corner of pts not flagged in skip (3, m) lies
+    certainly strictly on one side of the plane of triangle x.  x and pts
+    are (3 corners, 3 coordinates, m), normal and permanent (3, m)."""
+    w = pts - x[0]
+    value = (normal * w).sum(axis=1)
+    tol = _O3D_BOUND * (permanent * np.abs(w)).sum(axis=1)
+    return ((value > tol) | skip).all(axis=0) | ((value < -tol) | skip).all(axis=0)
+
+
+def edge_separated(x, turned, usable, pts, skip) -> np.ndarray:
+    """(m,) whether, in some coordinate projection, a usable edge line of
+    triangle x certainly has x's third corner strictly on one side and
+    every corner of pts not flagged in skip (3, m) strictly on the other.
+    turned (3 axes, 3 edges, 3 coordinates, m) holds the edge vectors
+    c(k+1) - c(k) times the filtered sign of x's area projected along each
+    axis, which is the side of every third corner; usable is (3 edges, m)."""
+    w = pts[None] - x[:, None]                      # q - c(k) at [k, q]
+    out = np.zeros(x.shape[-1], dtype=bool)
+    for axis, (i, j) in enumerate(PLANE):
+        e = turned[axis, :, None]
+        if not e.any():
+            continue        # no triangle of the block has area along this axis
+        # orient2d(c(k), c(k+1), q) times the turn, certified negative
+        left, right = e[:, :, i] * w[:, :, j], e[:, :, j] * w[:, :, i]
+        beyond = left - right < -_O2D_BOUND * (np.abs(left) + np.abs(right))
+        out |= ((beyond | skip).all(axis=1) & usable).any(axis=0)
+    return out

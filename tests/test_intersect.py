@@ -2,15 +2,17 @@
 
 The sweep's pairs are checked against an explicit all-pairs box test, the
 scan against exhaustive pair enumeration (every triangle given the whole
-soup's box makes the same scan consider every pair), contact verdicts
-are cross-checked with a separating-axis tester on robust configurations,
-and contact kinds with a clipping referee in Fraction.
+soup's box makes the same scan consider every pair), every pair the float
+filter drops against the exact kernel and shared-cell test, contact
+verdicts are cross-checked with a separating-axis tester on robust
+configurations, and contact kinds with a clipping referee in Fraction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -126,6 +128,49 @@ def test_soup_rejects_degenerate():
     near = np.array([[[0, 0, 0], [1, 1, 1], [2, 2, 2 + 2.0**-51]]])
     upright = np.array([[[0, 0, 0], [1, 1, 0], [2, 2, 1]]], dtype=float)
     assert len(independent_soup(near)) == len(independent_soup(upright)) == 1
+
+
+def test_soup_zero_area_test_is_exact_only_where_the_filter_is_unsure():
+    """A certified nonzero normal component proves area, so a proper mesh
+    takes no exact test; a degenerate row still gets the first index, and
+    a row one ulp off a line goes to the exact test and passes."""
+    refinement = triangulate_faces(grid_torus(12, 12))
+    with mock.patch.object(intersect, "_is_degenerate", wraps=intersect._is_degenerate) as exact:
+        triangle_soup(refinement)
+    assert exact.call_count == 0
+    line = [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+    coords = np.array([T_BASE, line, T_BASE + 5.0, line, T_BASE - 5.0], dtype=float)
+    with pytest.raises(DegenerateTriangleError,
+                       match=r"^2 zero-area derived triangle\(s\), first at index 1 \(source face 1\)$"):
+        independent_soup(coords)
+    near = np.array([[[0, 0, 0], [1, 1, 1], [2, 2, 2 + 2.0**-51]], T_BASE])
+    with mock.patch.object(intersect, "_is_degenerate", wraps=intersect._is_degenerate) as exact:
+        assert len(independent_soup(near)) == 2
+    assert exact.call_count == 1
+
+
+def _with_derived_vertex(refinement, v, value):
+    points = refinement.derived.vertices.copy()
+    points[v, 1] = value
+    return replace(refinement, derived=CellComplex(points, refinement.derived.faces))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_soup_names_first_nonfinite_vertex(bad):
+    refinement = triangulate_faces(generate(GeneratorSpec("tetrahedron")))
+    moved = _with_derived_vertex(_with_derived_vertex(refinement, 3, bad), 2, bad)
+    with pytest.raises(MeshError, match=r"^derived vertex 2 has a non-finite coordinate"):
+        self_intersections(triangle_soup(moved))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_contact_names_first_nonfinite_corner(bad):
+    q = T_BASE.copy()
+    q[1, 2] = bad
+    with pytest.raises(MeshError, match=r"^triangle q corner 1 has a non-finite coordinate"):
+        triangle_contact(T_BASE, q)
+    with pytest.raises(MeshError, match=r"^triangle p corner 1 has a non-finite coordinate"):
+        triangle_contact(q, T_BASE)
 
 
 def test_contact_rejects_zero_area():
@@ -719,13 +764,130 @@ def test_subdivision_reports_the_same_face_pairs(spec):
 ], ids=["grid_torus_12x12", "icosahedron_bary1"])
 def test_most_adjacent_pairs_skip_the_kernel(cx):
     """On embedded meshes nearly every box-meeting pair is vertex-adjacent
-    and decided without the contact kernel: 375 of 1,983 and 120 of 900
-    pairs reach it."""
+    or disjoint, and decided without the contact kernel: 1 of 1,983 and
+    12 of 900 pairs reach it."""
     soup = triangle_soup(triangulate_faces(cx))
     with mock.patch.object(intersect, "_contact", wraps=intersect._contact) as kernel:
         report = self_intersections(soup)
     assert report.pairs == () and report.local_overlaps == ()
-    assert kernel.call_count <= 0.2 * report.n_candidates
+    assert kernel.call_count <= 0.02 * report.n_candidates
+
+
+@pytest.mark.parametrize("spec, rows", [
+    (GeneratorSpec("folded_flat_torus", m=12, n=12, folds=2), 4984),
+    (GeneratorSpec("grid_klein", m=8, n=8), 1272),
+], ids=lambda v: getattr(v, "label", v))
+def test_contact_kernel_sees_only_touching_pairs(spec, rows):
+    """On the contact-rich check meshes the float filter drops every pair
+    the kernel would find disjoint: of 8,048 and 2,868 box-meeting pairs,
+    4,984 and 1,272 reach the exact loop, and every kernel call there
+    returns a contact."""
+    soup = _soup_for(spec)
+    left, found = [], []
+
+    def spy(call, out):
+        def run(*args):
+            out.append(call(*args))
+            return out[-1]
+        return run
+
+    with mock.patch.object(intersect, "_undecided_rows", spy(intersect._undecided_rows, left)), \
+            mock.patch.object(intersect, "_contact", spy(intersect._contact, found)):
+        report = self_intersections(soup)
+    assert len(left[0]) == rows
+    assert found and None not in found
+    assert len(report.pairs) + len(report.local_overlaps) <= rows
+
+
+def _pair_rows(n):
+    return np.column_stack(np.triu_indices(n, 1)).astype(np.intp)
+
+
+def _assert_filter_refereed(soup):
+    """Every pair the float filter drops gets the same answer from the
+    exact path: a pair with no shared corner id is one the kernel finds
+    disjoint, and any other pair is one whose contact, if any, lies in
+    the cells its faces may share."""
+    pairs = _pair_rows(len(soup))
+    left = {tuple(r) for r in intersect._undecided_rows(soup, pairs).tolist()}
+    grid, _ = intersect._grid(soup.points)
+    corners, faces = soup.corners.tolist(), soup.source_face.tolist()
+    tris = [intersect._triangle(grid[a], grid[b], grid[c]) for a, b, c in corners]
+    for i, j in pairs.tolist():
+        if (i, j) in left:
+            continue
+        found = intersect._contact(tris[i], tris[j])
+        if set(corners[i]).isdisjoint(corners[j]):
+            assert found is None, (i, j)
+        elif found is not None:
+            cells = intersect._shared_cells(soup, grid, corners[i], corners[j], faces[i], faces[j])
+            assert cells is not None and not intersect._beyond_allowed(*found, *cells), (i, j)
+    return len(pairs) - len(left)
+
+
+def _jittered(points, at, steps):
+    """points with one coordinate moved by `steps` units in its last place."""
+    points = points.copy()
+    flat = points.reshape(-1)
+    at %= flat.size
+    flat[at] += steps * np.spacing(flat[at])
+    return points
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    cx=_small_complex(),
+    k=st.just(0) | st.integers(-1060, 1000),
+    jitter=st.none() | st.tuples(st.integers(0, 2**10), st.integers(-3, 3)),
+)
+def test_filter_decisions_match_exact_path(cx, k, jitter):
+    """The float filter on free, shared-corner, shared-edge and coplanar
+    pairs, one coordinate moved by a few ulps, at every binary scale."""
+    rows, faces, refine = cx
+    try:
+        refinement = refine(build_complex(rows, faces))
+        derived = refinement.derived
+        points = derived.vertices if jitter is None else _jittered(derived.vertices, *jitter)
+        points = _scaled(points, k)
+        assume(points is not None)
+        soup = triangle_soup(replace(refinement, derived=CellComplex(points, derived.faces)))
+    except MeshError:
+        reject()
+    _assert_filter_refereed(soup)
+
+
+@pytest.mark.parametrize("spec", standard_corpus(), ids=lambda spec: spec.label)
+def test_filter_decisions_match_exact_path_on_corpus(spec):
+    """The referee over all pairs of every corpus mesh."""
+    assert _assert_filter_refereed(_soup_for(spec)) > 0
+
+
+def test_filter_leaves_unusable_rows_undecided():
+    """A triangle with a coordinate the static bounds cannot serve keeps
+    its rows for the exact loop: a non-finite one, or a nonzero one below
+    2^-200 once the soup is scaled to its largest coordinate, because it
+    is tiny (2^-1060) or another is huge (1e300).  No RuntimeWarning."""
+    base = [T_BASE, T_BASE + 10.0, T_BASE + 20.0]
+    rows = _pair_rows(3)
+
+    def left(coords, soup=None):
+        soup = soup or independent_soup(coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return intersect._undecided_rows(soup, rows).tolist()
+
+    assert left(base) == []
+    tiny = np.array(base)
+    tiny[2, 0, 2] = 2.0**-1060
+    assert left(tiny) == [[0, 2], [1, 2]]
+    huge = np.array(base)
+    huge[2, 0, 2] = 1e300
+    assert left(huge) == rows.tolist()
+    for bad in (math.nan, math.inf):
+        soup = independent_soup(base)
+        coords, points = soup.coords.copy(), soup.points.copy()
+        coords[2, 1, 0] = points[7, 0] = bad
+        assert left(None, replace(soup, coords=coords, points=points)) == [[0, 2], [1, 2]]
 
 
 @pytest.mark.parametrize("spec", [
