@@ -2,46 +2,55 @@
 
 The triangle soup is built once from a refinement: corner coordinates
 (n, 3, 3), derived corner ids and source faces, the vertex and edge sets
-of every source face, and per triangle which corners and opposite edges
-are cells of its source face.  Broad phase: one sort-and-sweep over the
-triangles' axis-aligned boxes, which yields exactly the pairs whose boxes
-meet.  Narrow phase, in two steps.  First a float filter decides, in
-blocks of pairs in NumPy, every pair whose contact is known to add nothing
-to the report: with Shewchuk's static error bounds on the power-of-two
-scaled coordinates, one triangle's remaining corners lie strictly on one
-side of the other's plane, or of an edge line in a coordinate projection,
-through the corners the two share; for free pairs that proves them
-disjoint, and for neighbours whose shared corner or edge is a cell both
-may share, that they meet only there.  Then every pair left is decided
-exactly: the soup's points are put once on one power-of-two grid, so
-every corner is an integer triple, and every sign is exact in Python
-integers.  Neighbours are decided from their shared corner ids where
-that suffices: two triangles that share an edge of both their source
-faces (or lie in one face) meet exactly in it unless they are coplanar,
-and then overlap iff their third corners lie on one side of it; two that
-share one corner meet only there when either one's other two corners lie
-strictly on one side of the other's plane.  Every other pair goes to the
-contact kernel: each triangle's corners are evaluated once against the
-other triangle's plane; those two sign vectors reject separated pairs
-and decide transversality, and the same values build the contact as
-homogeneous integer points, so every reported contact is the true
-intersection of the given float coordinates; only triangle_contact turns
-them into Fractions, for its caller.  Contacts between triangles from the
-same or vertex-adjacent source faces are excluded from the
-self-intersection list, but flagged separately when they extend beyond
-the cells the faces legitimately share (a local embedding failure).
+of every source face, the pairs of source faces that share a vertex, and
+per triangle which corners and opposite edges are cells of its source
+face.  Broad phase: one sort-and-sweep over the triangles' axis-aligned
+boxes, which yields exactly the pairs whose boxes meet.  Narrow phase, in
+two steps.  First a float pass decides, in blocks of pairs in NumPy, every
+pair whose answer it can prove.  With Shewchuk's static error bounds on the
+power-of-two scaled coordinates, it drops a pair when one triangle's
+remaining corners lie strictly on one side of the other's plane, or of an
+edge line in a coordinate projection, through the corners the two share;
+for free pairs that proves them disjoint, and for neighbours whose shared
+corner or edge is a cell both may share, that they meet only there.  When
+both triangles' scaled coordinates are multiples of 2^-15, its plane
+values and 2-d orientations are exact: three zero plane values prove a
+pair coplanar, and the orient2d signs of each triangle's corners against
+the other's edge lines give the contact's kind with no clip ring.  The pass
+reports the contacts of such pairs between faces that share no vertex, and
+their overlaps between faces that do, and drops a neighbours' touch that
+is exactly the corner or edge they may share.  Then every pair left is
+decided exactly: the soup's points are put once on one power-of-two grid,
+so every corner is an integer triple, and every sign is exact in Python
+integers.  Neighbours are decided from their shared corner ids where that
+suffices: two triangles that share an edge of both their source faces (or
+lie in one face) meet exactly in it unless they are coplanar, and then
+overlap iff their third corners lie on one side of it; two that share one
+corner meet only there when either one's other two corners lie strictly on
+one side of the other's plane.  Every other pair goes to the contact
+kernel: each triangle's corners are evaluated once against the other
+triangle's plane; those two sign vectors reject separated pairs and decide
+transversality, and the same values build the contact as homogeneous
+integer points, so every reported contact is the true intersection of the
+given float coordinates; only triangle_contact turns them into Fractions,
+for its caller.  Contacts between triangles from the same or
+vertex-adjacent source faces are excluded from the self-intersection list,
+but flagged separately when they extend beyond the cells the faces
+legitimately share (a local embedding failure).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 import numpy as np
 
 from .mesh import InvalidComplexError, MeshError
-from .predicates import (PLANE, area_signs, edge_separated, filter_scaled, normals,
-                         off_plane, orient2d)
+from .predicates import (KINDS, NO_CONTACT, OVERLAP, PLANE, area_signs, coplanar_kinds,
+                         edge_separated, filter_scaled, normals, off_plane, on_grid, orient2d,
+                         plane_values)
 from .refine import EdgeMidpoint, Refinement
 
 
@@ -67,6 +76,9 @@ class TriangleSoup:
     # face_vertices, and the edge opposite corner k is in its face_edges
     corner_cells: np.ndarray
     edge_cells: np.ndarray
+    # sorted keys f * n_faces + g, f < g, of the source faces whose
+    # face_vertices meet, once per vertex they share
+    face_neighbours: np.ndarray
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -92,6 +104,19 @@ def _pairs_in(f_t: np.ndarray, k_t: np.ndarray, f_s: np.ndarray, k_s: np.ndarray
     find = f_t * len(ranks) + at_t
     at = np.searchsorted(cells, find).clip(max=len(cells) - 1)
     return (ranks[at_t] == k_t) & (cells[at] == find)
+
+
+def _sharing(face: np.ndarray, key: np.ndarray, n_faces: int) -> np.ndarray:
+    """The sorted keys f * n_faces + g, f < g, of the faces that share a
+    key among the rows (face, key), each face's keys distinct, once per
+    key they share: in the rows sorted by key, each row meets the rest of
+    its key's run."""
+    order = np.lexsort((face, key))
+    face, key = face[order], key[order]
+    counts = np.searchsorted(key, key, side="right") - np.arange(1, len(key) + 1)
+    first = np.repeat(np.arange(len(key)), counts)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.sort(face[first] * n_faces + face[second])
 
 
 def triangle_soup(refinement: Refinement) -> TriangleSoup:
@@ -143,8 +168,9 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
     n = len(pts)
     tri_face = np.repeat(source_face, 3)
     cell_face = np.repeat(np.arange(len(face_vertices)), [len(c) for c in face_vertices])
-    corner_cells = _pairs_in(tri_face, corners.ravel(), cell_face,
-                             np.fromiter((v for c in face_vertices for v in c), np.intp))
+    cell_vertex = np.fromiter((v for c in face_vertices for v in c), np.intp)
+    corner_cells = _pairs_in(tri_face, corners.ravel(), cell_face, cell_vertex)
+    face_neighbours = _sharing(cell_face, cell_vertex, len(face_vertices))
     ends = np.sort(np.stack((np.roll(corners, -1, axis=1), np.roll(corners, -2, axis=1))), axis=0)
     cell_face = np.repeat(np.arange(len(face_edges)), [len(c) for c in face_edges])
     edge_cells = _pairs_in(tri_face, (ends[0] * n + ends[1]).ravel(), cell_face,
@@ -158,6 +184,7 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
         face_edges=tuple(face_edges),
         corner_cells=corner_cells.reshape(-1, 3),
         edge_cells=edge_cells.reshape(-1, 3),
+        face_neighbours=face_neighbours,
     )
 
 
@@ -238,14 +265,17 @@ def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table.take(rows, axis=0).T)
 
 
-def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> np.ndarray:
-    """The rows of cands, in order, that the float filter leaves to the
-    exact loop.  It drops a pair whose contact is known to add nothing to
-    the report: an empty contact, or, when the s = 1 or 2 corners the two
-    share are cells they may share (one source face, or a cell of both
-    faces), a contact within those corners.  Each test sees the 3 - s
-    other corners of one triangle strictly on one side of a plane or line
-    through the other's shared corners, whose own values are exact zeros:
+def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of cands, in order, that the float pass leaves to the exact
+    loop, and the contacts it reports itself, as rows (i, j, kind, local):
+    kind indexes KINDS, and local marks a local overlap, not a pair.
+
+    It drops a pair whose contact is known to add nothing to the report:
+    an empty contact, or, when the s = 1 or 2 corners the two share are
+    cells they may share (one source face, or a cell of both faces), a
+    contact within those corners.  Each test sees the 3 - s other corners
+    of one triangle strictly on one side of a plane or line through the
+    other's shared corners, whose own values are exact zeros:
     - the other triangle's plane; for s = 0 the pair is then disjoint, for
       s = 2 the two meet only in their edge, and for s = 1 only in their
       corner;
@@ -255,18 +285,31 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> np.ndarray:
       the other triangle has only that cell over it.
     Every row with a triangle the bounds cannot serve (see filter_scaled)
     stays.
+
+    When both triangles are on_grid, every plane value is exact, and b's
+    three all zero prove the pair coplanar; coplanar_kinds then gives its
+    kind.  Source faces that share no vertex report it.  For one face or
+    faces that share a vertex, an overlap is a local overlap, and no
+    contact adds nothing, nor does a contact that is exactly the shared
+    cell when the two may share it: a touch-point of a pair that shares a
+    corner is that corner, and a touch-segment of a coplanar pair that
+    shares an edge is that edge.  Every other coplanar pair stays.
     """
     x, unusable = filter_scaled(soup.coords, soup.points)
     normal, permanent = normals(x)
     turn = area_signs(normal, permanent)
     edges = np.roll(x, -1, axis=1) - x
     # per triangle: corners, normal, permanent; the turned edges; and its
-    # corner ids, corner and edge cells, source face and unusable flag
+    # corner ids, corner and edge cells, source face, unusable and on-grid
+    # flags
     planes = np.concatenate((x.reshape(-1, 9), normal, permanent), axis=1)
     turned = (turn[:, :, None, None] * edges[:, None]).reshape(-1, 27)
     ids = np.concatenate((soup.corners, soup.corner_cells, soup.edge_cells,
-                          soup.source_face[:, None], unusable[:, None]), axis=1)
+                          soup.source_face[:, None], unusable[:, None],
+                          on_grid(x, unusable)[:, None]), axis=1)
+    n_faces, neighbours = len(soup.face_vertices), soup.face_neighbours
     keep = [np.empty((0, 2), dtype=cands.dtype)]
+    found = [np.empty((0, 4), dtype=cands.dtype)]
     for first in range(0, len(cands), _ROW_BLOCK):
         rows = cands[first:first + _ROW_BLOCK]
         i, j = rows[:, 0], rows[:, 1]
@@ -280,9 +323,25 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> np.ndarray:
                         (on_a & ia[3:6]).any(axis=0) & (on_b & ib[3:6]).any(axis=0),
                         (~on_a & ia[6:9]).any(axis=0) & (~on_b & ib[6:9]).any(axis=0))
         eligible = ((shared == 0) | ((shared < 3) & ((ia[9] == ib[9]) | cell))) & (ia[10] + ib[10] == 0)
-        settled = eligible & (off_plane(xa, pa[9:12], pa[12:], xb, on_b)
-                              | off_plane(xb, pb[9:12], pb[12:], xa, on_a))
-        left = eligible & ~settled
+        value, tol = plane_values(xa, pa[9:12], pa[12:], xb)    # b's corners, a's plane
+        settled = eligible & (off_plane(value, tol, on_b)
+                              | off_plane(*plane_values(xb, pb[9:12], pb[12:], xa), on_a))
+        # both on the grid, where b's zero plane values are exact
+        flat = ~settled & (ia[11] + ib[11] == 2) & (value == 0).all(axis=0)
+        left = eligible & ~settled & ~flat
+        if flat.any():
+            kind = coplanar_kinds(*(v.compress(flat, axis=-1)
+                                    for v in (xa, xb, pa[9:12], pb[9:12])))
+            fi, fj = ia[9, flat], ib[9, flat]
+            key = np.minimum(fi, fj) * n_faces + np.maximum(fi, fj)
+            free = (fi != fj) & (np.searchsorted(neighbours, key)
+                                 == np.searchsorted(neighbours, key, side="right"))
+            told = (kind != NO_CONTACT) & (free | (kind == OVERLAP))
+            found.append(np.column_stack((rows[flat][told], kind[told], ~free[told])))
+            # kind == shared: a touch at the one shared corner, or along
+            # the shared edge, is that cell
+            settled[flat] = (free | (kind == NO_CONTACT) | (kind == OVERLAP)
+                             | (eligible[flat] & (kind == shared[flat])))
         if left.any():
             # compress keeps the row axis last and contiguous
             xl, yl, sa, sb = (v.compress(left, axis=-1) for v in (xa, xb, on_a, on_b))
@@ -293,7 +352,7 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> np.ndarray:
             settled[left] = (edge_separated(xl, ta, ~np.roll(sa, -2, axis=0), yl, sb)
                              | edge_separated(yl, tb, ~np.roll(sb, -2, axis=0), xl, sa))
         keep.append(rows[~settled])
-    return np.concatenate(keep)
+    return np.concatenate(keep), np.concatenate(found)
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +711,9 @@ class PairContact:
     kind: str
 
 
+_ROW = attrgetter("i", "j")
+
+
 @dataclass(frozen=True)
 class IntersectionReport:
     pairs: tuple[PairContact, ...]
@@ -677,15 +739,16 @@ def self_intersections(
     local overlaps of adjacent ones beyond their shared cells.
 
     The result is a pure set function of the coordinates: pair lists are
-    sorted by index, because candidate_pairs returns exactly the
-    box-meeting pairs, sorted, and the float filter keeps their order.
+    sorted by index: candidate_pairs returns exactly the box-meeting
+    pairs, sorted, the float pass and the exact loop each keep their
+    order, and their contacts are merged by (i, j).
     """
     if boxes is None:
         boxes = build_hierarchy(soup)
     pairs: list[PairContact] = []
     overlaps: list[PairContact] = []
     cands = candidate_pairs(boxes)
-    rows = _undecided_rows(soup, cands)
+    rows, decided = _undecided_rows(soup, cands)
     corners, faces = soup.corners.tolist(), soup.source_face.tolist()
     vcell, ecell = soup.corner_cells.tolist(), soup.edge_cells.tolist()
     named = np.flatnonzero(np.bincount(rows.ravel(), minlength=len(corners))).tolist()
@@ -741,6 +804,11 @@ def self_intersections(
             pairs.append(PairContact(i, j, found[0]))
         elif _beyond_allowed(*found, *cells):
             overlaps.append(PairContact(i, j, found[0]))
+    for i, j, kind, local in zip(*decided.T.tolist()):
+        (overlaps if local else pairs).append(PairContact(i, j, KINDS[kind]))
+    # the loop's contacts and the pass's are each in row order
+    pairs.sort(key=_ROW)
+    overlaps.sort(key=_ROW)
     return IntersectionReport(
         pairs=tuple(pairs), local_overlaps=tuple(overlaps), n_candidates=len(cands)
     )

@@ -1,5 +1,5 @@
 """The 2-d orientation predicate, with exact integer fallback, and the
-batched float filters of the narrow phase.
+batched float filters and coplanar contact kinds of the narrow phase.
 
 orient2d evaluates the sign of a 3-point determinant with a conservative
 forward-error bound; when the magnitude falls below the bound it is
@@ -26,6 +26,18 @@ keeps every value below 2^6, and a triangle with a nonzero coordinate
 below 2^-200 after scaling is marked unusable: a nonzero difference of
 usable coordinates is at least 2^-252, and every nonzero product formed
 from them stays far from the subnormal range.
+
+Where a pair's six scaled corners are all multiples of 2^-15 (on_grid),
+the filter's values are exact, not merely bounded: in units of 2^-15
+every coordinate is an integer X with |X| < 2^15, a difference is below
+2^16, a normal component or projected orient2d (two products of
+differences) below 2^33, and a plane value (three normal components
+times differences) below 2^51, all within float64's 53 bits, zeros
+included.  Three zero plane values then prove a pair coplanar, and
+coplanar_kinds reads its contact's kind off the exact orient2d signs, as
+in Guigue and Devillers' orientation-predicate triangle test ("Fast and
+robust triangle-triangle overlap test using orientation predicates", JGT
+2003).
 """
 from __future__ import annotations
 
@@ -60,6 +72,11 @@ _EPS = 2.0 ** -53
 _O2D_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _O3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
 _TINY = 2.0 ** -200
+_GRID = 2.0 ** 15
+
+# the contact kinds coplanar_kinds returns, by index
+KINDS = (None, "touch-point", "touch-segment", "coplanar-overlap")
+NO_CONTACT, TOUCH_POINT, TOUCH_SEGMENT, OVERLAP = range(4)
 
 # coordinates (first, second) of the projection along each axis
 PLANE = ((1, 2), (2, 0), (0, 1))
@@ -99,13 +116,17 @@ def area_signs(normal: np.ndarray, permanent: np.ndarray) -> np.ndarray:
     return (normal > bound).view(np.int8) - (normal < -bound).view(np.int8)
 
 
-def off_plane(x, normal, permanent, pts, skip) -> np.ndarray:
-    """(m,) whether every corner of pts not flagged in skip (3, m) lies
-    certainly strictly on one side of the plane of triangle x.  x and pts
-    are (3 corners, 3 coordinates, m), normal and permanent (3, m)."""
+def plane_values(x, normal, permanent, pts) -> tuple[np.ndarray, np.ndarray]:
+    """(3, m) values n . (q - c0) of the corners q of pts against the plane
+    of triangle x, and their error bounds.  x and pts are (3 corners,
+    3 coordinates, m), normal and permanent (3, m)."""
     w = pts - x[0]
-    value = (normal * w).sum(axis=1)
-    tol = _O3D_BOUND * (permanent * np.abs(w)).sum(axis=1)
+    return (normal * w).sum(axis=1), _O3D_BOUND * (permanent * np.abs(w)).sum(axis=1)
+
+
+def off_plane(value, tol, skip) -> np.ndarray:
+    """(m,) whether every corner not flagged in skip (3, m) lies certainly
+    strictly on one side of the plane, given its plane_values."""
     return ((value > tol) | skip).all(axis=0) | ((value < -tol) | skip).all(axis=0)
 
 
@@ -127,3 +148,50 @@ def edge_separated(x, turned, usable, pts, skip) -> np.ndarray:
         beyond = left - right < -_O2D_BOUND * (np.abs(left) + np.abs(right))
         out |= ((beyond | skip).all(axis=1) & usable).any(axis=0)
     return out
+
+
+def on_grid(scaled: np.ndarray, unusable: np.ndarray) -> np.ndarray:
+    """(n,) whether every coordinate of a usable scaled triangle is an
+    integer multiple of 2^-15, on which every value the filter and
+    coplanar_kinds compute is exact."""
+    units = scaled * _GRID
+    return (units == np.rint(units)).all(axis=(1, 2)) & ~unusable
+
+
+def _turns(p: np.ndarray, q: np.ndarray, turn: np.ndarray) -> np.ndarray:
+    """orient2d(p(k), p(k+1), q(l)) times turn at [k, l]: p and q are
+    projected triangles (3 corners, 2 coordinates, m)."""
+    e = np.roll(p, -1, axis=0) - p
+    w = q[None] - p[:, None]
+    return turn * (e[:, None, 0] * w[:, :, 1] - e[:, None, 1] * w[:, :, 0])
+
+
+def coplanar_kinds(xa, xb, normal_a, normal_b) -> np.ndarray:
+    """(m,) contact kind of coplanar triangles whose values are exact
+    (on_grid), as an index into KINDS.  xa and xb are (3 corners,
+    3 coordinates, m), normal_a and normal_b (3, m).
+
+    Both are projected along a's dominant normal axis and turned counter-
+    clockwise, so a corner is in the other closed triangle iff its three
+    turns against the other's edge lines are >= 0.  The interiors meet iff
+    no edge line of either has the other's corners all on or beyond it.
+    Otherwise two edges can meet only in a corner of one or along a common
+    line, so the contact is the hull of the corners of each that are in
+    the other: no point, one, or a segment."""
+    m = normal_a.shape[1]
+    axis = np.abs(normal_a).argmax(axis=0)
+    # flat indices into (3, m) of [axis, row] and of the two axes after it
+    at = axis * m + np.arange(m)
+    plane = np.stack(((at + m) % (3 * m), (at + 2 * m) % (3 * m)))
+    pa, pb = (x.reshape(3, -1).take(plane, axis=1) for x in (xa, xb))
+    ta, tb = (np.sign(n.take(at)) for n in (normal_a, normal_b))
+    on_a, on_b = _turns(pa, pb, ta), _turns(pb, pa, tb)     # [edge of a, corner of b]
+    apart = (on_a <= 0).all(axis=1).any(axis=0) | (on_b <= 0).all(axis=1).any(axis=0)
+    # a's corners in b, then b's in a; their hull is one point iff its
+    # extent is 0 in both coordinates
+    inside = np.concatenate(((on_b >= 0).all(axis=0), (on_a >= 0).all(axis=0)))
+    pts = np.concatenate((pa, pb))
+    lo = np.where(inside[:, None], pts, np.inf).min(axis=0)
+    one = (lo == np.where(inside[:, None], pts, -np.inf).max(axis=0)).all(axis=0)
+    kind = np.where(inside.any(axis=0), np.where(one, TOUCH_POINT, TOUCH_SEGMENT), NO_CONTACT)
+    return np.where(apart, kind, OVERLAP).astype(np.int8)

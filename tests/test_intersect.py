@@ -3,7 +3,7 @@
 The sweep's pairs are checked against an explicit all-pairs box test, the
 scan against exhaustive pair enumeration (every triangle given the whole
 soup's box makes the same scan consider every pair), every pair the float
-filter drops against the exact kernel and shared-cell test, contact
+pass drops or decides against the exact kernel and shared-cell test, contact
 verdicts are cross-checked with a separating-axis tester on robust
 configurations, and contact kinds with a clipping referee in Fraction.
 """
@@ -11,10 +11,13 @@ configurations, and contact kinds with a clipping referee in Fraction.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
+import random
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -589,6 +592,39 @@ def _triangle_pair(draw):
     return np.array(p, dtype=float), np.array(q, dtype=float)
 
 
+_lattice = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+_half = st.integers(-6, 6).map(lambda v: v * 0.5)
+
+
+@st.composite
+def _coplanar_pair(draw):
+    """Two triangles in one plane: z = 0, or o + s u + t v for small
+    integer vectors o, u, v and half-integer s, t, every point exact; free,
+    sharing a corner or sharing an edge; then the axes permuted and their
+    signs flipped."""
+    family = draw(st.sampled_from(["free", "corner", "edge"]))
+    if draw(st.booleans()):
+        o, u, v = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+    else:
+        o, u, v = draw(_lattice), draw(_lattice), draw(_lattice)
+    st_pairs = st.lists(st.tuples(_half, _half), min_size=3, max_size=3)
+    p, q = draw(st_pairs), draw(st_pairs)
+    if family == "corner":
+        q[0] = p[draw(st.integers(0, 2))]
+    elif family == "edge":
+        k = draw(st.integers(0, 2))
+        q[0], q[1] = p[k], p[(k + 1) % 3]
+        if draw(st.booleans()):
+            q[0], q[1] = q[1], q[0]
+    axes = draw(st.permutations(range(3)))
+    signs = np.array(draw(st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3)))
+
+    def embed(st_):
+        pts = np.array(o) + np.array([s * np.array(u) + t * np.array(v) for s, t in st_])
+        return pts[:, axes] * signs
+    return embed(p), embed(q)
+
+
 def _positive_area(t) -> bool:
     r = _rational(t)
     return _r_cross(_r_sub(r[1], r[0]), _r_sub(r[2], r[0])) != (0, 0, 0)
@@ -690,15 +726,16 @@ def _merged(p, q):
 
 
 @st.composite
-def _small_complex(draw):
-    """Vertex rows, faces and a refinement from _triangle_pair's p and q:
+def _small_complex(draw, pairs=_triangle_pair()):
+    """Vertex rows, faces and a refinement from a pair p and q, by default
+    _triangle_pair's:
     the two as two faces, triangulated as they are or barycentrically
     subdivided so that edge midpoints are shared; or, when they share an
     edge or a corner, the two as one polygon (a quad around the edge, a
     pentagon around the corner) whose triangles share cells within one
     face, alone or with a triangle on its diagonal from the first corner,
     so that a derived edge is shared that is no source edge."""
-    p, q = draw(_triangle_pair())
+    p, q = draw(pairs)
     rows, qi = _merged(p, q)
     shared = [v for v in (0, 1, 2) if v in qi]
     layout = draw(st.sampled_from(["faces", "polygon", "polygon+triangle"]))
@@ -740,6 +777,32 @@ def test_adjacent_decisions_match_kernel(cx, k):
     assert (fast.pairs, fast.local_overlaps) == (brute.pairs, brute.local_overlaps)
 
 
+@settings(max_examples=600, deadline=None)
+@given(
+    cx=_small_complex(_coplanar_pair()),
+    k=st.just(0) | st.integers(-1060, 1000),
+    jitter=st.none() | st.integers(0, 2**10),
+)
+def test_coplanar_pass_matches_kernel(cx, k, jitter):
+    """The float pass decides exactly coplanar pairs on the 2^-15 grid by
+    their orient2d signs: free, shared-corner, shared-edge and same-face
+    pairs on tilted and axis planes, at every binary scale, and with one
+    coordinate moved by one ulp, off the grid.  The report is the
+    referee's, in pairs, local overlaps, kinds and order."""
+    rows, faces, refine = cx
+    try:
+        refinement = refine(build_complex(rows, faces))
+        derived = refinement.derived
+        points = derived.vertices if jitter is None else _jittered(derived.vertices, jitter, 1)
+        points = _scaled(points, k)
+        assume(points is not None)
+        soup = triangle_soup(replace(refinement, derived=CellComplex(points, derived.faces)))
+    except MeshError:
+        reject()
+    fast, brute = self_intersections(soup), brute_report(soup)
+    assert (fast.pairs, fast.local_overlaps) == (brute.pairs, brute.local_overlaps)
+
+
 def _face_pairs(soup, report):
     """The source-face pairs of a report's pairs and of its local overlaps."""
     faces = soup.source_face.tolist()
@@ -773,14 +836,15 @@ def test_most_adjacent_pairs_skip_the_kernel(cx):
     assert kernel.call_count <= 0.02 * report.n_candidates
 
 
-@pytest.mark.parametrize("spec, rows", [
-    (GeneratorSpec("folded_flat_torus", m=12, n=12, folds=2), 4984),
-    (GeneratorSpec("grid_klein", m=8, n=8), 1272),
-], ids=lambda v: getattr(v, "label", v))
-def test_contact_kernel_sees_only_touching_pairs(spec, rows):
-    """On the contact-rich check meshes the float filter drops every pair
-    the kernel would find disjoint: of 8,048 and 2,868 box-meeting pairs,
-    4,984 and 1,272 reach the exact loop, and every kernel call there
+@pytest.mark.parametrize("spec, rows, calls", [
+    (GeneratorSpec("folded_flat_torus", m=12, n=12, folds=2), 88, 88),
+    (GeneratorSpec("grid_klein", m=8, n=8), 32, 32),
+], ids=["folded_flat_torus_12x12_folds2", "grid_klein_8x8"])
+def test_contact_kernel_sees_only_touching_pairs(spec, rows, calls):
+    """On the contact-rich check meshes the float pass drops every pair the
+    kernel would find disjoint and decides the coplanar ones itself: of
+    8,048 and 2,868 box-meeting pairs, 88 and 32 reach the exact loop, all
+    neighbours that touch along a segment, and every kernel call there
     returns a contact."""
     soup = _soup_for(spec)
     left, found = [], []
@@ -794,9 +858,25 @@ def test_contact_kernel_sees_only_touching_pairs(spec, rows):
     with mock.patch.object(intersect, "_undecided_rows", spy(intersect._undecided_rows, left)), \
             mock.patch.object(intersect, "_contact", spy(intersect._contact, found)):
         report = self_intersections(soup)
-    assert len(left[0]) == rows
-    assert found and None not in found
-    assert len(report.pairs) + len(report.local_overlaps) <= rows
+    assert len(left[0][0]) == rows and len(found) == calls
+    assert None not in found
+    assert len(report.pairs) + len(report.local_overlaps) <= len(left[0][0]) + len(left[0][1])
+
+
+@pytest.mark.parametrize("name", ["folded_flat_torus_12x12_2", "grid_klein_8x8"])
+def test_reports_sorted_by_pair(monkeypatch, name):
+    """The float pass's contacts and the loop's are merged by row: both
+    report lists are strictly sorted by (i, j) on the contact meshes and
+    on the benchmark's seeded symmetries of them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    meshes = importlib.import_module("perfbench.meshes")
+    base = dict(meshes.WORKLOADS["check_contacts"].meshes)[name]()
+    for k in range(4):
+        cx = meshes.transformed(base, random.Random(f"11:{name}:{k}")) if k else base
+        report = self_intersections(triangle_soup(triangulate_faces(cx.unit_scaled()[0])))
+        for contacts in (report.pairs, report.local_overlaps):
+            keys = [(pc.i, pc.j) for pc in contacts]
+            assert keys and keys == sorted(set(keys))
 
 
 def _pair_rows(n):
@@ -804,12 +884,16 @@ def _pair_rows(n):
 
 
 def _assert_filter_refereed(soup):
-    """Every pair the float filter drops gets the same answer from the
-    exact path: a pair with no shared corner id is one the kernel finds
-    disjoint, and any other pair is one whose contact, if any, lies in
-    the cells its faces may share."""
+    """Every pair the float pass decides gets the same answer from the
+    exact path: a contact it reports is the kernel's, of the same kind, a
+    pair or a local overlap as the shared-cell test says; of the pairs it
+    drops, one with no shared corner id is one the kernel finds disjoint,
+    and any other is one whose contact, if any, lies in the cells its
+    faces may share."""
     pairs = _pair_rows(len(soup))
-    left = {tuple(r) for r in intersect._undecided_rows(soup, pairs).tolist()}
+    rows, decided = intersect._undecided_rows(soup, pairs)
+    left = {tuple(r) for r in rows.tolist()}
+    told = {(i, j): (intersect.KINDS[kind], local) for i, j, kind, local in decided.tolist()}
     grid, _ = intersect._grid(soup.points)
     corners, faces = soup.corners.tolist(), soup.source_face.tolist()
     tris = [intersect._triangle(grid[a], grid[b], grid[c]) for a, b, c in corners]
@@ -817,11 +901,14 @@ def _assert_filter_refereed(soup):
         if (i, j) in left:
             continue
         found = intersect._contact(tris[i], tris[j])
-        if set(corners[i]).isdisjoint(corners[j]):
+        if (i, j) not in told and set(corners[i]).isdisjoint(corners[j]):
             assert found is None, (i, j)
         elif found is not None:
             cells = intersect._shared_cells(soup, grid, corners[i], corners[j], faces[i], faces[j])
-            assert cells is not None and not intersect._beyond_allowed(*found, *cells), (i, j)
+            beyond = cells is None or intersect._beyond_allowed(*found, *cells)
+            assert told.get((i, j)) == ((found[0], cells is not None) if beyond else None), (i, j)
+        else:
+            assert (i, j) not in told, (i, j)
     return len(pairs) - len(left)
 
 
@@ -862,11 +949,20 @@ def test_filter_decisions_match_exact_path_on_corpus(spec):
     assert _assert_filter_refereed(_soup_for(spec)) > 0
 
 
+def _loop_report(soup):
+    """self_intersections with every box-meeting pair left to the loop."""
+    def undecided(soup, cands):
+        return cands, np.empty((0, 4), dtype=np.intp)
+    with mock.patch.object(intersect, "_undecided_rows", undecided):
+        return self_intersections(soup)
+
+
 def test_filter_leaves_unusable_rows_undecided():
     """A triangle with a coordinate the static bounds cannot serve keeps
     its rows for the exact loop: a non-finite one, or a nonzero one below
     2^-200 once the soup is scaled to its largest coordinate, because it
-    is tiny (2^-1060) or another is huge (1e300).  No RuntimeWarning."""
+    is tiny (2^-1060) or another is huge (1e300); and so does a coplanar
+    one off the pass's 2^-15 grid.  No RuntimeWarning."""
     base = [T_BASE, T_BASE + 10.0, T_BASE + 20.0]
     rows = _pair_rows(3)
 
@@ -874,7 +970,7 @@ def test_filter_leaves_unusable_rows_undecided():
         soup = soup or independent_soup(coords)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return intersect._undecided_rows(soup, rows).tolist()
+            return intersect._undecided_rows(soup, rows)[0].tolist()
 
     assert left(base) == []
     tiny = np.array(base)
@@ -888,6 +984,28 @@ def test_filter_leaves_unusable_rows_undecided():
         coords, points = soup.coords.copy(), soup.points.copy()
         coords[2, 1, 0] = points[7, 0] = bad
         assert left(None, replace(soup, coords=coords, points=points)) == [[0, 2], [1, 2]]
+
+    # Coplanar rows: grid_klein 8^2 lies in z = 0, and the pass decides
+    # most of its rows.  A vertex whose x is made non-finite or nonzero
+    # below 2^-200 once scaled keeps every row of its triangles for the
+    # loop; one moved off the 2^-15 grid keeps them from the pass.  The
+    # report is the loop's.
+    klein = _soup_for(GeneratorSpec("grid_klein", m=8, n=8))
+    cands = candidate_pairs(build_hierarchy(klein))
+    for v, x in ((0, math.nan), (0, math.inf), (0, 2.0**-1060), (9, 1.0 + 2.0**-52)):
+        points = klein.points.copy()
+        points[v, 0] = x
+        moved = replace(klein, coords=points[klein.corners], points=points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, decided = intersect._undecided_rows(moved, cands)
+            named = np.flatnonzero((klein.corners == v).any(axis=1))
+            assert len(decided) > 500 and not np.isin(decided[:, :2], named).any()
+            if v == 0:
+                assert (np.isin(rows, named).any(axis=1).sum()
+                        == np.isin(cands, named).any(axis=1).sum())
+            if math.isfinite(x):
+                assert self_intersections(moved) == _loop_report(moved)
 
 
 @pytest.mark.parametrize("spec", [
