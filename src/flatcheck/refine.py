@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -100,7 +101,8 @@ def _fan_order(face: tuple[int, ...]) -> list[tuple[int, int, int]]:
     return [(rot[0], rot[i], rot[i + 1]) for i in range(1, k - 1)]
 
 
-def _ear_clip(face: tuple[int, ...], pts2d: np.ndarray, orientation: float) -> list[tuple[int, int, int]] | None:
+def _ear_clip(face: tuple[int, ...], pts2d: Sequence[Sequence[float]],
+              orientation: float) -> list[tuple[int, int, int]] | None:
     """Ear-clipping triangulation of a simple polygon in the plane.
 
     Among all valid ears the one whose tip has the lowest original vertex
@@ -184,7 +186,7 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
         else:
             reason = None
         if reason is None:
-            ears = _ear_clip(face, geo.points2d, geo.orientation)
+            ears = _ear_clip(face, geo.points2d.tolist(), geo.orientation)
             if ears is None:
                 raise TriangulationError(
                     f"face {fi} is simple and planar but admits no ear "

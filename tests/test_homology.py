@@ -3,7 +3,9 @@
 The dense Smith form is cross-checked against the determinantal-divisor
 definition: the k-th invariant factor equals gcd(k-minors) / gcd((k-1)-minors),
 computed here by brute cofactor expansion over all k-by-k submatrices.  The
-sparse Smith form, which homology_profile uses, is refereed by the dense one.
+dense form referees the two faster ones: the spanning-forest form of a
+signed graph's incidence matrix, which homology_profile uses for d1 and d2,
+and the sparse elimination that it falls back to for any other matrix.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
+    BoundaryMatrices,
     GeneratorSpec,
     HomologyProfile,
     boundary_matrices,
@@ -31,6 +34,7 @@ from flatcheck import (
     smith_normal_form,
     sparse_smith_normal_form,
 )
+from flatcheck.homology import _columns, _forest_smith
 
 from conftest import grid_klein, grid_torus, tetra
 
@@ -53,6 +57,27 @@ def _assert_sparse_matches_dense(rows, n_cols, label=""):
     dense = smith_normal_form(_dense(rows, n_cols))
     assert sparse.invariant_factors == dense.invariant_factors, label
     assert sparse.rank == dense.rank, label
+
+
+def _assert_forest_matches(n_nodes, columns, label=""):
+    """The forest form of the columns (column -> entry maps) equals the
+    sparse and dense forms of their transpose (the columns read as rows),
+    which has the same Smith form."""
+    forest = _forest_smith(n_nodes, [col.items() for col in columns])
+    assert forest is not None, label
+    sparse = sparse_smith_normal_form(columns)
+    dense = smith_normal_form(_dense(columns, n_nodes))
+    assert forest == sparse == dense, label
+
+
+def _dense_profile(b: BoundaryMatrices) -> HomologyProfile:
+    """homology_profile's formulas on the dense Smith forms of d1 and d2."""
+    s1 = smith_normal_form(_dense(b.d1, b.n_vertices))
+    s2 = smith_normal_form(_dense(b.d2, b.n_edges))
+    return HomologyProfile(
+        betti=(b.n_vertices - s1.rank, b.n_edges - s1.rank - s2.rank, b.n_faces - s2.rank),
+        torsion=(s1.torsion, s2.torsion, ()),
+    )
 
 
 def _det_int(rows) -> int:
@@ -173,6 +198,56 @@ def test_sparse_smith_matches_dense_on_corpus(corpus_halfedge):
         b = boundary_matrices(mesh)
         _assert_sparse_matches_dense(b.d1, b.n_vertices, f"{label} d1")
         _assert_sparse_matches_dense(b.d2, b.n_edges, f"{label} d2")
+        _assert_forest_matches(b.n_vertices, b.d1, f"{label} d1")
+        _assert_forest_matches(b.n_faces, [dict(c) for c in _columns(b.d2, b.n_edges)],
+                               f"{label} d2")
+
+
+@st.composite
+def _signed_graph(draw):
+    """(n_nodes, columns): columns with no entry, one +-1 entry (a boundary
+    column) or two on distinct nodes, so nodes without columns, several
+    components, odd cycles and boundary columns beside them all occur."""
+    n = draw(st.integers(0, 8))
+    sign = st.sampled_from((1, -1))
+    columns = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(("edge", "edge", "edge", "end", "empty")))
+        if kind == "empty" or n == 0:
+            columns.append({})
+        elif kind == "end" or n == 1:
+            columns.append({draw(st.integers(0, n - 1)): draw(sign)})
+        else:
+            i = draw(st.integers(0, n - 1))
+            j = draw(st.integers(0, n - 2))
+            j += j >= i
+            columns.append({i: draw(sign), j: draw(sign)})
+    return n, columns
+
+
+_TRIANGLE_ODD = [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: 1}]
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=_signed_graph())
+@example(graph=(3, _TRIANGLE_ODD))                                   # Z/2
+@example(graph=(3, [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: -1}]))   # balanced cycle
+@example(graph=(4, _TRIANGLE_ODD + [{3: -1}]))                      # two components
+@example(graph=(3, _TRIANGLE_ODD + [{1: -1}]))                      # boundary beside odd cycle
+@example(graph=(6, _TRIANGLE_ODD + [{3: 1, 4: 1}, {4: -1, 3: -1}, {5: 1}, {}]))
+def test_forest_smith_matches_sparse_and_dense(graph):
+    n, columns = graph
+    _assert_forest_matches(n, columns)
+
+
+@pytest.mark.parametrize("columns", [
+    [((0, 1), (1, 1), (2, -1))],   # three entries: an edge in three faces
+    [((0, 2),)],
+    [((0, 1), (1, -2))],
+    [((0, 1), (1, -1)), ((0, 3),)],
+])
+def test_forest_smith_refuses_other_matrices(columns):
+    assert _forest_smith(3, columns) is None
 
 
 @settings(max_examples=20, deadline=None)
@@ -193,6 +268,8 @@ def test_sparse_smith_matches_dense_on_relabelled_klein(seed):
     b = boundary_matrices(check_closed_manifold(build_complex(verts, faces)))
     _assert_sparse_matches_dense(b.d1, b.n_vertices, "d1")
     _assert_sparse_matches_dense(b.d2, b.n_edges, "d2")
+    _assert_forest_matches(b.n_vertices, b.d1, "d1")
+    _assert_forest_matches(b.n_faces, [dict(c) for c in _columns(b.d2, b.n_edges)], "d2")
     prof = homology_profile(b)
     assert prof.betti == (1, 1, 0)
     assert prof.torsion == ((), (2,), ())
@@ -259,6 +336,39 @@ def test_open_complexes():
     annulus = homology_profile(boundary_matrices(build_complex(verts, faces)))
     assert annulus.betti == (1, 1, 0)
     assert annulus.torsion == ((), (), ())
+
+
+@pytest.mark.parametrize("maker,betti,torsion", [
+    (grid_torus, (1, 2, 1), ((), (), ())),
+    (grid_klein, (1, 1, 0), ((), (2,), ())),
+], ids=["grid_torus", "grid_klein"])
+def test_edge_in_three_faces_takes_sparse_path(maker, betti, torsion):
+    # a fin: one more triangle on edge (0, 1), to a new vertex off the surface
+    base = maker(3, 3)
+    verts = [tuple(p) for p in base.vertices] + [(0.5, 0.5, 9.0)]
+    fin = build_complex(verts, list(base.faces) + [(0, 1, base.n_vertices)])
+    b = boundary_matrices(fin)
+    assert _forest_smith(b.n_faces, _columns(b.d2, b.n_edges)) is None
+    prof = homology_profile(b)
+    assert prof == _dense_profile(b)
+    assert (prof.betti, prof.torsion) == (betti, torsion)
+
+
+@pytest.mark.parametrize("d1,d2,betti,torsion", [
+    # the cell structure of the projective plane: one vertex, one loop
+    # edge, one face wrapping twice around it
+    (({},), ({0: 2},), (1, 0, 0), ((), (2,), ())),
+    (({},), ({0: -3},), (1, 0, 0), ((), (3,), ())),
+    # a chain complex whose d1 is no graph's: H0 = Z/2
+    (({0: 2},), (), (0, 0, 0), ((2,), (), ())),
+], ids=["projective-plane", "z3-torsion", "h0-torsion"])
+def test_non_unit_entry_takes_sparse_path(d1, d2, betti, torsion):
+    b = BoundaryMatrices(d1=d1, d2=d2, edges=((0, 0),), n_vertices=1)
+    assert (_forest_smith(b.n_vertices, [row.items() for row in b.d1]) is None
+            or _forest_smith(b.n_faces, _columns(b.d2, b.n_edges)) is None)
+    prof = homology_profile(b)
+    assert prof == _dense_profile(b)
+    assert prof == HomologyProfile(betti=betti, torsion=torsion)
 
 
 def test_euler_poincare_on_corpus(corpus_halfedge):
