@@ -12,7 +12,7 @@ from .formats import (FormatError, LoadedMesh, read_mesh, read_obj, read_off,
                       read_pair, write_mesh, write_obj, write_off, write_pair)
 from .homology import (BoundaryMatrices, HomologyProfile, SmithNormalForm,
                        SurfaceClass, boundary_matrices, classify_surface,
-                       homology_profile, smith_normal_form, sparse_smith_normal_form)
+                       homology_profile, smith_normal_form)
 from .intersect import (Contact, DegenerateTriangleError, IntersectionReport,
                         PairContact, TriangleBoxes, TriangleSoup, build_hierarchy,
                         candidate_pairs, classify_immersion, self_intersections,

@@ -19,15 +19,12 @@ a 2 if it has an unbalanced cycle, else nothing.  A Klein bottle's Z/2
 is its one unbalanced dual cycle.
 
 Any other matrix, such as d2 of a complex with an edge in three faces,
-goes to the general sparse elimination: unit (+-1) pivots in Markowitz
-order on the rows, after Dumas, Saunders and Villard (2001) and
-Kaczynski, Mrozek and Slusarek (1998), with the exact dense Smith normal
-form over Python's arbitrary-precision integers finishing the small
-block that has no unit entry left.
+takes the exact dense Smith normal form over Python's arbitrary-precision
+integers.  The pipeline computes homology only of closed manifolds, whose
+matrices are always signed graphs', so it never sends one.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
@@ -212,62 +209,6 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     return SmithNormalForm(invariant_factors=tuple(factors), rank=len(factors))
 
 
-def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]]) -> SmithNormalForm:
-    """Smith normal form of an integer matrix given as sparse rows.
-
-    Each row maps a column to its nonzero entry.  Unit pivots are taken in
-    Markowitz order, the shortest row first and then its shortest unit
-    column.  Row operations clear the pivot's column; column operations
-    would then clear its row without touching anything else, so the pivot
-    row and column are dropped and contribute an invariant factor of 1.
-    What is left once no row holds a +-1 goes to the dense
-    smith_normal_form.  The input rows are not modified.
-    """
-    live = [dict(r) for r in rows]
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(live):
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in enumerate(live) if row]
-    heapq.heapify(heap)
-
-    units = 0
-    while heap:
-        length, r = heapq.heappop(heap)
-        prow = live[r]
-        if len(prow) != length:
-            continue   # dropped, or a newer entry for this row is queued
-        unit_cols = [j for j, a in prow.items() if a == 1 or a == -1]
-        if not unit_cols:
-            continue   # queued again if a later elimination changes it
-        c = min(unit_cols, key=lambda j: (len(cols[j]), j))
-        p = prow[c]
-        for i in cols[c] - {r}:
-            row = live[i]
-            f = row[c] * p   # p is its own inverse
-            for j, a in prow.items():
-                x = row.get(j, 0) - f * a
-                if x:
-                    row[j] = x
-                    cols[j].add(i)
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            if row:
-                heapq.heappush(heap, (len(row), i))
-        for j in prow:
-            cols[j].discard(r)
-        live[r] = {}
-        units += 1
-
-    left = [row for row in live if row]
-    order = sorted({j for row in left for j in row})
-    block = np.array([[row.get(j, 0) for j in order] for row in left], dtype=object)
-    rest = smith_normal_form(block.reshape(len(left), len(order)))
-    return SmithNormalForm(invariant_factors=(1,) * units + rest.invariant_factors,
-                           rank=units + rest.rank)
-
-
 def _forest_smith(n_rows: int,
                   columns: Iterable[Collection[tuple[int, int]]]) -> SmithNormalForm | None:
     """Smith normal form of a signed-graph incidence matrix, or None.
@@ -341,6 +282,15 @@ def _columns(rows: Sequence[Mapping[int, int]], n_cols: int) -> list[tuple[tuple
     return cols
 
 
+def _dense(rows: Sequence[Mapping[int, int]], n_cols: int) -> np.ndarray:
+    """Object-dtype dense matrix of sparse rows (column -> entry maps)."""
+    out = np.zeros((len(rows), n_cols), dtype=object)
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            out[i, j] = a
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Homology profile and surface classification
 # ---------------------------------------------------------------------------
@@ -369,13 +319,13 @@ def homology_profile(b: BoundaryMatrices) -> HomologyProfile:
     component of d2's dual graph adds one more invariant factor, 1 if it
     has a boundary edge, else 2 if it has an orientation-reversing cycle.
     A matrix that is not a signed graph's (an edge in three faces, an
-    entry other than +-1) goes to sparse_smith_normal_form instead; the
-    pipeline's closed manifolds never do.
+    entry other than +-1) takes the dense smith_normal_form instead; the
+    pipeline's closed manifolds never send one.
     """
     snf1 = (_forest_smith(b.n_vertices, (row.items() for row in b.d1))
-            or sparse_smith_normal_form(b.d1))
+            or smith_normal_form(_dense(b.d1, b.n_vertices)))
     snf2 = (_forest_smith(b.n_faces, _columns(b.d2, b.n_edges))
-            or sparse_smith_normal_form(b.d2))
+            or smith_normal_form(_dense(b.d2, b.n_edges)))
     r1, r2 = snf1.rank, snf2.rank
     betti = (
         b.n_vertices - r1,

@@ -22,21 +22,16 @@ their overlaps between faces that do, and drops a neighbours' touch that
 is exactly the corner or edge they may share.  Then every pair left is
 decided exactly: the soup's points are put once on one power-of-two grid,
 so every corner is an integer triple, and every sign is exact in Python
-integers.  Neighbours are decided from their shared corner ids where that
-suffices: two triangles that share an edge of both their source faces (or
-lie in one face) meet exactly in it unless they are coplanar, and then
-overlap iff their third corners lie on one side of it; two that share one
-corner meet only there when either one's other two corners lie strictly on
-one side of the other's plane.  Every other pair goes to the contact
-kernel: each triangle's corners are evaluated once against the other
-triangle's plane; those two sign vectors reject separated pairs and decide
-transversality, and the same values build the contact as homogeneous
-integer points, so every reported contact is the true intersection of the
-given float coordinates; only triangle_contact turns them into Fractions,
-for its caller.  Contacts between triangles from the same or
-vertex-adjacent source faces are excluded from the self-intersection list,
-but flagged separately when they extend beyond the cells the faces
-legitimately share (a local embedding failure).
+integers.  Each pair goes to the contact kernel: each triangle's corners
+are evaluated once against the other triangle's plane; those two sign
+vectors reject separated pairs and decide transversality, and the same
+values build the contact as homogeneous integer points, so every reported
+contact is the true intersection of the given float coordinates; only
+triangle_contact turns them into Fractions, for its caller.  Contacts
+between triangles from the same or vertex-adjacent source faces are
+excluded from the self-intersection list, but flagged separately when
+they extend beyond the cells the faces legitimately share (a local
+embedding failure).
 """
 from __future__ import annotations
 
@@ -538,24 +533,15 @@ def _plane_values(t: Tri, c: Tri) -> tuple[int, int, int]:
     return (_dot(n, c[0]) - o, _dot(n, c[1]) - o, _dot(n, c[2]) - o)
 
 
-def _plane_values_at(t: Tri, c: Tri, on: int) -> tuple[int, int, int]:
-    """_plane_values(t, c) when c's corner `on` is one of t's corners: its
-    value is 0 by identity and is not evaluated."""
-    n, o = t[3], t[4]
-    return tuple(0 if k == on else _dot(n, c[k]) - o for k in range(3))
-
-
-def _contact(a: Tri, b: Tri, dq=None, dp=None) -> tuple[str, tuple[Hom, ...]] | None:
+def _contact(a: Tri, b: Tri) -> tuple[str, tuple[Hom, ...]] | None:
     """Exact contact of two positive-area triangles whose corners are grid
     points with W = 1, as (kind, homogeneous points), or None if disjoint.
 
-    dq holds b's corners against a's plane and dp a's corners against b's
-    plane; they are the only 3-d signs evaluated, and a caller that has
-    already evaluated them passes them in.
+    b's corners against a's plane (dq) and a's corners against b's plane
+    (dp) are the only 3-d signs evaluated.
     """
     n1 = a[3]
-    if dq is None:
-        dq = _plane_values(a, b)
+    dq = _plane_values(a, b)
 
     if dq == (0, 0, 0):
         poly = _clip_coplanar(b[:3], a)
@@ -572,8 +558,7 @@ def _contact(a: Tri, b: Tri, dq=None, dp=None) -> tuple[str, tuple[Hom, ...]] | 
     if _one_sign(dq):
         return None
 
-    if dp is None:
-        dp = _plane_values(b, a)
+    dp = _plane_values(b, a)
     if _one_sign(dp):
         return None
     # neither vector is one-signed or all zero, so both sections are
@@ -750,7 +735,6 @@ def self_intersections(
     cands = candidate_pairs(boxes)
     rows, decided = _undecided_rows(soup, cands)
     corners, faces = soup.corners.tolist(), soup.source_face.tolist()
-    vcell, ecell = soup.corner_cells.tolist(), soup.edge_cells.tolist()
     named = np.flatnonzero(np.bincount(rows.ravel(), minlength=len(corners))).tolist()
     # the loop reads the grid points of the named triangles' corners and of
     # their source faces' cells only
@@ -762,44 +746,10 @@ def self_intersections(
         a, b, c = corners[t]
         tris[t] = _triangle(grid[a], grid[b], grid[c])
     for i, j in rows.tolist():
-        a, b, ci, cj, fi, fj = tris[i], tris[j], corners[i], corners[j], faces[i], faces[j]
-        own = [k for k in range(3) if ci[k] not in cj]     # a's corners b lacks
-        dq = dp = None
-        if len(own) == 1:
-            # shared edge u -> v in a's order; a[ka] and b[kb] are the
-            # third corners
-            ka = own[0]
-            u, v = ci[ka - 2], ci[ka - 1]
-            kb = 3 - cj.index(u) - cj.index(v)
-            if fi == fj or (ecell[i][ka] and ecell[j][kb]):
-                # uv is a cell the two may share, and unless they are
-                # coplanar, the only one they meet in
-                if _dot(a[3], b[kb]) != a[4]:
-                    continue
-                # coplanar: the third corners lie on one side of uv iff
-                # the normals agree exactly when b runs uv the same way
-                if (_dot(a[3], b[3]) > 0) == (cj[kb - 2] == u):
-                    overlaps.append(PairContact(i, j, "coplanar-overlap"))
-                continue
-        elif len(own) == 2:
-            # shared corner w; when it is a cell the two may share, the
-            # contact is {w} if either triangle's other two corners lie
-            # strictly on one side of the other's plane
-            ka = 3 - own[0] - own[1]
-            w = ci[ka]
-            kb = cj.index(w)
-            if fi == fj or (vcell[i][ka] and vcell[j][kb]):
-                dq = _plane_values_at(a, b, kb)
-                if dq[kb - 1] * dq[kb - 2] > 0:
-                    continue
-                if dq[kb - 1] or dq[kb - 2]:
-                    dp = _plane_values_at(b, a, ka)
-                    if dp[ka - 1] * dp[ka - 2] > 0:
-                        continue
-        found = _contact(a, b, dq, dp)
+        found = _contact(tris[i], tris[j])
         if found is None:
             continue
-        cells = _shared_cells(soup, grid, ci, cj, fi, fj)
+        cells = _shared_cells(soup, grid, corners[i], corners[j], faces[i], faces[j])
         if cells is None:
             pairs.append(PairContact(i, j, found[0]))
         elif _beyond_allowed(*found, *cells):

@@ -64,9 +64,9 @@ def independent_soup(coords):
 
 
 def brute_report(soup):
-    """Referee scan: all n(n-1)/2 pairs, with no box test and no decision
-    from shared corner ids, each classified by the contact kernel and then
-    tested against the cells its source faces share."""
+    """Referee scan: all n(n-1)/2 pairs, with no box test and no float
+    pass, each classified by the contact kernel and then tested against
+    the cells its source faces share."""
     grid, _ = intersect._grid(soup.points)
     corners, faces = soup.corners.tolist(), soup.source_face.tolist()
     tris = [intersect._triangle(grid[a], grid[b], grid[c]) for a, b, c in corners]

@@ -3,9 +3,9 @@
 The dense Smith form is cross-checked against the determinantal-divisor
 definition: the k-th invariant factor equals gcd(k-minors) / gcd((k-1)-minors),
 computed here by brute cofactor expansion over all k-by-k submatrices.  The
-dense form referees the two faster ones: the spanning-forest form of a
-signed graph's incidence matrix, which homology_profile uses for d1 and d2,
-and the sparse elimination that it falls back to for any other matrix.
+dense form referees the spanning-forest form of a signed graph's incidence
+matrix, which homology_profile uses for d1 and d2; any other matrix takes
+the dense form itself, and explicit Betti numbers and torsion referee it.
 """
 
 from __future__ import annotations
@@ -32,42 +32,19 @@ from flatcheck import (
     homology_profile,
     orientability,
     smith_normal_form,
-    sparse_smith_normal_form,
 )
-from flatcheck.homology import _columns, _forest_smith
+from flatcheck.homology import _columns, _dense, _forest_smith
 
 from conftest import grid_klein, grid_torus, tetra
 
 
-def _dense(rows, n_cols) -> np.ndarray:
-    """Object-dtype dense matrix of sparse rows (column -> entry maps)."""
-    out = np.zeros((len(rows), n_cols), dtype=object)
-    for i, row in enumerate(rows):
-        for j, a in row.items():
-            out[i, j] = a
-    return out
-
-
-def _sparse(mat) -> list[dict[int, int]]:
-    return [{j: int(a) for j, a in enumerate(r) if a} for r in mat]
-
-
-def _assert_sparse_matches_dense(rows, n_cols, label=""):
-    sparse = sparse_smith_normal_form(rows)
-    dense = smith_normal_form(_dense(rows, n_cols))
-    assert sparse.invariant_factors == dense.invariant_factors, label
-    assert sparse.rank == dense.rank, label
-
-
 def _assert_forest_matches(n_nodes, columns, label=""):
     """The forest form of the columns (column -> entry maps) equals the
-    sparse and dense forms of their transpose (the columns read as rows),
-    which has the same Smith form."""
+    dense form of their transpose (the columns read as rows), which has
+    the same Smith form."""
     forest = _forest_smith(n_nodes, [col.items() for col in columns])
     assert forest is not None, label
-    sparse = sparse_smith_normal_form(columns)
-    dense = smith_normal_form(_dense(columns, n_nodes))
-    assert forest == sparse == dense, label
+    assert forest == smith_normal_form(_dense(columns, n_nodes)), label
 
 
 def _dense_profile(b: BoundaryMatrices) -> HomologyProfile:
@@ -172,32 +149,11 @@ def test_smith_invariant_under_permutation_and_transpose(seed):
     assert smith_normal_form(mat.T).invariant_factors == base
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    n_rows=st.integers(0, 6),
-    n_cols=st.integers(0, 6),
-    no_units=st.booleans(),
-    data=st.data(),
-)
-def test_sparse_smith_matches_dense(n_rows, n_cols, no_units, data):
-    entry = st.integers(-9, 9)
-    if no_units:
-        entry = entry.filter(lambda a: abs(a) != 1)
-    mat = [[data.draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
-    _assert_sparse_matches_dense(_sparse(mat), n_cols)
-
-
-def test_sparse_smith_leaves_input_rows_alone():
-    rows = [{0: 1, 1: 2}, {0: 3, 1: 4}]
-    assert sparse_smith_normal_form(rows).invariant_factors == (1, 2)
-    assert rows == [{0: 1, 1: 2}, {0: 3, 1: 4}]
-
-
 def test_sparse_smith_matches_dense_on_corpus(corpus_halfedge):
+    """The forest forms of d1 and d2 equal their dense forms on every
+    corpus mesh."""
     for label, mesh in corpus_halfedge.items():
         b = boundary_matrices(mesh)
-        _assert_sparse_matches_dense(b.d1, b.n_vertices, f"{label} d1")
-        _assert_sparse_matches_dense(b.d2, b.n_edges, f"{label} d2")
         _assert_forest_matches(b.n_vertices, b.d1, f"{label} d1")
         _assert_forest_matches(b.n_faces, [dict(c) for c in _columns(b.d2, b.n_edges)],
                                f"{label} d2")
@@ -236,6 +192,8 @@ _TRIANGLE_ODD = [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: 1}]
 @example(graph=(3, _TRIANGLE_ODD + [{1: -1}]))                      # boundary beside odd cycle
 @example(graph=(6, _TRIANGLE_ODD + [{3: 1, 4: 1}, {4: -1, 3: -1}, {5: 1}, {}]))
 def test_forest_smith_matches_sparse_and_dense(graph):
+    """The forest form of a signed graph's incidence matrix equals the
+    dense form."""
     n, columns = graph
     _assert_forest_matches(n, columns)
 
@@ -266,8 +224,6 @@ def test_sparse_smith_matches_dense_on_relabelled_klein(seed):
         faces.append(tuple(g[k:] + g[:k]))
     rng.shuffle(faces)
     b = boundary_matrices(check_closed_manifold(build_complex(verts, faces)))
-    _assert_sparse_matches_dense(b.d1, b.n_vertices, "d1")
-    _assert_sparse_matches_dense(b.d2, b.n_edges, "d2")
     _assert_forest_matches(b.n_vertices, b.d1, "d1")
     _assert_forest_matches(b.n_faces, [dict(c) for c in _columns(b.d2, b.n_edges)], "d2")
     prof = homology_profile(b)
@@ -343,6 +299,9 @@ def test_open_complexes():
     (grid_klein, (1, 1, 0), ((), (2,), ())),
 ], ids=["grid_torus", "grid_klein"])
 def test_edge_in_three_faces_takes_sparse_path(maker, betti, torsion):
+    """d2 of a complex with an edge in three faces is no signed graph's, so
+    homology_profile takes the dense form; the explicit profile referees
+    it."""
     # a fin: one more triangle on edge (0, 1), to a new vertex off the surface
     base = maker(3, 3)
     verts = [tuple(p) for p in base.vertices] + [(0.5, 0.5, 9.0)]
@@ -363,6 +322,7 @@ def test_edge_in_three_faces_takes_sparse_path(maker, betti, torsion):
     (({0: 2},), (), (0, 0, 0), ((2,), (), ())),
 ], ids=["projective-plane", "z3-torsion", "h0-torsion"])
 def test_non_unit_entry_takes_sparse_path(d1, d2, betti, torsion):
+    """An entry other than +-1 sends its matrix to the dense form."""
     b = BoundaryMatrices(d1=d1, d2=d2, edges=((0, 0),), n_vertices=1)
     assert (_forest_smith(b.n_vertices, [row.items() for row in b.d1]) is None
             or _forest_smith(b.n_faces, _columns(b.d2, b.n_edges)) is None)

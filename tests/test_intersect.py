@@ -708,9 +708,17 @@ def test_self_intersections_exact_over_double_range(k):
 
 
 # ---------------------------------------------------------------------------
-# self_intersections decides most vertex-adjacent pairs from their corner ids
-# alone; every such decision is refereed by the contact kernel followed by
-# the shared-cell test, which brute_report applies to every pair
+# every report of self_intersections, from the float pass or the exact loop,
+# is refereed by the contact kernel followed by the shared-cell test, which
+# brute_report applies to every pair
+
+
+def _spy(call, out):
+    """call, appending each result to out."""
+    def run(*args):
+        out.append(call(*args))
+        return out[-1]
+    return run
 
 
 def _merged(p, q):
@@ -821,18 +829,45 @@ def test_subdivision_reports_the_same_face_pairs(spec):
     assert _face_pairs(split, self_intersections(split)) == _face_pairs(whole, self_intersections(whole))
 
 
-@pytest.mark.parametrize("cx", [
-    grid_torus(12, 12),
-    barycentric_subdivision(generate(GeneratorSpec("icosahedron"))).derived,
+@pytest.mark.parametrize("spec, rows", [
+    (GeneratorSpec("folded_flat_torus", m=4, n=4, folds=2), 312),
+    (GeneratorSpec("grid_klein", m=3, n=3), 102),
+], ids=["folded_flat_torus_4x4_folds2", "grid_klein_3x3"])
+def test_off_grid_contacts_match_referee(spec, rows):
+    """Scaled by 0.1, the contact meshes' coordinates leave the float
+    pass's 2^-15 grid, so it reports no contact itself and leaves 312 and
+    102 rows to the exact loop, among them coplanar neighbours that share
+    an edge.  The loop runs the kernel once per row, and the report is
+    the referee's, in pairs, local overlaps, kinds and order."""
+    refinement = _refinement(spec)
+    derived = refinement.derived
+    soup = triangle_soup(replace(refinement, derived=CellComplex(0.1 * derived.vertices,
+                                                                 derived.faces)))
+    left, found = [], []
+    with mock.patch.object(intersect, "_undecided_rows", _spy(intersect._undecided_rows, left)), \
+            mock.patch.object(intersect, "_contact", _spy(intersect._contact, found)):
+        report = self_intersections(soup)
+    brute = brute_report(soup)
+    assert (report.pairs, report.local_overlaps) == (brute.pairs, brute.local_overlaps)
+    assert len(left[0][0]) == len(found) == rows and len(left[0][1]) == 0
+
+
+@pytest.mark.parametrize("cx, rows", [
+    (grid_torus(12, 12), 1),
+    (barycentric_subdivision(generate(GeneratorSpec("icosahedron"))).derived, 12),
 ], ids=["grid_torus_12x12", "icosahedron_bary1"])
-def test_most_adjacent_pairs_skip_the_kernel(cx):
+def test_most_adjacent_pairs_skip_the_kernel(cx, rows):
     """On embedded meshes nearly every box-meeting pair is vertex-adjacent
-    or disjoint, and decided without the contact kernel: 1 of 1,983 and
-    12 of 900 pairs reach it."""
+    or disjoint, and the float pass decides it by its plane and edge-line
+    tests: 1 of 1,983 and 12 of 900 pairs are left to the exact loop,
+    which runs the contact kernel once on each."""
     soup = triangle_soup(triangulate_faces(cx))
-    with mock.patch.object(intersect, "_contact", wraps=intersect._contact) as kernel:
+    left = []
+    with mock.patch.object(intersect, "_undecided_rows", _spy(intersect._undecided_rows, left)), \
+            mock.patch.object(intersect, "_contact", wraps=intersect._contact) as kernel:
         report = self_intersections(soup)
     assert report.pairs == () and report.local_overlaps == ()
+    assert kernel.call_count == len(left[0][0]) == rows
     assert kernel.call_count <= 0.02 * report.n_candidates
 
 
@@ -848,15 +883,8 @@ def test_contact_kernel_sees_only_touching_pairs(spec, rows, calls):
     returns a contact."""
     soup = _soup_for(spec)
     left, found = [], []
-
-    def spy(call, out):
-        def run(*args):
-            out.append(call(*args))
-            return out[-1]
-        return run
-
-    with mock.patch.object(intersect, "_undecided_rows", spy(intersect._undecided_rows, left)), \
-            mock.patch.object(intersect, "_contact", spy(intersect._contact, found)):
+    with mock.patch.object(intersect, "_undecided_rows", _spy(intersect._undecided_rows, left)), \
+            mock.patch.object(intersect, "_contact", _spy(intersect._contact, found)):
         report = self_intersections(soup)
     assert len(left[0][0]) == rows and len(found) == calls
     assert None not in found
