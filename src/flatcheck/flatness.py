@@ -706,16 +706,13 @@ def _azimuth_certified(mesh: HalfEdgeMesh, geos, link_tol: float) -> list[bool]:
     pts = mesh.complex.vertices
     usable = (np.abs(pts) <= _COORD_BOUND).all(axis=1)    # False on nan and inf too
     pts = np.where(usable[:, None], pts, 0.0)
-    groups: dict[int, list[int]] = {}
-    for v, neighbors in enumerate(mesh.star_entry_neighbors):
-        groups.setdefault(len(neighbors), []).append(v)
-    for valence, vertices in groups.items():
-        if valence < 3:
-            continue
-        centers = np.array(vertices, dtype=np.intp)
-        ends = np.array([mesh.star_entry_neighbors[v] for v in vertices], dtype=np.intp)
-        theta = np.array([[geos[f].angles[i] for f, i in mesh.vertex_stars[v]]
-                          for v in vertices])
+    angles = np.array([a for geo in geos for a in geo.angles])    # per corner
+    valences = np.diff(mesh.star_offsets)
+    for valence in (np.flatnonzero(np.bincount(valences)[3:]) + 3).tolist():
+        centers = np.flatnonzero(valences == valence)
+        star = mesh.star_offsets[centers, None] + np.arange(valence)
+        ends = mesh.star_entries[star]
+        theta = angles[mesh.star_corners[star]]
         edges = pts[ends] - pts[centers][:, None, :]
         lengths = _norms(edges)
         long = lengths >= 1.0 / _COORD_BOUND

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import CellComplex, InvalidComplexError, MeshError, build_complex, edge_census
+from .mesh import CellComplex, InvalidComplexError, MeshError, complex_from_flat, edge_table
 
 
 class FormatError(MeshError):
@@ -83,38 +83,46 @@ def read_off(path: str | Path) -> LoadedMesh:
         _fail(path, lineno,
               f"header promises {nv} vertices + {nf} faces, file has {len(rest)} data line(s)")
 
-    vertices = np.zeros((nv, 3), dtype=np.float64)
-    for k in range(nv):
-        vlineno, line = rest[k]
-        parts = line.split()
-        if len(parts) != 3:
-            _fail(path, vlineno, f"expected 3 coordinates, got {len(parts)}")
+    vertices = _coordinates(path, rest[:nv])
+    indices: list[int] = []
+    degrees: list[int] = []
+    for flineno, line in rest[nv:]:
         try:
-            vertices[k] = [float(p) for p in parts]
-        except ValueError:
-            _fail(path, vlineno, f"bad coordinate in {line!r}")
-
-    faces = []
-    for k in range(nf):
-        flineno, line = rest[nv + k]
-        parts = line.split()
-        try:
-            tokens = [int(p) for p in parts]
+            tokens = [int(p) for p in line.split()]
         except ValueError:
             _fail(path, flineno, f"bad face index in {line!r}")
-        if not tokens or tokens[0] != len(tokens) - 1:
-            _fail(path, flineno,
-                  f"face line must read 'k i0 .. i(k-1)', got {line!r}")
-        faces.append(tuple(tokens[1:]))
+        if tokens[0] != len(tokens) - 1:
+            _fail(path, flineno, f"face line must read 'k i0 .. i(k-1)', got {line!r}")
+        indices += tokens[1:]
+        degrees.append(tokens[0])
 
-    complex = _build(vertices, faces, index_base=0, path=path)
+    complex = _build(vertices, indices, degrees, 0, path,
+                     [n for n, _ in rest[:nv]], [n for n, _ in rest[nv:]])
     return LoadedMesh(complex=complex, sources=(source,))
+
+
+def _coordinates(path, lines: list[tuple[int, str]]) -> np.ndarray:
+    """(n, 3) array of the coordinate triples on the given lines, or a
+    FormatError naming the first line that is not three numbers."""
+    rows = []
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 3:
+            _fail(path, lineno, f"expected 3 coordinates, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            _fail(path, lineno, f"bad coordinate in {line!r}")
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 3)
 
 
 def read_obj(path: str | Path) -> LoadedMesh:
     """Parse the v/f records of a Wavefront OBJ file (1-based, polygonal)."""
     vertices: list[list[float]] = []
-    faces: list[tuple[int, ...]] = []
+    indices: list[int] = []
+    degrees: list[int] = []
+    vertex_lines: list[int] = []
+    face_lines: list[int] = []
     lines, source = _data_lines(path)
     for lineno, line in lines:
         parts = line.split()
@@ -125,10 +133,10 @@ def read_obj(path: str | Path) -> LoadedMesh:
                 vertices.append([float(p) for p in parts[1:4]])
             except ValueError:
                 _fail(path, lineno, f"bad coordinate in {line!r}")
+            vertex_lines.append(lineno)
         elif parts[0] == "f":
             if len(parts) < 4:
                 _fail(path, lineno, "face needs at least 3 vertices")
-            ids = []
             for ref in parts[1:]:
                 head = ref.split("/", 1)[0]
                 try:
@@ -140,11 +148,12 @@ def read_obj(path: str | Path) -> LoadedMesh:
                 # references must point at vertices already declared
                 if not (1 <= idx <= len(vertices)):
                     _fail(path, lineno, f"face reference {ref!r} out of range")
-                ids.append(idx)
-            faces.append(tuple(ids))
+                indices.append(idx)
+            degrees.append(len(parts) - 1)
+            face_lines.append(lineno)
         # every other record type (vn, vt, usemtl, ...) is irrelevant here
     arr = np.array(vertices, dtype=np.float64).reshape(len(vertices), 3)
-    complex = _build(arr, faces, index_base=1, path=path)
+    complex = _build(arr, indices, degrees, 1, path, vertex_lines, face_lines)
     return LoadedMesh(complex=complex, sources=(source,))
 
 
@@ -152,36 +161,42 @@ def read_pair(faces_path: str | Path, vertices_path: str | Path,
               index_base: int = 1) -> LoadedMesh:
     """Parse the two-file form: one face per line in the first file, one
     coordinate triple per line in the second."""
-    vertices: list[list[float]] = []
     vertex_lines, vertex_source = _data_lines(vertices_path)
-    for lineno, line in vertex_lines:
-        parts = line.split()
-        if len(parts) != 3:
-            _fail(vertices_path, lineno, f"expected 3 coordinates, got {len(parts)}")
-        try:
-            vertices.append([float(p) for p in parts])
-        except ValueError:
-            _fail(vertices_path, lineno, f"bad coordinate in {line!r}")
-    faces: list[tuple[int, ...]] = []
+    vertices = _coordinates(vertices_path, vertex_lines)
     face_lines, face_source = _data_lines(faces_path)
+    indices: list[int] = []
+    degrees: list[int] = []
     for lineno, line in face_lines:
         parts = line.split()
         if len(parts) < 3:
             _fail(faces_path, lineno, f"face needs at least 3 vertices, got {len(parts)}")
         try:
-            faces.append(tuple(int(p) for p in parts))
+            indices += [int(p) for p in parts]
         except ValueError:
             _fail(faces_path, lineno, f"bad face index in {line!r}")
-    arr = np.array(vertices, dtype=np.float64).reshape(len(vertices), 3)
-    complex = _build(arr, faces, index_base=index_base, path=faces_path)
+        degrees.append(len(parts))
+    complex = _build(vertices, indices, degrees, index_base, faces_path,
+                     [n for n, _ in vertex_lines], [n for n, _ in face_lines],
+                     vertices_path=vertices_path)
     return LoadedMesh(complex=complex, sources=(face_source, vertex_source))
 
 
-def _build(vertices, faces, index_base: int, path) -> CellComplex:
+def _build(vertices, indices, degrees, index_base: int, path, vertex_lines: list[int],
+           face_lines: list[int], vertices_path=None) -> CellComplex:
+    """complex_from_flat, with a build error located at the file line of
+    the vertex or face it names (vertex_lines[k] and face_lines[k] are the
+    lines of vertex k and face k; vertices_path is the vertices' file when
+    it is not path)."""
     try:
-        return build_complex(vertices, faces, index_base=index_base)
+        return complex_from_flat(vertices, indices, degrees, index_base=index_base)
     except InvalidComplexError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        where = ""
+        if exc.face is not None:
+            where = f" (line {face_lines[exc.face]})"
+        elif exc.vertex is not None:
+            lineno = vertex_lines[exc.vertex]
+            where = f" ({vertices_path} line {lineno})" if vertices_path else f" (line {lineno})"
+        raise FormatError(f"{path}: {exc}{where}") from exc
 
 
 def read_mesh(paths, fmt: str | None = None, index_base: int = 1) -> LoadedMesh:
@@ -211,11 +226,11 @@ def _fmt(x: float) -> str:
 
 def write_off(complex: CellComplex, path: str | Path) -> None:
     lines = ["OFF"]
-    lines.append(f"{complex.n_vertices} {complex.n_faces} {len(edge_census(complex))}")
+    lines.append(f"{complex.n_vertices} {complex.n_faces} {len(edge_table(complex).ends)}")
     for v in complex.vertices:
         lines.append(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
     for face in complex.faces:
-        lines.append(" ".join([str(len(face))] + [str(i) for i in face]))
+        lines.append(f"{len(face)} {' '.join(map(str, face))}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

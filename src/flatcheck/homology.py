@@ -2,61 +2,65 @@
 
 Boundary matrices are built over Z with a fixed orientation convention
 (edges run from lower to higher vertex index, faces as listed) and kept
-as sparse rows.  Betti numbers come from the ranks of d1 and d2, torsion
-from their invariant factors.
+as COO arrays: d2 has one (face, edge, +-1) entry per half-edge, read off
+the half-edge mesh's edge table, and d1 two entries per edge.  The
+constructor checks d2 d1 = 0 with one vectorised sum.  Betti numbers come
+from the ranks of d1 and d2, torsion from their invariant factors.
 
-On a surface both matrices are incidence matrices of signed graphs:
-every column of d1 (read as vertices by edges) and of d2 (faces by
-edges) holds at most two entries, each +-1.  Their Smith normal form
-then comes from one union-find pass over a spanning forest with a
-parity bit per node (Zaslavsky, "Signed graphs", 1982; the tree-cotree
-idea of Eppstein, 2003).  Within one component of n_C rows the forest's
-columns give n_C - 1 unit pivots, and after those eliminations one row
-is left: 0 on a balanced non-tree column, +-2 on an unbalanced one and
-+-1 on a single-entry (boundary) column.  The component therefore adds
-n_C - 1 factors of 1, then one more 1 if it has a boundary column, else
-a 2 if it has an unbalanced cycle, else nothing.  A Klein bottle's Z/2
-is its one unbalanced dual cycle.
+On a complex whose every edge lies in at most two faces both matrices
+are incidence matrices of signed graphs: every column of d1 (read as
+vertices by edges) and of d2 (faces by edges) holds at most two entries,
+each +-1.  Their Smith normal form then comes from the components of the
+graph and their balance (Zaslavsky, "Signed graphs", 1982; the
+tree-cotree idea of Eppstein, 2003).  Within one component of n_C rows
+the columns of a spanning tree give n_C - 1 unit pivots, and after those
+eliminations one row is left: 0 on a balanced non-tree column, +-2 on an
+unbalanced one and +-1 on a single-entry (boundary) column.  The
+component therefore adds n_C - 1 factors of 1, then one more 1 if it has
+a boundary column, else a 2 if it has an unbalanced cycle, else nothing.
+A Klein bottle's Z/2 is its one unbalanced dual cycle.  The components
+and their balance come from one labelling of the signed double cover
+(mesh.signed_components).
 
-Any other matrix, such as d2 of a complex with an edge in three faces,
-takes the exact dense Smith normal form over Python's arbitrary-precision
-integers.  The pipeline computes homology only of closed manifolds, whose
-matrices are always signed graphs', so it never sends one.
+Any other matrix, such as d2 of a complex with an edge in three faces, is
+refused with a MeshError naming the edge or entry: its exact Smith form
+would need the dense smith_normal_form, whose memory grows with the
+product of the matrix's sides.  The pipeline computes homology only of
+closed manifolds, whose matrices are always signed graphs'.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .mesh import CellComplex, HalfEdgeMesh, edge_census
+from .mesh import CellComplex, HalfEdgeMesh, MeshError, edge_table, signed_components
+
+Coo = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryMatrices:
-    """Signed incidence matrices of a 2-complex, as sparse rows.
+    """Signed incidence matrices of a 2-complex, as COO arrays.
 
     d1 has one row per edge over the vertex columns (boundary of the
     oriented 1-cells); d2 has one row per face over the edge columns.
-    Each row maps a column to its nonzero entry.  With chains as row
-    vectors the boundary of a boundary being empty reads d2 @ d1 == 0,
-    which the constructor path verifies face by face.
+    Each is a (row, column, entry) triple of equal-length integer arrays,
+    one item per nonzero entry.  With chains as row vectors the boundary
+    of a boundary being empty reads d2 @ d1 == 0, which boundary_matrices
+    verifies.
     """
 
-    d1: tuple[dict[int, int], ...]
-    d2: tuple[dict[int, int], ...]
-    edges: tuple[tuple[int, int], ...]   # row order of d1 / column order of d2
+    d1: Coo
+    d2: Coo
+    edges: np.ndarray      # (n_edges, 2): row order of d1 / column order of d2
     n_vertices: int
+    n_faces: int
 
     @property
     def n_edges(self) -> int:
-        return len(self.d1)
-
-    @property
-    def n_faces(self) -> int:
-        return len(self.d2)
+        return len(self.edges)
 
 
 def boundary_matrices(mesh: HalfEdgeMesh | CellComplex) -> BoundaryMatrices:
@@ -65,33 +69,25 @@ def boundary_matrices(mesh: HalfEdgeMesh | CellComplex) -> BoundaryMatrices:
     Each edge is oriented from its lower to its higher vertex index; each
     face is traversed in its listed direction, contributing +1 where it
     runs along an edge's orientation and -1 where it runs against it.
-    A half-edge mesh supplies its sorted edge list; a bare complex gets
-    one from its edge census.
+    A half-edge mesh supplies its edge table; a bare complex gets one.
     """
     if isinstance(mesh, HalfEdgeMesh):
-        complex, edges = mesh.complex, mesh.edges
+        complex, ends = mesh.complex, mesh.edge_ends
+        origin, face_of, edge_of = mesh.origin, mesh.face_of, mesh.edge_of
     else:
-        complex, edges = mesh, tuple(sorted(edge_census(mesh)))
-    edge_row = {e: r for r, e in enumerate(edges)}
-    d1 = tuple({u: -1, v: 1} for u, v in edges)
-
-    d2: list[dict[int, int]] = []
-    for face in complex.faces:
-        row: dict[int, int] = {}
-        for u, v in zip(face, face[1:] + face[:1]):
-            if u < v:
-                row[edge_row[(u, v)]] = 1
-            else:
-                row[edge_row[(v, u)]] = -1
-        # the boundary of this face's boundary, summed over its edges
-        acc: dict[int, int] = {}
-        for r, s in row.items():
-            for vtx, a in d1[r].items():
-                acc[vtx] = acc.get(vtx, 0) + s * a
-        if any(acc.values()):
-            raise AssertionError("boundary of a boundary is nonzero; incidence build is broken")
-        d2.append(row)
-    return BoundaryMatrices(d1=d1, d2=tuple(d2), edges=edges, n_vertices=complex.n_vertices)
+        complex = mesh
+        t = edge_table(complex)
+        ends, origin, face_of, edge_of = t.ends, t.origin, t.face_of, t.edge_of
+    n_edges, nv = len(ends), complex.n_vertices
+    d1 = (np.repeat(np.arange(n_edges), 2), ends.ravel(), np.tile(np.array([-1, 1]), n_edges))
+    d2 = (face_of, edge_of, np.where(origin == ends[edge_of, 0], 1, -1))
+    # d2 @ d1: each d2 entry s at (f, e) adds s * d1[e, x] at (f, x)
+    f, e, s = d2
+    key = (f[:, None] * nv + d1[1].reshape(-1, 2)[e]).ravel()
+    _, at = np.unique(key, return_inverse=True)
+    if np.bincount(at.reshape(-1), (s[:, None] * d1[2].reshape(-1, 2)[e]).ravel()).any():
+        raise AssertionError("boundary of a boundary is nonzero; incidence build is broken")
+    return BoundaryMatrices(d1=d1, d2=d2, edges=ends, n_vertices=nv, n_faces=complex.n_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -209,86 +205,59 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     return SmithNormalForm(invariant_factors=tuple(factors), rank=len(factors))
 
 
-def _forest_smith(n_rows: int,
-                  columns: Iterable[Collection[tuple[int, int]]]) -> SmithNormalForm | None:
+def _forest_smith(n_nodes: int, node: np.ndarray, link: np.ndarray, entry: np.ndarray,
+                  n_links: int) -> SmithNormalForm | None:
     """Smith normal form of a signed-graph incidence matrix, or None.
 
-    The matrix has n_rows rows; each column lists its (row, entry) pairs.
-    A column with two entries joins two nodes, and is balanced when the
-    nodes' signs make its entries cancel: entries of opposite sign ask
-    for equal node signs, equal entries for opposite ones.  A union-find
-    (union by size, path halving) keeps each node's sign relative to its
-    parent as a parity bit, so a column inside one tree closes a cycle
-    that is unbalanced exactly when the parities disagree with it.  By
-    the lemma in the module docstring every join is a factor 1, and each
-    component then adds a 1 if it has a single-entry column, else a 2 if
-    it has an unbalanced cycle.  Returns None when some column has more
-    than two entries or an entry other than +-1.
+    The matrix has n_nodes rows and n_links columns, and its k-th nonzero
+    entry is entry[k] at row node[k], column link[k].  A column with two
+    entries joins two nodes, and is balanced when the nodes' signs make
+    its entries cancel: entries of opposite sign ask for equal node signs,
+    equal entries for opposite ones.  Each component of the graph gives
+    one factor 1 per join of a spanning tree, by the lemma in the module
+    docstring, then a 1 if it has a single-entry column, else a 2 if it
+    is unbalanced.  Returns None when some column has more than two
+    entries or an entry other than +-1.
     """
-    parent = list(range(n_rows))
-    size = [1] * n_rows
-    flip = [0] * n_rows   # parity of a node's sign against its parent's
-    odd: list[int] = []   # a node on each unbalanced cycle
-    ends: list[int] = []  # the node of each single-entry column
-
-    def root(x: int) -> tuple[int, int]:
-        p = 0
-        while parent[x] != x:
-            up = parent[x]
-            flip[x] ^= flip[up]
-            parent[x] = top = parent[up]
-            p ^= flip[x]
-            x = top
-        return x, p
-
-    joins = 0
-    for col in columns:
-        if len(col) == 2:
-            (i, a), (j, b) = col
-            if (a != 1 and a != -1) or (b != 1 and b != -1):
-                return None
-            ri, pi = root(i)
-            rj, pj = root(j)
-            want = a == b
-            if ri == rj:
-                if pi ^ pj != want:
-                    odd.append(ri)
-                continue
-            if size[ri] < size[rj]:
-                ri, rj = rj, ri
-            parent[rj] = ri
-            size[ri] += size[rj]
-            flip[rj] = pi ^ pj ^ want
-            joins += 1
-        elif len(col) == 1:
-            (i, a), = col
-            if a != 1 and a != -1:
-                return None
-            ends.append(i)
-        elif col:
-            return None
-    bounded = {root(i)[0] for i in ends}
-    twisted = {root(i)[0] for i in odd} - bounded
-    return SmithNormalForm(invariant_factors=(1,) * (joins + len(bounded)) + (2,) * len(twisted),
-                           rank=joins + len(bounded) + len(twisted))
+    node, link, entry = (np.asarray(x, dtype=np.int64) for x in (node, link, entry))
+    counts = np.bincount(link, minlength=n_links)
+    if (counts > 2).any() or (np.abs(entry) != 1).any():
+        return None
+    order = np.argsort(link, kind="stable")
+    first = np.cumsum(counts) - counts       # each column's first entry in order
+    one, other = order[first[counts == 2]], order[first[counts == 2] + 1]
+    label, unbalanced = signed_components(n_nodes, node[one], node[other],
+                                          entry[one] == entry[other])
+    roots = np.flatnonzero(label == np.arange(n_nodes))
+    joins = n_nodes - roots.size
+    bounded = np.zeros(n_nodes, dtype=bool)
+    bounded[label[node[order[first[counts == 1]]]]] = True
+    n_bounded = int(np.count_nonzero(bounded))
+    n_twisted = int(np.count_nonzero(unbalanced[roots] & ~bounded[roots]))
+    return SmithNormalForm(invariant_factors=(1,) * (joins + n_bounded) + (2,) * n_twisted,
+                           rank=joins + n_bounded + n_twisted)
 
 
-def _columns(rows: Sequence[Mapping[int, int]], n_cols: int) -> list[tuple[tuple[int, int], ...]]:
-    """The columns of a matrix given as sparse rows, as (row, entry) pairs."""
-    cols: list[tuple[tuple[int, int], ...]] = [()] * n_cols
-    for i, row in enumerate(rows):
-        for j, a in row.items():
-            cols[j] += ((i, a),)
-    return cols
-
-
-def _dense(rows: Sequence[Mapping[int, int]], n_cols: int) -> np.ndarray:
-    """Object-dtype dense matrix of sparse rows (column -> entry maps)."""
-    out = np.zeros((len(rows), n_cols), dtype=object)
-    for i, row in enumerate(rows):
-        for j, a in row.items():
-            out[i, j] = a
-    return out
+def _refusal(b: BoundaryMatrices, k: int, node: np.ndarray, link: np.ndarray,
+             entry: np.ndarray) -> MeshError:
+    """Why d_k is no signed graph's incidence matrix, with the edge, face
+    or vertex that shows it."""
+    odd = np.flatnonzero(np.abs(entry) != 1)
+    if odd.size:
+        row, col = (link, node) if k == 1 else (node, link)
+        j = odd[0]
+        where = (f"edge {int(row[j])}, vertex {int(col[j])}" if k == 1
+                 else f"face {int(row[j])}, edge {int(col[j])}")
+        return MeshError(f"d{k} has entry {int(entry[j])} at {where}; homology needs every "
+                         "boundary entry to be +-1")
+    counts = np.bincount(link, minlength=b.n_edges)
+    e = int(np.argmax(counts > 2))
+    edge = tuple(b.edges[e].tolist()) if e < b.n_edges else e
+    if k == 1:
+        return MeshError(f"d1 has {counts[e]} entries in the row of edge {edge}; an edge has "
+                         "two ends")
+    return MeshError(f"edge {edge} lies in {counts[e]} faces; homology is computed only for "
+                     "complexes whose every edge lies in at most two faces")
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +282,25 @@ def homology_profile(b: BoundaryMatrices) -> HomologyProfile:
 
     b_k = (#k-cells) - rank d_k - rank d_{k+1}, with d_0 and d_3 zero;
     the torsion of H_k is carried by the invariant factors of d_{k+1}.
-    Each Smith form comes from the spanning-forest pass of the module
+    Each Smith form comes from the signed-graph lemma of the module
     docstring: d1 with the vertices as nodes and each edge's row as a
     column, d2 with the faces as nodes and each edge's column.  Every
     component of d2's dual graph adds one more invariant factor, 1 if it
     has a boundary edge, else 2 if it has an orientation-reversing cycle.
     A matrix that is not a signed graph's (an edge in three faces, an
-    entry other than +-1) takes the dense smith_normal_form instead; the
-    pipeline's closed manifolds never send one.
+    entry other than +-1) is refused with a MeshError that names the edge
+    or the entry; the pipeline's closed manifolds never send one.
     """
-    snf1 = (_forest_smith(b.n_vertices, (row.items() for row in b.d1))
-            or smith_normal_form(_dense(b.d1, b.n_vertices)))
-    snf2 = (_forest_smith(b.n_faces, _columns(b.d2, b.n_edges))
-            or smith_normal_form(_dense(b.d2, b.n_edges)))
+    forms = []
+    for k, n_nodes, (node, link, entry) in (
+        (1, b.n_vertices, (b.d1[1], b.d1[0], b.d1[2])),
+        (2, b.n_faces, b.d2),
+    ):
+        snf = _forest_smith(n_nodes, node, link, entry, b.n_edges)
+        if snf is None:
+            raise _refusal(b, k, node, link, entry)
+        forms.append(snf)
+    snf1, snf2 = forms
     r1, r2 = snf1.rank, snf2.rank
     betti = (
         b.n_vertices - r1,

@@ -1,16 +1,23 @@
 """Polygonal cell complexes and combinatorial surface checks.
 
 A complex is a list of points in R^3 plus faces given as cyclic tuples of
-vertex indices.  Everything downstream (homology, flatness, intersection
-tests) is built on top of the validated half-edge structure constructed
-here.  Indices are 0-based internally; interchange formats convert on the
-way in.
+vertex indices.  Beside the tuples it keeps the faces as one flat corner
+array with offsets, and the combinatorial checks run on that array:
+validation sorts a canonical row per face degree, and the half-edge
+structure comes from one stable sort of the undirected edge keys
+min(u, v) * V + max(u, v).  Adjacent rows of that sort are the sides of
+one edge, and the vertex stars are cycles of one permutation, walked for
+all vertices in lockstep.  Everything downstream (homology, flatness,
+intersection tests) is built on top of the validated half-edge structure
+constructed here.  Indices are 0-based internally; interchange formats
+convert on the way in.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,7 +27,16 @@ class MeshError(Exception):
 
 
 class InvalidComplexError(MeshError):
-    """Raw vertex/face data does not define a valid cell complex."""
+    """Raw vertex/face data does not define a valid cell complex.
+
+    face or vertex is the input position of the offending face or vertex,
+    when the error has one, so that a reader can name its file line.
+    """
+
+    def __init__(self, message: str, face: int | None = None, vertex: int | None = None):
+        super().__init__(message)
+        self.face = face
+        self.vertex = vertex
 
 
 @dataclass(frozen=True)
@@ -50,6 +66,12 @@ class NotManifoldError(MeshError):
         super().__init__(f"complex is not a closed 2-manifold: {summary}")
 
 
+def _frozen(a) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(eq=False)
 class CellComplex:
     """A polygonal cell complex: vertex coordinates plus cyclic faces.
@@ -57,10 +79,16 @@ class CellComplex:
     Instances should be built through build_complex so that the validation
     invariants (index range, no repeated vertex inside a face, no duplicate
     face up to rotation and reversal) are guaranteed to hold.
+
+    corners lists the faces' vertex indices face by face, and face f owns
+    corners[offsets[f]:offsets[f + 1]].  They are derived from faces when
+    not given; a caller that gives them must give the same faces.
     """
 
     vertices: np.ndarray                 # (n, 3) float64, read-only
     faces: tuple[tuple[int, ...], ...]   # 0-based vertex indices
+    corners: np.ndarray = field(default=None, repr=False)   # int64, read-only
+    offsets: np.ndarray = field(default=None, repr=False)   # int64, n_faces + 1
 
     def __post_init__(self) -> None:
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
@@ -68,7 +96,14 @@ class CellComplex:
             raise InvalidComplexError(f"vertex array must be (n, 3), got {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "faces", tuple(tuple(int(i) for i in f) for f in self.faces))
+        if self.corners is None:
+            faces = tuple(tuple(int(i) for i in f) for f in self.faces)
+            object.__setattr__(self, "faces", faces)
+            object.__setattr__(self, "corners", np.fromiter(
+                chain.from_iterable(faces), np.int64, sum(map(len, faces))))
+            object.__setattr__(self, "offsets", np.cumsum([0, *map(len, faces)]))
+        object.__setattr__(self, "corners", _frozen(self.corners))
+        object.__setattr__(self, "offsets", _frozen(self.offsets))
 
     @property
     def n_vertices(self) -> int:
@@ -80,7 +115,9 @@ class CellComplex:
 
     def face_degree_census(self) -> dict[int, int]:
         """Map face degree -> number of faces with that degree."""
-        return dict(sorted(Counter(len(f) for f in self.faces).items()))
+        counts = np.bincount(np.diff(self.offsets))
+        degrees = np.flatnonzero(counts)
+        return dict(zip(degrees.tolist(), counts[degrees].tolist()))
 
     def unit_scaled(self) -> tuple[CellComplex, int]:
         """This complex times the power of two 2^-e that brings its largest
@@ -94,7 +131,8 @@ class CellComplex:
         """
         _, exponent = np.frexp(np.abs(self.vertices).max(initial=0.0))
         e = int(exponent)
-        return CellComplex(np.ldexp(self.vertices, -e), self.faces), e
+        return CellComplex(np.ldexp(self.vertices, -e), self.faces,
+                           self.corners, self.offsets), e
 
 
 def canonical_face(face: Sequence[int]) -> tuple[int, ...]:
@@ -126,11 +164,26 @@ def build_complex(
     in memory.  Raises InvalidComplexError on NaN or infinite coordinates,
     out-of-range indices, faces with fewer than three vertices, repeated
     vertices inside a face, duplicate faces (up to rotation and reversal),
-    or no faces at all.
+    or no faces at all.  The error names the first bad vertex, else the
+    first bad face, and for that face the first of these checks it fails.
     """
+    faces = list(raw_faces)
+    return complex_from_flat(raw_vertices, list(map(int, chain.from_iterable(faces))),
+                             list(map(len, faces)), index_base)
+
+
+def complex_from_flat(
+    raw_vertices: Iterable[Sequence[float]],
+    indices: Sequence[int],
+    degrees: Sequence[int],
+    index_base: int = 0,
+) -> CellComplex:
+    """build_complex on faces given flat: the indices of every face in
+    turn, and the number of vertices of each face."""
     if index_base not in (0, 1):
         raise InvalidComplexError(f"index_base must be 0 or 1, got {index_base}")
-    verts = np.asarray(list(raw_vertices), dtype=np.float64)
+    verts = np.array(raw_vertices if isinstance(raw_vertices, np.ndarray) else list(raw_vertices),
+                     dtype=np.float64)
     if verts.size == 0:
         verts = verts.reshape(0, 3)
     if verts.ndim == 2:
@@ -138,48 +191,136 @@ def build_complex(
         if bad.size:
             v = int(bad[0])
             raise InvalidComplexError(
-                f"vertex {v + index_base} has a non-finite coordinate: {verts[v].tolist()}"
+                f"vertex {v + index_base} has a non-finite coordinate: {verts[v].tolist()}",
+                vertex=v,
             )
     n = verts.shape[0]
-    faces: list[tuple[int, ...]] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for pos, raw in enumerate(raw_faces):
-        face = tuple(int(i) - index_base for i in raw)
-        if len(face) < 3:
-            raise InvalidComplexError(f"face {pos} has {len(face)} vertices; need at least 3")
-        for i in face:
-            if not (0 <= i < n):
-                raise InvalidComplexError(
-                    f"face {pos} references vertex {i + index_base}, valid range is "
-                    f"{index_base}..{n - 1 + index_base}"
-                )
-        if len(set(face)) != len(face):
-            raise InvalidComplexError(f"face {pos} repeats a vertex: {tuple(i + index_base for i in face)}")
-        key = canonical_face(face)
-        if key in seen:
-            raise InvalidComplexError(
-                f"face {pos} duplicates face {seen[key]} (identical up to rotation/reversal)"
-            )
-        seen[key] = pos
-        faces.append(face)
-    if not faces:
+    degree = np.asarray(degrees, dtype=np.int64).reshape(-1)
+    offsets = np.cumsum(np.concatenate([[0], degree]))
+    try:
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1) - index_base
+    except OverflowError:
+        # beyond int64 is out of range anyway; messages quote indices[k] itself
+        idx = np.array([min(max(int(i) - index_base, -1), n) for i in indices], dtype=np.int64)
+    _validate_faces(idx, degree, offsets, n, indices, index_base)
+    if degree.size == 0:
         raise InvalidComplexError("complex has no faces")
-    return CellComplex(vertices=verts, faces=tuple(faces))
+    flat = idx.tolist()
+    bounds = offsets.tolist()
+    faces = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return CellComplex(verts, faces, idx, offsets)
+
+
+def _validate_faces(idx: np.ndarray, degree: np.ndarray, offsets: np.ndarray, n: int,
+                    indices: Sequence[int], index_base: int) -> None:
+    """Raise InvalidComplexError for the first face that fails a check.
+
+    Each check finds its first failing face over the whole array; the
+    earliest of those faces is reported, with the first check it fails,
+    which is the face and message a face-by-face scan would report.
+    """
+    nf = degree.size
+    first: dict[str, int] = {}               # check -> its first failing face
+    owner = -1                               # the face that first["duplicate"] repeats
+    short = np.flatnonzero(degree < 3)
+    if short.size:
+        first["short"] = int(short[0])
+    outside = np.flatnonzero((idx < 0) | (idx >= n))
+    if outside.size:
+        first["range"] = int(np.searchsorted(offsets, outside[0], side="right")) - 1
+    for k in (np.flatnonzero(np.bincount(degree)[3:]) + 3).tolist():
+        fs = np.flatnonzero(degree == k)
+        rows = idx[offsets[fs, None] + np.arange(k)]
+        ordered = np.sort(rows, axis=1)
+        repeats = fs[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+        if repeats.size:
+            first["repeat"] = min(first.get("repeat", nf), int(repeats[0]))
+        # rotate each row to start at its smallest vertex, both ways round,
+        # and keep the direction whose second vertex is smaller
+        r = np.arange(fs.size)[:, None]
+        low = rows.argmin(axis=1)[:, None]
+        fwd = rows[r, (low + np.arange(k)) % k]
+        bwd = rows[r, (low - np.arange(k)) % k]
+        key = np.where((fwd[:, 1] < bwd[:, 1])[:, None], fwd, bwd)
+        order = np.lexsort(key.T[::-1])      # stable: equal keys keep face order
+        key = key[order]
+        starts = np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)])
+        if not starts.all():
+            heads = fs[order[np.flatnonzero(starts)][np.cumsum(starts) - 1]]
+            copies = np.flatnonzero(~starts)
+            at = copies[np.argmin(fs[order[copies]])]
+            face = int(fs[order[at]])
+            if face < first.get("duplicate", nf):
+                first["duplicate"], owner = face, int(heads[at])
+    if not first:
+        return
+    pos = min(first.values())
+    face = tuple(int(i) for i in indices[offsets[pos]:offsets[pos + 1]])
+    if first.get("short") == pos:
+        message = f"face {pos} has {len(face)} vertices; need at least 3"
+    elif first.get("range") == pos:
+        message = (f"face {pos} references vertex {int(indices[outside[0]])}, valid range is "
+                   f"{index_base}..{n - 1 + index_base}")
+    elif first.get("repeat") == pos:
+        message = f"face {pos} repeats a vertex: {face}"
+    else:
+        message = f"face {pos} duplicates face {owner} (identical up to rotation/reversal)"
+    raise InvalidComplexError(message, face=pos)
+
+
+# ---------------------------------------------------------------------------
+# Edge table
+# ---------------------------------------------------------------------------
+
+class EdgeTable(NamedTuple):
+    """The face sides of a complex, sorted into undirected edges.
+
+    Half-edge h is the side of its face that leaves corner h: it runs
+    from corners[h] to corners[nxt[h]].  order lists the half-edges by
+    edge key min * V + max, stably, so the sides of one edge are adjacent
+    and in face order; edge e is ends[e], sorted pairs in lexicographic
+    order, and owns order[starts[e]:starts[e + 1]].
+    """
+
+    origin: np.ndarray
+    dest: np.ndarray
+    nxt: np.ndarray
+    face_of: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray     # n_edges + 1 positions in order
+    edge_of: np.ndarray    # half-edge -> edge
+    ends: np.ndarray       # (n_edges, 2)
+
+
+def edge_table(complex: CellComplex) -> EdgeTable:
+    """Build the EdgeTable of a complex from one stable sort."""
+    origin, offsets = complex.corners, complex.offsets
+    nh = origin.size
+    nxt = np.arange(1, nh + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    dest = origin[nxt]
+    lo, hi = np.minimum(origin, dest), np.maximum(origin, dest)
+    key = lo * complex.n_vertices + hi
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    starts = np.append(np.flatnonzero(new), nh)
+    edge_of = np.empty(nh, dtype=np.int64)
+    edge_of[order] = np.cumsum(new) - 1
+    first = order[starts[:-1]]
+    face_of = np.repeat(np.arange(complex.n_faces), np.diff(offsets))
+    return EdgeTable(origin, dest, nxt, face_of, order, starts, edge_of,
+                     np.stack([lo[first], hi[first]], axis=1))
 
 
 def edge_census(complex: CellComplex) -> dict[tuple[int, int], int]:
     """Count how many face sides realize each undirected edge.
 
-    Keys are sorted vertex pairs.  A closed 2-manifold uses every edge
-    exactly twice; anything else shows up here as a count of 1 or >= 3.
+    Keys are sorted vertex pairs, in sorted order.  A closed 2-manifold
+    uses every edge exactly twice; anything else shows up here as a count
+    of 1 or >= 3.
     """
-    census: Counter[tuple[int, int]] = Counter()
-    for face in complex.faces:
-        k = len(face)
-        for i in range(k):
-            u, v = face[i], face[(i + 1) % k]
-            census[(u, v) if u < v else (v, u)] += 1
-    return dict(census)
+    t = edge_table(complex)
+    return dict(zip(map(tuple, t.ends.tolist()), np.diff(t.starts).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +331,31 @@ def edge_census(complex: CellComplex) -> dict[tuple[int, int], int]:
 class HalfEdgeMesh:
     """Half-edge view of a closed 2-manifold complex.
 
-    Half-edges are the directed face sides, enumerated face by face.  twin
-    pairs the two sides realizing the same undirected edge; for a
-    nonorientable gluing the twin may traverse the edge in the SAME
-    direction, which is what the orientability scan keys on.
+    Half-edges are the directed face sides, enumerated face by face, as in
+    the complex's corner array: half-edge h leaves corner h.  twin pairs
+    the two sides realizing the same undirected edge; for a nonorientable
+    gluing the twin may traverse the edge in the SAME direction, which is
+    what the orientability scan keys on.  The per-half-edge fields are
+    read-only int64 arrays.
 
-    vertex_stars[v] lists the corners (face, position-in-face) around v in
-    cyclic order; star_entry_neighbors[v][k] is the neighbor vertex u such
-    that edge {v, u} is crossed to enter corner k from corner k-1.  The
-    closed-manifold check guarantees each star is a single cycle.
+    The star of vertex v is star_corners[star_offsets[v]:star_offsets[v + 1]]:
+    the half-edges leaving v, i.e. its corners, in cyclic order, and
+    star_entries holds for each the neighbor u such that edge {v, u} is
+    crossed to enter it from the one before.  vertex_stars[v] lists the
+    same corners as (face, position-in-face) pairs and
+    star_entry_neighbors[v] the same neighbors.  The closed-manifold check
+    guarantees each star is a single cycle.
     """
 
     complex: CellComplex
-    origin: tuple[int, ...]          # half-edge -> source vertex
-    face_of: tuple[int, ...]         # half-edge -> face index
-    twin: tuple[int, ...]            # half-edge -> opposite side of its edge
-    edges: tuple[tuple[int, int], ...]           # sorted pairs, lexicographic order
-    vertex_stars: tuple[tuple[tuple[int, int], ...], ...]
-    star_entry_neighbors: tuple[tuple[int, ...], ...]
+    origin: np.ndarray         # half-edge -> source vertex
+    face_of: np.ndarray        # half-edge -> face index
+    twin: np.ndarray           # half-edge -> opposite side of its edge
+    edge_of: np.ndarray        # half-edge -> row of edge_ends
+    edge_ends: np.ndarray      # (n_edges, 2) sorted pairs, lexicographic order
+    star_corners: np.ndarray
+    star_entries: np.ndarray
+    star_offsets: np.ndarray   # n_vertices + 1
 
     @property
     def n_vertices(self) -> int:
@@ -215,24 +363,31 @@ class HalfEdgeMesh:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_ends)
 
     @property
     def n_faces(self) -> int:
         return self.complex.n_faces
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted vertex pairs, lexicographic order."""
+        return tuple(map(tuple, self.edge_ends.tolist()))
 
-def _half_edges(complex: CellComplex):
-    """Enumerate (origin, destination, face, position) for every face side."""
-    origin, destination, face_of, pos_in_face = [], [], [], []
-    for fi, face in enumerate(complex.faces):
-        k = len(face)
-        for i in range(k):
-            origin.append(face[i])
-            destination.append(face[(i + 1) % k])
-            face_of.append(fi)
-            pos_in_face.append(i)
-    return origin, destination, face_of, pos_in_face
+    @cached_property
+    def vertex_stars(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        faces = self.face_of[self.star_corners]
+        pairs = list(zip(faces.tolist(),
+                         (self.star_corners - self.complex.offsets[faces]).tolist()))
+        return self._per_vertex(pairs)
+
+    @cached_property
+    def star_entry_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return self._per_vertex(self.star_entries.tolist())
+
+    def _per_vertex(self, items: list) -> tuple:
+        bounds = self.star_offsets.tolist()
+        return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
@@ -240,115 +395,139 @@ def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
 
     Succeeds iff (a) every undirected edge is used by exactly two face
     sides and (b) the corners around every vertex form a single cycle.
-    Raises NotManifoldError carrying every defect found (boundary edges,
-    over-used edges, pinched vertices, isolated vertices); on success the
-    returned mesh satisfies the twin involution invariant.
+    Raises NotManifoldError carrying every defect found: boundary and
+    over-used edges in edge order, then isolated vertices, or, when there
+    are none of those, pinched vertices, each in vertex order.  On success
+    the returned mesh satisfies the twin involution invariant.
     """
-    origin, destination, face_of, pos_in_face = _half_edges(complex)
-    nh = len(origin)
-
-    sides: dict[tuple[int, int], list[int]] = {}
-    for h in range(nh):
-        u, v = origin[h], destination[h]
-        sides.setdefault((u, v) if u < v else (v, u), []).append(h)
-
+    t = edge_table(complex)
+    nh, nv = t.origin.size, complex.n_vertices
+    counts = np.diff(t.starts)
     defects: list[ManifoldDefect] = []
-    for edge in sorted(sides):
-        c = len(sides[edge])
+    bad = np.flatnonzero(counts != 2)
+    for edge, c in zip(map(tuple, t.ends[bad].tolist()), counts[bad].tolist()):
         if c == 1:
             defects.append(ManifoldDefect("boundary-edge", edge, "used by only one face"))
-        elif c > 2:
+        else:
             defects.append(ManifoldDefect("nonmanifold-edge", edge, f"used by {c} face sides"))
-
-    referenced = set(origin)
-    for v in range(complex.n_vertices):
-        if v not in referenced:
-            defects.append(ManifoldDefect("isolated-vertex", (v,), "no incident face"))
-
+    valence = np.bincount(t.origin, minlength=nv)
+    for v in np.flatnonzero(valence == 0).tolist():
+        defects.append(ManifoldDefect("isolated-vertex", (v,), "no incident face"))
     if defects:
         raise NotManifoldError(defects)
 
-    twin = [-1] * nh
-    for a, b in sides.values():
-        twin[a], twin[b] = b, a
+    # every edge has two sides, adjacent in the sorted order
+    twin = np.empty(nh, dtype=np.int64)
+    twin[t.order[0::2]] = t.order[1::2]
+    twin[t.order[1::2]] = t.order[0::2]
 
-    # Corners around each vertex: corner (f, i) at v = faces[f][i] is entered
-    # and left through its two incident edges {v, prev} and {v, next}.  The
-    # walk below hops corner -> corner across twinned sides; a manifold
-    # vertex yields one cycle, a pinched vertex several.
-    corners_at: list[list[tuple[int, int]]] = [[] for _ in range(complex.n_vertices)]
-    for h in range(nh):
-        corners_at[origin[h]].append((face_of[h], pos_in_face[h]))
+    # A walk around v sits in state 2h + s: at corner h (the half-edge
+    # leaving v), entered over its incoming side prev -> v (s = 1) or over
+    # its outgoing side v -> next (s = 0); with nonorientable gluings both
+    # occur.  It leaves over the other side and crosses to the twin: if the
+    # twin leaves v too, that twin is the next corner, entered over its
+    # outgoing side, else the corner after it in its face, entered over
+    # its incoming side.  step is that map on all 2 * nh states at once.
+    prev = np.empty(nh, dtype=np.int64)
+    prev[t.nxt] = np.arange(nh)
+    leave = np.stack([prev, np.arange(nh)], axis=1).ravel()
+    across = twin[leave]
+    step = np.where(t.origin[across] == np.repeat(t.origin, 2), 2 * across, 2 * t.nxt[across] + 1)
+    entry = np.stack([t.dest, t.origin[prev]], axis=1).ravel()
 
-    # half-edges are numbered face by face: side i of face fi is first[fi] + i
-    first = [h for h in range(nh) if pos_in_face[h] == 0]
-
-    stars: list[tuple[tuple[int, int], ...]] = []
-    entry_neighbors: list[tuple[int, ...]] = []
-    for v in range(complex.n_vertices):
-        corners = sorted(corners_at[v])
-        remaining = set(corners)
-        start = corners[0]
-        cycle: list[tuple[int, int]] = []
-        entries: list[int] = []
-        # Each corner has exactly two incident edges at v; the walk enters
-        # over one and must leave over the other.  With nonorientable
-        # gluings a twin crossing can land on a corner's OUTGOING side, so
-        # the entry parity has to be tracked rather than assumed.
-        corner = start
-        fi, i = start
-        entry_neighbor = complex.faces[fi][(i - 1) % len(complex.faces[fi])]
-        entered_via_incoming = True
-        while True:
-            cycle.append(corner)
-            remaining.discard(corner)
-            entries.append(entry_neighbor)
-            fi, i = corner
-            k = len(complex.faces[fi])
-            if entered_via_incoming:
-                exit_he = first[fi] + i             # leave over v -> next
-            else:
-                exit_he = first[fi] + (i - 1) % k   # leave over prev -> v
-            entry_neighbor = destination[exit_he] if origin[exit_he] == v else origin[exit_he]
-            t = twin[exit_he]
-            tf, ti = face_of[t], pos_in_face[t]
-            if origin[t] == v:
-                corner = (tf, ti)
-                entered_via_incoming = False
-            else:
-                corner = (tf, (ti + 1) % len(complex.faces[tf]))
-                entered_via_incoming = True
-            if corner == start or corner not in remaining:
-                break
-        if remaining:
-            defects.append(
-                ManifoldDefect(
-                    "pinched-vertex",
-                    (v,),
-                    f"{len(corners)} corners form more than one cycle "
-                    f"({len(cycle)} reached from the first)",
-                )
-            )
-        stars.append(tuple(cycle))
-        entry_neighbors.append(tuple(entries))
-
+    # Every star starts at its vertex's first corner, entered over its
+    # incoming side, and is walked for all vertices in lockstep.  The walk
+    # stays among v's corners and meets each at most once, so it returns
+    # within valence steps; returning earlier means more than one cycle.
+    star_offsets = np.cumsum(np.concatenate([[0], valence]))
+    start = 2 * np.argsort(t.origin, kind="stable")[star_offsets[:-1]] + 1
+    states = np.empty(nh, dtype=np.int64)
+    length = np.zeros(nv, dtype=np.int64)
+    closed = np.zeros(nv, dtype=bool)
+    active = np.arange(nv)
+    state = start
+    k = 0
+    while active.size:
+        states[star_offsets[active] + k] = state
+        state = step[state]
+        k += 1
+        back = state == start[active]
+        going = ~back & (k < valence[active])
+        length[active[~going]] = k
+        closed[active[back]] = True
+        active, state = active[going], state[going]
+    pinched = np.flatnonzero((length < valence) | ~closed)
+    for v in pinched.tolist():
+        defects.append(ManifoldDefect(
+            "pinched-vertex", (v,),
+            f"{valence[v]} corners form more than one cycle ({length[v]} reached from the first)",
+        ))
     if defects:
         raise NotManifoldError(defects)
 
     return HalfEdgeMesh(
         complex=complex,
-        origin=tuple(origin),
-        face_of=tuple(face_of),
-        twin=tuple(twin),
-        edges=tuple(sorted(sides)),
-        vertex_stars=tuple(stars),
-        star_entry_neighbors=tuple(entry_neighbors),
+        origin=t.origin,
+        face_of=_frozen(t.face_of),
+        twin=_frozen(twin),
+        edge_of=_frozen(t.edge_of),
+        edge_ends=_frozen(t.ends),
+        star_corners=_frozen(states >> 1),
+        star_entries=_frozen(entry[states]),
+        star_offsets=_frozen(star_offsets),
     )
 
 
 def euler_characteristic(mesh: HalfEdgeMesh) -> int:
     """V - E + F of the underlying complex."""
     return mesh.n_vertices - mesh.n_edges + mesh.n_faces
+
+
+# ---------------------------------------------------------------------------
+# Signed components
+# ---------------------------------------------------------------------------
+
+def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label every node of the graph with links (a[k], b[k]) by the
+    smallest node of its component.
+
+    Each round hooks the larger of two roots that a link joins to the
+    smaller, then jumps pointers until every node points at its root.
+    A link whose ends share a root keeps sharing it, so it is dropped.
+    """
+    label = np.arange(n)
+    while a.size:
+        la, lb = label[a], label[b]
+        split = la != lb
+        a, b, la, lb = a[split], b[split], la[split], lb[split]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    return label
+
+
+def signed_components(n: int, a: np.ndarray, b: np.ndarray,
+                      flip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Components and balance of a signed graph on nodes 0 .. n - 1.
+
+    Link k joins a[k] and b[k]; it asks for equal node signs, or for
+    opposite ones where flip[k].  Returns, per node, the smallest node of
+    its component, and whether the component is unbalanced: no choice of
+    signs satisfies all its links, i.e. it has a cycle with an odd number
+    of flips.  Both come from the signed double cover, with nodes 2x and
+    2x + 1 for the two signs of x: a balanced component lifts to two
+    components, an unbalanced one to a single one, which holds both
+    copies of each of its nodes.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    lift = 2 * b + np.asarray(flip, dtype=np.int64)
+    label = _min_labels(2 * n, np.concatenate([2 * a, 2 * a + 1]),
+                        np.concatenate([lift, lift ^ 1]))
+    return label[0::2] >> 1, label[0::2] == label[1::2]
 
 
 @dataclass(frozen=True)
@@ -366,40 +545,27 @@ class OrientabilityReport:
         return all(self.per_component)
 
 
+def _dual_components(mesh: HalfEdgeMesh) -> tuple[np.ndarray, np.ndarray]:
+    """signed_components of the faces, linked across every edge; a link
+    flips when its two sides traverse the edge in the same direction."""
+    h = np.flatnonzero(np.arange(mesh.twin.size) < mesh.twin)
+    t = mesh.twin[h]
+    return signed_components(mesh.n_faces, mesh.face_of[h], mesh.face_of[t],
+                             mesh.origin[h] == mesh.origin[t])
+
+
 def orientability(mesh: HalfEdgeMesh) -> OrientabilityReport:
-    """Decide orientability by propagating face orientations across edges.
+    """Decide orientability per component of the face-adjacency graph.
 
     Two faces are coherently oriented across a shared edge iff their two
-    sides traverse it in opposite directions.  A breadth-first sweep
-    assigns each face a flip flag; any contradiction makes the component
-    nonorientable.  Disconnected input is reported per component rather
-    than rejected.
+    sides traverse it in opposite directions.  Giving each face a flip
+    flag, a component is orientable iff flags exist that every edge
+    accepts: its signed dual graph is balanced.  Disconnected input is
+    reported per component rather than rejected.
     """
-    nf = mesh.n_faces
-    flip = [-1] * nf
-    verdict: list[bool] = []
-    he_of_face: list[list[int]] = [[] for _ in range(nf)]
-    for h, f in enumerate(mesh.face_of):
-        he_of_face[f].append(h)
-    for seed in range(nf):
-        if flip[seed] != -1:
-            continue
-        verdict.append(True)
-        flip[seed] = 0
-        queue = deque([seed])
-        while queue:
-            f = queue.popleft()
-            for h in he_of_face[f]:
-                t = mesh.twin[h]
-                g = mesh.face_of[t]
-                # Opposite traversal -> same flag; same traversal -> opposite flag.
-                expected = flip[f] if mesh.origin[h] != mesh.origin[t] else 1 - flip[f]
-                if flip[g] == -1:
-                    flip[g] = expected
-                    queue.append(g)
-                elif flip[g] != expected:
-                    verdict[-1] = False
-    return OrientabilityReport(per_component=tuple(verdict))
+    label, unbalanced = _dual_components(mesh)
+    roots = np.flatnonzero(label == np.arange(mesh.n_faces))
+    return OrientabilityReport(per_component=tuple((~unbalanced[roots]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -411,5 +577,6 @@ class ComponentLabels:
 
 def connected_components(mesh: HalfEdgeMesh) -> ComponentLabels:
     """Count the components of the face-adjacency graph (faces sharing an
-    edge); orientability's sweep visits each component once."""
-    return ComponentLabels(count=len(orientability(mesh).per_component))
+    edge), labelled as orientability labels them."""
+    label, _ = _dual_components(mesh)
+    return ComponentLabels(count=int(np.count_nonzero(label == np.arange(mesh.n_faces))))

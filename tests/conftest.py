@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from flatcheck import (
     CellComplex,
     GeneratorSpec,
     IntersectionReport,
+    InvalidComplexError,
+    ManifoldDefect,
     PairContact,
     build_complex,
+    canonical_face,
     check_closed_manifold,
     generate,
     standard_corpus,
@@ -84,6 +88,173 @@ def brute_report(soup):
             elif intersect._beyond_allowed(*found, *cells):
                 overlaps.append(PairContact(i, j, found[0]))
     return IntersectionReport(tuple(pairs), tuple(overlaps), n * (n - 1) // 2)
+
+
+# ---------------------------------------------------------------------------
+# Face-by-face referees of the array-backed combinatorial core
+# ---------------------------------------------------------------------------
+
+def referee_build(raw_vertices, raw_faces, index_base=0):
+    """(vertices, 0-based faces) as build_complex must return them, checked
+    face by face; raises the InvalidComplexError it must raise."""
+    if index_base not in (0, 1):
+        raise InvalidComplexError(f"index_base must be 0 or 1, got {index_base}")
+    verts = np.asarray(list(raw_vertices), dtype=np.float64)
+    if verts.size == 0:
+        verts = verts.reshape(0, 3)
+    if verts.ndim == 2:
+        bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+        if bad.size:
+            v = int(bad[0])
+            raise InvalidComplexError(
+                f"vertex {v + index_base} has a non-finite coordinate: {verts[v].tolist()}"
+            )
+    n = verts.shape[0]
+    faces = []
+    seen = {}
+    for pos, raw in enumerate(raw_faces):
+        face = tuple(int(i) - index_base for i in raw)
+        if len(face) < 3:
+            raise InvalidComplexError(f"face {pos} has {len(face)} vertices; need at least 3")
+        for i in face:
+            if not (0 <= i < n):
+                raise InvalidComplexError(
+                    f"face {pos} references vertex {i + index_base}, valid range is "
+                    f"{index_base}..{n - 1 + index_base}"
+                )
+        if len(set(face)) != len(face):
+            raise InvalidComplexError(
+                f"face {pos} repeats a vertex: {tuple(i + index_base for i in face)}")
+        key = canonical_face(face)
+        if key in seen:
+            raise InvalidComplexError(
+                f"face {pos} duplicates face {seen[key]} (identical up to rotation/reversal)"
+            )
+        seen[key] = pos
+        faces.append(face)
+    if not faces:
+        raise InvalidComplexError("complex has no faces")
+    return verts, tuple(faces)
+
+
+def referee_manifold(complex: CellComplex) -> dict:
+    """The closed-manifold check side by side and corner by corner.
+
+    Returns {"defects": [...]} with every ManifoldDefect in the order
+    check_closed_manifold must raise them, which is empty for a closed
+    manifold; then also the half-edge fields as tuples ("origin",
+    "face_of", "twin", "edges", "vertex_stars", "star_entry_neighbors").
+    """
+    origin, destination, face_of, pos_in_face = [], [], [], []
+    for fi, face in enumerate(complex.faces):
+        k = len(face)
+        for i in range(k):
+            origin.append(face[i])
+            destination.append(face[(i + 1) % k])
+            face_of.append(fi)
+            pos_in_face.append(i)
+    nh = len(origin)
+
+    sides = {}
+    for h in range(nh):
+        u, v = origin[h], destination[h]
+        sides.setdefault((u, v) if u < v else (v, u), []).append(h)
+
+    defects = []
+    for edge in sorted(sides):
+        c = len(sides[edge])
+        if c == 1:
+            defects.append(ManifoldDefect("boundary-edge", edge, "used by only one face"))
+        elif c > 2:
+            defects.append(ManifoldDefect("nonmanifold-edge", edge, f"used by {c} face sides"))
+    referenced = set(origin)
+    for v in range(complex.n_vertices):
+        if v not in referenced:
+            defects.append(ManifoldDefect("isolated-vertex", (v,), "no incident face"))
+    if defects:
+        return {"defects": defects}
+
+    twin = [-1] * nh
+    for a, b in sides.values():
+        twin[a], twin[b] = b, a
+
+    # hop corner -> corner across twinned sides, tracking which side of
+    # the corner the walk entered over
+    corners_at = [[] for _ in range(complex.n_vertices)]
+    for h in range(nh):
+        corners_at[origin[h]].append((face_of[h], pos_in_face[h]))
+    first = [h for h in range(nh) if pos_in_face[h] == 0]
+    stars, entry_neighbors = [], []
+    for v in range(complex.n_vertices):
+        corners = sorted(corners_at[v])
+        remaining = set(corners)
+        start = corners[0]
+        cycle, entries = [], []
+        corner = start
+        fi, i = start
+        entry_neighbor = complex.faces[fi][(i - 1) % len(complex.faces[fi])]
+        entered_via_incoming = True
+        while True:
+            cycle.append(corner)
+            remaining.discard(corner)
+            entries.append(entry_neighbor)
+            fi, i = corner
+            k = len(complex.faces[fi])
+            exit_he = first[fi] + i if entered_via_incoming else first[fi] + (i - 1) % k
+            entry_neighbor = destination[exit_he] if origin[exit_he] == v else origin[exit_he]
+            t = twin[exit_he]
+            tf, ti = face_of[t], pos_in_face[t]
+            if origin[t] == v:
+                corner = (tf, ti)
+                entered_via_incoming = False
+            else:
+                corner = (tf, (ti + 1) % len(complex.faces[tf]))
+                entered_via_incoming = True
+            if corner == start or corner not in remaining:
+                break
+        if remaining:
+            defects.append(ManifoldDefect(
+                "pinched-vertex", (v,),
+                f"{len(corners)} corners form more than one cycle "
+                f"({len(cycle)} reached from the first)",
+            ))
+        stars.append(tuple(cycle))
+        entry_neighbors.append(tuple(entries))
+    if defects:
+        return {"defects": defects}
+    return {"defects": [], "origin": tuple(origin), "face_of": tuple(face_of),
+            "twin": tuple(twin), "edges": tuple(sorted(sides)),
+            "vertex_stars": tuple(stars), "star_entry_neighbors": tuple(entry_neighbors)}
+
+
+def referee_orientability(found: dict, n_faces: int) -> tuple[bool, ...]:
+    """Orientability per component, in order of lowest face, by a
+    breadth-first sweep of face flip flags over referee_manifold's fields."""
+    origin, face_of, twin = found["origin"], found["face_of"], found["twin"]
+    flip = [-1] * n_faces
+    verdict = []
+    he_of_face = [[] for _ in range(n_faces)]
+    for h, f in enumerate(face_of):
+        he_of_face[f].append(h)
+    for seed in range(n_faces):
+        if flip[seed] != -1:
+            continue
+        verdict.append(True)
+        flip[seed] = 0
+        queue = deque([seed])
+        while queue:
+            f = queue.popleft()
+            for h in he_of_face[f]:
+                t = twin[h]
+                g = face_of[t]
+                # opposite traversal -> same flag; same traversal -> opposite flag
+                expected = flip[f] if origin[h] != origin[t] else 1 - flip[f]
+                if flip[g] == -1:
+                    flip[g] = expected
+                    queue.append(g)
+                elif flip[g] != expected:
+                    verdict[-1] = False
+    return tuple(verdict)
 
 
 @pytest.fixture(scope="session")

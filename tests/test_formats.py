@@ -213,3 +213,52 @@ def test_nonmanifold_file_still_loads(tmp_path):
 def test_write_mesh_unknown_extension(tmp_path):
     with pytest.raises(FormatError):
         write_mesh(_awkward_complex(), tmp_path / "m.xyz")
+
+
+def test_off_build_error_names_line(tmp_path):
+    # comments and blank lines shift the line numbers away from the counts
+    path = tmp_path / "rep.off"
+    path.write_text("OFF\n3 2 0\n0 0 0\n# moved\n1 0 0\n0 1 0\n\n3 0 1 2\n3 2 1 0\n")
+    with pytest.raises(FormatError) as exc:
+        read_off(path)
+    assert str(exc.value) == (f"{path}: face 1 duplicates face 0 "
+                              "(identical up to rotation/reversal) (line 9)")
+    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n")
+    with pytest.raises(FormatError) as exc:
+        read_off(path)
+    assert str(exc.value) == f"{path}: face 0 repeats a vertex: (0, 1, 1) (line 6)"
+    path.write_text("OFF\n3 1 0\n0 0 0\n\n1 nan 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(FormatError) as exc:
+        read_off(path)
+    assert str(exc.value) == f"{path}: vertex 1 has a non-finite coordinate: [1.0, nan, 0.0] (line 5)"
+
+
+def test_obj_build_error_names_line(tmp_path):
+    # records interleave, and other records take lines too
+    path = tmp_path / "rep.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1 2 3\nv 0 inf 1\nf 3 2 4\n")
+    with pytest.raises(FormatError) as exc:
+        read_obj(path)
+    assert str(exc.value) == f"{path}: vertex 4 has a non-finite coordinate: [0.0, inf, 1.0] (line 6)"
+    path.write_text("v 0 0 0\nv 1 0 0\nvn 0 0 1\nv 0 1 0\nf 1 2 3\nf 3 2 1\n")
+    with pytest.raises(FormatError) as exc:
+        read_obj(path)
+    assert str(exc.value) == (f"{path}: face 1 duplicates face 0 "
+                              "(identical up to rotation/reversal) (line 6)")
+
+
+def test_pair_build_error_names_line(tmp_path):
+    # a face names its line in the faces file, a vertex its line in the
+    # vertices file
+    fp, vp = tmp_path / "faces.txt", tmp_path / "vertices.txt"
+    vp.write_text("0 0 0\n1 0 0\n# apex\n0 1 0\n")
+    fp.write_text("1 2 3\n\n2 3 3\n")
+    with pytest.raises(FormatError) as exc:
+        read_pair(fp, vp)
+    assert str(exc.value) == f"{fp}: face 1 repeats a vertex: (2, 3, 3) (line 3)"
+    vp.write_text("0 0 0\n1 0 0\n# apex\n0 -inf 0\n")
+    fp.write_text("1 2 3\n")
+    with pytest.raises(FormatError) as exc:
+        read_pair(fp, vp)
+    assert str(exc.value) == (f"{fp}: vertex 3 has a non-finite coordinate: [0.0, -inf, 0.0] "
+                              f"({vp} line 4)")

@@ -3,14 +3,16 @@
 The dense Smith form is cross-checked against the determinantal-divisor
 definition: the k-th invariant factor equals gcd(k-minors) / gcd((k-1)-minors),
 computed here by brute cofactor expansion over all k-by-k submatrices.  The
-dense form referees the spanning-forest form of a signed graph's incidence
-matrix, which homology_profile uses for d1 and d2; any other matrix takes
-the dense form itself, and explicit Betti numbers and torsion referee it.
+dense form referees the signed-forest form of a signed graph's incidence
+matrix, which homology_profile uses for d1 and d2; homology_profile refuses
+any other matrix, and the dense form gives its explicit Betti numbers and
+torsion here.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +24,7 @@ from flatcheck import (
     BoundaryMatrices,
     GeneratorSpec,
     HomologyProfile,
+    MeshError,
     boundary_matrices,
     build_complex,
     canonical_face,
@@ -33,24 +36,62 @@ from flatcheck import (
     orientability,
     smith_normal_form,
 )
-from flatcheck.homology import _columns, _dense, _forest_smith
+from flatcheck.homology import _forest_smith
 
 from conftest import grid_klein, grid_torus, tetra
+
+
+def _coo(items):
+    """(row, column, entry) arrays of (row, column, entry) triples."""
+    row, col, entry = zip(*items) if items else ((), (), ())
+    return tuple(np.array(x, dtype=np.int64) for x in (row, col, entry))
+
+
+def _dense(coo, shape) -> np.ndarray:
+    """Object-dtype dense matrix of COO entries (repeats add up)."""
+    out = np.zeros(shape, dtype=object)
+    for i, j, a in zip(*(x.tolist() for x in coo)):
+        out[i, j] += a
+    return out
+
+
+def _forest_of_columns(n_nodes, columns):
+    """_forest_smith of columns given as column -> entry maps or
+    (row, entry) pairs."""
+    coo = _coo([(i, j, a) for j, col in enumerate(columns) for i, a in dict(col).items()])
+    return _forest_smith(n_nodes, coo[0], coo[1], coo[2], len(columns))
 
 
 def _assert_forest_matches(n_nodes, columns, label=""):
     """The forest form of the columns (column -> entry maps) equals the
     dense form of their transpose (the columns read as rows), which has
     the same Smith form."""
-    forest = _forest_smith(n_nodes, [col.items() for col in columns])
+    forest = _forest_of_columns(n_nodes, columns)
     assert forest is not None, label
-    assert forest == smith_normal_form(_dense(columns, n_nodes)), label
+    rows = _coo([(j, i, a) for j, col in enumerate(columns) for i, a in col.items()])
+    assert forest == smith_normal_form(_dense(rows, (len(columns), n_nodes))), label
+
+
+def _d1_rows(b: BoundaryMatrices):
+    """d1's rows as column -> entry maps: the columns of its signed graph."""
+    rows = [{} for _ in range(b.n_edges)]
+    for e, v, a in zip(*(x.tolist() for x in b.d1)):
+        rows[e][v] = a
+    return rows
+
+
+def _d2_columns(b: BoundaryMatrices):
+    """d2's columns as row -> entry maps."""
+    cols = [{} for _ in range(b.n_edges)]
+    for f, e, a in zip(*(x.tolist() for x in b.d2)):
+        cols[e][f] = a
+    return cols
 
 
 def _dense_profile(b: BoundaryMatrices) -> HomologyProfile:
     """homology_profile's formulas on the dense Smith forms of d1 and d2."""
-    s1 = smith_normal_form(_dense(b.d1, b.n_vertices))
-    s2 = smith_normal_form(_dense(b.d2, b.n_edges))
+    s1 = smith_normal_form(_dense(b.d1, (b.n_edges, b.n_vertices)))
+    s2 = smith_normal_form(_dense(b.d2, (b.n_faces, b.n_edges)))
     return HomologyProfile(
         betti=(b.n_vertices - s1.rank, b.n_edges - s1.rank - s2.rank, b.n_faces - s2.rank),
         torsion=(s1.torsion, s2.torsion, ()),
@@ -154,9 +195,8 @@ def test_sparse_smith_matches_dense_on_corpus(corpus_halfedge):
     corpus mesh."""
     for label, mesh in corpus_halfedge.items():
         b = boundary_matrices(mesh)
-        _assert_forest_matches(b.n_vertices, b.d1, f"{label} d1")
-        _assert_forest_matches(b.n_faces, [dict(c) for c in _columns(b.d2, b.n_edges)],
-                               f"{label} d2")
+        _assert_forest_matches(b.n_vertices, _d1_rows(b), f"{label} d1")
+        _assert_forest_matches(b.n_faces, _d2_columns(b), f"{label} d2")
 
 
 @st.composite
@@ -205,7 +245,7 @@ def test_forest_smith_matches_sparse_and_dense(graph):
     [((0, 1), (1, -1)), ((0, 3),)],
 ])
 def test_forest_smith_refuses_other_matrices(columns):
-    assert _forest_smith(3, columns) is None
+    assert _forest_of_columns(3, columns) is None
 
 
 @settings(max_examples=20, deadline=None)
@@ -224,8 +264,8 @@ def test_sparse_smith_matches_dense_on_relabelled_klein(seed):
         faces.append(tuple(g[k:] + g[:k]))
     rng.shuffle(faces)
     b = boundary_matrices(check_closed_manifold(build_complex(verts, faces)))
-    _assert_forest_matches(b.n_vertices, b.d1, "d1")
-    _assert_forest_matches(b.n_faces, [dict(c) for c in _columns(b.d2, b.n_edges)], "d2")
+    _assert_forest_matches(b.n_vertices, _d1_rows(b), "d1")
+    _assert_forest_matches(b.n_faces, _d2_columns(b), "d2")
     prof = homology_profile(b)
     assert prof.betti == (1, 1, 0)
     assert prof.torsion == ((), (2,), ())
@@ -236,19 +276,22 @@ def test_boundary_composition_is_zero(corpus_halfedge):
     # so boundary-of-boundary reads d2 @ d1
     for label, mesh in corpus_halfedge.items():
         b = boundary_matrices(mesh)
-        d1 = _dense(b.d1, b.n_vertices)
-        prod = _dense(b.d2, b.n_edges) @ d1
+        d1 = _dense(b.d1, (b.n_edges, b.n_vertices))
+        prod = _dense(b.d2, (b.n_faces, b.n_edges)) @ d1
         assert not prod.any(), label
         assert d1.shape == (len(b.edges), mesh.complex.n_vertices)
+        # one d2 entry per half-edge, two d1 entries per edge
+        assert len(b.d2[0]) == len(mesh.twin) and len(b.d1[0]) == 2 * mesh.n_edges, label
 
 
 def test_boundary_rows_follow_mesh_edges():
     mesh = check_closed_manifold(grid_klein(3, 3))
     from_mesh = boundary_matrices(mesh)
     from_complex = boundary_matrices(mesh.complex)
-    assert from_mesh.edges == from_complex.edges == mesh.edges
-    assert from_mesh.d1 == from_complex.d1
-    assert from_mesh.d2 == from_complex.d2
+    assert tuple(map(tuple, from_mesh.edges.tolist())) == mesh.edges
+    assert np.array_equal(from_mesh.edges, from_complex.edges)
+    for a, b in zip(from_mesh.d1 + from_mesh.d2, from_complex.d1 + from_complex.d2):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
@@ -300,35 +343,51 @@ def test_open_complexes():
 ], ids=["grid_torus", "grid_klein"])
 def test_edge_in_three_faces_takes_sparse_path(maker, betti, torsion):
     """d2 of a complex with an edge in three faces is no signed graph's, so
-    homology_profile takes the dense form; the explicit profile referees
-    it."""
-    # a fin: one more triangle on edge (0, 1), to a new vertex off the surface
-    base = maker(3, 3)
-    verts = [tuple(p) for p in base.vertices] + [(0.5, 0.5, 9.0)]
-    fin = build_complex(verts, list(base.faces) + [(0, 1, base.n_vertices)])
+    homology_profile refuses it, naming the edge; the dense form gives its
+    explicit profile."""
+    fin = _with_fin(maker(3, 3))
     b = boundary_matrices(fin)
-    assert _forest_smith(b.n_faces, _columns(b.d2, b.n_edges)) is None
-    prof = homology_profile(b)
-    assert prof == _dense_profile(b)
+    assert _forest_of_columns(b.n_faces, _d2_columns(b)) is None
+    with pytest.raises(MeshError, match=r"^edge \(0, 1\) lies in 3 faces; "):
+        homology_profile(b)
+    prof = _dense_profile(b)
     assert (prof.betti, prof.torsion) == (betti, torsion)
 
 
-@pytest.mark.parametrize("d1,d2,betti,torsion", [
+def _with_fin(base):
+    """base with a fin: one more triangle on edge (0, 1), to a new vertex
+    off the surface."""
+    verts = [tuple(p) for p in base.vertices] + [(0.5, 0.5, 9.0)]
+    return build_complex(verts, list(base.faces) + [(0, 1, base.n_vertices)])
+
+
+def test_fin_on_large_torus_is_refused_quickly():
+    """grid_torus 32^2 with a fin (2,049 faces) is refused in linear time
+    and memory, with the edge named; a dense Smith form of its d2 took
+    seconds and grows with the product of the matrix's sides."""
+    fin = _with_fin(grid_torus(32, 32))
+    with pytest.raises(MeshError, match=r"^edge \(0, 1\) lies in 3 faces; "):
+        homology_profile(boundary_matrices(fin))
+
+
+@pytest.mark.parametrize("d1,d2,betti,torsion,refusal", [
     # the cell structure of the projective plane: one vertex, one loop
     # edge, one face wrapping twice around it
-    (({},), ({0: 2},), (1, 0, 0), ((), (2,), ())),
-    (({},), ({0: -3},), (1, 0, 0), ((), (3,), ())),
+    ([], [(0, 0, 2)], (1, 0, 0), ((), (2,), ()), "d2 has entry 2 at face 0, edge 0; "),
+    ([], [(0, 0, -3)], (1, 0, 0), ((), (3,), ()), "d2 has entry -3 at face 0, edge 0; "),
     # a chain complex whose d1 is no graph's: H0 = Z/2
-    (({0: 2},), (), (0, 0, 0), ((2,), (), ())),
+    ([(0, 0, 2)], [], (0, 0, 0), ((2,), (), ()), "d1 has entry 2 at edge 0, vertex 0; "),
 ], ids=["projective-plane", "z3-torsion", "h0-torsion"])
-def test_non_unit_entry_takes_sparse_path(d1, d2, betti, torsion):
-    """An entry other than +-1 sends its matrix to the dense form."""
-    b = BoundaryMatrices(d1=d1, d2=d2, edges=((0, 0),), n_vertices=1)
-    assert (_forest_smith(b.n_vertices, [row.items() for row in b.d1]) is None
-            or _forest_smith(b.n_faces, _columns(b.d2, b.n_edges)) is None)
-    prof = homology_profile(b)
-    assert prof == _dense_profile(b)
-    assert prof == HomologyProfile(betti=betti, torsion=torsion)
+def test_non_unit_entry_takes_sparse_path(d1, d2, betti, torsion, refusal):
+    """An entry other than +-1 makes homology_profile refuse its matrix,
+    naming the entry; the dense form gives the explicit profile."""
+    b = BoundaryMatrices(d1=_coo(d1), d2=_coo(d2), edges=np.array([[0, 0]]), n_vertices=1,
+                         n_faces=len(d2))
+    assert (_forest_of_columns(b.n_vertices, _d1_rows(b)) is None
+            or _forest_of_columns(b.n_faces, _d2_columns(b)) is None)
+    with pytest.raises(MeshError, match="^" + re.escape(refusal)):
+        homology_profile(b)
+    assert _dense_profile(b) == HomologyProfile(betti=betti, torsion=torsion)
 
 
 def test_euler_poincare_on_corpus(corpus_halfedge):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
@@ -19,7 +19,8 @@ from flatcheck import (
     orientability,
 )
 
-from conftest import cube, grid_klein, grid_torus, icosa, tetra
+from conftest import (cube, grid_klein, grid_torus, icosa, referee_build, referee_manifold,
+                      referee_orientability, tetra)
 
 TETRA_VERTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 TETRA_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
@@ -192,3 +193,147 @@ def test_face_order_and_rotation_invariance(seed):
     assert euler_characteristic(mesh) == 0
     assert not orientability(mesh).orientable
     assert connected_components(mesh).count == 1
+
+
+# ---------------------------------------------------------------------------
+# The array-backed core against its face-by-face referees (conftest)
+# ---------------------------------------------------------------------------
+
+def _quad_grid(m, n, klein, split):
+    """m x n quad grid on the torus or the Klein bottle; split[q] keeps quad
+    q (0) or cuts it along one of its two diagonals (1, 2)."""
+    def cls(i, j):
+        if j >= n:
+            i, j = ((m - i) % m if klein else i), j - n
+        return j * m + i % m
+
+    faces = []
+    for q, (j, i) in enumerate((j, i) for j in range(n) for i in range(m)):
+        a, b, c, d = cls(i, j), cls(i + 1, j), cls(i + 1, j + 1), cls(i, j + 1)
+        faces += [[(a, b, c, d)], [(a, b, c), (a, c, d)], [(a, b, d), (b, c, d)]][split[q]]
+    return m * n, faces
+
+
+@st.composite
+def _combinatorial_cases(draw):
+    """(n_vertices, faces): a grid torus or Klein bottle (triangles, or
+    quads some of which are cut into triangles) or a tetrahedron,
+    optionally with a face deleted, a fin, a second copy joined at one
+    vertex or an isolated vertex, then relabelled, with every face rotated
+    and some reversed, in shuffled order."""
+    kind = draw(st.sampled_from(["grid_torus", "grid_klein", "mixed", "tetra"]))
+    m, n = draw(st.integers(3, 5)), draw(st.integers(3, 5))
+    if kind == "tetra":
+        nv, faces = 4, list(tetra().faces)
+    elif kind == "mixed":
+        split = draw(st.lists(st.integers(0, 2), min_size=m * n, max_size=m * n))
+        nv, faces = _quad_grid(m, n, draw(st.booleans()), split)
+    else:
+        base = (grid_torus if kind == "grid_torus" else grid_klein)(m, n)
+        nv, faces = base.n_vertices, list(base.faces)
+    if draw(st.integers(0, 2)) == 0:      # a second copy, joined at one vertex
+        joint = draw(st.integers(0, nv - 1))
+        faces += [tuple(joint if i == 0 else i + nv - 1 for i in f) for f in faces]
+        nv = 2 * nv - 1
+    if draw(st.integers(0, 3)) == 0:
+        del faces[draw(st.integers(0, len(faces) - 1))]
+    if draw(st.integers(0, 3)) == 0:      # a fin on one side of one face
+        f = faces[draw(st.integers(0, len(faces) - 1))]
+        i = draw(st.integers(0, len(f) - 1))
+        faces.append((f[i], f[(i + 1) % len(f)], nv))
+        nv += 1
+    if draw(st.integers(0, 3)) == 0:
+        nv += 1
+    perm = draw(st.permutations(range(nv)))
+    out = []
+    for f in faces:
+        g = [perm[i] for i in f]
+        k = draw(st.integers(0, len(g) - 1))
+        g = g[k:] + g[:k]
+        out.append(tuple(reversed(g)) if draw(st.integers(0, 4)) == 0 else tuple(g))
+    return nv, draw(st.permutations(out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_combinatorial_cases())
+@example(case=(7, [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2),
+                   (0, 4, 5), (0, 5, 6), (0, 6, 4), (4, 6, 5)]))   # two tetrahedra at a vertex
+def test_manifold_check_matches_referee(case):
+    """check_closed_manifold raises the referee's defects, equal in kind,
+    location, detail and order; on success its twins, edges and stars,
+    and orientability per component, equal the referee's."""
+    nv, faces = case
+    cx = build_complex(np.zeros((nv, 3)), faces)
+    ref = referee_manifold(cx)
+    try:
+        mesh = check_closed_manifold(cx)
+    except NotManifoldError as exc:
+        assert ref["defects"] and list(exc.defects) == ref["defects"]
+        return
+    assert ref["defects"] == []
+    for name in ("origin", "face_of", "twin"):
+        assert tuple(getattr(mesh, name).tolist()) == ref[name], name
+    for name in ("edges", "vertex_stars", "star_entry_neighbors"):
+        assert getattr(mesh, name) == ref[name], name
+    per_component = referee_orientability(ref, cx.n_faces)
+    assert orientability(mesh).per_component == per_component
+    assert connected_components(mesh).count == len(per_component)
+
+
+def _index_forms(draw, face):
+    """The same indices as Python ints, a NumPy int array or NumPy scalars."""
+    form = draw(st.sampled_from(["int", "array", "scalar"]))
+    if form == "array":
+        return np.array(face, dtype=draw(st.sampled_from([np.int64, np.int32])))
+    if form == "scalar":
+        return tuple(np.int64(i) for i in face)
+    return tuple(face)
+
+
+@st.composite
+def _raw_complexes(draw):
+    """(vertices, raw faces, index_base): faces of 0 to 5 indices, some out
+    of range or repeating a vertex, some copies of earlier faces rotated or
+    reversed, now and then a non-finite coordinate."""
+    nv = draw(st.integers(0, 8))
+    base = draw(st.sampled_from([0, 1]))
+    vertices = np.zeros((nv, 3))
+    if nv and draw(st.integers(0, 9)) == 0:
+        vertices[draw(st.integers(0, nv - 1)), draw(st.integers(0, 2))] = np.nan
+    lo, hi = (base - 2, nv + base + 1) if draw(st.integers(0, 3)) == 0 else (base, nv + base - 1)
+    index = st.integers(lo, max(lo, hi))
+    faces = []
+    for _ in range(draw(st.integers(0, 8))):
+        if faces and draw(st.integers(0, 3)) == 0:
+            g = list(draw(st.sampled_from(faces)))
+            k = draw(st.integers(0, max(len(g) - 1, 0)))
+            g = g[k:] + g[:k]
+            faces.append(tuple(reversed(g)) if draw(st.booleans()) else tuple(g))
+        elif hi - lo < 4 or draw(st.integers(0, 9)) == 0:
+            faces.append(tuple(draw(st.lists(index, max_size=5))))
+        else:
+            faces.append(tuple(draw(st.lists(index, min_size=3, max_size=5, unique=True))))
+    return vertices, [_index_forms(draw, f) for f in faces], base
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_raw_complexes())
+@example(raw=(np.zeros((3, 3)), [(0, 1, 2), (1, 2, 0)], 0))
+@example(raw=(np.zeros((4, 3)), [(1, 2, 3, 4), (4, 3, 2, 1), (1, 2)], 1))
+@example(raw=(np.zeros((3, 3)), [(0, 1, 2 ** 70)], 0))
+def test_build_complex_matches_referee(raw):
+    """build_complex returns the referee's faces or raises its exception
+    type with its message, for every face degree, index base and integer
+    type."""
+    vertices, faces, base = raw
+    try:
+        expected = referee_build(vertices, faces, base)
+    except InvalidComplexError as exc:
+        with pytest.raises(InvalidComplexError) as got:
+            build_complex(vertices, faces, index_base=base)
+        assert str(got.value) == str(exc)
+        return
+    cx = build_complex(vertices, faces, index_base=base)
+    assert cx.faces == expected[1]
+    assert np.array_equal(cx.vertices, expected[0])
+    assert cx.corners.tolist() == [i for f in expected[1] for i in f]
