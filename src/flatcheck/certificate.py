@@ -26,7 +26,15 @@ TOOL_VERSION = "0.1.0"
 
 
 def canonical_json(value, indent: int = 0) -> str:
-    """Serialize to JSON with insertion-order keys and '.17g' reals."""
+    """Serialize to JSON with insertion-order keys and '.17g' reals.
+
+    A named tuple is written exactly as the dict of its _fields would be.
+    A list whose items all share one named-tuple type is written through
+    one row template for the list: each column of exact ints is written
+    as str writes it, each column of exact strs is encoded once per
+    distinct value, any other column value by canonical_json, and the
+    rows are joined once.  The bytes are those of the same list of dicts.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
@@ -43,6 +51,8 @@ def canonical_json(value, indent: int = 0) -> str:
         return format(value, ".17g")
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if _is_named_tuple(type(value)):
+        return canonical_json(value._asdict(), indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -54,9 +64,38 @@ def canonical_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        parts = [f"{inner}{canonical_json(v, indent + 1)}" for v in value]
+        row_types = set(map(type, value))
+        if len(row_types) == 1 and _is_named_tuple(*row_types):
+            parts = _named_rows(value, indent + 1)
+        else:
+            parts = [f"{inner}{canonical_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__} in certificate")
+
+
+def _is_named_tuple(t: type) -> bool:
+    return issubclass(t, tuple) and bool(getattr(t, "_fields", ()))
+
+
+def _named_rows(rows, indent: int):
+    """The lines of a list's rows, all of one named-tuple type, each
+    written as the dict of its fields at the given indent."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    # field names are identifiers, so the template's only % are its own
+    fields = ",\n".join(f"{inner}{encode_basestring_ascii(f)}: %s" for f in rows[0]._fields)
+    template = f"{pad}{{\n{fields}\n{pad}}}"
+    columns = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            columns.append(column)      # %s writes an int as str does
+        elif kinds == {str}:
+            encoded = {v: encode_basestring_ascii(v) for v in set(column)}
+            columns.append(map(encoded.__getitem__, column))
+        else:
+            columns.append([canonical_json(v, indent + 1) for v in column])
+    return map(template.__mod__, zip(*columns))
 
 
 def _geometry_section(report: FlatnessReport) -> dict:
@@ -222,12 +261,9 @@ def build_certificate(
         immersion["local_overlap_count"] = len(rep.local_overlaps)
         census = rep.kind_census
         immersion["kind_census"] = {k: census[k] for k in sorted(census)}
-        immersion["pairs"] = [
-            {"i": pc.i, "j": pc.j, "kind": pc.kind} for pc in rep.pairs
-        ]
-        immersion["local_overlaps"] = [
-            {"i": ov.i, "j": ov.j, "kind": ov.kind} for ov in rep.local_overlaps
-        ]
+        # PairContact rows, which canonical_json writes as {"i", "j", "kind"}
+        immersion["pairs"] = rep.pairs
+        immersion["local_overlaps"] = rep.local_overlaps
         immersion["classification"] = classification
     cert["immersion"] = immersion
 

@@ -31,14 +31,21 @@ triangle_contact turns them into Fractions, for its caller.  Contacts
 between triangles from the same or vertex-adjacent source faces are
 excluded from the self-intersection list, but flagged separately when
 they extend beyond the cells the faces legitimately share (a local
-embedding failure).
+embedding failure).  Reports: the float pass's contacts and the exact
+loop's few are rows (i, j, kind, local) of one integer array, kind an
+index into KINDS + ("transversal",); one lexsort orders them by pair,
+local splits them into pairs and local overlaps, and each list becomes
+PairContact named tuples in one pass, which the certificate keeps as they
+are.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,7 +136,7 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
         v = int(nonfinite[0])
         raise InvalidComplexError(
             f"derived vertex {v} has a non-finite coordinate: {pts[v].tolist()}")
-    corners = np.array(derived.faces, dtype=np.intp).reshape(-1, 3)
+    corners = derived.corners.reshape(-1, 3)
     coords = pts[corners]
     # a certified nonzero normal component proves area; the rest (none on
     # a proper mesh) take the exact test
@@ -686,8 +693,7 @@ def _beyond_allowed(kind: str, points: tuple[Hom, ...], pts, segs) -> bool:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
-class PairContact:
+class PairContact(NamedTuple):
     """A contact between triangles i < j: a self-intersection of
     non-adjacent source faces, or a local overlap of adjacent ones."""
 
@@ -696,7 +702,10 @@ class PairContact:
     kind: str
 
 
-_ROW = attrgetter("i", "j")
+# every contact kind, by the index a report row carries: coplanar_kinds'
+# KINDS, then the one kind only the exact loop finds
+_KIND_NAMES = KINDS + ("transversal",)
+_KIND_INDEX = {name: k for k, name in enumerate(_KIND_NAMES)}
 
 
 @dataclass(frozen=True)
@@ -704,17 +713,21 @@ class IntersectionReport:
     pairs: tuple[PairContact, ...]
     local_overlaps: tuple[PairContact, ...]
     n_candidates: int
+    kind_census: dict[str, int] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind_census",
+                           dict(Counter(map(itemgetter(2), self.pairs))))
 
     @property
     def intersecting(self) -> bool:
         return bool(self.pairs)
 
-    @property
-    def kind_census(self) -> dict[str, int]:
-        census: dict[str, int] = {}
-        for pc in self.pairs:
-            census[pc.kind] = census.get(pc.kind, 0) + 1
-        return census
+
+def _contacts(rows: np.ndarray) -> tuple[PairContact, ...]:
+    """The rows (i, j, kind index) as PairContacts, in order."""
+    i, j, kind = rows.T.tolist()
+    return tuple(map(PairContact._make, zip(i, j, map(_KIND_NAMES.__getitem__, kind))))
 
 
 def self_intersections(
@@ -724,14 +737,12 @@ def self_intersections(
     local overlaps of adjacent ones beyond their shared cells.
 
     The result is a pure set function of the coordinates: pair lists are
-    sorted by index: candidate_pairs returns exactly the box-meeting
-    pairs, sorted, the float pass and the exact loop each keep their
-    order, and their contacts are merged by (i, j).
+    sorted by index.  The float pass's contacts and the exact loop's are
+    rows (i, j, kind, local) of one array, ordered by one lexsort on
+    (i, j) and split on local.
     """
     if boxes is None:
         boxes = build_hierarchy(soup)
-    pairs: list[PairContact] = []
-    overlaps: list[PairContact] = []
     cands = candidate_pairs(boxes)
     rows, decided = _undecided_rows(soup, cands)
     corners, faces = soup.corners.tolist(), soup.source_face.tolist()
@@ -745,23 +756,20 @@ def self_intersections(
     for t in named:
         a, b, c = corners[t]
         tris[t] = _triangle(grid[a], grid[b], grid[c])
+    loop = []
     for i, j in rows.tolist():
         found = _contact(tris[i], tris[j])
         if found is None:
             continue
         cells = _shared_cells(soup, grid, corners[i], corners[j], faces[i], faces[j])
-        if cells is None:
-            pairs.append(PairContact(i, j, found[0]))
-        elif _beyond_allowed(*found, *cells):
-            overlaps.append(PairContact(i, j, found[0]))
-    for i, j, kind, local in zip(*decided.T.tolist()):
-        (overlaps if local else pairs).append(PairContact(i, j, KINDS[kind]))
-    # the loop's contacts and the pass's are each in row order
-    pairs.sort(key=_ROW)
-    overlaps.sort(key=_ROW)
-    return IntersectionReport(
-        pairs=tuple(pairs), local_overlaps=tuple(overlaps), n_candidates=len(cands)
-    )
+        if cells is None or _beyond_allowed(*found, *cells):
+            loop.append((i, j, _KIND_INDEX[found[0]], cells is not None))
+    merged = np.concatenate((decided, np.array(loop, dtype=decided.dtype).reshape(-1, 4)))
+    merged = merged[np.lexsort((merged[:, 1], merged[:, 0]))]
+    local = merged[:, 3].astype(bool)
+    return IntersectionReport(pairs=_contacts(merged[~local, :3]),
+                              local_overlaps=_contacts(merged[local, :3]),
+                              n_candidates=len(cands))
 
 
 def classify_immersion(locally_embedded: bool, pairs) -> str:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .flatness import DegenerateFaceError, ToleranceProfile, face_geometries
-from .mesh import CellComplex, MeshError, build_complex, canonical_face
+from .mesh import CellComplex, MeshError, build_complex
 from .predicates import orient2d
 
 
@@ -202,22 +203,39 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
 
     # the triangles reuse the validated vertices of distinct-vertex faces,
     # so a repeated triangle is the only way the derived complex can fail
-    seen: dict[tuple[int, ...], int] = {}
-    for tri, fi in zip(triangles, sources):
-        key = canonical_face(tri)
-        if key in seen:
-            raise TriangulationError(
-                f"faces {seen[key]} and {fi} both yield triangle {tri} "
-                "(identical up to rotation/reversal)"
-            )
-        seen[key] = fi
+    corners = np.fromiter(chain.from_iterable(triangles), np.int64, 3 * len(triangles))
+    _reject_repeats(corners.reshape(-1, 3), sources)
     return Refinement(
         source=complex,
-        derived=CellComplex(vertices=complex.vertices, faces=tuple(triangles)),
+        derived=CellComplex(complex.vertices, tuple(triangles), corners,
+                            np.arange(0, corners.size + 1, 3)),
         triangle_sources=tuple(sources),
         vertex_origins=tuple(SourceVertex(i) for i in range(complex.n_vertices)),
         fallbacks=tuple(fallbacks),
     )
+
+
+def _reject_repeats(corners: np.ndarray, sources: Sequence[int]) -> None:
+    """Raise TriangulationError for the first triangle, in order, that
+    repeats an earlier one up to rotation and reversal, naming the source
+    faces of both.
+
+    Two triangles are equal up to rotation and reversal iff their sorted
+    corners are.  A stable sort of those rows puts each run of equal rows
+    in triangle order, so the first repeat is the least second row of a
+    run, and the row before it is the run's first.
+    """
+    key = np.sort(corners, axis=1)
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    repeat = np.flatnonzero((key[1:] == key[:-1]).all(axis=1))
+    if repeat.size:
+        at = repeat[np.argmin(order[repeat + 1])]
+        first, later = order[at], order[at + 1]
+        raise TriangulationError(
+            f"faces {sources[first]} and {sources[later]} both yield triangle "
+            f"{tuple(corners[later].tolist())} (identical up to rotation/reversal)"
+        )
 
 
 def barycentric_subdivision(complex: CellComplex) -> Refinement:

@@ -15,6 +15,7 @@ from flatcheck import (
     InvalidComplexError,
     ManifoldDefect,
     PairContact,
+    TriangulationError,
     build_complex,
     canonical_face,
     check_closed_manifold,
@@ -88,6 +89,22 @@ def brute_report(soup):
             elif intersect._beyond_allowed(*found, *cells):
                 overlaps.append(PairContact(i, j, found[0]))
     return IntersectionReport(tuple(pairs), tuple(overlaps), n * (n - 1) // 2)
+
+
+def referee_repeats(triangles, sources):
+    """Referee of refine's one-sort duplicate check: one canonical_face
+    key and dict lookup per triangle, in order; raises the
+    TriangulationError triangulate_faces must raise for the first
+    repeated triangle."""
+    seen = {}
+    for tri, fi in zip(triangles, sources):
+        key = canonical_face(tri)
+        if key in seen:
+            raise TriangulationError(
+                f"faces {seen[key]} and {fi} both yield triangle {tri} "
+                "(identical up to rotation/reversal)"
+            )
+        seen[key] = fi
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flatcheck import certificate
 from flatcheck import (
     GeneratorSpec,
+    PairContact,
     ToleranceProfile,
     angle_defect,
     build_certificate,
@@ -91,6 +97,115 @@ def test_canonical_json_rejects_unknown():
         canonical_json({1, 2})
     with pytest.raises(TypeError):
         canonical_json(object())
+
+
+class _Row(NamedTuple):
+    i: int
+    j: int
+    kind: str
+
+
+class _Cell(NamedTuple):
+    key: str
+    value: object
+
+
+_INTS = st.integers(-2**70, 2**70)
+_TEXT = st.text(max_size=12)
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, _TEXT,
+              st.floats(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.builds(_Row, _INTS, _INTS, _TEXT)),
+    max_leaves=6,
+)
+
+
+@contextmanager
+def _spy_rows():
+    """Record each list that canonical_json writes through its row template."""
+    calls = []
+    real = certificate._named_rows
+
+    def spy(rows, indent):
+        calls.append(rows)
+        return real(rows, indent)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificate, "_named_rows", spy)
+        yield calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.builds(_Row, _INTS, _INTS, _TEXT), min_size=1, max_size=40),
+       cells=st.lists(st.builds(_Cell, _TEXT, _VALUES), min_size=1, max_size=8),
+       indent=st.integers(0, 3))
+@example(rows=[_Row(-1, 2**64, 'q"uo\\te\nline \u00e9\u4e2d\U0001f600')],
+         cells=[_Cell("k", [_Row(0, -3, "x")])], indent=0)
+def test_named_tuple_rows_match_dicts(rows, cells, indent):
+    """A list of named tuples gives the bytes of the same list of dicts:
+    int and str columns through the row template, other columns (None,
+    bools, floats, lists, nested named tuples) value by value."""
+    with _spy_rows() as calls:
+        for named in (rows, cells):
+            plain = [r._asdict() for r in named]
+            assert canonical_json(named, indent) == canonical_json(plain, indent)
+            assert canonical_json(tuple(named), indent) == canonical_json(plain, indent)
+            assert canonical_json(named[0], indent) == canonical_json(plain[0], indent)
+        assert calls[:2] == [rows, tuple(rows)]
+        # a named tuple beside a dict takes the generic path, item by item
+        calls.clear()
+        mixed = [rows[0], {"i": 1, "j": 2, "kind": "touch-point"}, *rows[1:]]
+        assert canonical_json(mixed, indent) == canonical_json(
+            [r if isinstance(r, dict) else r._asdict() for r in mixed], indent)
+        assert calls == []
+
+
+def _plain(value):
+    """value with every PairContact replaced by its dict."""
+    if isinstance(value, PairContact):
+        return value._asdict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _crossing_tetrahedra():
+    # a unit tetrahedron and a copy moved off every face plane, so that
+    # their faces cross transversally
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+    return build_complex(verts + [(x + 0.3, y + 0.2, z + 0.1) for x, y, z in verts],
+                         faces + [tuple(i + 4 for i in f) for f in faces])
+
+
+@pytest.mark.parametrize("cx", [
+    generate(GeneratorSpec("folded_flat_torus", m=4, n=4, folds=2)),
+    generate(GeneratorSpec("grid_klein", m=3, n=3)),
+    _crossing_tetrahedra(),
+], ids=["folded_flat_torus_4x4_folds2", "grid_klein_3x3", "crossing_tetrahedra"])
+def test_certificate_text_matches_generic_path(cx):
+    """The pair lists go into the certificate as PairContact rows; their
+    text is that of the generic writer on dicts, and the counts and the
+    census are those of the lists."""
+    cert = build_certificate(cx)
+    imm = cert["immersion"]
+    assert imm["pairs"] or imm["local_overlaps"]
+    with _spy_rows() as calls:
+        assert certificate_text(cert) == canonical_json(_plain(cert)) + "\n"
+    assert calls == [c for c in (imm["pairs"], imm["local_overlaps"]) if c]
+    assert imm["pair_count"] == len(imm["pairs"])
+    assert imm["local_overlap_count"] == len(imm["local_overlaps"])
+    assert imm["kind_census"] == dict(sorted(Counter(p.kind for p in imm["pairs"]).items()))
+    assert list(imm["kind_census"]) == sorted(imm["kind_census"])
+
+
+def test_crossing_tetrahedra_cross_transversally():
+    imm = build_certificate(_crossing_tetrahedra())["immersion"]
+    assert imm["classification"] == "immersed"
+    assert imm["kind_census"].get("transversal", 0) > 0
 
 
 def test_certificate_matches_golden():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from flatcheck import (
     triangulate_faces,
 )
 
-from conftest import cube, grid_klein, random_rotation, tetra
+from conftest import cube, grid_klein, random_rotation, referee_repeats, tetra
+from flatcheck import refine
 
 
 def _planar_face_complex(points2d):
@@ -234,3 +236,36 @@ def test_refinement_preserves_klein_topology():
     assert euler_characteristic(mesh) == 0
     assert not orientability(mesh).orientable
     assert len(sub.derived.faces) == 6 * len(base.faces)
+
+
+@st.composite
+def _repeated_triangles(draw):
+    """Distinct triangles in any corner order plus two or more rotated or
+    reversed copies, shuffled, and a source face for each."""
+    nv = draw(st.integers(3, 8))
+    base = draw(st.lists(st.sampled_from(list(combinations(range(nv), 3))),
+                         min_size=1, max_size=12, unique=True))
+    triangles = [tuple(draw(st.permutations(t))) for t in base]
+    for _ in range(draw(st.integers(2, 5))):
+        t = triangles[draw(st.integers(0, len(triangles) - 1))]
+        k = draw(st.integers(0, 2))
+        t = t[k:] + t[:k]
+        triangles.append(t[::-1] if draw(st.booleans()) else t)
+    triangles = draw(st.permutations(triangles))
+    sources = draw(st.lists(st.integers(0, 20), min_size=len(triangles),
+                            max_size=len(triangles)))
+    return triangles, sources
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_repeated_triangles())
+def test_repeat_check_matches_dict_loop(case):
+    """The one-sort check names the faces and the triangle that the dict
+    loop names: the first repeat in order, and the first triangle it
+    repeats."""
+    triangles, sources = case
+    with pytest.raises(TriangulationError) as want:
+        referee_repeats(triangles, sources)
+    with pytest.raises(TriangulationError) as got:
+        refine._reject_repeats(np.array(triangles, dtype=np.int64), sources)
+    assert str(got.value) == str(want.value)
