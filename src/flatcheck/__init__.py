@@ -5,9 +5,7 @@ from .certificate import (TOOL_VERSION, build_certificate, canonical_json,
                           certificate_text, write_certificate)
 from .corpus import GeneratorError, GeneratorSpec, generate, standard_corpus
 from .flatness import (DegenerateFaceError, FlatnessReport, LinkVerdict, PlaneFit,
-                       SphericalLink, ToleranceProfile, angle_defect, corner_angle,
-                       face_geometry, face_plane_fit, flatness_report,
-                       gauss_bonnet_check, link_is_embedded, vertex_link)
+                       SphericalLink, ToleranceProfile, flatness_report, link_is_embedded)
 from .formats import (FormatError, LoadedMesh, read_mesh, read_obj, read_off,
                       read_pair, write_mesh, write_obj, write_off, write_pair)
 from .homology import (BoundaryMatrices, HomologyProfile, SmithNormalForm,
@@ -23,7 +21,7 @@ from .mesh import (CellComplex, HalfEdgeMesh, InvalidComplexError, ManifoldDefec
                    edge_census, euler_characteristic, orientability)
 from .refine import (EdgeMidpoint, FaceCentroid, FallbackRecord, Refinement,
                      SourceVertex, TriangulationError, barycentric_subdivision,
-                     face_area, total_area, triangle_area, triangulate_faces)
+                     triangulate_faces)
 
 __version__ = TOOL_VERSION
 

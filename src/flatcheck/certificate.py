@@ -17,7 +17,7 @@ from .flatness import (DegenerateFaceError, FlatnessReport, ToleranceProfile,
 from .homology import boundary_matrices, classify_surface, homology_profile
 from .intersect import (DegenerateTriangleError, classify_immersion, self_intersections,
                         triangle_soup)
-from .mesh import (CellComplex, NotManifoldError, check_closed_manifold, edge_census,
+from .mesh import (CellComplex, NotManifoldError, check_closed_manifold, edge_table,
                    euler_characteristic, orientability)
 from .refine import TriangulationError, triangulate_faces
 
@@ -145,7 +145,7 @@ def build_certificate(
         defects = []
     except NotManifoldError as exc:
         mesh = None
-        n_edges = len(edge_census(complex))
+        n_edges = len(edge_table(complex).ends)
         defects = [
             {"kind": d.kind, "location": list(d.location), "detail": d.detail}
             for d in exc.defects

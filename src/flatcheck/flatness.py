@@ -6,15 +6,19 @@ the sum of interior corner angles), and per-vertex links (the loop of unit
 edge directions joined by great-circle arcs, one arc per corner).  A mesh
 is certified as a locally isometrically embedded flat surface when every
 face is planar, every defect vanishes, and every link is a simple closed
-spherical polygon.
+spherical polygon.  flatness_report is the one producer of all three
+facts.
 
 Face geometry is computed once per check, as one table (face_geometries)
 that flatness_report and refine.triangulate_faces share.  Faces of one
-degree are fitted as one NumPy stack, whose floats equal the one-face
-computation's bit for bit.  Links are decided by one NumPy pass per
+degree are fitted as one NumPy stack, whose floats equal those of a
+one-face table bit for bit.  The report flattens the table's interior
+angles into one per-corner array, from which the defects (_defects) and
+the azimuth pass both read.  Links are decided by one NumPy pass per
 vertex valence (_azimuth_certified) wherever an azimuth lemma proves them
-embedded by a margin; the other links are built and tested on plain
-float 3-tuples, with no NumPy call per vector.
+embedded by a margin; the other links are built (_link) and tested on
+plain float 3-tuples, reading each star from lists made once per report,
+with no NumPy call per vector.
 """
 from __future__ import annotations
 
@@ -128,21 +132,6 @@ def _plane_fits(
     return fits, centered, normals
 
 
-def face_plane_fit(points: np.ndarray) -> PlaneFit:
-    """Fit the orthogonal-least-squares plane to a polygon's vertices.
-
-    The plane normal is the smallest principal direction of the centered
-    covariance, which minimizes the sum of squared orthogonal deviations.
-    Raises DegenerateFaceError when the points are (nearly) collinear or
-    coincident, since no fit direction is then meaningful.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-        raise DegenerateFaceError(f"need at least 3 points in R^3, got shape {pts.shape}")
-    fits, _, _ = _plane_fits(pts[None])
-    return _checked(fits)[0]
-
-
 def _corner_angles(u: np.ndarray, v: np.ndarray) -> tuple[list[float], list[bool]]:
     """Unsigned angles between the rows of two (n, 3) stacks, in [0, pi],
     and whether each row has a zero-length side.
@@ -152,21 +141,6 @@ def _corner_angles(u: np.ndarray, v: np.ndarray) -> tuple[list[float], list[bool
     zero = ((_norms(u) == 0.0) | (_norms(v) == 0.0)).tolist()
     angles = list(map(math.atan2, _norms(np.cross(u, v)).tolist(), _dots(u, v).tolist()))
     return angles, zero
-
-
-def corner_angle(p_prev: np.ndarray, p_vertex: np.ndarray, p_next: np.ndarray) -> float:
-    """Unsigned angle at p_vertex between the rays to p_prev and p_next.
-
-    The result lies in [0, pi].  Raises DegenerateFaceError on a
-    zero-length incident edge.
-    """
-    vertex = np.asarray(p_vertex, dtype=np.float64)
-    u = np.asarray(p_prev, dtype=np.float64) - vertex
-    v = np.asarray(p_next, dtype=np.float64) - vertex
-    (angle,), (zero,) = _corner_angles(u[None], v[None])
-    if zero:
-        raise DegenerateFaceError("corner has a zero-length incident edge")
-    return angle
 
 
 def _any_perpendicular(d: np.ndarray) -> np.ndarray:
@@ -292,10 +266,10 @@ def face_geometries(complex: CellComplex,
     """Fit, project and measure the given faces (all by default), in order.
 
     Each entry is the face's FaceGeometry or, for a face with no usable
-    plane or a zero-length edge, the DegenerateFaceError that face_geometry
-    raises for it: coincident points, then collinear points, then a
+    plane or a zero-length edge, a DegenerateFaceError naming the first
+    check it fails: coincident points, then collinear points, then a
     zero-length edge.  Faces of one degree are fitted as one stack, and
-    every float equals the one-face computation's.
+    every float equals that of the face's own one-face table.
     """
     faces = list(range(complex.n_faces) if faces is None else faces)
     groups: dict[int, list[int]] = {}
@@ -308,59 +282,6 @@ def face_geometries(complex: CellComplex,
         for pos, geo in zip(positions, _degree_group(ids, pts)):
             table[pos] = geo
     return table
-
-
-def _checked(geos: list) -> list[FaceGeometry]:
-    """geos, unless one is a DegenerateFaceError: then the first one is raised."""
-    for geo in geos:
-        if isinstance(geo, DegenerateFaceError):
-            raise geo
-    return geos
-
-
-def face_geometry(complex: CellComplex, face_index: int) -> FaceGeometry:
-    """Fit, project and measure one face; see FaceGeometry for semantics."""
-    return _checked(face_geometries(complex, [face_index]))[0]
-
-
-def _star_geometry(mesh: HalfEdgeMesh, vertex: int) -> dict[int, FaceGeometry]:
-    """FaceGeometry of every face around the vertex, keyed by face."""
-    faces = [f for f, _ in mesh.vertex_stars[vertex]]
-    return dict(zip(faces, _checked(face_geometries(mesh.complex, faces))))
-
-
-def _defect(mesh: HalfEdgeMesh, vertex: int, geos) -> float:
-    """angle_defect over geos, which maps each face of the star to its geometry."""
-    total = 0.0
-    for f, i in mesh.vertex_stars[vertex]:
-        total += geos[f].angles[i]
-    return TWO_PI - total
-
-
-def angle_defect(mesh: HalfEdgeMesh, vertex: int) -> float:
-    """2*pi minus the sum of interior corner angles around the vertex.
-
-    Interior angles are reflex-aware for faces that are simple in their
-    fitted plane, so nonconvex faces contribute their true wedge angles.
-    """
-    return _defect(mesh, vertex, _star_geometry(mesh, vertex))
-
-
-def _gauss_bonnet(mesh: HalfEdgeMesh, defects) -> tuple[float, float, float]:
-    total = math.fsum(defects)
-    reference = TWO_PI * euler_characteristic(mesh)
-    return total, reference, total - reference
-
-
-def gauss_bonnet_check(mesh: HalfEdgeMesh) -> tuple[float, float, float]:
-    """(sum of defects, 2*pi*chi, residual).
-
-    For planar-faced complexes the total defect equals 2*pi*chi exactly;
-    the residual measures only floating-point accumulation and broken
-    corner bookkeeping.
-    """
-    geos = _checked(face_geometries(mesh.complex))
-    return _gauss_bonnet(mesh, (_defect(mesh, v, geos) for v in range(mesh.n_vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,23 +355,35 @@ class SphericalLink:
     arcs: tuple[LinkArc, ...]
 
 
-def vertex_link(mesh: HalfEdgeMesh, vertex: int) -> SphericalLink:
+class _Stars(NamedTuple):
+    """A mesh's vertex stars as plain lists: the corners around vertex v
+    are entries offsets[v] .. offsets[v + 1] - 1 of the other three."""
+
+    offsets: list[int]
+    entries: list[int]      # the neighbor crossed to enter the corner
+    faces: list[int]        # the corner's face
+    positions: list[int]    # the corner's position in that face
+
+
+def _stars(mesh: HalfEdgeMesh) -> _Stars:
+    faces = mesh.face_of[mesh.star_corners]
+    return _Stars(mesh.star_offsets.tolist(), mesh.star_entries.tolist(), faces.tolist(),
+                  (mesh.star_corners - mesh.complex.offsets[faces]).tolist())
+
+
+def _link(mesh: HalfEdgeMesh, vertex: int, geos, stars: _Stars) -> SphericalLink:
     """Build the link of a vertex as a closed spherical polygon.
 
     Link vertices are the unit directions of the incident edges in star
     order; each face corner contributes the great-circle arc between its
-    two edge directions, of length equal to its interior angle.  Straight
-    corners (angle pi) are oriented using the face's in-plane frame, since
-    the two directions alone leave the great semicircle ambiguous.
+    two edge directions, of length equal to its interior angle in geos,
+    the face table.  Straight corners (angle pi) are oriented using the
+    face's in-plane frame, since the two directions alone leave the great
+    semicircle ambiguous.
     """
-    return _link(mesh, vertex, _star_geometry(mesh, vertex))
-
-
-def _link(mesh: HalfEdgeMesh, vertex: int, geos) -> SphericalLink:
-    """vertex_link over geos, which maps each face of the star to its geometry."""
-    star = mesh.vertex_stars[vertex]
-    neighbors = mesh.star_entry_neighbors[vertex]
-    count = len(star)
+    start, stop = stars.offsets[vertex], stars.offsets[vertex + 1]
+    neighbors = stars.entries[start:stop]
+    count = stop - start
     pos_v, *ends = mesh.complex.vertices[[vertex, *neighbors]].tolist()
 
     directions: list[Vec3] = []
@@ -465,7 +398,7 @@ def _link(mesh: HalfEdgeMesh, vertex: int, geos) -> SphericalLink:
 
     arcs: list[LinkArc] = []
     for k in range(count):
-        f, i = star[k]
+        f, i = stars.faces[start + k], stars.positions[start + k]
         geo = geos[f]
         theta = geo.angles[i]
         d_start = directions[k]
@@ -676,9 +609,10 @@ _LINK_MARGIN = 1e-3
 _COORD_BOUND = 2.0 ** 500
 
 
-def _azimuth_certified(mesh: HalfEdgeMesh, geos, link_tol: float) -> list[bool]:
+def _azimuth_certified(mesh: HalfEdgeMesh, angles: np.ndarray, link_tol: float) -> list[bool]:
     """Which vertex links the azimuth lemma proves embedded, in one NumPy
     pass per valence; link_is_embedded calls each of them embedded.
+    angles holds the face table's interior angle of every corner.
 
     Lemma: let n be a unit vector, every corner at v shorter than pi, every
     corner normal d_k x d_k+1 have a positive component along n, and no
@@ -706,7 +640,6 @@ def _azimuth_certified(mesh: HalfEdgeMesh, geos, link_tol: float) -> list[bool]:
     pts = mesh.complex.vertices
     usable = (np.abs(pts) <= _COORD_BOUND).all(axis=1)    # False on nan and inf too
     pts = np.where(usable[:, None], pts, 0.0)
-    angles = np.array([a for geo in geos for a in geo.angles])    # per corner
     valences = np.diff(mesh.star_offsets)
     for valence in (np.flatnonzero(np.bincount(valences)[3:]) + 3).tolist():
         centers = np.flatnonzero(valences == valence)
@@ -783,10 +716,6 @@ class FlatnessReport:
         return all(f.planar for f in self.faces)
 
     @property
-    def all_faces_simple(self) -> bool:
-        return all(f.simple_in_plane for f in self.faces)
-
-    @property
     def all_defects_zero(self) -> bool:
         return all(v.flat for v in self.vertices)
 
@@ -799,16 +728,31 @@ class FlatnessReport:
         return self.all_faces_planar and self.all_defects_zero
 
     @property
-    def locally_embedded_flat(self) -> bool:
-        return self.flat and self.all_links_embedded
-
-    @property
     def max_rel_deviation(self) -> float:
         return max((f.rel_deviation for f in self.faces), default=0.0)
 
     @property
     def max_abs_defect(self) -> float:
         return max((abs(v.defect) for v in self.vertices), default=0.0)
+
+
+def _defects(mesh: HalfEdgeMesh, angles: np.ndarray) -> list[float]:
+    """2*pi minus the sum of the interior angles around each vertex.
+
+    Per valence, the star's angles are added one column at a time from
+    0.0, in star order: the IEEE additions of a left-to-right loop, which
+    Python's sum() (compensated from 3.12) and np.sum (pairwise) are not.
+    """
+    defects = np.empty(mesh.n_vertices)
+    valences = np.diff(mesh.star_offsets)
+    for valence in np.flatnonzero(np.bincount(valences)).tolist():
+        centers = np.flatnonzero(valences == valence)
+        theta = angles[mesh.star_corners[mesh.star_offsets[centers, None] + np.arange(valence)]]
+        total = np.zeros(centers.size)
+        for column in theta.T:
+            total += column
+        defects[centers] = TWO_PI - total
+    return defects.tolist()
 
 
 def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None,
@@ -835,31 +779,35 @@ def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None,
             )
         )
 
-    vertex_records = []
-    for v in range(mesh.n_vertices):
-        d = _defect(mesh, v, geos)
-        vertex_records.append(VertexFlatnessRecord(vertex=v, defect=d, flat=abs(d) <= tol.defect_tol))
+    angles = np.array([a for geo in geos for a in geo.angles])    # per corner
+    defects = _defects(mesh, angles)
+    vertex_records = [VertexFlatnessRecord(vertex=v, defect=d, flat=abs(d) <= tol.defect_tol)
+                      for v, d in enumerate(defects)]
 
     links = []
-    certified = _azimuth_certified(mesh, geos, tol.link_tol)
+    certified = _azimuth_certified(mesh, angles, tol.link_tol)
+    stars = _stars(mesh)
     for v in range(mesh.n_vertices):
         if certified[v]:
             links.append(LinkVerdict(v, True))
             continue
         try:
-            link = _link(mesh, v, geos)
+            link = _link(mesh, v, geos, stars)
         except MeshError as exc:
             links.append(LinkVerdict(vertex=v, embedded=False, witness=str(exc)))
             continue
         links.append(link_is_embedded(link, tol.link_tol))
 
-    total, reference, residual = _gauss_bonnet(mesh, [r.defect for r in vertex_records])
+    # With planar faces the defects sum to 2*pi*chi exactly, so the residual
+    # measures only rounding and broken corner bookkeeping.
+    total = math.fsum(defects)
+    reference = TWO_PI * euler_characteristic(mesh)
     return FlatnessReport(
         faces=tuple(face_records),
         vertices=tuple(vertex_records),
         links=tuple(links),
         defect_total=total,
         gauss_bonnet_reference=reference,
-        gauss_bonnet_residual=residual,
+        gauss_bonnet_residual=total - reference,
         tolerances=tol,
     )

@@ -15,7 +15,6 @@ convert on the way in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -341,10 +340,10 @@ class HalfEdgeMesh:
     The star of vertex v is star_corners[star_offsets[v]:star_offsets[v + 1]]:
     the half-edges leaving v, i.e. its corners, in cyclic order, and
     star_entries holds for each the neighbor u such that edge {v, u} is
-    crossed to enter it from the one before.  vertex_stars[v] lists the
-    same corners as (face, position-in-face) pairs and
-    star_entry_neighbors[v] the same neighbors.  The closed-manifold check
-    guarantees each star is a single cycle.
+    crossed to enter it from the one before.  A corner's face is
+    face_of[corner] and its position in that face is corner minus the
+    face's entry in complex.offsets.  The closed-manifold check guarantees
+    each star is a single cycle.
     """
 
     complex: CellComplex
@@ -368,26 +367,6 @@ class HalfEdgeMesh:
     @property
     def n_faces(self) -> int:
         return self.complex.n_faces
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Sorted vertex pairs, lexicographic order."""
-        return tuple(map(tuple, self.edge_ends.tolist()))
-
-    @cached_property
-    def vertex_stars(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        faces = self.face_of[self.star_corners]
-        pairs = list(zip(faces.tolist(),
-                         (self.star_corners - self.complex.offsets[faces]).tolist()))
-        return self._per_vertex(pairs)
-
-    @cached_property
-    def star_entry_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return self._per_vertex(self.star_entries.tolist())
-
-    def _per_vertex(self, items: list) -> tuple:
-        bounds = self.star_offsets.tolist()
-        return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:

@@ -8,7 +8,6 @@ homology, area, defects at original vertices) are testable.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -63,35 +62,6 @@ class Refinement:
     triangle_sources: tuple[int, ...]
     vertex_origins: tuple[VertexOrigin, ...]
     fallbacks: tuple[FallbackRecord, ...] = ()
-
-    @property
-    def fallback_faces(self) -> tuple[int, ...]:
-        return tuple(r.face for r in self.fallbacks)
-
-
-def triangle_area(p0, p1, p2) -> float:
-    """Area of a 3-d triangle (half the cross-product norm)."""
-    a = np.asarray(p1, dtype=np.float64) - np.asarray(p0, dtype=np.float64)
-    b = np.asarray(p2, dtype=np.float64) - np.asarray(p0, dtype=np.float64)
-    return 0.5 * float(np.linalg.norm(np.cross(a, b)))
-
-
-def face_area(complex: CellComplex, face_index: int) -> float:
-    """Area of one face, computed over the fan from its lowest-index corner.
-
-    For a planar simple polygon this equals the usual polygon area; for
-    anything worse it is the area of the canonical fallback triangulation,
-    which keeps area bookkeeping consistent across refinement.
-    """
-    face = complex.faces[face_index]
-    order = _fan_order(face)
-    pts = complex.vertices
-    return math.fsum(triangle_area(pts[a], pts[b], pts[c]) for a, b, c in order)
-
-
-def total_area(complex: CellComplex) -> float:
-    """Sum of face areas over the whole complex."""
-    return math.fsum(face_area(complex, fi) for fi in range(complex.n_faces))
 
 
 def _fan_order(face: tuple[int, ...]) -> list[tuple[int, int, int]]:

@@ -24,7 +24,7 @@ from flatcheck import (
     triangle_soup,
     triangulate_faces,
 )
-from flatcheck import intersect
+from flatcheck import flatness, intersect
 
 
 def make_complex(vertices, faces) -> CellComplex:
@@ -58,6 +58,24 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def face_area(complex: CellComplex, f: int) -> float:
+    """Area of face f over the fan from its lowest-index corner: the
+    polygon's area when the fan covers it, the fallback's otherwise."""
+    face = complex.faces[f]
+    low = face.index(min(face))
+    p = complex.vertices[list(face[low:] + face[:low])]
+    return 0.5 * float(np.linalg.norm(np.cross(p[1:-1] - p[0], p[2:] - p[0]), axis=1).sum())
+
+
+def total_area(complex: CellComplex) -> float:
+    return math.fsum(face_area(complex, f) for f in range(complex.n_faces))
+
+
+def vertex_link(mesh, v):
+    """The spherical link flatness_report builds for vertex v."""
+    return flatness._link(mesh, v, flatness.face_geometries(mesh.complex), flatness._stars(mesh))
 
 
 def independent_soup(coords):
@@ -159,8 +177,9 @@ def referee_manifold(complex: CellComplex) -> dict:
 
     Returns {"defects": [...]} with every ManifoldDefect in the order
     check_closed_manifold must raise them, which is empty for a closed
-    manifold; then also the half-edge fields as tuples ("origin",
-    "face_of", "twin", "edges", "vertex_stars", "star_entry_neighbors").
+    manifold; then also the half-edge mesh's fields as tuples ("origin",
+    "face_of", "twin", "edge_ends", "star_corners", "star_entries",
+    "star_offsets"), edge_ends as sorted pairs.
     """
     origin, destination, face_of, pos_in_face = [], [], [], []
     for fi, face in enumerate(complex.faces):
@@ -201,7 +220,7 @@ def referee_manifold(complex: CellComplex) -> dict:
     for h in range(nh):
         corners_at[origin[h]].append((face_of[h], pos_in_face[h]))
     first = [h for h in range(nh) if pos_in_face[h] == 0]
-    stars, entry_neighbors = [], []
+    star_corners, star_entries, star_offsets = [], [], [0]
     for v in range(complex.n_vertices):
         corners = sorted(corners_at[v])
         remaining = set(corners)
@@ -235,13 +254,15 @@ def referee_manifold(complex: CellComplex) -> dict:
                 f"{len(corners)} corners form more than one cycle "
                 f"({len(cycle)} reached from the first)",
             ))
-        stars.append(tuple(cycle))
-        entry_neighbors.append(tuple(entries))
+        star_corners.extend(first[fi] + i for fi, i in cycle)
+        star_entries.extend(entries)
+        star_offsets.append(len(star_corners))
     if defects:
         return {"defects": defects}
     return {"defects": [], "origin": tuple(origin), "face_of": tuple(face_of),
-            "twin": tuple(twin), "edges": tuple(sorted(sides)),
-            "vertex_stars": tuple(stars), "star_entry_neighbors": tuple(entry_neighbors)}
+            "twin": tuple(twin), "edge_ends": tuple(sorted(sides)),
+            "star_corners": tuple(star_corners), "star_entries": tuple(star_entries),
+            "star_offsets": tuple(star_offsets)}
 
 
 def referee_orientability(found: dict, n_faces: int) -> tuple[bool, ...]:

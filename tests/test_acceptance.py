@@ -32,24 +32,20 @@ from flatcheck import (
     edge_census,
     euler_characteristic,
     flatness_report,
-    gauss_bonnet_check,
     generate,
     homology_profile,
     orientability,
     read_pair,
     self_intersections,
     standard_corpus,
-    total_area,
     triangle_soup,
     triangulate_faces,
-    vertex_link,
     link_is_embedded,
-    angle_defect,
 )
 from flatcheck.corpus import fold_vertex_ids
 from flatcheck.cli import main as cli_main
 
-from conftest import brute_report, independent_soup
+from conftest import brute_report, independent_soup, total_area
 
 
 def _gate(n: int, detail: str) -> None:
@@ -176,11 +172,11 @@ def test_criterion_05_euler_poincare():
 def test_criterion_06_gauss_bonnet():
     for spec in standard_corpus():
         mesh = check_closed_manifold(generate(spec))
-        total, ref, residual = gauss_bonnet_check(mesh)
+        report = flatness_report(mesh)
         n_corners = sum(len(f) for f in mesh.complex.faces)
-        assert abs(residual) <= 1e-10 * n_corners, spec.label
-    total, _, _ = gauss_bonnet_check(check_closed_manifold(generate(GeneratorSpec("cube"))))
-    assert total == 4.0 * math.pi
+        assert abs(report.gauss_bonnet_residual) <= 1e-10 * n_corners, spec.label
+    cube_report = flatness_report(check_closed_manifold(generate(GeneratorSpec("cube"))))
+    assert cube_report.defect_total == 4.0 * math.pi
     _gate(6, "|defect sum - 2 pi chi| <= 1e-10 per corner corpus-wide; cube "
              "is exactly 4 pi")
 
@@ -202,16 +198,16 @@ def test_criterion_07_refinement_invariance():
         base_sig = _topology_signature(cx)
         base_area = total_area(cx)
         base_mesh = check_closed_manifold(cx)
-        base_defects = [angle_defect(base_mesh, v) for v in range(cx.n_vertices)]
+        base_defects = [v.defect for v in flatness_report(base_mesh).vertices]
 
         tri = triangulate_faces(cx).derived
         refinements = [tri, barycentric_subdivision(tri).derived]
         for refined in refinements:
             assert _topology_signature(refined) == base_sig, spec.label
             assert total_area(refined) == pytest.approx(base_area, rel=1e-12)
-            mesh = check_closed_manifold(refined)
+            defects = flatness_report(check_closed_manifold(refined)).vertices
             for v in range(cx.n_vertices):  # originals keep their ids
-                assert abs(angle_defect(mesh, v) - base_defects[v]) <= 1e-10, (
+                assert abs(defects[v].defect - base_defects[v]) <= 1e-10, (
                     spec.label,
                     v,
                 )

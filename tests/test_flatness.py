@@ -1,8 +1,13 @@
 """Plane fitting, interior angles, angle defects, Gauss-Bonnet, vertex links.
 
-Two independent oracles live here: a spherical grid search for the orthogonal
-least-squares plane, and a dense arc-sampling test for link embeddedness.
-The batched face table is refereed by its own one-face calls, bit for bit.
+Every fact is read from the producer the certificate reads: plane fits
+and interior angles from the face table (face_geometries), defects and
+the Gauss-Bonnet balance from flatness_report, links from flatness._link
+through conftest.vertex_link.  Three independent referees live here: a
+spherical grid search for the orthogonal least-squares plane, a dense
+arc-sampling test for link embeddedness, and a left-to-right loop over
+referee_manifold's stars for the defects, bit for bit.  The batched face
+table is refereed by its own one-face tables, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,30 +31,30 @@ from flatcheck import (
     LinkVerdict,
     MeshError,
     ToleranceProfile,
-    angle_defect,
     build_certificate,
     build_complex,
     check_closed_manifold,
-    corner_angle,
     euler_characteristic,
-    face_geometry,
-    face_plane_fit,
     flatness_report,
-    gauss_bonnet_check,
     generate,
     link_is_embedded,
     triangulate_faces,
-    vertex_link,
 )
 from flatcheck import certificate, flatness, refine
 from flatcheck.corpus import doubled_cone, fold_vertex_ids, folded_flat_torus
 from flatcheck.flatness import face_geometries
 
-from conftest import TWO_PI, cube, grid_torus, random_rotation, tetra
+from conftest import (TWO_PI, cube, grid_torus, random_rotation, referee_manifold, tetra,
+                      vertex_link)
 
 LIFTED_SQUARE = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.1], [0.0, 1.0, 0.0]]
 )
+
+
+def _polygon(points):
+    """The face table's entry for one polygon, its points in order."""
+    return face_geometries(build_complex(points, [tuple(range(len(points)))]))[0]
 
 
 def _plane_cost(points, normal):
@@ -95,7 +100,7 @@ def _grid_search_plane(points):
 
 def test_plane_fit_exact_planar():
     pts = np.array([[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0]], dtype=float)
-    fit = face_plane_fit(pts)
+    fit = _polygon(pts).fit
     assert fit.max_deviation <= 1e-15
     assert fit.rel_deviation <= 1e-15
     assert abs(abs(fit.normal[2]) - 1.0) <= 1e-15
@@ -106,19 +111,19 @@ def test_plane_fit_rotated_planar():
     base = rng.uniform(-1, 1, size=(8, 2))
     pts3 = np.column_stack([base, np.zeros(8)])
     rot = random_rotation(rng)
-    fit = face_plane_fit(pts3 @ rot.T + np.array([3.0, -1.0, 2.0]))
+    fit = _polygon(pts3 @ rot.T + np.array([3.0, -1.0, 2.0])).fit
     assert fit.max_deviation <= 1e-13
 
 
 def test_lifted_corner_square_frozen_value():
-    fit = face_plane_fit(LIFTED_SQUARE)
+    fit = _polygon(LIFTED_SQUARE).fit
     assert fit.max_deviation == pytest.approx(0.025061798, abs=1e-9)
     assert fit.rel_deviation == pytest.approx(0.017677229528, abs=1e-9)
     assert fit.diameter == pytest.approx(math.sqrt(2.01), rel=1e-12)
 
 
 def test_lifted_corner_square_matches_grid_oracle():
-    fit = face_plane_fit(LIFTED_SQUARE)
+    fit = _polygon(LIFTED_SQUARE).fit
     fit_cost, fit_dev = _plane_cost(LIFTED_SQUARE, np.asarray(fit.normal))
     oracle_cost, oracle_dev = _grid_search_plane(LIFTED_SQUARE)
     # the eigen solution must be at least as good as the brute search
@@ -128,16 +133,15 @@ def test_lifted_corner_square_matches_grid_oracle():
 
 
 def test_corner_angle_basics():
-    o = np.zeros(3)
-    assert corner_angle(np.array([1.0, 0, 0]), o, np.array([0, 1.0, 0])) == (
+    o = (0.0, 0.0, 0.0)
+    assert _polygon([(1.0, 0, 0), o, (0, 1.0, 0)]).angles[1] == (
         pytest.approx(math.pi / 2, abs=1e-15)
     )
-    assert corner_angle(np.array([1.0, 0, 0]), o, np.array([-1.0, 0, 0])) == (
-        pytest.approx(math.pi, abs=1e-15)
-    )
-    a = np.array([1.0, 0, 0])
-    b = np.array([0.5, math.sqrt(3) / 2, 0])
-    assert corner_angle(a, o, b) == pytest.approx(math.pi / 3, abs=1e-12)
+    (straight,), (zero,) = flatness._corner_angles(np.array([[1.0, 0, 0]]),
+                                                   np.array([[-1.0, 0, 0]]))
+    assert straight == pytest.approx(math.pi, abs=1e-15) and not zero
+    b = (0.5, math.sqrt(3) / 2, 0)
+    assert _polygon([(1.0, 0, 0), o, b]).angles[1] == pytest.approx(math.pi / 3, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,11 +152,11 @@ def test_corner_angle_rigid_motion_and_scale_invariant(seed, scale):
     # keep away from degenerate corners
     if np.linalg.norm(pts[0] - pts[1]) < 0.1 or np.linalg.norm(pts[2] - pts[1]) < 0.1:
         return
-    base = corner_angle(pts[0], pts[1], pts[2])
+    base = _polygon(pts).angles[1]
     rot = random_rotation(rng)
     shift = rng.uniform(-5, 5, size=3)
     moved = pts @ rot.T * scale + shift
-    assert corner_angle(moved[0], moved[1], moved[2]) == pytest.approx(base, abs=1e-9)
+    assert _polygon(moved).angles[1] == pytest.approx(base, abs=1e-9)
 
 
 DART = [(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 4.0, 0.0)]
@@ -160,7 +164,7 @@ DART = [(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 4.0, 0.0)]
 
 def test_dart_reflex_angles():
     cx = build_complex(DART, [(0, 1, 2, 3)])
-    geo = face_geometry(cx, 0)
+    geo = face_geometries(cx, [0])[0]
     assert geo.simple
     assert geo.reflex_corners == (2,)
     assert sum(geo.angles) == pytest.approx(2.0 * math.pi, abs=1e-12)
@@ -170,11 +174,11 @@ def test_dart_reflex_angles():
 def test_bowtie_not_simple():
     verts = [(0.0, 0.0, 0.0), (2.0, 2.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0)]
     cx = build_complex(verts, [(0, 1, 2, 3)])
-    assert not face_geometry(cx, 0).simple
+    assert not face_geometries(cx, [0])[0].simple
 
 
 def test_cube_face_angles():
-    geo = face_geometry(cube(), 0)
+    geo = face_geometries(cube(), [0])[0]
     assert geo.simple
     assert geo.reflex_corners == ()
     assert np.allclose(geo.angles, math.pi / 2, atol=1e-15)
@@ -188,29 +192,31 @@ def test_cube_face_angles():
     ],
 )
 def test_angle_defects_platonic(maker, defect):
-    mesh = check_closed_manifold(maker())
-    for v in range(mesh.complex.n_vertices):
-        assert angle_defect(mesh, v) == pytest.approx(defect, abs=1e-12)
+    report = flatness_report(check_closed_manifold(maker()))
+    for v in report.vertices:
+        assert v.defect == pytest.approx(defect, abs=1e-12)
 
 
 def test_icosahedron_defect():
-    mesh = check_closed_manifold(generate(GeneratorSpec("icosahedron")))
-    for v in range(12):
-        assert angle_defect(mesh, v) == pytest.approx(math.pi / 3, abs=1e-12)
+    report = flatness_report(check_closed_manifold(generate(GeneratorSpec("icosahedron"))))
+    assert len(report.vertices) == 12
+    for v in report.vertices:
+        assert v.defect == pytest.approx(math.pi / 3, abs=1e-12)
 
 
 def test_gauss_bonnet_corpus(corpus_halfedge):
     for label, mesh in corpus_halfedge.items():
-        total, ref, residual = gauss_bonnet_check(mesh)
+        report = flatness_report(mesh)
         n_corners = sum(len(f) for f in mesh.complex.faces)
-        assert abs(residual) <= 1e-10 * n_corners, label
-        assert ref == pytest.approx(2.0 * math.pi * euler_characteristic(mesh))
+        assert abs(report.gauss_bonnet_residual) <= 1e-10 * n_corners, label
+        assert report.gauss_bonnet_reference == pytest.approx(
+            2.0 * math.pi * euler_characteristic(mesh))
 
 
 def test_gauss_bonnet_cube_exact():
-    total, ref, residual = gauss_bonnet_check(check_closed_manifold(cube()))
-    assert total == 4.0 * math.pi
-    assert residual == 0.0
+    report = flatness_report(check_closed_manifold(cube()))
+    assert report.defect_total == 4.0 * math.pi
+    assert report.gauss_bonnet_residual == 0.0
 
 
 def _sample_arc(arc, n=64):
@@ -287,8 +293,9 @@ def test_doubled_cone_winding():
     flat = check_closed_manifold(
         generate(GeneratorSpec("doubled_cone", total_angle=2 * math.pi, segments=8))
     )
+    defects = flatness_report(flat).vertices
     for apex in (0, 1):
-        assert angle_defect(flat, apex) == pytest.approx(0.0, abs=1e-12)
+        assert defects[apex].defect == pytest.approx(0.0, abs=1e-12)
         link = vertex_link(flat, apex)
         assert link_is_embedded(link).embedded
         assert _oracle_link_simple(link)
@@ -296,8 +303,9 @@ def test_doubled_cone_winding():
     double = check_closed_manifold(
         generate(GeneratorSpec("doubled_cone", total_angle=4 * math.pi, segments=8))
     )
+    defects = flatness_report(double).vertices
     for apex in (0, 1):
-        assert angle_defect(double, apex) == pytest.approx(-2 * math.pi, abs=1e-12)
+        assert defects[apex].defect == pytest.approx(-2 * math.pi, abs=1e-12)
         link = vertex_link(double, apex)
         assert not link_is_embedded(link).embedded
         # independent witness: the eight rim directions repeat after one turn
@@ -319,7 +327,7 @@ def test_folded_torus_flat_with_fold_failures():
     assert report.all_defects_zero
     assert report.max_abs_defect <= 1e-12
     assert report.flat
-    assert not report.locally_embedded_flat
+    assert not report.all_links_embedded
     failed = {v.vertex for v in report.links if not v.embedded}
     assert failed == set(fold_vertex_ids(4, 4, 2))
 
@@ -336,7 +344,7 @@ def test_round_torus_curved_but_embedded_links():
 def test_flatness_report_cube():
     report = flatness_report(check_closed_manifold(cube()))
     assert report.all_faces_planar
-    assert report.all_faces_simple
+    assert all(f.simple_in_plane for f in report.faces)
     assert report.max_rel_deviation == 0.0
     assert not report.all_defects_zero
     assert report.max_abs_defect == pytest.approx(math.pi / 2)
@@ -414,7 +422,7 @@ def test_face_table_equals_one_face_calls(corpus_meshes, bench_meshes):
 
 def test_face_table_degenerate_entries():
     """Coincident, then collinear, then zero-length edge: the first failing
-    check names the entry, and face_geometry raises that same error."""
+    check names the entry."""
     table = face_geometries(DEGENERATE_MIX)
     assert [str(g) if isinstance(g, DegenerateFaceError) else None for g in table] == [
         None,
@@ -425,10 +433,6 @@ def test_face_table_degenerate_entries():
         None,
         None,
     ]
-    for f, geo in enumerate(table):
-        if isinstance(geo, DegenerateFaceError):
-            with pytest.raises(DegenerateFaceError, match=str(geo)):
-                face_geometry(DEGENERATE_MIX, f)
 
 
 def test_one_face_table_per_certificate(monkeypatch, bench_meshes):
@@ -463,6 +467,43 @@ def test_prebuilt_table_changes_nothing(bench_meshes):
         assert given_table.derived.faces == own.derived.faces
         assert given_table.triangle_sources == own.triangle_sources
         assert given_table.fallbacks == own.fallbacks
+
+
+# ---------------------------------------------------------------------------
+# Defects against a loop over the referee's stars
+
+def _referee_defects(cx):
+    """2*pi minus a left-to-right `total += angle` over each star of
+    referee_manifold, with the face table's interior angles."""
+    ref = referee_manifold(cx)
+    angles = [a for geo in face_geometries(cx) for a in geo.angles]
+    corners, bounds = ref["star_corners"], ref["star_offsets"]
+    defects = []
+    for start, stop in zip(bounds, bounds[1:]):
+        total = 0.0
+        for c in corners[start:stop]:
+            total += angles[c]
+        defects.append(TWO_PI - total)
+    return defects
+
+
+# A sphere of a square and two triangles below it, whose vertices 1 and 3
+# have valence 2.
+FOLDED_SQUARE = build_complex([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+                              [(0, 1, 2, 3), (1, 0, 3), (1, 3, 2)])
+
+
+def test_defects_match_star_loop(corpus_meshes, bench_meshes, perfbench_meshes):
+    """Every defect flatness_report records is the loop's, bit for bit, on
+    the corpus, every benchmark mesh and a sphere with valence-2 vertices,
+    as generated and under a seeded symmetry, which reorders every star."""
+    topology = [build() for _, build in perfbench_meshes.WORKLOADS["topology"].meshes]
+    complexes = ([cx for _, cx in corpus_meshes.values()] + list(bench_meshes.values())
+                 + topology + [FOLDED_SQUARE])
+    for cx in complexes + [perfbench_meshes.transformed(cx, random.Random(5)) for cx in complexes]:
+        report = flatness_report(check_closed_manifold(cx))
+        assert [v.defect.hex() for v in report.vertices] == [
+            d.hex() for d in _referee_defects(cx)]
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +631,11 @@ def _subarc_links(mesh, tol=None):
     """link_is_embedded's verdict on every vertex link, with _link's error
     as the witness where the link is undefined."""
     tol = tol or ToleranceProfile()
-    geos = face_geometries(mesh.complex)
+    geos, stars = face_geometries(mesh.complex), flatness._stars(mesh)
     out = []
     for v in range(mesh.n_vertices):
         try:
-            link = flatness._link(mesh, v, geos)
+            link = flatness._link(mesh, v, geos, stars)
         except MeshError as exc:
             out.append(LinkVerdict(v, False, str(exc)))
         else:
@@ -663,7 +704,8 @@ def test_azimuth_pass_leaves_unusable_rows_uncertified(bad):
     vertices = cx.vertices.copy()
     vertices[0] = vertices[1] if bad is None else bad
     mesh = replace(check_closed_manifold(cx), complex=CellComplex(vertices, cx.faces))
-    assert flatness._azimuth_certified(mesh, face_geometries(cx), 1e-9) == [False] * 4
+    angles = np.array([a for geo in face_geometries(cx) for a in geo.angles])
+    assert flatness._azimuth_certified(mesh, angles, 1e-9) == [False] * 4
 
 
 @pytest.mark.parametrize("name, failures", [

@@ -38,7 +38,7 @@ from flatcheck import (
 )
 from flatcheck.homology import _forest_smith
 
-from conftest import grid_klein, grid_torus, tetra
+from conftest import grid_klein, grid_torus, referee_manifold, tetra
 
 
 def _coo(items):
@@ -288,7 +288,9 @@ def test_boundary_rows_follow_mesh_edges():
     mesh = check_closed_manifold(grid_klein(3, 3))
     from_mesh = boundary_matrices(mesh)
     from_complex = boundary_matrices(mesh.complex)
-    assert tuple(map(tuple, from_mesh.edges.tolist())) == mesh.edges
+    assert np.array_equal(from_mesh.edges, mesh.edge_ends)
+    edge_ends = referee_manifold(mesh.complex)["edge_ends"]
+    assert tuple(map(tuple, from_mesh.edges.tolist())) == edge_ends
     assert np.array_equal(from_mesh.edges, from_complex.edges)
     for a, b in zip(from_mesh.d1 + from_mesh.d2, from_complex.d1 + from_complex.d2):
         assert np.array_equal(a, b)

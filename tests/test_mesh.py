@@ -271,10 +271,9 @@ def test_manifold_check_matches_referee(case):
         assert ref["defects"] and list(exc.defects) == ref["defects"]
         return
     assert ref["defects"] == []
-    for name in ("origin", "face_of", "twin"):
+    for name in ("origin", "face_of", "twin", "star_corners", "star_entries", "star_offsets"):
         assert tuple(getattr(mesh, name).tolist()) == ref[name], name
-    for name in ("edges", "vertex_stars", "star_entry_neighbors"):
-        assert getattr(mesh, name) == ref[name], name
+    assert tuple(map(tuple, mesh.edge_ends.tolist())) == ref["edge_ends"]
     per_component = referee_orientability(ref, cx.n_faces)
     assert orientability(mesh).per_component == per_component
     assert connected_components(mesh).count == len(per_component)

@@ -20,14 +20,13 @@ from flatcheck import (
     build_complex,
     check_closed_manifold,
     euler_characteristic,
-    face_area,
     orientability,
-    total_area,
     triangle_contact,
     triangulate_faces,
 )
 
-from conftest import cube, grid_klein, random_rotation, referee_repeats, tetra
+from conftest import (cube, face_area, grid_klein, random_rotation, referee_repeats, tetra,
+                      total_area)
 from flatcheck import refine
 
 
@@ -139,7 +138,7 @@ def test_nonplanar_quad_falls_back():
     cx = build_complex(verts, [(0, 1, 2, 3)])
     ref = triangulate_faces(cx)
     assert {r.reason for r in ref.fallbacks} == {"planarity"}
-    assert ref.fallback_faces == (0,)
+    assert [r.face for r in ref.fallbacks] == [0]
     assert len(ref.derived.faces) == 2
     # a loose tolerance accepts the same quad
     loose = triangulate_faces(cx, ToleranceProfile(planarity_tol=1.0))
