@@ -4,8 +4,8 @@ intrinsic flatness, and global self-intersection classification."""
 from .certificate import (TOOL_VERSION, build_certificate, canonical_json,
                           certificate_text, write_certificate)
 from .corpus import GeneratorError, GeneratorSpec, generate, standard_corpus
-from .flatness import (DegenerateFaceError, FlatnessReport, LinkVerdict, PlaneFit,
-                       SphericalLink, ToleranceProfile, flatness_report, link_is_embedded)
+from .flatness import (DegenerateFaceError, FlatnessReport, LinkVerdict, SphericalLink,
+                       ToleranceProfile, flatness_report, link_is_embedded)
 from .formats import (FormatError, LoadedMesh, read_mesh, read_obj, read_off,
                       read_pair, write_mesh, write_obj, write_off, write_pair)
 from .homology import (BoundaryMatrices, HomologyProfile, SmithNormalForm,
@@ -25,4 +25,21 @@ from .refine import (EdgeMidpoint, FaceCentroid, FallbackRecord, Refinement,
 
 __version__ = TOOL_VERSION
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules a star import would otherwise bind
+__all__ = [
+    "BoundaryMatrices", "CellComplex", "Contact", "DegenerateFaceError",
+    "DegenerateTriangleError", "EdgeMidpoint", "FaceCentroid", "FallbackRecord",
+    "FlatnessReport", "FormatError", "GeneratorError", "GeneratorSpec", "HalfEdgeMesh",
+    "HomologyProfile", "IntersectionReport", "InvalidComplexError", "LinkVerdict",
+    "LoadedMesh", "ManifoldDefect", "MeshError", "NotManifoldError", "OrientabilityReport",
+    "PairContact", "Refinement", "SmithNormalForm", "SourceVertex", "SphericalLink",
+    "SurfaceClass", "TOOL_VERSION", "ToleranceProfile", "TriangleBoxes", "TriangleSoup",
+    "TriangulationError", "barycentric_subdivision", "boundary_matrices", "build_certificate",
+    "build_complex", "build_hierarchy", "candidate_pairs", "canonical_face", "canonical_json",
+    "certificate_text", "check_closed_manifold", "classify_immersion", "classify_surface",
+    "connected_components", "edge_census", "euler_characteristic", "flatness_report",
+    "generate", "homology_profile", "link_is_embedded", "orientability", "read_mesh",
+    "read_obj", "read_off", "read_pair", "self_intersections", "smith_normal_form",
+    "standard_corpus", "triangle_contact", "triangle_soup", "triangulate_faces",
+    "write_certificate", "write_mesh", "write_obj", "write_off", "write_pair",
+]

@@ -9,27 +9,29 @@ face is planar, every defect vanishes, and every link is a simple closed
 spherical polygon.  flatness_report is the one producer of all three
 facts.
 
-Face geometry is computed once per check, as one table (face_geometries)
-that flatness_report and refine.triangulate_faces share.  Faces of one
-degree are fitted as one NumPy stack, whose floats equal those of a
-one-face table bit for bit.  The report flattens the table's interior
-angles into one per-corner array, from which the defects (_defects) and
-the azimuth pass both read.  Links are decided by one NumPy pass per
-vertex valence (_azimuth_certified) wherever an azimuth lemma proves them
-embedded by a margin; the other links are built (_link) and tested on
-plain float 3-tuples, reading each star from lists made once per report,
-with no NumPy call per vector.
+Face geometry is computed once per check, as one table of columns
+(face_geometries, a FaceTable) that flatness_report and
+refine.triangulate_faces share: per face the plane fit, simplicity,
+orientation and in-plane frame, per corner the interior angle, the signed
+turn and the projected point.  Faces of one degree are fitted as one NumPy
+stack, whose floats equal those of a one-face table bit for bit, and
+their turns are one batched orient2d.  The defects (_defects) and the
+azimuth pass read the per-corner angle column as it is.  Links are
+decided by one NumPy pass per vertex valence (_azimuth_certified)
+wherever an azimuth lemma proves them embedded by a margin; the other
+links are built (_link) and tested on plain float 3-tuples, reading each
+star from lists made once per report, with no NumPy call per vector.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .mesh import CellComplex, HalfEdgeMesh, MeshError, euler_characteristic
-from .predicates import orient2d
+from .predicates import orient2d, orient2d_rows
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -66,17 +68,6 @@ class ToleranceProfile:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
-@dataclass(frozen=True)
-class PlaneFit:
-    """Least-squares plane through a face: {x : normal . x = offset}."""
-
-    normal: np.ndarray
-    offset: float
-    max_deviation: float      # largest |normal . (p - centroid)|
-    rel_deviation: float      # max_deviation / diameter
-    diameter: float           # largest pairwise point distance
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (..., 3) stacks.
 
@@ -91,16 +82,13 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(a, a))
 
 
-def _plane_fits(
-    pts: np.ndarray,
-) -> tuple[list[PlaneFit | DegenerateFaceError], np.ndarray, np.ndarray]:
-    """Plane fits of an (F, k, 3) stack of polygons, one per row.
-
-    Returns the fits, each a PlaneFit or the DegenerateFaceError of its
-    row, with the centered points and the unit normals of every row.
-    """
+def _plane_fits(pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Plane fits of an (F, k, 3) stack of polygons, one per row: the
+    diameters, the widths along the middle principal direction, the
+    centered points, the unit normals, the offsets and the largest
+    deviations."""
     diffs = pts[:, :, None, :] - pts[:, None, :, :]
-    diameters = np.sqrt((diffs ** 2).sum(axis=3)).max(axis=(1, 2)).tolist()
+    diameters = np.sqrt((diffs ** 2).sum(axis=3)).max(axis=(1, 2))
     centroids = pts.mean(axis=1)
     centered = pts - centroids[:, None, :]
     eigvals, eigvecs = np.linalg.eigh(centered.transpose(0, 2, 1) @ centered)  # ascending
@@ -112,34 +100,21 @@ def _plane_fits(
     # Width of each point set along its middle principal direction; if that
     # also vanishes the points are collinear and every plane through the
     # line fits equally badly.
-    widths = np.sqrt(np.maximum(eigvals[:, 1], 0.0)).tolist()
-    max_devs = np.abs((centered @ normals[:, :, None])[..., 0]).max(axis=1).tolist()
-    offsets = _dots(normals, centroids).tolist()
-    fits: list[PlaneFit | DegenerateFaceError] = []
-    for row, diameter in enumerate(diameters):
-        if diameter == 0.0:
-            fits.append(DegenerateFaceError("all points coincide"))
-        elif widths[row] <= _DEGENERATE_WIDTH * diameter:
-            fits.append(DegenerateFaceError("points are collinear within working precision"))
-        else:
-            fits.append(PlaneFit(
-                normal=normals[row],
-                offset=offsets[row],
-                max_deviation=max_devs[row],
-                rel_deviation=max_devs[row] / diameter,
-                diameter=diameter,
-            ))
-    return fits, centered, normals
+    widths = np.sqrt(np.maximum(eigvals[:, 1], 0.0))
+    max_devs = np.abs((centered @ normals[:, :, None])[..., 0]).max(axis=1)
+    return diameters, widths, centered, normals, _dots(normals, centroids), max_devs
 
 
-def _corner_angles(u: np.ndarray, v: np.ndarray) -> tuple[list[float], list[bool]]:
+def _corner_angles(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unsigned angles between the rows of two (n, 3) stacks, in [0, pi],
     and whether each row has a zero-length side.
 
-    atan2 of the cross and dot products, numerically stable near 0 and pi.
+    atan2 of the cross and dot products, numerically stable near 0 and pi;
+    math.atan2, since np.arctan2 need not round as libm does.
     """
-    zero = ((_norms(u) == 0.0) | (_norms(v) == 0.0)).tolist()
-    angles = list(map(math.atan2, _norms(np.cross(u, v)).tolist(), _dots(u, v).tolist()))
+    zero = (_norms(u) == 0.0) | (_norms(v) == 0.0)
+    angles = np.fromiter(map(math.atan2, _norms(np.cross(u, v)).tolist(), _dots(u, v).tolist()),
+                         np.float64, len(u))
     return angles, zero
 
 
@@ -150,25 +125,46 @@ def _any_perpendicular(d: np.ndarray) -> np.ndarray:
     return p / _norms(p)[:, None]
 
 
-@dataclass(frozen=True)
-class FaceGeometry:
-    """Per-face geometric summary used by defects and links.
+@dataclass(frozen=True, eq=False)
+class FaceTable:
+    """Plane fit, in-plane frame and corner angles of every face, as columns.
 
-    angles holds one interior angle per corner.  For a face that is simple
-    in its fitted plane these are true interior angles (reflex corners of
-    nonconvex faces exceed pi); for a non-simple face no interior is
-    defined and the raw unsigned corner angles are used instead, with
-    simple=False flagging the substitution.
+    Per face: the least-squares plane {x : normal . x = offset}, its
+    largest deviation |normal . (p - centroid)| over the face's points,
+    that over the diameter (the largest pairwise point distance), whether
+    the face is simple in its plane, the sign of its projected signed area
+    (orientation) and its in-plane frame.  Per corner, in complex.corners
+    order: the interior angle, the signed turn (orient2d of the corner
+    between its two neighbours in the plane, times the orientation: +1
+    convex, -1 reflex, 0 straight) and the projected point.  For a simple
+    face the interior angles are true interior angles (a reflex corner's
+    exceeds pi); a non-simple face has no interior, and its raw unsigned
+    corner angles stand in, with simple False flagging the substitution.
+
+    degenerate lists (face, message), in face order, for every face with
+    a non-finite coordinate, no usable plane or a zero-length edge; the
+    message names the first check the face fails: a non-finite
+    coordinate, coincident points, collinear points, then a zero-length
+    edge.  The columns of those faces mean nothing.
     """
 
-    face: int
-    fit: PlaneFit
-    angles: tuple[float, ...]
-    simple: bool
-    reflex_corners: tuple[int, ...]
-    basis: np.ndarray          # (2, 3): in-plane coordinate frame
-    orientation: float         # +1 / -1: sign of the projected signed area
-    points2d: np.ndarray       # (k, 2) projected vertices
+    normal: np.ndarray          # (F, 3) unit, first nonzero component positive
+    offset: np.ndarray          # (F,)
+    max_deviation: np.ndarray   # (F,)
+    rel_deviation: np.ndarray   # (F,) max_deviation / diameter
+    diameter: np.ndarray        # (F,)
+    simple: np.ndarray          # (F,) bool
+    orientation: np.ndarray     # (F,) +1.0 / -1.0
+    basis: np.ndarray           # (F, 2, 3) in-plane coordinate frame
+    angles: np.ndarray          # (C,) interior angle of each corner
+    turns: np.ndarray           # (C,) int8 signed turn of each corner
+    points2d: np.ndarray        # (C, 2) each corner in the in-plane frame
+    degenerate: tuple[tuple[int, str], ...]
+
+
+_DEGENERATE = (None, "a corner has a non-finite coordinate", "all points coincide",
+               "points are collinear within working precision",
+               "corner has a zero-length incident edge")
 
 
 def _segments_properly_disjoint(a0, a1, b0, b1) -> bool:
@@ -211,77 +207,72 @@ def _is_simple(p2: list) -> bool:
     return True
 
 
-def _degree_group(faces: list[int],
-                  pts: np.ndarray) -> list[FaceGeometry | DegenerateFaceError]:
-    """face_geometries for faces of one degree k, whose corners are the
-    (F, k, 3) stack pts."""
-    k = pts.shape[1]
-    fits, centered, normals = _plane_fits(pts)
-    # In-plane frame: two unit vectors orthogonal to the fitted normal.
-    u = _any_perpendicular(normals)
-    basis = np.stack((u, np.cross(normals, u)), axis=1)
-    points2d = centered @ basis.transpose(0, 2, 1)
-    angles, zero = _corner_angles((np.roll(pts, 1, axis=1) - pts).reshape(-1, 3),
-                                  (np.roll(pts, -1, axis=1) - pts).reshape(-1, 3))
-    out: list[FaceGeometry | DegenerateFaceError] = []
-    for row, (face, fit, p2) in enumerate(zip(faces, fits, points2d.tolist())):
-        corners = range(row * k, (row + 1) * k)
-        if isinstance(fit, DegenerateFaceError):
-            out.append(fit)
-            continue
-        if any(zero[c] for c in corners):
-            out.append(DegenerateFaceError("corner has a zero-length incident edge"))
-            continue
-        area2 = 0.0
-        for i in range(k):
-            x0, y0 = p2[i]
-            x1, y1 = p2[(i + 1) % k]
-            area2 += x0 * y1 - x1 * y0
-        orientation = 1.0 if area2 >= 0.0 else -1.0
-        simple = _is_simple(p2)
-        interior: list[float] = []
-        reflex: list[int] = []
-        for i, c in enumerate(corners):
-            raw = angles[c]
-            if simple and orient2d(p2[i - 1], p2[i], p2[(i + 1) % k]) * orientation < 0.0:
-                interior.append(TWO_PI - raw)
-                reflex.append(i)
-            else:
-                interior.append(raw)
-        out.append(FaceGeometry(
-            face=face,
-            fit=fit,
-            angles=tuple(interior),
-            simple=simple,
-            reflex_corners=tuple(reflex),
-            basis=basis[row],
-            orientation=orientation,
-            points2d=points2d[row],
-        ))
-    return out
+def face_geometries(complex: CellComplex) -> FaceTable:
+    """Fit, project and measure every face of the complex.
 
-
-def face_geometries(complex: CellComplex,
-                    faces: Iterable[int] | None = None) -> list[FaceGeometry | DegenerateFaceError]:
-    """Fit, project and measure the given faces (all by default), in order.
-
-    Each entry is the face's FaceGeometry or, for a face with no usable
-    plane or a zero-length edge, a DegenerateFaceError naming the first
-    check it fails: coincident points, then collinear points, then a
-    zero-length edge.  Faces of one degree are fitted as one stack, and
-    every float equals that of the face's own one-face table.
+    Faces of one degree k are one (F_k, k, 3) stack, so every float equals
+    that of the face's own one-face table.  The stacks are taken from the
+    complex scaled, as unit_scaled does, by the power of two that brings
+    its largest finite |coordinate| into [0.5, 1), so no square overflows
+    or underflows, and the lengths are scaled back; every sign and ratio
+    is scale-free, and on a unit-scaled complex the factor is 1.
+    Python runs per corner only for the turns the float guard leaves to the
+    exact test, and per face only for the simplicity test of a face that is
+    neither a triangle nor a quad with four positive turns.
     """
-    faces = list(range(complex.n_faces) if faces is None else faces)
-    groups: dict[int, list[int]] = {}
-    for pos, fi in enumerate(faces):
-        groups.setdefault(len(complex.faces[fi]), []).append(pos)
-    table: list[FaceGeometry | DegenerateFaceError | None] = [None] * len(faces)
-    for positions in groups.values():
-        ids = [faces[pos] for pos in positions]
-        pts = complex.vertices[np.array([complex.faces[fi] for fi in ids], dtype=np.intp)]
-        for pos, geo in zip(positions, _degree_group(ids, pts)):
-            table[pos] = geo
-    return table
+    # a non-finite coordinate is zeroed, so no fit sees it, and its faces
+    # are listed as degenerate
+    finite = np.isfinite(complex.vertices)
+    _, e = np.frexp(np.abs(complex.vertices).max(initial=0.0, where=finite))
+    e = int(e)
+    vertices = np.ldexp(np.where(finite, complex.vertices, 0.0), -e)
+    unusable = ~finite.all(axis=1)
+    n_faces, n_corners = complex.n_faces, len(complex.corners)
+    normal, basis = np.empty((n_faces, 3)), np.empty((n_faces, 2, 3))
+    offset, max_deviation, rel_deviation, diameter, orientation = np.empty((5, n_faces))
+    simple, failed = np.empty(n_faces, dtype=bool), np.empty(n_faces, dtype=np.int8)
+    angles, turns = np.empty(n_corners), np.empty(n_corners, dtype=np.int8)
+    points2d = np.empty((n_corners, 2))
+    degree = np.diff(complex.offsets)
+    for k in np.flatnonzero(np.bincount(degree)).tolist():
+        faces = np.flatnonzero(degree == k)
+        at = complex.offsets[faces, None] + np.arange(k)        # (F_k, k) corner ids
+        pts = vertices[complex.corners[at]]
+        diam, width, centered, normals, offs, devs = _plane_fits(pts)
+        # In-plane frame: two unit vectors orthogonal to the fitted normal.
+        u = _any_perpendicular(normals)
+        frame = np.stack((u, np.cross(normals, u)), axis=1)
+        p2 = centered @ frame.transpose(0, 2, 1)
+        before, after = np.roll(p2, 1, axis=1), np.roll(p2, -1, axis=1)
+        raw, zero = _corner_angles((np.roll(pts, 1, axis=1) - pts).reshape(-1, 3),
+                                   (np.roll(pts, -1, axis=1) - pts).reshape(-1, 3))
+        # twice the signed area, one column at a time from 0.0: the IEEE
+        # additions of a left-to-right loop over the edges
+        area2 = np.zeros(len(faces))
+        for column in (p2[..., 0] * after[..., 1] - after[..., 0] * p2[..., 1]).T:
+            area2 += column
+        sign = np.where(area2 >= 0.0, 1, -1).astype(np.int8)
+        turn = orient2d_rows(before.reshape(-1, 2), p2.reshape(-1, 2),
+                             after.reshape(-1, 2)).reshape(-1, k) * sign[:, None]
+        code = np.select([unusable[complex.corners[at]].any(axis=1), diam == 0.0,
+                          width <= _DEGENERATE_WIDTH * diam, zero.reshape(-1, k).any(axis=1)],
+                         [1, 2, 3, 4], 0)
+        # a triangle is simple, and so is a quad that turns one way at
+        # every corner; any other face takes the segment test
+        ok = np.full(len(faces), k == 3) | ((turn > 0).all(axis=1) & (k == 4))
+        for row in np.flatnonzero(~ok & (code == 0)).tolist():
+            ok[row] = _is_simple(p2[row].tolist())
+        raw = raw.reshape(-1, k)
+        normal[faces], basis[faces], failed[faces] = normals, frame, code
+        offset[faces], max_deviation[faces] = np.ldexp(offs, e), np.ldexp(devs, e)
+        diameter[faces], orientation[faces], simple[faces] = np.ldexp(diam, e), sign, ok
+        rel_deviation[faces] = devs / np.where(diam > 0.0, diam, 1.0)
+        angles[at] = np.where(ok[:, None] & (turn < 0), TWO_PI - raw, raw)
+        turns[at], points2d[at] = turn, np.ldexp(p2, e)
+    bad = np.flatnonzero(failed)
+    return FaceTable(normal, offset, max_deviation, rel_deviation, diameter, simple, orientation,
+                     basis, angles, turns, points2d,
+                     tuple(zip(bad.tolist(), map(_DEGENERATE.__getitem__, failed[bad].tolist()))))
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +352,23 @@ class _Stars(NamedTuple):
 
     offsets: list[int]
     entries: list[int]      # the neighbor crossed to enter the corner
+    corners: list[int]      # the corner, an index into complex.corners
     faces: list[int]        # the corner's face
-    positions: list[int]    # the corner's position in that face
 
 
 def _stars(mesh: HalfEdgeMesh) -> _Stars:
-    faces = mesh.face_of[mesh.star_corners]
-    return _Stars(mesh.star_offsets.tolist(), mesh.star_entries.tolist(), faces.tolist(),
-                  (mesh.star_corners - mesh.complex.offsets[faces]).tolist())
+    return _Stars(mesh.star_offsets.tolist(), mesh.star_entries.tolist(),
+                  mesh.star_corners.tolist(), mesh.face_of[mesh.star_corners].tolist())
 
 
-def _link(mesh: HalfEdgeMesh, vertex: int, geos, stars: _Stars) -> SphericalLink:
+def _link(mesh: HalfEdgeMesh, vertex: int, table: FaceTable, stars: _Stars) -> SphericalLink:
     """Build the link of a vertex as a closed spherical polygon.
 
     Link vertices are the unit directions of the incident edges in star
     order; each face corner contributes the great-circle arc between its
-    two edge directions, of length equal to its interior angle in geos,
-    the face table.  Straight corners (angle pi) are oriented using the
-    face's in-plane frame, since the two directions alone leave the great
+    two edge directions, of length equal to its interior angle in the
+    face table.  Straight corners (angle pi) are oriented using the face's
+    in-plane frame, since the two directions alone leave the great
     semicircle ambiguous.
     """
     start, stop = stars.offsets[vertex], stars.offsets[vertex + 1]
@@ -398,32 +388,33 @@ def _link(mesh: HalfEdgeMesh, vertex: int, geos, stars: _Stars) -> SphericalLink
 
     arcs: list[LinkArc] = []
     for k in range(count):
-        f, i = stars.faces[start + k], stars.positions[start + k]
-        geo = geos[f]
-        theta = geo.angles[i]
+        c, f = stars.corners[start + k], stars.faces[start + k]
+        theta = float(table.angles[c])
         d_start = directions[k]
         d_end = directions[(k + 1) % count]
         if theta >= math.pi - _PARALLEL_GUARD and theta <= math.pi + _PARALLEL_GUARD:
             # Straight corner: orient the semicircle through the face's
             # interior.  The interior side of the (projected) straight edge
             # is the left side for positive orientation.
-            (x0, y0), (x1, y1) = geo.points2d[[i, (i + 1) % len(geo.points2d)]].tolist()
+            first, stop = mesh.complex.offsets[f:f + 2].tolist()
+            (x0, y0), (x1, y1) = table.points2d[[c, c + 1 if c + 1 < stop else first]].tolist()
             ex, ey = x1 - x0, y1 - y0
             nrm = math.hypot(ex, ey)
             if nrm == 0.0:
                 raise DegenerateFaceError("straight corner with zero-length projected edge")
-            wx, wy = geo.orientation * -(ey / nrm), geo.orientation * (ex / nrm)
+            orientation = float(table.orientation[f])
+            wx, wy = orientation * -(ey / nrm), orientation * (ex / nrm)
             # The interior normal must point away from the direction we
             # start at; which of +-exit matches d_start is irrelevant for
             # the midpoint construction below.
-            b0, b1 = geo.basis.tolist()
+            b0, b1 = table.basis[f].tolist()
             w3 = (wx * b0[0] + wy * b1[0], wx * b0[1] + wy * b1[1], wx * b0[2] + wy * b1[2])
             along = _dot(w3, d_start)
             w3 = _sub(w3, (d_start[0] * along, d_start[1] * along, d_start[2] * along))
             nw = _norm(w3)
             if nw <= _PARALLEL_GUARD:
                 raise DegenerateFaceError(
-                    f"face {f}: cannot orient straight corner {i} from its plane"
+                    f"face {f}: cannot orient straight corner {c - first} from its plane"
                 )
             axis = _cross(d_start, _divided(w3, nw))
             axis = _divided(axis, _norm(axis))
@@ -756,43 +747,34 @@ def _defects(mesh: HalfEdgeMesh, angles: np.ndarray) -> list[float]:
 
 
 def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None,
-                    geos: list[FaceGeometry | DegenerateFaceError] | None = None) -> FlatnessReport:
+                    geos: FaceTable | None = None) -> FlatnessReport:
     """Run every geometric check once and collect the results.
 
     geos is face_geometries(mesh.complex), built here when not given.
     """
     tol = tol or ToleranceProfile()
-    if geos is None:
-        geos = face_geometries(mesh.complex)
+    table = face_geometries(mesh.complex) if geos is None else geos
+    if table.degenerate:
+        face, message = table.degenerate[0]
+        raise DegenerateFaceError(f"face {face}: {message}")
+    rel = table.rel_deviation
+    face_records = map(FaceFlatnessRecord, range(mesh.complex.n_faces), rel.tolist(),
+                       table.max_deviation.tolist(), (rel <= tol.planarity_tol).tolist(),
+                       table.simple.tolist())
 
-    face_records = []
-    for fi, geo in enumerate(geos):
-        if isinstance(geo, DegenerateFaceError):
-            raise DegenerateFaceError(f"face {fi}: {geo}") from geo
-        face_records.append(
-            FaceFlatnessRecord(
-                face=fi,
-                rel_deviation=geo.fit.rel_deviation,
-                max_deviation=geo.fit.max_deviation,
-                planar=geo.fit.rel_deviation <= tol.planarity_tol,
-                simple_in_plane=geo.simple,
-            )
-        )
-
-    angles = np.array([a for geo in geos for a in geo.angles])    # per corner
-    defects = _defects(mesh, angles)
+    defects = _defects(mesh, table.angles)
     vertex_records = [VertexFlatnessRecord(vertex=v, defect=d, flat=abs(d) <= tol.defect_tol)
                       for v, d in enumerate(defects)]
 
     links = []
-    certified = _azimuth_certified(mesh, angles, tol.link_tol)
+    certified = _azimuth_certified(mesh, table.angles, tol.link_tol)
     stars = _stars(mesh)
     for v in range(mesh.n_vertices):
         if certified[v]:
             links.append(LinkVerdict(v, True))
             continue
         try:
-            link = _link(mesh, v, geos, stars)
+            link = _link(mesh, v, table, stars)
         except MeshError as exc:
             links.append(LinkVerdict(vertex=v, embedded=False, witness=str(exc)))
             continue

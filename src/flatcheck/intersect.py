@@ -1,11 +1,14 @@
 """Global self-intersection detection for triangulated surfaces.
 
-The triangle soup is built once from a refinement: corner coordinates
-(n, 3, 3), derived corner ids and source faces, the vertex and edge sets
-of every source face, the pairs of source faces that share a vertex, and
-per triangle which corners and opposite edges are cells of its source
-face.  Broad phase: one sort-and-sweep over the triangles' axis-aligned
-boxes, which yields exactly the pairs whose boxes meet.  Narrow phase, in
+The triangle soup is built once from a refinement, in array passes:
+corner coordinates (n, 3, 3), derived corner ids and source faces, the
+vertex and edge cells of every source face as sorted keys in CSR form
+(FaceCells, found from the source's corners and one searchsorted for the
+edge midpoints), the pairs of source faces that share a vertex, and per
+triangle which corners and opposite edges are cells of its source face;
+only the exact loop's rows read one face's cells.  Broad phase: one
+sort-and-sweep over the triangles' axis-aligned boxes, which yields
+exactly the pairs whose boxes meet.  Narrow phase, in
 two steps.  First a float pass decides, in blocks of pairs in NumPy, every
 pair whose answer it can prove.  With Shewchuk's static error bounds on the
 power-of-two scaled coordinates, it drops a pair when one triangle's
@@ -62,6 +65,29 @@ class DegenerateTriangleError(MeshError):
 
 
 @dataclass(frozen=True, eq=False)
+class FaceCells:
+    """Sorted keys per source face, in CSR form: face f's keys are
+    keys[offsets[f]:offsets[f + 1]], which cells[f] returns."""
+
+    offsets: np.ndarray     # (n_faces + 1,)
+    keys: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, face: int) -> np.ndarray:
+        return self.keys[self.offsets[face]:self.offsets[face + 1]]
+
+    def of(self, faces: np.ndarray) -> np.ndarray:
+        """The keys of the given faces, face after face."""
+        starts = self.offsets[faces]
+        counts = self.offsets[faces + 1] - starts
+        # each key's place in the output, moved to its place in keys
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return self.keys[np.arange(counts.sum()) + shift]
+
+
+@dataclass(frozen=True, eq=False)
 class TriangleSoup:
     """Triangles of a refinement, one row per triangle, with source-face
     adjacency data."""
@@ -71,9 +97,9 @@ class TriangleSoup:
     source_face: np.ndarray                     # (n,) source face of each triangle
     points: np.ndarray                          # derived vertex coordinates
     # per source face: the derived ids of its vertices and edge midpoints,
-    # and the derived edges along its boundary
-    face_vertices: tuple[frozenset[int], ...]
-    face_edges: tuple[frozenset[tuple[int, int]], ...]
+    # and the derived edges u < v along its boundary, keyed u * len(points) + v
+    face_vertices: FaceCells
+    face_edges: FaceCells
     # (n, 3) bool: corner k of the triangle is in its source face's
     # face_vertices, and the edge opposite corner k is in its face_edges
     corner_cells: np.ndarray
@@ -121,6 +147,47 @@ def _sharing(face: np.ndarray, key: np.ndarray, n_faces: int) -> np.ndarray:
     return np.sort(face[first] * n_faces + face[second])
 
 
+def _face_cells(refinement: Refinement) -> tuple[FaceCells, FaceCells]:
+    """The vertex and edge cells of every source face, from the source's
+    corners and the refinement's edge midpoints.
+
+    Source vertices keep their ids in the derived complex, and the derived
+    vertices after them carry the new origins.  A source edge with a
+    midpoint m is the derived polyline u - m - v: a rounded midpoint need
+    not lie on the segment uv, but it is a vertex of both faces at that
+    edge.  One searchsorted finds the midpoint of every face edge.
+    """
+    source = refinement.source
+    corners, offsets = source.corners, source.offsets
+    n_source, n = source.n_vertices, refinement.derived.n_vertices
+    face = np.repeat(np.arange(source.n_faces), np.diff(offsets))
+    after = np.arange(1, len(corners) + 1)
+    after[offsets[1:] - 1] = offsets[:-1]
+    u, v = corners, corners[after]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    mids = [(o.u * n_source + o.v, k) for k, o in
+            enumerate(refinement.vertex_origins[n_source:], n_source) if isinstance(o, EdgeMidpoint)]
+    mid_key, mid = np.array(sorted(mids), dtype=np.int64).reshape(-1, 2).T
+    key = lo * n_source + hi
+    split = np.isin(key, mid_key)
+    m = mid[np.searchsorted(mid_key, key[split])]
+    # vertices: each corner, then each midpoint; edges: each unsplit edge,
+    # then both halves of each split one (m > u, v)
+    vertex_face = np.concatenate((face, face[split]))
+    vertex_key = np.concatenate((u, m))
+    edge_face = np.concatenate((face[~split], face[split], face[split]))
+    edge_key = np.concatenate((lo[~split] * n + hi[~split], u[split] * n + m, v[split] * n + m))
+    return (_cells(vertex_face, vertex_key, source.n_faces),
+            _cells(edge_face, edge_key, source.n_faces))
+
+
+def _cells(face: np.ndarray, key: np.ndarray, n_faces: int) -> FaceCells:
+    """The rows (face, key) as FaceCells, each face's keys sorted."""
+    order = np.lexsort((key, face))
+    return FaceCells(np.concatenate(([0], np.cumsum(np.bincount(face, minlength=n_faces)))),
+                     key[order])
+
+
 def triangle_soup(refinement: Refinement) -> TriangleSoup:
     """Triangle soup of a refinement, with source-face adjacency data.
 
@@ -148,42 +215,25 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
             f"{len(bad)} zero-area derived triangle(s), first at index {bad[0]}"
             f" (source face {refinement.triangle_sources[bad[0]]})"
         )
-    # Source vertices keep their ids in the derived complex.  A source edge
-    # with a midpoint m is the derived polyline u - m - v: a rounded
-    # midpoint need not lie on the segment uv, but it is a vertex of both
-    # faces at that edge.
-    midpoint = {(o.u, o.v): k for k, o in enumerate(refinement.vertex_origins)
-                if isinstance(o, EdgeMidpoint)}
-    face_vertices, face_edges = [], []
-    for face in refinement.source.faces:
-        verts, edges = set(), set()
-        for u, v in zip(face, face[1:] + face[:1]):
-            mid = midpoint.get((min(u, v), max(u, v)))
-            ends = (u, v) if mid is None else (u, mid, v)
-            verts.update(ends)
-            edges.update((min(p, q), max(p, q)) for p, q in zip(ends, ends[1:]))
-        face_vertices.append(frozenset(verts))
-        face_edges.append(frozenset(edges))
+    face_vertices, face_edges = _face_cells(refinement)
     source_face = np.array(refinement.triangle_sources, dtype=np.intp)
-    # the cells as (face, key) rows, a vertex keyed by its id and an edge
-    # u < v by u * n + v, against the triangles' corners and opposite edges
+    # the cells as (face, key) rows against the triangles' corners and
+    # opposite edges
     n = len(pts)
     tri_face = np.repeat(source_face, 3)
-    cell_face = np.repeat(np.arange(len(face_vertices)), [len(c) for c in face_vertices])
-    cell_vertex = np.fromiter((v for c in face_vertices for v in c), np.intp)
-    corner_cells = _pairs_in(tri_face, corners.ravel(), cell_face, cell_vertex)
-    face_neighbours = _sharing(cell_face, cell_vertex, len(face_vertices))
+    cell_face = np.repeat(np.arange(len(face_vertices)), np.diff(face_vertices.offsets))
+    corner_cells = _pairs_in(tri_face, corners.ravel(), cell_face, face_vertices.keys)
+    face_neighbours = _sharing(cell_face, face_vertices.keys, len(face_vertices))
     ends = np.sort(np.stack((np.roll(corners, -1, axis=1), np.roll(corners, -2, axis=1))), axis=0)
-    cell_face = np.repeat(np.arange(len(face_edges)), [len(c) for c in face_edges])
-    edge_cells = _pairs_in(tri_face, (ends[0] * n + ends[1]).ravel(), cell_face,
-                           np.fromiter((u * n + v for c in face_edges for u, v in c), np.intp))
+    cell_face = np.repeat(np.arange(len(face_edges)), np.diff(face_edges.offsets))
+    edge_cells = _pairs_in(tri_face, (ends[0] * n + ends[1]).ravel(), cell_face, face_edges.keys)
     return TriangleSoup(
         coords=coords,
         corners=corners,
         source_face=source_face,
         points=pts,
-        face_vertices=tuple(face_vertices),
-        face_edges=tuple(face_edges),
+        face_vertices=face_vertices,
+        face_edges=face_edges,
         corner_cells=corner_cells.reshape(-1, 3),
         edge_cells=edge_cells.reshape(-1, 3),
         face_neighbours=face_neighbours,
@@ -668,11 +718,13 @@ def _shared_cells(soup: TriangleSoup, grid, ci, cj, fi: int, fj: int):
         pts = [grid[c] for c in shared]
         segs = [(pts[s], pts[t]) for s in range(len(pts)) for t in range(s + 1, len(pts))]
         return pts, segs
-    common = soup.face_vertices[fi] & soup.face_vertices[fj]
+    common = set(soup.face_vertices[fi].tolist()).intersection(soup.face_vertices[fj].tolist())
     if not common:
         return None
     pts = [grid[v] for v in sorted(common)]
-    segs = [(grid[u], grid[v]) for u, v in sorted(soup.face_edges[fi] & soup.face_edges[fj])]
+    n = len(soup.points)
+    edges = set(soup.face_edges[fi].tolist()).intersection(soup.face_edges[fj].tolist())
+    segs = [(grid[u], grid[v]) for u, v in (divmod(key, n) for key in sorted(edges))]
     return pts, segs
 
 
@@ -746,12 +798,15 @@ def self_intersections(
     cands = candidate_pairs(boxes)
     rows, decided = _undecided_rows(soup, cands)
     corners, faces = soup.corners.tolist(), soup.source_face.tolist()
-    named = np.flatnonzero(np.bincount(rows.ravel(), minlength=len(corners))).tolist()
+    named = np.flatnonzero(np.bincount(rows.ravel(), minlength=len(corners)))
     # the loop reads the grid points of the named triangles' corners and of
     # their source faces' cells only
-    ids = sorted(set().union(*(corners[t] for t in named),
-                             *(soup.face_vertices[faces[t]] for t in named)))
-    grid = dict(zip(ids, _grid(soup.points[ids])[0]))
+    cells = soup.face_vertices.of(np.flatnonzero(np.bincount(
+        soup.source_face[named], minlength=len(soup.face_vertices))))
+    ids = np.flatnonzero(np.bincount(np.concatenate((soup.corners[named].ravel(), cells)),
+                                     minlength=len(soup.points)))
+    grid = dict(zip(ids.tolist(), _grid(soup.points[ids])[0]))
+    named = named.tolist()
     tris: list[Tri | None] = [None] * len(corners)
     for t in named:
         a, b, c = corners[t]

@@ -6,9 +6,12 @@ forward-error bound; when the magnitude falls below the bound it is
 re-evaluated in Python integers: every double is n / 2^e, so the six
 coordinates put on one grid 2^-s are integers, and the returned sign is
 always the true sign of the determinant of the given coordinates.
+orient2d_rows gives the same sign for every row of three point arrays,
+with the exact test only for the rows the float guard leaves undecided.
 Refinement, flatness and the soup's zero-area test, for the triangles
-the batched filter below leaves uncertain, take their 2-d turns from it;
-the narrow phase computes its own exact signs in integers, in intersect.
+the batched filter below leaves uncertain, take their 2-d turns from
+them; the narrow phase computes its own exact signs in integers, in
+intersect.
 
 The batched filters compute plane and edge-line signs over whole arrays of
 triangles in float64 with Shewchuk's static bounds ("Adaptive Precision
@@ -58,6 +61,25 @@ def orient2d(a, b, c) -> int:
     if det < -_O2D_GUARD * permanent:
         return -1
     return orient2d_exact(a, b, c)
+
+
+def orient2d_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """orient2d of every row of three (m, 2) arrays, as int8.
+
+    The float det and permanent are orient2d's expressions and the guard
+    its test, so each row gets orient2d's float answer; the rows the guard
+    leaves undecided (a product that overflows among them) take
+    orient2d_exact, so every row equals orient2d of its three points.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+        right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+        det = left - right
+        bound = _O2D_GUARD * (np.abs(left) + np.abs(right))
+        sign = (det > bound).view(np.int8) - (det < -bound).view(np.int8)
+    for r in np.flatnonzero(sign == 0).tolist():
+        sign[r] = orient2d_exact(a[r].tolist(), b[r].tolist(), c[r].tolist())
+    return sign
 
 
 def orient2d_exact(a, b, c) -> int:

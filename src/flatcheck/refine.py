@@ -9,12 +9,11 @@ homology, area, defects at original vertices) are testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .flatness import DegenerateFaceError, ToleranceProfile, face_geometries
+from .flatness import FaceTable, ToleranceProfile, face_geometries
 from .mesh import CellComplex, MeshError, build_complex
 from .predicates import orient2d
 
@@ -64,14 +63,6 @@ class Refinement:
     fallbacks: tuple[FallbackRecord, ...] = ()
 
 
-def _fan_order(face: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """Fan triangles from the lowest-index corner, preserving orientation."""
-    k = len(face)
-    m = face.index(min(face))
-    rot = face[m:] + face[:m]
-    return [(rot[0], rot[i], rot[i + 1]) for i in range(1, k - 1)]
-
-
 def _ear_clip(face: tuple[int, ...], pts2d: Sequence[Sequence[float]],
               orientation: float) -> list[tuple[int, int, int]] | None:
     """Ear-clipping triangulation of a simple polygon in the plane.
@@ -119,8 +110,46 @@ def _point_in_triangle(p, a, b, c) -> bool:
     return not (has_neg and has_pos)
 
 
+def _fans(ids: np.ndarray) -> np.ndarray:
+    """Fan triangles from each face's lowest-index corner, preserving
+    orientation, for the faces with corner ids (F, k), as (F, k - 2, 3)
+    rows."""
+    k = ids.shape[1]
+    low = ids.argmin(axis=1)
+    rot = np.take_along_axis(ids, (low[:, None] + np.arange(k)) % k, axis=1)
+    return np.stack((np.repeat(rot[:, :1], k - 2, axis=1), rot[:, 1:-1], rot[:, 2:]), axis=2)
+
+
+def _convex_ears(ids: np.ndarray) -> np.ndarray:
+    """_ear_clip's triangles of strictly convex faces with corner ids
+    (F, k), as (F, k - 2, 3) rows.
+
+    Every corner of a strictly convex polygon is an ear, and clipping one
+    leaves a strictly convex polygon.  So _ear_clip clips the corner of
+    lowest id, k - 3 times, each time between its nearest neighbours
+    either way round that are still there, which are those of higher id,
+    and ends on the last three corners in face order.
+    """
+    k = ids.shape[1]
+    after, before = np.zeros(ids.shape, dtype=np.intp), np.zeros(ids.shape, dtype=np.intp)
+    for d in range(k - 1, 0, -1):       # the nearest higher corner is written last
+        after = np.where(np.roll(ids, -d, axis=1) > ids, d, after)
+        before = np.where(np.roll(ids, d, axis=1) > ids, d, before)
+    order = np.argsort(ids, axis=1)
+    rows = np.arange(len(ids))[:, None]
+    tips = order[:, :k - 3]
+    ears = np.stack((ids[rows, (tips - before[rows, tips]) % k], ids[rows, tips],
+                     ids[rows, (tips + after[rows, tips]) % k]), axis=2)
+    last = ids[rows, np.sort(order[:, k - 3:], axis=1)]
+    return np.concatenate((ears, last[:, None]), axis=1)
+
+
+# why a face of degree > 3 is fanned, by code; 0 is ear-clipped
+_REASONS = (None, "degenerate-fit", "planarity", "not-simple")
+
+
 def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
-                      geos=None) -> Refinement:
+                      geos: FaceTable | None = None) -> Refinement:
     """Triangulate every face without introducing new vertices.
 
     Triangles pass through unchanged.  Larger faces are ear-clipped in
@@ -131,57 +160,66 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
     be triangulated at all (no ear exists even though the polygon passed
     the simplicity test) and when two faces yield the same triangle.
 
-    geos maps every face of degree > 3 to its entry of
-    face_geometries(complex); it is built here when not given.
+    Faces of one degree are triangulated as arrays: fans, and the ears of
+    faces whose every turn is positive, which _convex_ears gives in closed
+    form.  Only a face with a reflex or straight corner runs _ear_clip.
+
+    geos is face_geometries(complex), the table build_certificate shares
+    with flatness_report; it is built here when not given and some face
+    is not a triangle.
     """
     tol = tol or ToleranceProfile()
-    if geos is None:
-        polygons = [fi for fi, face in enumerate(complex.faces) if len(face) > 3]
-        geos = dict(zip(polygons, face_geometries(complex, polygons)))
-    triangles: list[tuple[int, int, int]] = []
-    sources: list[int] = []
-    fallbacks: list[FallbackRecord] = []
-
-    for fi, face in enumerate(complex.faces):
-        if len(face) == 3:
-            triangles.append(face)
-            sources.append(fi)
+    offsets = complex.offsets
+    degree = np.diff(offsets)
+    reason = np.zeros(complex.n_faces, dtype=np.int8)
+    clip = convex = degree > 3
+    if clip.any():      # triangles pass through without a table
+        table = face_geometries(complex) if geos is None else geos
+        reason[~table.simple] = 3
+        reason[table.rel_deviation > tol.planarity_tol] = 2
+        reason[[face for face, _ in table.degenerate]] = 1
+        reason[degree == 3] = 0
+        clip = clip & (reason == 0)
+        convex = clip & (np.minimum.reduceat(table.turns, offsets[:-1]) > 0)
+    first = np.concatenate(([0], np.cumsum(degree - 2)))    # each face's first triangle
+    triangles = np.empty((first[-1], 3), dtype=np.int64)
+    for k in np.flatnonzero(np.bincount(degree)).tolist():
+        faces = np.flatnonzero(degree == k)
+        ids = complex.corners[offsets[faces, None] + np.arange(k)]
+        if k == 3:
+            triangles[first[faces]] = ids
             continue
-        geo = geos[fi]
-        if isinstance(geo, DegenerateFaceError):
-            reason = "degenerate-fit"
-        elif geo.fit.rel_deviation > tol.planarity_tol:
-            reason = "planarity"
-        elif not geo.simple:
-            reason = "not-simple"
-        else:
-            reason = None
-        if reason is None:
-            ears = _ear_clip(face, geo.points2d.tolist(), geo.orientation)
-            if ears is None:
-                raise TriangulationError(
-                    f"face {fi} is simple and planar but admits no ear "
-                    "(collinear degeneracy)"
-                )
-            triangles.extend(ears)
-            sources.extend([fi] * len(ears))
-        else:
-            fans = _fan_order(face)
-            triangles.extend(fans)
-            sources.extend([fi] * len(fans))
-            fallbacks.append(FallbackRecord(face=fi, reason=reason))
+        rows = first[faces, None] + np.arange(k - 2)
+        easy, fan = convex[faces], reason[faces] > 0
+        triangles[rows[easy]] = _convex_ears(ids[easy])
+        triangles[rows[fan]] = _fans(ids[fan])
+    for fi in np.flatnonzero(clip & ~convex).tolist():
+        lo, hi = offsets[fi:fi + 2].tolist()
+        ears = _ear_clip(complex.faces[fi], table.points2d[lo:hi].tolist(),
+                         float(table.orientation[fi]))
+        if ears is None:
+            raise TriangulationError(
+                f"face {fi} is simple and planar but admits no ear "
+                "(collinear degeneracy)"
+            )
+        triangles[first[fi]:first[fi + 1]] = ears
 
     # the triangles reuse the validated vertices of distinct-vertex faces,
     # so a repeated triangle is the only way the derived complex can fail
-    corners = np.fromiter(chain.from_iterable(triangles), np.int64, 3 * len(triangles))
-    _reject_repeats(corners.reshape(-1, 3), sources)
+    sources = np.repeat(np.arange(complex.n_faces), degree - 2).tolist()
+    _reject_repeats(triangles, sources)
+    fanned = np.flatnonzero(reason)
+    # with one triangle per face, every face is a triangle passed through
+    faces = complex.faces if len(triangles) == complex.n_faces else tuple(
+        map(tuple, triangles.tolist()))
     return Refinement(
         source=complex,
-        derived=CellComplex(complex.vertices, tuple(triangles), corners,
-                            np.arange(0, corners.size + 1, 3)),
+        derived=CellComplex(complex.vertices, faces, triangles.ravel(),
+                            np.arange(0, triangles.size + 1, 3)),
         triangle_sources=tuple(sources),
         vertex_origins=tuple(SourceVertex(i) for i in range(complex.n_vertices)),
-        fallbacks=tuple(fallbacks),
+        fallbacks=tuple(map(FallbackRecord, fanned.tolist(),
+                            map(_REASONS.__getitem__, reason[fanned].tolist()))),
     )
 
 

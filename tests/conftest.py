@@ -10,6 +10,7 @@ import pytest
 
 from flatcheck import (
     CellComplex,
+    EdgeMidpoint,
     GeneratorSpec,
     IntersectionReport,
     InvalidComplexError,
@@ -107,6 +108,41 @@ def brute_report(soup):
             elif intersect._beyond_allowed(*found, *cells):
                 overlaps.append(PairContact(i, j, found[0]))
     return IntersectionReport(tuple(pairs), tuple(overlaps), n * (n - 1) // 2)
+
+
+def referee_cells(refinement):
+    """The soup's cells by a loop over the source faces: per face, the
+    frozenset of its vertices and edge midpoints, and that of its derived
+    boundary edges (u, v), u < v.  A source edge with a midpoint m is the
+    derived polyline u - m - v."""
+    midpoint = {(o.u, o.v): k for k, o in enumerate(refinement.vertex_origins)
+                if isinstance(o, EdgeMidpoint)}
+    face_vertices, face_edges = [], []
+    for face in refinement.source.faces:
+        verts, edges = set(), set()
+        for u, v in zip(face, face[1:] + face[:1]):
+            mid = midpoint.get((min(u, v), max(u, v)))
+            ends = (u, v) if mid is None else (u, mid, v)
+            verts.update(ends)
+            edges.update((min(p, q), max(p, q)) for p, q in zip(ends, ends[1:]))
+        face_vertices.append(frozenset(verts))
+        face_edges.append(frozenset(edges))
+    return face_vertices, face_edges
+
+
+def referee_shared_cells(face_vertices, face_edges, grid, ci, cj, fi, fj):
+    """intersect._shared_cells over referee_cells' frozensets."""
+    if fi == fj:
+        shared = sorted(set(ci) & set(cj))
+        pts = [grid[c] for c in shared]
+        segs = [(pts[s], pts[t]) for s in range(len(pts)) for t in range(s + 1, len(pts))]
+        return pts, segs
+    common = face_vertices[fi] & face_vertices[fj]
+    if not common:
+        return None
+    pts = [grid[v] for v in sorted(common)]
+    segs = [(grid[u], grid[v]) for u, v in sorted(face_edges[fi] & face_edges[fj])]
+    return pts, segs
 
 
 def referee_repeats(triangles, sources):

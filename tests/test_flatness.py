@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from flatcheck import (
     CellComplex,
-    DegenerateFaceError,
     GeneratorSpec,
     LinkVerdict,
     MeshError,
@@ -53,8 +52,9 @@ LIFTED_SQUARE = np.array(
 
 
 def _polygon(points):
-    """The face table's entry for one polygon, its points in order."""
-    return face_geometries(build_complex(points, [tuple(range(len(points)))]))[0]
+    """The face table of one polygon, its points in order: its per-face
+    columns have one row, its per-corner columns one per point."""
+    return face_geometries(build_complex(points, [tuple(range(len(points)))]))
 
 
 def _plane_cost(points, normal):
@@ -100,10 +100,10 @@ def _grid_search_plane(points):
 
 def test_plane_fit_exact_planar():
     pts = np.array([[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0]], dtype=float)
-    fit = _polygon(pts).fit
-    assert fit.max_deviation <= 1e-15
-    assert fit.rel_deviation <= 1e-15
-    assert abs(abs(fit.normal[2]) - 1.0) <= 1e-15
+    fit = _polygon(pts)
+    assert fit.max_deviation[0] <= 1e-15
+    assert fit.rel_deviation[0] <= 1e-15
+    assert abs(abs(fit.normal[0, 2]) - 1.0) <= 1e-15
 
 
 def test_plane_fit_rotated_planar():
@@ -111,25 +111,25 @@ def test_plane_fit_rotated_planar():
     base = rng.uniform(-1, 1, size=(8, 2))
     pts3 = np.column_stack([base, np.zeros(8)])
     rot = random_rotation(rng)
-    fit = _polygon(pts3 @ rot.T + np.array([3.0, -1.0, 2.0])).fit
-    assert fit.max_deviation <= 1e-13
+    fit = _polygon(pts3 @ rot.T + np.array([3.0, -1.0, 2.0]))
+    assert fit.max_deviation[0] <= 1e-13
 
 
 def test_lifted_corner_square_frozen_value():
-    fit = _polygon(LIFTED_SQUARE).fit
-    assert fit.max_deviation == pytest.approx(0.025061798, abs=1e-9)
-    assert fit.rel_deviation == pytest.approx(0.017677229528, abs=1e-9)
-    assert fit.diameter == pytest.approx(math.sqrt(2.01), rel=1e-12)
+    fit = _polygon(LIFTED_SQUARE)
+    assert fit.max_deviation[0] == pytest.approx(0.025061798, abs=1e-9)
+    assert fit.rel_deviation[0] == pytest.approx(0.017677229528, abs=1e-9)
+    assert fit.diameter[0] == pytest.approx(math.sqrt(2.01), rel=1e-12)
 
 
 def test_lifted_corner_square_matches_grid_oracle():
-    fit = _polygon(LIFTED_SQUARE).fit
-    fit_cost, fit_dev = _plane_cost(LIFTED_SQUARE, np.asarray(fit.normal))
+    fit = _polygon(LIFTED_SQUARE)
+    fit_cost, fit_dev = _plane_cost(LIFTED_SQUARE, fit.normal[0])
     oracle_cost, oracle_dev = _grid_search_plane(LIFTED_SQUARE)
     # the eigen solution must be at least as good as the brute search
     assert fit_cost <= oracle_cost + 1e-12
     assert fit_dev == pytest.approx(oracle_dev, abs=1e-6)
-    assert fit.max_deviation == pytest.approx(fit_dev, abs=1e-15)
+    assert fit.max_deviation[0] == pytest.approx(fit_dev, abs=1e-15)
 
 
 def test_corner_angle_basics():
@@ -164,9 +164,9 @@ DART = [(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 4.0, 0.0)]
 
 def test_dart_reflex_angles():
     cx = build_complex(DART, [(0, 1, 2, 3)])
-    geo = face_geometries(cx, [0])[0]
-    assert geo.simple
-    assert geo.reflex_corners == (2,)
+    geo = face_geometries(cx)
+    assert geo.simple[0]
+    assert geo.turns.tolist() == [1, 1, -1, 1]      # reflex at corner 2
     assert sum(geo.angles) == pytest.approx(2.0 * math.pi, abs=1e-12)
     assert geo.angles[2] > math.pi
 
@@ -174,14 +174,14 @@ def test_dart_reflex_angles():
 def test_bowtie_not_simple():
     verts = [(0.0, 0.0, 0.0), (2.0, 2.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0)]
     cx = build_complex(verts, [(0, 1, 2, 3)])
-    assert not face_geometries(cx, [0])[0].simple
+    assert not face_geometries(cx).simple[0]
 
 
 def test_cube_face_angles():
-    geo = face_geometries(cube(), [0])[0]
-    assert geo.simple
-    assert geo.reflex_corners == ()
-    assert np.allclose(geo.angles, math.pi / 2, atol=1e-15)
+    geo = face_geometries(cube())
+    assert geo.simple[0]
+    assert geo.turns[:4].tolist() == [1, 1, 1, 1]     # face 0: no reflex corner
+    assert np.allclose(geo.angles[:4], math.pi / 2, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -394,45 +394,50 @@ def bench_meshes(perfbench_meshes):
             for name, build in perfbench_meshes.WORKLOADS[workload].meshes}
 
 
-def _bits(geo):
-    """Every field of a FaceGeometry, each float as its exact bits; for a
-    degenerate face, the error's message."""
-    if isinstance(geo, DegenerateFaceError):
-        return ("error", str(geo))
-    fit = geo.fit
-    return (geo.face, fit.normal.tobytes(), fit.offset.hex(), fit.max_deviation.hex(),
-            fit.rel_deviation.hex(), fit.diameter.hex(), tuple(a.hex() for a in geo.angles),
-            geo.simple, geo.reflex_corners, geo.basis.tobytes(), geo.orientation.hex(),
-            geo.points2d.tobytes())
+def _bits(table, complex, f):
+    """Every column of face f in a face table, each float as its exact
+    bits; for a degenerate face, its message."""
+    for face, message in table.degenerate:
+        if face == f:
+            return ("error", message)
+    at = slice(*complex.offsets[f:f + 2].tolist())
+    return tuple(column[f].tobytes() for column in (
+        table.normal, table.offset, table.max_deviation, table.rel_deviation, table.diameter,
+        table.simple, table.orientation, table.basis)) + tuple(
+        column[at].tobytes() for column in (table.angles, table.turns, table.points2d))
 
 
 def test_face_table_equals_one_face_calls(corpus_meshes, bench_meshes):
-    """Stacking faces by degree moves no bit of any field, and no row of a
-    stack leaks into another: a seeded shuffle of the faces gives the same
-    entries."""
+    """Stacking faces by degree moves no bit of any column, and no row of
+    a stack leaks into another: each face's columns equal those of the
+    one-face complex on the same vertices, and so do those of a seeded
+    shuffle of the faces."""
     rng = random.Random(9)
     complexes = [cx for _, cx in corpus_meshes.values()] + list(bench_meshes.values())
     for cx in complexes + [DEGENERATE_MIX]:
-        single = [_bits(face_geometries(cx, [f])[0]) for f in range(cx.n_faces)]
-        assert [_bits(g) for g in face_geometries(cx)] == single
+        single = []
+        for f in range(cx.n_faces):
+            one = build_complex(cx.vertices, [cx.faces[f]])
+            single.append(_bits(face_geometries(one), one, 0))
+        table = face_geometries(cx)
+        assert [_bits(table, cx, f) for f in range(cx.n_faces)] == single
         order = list(range(cx.n_faces))
         rng.shuffle(order)
-        assert [_bits(g) for g in face_geometries(cx, order)] == [single[f] for f in order]
+        shuffled = build_complex(cx.vertices, [cx.faces[f] for f in order])
+        table = face_geometries(shuffled)
+        assert ([_bits(table, shuffled, f) for f in range(cx.n_faces)]
+                == [single[f] for f in order])
 
 
 def test_face_table_degenerate_entries():
     """Coincident, then collinear, then zero-length edge: the first failing
     check names the entry."""
-    table = face_geometries(DEGENERATE_MIX)
-    assert [str(g) if isinstance(g, DegenerateFaceError) else None for g in table] == [
-        None,
-        "all points coincide",
-        "points are collinear within working precision",
-        "points are collinear within working precision",
-        "corner has a zero-length incident edge",
-        None,
-        None,
-    ]
+    assert face_geometries(DEGENERATE_MIX).degenerate == (
+        (1, "all points coincide"),
+        (2, "points are collinear within working precision"),
+        (3, "points are collinear within working precision"),
+        (4, "corner has a zero-length incident edge"),
+    )
 
 
 def test_one_face_table_per_certificate(monkeypatch, bench_meshes):
@@ -440,22 +445,56 @@ def test_one_face_table_per_certificate(monkeypatch, bench_meshes):
     shared by flatness_report and triangulate_faces, which refits nothing."""
     cx = bench_meshes["quad_torus_16x16"]
     calls, rows = [], []
-    real_table, real_group = flatness.face_geometries, flatness._degree_group
+    real_table, real_fits = flatness.face_geometries, flatness._plane_fits
 
-    def table(complex, faces=None):
-        calls.append(faces)
-        return real_table(complex, faces)
+    def table(complex):
+        calls.append(complex.n_faces)
+        return real_table(complex)
 
-    def group(faces, pts):
-        rows.append(len(faces))
-        return real_group(faces, pts)
+    def fits(pts):
+        rows.append(len(pts))
+        return real_fits(pts)
 
     for module in (flatness, refine, certificate):
         monkeypatch.setattr(module, "face_geometries", table)
-    monkeypatch.setattr(flatness, "_degree_group", group)
+    monkeypatch.setattr(flatness, "_plane_fits", fits)
     build_certificate(cx)
-    assert calls == [None]
+    assert calls == [cx.n_faces]
     assert sum(rows) == cx.n_faces == 256
+
+
+def test_table_and_triangles_on_raw_extreme_coordinates(corpus_meshes):
+    """face_geometries and triangulate_faces on a corpus mesh times 2^1000,
+    or times 2^-1060 where that scaling is exact, called on the raw
+    coordinates: no RuntimeWarning (the test configuration makes one an
+    error), and the simple flags, turns, degenerate faces and triangles of
+    the unit-scaled run."""
+    runs = 0
+    for _, cx in corpus_meshes.values():
+        unit = cx.unit_scaled()[0]
+        want, tri = face_geometries(unit), triangulate_faces(unit)
+        for k in (1000, -1060):
+            vertices = np.ldexp(unit.vertices, k)
+            if not (np.ldexp(vertices, -k) == unit.vertices).all():
+                continue    # subnormal rounding: not the same surface
+            scaled = build_complex(vertices, cx.faces)
+            got = face_geometries(scaled)
+            assert got.simple.tolist() == want.simple.tolist()
+            assert got.turns.tolist() == want.turns.tolist()
+            assert got.degenerate == want.degenerate
+            assert triangulate_faces(scaled).derived.faces == tri.derived.faces
+            runs += 1
+    assert runs >= len(corpus_meshes) + 4
+
+
+def test_quad_torus_certificate_runs_no_ear_clip_and_no_segment_test(bench_meshes):
+    """Every quad of quad_torus 16^2 turns one way at all four corners, so
+    the turns alone make it simple and the closed form triangulates it."""
+    with mock.patch.object(refine, "_ear_clip", wraps=refine._ear_clip) as clip, \
+            mock.patch.object(flatness, "_is_simple", wraps=flatness._is_simple) as segments:
+        cert = build_certificate(bench_meshes["quad_torus_16x16"])
+    assert cert["immersion"]["triangles"] == 512
+    assert clip.call_count == 0 and segments.call_count == 0
 
 
 def test_prebuilt_table_changes_nothing(bench_meshes):
@@ -476,7 +515,7 @@ def _referee_defects(cx):
     """2*pi minus a left-to-right `total += angle` over each star of
     referee_manifold, with the face table's interior angles."""
     ref = referee_manifold(cx)
-    angles = [a for geo in face_geometries(cx) for a in geo.angles]
+    angles = face_geometries(cx).angles.tolist()
     corners, bounds = ref["star_corners"], ref["star_offsets"]
     defects = []
     for start, stop in zip(bounds, bounds[1:]):
@@ -631,11 +670,11 @@ def _subarc_links(mesh, tol=None):
     """link_is_embedded's verdict on every vertex link, with _link's error
     as the witness where the link is undefined."""
     tol = tol or ToleranceProfile()
-    geos, stars = face_geometries(mesh.complex), flatness._stars(mesh)
+    table, stars = face_geometries(mesh.complex), flatness._stars(mesh)
     out = []
     for v in range(mesh.n_vertices):
         try:
-            link = flatness._link(mesh, v, geos, stars)
+            link = flatness._link(mesh, v, table, stars)
         except MeshError as exc:
             out.append(LinkVerdict(v, False, str(exc)))
         else:
@@ -704,7 +743,7 @@ def test_azimuth_pass_leaves_unusable_rows_uncertified(bad):
     vertices = cx.vertices.copy()
     vertices[0] = vertices[1] if bad is None else bad
     mesh = replace(check_closed_manifold(cx), complex=CellComplex(vertices, cx.faces))
-    angles = np.array([a for geo in face_geometries(cx) for a in geo.angles])
+    angles = face_geometries(cx).angles
     assert flatness._azimuth_certified(mesh, angles, 1e-9) == [False] * 4
 
 

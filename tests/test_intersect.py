@@ -17,6 +17,7 @@ import random
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -45,7 +46,8 @@ from flatcheck import (
 )
 from flatcheck import intersect
 
-from conftest import brute_report, grid_klein, grid_torus, independent_soup, random_rotation
+from conftest import (brute_report, grid_klein, grid_torus, independent_soup, random_rotation,
+                      referee_cells, referee_shared_cells)
 
 T_BASE = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
 
@@ -193,7 +195,51 @@ def test_soup_from_arrays_metadata():
     soup = independent_soup(coords)
     assert len(soup) == 2
     assert soup.corners[1].tolist() == [3, 4, 5]
-    assert soup.face_vertices[0].isdisjoint(soup.face_vertices[1])
+    assert set(soup.face_vertices[0].tolist()).isdisjoint(soup.face_vertices[1].tolist())
+
+
+@pytest.mark.parametrize("subdivide", [False, True], ids=["triangulated", "barycentric"])
+def test_soup_cells_match_frozenset_loop(corpus_meshes, subdivide):
+    """The soup's array-built cells against referee_cells' loop over the
+    source faces: each face's sorted keys, the corner and edge cell flags,
+    the neighbouring face pairs, and _shared_cells on every box-meeting
+    pair, among them every row the float pass leaves to the exact loop.
+    The barycentric refinements give every source edge a midpoint."""
+    rows = 0
+    for _, cx in corpus_meshes.values():
+        ref = triangulate_faces(cx.unit_scaled()[0])
+        if subdivide:
+            ref = barycentric_subdivision(ref.derived)
+        soup = triangle_soup(ref)
+        face_vertices, face_edges = referee_cells(ref)
+        n, n_faces = len(soup.points), len(face_vertices)
+        assert len(soup.face_vertices) == len(soup.face_edges) == n_faces
+        assert [soup.face_vertices[f].tolist() for f in range(n_faces)] == [
+            sorted(c) for c in face_vertices]
+        assert [[divmod(k, n) for k in soup.face_edges[f].tolist()] for f in range(n_faces)] == [
+            sorted(c) for c in face_edges]
+        corners, faces = soup.corners.tolist(), soup.source_face.tolist()
+        assert soup.corner_cells.tolist() == [
+            [c in face_vertices[f] for c in tri] for tri, f in zip(corners, faces)]
+        assert soup.edge_cells.tolist() == [
+            [(min(tri[k - 2], tri[k - 1]), max(tri[k - 2], tri[k - 1])) in face_edges[f]
+             for k in range(3)] for tri, f in zip(corners, faces)]
+        sharing = {}
+        for f, cells in enumerate(face_vertices):
+            for v in cells:
+                sharing.setdefault(v, []).append(f)
+        assert soup.face_neighbours.tolist() == sorted(
+            f * n_faces + g for fs in sharing.values() for f, g in combinations(sorted(fs), 2))
+        grid, _ = intersect._grid(soup.points)
+        cands = candidate_pairs(build_hierarchy(soup))
+        left = {tuple(r) for r in intersect._undecided_rows(soup, cands)[0].tolist()}
+        assert left <= {tuple(r) for r in cands.tolist()}
+        rows += len(left)
+        for i, j in cands.tolist():
+            args = grid, corners[i], corners[j], faces[i], faces[j]
+            assert (intersect._shared_cells(soup, *args)
+                    == referee_shared_cells(face_vertices, face_edges, *args)), (i, j)
+    assert rows > 0
 
 
 def _all_pairs_meeting(lo, hi):

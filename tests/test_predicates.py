@@ -5,18 +5,22 @@ and straddle the line y = x, so a float cross product taken relative to a
 far-away corner rounds some of them to the wrong side.  Every decision must
 match a Fraction evaluation of the same geometry, also after the grid is
 scaled by a power of two far into the overflow and subnormal ranges.
+The batched orient2d_rows is refereed by orient2d, row by row.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatcheck import predicates
 from flatcheck.flatness import _segments_properly_disjoint
-from flatcheck.predicates import orient2d
+from flatcheck.predicates import orient2d, orient2d_rows
 from flatcheck.refine import _point_in_triangle
 
 STEP = 2.0 ** -53
@@ -84,3 +88,72 @@ def test_orient2d_exact_over_double_range(k, row, tiny):
         c = (math.ldexp(x, k), math.ldexp(y, k) + tiny * 2.0**-1074)
         assert orient2d(a, b, c) == _sign(a, b, c)
         assert orient2d(c, a, b) == _sign(c, a, b)
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+_POINT = st.tuples(_UNIT, _UNIT)
+
+
+@st.composite
+def _triple(draw):
+    """(a, b, c, repeated): a random triple, a collinear one with one
+    coordinate then moved by a few ulps, or one with a repeated point;
+    scaled by 2^k with k = 0 or near +-1000, where products overflow or
+    underflow."""
+    a, b = draw(_POINT), draw(_POINT)
+    kind = draw(st.sampled_from(("random", "collinear", "repeated")))
+    if kind == "random":
+        c = draw(_POINT)
+    elif kind == "collinear":
+        t = draw(st.floats(-2.0, 2.0))
+        c = [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
+        axis, steps = draw(st.integers(0, 1)), draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            c[axis] = math.nextafter(c[axis], math.copysign(math.inf, steps))
+    else:
+        c = draw(st.sampled_from((a, b)))
+    k = draw(st.just(0) | st.integers(990, 1010) | st.integers(-1010, -990))
+    rows = [tuple(math.ldexp(x, k) for x in p) for p in draw(st.permutations((a, b, c)))]
+    return (*rows, kind == "repeated")
+
+
+def _counted_rows(triples):
+    """orient2d_rows of the triples and how many rows it sent to
+    orient2d_exact."""
+    a, b, c = (np.array([t[i] for t in triples], dtype=np.float64).reshape(-1, 2)
+               for i in range(3))
+    with mock.patch.object(predicates, "orient2d_exact",
+                           wraps=predicates.orient2d_exact) as exact:
+        signs = orient2d_rows(a, b, c)
+    return signs, exact.call_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(triples=st.lists(_triple(), min_size=1, max_size=24))
+def test_orient2d_rows_equals_orient2d(triples):
+    """Every row gets orient2d's sign, with no RuntimeWarning from an
+    overflowing product (the test configuration makes one an error); a
+    row with a repeated point has det = permanent = 0, so it reaches the
+    exact fallback."""
+    signs, exact = _counted_rows(triples)
+    assert signs.dtype == np.int8
+    assert signs.tolist() == [orient2d(a, b, c) for a, b, c, _ in triples]
+    assert exact >= sum(repeated for *_, repeated in triples)
+
+
+def test_orient2d_rows_exact_fallback_on_near_collinear_rows():
+    """Points a few ulps off the line through two others: the guard leaves
+    them to the exact fallback, which must give the Fraction sign."""
+    a, b = (0.1, 0.3), (0.7, 2.1)
+    triples = []
+    for t in (0.25, 0.5, 3.0):
+        x, y = a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
+        for steps in range(-2, 3):
+            y_moved = y
+            for _ in range(abs(steps)):
+                y_moved = math.nextafter(y_moved, math.copysign(math.inf, steps))
+            triples.append((a, b, (x, y_moved)))
+    signs, exact = _counted_rows(triples)
+    assert signs.tolist() == [_sign(*t) for t in triples]
+    assert exact > 0
+    assert {-1, 1} <= set(signs.tolist())

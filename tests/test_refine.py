@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
+    CellComplex,
     EdgeMidpoint,
     FaceCentroid,
+    MeshError,
     SourceVertex,
     ToleranceProfile,
     TriangulationError,
@@ -22,12 +25,14 @@ from flatcheck import (
     euler_characteristic,
     orientability,
     triangle_contact,
+    triangle_soup,
     triangulate_faces,
 )
 
 from conftest import (cube, face_area, grid_klein, random_rotation, referee_repeats, tetra,
                       total_area)
 from flatcheck import refine
+from flatcheck.flatness import face_geometries
 
 
 def _planar_face_complex(points2d):
@@ -185,6 +190,81 @@ def test_convex_polygon_ear_clip_property(n, seed):
     assert len(ref.derived.faces) == n - 2
     assert total_area(ref.derived) == pytest.approx(hull_area, rel=1e-9)
     _assert_no_interior_overlap(ref)
+
+
+@st.composite
+def _convex_polygon(draw):
+    """(ids, points2d) of a strictly convex k-gon, 4 <= k <= 8: points in
+    angular order on an ellipse, at least 0.15 rad apart, in either
+    orientation, with distinct vertex ids in shuffled order."""
+    k = draw(st.integers(4, 8))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k)))
+    angles = draw(st.floats(0.0, 2.0 * math.pi)) + 2.0 * math.pi * np.cumsum(gaps) / gaps.sum()
+    a, b = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    points = [(a * math.cos(t), b * math.sin(t)) for t in angles.tolist()]
+    if draw(st.booleans()):
+        points.reverse()
+    ids = draw(st.lists(st.integers(0, 3 * k), min_size=k, max_size=k, unique=True))
+    return tuple(ids), points
+
+
+def _ear_clip_referee(ids, points):
+    orientation = 1.0 if sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                             in zip(points, points[1:] + points[:1])) >= 0.0 else -1.0
+    return refine._ear_clip(ids, points, orientation)
+
+
+def _triangulated(ids, points):
+    """triangulate_faces of the one planar face, tilted out of z = 0, and
+    how many faces reached _ear_clip."""
+    vertices = np.zeros((max(ids) + 1, 3))
+    vertices[list(ids)] = [(x, y, 0.5 * x - 0.25 * y) for x, y in points]
+    with mock.patch.object(refine, "_ear_clip", wraps=refine._ear_clip) as clip:
+        ref = triangulate_faces(build_complex(vertices, [ids]))
+    return ref, clip.call_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygon=_convex_polygon())
+def test_convex_ears_equal_ear_clip(polygon):
+    """The closed form gives _ear_clip's triangles, in its order, and
+    triangulate_faces takes it without calling _ear_clip."""
+    ids, points = polygon
+    want = _ear_clip_referee(ids, points)
+    assert refine._convex_ears(np.array([ids]))[0].tolist() == [list(t) for t in want]
+    ref, clipped = _triangulated(ids, points)
+    assert clipped == 0 and ref.fallbacks == ()
+    assert ref.derived.faces == tuple(want)
+
+
+@pytest.mark.parametrize("points", [
+    [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)],      # straight corner 1
+    [(0.0, 0.0), (4.0, 0.0), (1.0, 1.0), (0.0, 4.0)],      # reflex corner 2
+], ids=["straight", "reflex"])
+def test_quads_with_a_corner_that_does_not_turn_left_reach_ear_clip(points):
+    ids = (5, 2, 7, 3)
+    ref, clipped = _triangulated(ids, points)
+    assert clipped == 1 and ref.fallbacks == ()
+    assert ref.derived.faces == tuple(_ear_clip_referee(ids, points))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_vertex_is_left_to_the_soup(bad):
+    """A non-finite coordinate makes the faces that use it degenerate in
+    the face table, with no fit over it and no RuntimeWarning (the test
+    configuration makes one an error); triangulate_faces passes triangles
+    through and fans polygons, and the soup names the vertex."""
+    for cx in (tetra(), cube()):
+        vertices = cx.vertices.copy()
+        vertices[2, 1] = bad
+        moved = CellComplex(vertices, cx.faces)
+        uses = [f for f, face in enumerate(cx.faces) if 2 in face]
+        assert face_geometries(moved).degenerate == tuple(
+            (f, "a corner has a non-finite coordinate") for f in uses)
+        ref = triangulate_faces(moved)
+        assert [r.face for r in ref.fallbacks] == [f for f in uses if len(cx.faces[f]) > 3]
+        with pytest.raises(MeshError, match=r"^derived vertex 2 has a non-finite coordinate"):
+            triangle_soup(ref)
 
 
 def test_barycentric_tetra_counts_and_origins():
