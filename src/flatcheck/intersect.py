@@ -166,7 +166,7 @@ def _face_cells(refinement: Refinement) -> tuple[FaceCells, FaceCells]:
     u, v = corners, corners[after]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     mids = [(o.u * n_source + o.v, k) for k, o in
-            enumerate(refinement.vertex_origins[n_source:], n_source) if isinstance(o, EdgeMidpoint)]
+            enumerate(refinement.new_origins, n_source) if isinstance(o, EdgeMidpoint)]
     mid_key, mid = np.array(sorted(mids), dtype=np.int64).reshape(-1, 2).T
     key = lo * n_source + hi
     split = np.isin(key, mid_key)

@@ -204,10 +204,28 @@ def complex_from_flat(
     _validate_faces(idx, degree, offsets, n, indices, index_base)
     if degree.size == 0:
         raise InvalidComplexError("complex has no faces")
-    flat = idx.tolist()
-    bounds = offsets.tolist()
-    faces = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+    faces = tuple(by_degree(idx, offsets, lambda k, flat: zip(*[iter(flat)] * k)))
     return CellComplex(verts, faces, idx, offsets)
+
+
+def by_degree(corners: np.ndarray, offsets: np.ndarray, rows) -> list:
+    """One item per face, in face order, made degree by degree:
+    rows(k, flat) gets the corners of the faces of degree k as one flat
+    list and returns an iterable of their items, in face order.  Mixed
+    degrees cost one reorder."""
+    degree = np.diff(offsets)
+    ks = np.flatnonzero(np.bincount(degree)).tolist()
+    if len(ks) < 2:
+        return list(rows(ks[0], corners.tolist())) if ks else []
+    items: list = []
+    groups = []
+    for k in ks:
+        fs = np.flatnonzero(degree == k)
+        items += rows(k, corners[offsets[fs, None] + np.arange(k)].ravel().tolist())
+        groups.append(fs)
+    rank = np.empty(degree.size, dtype=np.int64)
+    rank[np.concatenate(groups)] = np.arange(degree.size)
+    return list(map(items.__getitem__, rank.tolist()))
 
 
 def _validate_faces(idx: np.ndarray, degree: np.ndarray, offsets: np.ndarray, n: int,

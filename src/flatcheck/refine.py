@@ -9,6 +9,7 @@ homology, area, defects at original vertices) are testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,13 +55,22 @@ class FallbackRecord:
 
 @dataclass(frozen=True)
 class Refinement:
-    """A derived triangulated complex plus provenance back to its source."""
+    """A derived triangulated complex plus provenance back to its source.
+
+    The derived complex starts with the source's vertices, in order;
+    new_origins holds the origins of the vertices after them.
+    """
 
     source: CellComplex
     derived: CellComplex
     triangle_sources: tuple[int, ...]
-    vertex_origins: tuple[VertexOrigin, ...]
+    new_origins: tuple[EdgeMidpoint | FaceCentroid, ...]
     fallbacks: tuple[FallbackRecord, ...] = ()
+
+    @cached_property
+    def vertex_origins(self) -> tuple[VertexOrigin, ...]:
+        """The origin of every derived vertex."""
+        return tuple(map(SourceVertex, range(self.source.n_vertices))) + self.new_origins
 
 
 def _ear_clip(face: tuple[int, ...], pts2d: Sequence[Sequence[float]],
@@ -217,7 +227,7 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
         derived=CellComplex(complex.vertices, faces, triangles.ravel(),
                             np.arange(0, triangles.size + 1, 3)),
         triangle_sources=tuple(sources),
-        vertex_origins=tuple(SourceVertex(i) for i in range(complex.n_vertices)),
+        new_origins=(),
         fallbacks=tuple(map(FallbackRecord, fanned.tolist(),
                             map(_REASONS.__getitem__, reason[fanned].tolist()))),
     )
@@ -260,7 +270,7 @@ def barycentric_subdivision(complex: CellComplex) -> Refinement:
                 f"barycentric subdivision needs a triangulated complex; face {fi} has degree {len(face)}"
             )
     pts = complex.vertices
-    origins: list[VertexOrigin] = [SourceVertex(i) for i in range(complex.n_vertices)]
+    origins: list[EdgeMidpoint | FaceCentroid] = []
     coords: list[np.ndarray] = [pts[i] for i in range(complex.n_vertices)]
 
     edge_mid: dict[tuple[int, int], int] = {}
@@ -294,5 +304,5 @@ def barycentric_subdivision(complex: CellComplex) -> Refinement:
         source=complex,
         derived=derived,
         triangle_sources=tuple(sources),
-        vertex_origins=tuple(origins),
+        new_origins=tuple(origins),
     )

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ import pytest
 from flatcheck import (
     CellComplex,
     EdgeMidpoint,
+    FormatError,
     GeneratorSpec,
     IntersectionReport,
     InvalidComplexError,
+    LoadedMesh,
     ManifoldDefect,
     PairContact,
     TriangulationError,
@@ -26,6 +30,7 @@ from flatcheck import (
     triangulate_faces,
 )
 from flatcheck import flatness, intersect
+from flatcheck.mesh import complex_from_flat
 
 
 def make_complex(vertices, faces) -> CellComplex:
@@ -329,6 +334,156 @@ def referee_orientability(found: dict, n_faces: int) -> tuple[bool, ...]:
                 elif flip[g] != expected:
                     verdict[-1] = False
     return tuple(verdict)
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line referees of the bulk-parsing readers
+# ---------------------------------------------------------------------------
+
+def _referee_fail(path, lineno, message):
+    raise FormatError(f"{path}:{lineno}: {message}")
+
+
+def _referee_lines(path):
+    """(lineno, stripped content) of every line that is not blank or a
+    comment, and (path, sha256); lines end at \n, \r\n or \r."""
+    data = Path(path).read_bytes()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    lines = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    return lines, (str(path), hashlib.sha256(data).hexdigest())
+
+
+def _referee_coordinates(path, lines):
+    rows = []
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 3:
+            _referee_fail(path, lineno, f"expected 3 coordinates, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            _referee_fail(path, lineno, f"bad coordinate in {line!r}")
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+
+
+def _referee_build(vertices, indices, degrees, index_base, path, vertex_lines, face_lines,
+                   vertices_path=None):
+    try:
+        return complex_from_flat(vertices, indices, degrees, index_base=index_base)
+    except InvalidComplexError as exc:
+        where = ""
+        if exc.face is not None:
+            where = f" (line {face_lines[exc.face]})"
+        elif exc.vertex is not None:
+            lineno = vertex_lines[exc.vertex]
+            where = f" ({vertices_path} line {lineno})" if vertices_path else f" (line {lineno})"
+        raise FormatError(f"{path}: {exc}{where}") from exc
+
+
+def referee_read_off(path):
+    """read_off one Python step per line and per token."""
+    lines, source = _referee_lines(path)
+    if not lines:
+        raise FormatError(f"{path}: empty file")
+    lineno, header = lines[0]
+    rest = lines[1:]
+    if not header.startswith("OFF"):
+        _referee_fail(path, lineno, f"expected OFF header, got {header.split()[0]!r}")
+    tail = header[3:].split()
+    if tail:
+        counts_line = (lineno, tail)
+    else:
+        if not rest:
+            _referee_fail(path, lineno, "missing counts after OFF header")
+        counts_lineno, counts = rest[0]
+        counts_line = (counts_lineno, counts.split())
+        rest = rest[1:]
+    lineno, tokens = counts_line
+    if len(tokens) != 3:
+        _referee_fail(path, lineno, f"expected 'V F E' counts, got {len(tokens)} token(s)")
+    try:
+        nv, nf, _ne = (int(t) for t in tokens)
+    except ValueError:
+        _referee_fail(path, lineno, f"non-integer counts {tokens!r}")
+    if nv < 0 or nf < 0:
+        _referee_fail(path, lineno, "negative counts")
+    if len(rest) != nv + nf:
+        _referee_fail(path, lineno, f"header promises {nv} vertices + {nf} faces, "
+                                    f"file has {len(rest)} data line(s)")
+    vertices = _referee_coordinates(path, rest[:nv])
+    indices, degrees = [], []
+    for flineno, line in rest[nv:]:
+        try:
+            tokens = [int(p) for p in line.split()]
+        except ValueError:
+            _referee_fail(path, flineno, f"bad face index in {line!r}")
+        if tokens[0] != len(tokens) - 1:
+            _referee_fail(path, flineno, f"face line must read 'k i0 .. i(k-1)', got {line!r}")
+        indices += tokens[1:]
+        degrees.append(tokens[0])
+    complex = _referee_build(vertices, indices, degrees, 0, path,
+                             [n for n, _ in rest[:nv]], [n for n, _ in rest[nv:]])
+    return LoadedMesh(complex=complex, sources=(source,))
+
+
+def referee_read_obj(path):
+    """read_obj one Python step per line and per token."""
+    vertices, indices, degrees, vertex_lines, face_lines = [], [], [], [], []
+    lines, source = _referee_lines(path)
+    for lineno, line in lines:
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) not in (4, 5):
+                _referee_fail(path, lineno, f"expected 'v x y z', got {line!r}")
+            try:
+                vertices.append([float(p) for p in parts[1:4]])
+            except ValueError:
+                _referee_fail(path, lineno, f"bad coordinate in {line!r}")
+            vertex_lines.append(lineno)
+        elif parts[0] == "f":
+            if len(parts) < 4:
+                _referee_fail(path, lineno, "face needs at least 3 vertices")
+            for ref in parts[1:]:
+                head = ref.split("/", 1)[0]
+                try:
+                    idx = int(head)
+                except ValueError:
+                    _referee_fail(path, lineno, f"bad face reference {ref!r}")
+                if idx < 0:
+                    idx = len(vertices) + 1 + idx
+                if not (1 <= idx <= len(vertices)):
+                    _referee_fail(path, lineno, f"face reference {ref!r} out of range")
+                indices.append(idx)
+            degrees.append(len(parts) - 1)
+            face_lines.append(lineno)
+    arr = np.array(vertices, dtype=np.float64).reshape(len(vertices), 3)
+    complex = _referee_build(arr, indices, degrees, 1, path, vertex_lines, face_lines)
+    return LoadedMesh(complex=complex, sources=(source,))
+
+
+def referee_read_pair(faces_path, vertices_path, index_base=1):
+    """read_pair one Python step per line and per token."""
+    vertex_lines, vertex_source = _referee_lines(vertices_path)
+    vertices = _referee_coordinates(vertices_path, vertex_lines)
+    face_lines, face_source = _referee_lines(faces_path)
+    indices, degrees = [], []
+    for lineno, line in face_lines:
+        parts = line.split()
+        if len(parts) < 3:
+            _referee_fail(faces_path, lineno, f"face needs at least 3 vertices, got {len(parts)}")
+        try:
+            indices += [int(p) for p in parts]
+        except ValueError:
+            _referee_fail(faces_path, lineno, f"bad face index in {line!r}")
+        degrees.append(len(parts))
+    complex = _referee_build(vertices, indices, degrees, index_base, faces_path,
+                             [n for n, _ in vertex_lines], [n for n, _ in face_lines],
+                             vertices_path=vertices_path)
+    return LoadedMesh(complex=complex, sources=(face_source, vertex_source))
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcheck import (
     FormatError,
@@ -23,6 +28,8 @@ from flatcheck import (
     write_off,
     write_pair,
 )
+
+from conftest import referee_read_obj, referee_read_off, referee_read_pair
 
 AWKWARD = [
     (0.1, 1.0 / 3.0, math.sqrt(2.0)),
@@ -262,3 +269,198 @@ def test_pair_build_error_names_line(tmp_path):
         read_pair(fp, vp)
     assert str(exc.value) == (f"{fp}: vertex 3 has a non-finite coordinate: [0.0, -inf, 0.0] "
                               f"({vp} line 4)")
+
+
+# ---------------------------------------------------------------------------
+# Bulk parsing against the line-by-line referees
+# ---------------------------------------------------------------------------
+
+# tokens the C-level parse reads otherwise than float()/int(), or not at all
+EDGE_TOKENS = ["1_0", "٣", "+3", "-0", "3.5", "1e3", "0x1F", "99999999999999999999",
+               "-9223372036854775808", "9223372036854775807", "nan", "infinity", "1e-300",
+               "nan(1)", "-nan", "-", "+", "1-2", "007", "-1", "1e999", "inf"]
+_FACE_SETS = [
+    [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)],
+    [(0, 1, 2, 3), (0, 4, 1), (1, 4, 2), (2, 4, 3), (3, 4, 0)],
+    [(0, 2, 1), (0, 1, 3)],
+]
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\x0c", " \x0b ", " \x85 "]
+_NOISE = ["", "   ", "# comment", "\t# indented comment", "\x0c"]
+
+
+def _outcome(read, *paths, **kw):
+    """What a reader returns, as comparable bytes and tuples, or the type
+    and text of what it raises."""
+    try:
+        loaded = read(*paths, **kw)
+    except Exception as exc:   # noqa: BLE001 - the exception itself is compared
+        return type(exc).__name__, str(exc)
+    cx = loaded.complex
+    return cx.vertices.tobytes(), cx.faces, cx.corners.tolist(), cx.offsets.tolist(), loaded.sources
+
+
+@st.composite
+def _mesh_files(draw):
+    """(format, {suffix: text}): one mesh written as OFF, OBJ or a
+    faces/vertices pair, with tabs, form feeds, NEL inside lines, CR, CRLF
+    or LF line ends, blank lines and comments, an inline or separate OFF
+    counts line, now and then an odd token or a wrong token count."""
+    fmt = draw(st.sampled_from(["off", "obj", "pair0", "pair1"]))
+    faces = draw(st.sampled_from(_FACE_SETS))
+    nv = max(max(f) for f in faces) + 1
+    odd = draw(st.integers(0, 3)) == 0
+
+    def rarely():
+        return odd and draw(st.integers(0, 5)) == 0
+
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.floats(-1e3, 1e3).map(lambda x: format(x, ".17g")),
+                       st.integers(-10**6, 10**6).map(str))
+
+    def tokens(values):
+        values = [draw(st.sampled_from(EDGE_TOKENS)) if rarely() else v for v in values]
+        if rarely():
+            values = values[:-1] if draw(st.booleans()) else values + ["0"]
+        return values
+
+    def line(values, head=""):
+        sep = draw(st.sampled_from(_SEPARATORS)) if draw(st.booleans()) else " "
+        text = head + sep.join(values)
+        if draw(st.integers(0, 5)) == 0:
+            text += draw(st.sampled_from(["  # trailing", "#", "\t"]))
+        return text
+
+    coords = [tokens([draw(number) for _ in range(3)]) for _ in range(nv)]
+    base = {"off": 0, "obj": 1, "pair0": 0, "pair1": 1}[fmt]
+    rows = [tokens([str(i + base) for i in f]) for f in faces]
+    if fmt == "off":
+        counts = f"{nv} {len(faces) + (draw(st.integers(-1, 1)) if rarely() else 0)} 0"
+        head = ["OFF " + counts] if draw(st.booleans()) else ["OFF", counts]
+        files = {".off": head + [line(c) for c in coords]
+                 + [line([str(len(r))] + r) for r in rows]}
+    elif fmt == "obj":
+        vs = [line(c + (["1.0"] if draw(st.integers(0, 3)) == 0 else []), "v ") for c in coords]
+        fs = []
+        for r in rows:
+            style = draw(st.sampled_from(["{}", "{}/1/1", "{}//1", "neg"]))
+            refs = [str(int(i) - nv - 1) if style == "neg" and i.isdigit() else
+                    style.replace("neg", "{}").format(i) for i in r]
+            fs.append(line(refs, "f "))
+        files = {".obj": vs + ["vn 0 0 1", "usemtl stone"] + fs}
+    else:
+        files = {".v": [line(c) for c in coords], ".f": [line(r) for r in rows]}
+    out = {}
+    for suffix, lines in files.items():
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_NOISE)))
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+        if draw(st.booleans()):
+            ends = [ends[0]] * len(lines)
+        out[suffix] = "".join(a + b for a, b in zip(lines, ends))
+    return fmt, out
+
+
+def _read_both(directory, fmt, texts):
+    """(reader outcome, referee outcome) on the files texts describes."""
+    paths = {}
+    for suffix, text in texts.items():
+        paths[suffix] = directory / f"mesh{suffix}"
+        paths[suffix].write_bytes(text.encode("utf-8"))
+    if fmt == "off":
+        return _outcome(read_off, paths[".off"]), _outcome(referee_read_off, paths[".off"])
+    if fmt == "obj":
+        return _outcome(read_obj, paths[".obj"]), _outcome(referee_read_obj, paths[".obj"])
+    base = int(fmt[-1])
+    return (_outcome(read_pair, paths[".f"], paths[".v"], index_base=base),
+            _outcome(referee_read_pair, paths[".f"], paths[".v"], index_base=base))
+
+
+@settings(max_examples=500, deadline=None)
+@given(files=_mesh_files())
+def test_readers_equal_line_by_line_referees(files):
+    """Every reader returns its referee's vertex bytes, faces and sources,
+    or raises its exception with its text."""
+    fmt, texts = files
+    with tempfile.TemporaryDirectory() as d:
+        got, expected = _read_both(Path(d), fmt, texts)
+    assert got == expected
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+@pytest.mark.parametrize("fmt", ["off", "obj", "pair1"])
+@pytest.mark.parametrize("where", ["coordinate", "last coordinate", "index", "last index"])
+def test_edge_tokens_equal_referees(tmp_path, token, fmt, where):
+    """Each odd token, as a coordinate or a face index, in the middle of
+    its block or at its end, reads as the referee reads it: the fallback
+    parses what float()/int() accept."""
+    coords = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    faces = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
+    base = 0 if fmt == "off" else 1
+    rows = [[str(i + base) for i in f] for f in faces]
+    if where.endswith("coordinate"):
+        coords[-1 if where.startswith("last") else 2][-1 if where.startswith("last") else 1] = token
+    else:
+        rows[-1 if where.startswith("last") else 1][2] = token
+    if fmt == "off":
+        texts = {".off": "OFF\n4 4 6\n" + "".join(" ".join(c) + "\n" for c in coords)
+                 + "".join(f"3 {' '.join(r)}\n" for r in rows)}
+    elif fmt == "obj":
+        texts = {".obj": "".join(f"v {' '.join(c)}\n" for c in coords)
+                 + "".join(f"f {' '.join(r)}\n" for r in rows)}
+    else:
+        texts = {".v": "".join(" ".join(c) + "\n" for c in coords),
+                 ".f": "".join(" ".join(r) + "\n" for r in rows)}
+    got, expected = _read_both(tmp_path, fmt, texts)
+    assert got == expected
+
+
+@pytest.mark.parametrize("wrong,warns", [("truncated", True), ("truncated", False),
+                                         ("shifted", True)])
+def test_refused_bulk_parse_takes_the_fallback(tmp_path, monkeypatch, wrong, warns):
+    """Where NumPy 1.24 cannot read a text to its end, it warns and returns
+    what it read.  The readers then parse line by line and let no warning
+    out.  A short array is refused with no warning too, and a warning
+    refuses an array with one value per token."""
+    real = np.fromstring
+
+    def numpy_124(text, dtype=float, sep=""):
+        values = real(text, dtype=dtype, sep=sep)
+        if warns:
+            warnings.warn("string or file could not be read to its end due to unmatched data; "
+                          "this will raise a ValueError in the future.", DeprecationWarning)
+        return values[:-1] if wrong == "truncated" else values + 1
+
+    cx = _awkward_complex()
+    off, obj, fp, vp = (tmp_path / n for n in ("m.off", "m.obj", "f.txt", "v.txt"))
+    write_off(cx, off)
+    write_obj(cx, obj)
+    write_pair(cx, fp, vp)
+    monkeypatch.setattr(np, "fromstring", numpy_124)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = [read_off(off), read_obj(obj), read_pair(fp, vp)]
+    assert caught == []
+    for loaded in got:
+        assert loaded.complex.vertices.tobytes() == cx.vertices.tobytes()
+        assert loaded.complex.faces == cx.faces
+
+
+def test_writers_equal_per_line_formatting(tmp_path):
+    """One template per degree writes what one format call per value
+    wrote: 17 significant digits, faces of mixed degree in order."""
+    cx = build_complex([(0.1, 1.0 / 3.0, -0.0), (2.0, 1e-300, 0.0), (2.0, 2.0, 6.02214076e23),
+                        (-math.pi, 2.0, 0.0), (1.0, 1.0, 2.0)],
+                       [(0, 1, 2, 3), (0, 4, 1), (1, 4, 2), (2, 4, 3), (3, 4, 0)])
+    vertex_lines = [" ".join(format(float(x), ".17g") for x in v) for v in cx.vertices]
+    off, obj, fp, vp = (tmp_path / n for n in ("m.off", "m.obj", "f.txt", "v.txt"))
+    write_off(cx, off)
+    write_obj(cx, obj)
+    write_pair(cx, fp, vp, index_base=0)
+    assert off.read_text() == "\n".join(
+        ["OFF", f"5 5 {len(edge_census(cx))}"] + vertex_lines
+        + [f"{len(f)} " + " ".join(map(str, f)) for f in cx.faces]) + "\n"
+    assert obj.read_text() == "\n".join(
+        ["v " + v for v in vertex_lines]
+        + ["f " + " ".join(str(i + 1) for i in f) for f in cx.faces]) + "\n"
+    assert fp.read_text() == "\n".join(" ".join(map(str, f)) for f in cx.faces) + "\n"
+    assert vp.read_text() == "\n".join(vertex_lines) + "\n"

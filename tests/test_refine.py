@@ -72,6 +72,20 @@ def test_triangles_pass_through():
     assert ref.triangle_sources == (0, 1, 2, 3)
 
 
+def test_vertex_origins_built_when_read():
+    """A refinement stores only the origins after the source vertices;
+    vertex_origins, built when first read, puts SourceVertex(i) for each
+    source vertex before them."""
+    cx = grid_klein(4, 4)
+    ref = triangulate_faces(cx)
+    assert ref.new_origins == () and "vertex_origins" not in vars(ref)
+    sources = tuple(SourceVertex(i) for i in range(cx.n_vertices))
+    assert ref.vertex_origins == sources
+    bary = barycentric_subdivision(cx)
+    assert bary.vertex_origins == sources + bary.new_origins
+    assert len(bary.vertex_origins) == bary.derived.n_vertices
+
+
 def test_cube_triangulation():
     cx = cube()
     ref = triangulate_faces(cx)
