@@ -10,15 +10,15 @@ from .formats import (FormatError, LoadedMesh, read_mesh, read_obj, read_off,
                       read_pair, write_mesh, write_obj, write_off, write_pair)
 from .homology import (BoundaryMatrices, HomologyProfile, SmithNormalForm,
                        SurfaceClass, boundary_matrices, classify_surface,
-                       homology_profile, smith_normal_form)
+                       homology_profile)
 from .intersect import (Contact, DegenerateTriangleError, IntersectionReport,
                         PairContact, TriangleBoxes, TriangleSoup, build_hierarchy,
                         candidate_pairs, classify_immersion, self_intersections,
                         triangle_contact, triangle_soup)
 from .mesh import (CellComplex, HalfEdgeMesh, InvalidComplexError, ManifoldDefect,
                    MeshError, NotManifoldError, OrientabilityReport, build_complex,
-                   canonical_face, check_closed_manifold, connected_components,
-                   edge_census, euler_characteristic, orientability)
+                   check_closed_manifold, connected_components, edge_census,
+                   euler_characteristic, orientability)
 from .refine import (EdgeMidpoint, FaceCentroid, FallbackRecord, Refinement,
                      SourceVertex, TriangulationError, barycentric_subdivision,
                      triangulate_faces)
@@ -30,16 +30,16 @@ __all__ = [
     "BoundaryMatrices", "CellComplex", "Contact", "DegenerateFaceError",
     "DegenerateTriangleError", "EdgeMidpoint", "FaceCentroid", "FallbackRecord",
     "FlatnessReport", "FormatError", "GeneratorError", "GeneratorSpec", "HalfEdgeMesh",
-    "HomologyProfile", "IntersectionReport", "InvalidComplexError", "LinkVerdict",
-    "LoadedMesh", "ManifoldDefect", "MeshError", "NotManifoldError", "OrientabilityReport",
-    "PairContact", "Refinement", "SmithNormalForm", "SourceVertex", "SphericalLink",
-    "SurfaceClass", "TOOL_VERSION", "ToleranceProfile", "TriangleBoxes", "TriangleSoup",
-    "TriangulationError", "barycentric_subdivision", "boundary_matrices", "build_certificate",
-    "build_complex", "build_hierarchy", "candidate_pairs", "canonical_face", "canonical_json",
-    "certificate_text", "check_closed_manifold", "classify_immersion", "classify_surface",
-    "connected_components", "edge_census", "euler_characteristic", "flatness_report",
-    "generate", "homology_profile", "link_is_embedded", "orientability", "read_mesh",
-    "read_obj", "read_off", "read_pair", "self_intersections", "smith_normal_form",
-    "standard_corpus", "triangle_contact", "triangle_soup", "triangulate_faces",
-    "write_certificate", "write_mesh", "write_obj", "write_off", "write_pair",
+    "HomologyProfile", "IntersectionReport", "InvalidComplexError", "LinkVerdict", "LoadedMesh",
+    "ManifoldDefect", "MeshError", "NotManifoldError", "OrientabilityReport", "PairContact",
+    "Refinement", "SmithNormalForm", "SourceVertex", "SphericalLink", "SurfaceClass",
+    "TOOL_VERSION", "ToleranceProfile", "TriangleBoxes", "TriangleSoup", "TriangulationError",
+    "barycentric_subdivision", "boundary_matrices", "build_certificate", "build_complex",
+    "build_hierarchy", "candidate_pairs", "canonical_json", "certificate_text",
+    "check_closed_manifold", "classify_immersion", "classify_surface", "connected_components",
+    "edge_census", "euler_characteristic", "flatness_report", "generate", "homology_profile",
+    "link_is_embedded", "orientability", "read_mesh", "read_obj", "read_off", "read_pair",
+    "self_intersections", "standard_corpus", "triangle_contact", "triangle_soup",
+    "triangulate_faces", "write_certificate", "write_mesh", "write_obj", "write_off",
+    "write_pair",
 ]

@@ -12,6 +12,8 @@ import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from .flatness import (DegenerateFaceError, FlatnessReport, ToleranceProfile,
                        face_geometries, flatness_report)
 from .homology import boundary_matrices, classify_surface, homology_profile
@@ -99,20 +101,16 @@ def _named_rows(rows, indent: int):
 
 
 def _geometry_section(report: FlatnessReport) -> dict:
-    link_failures = [lv.vertex for lv in report.links if not lv.embedded]
-    nonplanar = [f.face for f in report.faces if not f.planar]
-    nonsimple = [f.face for f in report.faces if not f.simple_in_plane]
-    nonflat = [v.vertex for v in report.vertices if not v.flat]
     return {
         "all_faces_planar": report.all_faces_planar,
         "max_planarity_deviation": report.max_rel_deviation,
-        "nonplanar_faces": nonplanar,
-        "nonsimple_faces": nonsimple,
+        "nonplanar_faces": np.flatnonzero(~report.planar).tolist(),
+        "nonsimple_faces": np.flatnonzero(~report.simple).tolist(),
         "all_defects_zero": report.all_defects_zero,
         "max_abs_defect": report.max_abs_defect,
-        "nonflat_vertices": nonflat,
+        "nonflat_vertices": np.flatnonzero(~report.flat_vertices).tolist(),
         "all_links_embedded": report.all_links_embedded,
-        "link_failures": link_failures,
+        "link_failures": [lv.vertex for lv in report.links],
         "gauss_bonnet": {
             "defect_total": report.defect_total,
             "reference": report.gauss_bonnet_reference,

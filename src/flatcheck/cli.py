@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .certificate import build_certificate, certificate_text, write_certificate
 from .corpus import GeneratorError, GeneratorSpec, generate
 from .flatness import ToleranceProfile
 from .formats import FormatError, LoadedMesh, read_mesh, write_mesh
-from .mesh import CellComplex, MeshError
+from .mesh import MeshError
 from .refine import TriangulationError, barycentric_subdivision, triangulate_faces
 
 
@@ -208,7 +209,7 @@ def _run_refine(args, subdivide: bool) -> int:
     if subdivide:
         refinement = barycentric_subdivision(refinement.derived)
     derived = refinement.derived
-    write_mesh(CellComplex(np.ldexp(derived.vertices, exponent), derived.faces), args.output)
+    write_mesh(replace(derived, vertices=np.ldexp(derived.vertices, exponent)), args.output)
     return 0
 
 

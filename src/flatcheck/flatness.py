@@ -25,6 +25,7 @@ star from lists made once per report, with no NumPy call per vector.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -578,13 +579,20 @@ def link_is_embedded(link: SphericalLink, tol: float = 1e-9) -> LinkVerdict:
                 )
             # Point contact between adjacent arcs: only their shared link
             # vertices are allowed.  Consecutive arcs share one endpoint by
-            # construction; a two-arc link shares both.
+            # construction; a two-arc link shares both.  On two distinct
+            # circles the contact is their computed crossing, whose
+            # direction is off by about eps / sin(crossing angle), so the
+            # allowance grows by that rounding.
             allowed = []
             if (pb - pa) % n_arcs == 1:
                 allowed.append(arcs[pa][1])
             if (pa - pb) % n_arcs == 1:
                 allowed.append(arcs[pb][1])
-            if not any(_angular_distance(payload, q) <= max(tol, 1e-9) for q in allowed):
+            slack = max(tol, 1e-9)
+            crossing = _norm(_cross(a.axis, b.axis))
+            if crossing > guard:
+                slack += 16.0 * sys.float_info.epsilon / crossing
+            if not any(_angular_distance(payload, q) <= slack for q in allowed):
                 return LinkVerdict(
                     link.vertex, False,
                     f"adjacent arcs {pa} and {pb} touch away from their shared endpoint",
@@ -621,7 +629,7 @@ def _azimuth_certified(mesh: HalfEdgeMesh, angles: np.ndarray, link_tol: float) 
     not overlap by a guard.  The sub-arc test's one rounding-sensitive
     case is left to it: adjacent arcs whose circles cross at an angle
     between about the guard and 1e-4, where the crossing point it computes
-    can pass its containment test and still miss the shared endpoint.
+    strays from the shared endpoint by about eps / (crossing angle).
     """
     certified = [False] * mesh.n_vertices
     m = _LINK_MARGIN
@@ -674,28 +682,19 @@ def _azimuth_certified(mesh: HalfEdgeMesh, angles: np.ndarray, link_tol: float) 
 # Whole-mesh report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FaceFlatnessRecord:
-    face: int
-    rel_deviation: float
-    max_deviation: float
-    planar: bool
-    simple_in_plane: bool
-
-
-@dataclass(frozen=True)
-class VertexFlatnessRecord:
-    vertex: int
-    defect: float
-    flat: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatnessReport:
-    """Planarity, defects, links and the Gauss-Bonnet balance for a mesh."""
+    """Planarity, defects, links and the Gauss-Bonnet balance for a mesh.
 
-    faces: tuple[FaceFlatnessRecord, ...]
-    vertices: tuple[VertexFlatnessRecord, ...]
+    rel_deviation and simple are the face table's columns, one entry per
+    face; defects holds 2*pi minus the corner angles around each vertex.
+    links holds the LinkVerdict of every vertex whose link is not
+    embedded, in vertex order.
+    """
+
+    rel_deviation: np.ndarray
+    simple: np.ndarray
+    defects: np.ndarray
     links: tuple[LinkVerdict, ...]
     defect_total: float
     gauss_bonnet_reference: float
@@ -703,16 +702,24 @@ class FlatnessReport:
     tolerances: ToleranceProfile
 
     @property
+    def planar(self) -> np.ndarray:
+        return self.rel_deviation <= self.tolerances.planarity_tol
+
+    @property
+    def flat_vertices(self) -> np.ndarray:
+        return np.abs(self.defects) <= self.tolerances.defect_tol
+
+    @property
     def all_faces_planar(self) -> bool:
-        return all(f.planar for f in self.faces)
+        return bool(self.planar.all())
 
     @property
     def all_defects_zero(self) -> bool:
-        return all(v.flat for v in self.vertices)
+        return bool(self.flat_vertices.all())
 
     @property
     def all_links_embedded(self) -> bool:
-        return all(l.embedded for l in self.links)
+        return not self.links
 
     @property
     def flat(self) -> bool:
@@ -720,14 +727,14 @@ class FlatnessReport:
 
     @property
     def max_rel_deviation(self) -> float:
-        return max((f.rel_deviation for f in self.faces), default=0.0)
+        return float(self.rel_deviation.max(initial=0.0))
 
     @property
     def max_abs_defect(self) -> float:
-        return max((abs(v.defect) for v in self.vertices), default=0.0)
+        return float(np.abs(self.defects).max(initial=0.0))
 
 
-def _defects(mesh: HalfEdgeMesh, angles: np.ndarray) -> list[float]:
+def _defects(mesh: HalfEdgeMesh, angles: np.ndarray) -> np.ndarray:
     """2*pi minus the sum of the interior angles around each vertex.
 
     Per valence, the star's angles are added one column at a time from
@@ -743,7 +750,7 @@ def _defects(mesh: HalfEdgeMesh, angles: np.ndarray) -> list[float]:
         for column in theta.T:
             total += column
         defects[centers] = TWO_PI - total
-    return defects.tolist()
+    return defects
 
 
 def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None,
@@ -757,36 +764,30 @@ def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None,
     if table.degenerate:
         face, message = table.degenerate[0]
         raise DegenerateFaceError(f"face {face}: {message}")
-    rel = table.rel_deviation
-    face_records = map(FaceFlatnessRecord, range(mesh.complex.n_faces), rel.tolist(),
-                       table.max_deviation.tolist(), (rel <= tol.planarity_tol).tolist(),
-                       table.simple.tolist())
-
     defects = _defects(mesh, table.angles)
-    vertex_records = [VertexFlatnessRecord(vertex=v, defect=d, flat=abs(d) <= tol.defect_tol)
-                      for v, d in enumerate(defects)]
-
     links = []
     certified = _azimuth_certified(mesh, table.angles, tol.link_tol)
     stars = _stars(mesh)
     for v in range(mesh.n_vertices):
         if certified[v]:
-            links.append(LinkVerdict(v, True))
             continue
         try:
             link = _link(mesh, v, table, stars)
         except MeshError as exc:
             links.append(LinkVerdict(vertex=v, embedded=False, witness=str(exc)))
             continue
-        links.append(link_is_embedded(link, tol.link_tol))
+        verdict = link_is_embedded(link, tol.link_tol)
+        if not verdict.embedded:
+            links.append(verdict)
 
     # With planar faces the defects sum to 2*pi*chi exactly, so the residual
     # measures only rounding and broken corner bookkeeping.
-    total = math.fsum(defects)
+    total = math.fsum(defects.tolist())
     reference = TWO_PI * euler_characteristic(mesh)
     return FlatnessReport(
-        faces=tuple(face_records),
-        vertices=tuple(vertex_records),
+        rel_deviation=table.rel_deviation,
+        simple=table.simple,
+        defects=defects,
         links=tuple(links),
         defect_total=total,
         gauss_bonnet_reference=reference,

@@ -24,14 +24,14 @@ and their balance come from one labelling of the signed double cover
 
 Any other matrix, such as d2 of a complex with an edge in three faces, is
 refused with a MeshError naming the edge or entry: its exact Smith form
-would need the dense smith_normal_form, whose memory grows with the
-product of the matrix's sides.  The pipeline computes homology only of
-closed manifolds, whose matrices are always signed graphs'.
+would need a dense elimination, whose memory grows with the product of
+the matrix's sides.  The pipeline computes homology only of closed
+manifolds, whose matrices are always signed graphs'.  The dense form
+lives in the test suite, as the referee of the forest form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -105,104 +105,6 @@ class SmithNormalForm:
     def torsion(self) -> tuple[int, ...]:
         """Invariant factors larger than one, i.e. the torsion coefficients."""
         return tuple(d for d in self.invariant_factors if d > 1)
-
-
-def _find_pivot(rows: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
-    """Nonzero entry of minimum absolute value in the trailing submatrix.
-
-    Scanning favors +-1 pivots, which keep intermediate entries small;
-    the fallback to exact big integers makes overflow impossible either way.
-    """
-    best = None
-    best_abs = 0
-    for i in range(t, m):
-        row = rows[i]
-        for j in range(t, n):
-            a = row[j]
-            if a:
-                a = -a if a < 0 else a
-                if a == 1:
-                    return (i, j)
-                if best is None or a < best_abs:
-                    best, best_abs = (i, j), a
-    return best
-
-
-def smith_normal_form(matrix) -> SmithNormalForm:
-    """Exact Smith normal form of an integer matrix.
-
-    Works over Python integers (arbitrary precision), so large intermediate
-    values cannot overflow.  Row and column operations are the standard
-    Euclidean reduction with min-|entry| pivoting; the diagonal is then
-    normalized into a divisibility chain with pairwise gcd/lcm exchanges,
-    which elementary operations realize on 2x2 blocks.
-    """
-    a = np.asarray(matrix)
-    if a.ndim != 2:
-        raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
-    m, n = a.shape
-    rows: list[list[int]] = [[int(v) for v in a[i]] for i in range(m)]
-
-    diag: list[int] = []
-    t = 0
-    while t < min(m, n):
-        piv = _find_pivot(rows, t, m, n)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            rows[pi], rows[t] = rows[t], rows[pi]
-        if pj != t:
-            for r in rows:
-                r[pj], r[t] = r[t], r[pj]
-        while True:
-            if rows[t][t] < 0:
-                rows[t] = [-x for x in rows[t]]
-            p = rows[t][t]
-            restart = False
-            for i in range(t + 1, m):
-                x = rows[i][t]
-                if x:
-                    q = x // p
-                    if q:
-                        rt = rows[t]
-                        rows[i] = [xi - q * yi for xi, yi in zip(rows[i], rt)]
-                    if rows[i][t]:
-                        # Remainder is strictly smaller than the pivot: promote it.
-                        rows[i], rows[t] = rows[t], rows[i]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                x = rows[t][j]
-                if x:
-                    q = x // p
-                    if q:
-                        for r in rows:
-                            r[j] -= q * r[t]
-                    if rows[t][j]:
-                        for r in rows:
-                            r[j], r[t] = r[t], r[j]
-                        restart = True
-                        break
-            if not restart:
-                break
-        diag.append(rows[t][t])
-        t += 1
-
-    # Normalize into the divisibility chain d1 | d2 | ... | dr.
-    factors = [abs(d) for d in diag]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a_, b_ = factors[i], factors[i + 1]
-            if b_ % a_:
-                g = gcd(a_, b_)
-                factors[i], factors[i + 1] = g, a_ * b_ // g
-                changed = True
-    return SmithNormalForm(invariant_factors=tuple(factors), rank=len(factors))
 
 
 def _forest_smith(n_nodes: int, node: np.ndarray, link: np.ndarray, entry: np.ndarray,

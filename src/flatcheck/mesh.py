@@ -1,10 +1,9 @@
 """Polygonal cell complexes and combinatorial surface checks.
 
-A complex is a list of points in R^3 plus faces given as cyclic tuples of
-vertex indices.  Beside the tuples it keeps the faces as one flat corner
-array with offsets, and the combinatorial checks run on that array:
-validation sorts a canonical row per face degree, and the half-edge
-structure comes from one stable sort of the undirected edge keys
+A complex is a list of points in R^3 plus faces given as one flat corner
+array of vertex indices with offsets, and the combinatorial checks run
+on that array: validation sorts a canonical row per face degree, and the
+half-edge structure comes from one stable sort of the undirected edge keys
 min(u, v) * V + max(u, v).  Adjacent rows of that sort are the sides of
 one edge, and the vertex stars are cycles of one permutation, walked for
 all vertices in lockstep.  Everything downstream (homology, flatness,
@@ -14,7 +13,8 @@ convert on the way in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -77,32 +77,31 @@ class CellComplex:
 
     Instances should be built through build_complex so that the validation
     invariants (index range, no repeated vertex inside a face, no duplicate
-    face up to rotation and reversal) are guaranteed to hold.
+    face up to rotation and reversal) are guaranteed to hold;
+    dataclasses.replace(complex, vertices=...) moves the vertices of a
+    valid complex and keeps its faces.
 
     corners lists the faces' vertex indices face by face, and face f owns
-    corners[offsets[f]:offsets[f + 1]].  They are derived from faces when
-    not given; a caller that gives them must give the same faces.
+    corners[offsets[f]:offsets[f + 1]].
     """
 
-    vertices: np.ndarray                 # (n, 3) float64, read-only
-    faces: tuple[tuple[int, ...], ...]   # 0-based vertex indices
-    corners: np.ndarray = field(default=None, repr=False)   # int64, read-only
-    offsets: np.ndarray = field(default=None, repr=False)   # int64, n_faces + 1
+    vertices: np.ndarray    # (n, 3) float64, read-only
+    corners: np.ndarray     # int64, read-only, 0-based vertex indices
+    offsets: np.ndarray     # int64, read-only, n_faces + 1
 
     def __post_init__(self) -> None:
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
         if v.ndim != 2 or v.shape[1] != 3:
             raise InvalidComplexError(f"vertex array must be (n, 3), got {v.shape}")
         v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        if self.corners is None:
-            faces = tuple(tuple(int(i) for i in f) for f in self.faces)
-            object.__setattr__(self, "faces", faces)
-            object.__setattr__(self, "corners", np.fromiter(
-                chain.from_iterable(faces), np.int64, sum(map(len, faces))))
-            object.__setattr__(self, "offsets", np.cumsum([0, *map(len, faces)]))
-        object.__setattr__(self, "corners", _frozen(self.corners))
-        object.__setattr__(self, "offsets", _frozen(self.offsets))
+        self.vertices = v
+        self.corners = _frozen(self.corners)
+        self.offsets = _frozen(self.offsets)
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Each face as a tuple of its corners, made on first read."""
+        return tuple(by_degree(self.corners, self.offsets, lambda k, flat: zip(*[iter(flat)] * k)))
 
     @property
     def n_vertices(self) -> int:
@@ -110,7 +109,7 @@ class CellComplex:
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return int(self.offsets.size) - 1
 
     def face_degree_census(self) -> dict[int, int]:
         """Map face degree -> number of faces with that degree."""
@@ -130,25 +129,7 @@ class CellComplex:
         """
         _, exponent = np.frexp(np.abs(self.vertices).max(initial=0.0))
         e = int(exponent)
-        return CellComplex(np.ldexp(self.vertices, -e), self.faces,
-                           self.corners, self.offsets), e
-
-
-def canonical_face(face: Sequence[int]) -> tuple[int, ...]:
-    """Canonical representative of a face under rotation and reversal.
-
-    Rotate so the smallest vertex comes first, then pick the
-    lexicographically smaller of the two traversal directions.  Used for
-    duplicate detection; vertices within a face are distinct, so the
-    smallest vertex is unique.
-    """
-    f = tuple(int(i) for i in face)
-    k = f.index(min(f))
-    fwd = f[k:] + f[:k]
-    rev = tuple(reversed(f))
-    k = rev.index(min(rev))
-    bwd = rev[k:] + rev[:k]
-    return min(fwd, bwd)
+        return replace(self, vertices=np.ldexp(self.vertices, -e)), e
 
 
 def build_complex(
@@ -204,8 +185,7 @@ def complex_from_flat(
     _validate_faces(idx, degree, offsets, n, indices, index_base)
     if degree.size == 0:
         raise InvalidComplexError("complex has no faces")
-    faces = tuple(by_degree(idx, offsets, lambda k, flat: zip(*[iter(flat)] * k)))
-    return CellComplex(verts, faces, idx, offsets)
+    return CellComplex(verts, idx, offsets)
 
 
 def by_degree(corners: np.ndarray, offsets: np.ndarray, rows) -> list:
@@ -565,15 +545,8 @@ def orientability(mesh: HalfEdgeMesh) -> OrientabilityReport:
     return OrientabilityReport(per_component=tuple((~unbalanced[roots]).tolist()))
 
 
-@dataclass(frozen=True)
-class ComponentLabels:
-    """Connected components of the face-adjacency graph."""
-
-    count: int
-
-
-def connected_components(mesh: HalfEdgeMesh) -> ComponentLabels:
+def connected_components(mesh: HalfEdgeMesh) -> int:
     """Count the components of the face-adjacency graph (faces sharing an
     edge), labelled as orientability labels them."""
     label, _ = _dual_components(mesh)
-    return ComponentLabels(count=int(np.count_nonzero(label == np.arange(mesh.n_faces))))
+    return int(np.count_nonzero(label == np.arange(mesh.n_faces)))

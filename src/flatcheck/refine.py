@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .flatness import FaceTable, ToleranceProfile, face_geometries
-from .mesh import CellComplex, MeshError, build_complex
+from .mesh import CellComplex, MeshError, complex_from_flat, edge_table
 from .predicates import orient2d
 
 
@@ -73,7 +73,7 @@ class Refinement:
         return tuple(map(SourceVertex, range(self.source.n_vertices))) + self.new_origins
 
 
-def _ear_clip(face: tuple[int, ...], pts2d: Sequence[Sequence[float]],
+def _ear_clip(face: Sequence[int], pts2d: Sequence[Sequence[float]],
               orientation: float) -> list[tuple[int, int, int]] | None:
     """Ear-clipping triangulation of a simple polygon in the plane.
 
@@ -205,7 +205,7 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
         triangles[rows[fan]] = _fans(ids[fan])
     for fi in np.flatnonzero(clip & ~convex).tolist():
         lo, hi = offsets[fi:fi + 2].tolist()
-        ears = _ear_clip(complex.faces[fi], table.points2d[lo:hi].tolist(),
+        ears = _ear_clip(complex.corners[lo:hi].tolist(), table.points2d[lo:hi].tolist(),
                          float(table.orientation[fi]))
         if ears is None:
             raise TriangulationError(
@@ -219,12 +219,9 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
     sources = np.repeat(np.arange(complex.n_faces), degree - 2).tolist()
     _reject_repeats(triangles, sources)
     fanned = np.flatnonzero(reason)
-    # with one triangle per face, every face is a triangle passed through
-    faces = complex.faces if len(triangles) == complex.n_faces else tuple(
-        map(tuple, triangles.tolist()))
     return Refinement(
         source=complex,
-        derived=CellComplex(complex.vertices, faces, triangles.ravel(),
+        derived=CellComplex(complex.vertices, triangles.ravel(),
                             np.arange(0, triangles.size + 1, 3)),
         triangle_sources=tuple(sources),
         new_origins=(),
@@ -261,48 +258,33 @@ def barycentric_subdivision(complex: CellComplex) -> Refinement:
 
     Every triangle splits into six around its centroid and edge midpoints
     (one derived triangle per flag vertex < edge < face), so the derived
-    complex has V + E + F vertices and 6F faces.  Orientation follows the
-    source triangle.  Raises if any face is not a triangle.
+    complex has V + E + F vertices and 6F faces: the source vertices, the
+    midpoints in edge_table order, then the centroids in face order.
+    Orientation follows the source triangle.  Raises if any face is not a
+    triangle.
     """
-    for fi, face in enumerate(complex.faces):
-        if len(face) != 3:
-            raise TriangulationError(
-                f"barycentric subdivision needs a triangulated complex; face {fi} has degree {len(face)}"
-            )
+    degree = np.diff(complex.offsets)
+    odd = np.flatnonzero(degree != 3)
+    if odd.size:
+        fi = int(odd[0])
+        raise TriangulationError(
+            f"barycentric subdivision needs a triangulated complex; face {fi} has degree {degree[fi]}"
+        )
     pts = complex.vertices
-    origins: list[EdgeMidpoint | FaceCentroid] = []
-    coords: list[np.ndarray] = [pts[i] for i in range(complex.n_vertices)]
-
-    edge_mid: dict[tuple[int, int], int] = {}
-    edges = sorted({
-        tuple(sorted((f[i], f[(i + 1) % 3]))) for f in complex.faces for i in range(3)
-    })
-    for (u, v) in edges:
-        edge_mid[(u, v)] = len(coords)
-        coords.append(0.5 * (pts[u] + pts[v]))
-        origins.append(EdgeMidpoint(u=u, v=v))
-
-    centroid_of: list[int] = []
-    for fi, face in enumerate(complex.faces):
-        centroid_of.append(len(coords))
-        coords.append(pts[list(face)].mean(axis=0))
-        origins.append(FaceCentroid(face=fi))
-
-    triangles: list[tuple[int, int, int]] = []
-    sources: list[int] = []
-    for fi, (a, b, c) in enumerate(complex.faces):
-        g = centroid_of[fi]
-        mab = edge_mid[(a, b) if a < b else (b, a)]
-        mbc = edge_mid[(b, c) if b < c else (c, b)]
-        mca = edge_mid[(c, a) if c < a else (a, c)]
-        for tri in ((a, mab, g), (mab, b, g), (b, mbc, g), (mbc, c, g), (c, mca, g), (mca, a, g)):
-            triangles.append(tri)
-            sources.append(fi)
-
-    derived = build_complex(np.vstack(coords), triangles)
+    t = edge_table(complex)
+    tri = complex.corners.reshape(-1, 3)
+    nv, ne, nf = complex.n_vertices, len(t.ends), len(tri)
+    u, v = t.ends.T
+    coords = np.concatenate([pts, 0.5 * (pts[u] + pts[v]), pts[tri].mean(axis=1)])
+    a, b, c = tri.T
+    mab, mbc, mca = (nv + t.edge_of).reshape(-1, 3).T
+    g = np.arange(nv + ne, nv + ne + nf)
+    triangles = np.stack([a, mab, g, mab, b, g, b, mbc, g, mbc, c, g, c, mca, g, mca, a, g], axis=1)
     return Refinement(
         source=complex,
-        derived=derived,
-        triangle_sources=tuple(sources),
-        new_origins=tuple(origins),
+        # a midpoint or centroid can overflow to inf, which validation rejects
+        derived=complex_from_flat(coords, triangles.ravel(), np.full(6 * nf, 3)),
+        triangle_sources=tuple(np.repeat(np.arange(nf), 6).tolist()),
+        new_origins=tuple(map(EdgeMidpoint, u.tolist(), v.tolist()))
+        + tuple(map(FaceCentroid, range(nf))),
     )

@@ -1,11 +1,13 @@
-"""Shared fixtures and small helpers for the test suite."""
+"""Shared fixtures, small helpers and the slow referees the fast paths are checked against."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 from collections import deque
+from math import gcd
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from flatcheck import (
     CellComplex,
     EdgeMidpoint,
+    FaceCentroid,
     FormatError,
     GeneratorSpec,
     IntersectionReport,
@@ -20,9 +23,10 @@ from flatcheck import (
     LoadedMesh,
     ManifoldDefect,
     PairContact,
+    Refinement,
+    SmithNormalForm,
     TriangulationError,
     build_complex,
-    canonical_face,
     check_closed_manifold,
     generate,
     standard_corpus,
@@ -150,6 +154,23 @@ def referee_shared_cells(face_vertices, face_edges, grid, ci, cj, fi, fj):
     return pts, segs
 
 
+def canonical_face(face: Sequence[int]) -> tuple[int, ...]:
+    """Canonical representative of a face under rotation and reversal.
+
+    Rotate so the smallest vertex comes first, then pick the
+    lexicographically smaller of the two traversal directions.  Used for
+    duplicate detection; vertices within a face are distinct, so the
+    smallest vertex is unique.
+    """
+    f = tuple(int(i) for i in face)
+    k = f.index(min(f))
+    fwd = f[k:] + f[:k]
+    rev = tuple(reversed(f))
+    k = rev.index(min(rev))
+    bwd = rev[k:] + rev[:k]
+    return min(fwd, bwd)
+
+
 def referee_repeats(triangles, sources):
     """Referee of refine's one-sort duplicate check: one canonical_face
     key and dict lookup per triangle, in order; raises the
@@ -164,6 +185,146 @@ def referee_repeats(triangles, sources):
                 "(identical up to rotation/reversal)"
             )
         seen[key] = fi
+
+
+def referee_barycentric(complex: CellComplex) -> Refinement:
+    """barycentric_subdivision one vertex, edge and face at a time: the
+    midpoints of the sorted edges, then the centroids, then six triangles
+    per face."""
+    for fi, face in enumerate(complex.faces):
+        if len(face) != 3:
+            raise TriangulationError(
+                f"barycentric subdivision needs a triangulated complex; face {fi} has degree {len(face)}"
+            )
+    pts = complex.vertices
+    origins = []
+    coords = [pts[i] for i in range(complex.n_vertices)]
+    edge_mid = {}
+    edges = sorted({
+        tuple(sorted((f[i], f[(i + 1) % 3]))) for f in complex.faces for i in range(3)
+    })
+    for (u, v) in edges:
+        edge_mid[(u, v)] = len(coords)
+        coords.append(0.5 * (pts[u] + pts[v]))
+        origins.append(EdgeMidpoint(u=u, v=v))
+    centroid_of = []
+    for fi, face in enumerate(complex.faces):
+        centroid_of.append(len(coords))
+        coords.append(pts[list(face)].mean(axis=0))
+        origins.append(FaceCentroid(face=fi))
+    triangles, sources = [], []
+    for fi, (a, b, c) in enumerate(complex.faces):
+        g = centroid_of[fi]
+        mab = edge_mid[(a, b) if a < b else (b, a)]
+        mbc = edge_mid[(b, c) if b < c else (c, b)]
+        mca = edge_mid[(c, a) if c < a else (a, c)]
+        for tri in ((a, mab, g), (mab, b, g), (b, mbc, g), (mbc, c, g), (c, mca, g), (mca, a, g)):
+            triangles.append(tri)
+            sources.append(fi)
+    return Refinement(source=complex, derived=build_complex(np.vstack(coords), triangles),
+                      triangle_sources=tuple(sources), new_origins=tuple(origins))
+
+
+# ---------------------------------------------------------------------------
+# Dense Smith normal form, the referee of homology's signed-forest form
+# ---------------------------------------------------------------------------
+
+def _find_pivot(rows: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
+    """Nonzero entry of minimum absolute value in the trailing submatrix.
+
+    Scanning favors +-1 pivots, which keep intermediate entries small;
+    the fallback to exact big integers makes overflow impossible either way.
+    """
+    best = None
+    best_abs = 0
+    for i in range(t, m):
+        row = rows[i]
+        for j in range(t, n):
+            a = row[j]
+            if a:
+                a = -a if a < 0 else a
+                if a == 1:
+                    return (i, j)
+                if best is None or a < best_abs:
+                    best, best_abs = (i, j), a
+    return best
+
+
+def smith_normal_form(matrix) -> SmithNormalForm:
+    """Exact Smith normal form of an integer matrix.
+
+    Works over Python integers (arbitrary precision), so large intermediate
+    values cannot overflow.  Row and column operations are the standard
+    Euclidean reduction with min-|entry| pivoting; the diagonal is then
+    normalized into a divisibility chain with pairwise gcd/lcm exchanges,
+    which elementary operations realize on 2x2 blocks.
+    """
+    a = np.asarray(matrix)
+    if a.ndim != 2:
+        raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
+    m, n = a.shape
+    rows: list[list[int]] = [[int(v) for v in a[i]] for i in range(m)]
+
+    diag: list[int] = []
+    t = 0
+    while t < min(m, n):
+        piv = _find_pivot(rows, t, m, n)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            rows[pi], rows[t] = rows[t], rows[pi]
+        if pj != t:
+            for r in rows:
+                r[pj], r[t] = r[t], r[pj]
+        while True:
+            if rows[t][t] < 0:
+                rows[t] = [-x for x in rows[t]]
+            p = rows[t][t]
+            restart = False
+            for i in range(t + 1, m):
+                x = rows[i][t]
+                if x:
+                    q = x // p
+                    if q:
+                        rt = rows[t]
+                        rows[i] = [xi - q * yi for xi, yi in zip(rows[i], rt)]
+                    if rows[i][t]:
+                        # Remainder is strictly smaller than the pivot: promote it.
+                        rows[i], rows[t] = rows[t], rows[i]
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                x = rows[t][j]
+                if x:
+                    q = x // p
+                    if q:
+                        for r in rows:
+                            r[j] -= q * r[t]
+                    if rows[t][j]:
+                        for r in rows:
+                            r[j], r[t] = r[t], r[j]
+                        restart = True
+                        break
+            if not restart:
+                break
+        diag.append(rows[t][t])
+        t += 1
+
+    # Normalize into the divisibility chain d1 | d2 | ... | dr.
+    factors = [abs(d) for d in diag]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            a_, b_ = factors[i], factors[i + 1]
+            if b_ % a_:
+                g = gcd(a_, b_)
+                factors[i], factors[i + 1] = g, a_ * b_ // g
+                changed = True
+    return SmithNormalForm(invariant_factors=tuple(factors), rank=len(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_standard_corpus_all_manifold(corpus_meshes):
     assert len(set(labels)) == 10
     for label, (spec, cx) in corpus_meshes.items():
         mesh = check_closed_manifold(cx)
-        assert connected_components(mesh).count == 1, label
+        assert connected_components(mesh) == 1, label
 
 
 def test_spec_labels():

@@ -27,18 +27,17 @@ from flatcheck import (
     MeshError,
     boundary_matrices,
     build_complex,
-    canonical_face,
     check_closed_manifold,
     classify_surface,
     euler_characteristic,
     generate,
     homology_profile,
     orientability,
-    smith_normal_form,
 )
 from flatcheck.homology import _forest_smith
 
-from conftest import grid_klein, grid_torus, referee_manifold, tetra
+from conftest import (canonical_face, grid_klein, grid_torus, referee_manifold,
+                      smith_normal_form, tetra)
 
 
 def _coo(items):

@@ -27,7 +27,6 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
-    CellComplex,
     DegenerateTriangleError,
     GeneratorSpec,
     MeshError,
@@ -157,7 +156,7 @@ def test_soup_zero_area_test_is_exact_only_where_the_filter_is_unsure():
 def _with_derived_vertex(refinement, v, value):
     points = refinement.derived.vertices.copy()
     points[v, 1] = value
-    return replace(refinement, derived=CellComplex(points, refinement.derived.faces))
+    return replace(refinement, derived=replace(refinement.derived, vertices=points))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -748,7 +747,7 @@ def test_self_intersections_exact_over_double_range(k):
         derived = refinement.derived
         points = _scaled(derived.vertices, k)
         assume(points is not None)
-        moved = replace(refinement, derived=CellComplex(points, derived.faces))
+        moved = replace(refinement, derived=replace(derived, vertices=points))
         assert self_intersections(triangle_soup(moved)) == self_intersections(
             triangle_soup(refinement)), spec.label
 
@@ -824,7 +823,7 @@ def test_adjacent_decisions_match_kernel(cx, k):
         derived = refinement.derived
         points = _scaled(derived.vertices, k)
         assume(points is not None)
-        soup = triangle_soup(replace(refinement, derived=CellComplex(points, derived.faces)))
+        soup = triangle_soup(replace(refinement, derived=replace(derived, vertices=points)))
     except MeshError:
         reject()
     fast, brute = self_intersections(soup), brute_report(soup)
@@ -850,7 +849,7 @@ def test_coplanar_pass_matches_kernel(cx, k, jitter):
         points = derived.vertices if jitter is None else _jittered(derived.vertices, jitter, 1)
         points = _scaled(points, k)
         assume(points is not None)
-        soup = triangle_soup(replace(refinement, derived=CellComplex(points, derived.faces)))
+        soup = triangle_soup(replace(refinement, derived=replace(derived, vertices=points)))
     except MeshError:
         reject()
     fast, brute = self_intersections(soup), brute_report(soup)
@@ -887,8 +886,8 @@ def test_off_grid_contacts_match_referee(spec, rows):
     the referee's, in pairs, local overlaps, kinds and order."""
     refinement = _refinement(spec)
     derived = refinement.derived
-    soup = triangle_soup(replace(refinement, derived=CellComplex(0.1 * derived.vertices,
-                                                                 derived.faces)))
+    soup = triangle_soup(replace(refinement, derived=replace(derived,
+                                                             vertices=0.1 * derived.vertices)))
     left, found = [], []
     with mock.patch.object(intersect, "_undecided_rows", _spy(intersect._undecided_rows, left)), \
             mock.patch.object(intersect, "_contact", _spy(intersect._contact, found)):
@@ -1011,7 +1010,7 @@ def test_filter_decisions_match_exact_path(cx, k, jitter):
         points = derived.vertices if jitter is None else _jittered(derived.vertices, *jitter)
         points = _scaled(points, k)
         assume(points is not None)
-        soup = triangle_soup(replace(refinement, derived=CellComplex(points, derived.faces)))
+        soup = triangle_soup(replace(refinement, derived=replace(derived, vertices=points)))
     except MeshError:
         reject()
     _assert_filter_refereed(soup)

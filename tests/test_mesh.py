@@ -11,7 +11,6 @@ from flatcheck import (
     InvalidComplexError,
     NotManifoldError,
     build_complex,
-    canonical_face,
     check_closed_manifold,
     connected_components,
     edge_census,
@@ -19,8 +18,8 @@ from flatcheck import (
     orientability,
 )
 
-from conftest import (cube, grid_klein, grid_torus, icosa, referee_build, referee_manifold,
-                      referee_orientability, tetra)
+from conftest import (canonical_face, cube, grid_klein, grid_torus, icosa, referee_build,
+                      referee_manifold, referee_orientability, tetra)
 
 TETRA_VERTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 TETRA_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
@@ -139,8 +138,7 @@ def test_two_component_union():
     verts = TETRA_VERTS + [(10 + x, y, z) for x, y, z in TETRA_VERTS]
     faces = list(TETRA_FACES) + [tuple(i + 4 for i in f) for f in TETRA_FACES]
     mesh = check_closed_manifold(build_complex(verts, faces))
-    labels = connected_components(mesh)
-    assert labels.count == 2
+    assert connected_components(mesh) == 2
     assert euler_characteristic(mesh) == 4
     rep = orientability(mesh)
     assert rep.orientable
@@ -192,7 +190,7 @@ def test_face_order_and_rotation_invariance(seed):
     )
     assert euler_characteristic(mesh) == 0
     assert not orientability(mesh).orientable
-    assert connected_components(mesh).count == 1
+    assert connected_components(mesh) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +274,7 @@ def test_manifold_check_matches_referee(case):
     assert tuple(map(tuple, mesh.edge_ends.tolist())) == ref["edge_ends"]
     per_component = referee_orientability(ref, cx.n_faces)
     assert orientability(mesh).per_component == per_component
-    assert connected_components(mesh).count == len(per_component)
+    assert connected_components(mesh) == len(per_component)
 
 
 def _index_forms(draw, face):

@@ -11,18 +11,18 @@ PUBLIC_NAMES = (
     "BoundaryMatrices", "CellComplex", "Contact", "DegenerateFaceError",
     "DegenerateTriangleError", "EdgeMidpoint", "FaceCentroid", "FallbackRecord",
     "FlatnessReport", "FormatError", "GeneratorError", "GeneratorSpec", "HalfEdgeMesh",
-    "HomologyProfile", "IntersectionReport", "InvalidComplexError", "LinkVerdict",
-    "LoadedMesh", "ManifoldDefect", "MeshError", "NotManifoldError", "OrientabilityReport",
-    "PairContact", "Refinement", "SmithNormalForm", "SourceVertex", "SphericalLink",
-    "SurfaceClass", "TOOL_VERSION", "ToleranceProfile", "TriangleBoxes", "TriangleSoup",
-    "TriangulationError", "barycentric_subdivision", "boundary_matrices", "build_certificate",
-    "build_complex", "build_hierarchy", "candidate_pairs", "canonical_face", "canonical_json",
-    "certificate_text", "check_closed_manifold", "classify_immersion", "classify_surface",
-    "connected_components", "edge_census", "euler_characteristic", "flatness_report",
-    "generate", "homology_profile", "link_is_embedded", "orientability", "read_mesh",
-    "read_obj", "read_off", "read_pair", "self_intersections", "smith_normal_form",
-    "standard_corpus", "triangle_contact", "triangle_soup", "triangulate_faces",
-    "write_certificate", "write_mesh", "write_obj", "write_off", "write_pair",
+    "HomologyProfile", "IntersectionReport", "InvalidComplexError", "LinkVerdict", "LoadedMesh",
+    "ManifoldDefect", "MeshError", "NotManifoldError", "OrientabilityReport", "PairContact",
+    "Refinement", "SmithNormalForm", "SourceVertex", "SphericalLink", "SurfaceClass",
+    "TOOL_VERSION", "ToleranceProfile", "TriangleBoxes", "TriangleSoup", "TriangulationError",
+    "barycentric_subdivision", "boundary_matrices", "build_certificate", "build_complex",
+    "build_hierarchy", "candidate_pairs", "canonical_json", "certificate_text",
+    "check_closed_manifold", "classify_immersion", "classify_surface", "connected_components",
+    "edge_census", "euler_characteristic", "flatness_report", "generate", "homology_profile",
+    "link_is_embedded", "orientability", "read_mesh", "read_obj", "read_off", "read_pair",
+    "self_intersections", "standard_corpus", "triangle_contact", "triangle_soup",
+    "triangulate_faces", "write_certificate", "write_mesh", "write_obj", "write_off",
+    "write_pair",
 )
 
 def test_public_names_pinned():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
@@ -12,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
-    CellComplex,
     EdgeMidpoint,
     FaceCentroid,
     MeshError,
@@ -29,8 +29,8 @@ from flatcheck import (
     triangulate_faces,
 )
 
-from conftest import (cube, face_area, grid_klein, random_rotation, referee_repeats, tetra,
-                      total_area)
+from conftest import (cube, face_area, grid_klein, random_rotation, referee_barycentric,
+                      referee_repeats, tetra, total_area)
 from flatcheck import refine
 from flatcheck.flatness import face_geometries
 
@@ -271,7 +271,7 @@ def test_nonfinite_vertex_is_left_to_the_soup(bad):
     for cx in (tetra(), cube()):
         vertices = cx.vertices.copy()
         vertices[2, 1] = bad
-        moved = CellComplex(vertices, cx.faces)
+        moved = replace(cx, vertices=vertices)
         uses = [f for f, face in enumerate(cx.faces) if 2 in face]
         assert face_geometries(moved).degenerate == tuple(
             (f, "a corner has a non-finite coordinate") for f in uses)
@@ -309,6 +309,42 @@ def test_barycentric_tetra_counts_and_origins():
 def test_barycentric_requires_triangles():
     with pytest.raises(TriangulationError):
         barycentric_subdivision(cube())
+    # the first face that is not a triangle is named, as the loop names it
+    mixed = build_complex([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)],
+                          [(0, 1, 4), (1, 2, 3, 4), (0, 4, 3)])
+    message = r"^barycentric subdivision needs a triangulated complex; face 1 has degree 4$"
+    with pytest.raises(TriangulationError, match=message):
+        barycentric_subdivision(mixed)
+    with pytest.raises(TriangulationError, match=message):
+        referee_barycentric(mixed)
+
+
+def _relabelled(cx, rng):
+    """cx rotated, with its vertices relabelled, its faces shuffled and
+    each face's corners rotated, all drawn from rng."""
+    perm = rng.permutation(cx.n_vertices)
+    vertices = np.empty_like(cx.vertices)
+    vertices[perm] = cx.vertices @ random_rotation(rng).T
+    faces = []
+    for f in rng.permutation(cx.n_faces).tolist():
+        face = [int(perm[i]) for i in cx.faces[f]]
+        k = int(rng.integers(len(face)))
+        faces.append(face[k:] + face[:k])
+    return build_complex(vertices, faces)
+
+
+def test_barycentric_matches_loop_referee(corpus_meshes):
+    """The array subdivision equals the loop, to the vertex bytes, face
+    order and provenance, on every corpus mesh triangulated and on a
+    seeded relabelled, rotated and reordered Klein grid."""
+    complexes = [triangulate_faces(cx).derived for _, cx in corpus_meshes.values()]
+    complexes.append(_relabelled(grid_klein(5, 4), np.random.default_rng(21)))
+    for cx in complexes:
+        got, want = barycentric_subdivision(cx), referee_barycentric(cx)
+        assert got.derived.vertices.tobytes() == want.derived.vertices.tobytes()
+        assert got.derived.faces == want.derived.faces
+        assert got.triangle_sources == want.triangle_sources
+        assert got.new_origins == want.new_origins
 
 
 def test_triangulate_then_subdivide_cube():
