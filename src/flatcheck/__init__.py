@@ -19,8 +19,7 @@ from .mesh import (CellComplex, HalfEdgeMesh, InvalidComplexError, ManifoldDefec
                    MeshError, NotManifoldError, OrientabilityReport, build_complex,
                    check_closed_manifold, connected_components, edge_census,
                    euler_characteristic, orientability)
-from .refine import (EdgeMidpoint, FaceCentroid, FallbackRecord, Refinement,
-                     SourceVertex, TriangulationError, barycentric_subdivision,
+from .refine import (FallbackRecord, Refinement, TriangulationError, barycentric_subdivision,
                      triangulate_faces)
 
 __version__ = TOOL_VERSION
@@ -28,11 +27,11 @@ __version__ = TOOL_VERSION
 # the public names, without the submodules a star import would otherwise bind
 __all__ = [
     "BoundaryMatrices", "CellComplex", "Contact", "DegenerateFaceError",
-    "DegenerateTriangleError", "EdgeMidpoint", "FaceCentroid", "FallbackRecord",
-    "FlatnessReport", "FormatError", "GeneratorError", "GeneratorSpec", "HalfEdgeMesh",
-    "HomologyProfile", "IntersectionReport", "InvalidComplexError", "LinkVerdict", "LoadedMesh",
-    "ManifoldDefect", "MeshError", "NotManifoldError", "OrientabilityReport", "PairContact",
-    "Refinement", "SmithNormalForm", "SourceVertex", "SphericalLink", "SurfaceClass",
+    "DegenerateTriangleError", "FallbackRecord", "FlatnessReport", "FormatError",
+    "GeneratorError", "GeneratorSpec", "HalfEdgeMesh", "HomologyProfile", "IntersectionReport",
+    "InvalidComplexError", "LinkVerdict", "LoadedMesh", "ManifoldDefect", "MeshError",
+    "NotManifoldError", "OrientabilityReport", "PairContact", "Refinement", "SmithNormalForm",
+    "SphericalLink", "SurfaceClass",
     "TOOL_VERSION", "ToleranceProfile", "TriangleBoxes", "TriangleSoup", "TriangulationError",
     "barycentric_subdivision", "boundary_matrices", "build_certificate", "build_complex",
     "build_hierarchy", "candidate_pairs", "canonical_json", "certificate_text",

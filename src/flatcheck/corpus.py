@@ -139,18 +139,18 @@ def _grid_triangles(m: int, n: int, cls) -> list[tuple[int, int, int]]:
     return tris
 
 
-def grid_torus(mn: tuple[int, int], radius_major: float = 2.0, radius_minor: float = 1.0) -> CellComplex:
-    """Triangulated m x n torus grid on the round embedded torus."""
+def grid_torus(mn: tuple[int, int]) -> CellComplex:
+    """Triangulated m x n torus grid on the round embedded torus of radii
+    2 and 1."""
     m, n = mn
     _check_face_count("grid_torus", 2 * m * n)
     v = np.zeros((m * n, 3), dtype=np.float64)
     for j in range(n):
         phi = 2.0 * math.pi * j / n
-        ring = radius_major + radius_minor * math.cos(phi)
+        ring = 2.0 + math.cos(phi)
         for i in range(m):
             theta = 2.0 * math.pi * i / m
-            v[j * m + i] = (ring * math.cos(theta), ring * math.sin(theta),
-                            radius_minor * math.sin(phi))
+            v[j * m + i] = (ring * math.cos(theta), ring * math.sin(theta), math.sin(phi))
 
     def cls(i: int, j: int) -> int:
         return (j % n) * m + (i % m)

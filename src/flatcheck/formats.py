@@ -55,10 +55,17 @@ def _data_lines(path: str | Path) -> tuple[list[int], list[str], tuple[str, str]
     the bytes parsed.
 
     Lines end at \n, \r\n or \r, as in text mode; str.splitlines would
-    also split on \x0c and \x85 and shift the line numbers.
+    also split on \x0c and \x85 and shift the line numbers.  A byte that
+    is not UTF-8 fails at its line.
     """
     data = Path(path).read_bytes()
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        _fail(path, lineno, f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     if "#" in text:
         text = _COMMENT.sub("", text)
     stripped = list(map(str.strip, text.split("\n")))
@@ -342,9 +349,9 @@ def write_pair(complex: CellComplex, faces_path: str | Path,
     _write_lines(vertices_path, _vertex_lines(complex))
 
 
-def write_mesh(complex: CellComplex, path: str | Path, fmt: str | None = None) -> None:
+def write_mesh(complex: CellComplex, path: str | Path) -> None:
     """Write OFF or OBJ, inferring the format from the extension."""
-    kind = fmt or Path(path).suffix.lower().lstrip(".")
+    kind = Path(path).suffix.lower().lstrip(".")
     if kind == "off":
         write_off(complex, path)
     elif kind == "obj":

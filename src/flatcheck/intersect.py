@@ -3,8 +3,8 @@
 The triangle soup is built once from a refinement, in array passes:
 corner coordinates (n, 3, 3), derived corner ids and source faces, the
 vertex and edge cells of every source face as sorted keys in CSR form
-(FaceCells, found from the source's corners and one searchsorted for the
-edge midpoints), the pairs of source faces that share a vertex, and per
+(FaceCells, read off each face's triangles, whose sides that occur once
+are its boundary), the pairs of source faces that share a vertex, and per
 triangle which corners and opposite edges are cells of its source face;
 only the exact loop's rows read one face's cells.  Broad phase: one
 sort-and-sweep over the triangles' axis-aligned boxes, which yields
@@ -56,7 +56,7 @@ from .mesh import InvalidComplexError, MeshError
 from .predicates import (KINDS, NO_CONTACT, OVERLAP, PLANE, area_signs, coplanar_kinds,
                          edge_separated, filter_scaled, normals, off_plane, on_grid, orient2d,
                          plane_values)
-from .refine import EdgeMidpoint, Refinement
+from .refine import Refinement
 
 
 class DegenerateTriangleError(MeshError):
@@ -147,45 +147,36 @@ def _sharing(face: np.ndarray, key: np.ndarray, n_faces: int) -> np.ndarray:
     return np.sort(face[first] * n_faces + face[second])
 
 
-def _face_cells(refinement: Refinement) -> tuple[FaceCells, FaceCells]:
-    """The vertex and edge cells of every source face, from the source's
-    corners and the refinement's edge midpoints.
+def _face_cells(refinement: Refinement) -> tuple[FaceCells, FaceCells, np.ndarray]:
+    """The vertex and edge cells of every source face, read off its own
+    triangles, and per triangle whether the edge opposite each corner is
+    an edge cell of its source face.
 
-    Source vertices keep their ids in the derived complex, and the derived
-    vertices after them carry the new origins.  A source edge with a
-    midpoint m is the derived polyline u - m - v: a rounded midpoint need
-    not lie on the segment uv, but it is a vertex of both faces at that
-    edge.  One searchsorted finds the midpoint of every face edge.
+    A polygon triangulated without new vertices has each diagonal in two
+    of its triangles and each side in one; barycentric subdivision splits
+    each side at its midpoint and puts every spoke in two triangles.  So
+    the sides that occur once among a face's triangles are its boundary,
+    and their ends are its vertices and edge midpoints: a rounded midpoint
+    need not lie on the segment uv, but it is a vertex of both faces at uv.
     """
-    source = refinement.source
-    corners, offsets = source.corners, source.offsets
-    n_source, n = source.n_vertices, refinement.derived.n_vertices
-    face = np.repeat(np.arange(source.n_faces), np.diff(offsets))
-    after = np.arange(1, len(corners) + 1)
-    after[offsets[1:] - 1] = offsets[:-1]
-    u, v = corners, corners[after]
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    mids = [(o.u * n_source + o.v, k) for k, o in
-            enumerate(refinement.new_origins, n_source) if isinstance(o, EdgeMidpoint)]
-    mid_key, mid = np.array(sorted(mids), dtype=np.int64).reshape(-1, 2).T
-    key = lo * n_source + hi
-    split = np.isin(key, mid_key)
-    m = mid[np.searchsorted(mid_key, key[split])]
-    # vertices: each corner, then each midpoint; edges: each unsplit edge,
-    # then both halves of each split one (m > u, v)
-    vertex_face = np.concatenate((face, face[split]))
-    vertex_key = np.concatenate((u, m))
-    edge_face = np.concatenate((face[~split], face[split], face[split]))
-    edge_key = np.concatenate((lo[~split] * n + hi[~split], u[split] * n + m, v[split] * n + m))
-    return (_cells(vertex_face, vertex_key, source.n_faces),
-            _cells(edge_face, edge_key, source.n_faces))
-
-
-def _cells(face: np.ndarray, key: np.ndarray, n_faces: int) -> FaceCells:
-    """The rows (face, key) as FaceCells, each face's keys sorted."""
-    order = np.lexsort((key, face))
-    return FaceCells(np.concatenate(([0], np.cumsum(np.bincount(face, minlength=n_faces)))),
-                     key[order])
+    corners, n = refinement.derived.corners.reshape(-1, 3), refinement.derived.n_vertices
+    nxt, prv = corners[:, [1, 2, 0]], corners[:, [2, 0, 1]]
+    face = np.repeat(refinement.triangle_sources, 3)
+    side = (np.minimum(nxt, prv) * n + np.maximum(nxt, prv)).ravel()
+    order = np.lexsort((side, face))
+    face, side = face[order], side[order]
+    repeat = np.zeros(len(side) + 1, dtype=bool)
+    repeat[1:-1] = (face[1:] == face[:-1]) & (side[1:] == side[:-1])
+    once = ~(repeat[:-1] | repeat[1:])
+    edge_cells = np.empty(len(once), dtype=bool)
+    edge_cells[order] = once
+    face, side = face[once], side[once]
+    # each face's vertices, as the sorted distinct keys face * n + vertex
+    vertex = np.sort(np.concatenate((face, face)) * n + np.concatenate(np.divmod(side, n)))
+    vertex_face, vertex = np.divmod(vertex[np.diff(vertex, prepend=-1) != 0], n)
+    bounds = np.arange(refinement.source.n_faces + 1)
+    return (FaceCells(np.searchsorted(vertex_face, bounds), vertex),
+            FaceCells(np.searchsorted(face, bounds), side), edge_cells.reshape(-1, 3))
 
 
 def triangle_soup(refinement: Refinement) -> TriangleSoup:
@@ -215,18 +206,13 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
             f"{len(bad)} zero-area derived triangle(s), first at index {bad[0]}"
             f" (source face {refinement.triangle_sources[bad[0]]})"
         )
-    face_vertices, face_edges = _face_cells(refinement)
-    source_face = np.array(refinement.triangle_sources, dtype=np.intp)
-    # the cells as (face, key) rows against the triangles' corners and
-    # opposite edges
-    n = len(pts)
-    tri_face = np.repeat(source_face, 3)
+    source_face = refinement.triangle_sources
+    face_vertices, face_edges, edge_cells = _face_cells(refinement)
+    # the vertex cells as (face, key) rows against the triangles' corners
     cell_face = np.repeat(np.arange(len(face_vertices)), np.diff(face_vertices.offsets))
-    corner_cells = _pairs_in(tri_face, corners.ravel(), cell_face, face_vertices.keys)
+    corner_cells = _pairs_in(np.repeat(source_face, 3), corners.ravel(), cell_face,
+                             face_vertices.keys)
     face_neighbours = _sharing(cell_face, face_vertices.keys, len(face_vertices))
-    ends = np.sort(np.stack((np.roll(corners, -1, axis=1), np.roll(corners, -2, axis=1))), axis=0)
-    cell_face = np.repeat(np.arange(len(face_edges)), np.diff(face_edges.offsets))
-    edge_cells = _pairs_in(tri_face, (ends[0] * n + ends[1]).ravel(), cell_face, face_edges.keys)
     return TriangleSoup(
         coords=coords,
         corners=corners,
@@ -235,7 +221,7 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
         face_vertices=face_vertices,
         face_edges=face_edges,
         corner_cells=corner_cells.reshape(-1, 3),
-        edge_cells=edge_cells.reshape(-1, 3),
+        edge_cells=edge_cells,
         face_neighbours=face_neighbours,
     )
 

@@ -1,48 +1,25 @@
 """Refinement of polygonal complexes: triangulation and subdivision.
 
-Both operations return a Refinement that keeps full provenance (which
-source face produced each triangle, where each derived vertex comes
-from), so that downstream checks can cross-reference results against the
-original cells and so invariance properties (Euler characteristic,
-homology, area, defects at original vertices) are testable.
+Both operations return a Refinement that names the source face of each
+derived triangle and keeps the source's vertices first, in order, so that
+downstream checks can cross-reference results against the original cells
+and so invariance properties (Euler characteristic, homology, area,
+defects at original vertices) are testable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .flatness import FaceTable, ToleranceProfile, face_geometries
-from .mesh import CellComplex, MeshError, complex_from_flat, edge_table
+from .mesh import CellComplex, MeshError, _frozen, complex_from_flat, edge_table
 from .predicates import orient2d
 
 
 class TriangulationError(MeshError):
     """A face admits no valid triangulation at all."""
-
-
-@dataclass(frozen=True)
-class SourceVertex:
-    """Derived vertex that is an original vertex."""
-    index: int
-
-
-@dataclass(frozen=True)
-class EdgeMidpoint:
-    """Derived vertex at the midpoint of a source edge (u < v)."""
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class FaceCentroid:
-    """Derived vertex at the centroid of a source face."""
-    face: int
-
-
-VertexOrigin = SourceVertex | EdgeMidpoint | FaceCentroid
 
 
 @dataclass(frozen=True)
@@ -53,24 +30,17 @@ class FallbackRecord:
     reason: str      # "planarity" | "not-simple" | "degenerate-fit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Refinement:
     """A derived triangulated complex plus provenance back to its source.
 
-    The derived complex starts with the source's vertices, in order;
-    new_origins holds the origins of the vertices after them.
+    The derived complex starts with the source's vertices, in order.
     """
 
     source: CellComplex
     derived: CellComplex
-    triangle_sources: tuple[int, ...]
-    new_origins: tuple[EdgeMidpoint | FaceCentroid, ...]
+    triangle_sources: np.ndarray    # int64, read-only: each triangle's source face
     fallbacks: tuple[FallbackRecord, ...] = ()
-
-    @cached_property
-    def vertex_origins(self) -> tuple[VertexOrigin, ...]:
-        """The origin of every derived vertex."""
-        return tuple(map(SourceVertex, range(self.source.n_vertices))) + self.new_origins
 
 
 def _ear_clip(face: Sequence[int], pts2d: Sequence[Sequence[float]],
@@ -216,21 +186,20 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
 
     # the triangles reuse the validated vertices of distinct-vertex faces,
     # so a repeated triangle is the only way the derived complex can fail
-    sources = np.repeat(np.arange(complex.n_faces), degree - 2).tolist()
+    sources = _frozen(np.repeat(np.arange(complex.n_faces), degree - 2))
     _reject_repeats(triangles, sources)
     fanned = np.flatnonzero(reason)
     return Refinement(
         source=complex,
         derived=CellComplex(complex.vertices, triangles.ravel(),
                             np.arange(0, triangles.size + 1, 3)),
-        triangle_sources=tuple(sources),
-        new_origins=(),
+        triangle_sources=sources,
         fallbacks=tuple(map(FallbackRecord, fanned.tolist(),
                             map(_REASONS.__getitem__, reason[fanned].tolist()))),
     )
 
 
-def _reject_repeats(corners: np.ndarray, sources: Sequence[int]) -> None:
+def _reject_repeats(corners: np.ndarray, sources: np.ndarray) -> None:
     """Raise TriangulationError for the first triangle, in order, that
     repeats an earlier one up to rotation and reversal, naming the source
     faces of both.
@@ -258,8 +227,9 @@ def barycentric_subdivision(complex: CellComplex) -> Refinement:
 
     Every triangle splits into six around its centroid and edge midpoints
     (one derived triangle per flag vertex < edge < face), so the derived
-    complex has V + E + F vertices and 6F faces: the source vertices, the
-    midpoints in edge_table order, then the centroids in face order.
+    complex has V + E + F vertices and 6F faces: the source vertices, then
+    vertex V + e at the midpoint of edge_table(complex).ends[e], then
+    vertex V + E + f at the centroid of face f.
     Orientation follows the source triangle.  Raises if any face is not a
     triangle.
     """
@@ -284,7 +254,5 @@ def barycentric_subdivision(complex: CellComplex) -> Refinement:
         source=complex,
         # a midpoint or centroid can overflow to inf, which validation rejects
         derived=complex_from_flat(coords, triangles.ravel(), np.full(6 * nf, 3)),
-        triangle_sources=tuple(np.repeat(np.arange(nf), 6).tolist()),
-        new_origins=tuple(map(EdgeMidpoint, u.tolist(), v.tolist()))
-        + tuple(map(FaceCentroid, range(nf))),
+        triangle_sources=_frozen(np.repeat(np.arange(nf), 6)),
     )

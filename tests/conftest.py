@@ -14,8 +14,6 @@ import pytest
 
 from flatcheck import (
     CellComplex,
-    EdgeMidpoint,
-    FaceCentroid,
     FormatError,
     GeneratorSpec,
     IntersectionReport,
@@ -34,7 +32,7 @@ from flatcheck import (
     triangulate_faces,
 )
 from flatcheck import flatness, intersect
-from flatcheck.mesh import complex_from_flat
+from flatcheck.mesh import complex_from_flat, edge_table
 
 
 def make_complex(vertices, faces) -> CellComplex:
@@ -123,11 +121,16 @@ def referee_cells(refinement):
     """The soup's cells by a loop over the source faces: per face, the
     frozenset of its vertices and edge midpoints, and that of its derived
     boundary edges (u, v), u < v.  A source edge with a midpoint m is the
-    derived polyline u - m - v."""
-    midpoint = {(o.u, o.v): k for k, o in enumerate(refinement.vertex_origins)
-                if isinstance(o, EdgeMidpoint)}
+    derived polyline u - m - v.  A refinement with new vertices is a
+    barycentric subdivision, whose derived vertex nv + e is the midpoint
+    of edge_table(source).ends[e]."""
+    source = refinement.source
+    midpoint = {}
+    if refinement.derived.n_vertices > source.n_vertices:
+        midpoint = {(u, v): source.n_vertices + e
+                    for e, (u, v) in enumerate(edge_table(source).ends.tolist())}
     face_vertices, face_edges = [], []
-    for face in refinement.source.faces:
+    for face in source.faces:
         verts, edges = set(), set()
         for u, v in zip(face, face[1:] + face[:1]):
             mid = midpoint.get((min(u, v), max(u, v)))
@@ -197,7 +200,6 @@ def referee_barycentric(complex: CellComplex) -> Refinement:
                 f"barycentric subdivision needs a triangulated complex; face {fi} has degree {len(face)}"
             )
     pts = complex.vertices
-    origins = []
     coords = [pts[i] for i in range(complex.n_vertices)]
     edge_mid = {}
     edges = sorted({
@@ -206,12 +208,10 @@ def referee_barycentric(complex: CellComplex) -> Refinement:
     for (u, v) in edges:
         edge_mid[(u, v)] = len(coords)
         coords.append(0.5 * (pts[u] + pts[v]))
-        origins.append(EdgeMidpoint(u=u, v=v))
     centroid_of = []
     for fi, face in enumerate(complex.faces):
         centroid_of.append(len(coords))
         coords.append(pts[list(face)].mean(axis=0))
-        origins.append(FaceCentroid(face=fi))
     triangles, sources = [], []
     for fi, (a, b, c) in enumerate(complex.faces):
         g = centroid_of[fi]
@@ -222,7 +222,7 @@ def referee_barycentric(complex: CellComplex) -> Refinement:
             triangles.append(tri)
             sources.append(fi)
     return Refinement(source=complex, derived=build_complex(np.vstack(coords), triangles),
-                      triangle_sources=tuple(sources), new_origins=tuple(origins))
+                      triangle_sources=np.array(sources, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

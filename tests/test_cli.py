@@ -170,6 +170,27 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
     assert "error" in err.lower()
 
 
+# each reader's input with one byte that is not UTF-8, on line 5 of the
+# file named by the last argument, counting \r\n and \r as line ends
+NOT_UTF8 = {
+    "off": {"m.off": b"OFF\r\n3 1 0\r0 0 0\r\n1 0 0\n0 1 \xff\n3 0 1 2\n"},
+    "obj": {"m.obj": b"# mesh\r\nv 0 0 0\rv 1 0 0\r\nv 0 1 0\n\xe9 comment\nf 1 2 3\n"},
+    "pair": {"faces.txt": b"1 2 3\n", "vertices.txt": b"0 0 0\r\n1 0 0\r0 1 0\n\n1 \xc3(\n"},
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NOT_UTF8))
+def test_not_utf8_is_located(capsys, tmp_path, reader):
+    paths = []
+    for name, data in NOT_UTF8[reader].items():
+        paths.append(tmp_path / name)
+        paths[-1].write_bytes(data)
+    rc, out, err = run(capsys, "check", *map(str, paths))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {paths[-1]}:5: byte 0x")
+    assert "is not UTF-8" in err
+
+
 def test_bad_generate_params(capsys, tmp_path):
     rc, _, err = run(capsys, "generate", "grid_torus", "4", "-o", str(tmp_path / "x.off"))
     assert rc == 2

@@ -30,6 +30,7 @@ from flatcheck import (
     DegenerateTriangleError,
     GeneratorSpec,
     MeshError,
+    Refinement,
     TriangleBoxes,
     barycentric_subdivision,
     build_complex,
@@ -197,18 +198,41 @@ def test_soup_from_arrays_metadata():
     assert set(soup.face_vertices[0].tolist()).isdisjoint(soup.face_vertices[1].tolist())
 
 
-@pytest.mark.parametrize("subdivide", [False, True], ids=["triangulated", "barycentric"])
-def test_soup_cells_match_frozenset_loop(corpus_meshes, subdivide):
+def _polygon_mesh():
+    """An open mesh of three polygons around a reflex hexagon, which is
+    ear-clipped: a bowtie quad on one of its sides, fanned as not simple,
+    and a quad with one corner lifted off the plane on another, fanned
+    for planarity."""
+    vertices = [(0, 0, 0), (4, 0, 0), (4, 2, 0), (2, 2, 0), (2, 4, 0), (0, 4, 0),
+                (6, 0, 0), (6, 2, 0), (0, 6, 1), (2, 6, 0)]
+    return build_complex(vertices, [(0, 1, 2, 3, 4, 5), (2, 1, 7, 6), (5, 4, 9, 8)])
+
+
+def test_polygon_mesh_triangulation():
+    ref = triangulate_faces(_polygon_mesh())
+    assert [(r.face, r.reason) for r in ref.fallbacks] == [(1, "not-simple"), (2, "planarity")]
+    assert ref.triangle_sources.tolist() == [0, 0, 0, 0, 1, 1, 2, 2]
+
+
+def _refinements(corpus_meshes, levels):
+    """Each corpus mesh and _polygon_mesh, unit scaled, triangulated and
+    then subdivided `levels` times."""
+    for cx in [cx for _, cx in corpus_meshes.values()] + [_polygon_mesh()]:
+        ref = triangulate_faces(cx.unit_scaled()[0])
+        for _ in range(levels):
+            ref = barycentric_subdivision(ref.derived)
+        yield ref
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2], ids=["triangulated", "barycentric", "barycentric2"])
+def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
     """The soup's array-built cells against referee_cells' loop over the
     source faces: each face's sorted keys, the corner and edge cell flags,
     the neighbouring face pairs, and _shared_cells on every box-meeting
     pair, among them every row the float pass leaves to the exact loop.
     The barycentric refinements give every source edge a midpoint."""
     rows = 0
-    for _, cx in corpus_meshes.values():
-        ref = triangulate_faces(cx.unit_scaled()[0])
-        if subdivide:
-            ref = barycentric_subdivision(ref.derived)
+    for ref in _refinements(corpus_meshes, levels):
         soup = triangle_soup(ref)
         face_vertices, face_edges = referee_cells(ref)
         n, n_faces = len(soup.points), len(face_vertices)
@@ -239,6 +263,32 @@ def test_soup_cells_match_frozenset_loop(corpus_meshes, subdivide):
             assert (intersect._shared_cells(soup, *args)
                     == referee_shared_cells(face_vertices, face_edges, *args)), (i, j)
     assert rows > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(0, 1))
+def test_soup_cells_ignore_triangle_order(corpus_meshes, seed, levels):
+    """Permuting the derived triangles together with their sources, and
+    rotating each triangle's corners, leaves every face's cells as they
+    are: they are read off the face's triangles in any order.  The corner
+    and edge cell flags move with their corners."""
+    rng = np.random.default_rng(seed)
+    for ref in _refinements(corpus_meshes, levels):
+        tri = ref.derived.corners.reshape(-1, 3)
+        perm = rng.permutation(len(tri))
+        turn = (np.arange(3) + rng.integers(3, size=(len(tri), 1))) % 3
+        moved = Refinement(ref.source,
+                           replace(ref.derived, corners=np.take_along_axis(tri[perm], turn, axis=1)),
+                           ref.triangle_sources[perm])
+        got, want = triangle_soup(moved), triangle_soup(ref)
+        for cells in ("face_vertices", "face_edges"):
+            for part in ("offsets", "keys"):
+                assert (getattr(getattr(got, cells), part).tolist()
+                        == getattr(getattr(want, cells), part).tolist())
+        assert got.face_neighbours.tolist() == want.face_neighbours.tolist()
+        for flags in ("corner_cells", "edge_cells"):
+            assert (getattr(got, flags).tolist()
+                    == np.take_along_axis(getattr(want, flags)[perm], turn, axis=1).tolist())
 
 
 def _all_pairs_meeting(lo, hi):

@@ -9,11 +9,11 @@ import flatcheck
 # Adding or removing a public name means editing this tuple.
 PUBLIC_NAMES = (
     "BoundaryMatrices", "CellComplex", "Contact", "DegenerateFaceError",
-    "DegenerateTriangleError", "EdgeMidpoint", "FaceCentroid", "FallbackRecord",
-    "FlatnessReport", "FormatError", "GeneratorError", "GeneratorSpec", "HalfEdgeMesh",
-    "HomologyProfile", "IntersectionReport", "InvalidComplexError", "LinkVerdict", "LoadedMesh",
-    "ManifoldDefect", "MeshError", "NotManifoldError", "OrientabilityReport", "PairContact",
-    "Refinement", "SmithNormalForm", "SourceVertex", "SphericalLink", "SurfaceClass",
+    "DegenerateTriangleError", "FallbackRecord", "FlatnessReport", "FormatError",
+    "GeneratorError", "GeneratorSpec", "HalfEdgeMesh", "HomologyProfile", "IntersectionReport",
+    "InvalidComplexError", "LinkVerdict", "LoadedMesh", "ManifoldDefect", "MeshError",
+    "NotManifoldError", "OrientabilityReport", "PairContact", "Refinement", "SmithNormalForm",
+    "SphericalLink", "SurfaceClass",
     "TOOL_VERSION", "ToleranceProfile", "TriangleBoxes", "TriangleSoup", "TriangulationError",
     "barycentric_subdivision", "boundary_matrices", "build_certificate", "build_complex",
     "build_hierarchy", "candidate_pairs", "canonical_json", "certificate_text",

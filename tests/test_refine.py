@@ -1,4 +1,4 @@
-"""Face triangulation and barycentric subdivision with provenance records."""
+"""Face triangulation and barycentric subdivision, and their provenance."""
 
 from __future__ import annotations
 
@@ -13,10 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
-    EdgeMidpoint,
-    FaceCentroid,
     MeshError,
-    SourceVertex,
     ToleranceProfile,
     TriangulationError,
     barycentric_subdivision,
@@ -68,22 +65,9 @@ def test_triangles_pass_through():
     ref = triangulate_faces(tetra())
     assert ref.derived.faces == ref.source.faces
     assert ref.fallbacks == ()
-    assert all(isinstance(o, SourceVertex) for o in ref.vertex_origins)
-    assert ref.triangle_sources == (0, 1, 2, 3)
-
-
-def test_vertex_origins_built_when_read():
-    """A refinement stores only the origins after the source vertices;
-    vertex_origins, built when first read, puts SourceVertex(i) for each
-    source vertex before them."""
-    cx = grid_klein(4, 4)
-    ref = triangulate_faces(cx)
-    assert ref.new_origins == () and "vertex_origins" not in vars(ref)
-    sources = tuple(SourceVertex(i) for i in range(cx.n_vertices))
-    assert ref.vertex_origins == sources
-    bary = barycentric_subdivision(cx)
-    assert bary.vertex_origins == sources + bary.new_origins
-    assert len(bary.vertex_origins) == bary.derived.n_vertices
+    assert ref.derived.vertices.tobytes() == ref.source.vertices.tobytes()
+    assert ref.triangle_sources.tolist() == [0, 1, 2, 3]
+    assert ref.triangle_sources.dtype == np.int64 and not ref.triangle_sources.flags.writeable
 
 
 def test_cube_triangulation():
@@ -286,21 +270,18 @@ def test_barycentric_tetra_counts_and_origins():
     ref = barycentric_subdivision(cx)
     assert ref.derived.n_vertices == 4 + 6 + 4
     assert len(ref.derived.faces) == 24
-    origins = ref.vertex_origins
-    assert [o.index for o in origins[:4] if isinstance(o, SourceVertex)] == [0, 1, 2, 3]
-    mids = origins[4:10]
-    assert all(isinstance(o, EdgeMidpoint) for o in mids)
-    assert [(o.u, o.v) for o in mids] == sorted((o.u, o.v) for o in mids)
-    cents = origins[10:]
-    assert [o.face for o in cents if isinstance(o, FaceCentroid)] == [0, 1, 2, 3]
-    # geometric placement
-    for k, o in enumerate(origins):
-        if isinstance(o, EdgeMidpoint):
-            mid = 0.5 * (cx.vertices[o.u] + cx.vertices[o.v])
-            assert np.allclose(ref.derived.vertices[k], mid, atol=0)
-        elif isinstance(o, FaceCentroid):
-            cent = cx.vertices[list(cx.faces[o.face])].mean(axis=0)
-            assert np.allclose(ref.derived.vertices[k], cent, atol=1e-15)
+    pts = ref.derived.vertices
+    assert pts[:4].tobytes() == cx.vertices.tobytes()
+    # vertex 4 + e is the midpoint of sorted edge e, 10 + f the centroid of face f
+    edges = sorted({tuple(sorted((f[k], f[k - 1]))) for f in cx.faces for k in range(3)})
+    assert len(edges) == 6
+    for k, (u, v) in enumerate(edges, 4):
+        mid = 0.5 * (cx.vertices[u] + cx.vertices[v])
+        assert np.allclose(pts[k], mid, atol=0)
+    for k, face in enumerate(cx.faces, 10):
+        cent = cx.vertices[list(face)].mean(axis=0)
+        assert np.allclose(pts[k], cent, atol=1e-15)
+    assert ref.triangle_sources.tolist() == np.repeat(np.arange(4), 6).tolist()
     assert total_area(ref.derived) == pytest.approx(total_area(cx), rel=1e-12)
     mesh = check_closed_manifold(ref.derived)
     assert euler_characteristic(mesh) == 2
@@ -343,8 +324,7 @@ def test_barycentric_matches_loop_referee(corpus_meshes):
         got, want = barycentric_subdivision(cx), referee_barycentric(cx)
         assert got.derived.vertices.tobytes() == want.derived.vertices.tobytes()
         assert got.derived.faces == want.derived.faces
-        assert got.triangle_sources == want.triangle_sources
-        assert got.new_origins == want.new_origins
+        assert got.triangle_sources.tobytes() == want.triangle_sources.tobytes()
 
 
 def test_triangulate_then_subdivide_cube():
