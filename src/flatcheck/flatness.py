@@ -11,16 +11,17 @@ facts.
 
 Face geometry is computed once per check, as one table of columns
 (face_geometries, a FaceTable) that flatness_report and
-refine.triangulate_faces share: per face the plane fit, simplicity,
-orientation and in-plane frame, per corner the interior angle, the signed
-turn and the projected point.  Faces of one degree are fitted as one NumPy
-stack, whose floats equal those of a one-face table bit for bit, and
-their turns are one batched orient2d.  The defects (_defects) and the
-azimuth pass read the per-corner angle column as it is.  Links are
-decided by one NumPy pass per vertex valence (_azimuth_certified)
-wherever an azimuth lemma proves them embedded by a margin; the other
-links are built (_link) and tested on plain float 3-tuples, reading each
-star from lists made once per report, with no NumPy call per vector.
+refine.triangulate_faces share: per face the plane fit's relative
+deviation, simplicity, orientation and in-plane frame, per corner the
+interior angle, the signed turn and the projected point.  Faces of one
+degree are fitted as one NumPy stack, whose floats equal those of a
+one-face table bit for bit, and their turns are one batched orient2d.  The
+defects (_defects) and the azimuth pass read the per-corner angle column
+as it is.  Links are decided by one NumPy pass per vertex valence
+(_azimuth_certified) wherever an azimuth lemma proves them embedded by a
+margin; the other links are built (_link) and tested on plain float
+3-tuples, reading each star from lists made once per report, with no NumPy
+call per vector.
 """
 from __future__ import annotations
 
@@ -86,8 +87,7 @@ def _norms(a: np.ndarray) -> np.ndarray:
 def _plane_fits(pts: np.ndarray) -> tuple[np.ndarray, ...]:
     """Plane fits of an (F, k, 3) stack of polygons, one per row: the
     diameters, the widths along the middle principal direction, the
-    centered points, the unit normals, the offsets and the largest
-    deviations."""
+    centered points, the unit normals and the largest deviations."""
     diffs = pts[:, :, None, :] - pts[:, None, :, :]
     diameters = np.sqrt((diffs ** 2).sum(axis=3)).max(axis=(1, 2))
     centroids = pts.mean(axis=1)
@@ -103,7 +103,7 @@ def _plane_fits(pts: np.ndarray) -> tuple[np.ndarray, ...]:
     # line fits equally badly.
     widths = np.sqrt(np.maximum(eigvals[:, 1], 0.0))
     max_devs = np.abs((centered @ normals[:, :, None])[..., 0]).max(axis=1)
-    return diameters, widths, centered, normals, _dots(normals, centroids), max_devs
+    return diameters, widths, centered, normals, max_devs
 
 
 def _corner_angles(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,17 +130,18 @@ def _any_perpendicular(d: np.ndarray) -> np.ndarray:
 class FaceTable:
     """Plane fit, in-plane frame and corner angles of every face, as columns.
 
-    Per face: the least-squares plane {x : normal . x = offset}, its
-    largest deviation |normal . (p - centroid)| over the face's points,
-    that over the diameter (the largest pairwise point distance), whether
-    the face is simple in its plane, the sign of its projected signed area
-    (orientation) and its in-plane frame.  Per corner, in complex.corners
-    order: the interior angle, the signed turn (orient2d of the corner
-    between its two neighbours in the plane, times the orientation: +1
-    convex, -1 reflex, 0 straight) and the projected point.  For a simple
-    face the interior angles are true interior angles (a reflex corner's
-    exceeds pi); a non-simple face has no interior, and its raw unsigned
-    corner angles stand in, with simple False flagging the substitution.
+    Per face: the largest deviation |normal . (p - centroid)| of the face's
+    points from their least-squares plane, over the diameter (the largest
+    pairwise point distance); whether the face is simple in its plane; the
+    sign of its projected signed area (orientation); and its in-plane
+    frame, two unit vectors orthogonal to the plane's normal.  Per corner,
+    in complex.corners order: the interior angle, the signed turn (orient2d
+    of the corner between its two neighbours in the plane, times the
+    orientation: +1 convex, -1 reflex, 0 straight) and the projected point.
+    For a simple face the interior angles are true interior angles (a
+    reflex corner's exceeds pi); a non-simple face has no interior, and its
+    raw unsigned corner angles stand in, with simple False flagging the
+    substitution.
 
     degenerate lists (face, message), in face order, for every face with
     a non-finite coordinate, no usable plane or a zero-length edge; the
@@ -149,11 +150,7 @@ class FaceTable:
     edge.  The columns of those faces mean nothing.
     """
 
-    normal: np.ndarray          # (F, 3) unit, first nonzero component positive
-    offset: np.ndarray          # (F,)
-    max_deviation: np.ndarray   # (F,)
-    rel_deviation: np.ndarray   # (F,) max_deviation / diameter
-    diameter: np.ndarray        # (F,)
+    rel_deviation: np.ndarray   # (F,) largest deviation / diameter
     simple: np.ndarray          # (F,) bool
     orientation: np.ndarray     # (F,) +1.0 / -1.0
     basis: np.ndarray           # (F, 2, 3) in-plane coordinate frame
@@ -215,8 +212,8 @@ def face_geometries(complex: CellComplex) -> FaceTable:
     that of the face's own one-face table.  The stacks are taken from the
     complex scaled, as unit_scaled does, by the power of two that brings
     its largest finite |coordinate| into [0.5, 1), so no square overflows
-    or underflows, and the lengths are scaled back; every sign and ratio
-    is scale-free, and on a unit-scaled complex the factor is 1.
+    or underflows, and the projected points are scaled back; every sign
+    and ratio is scale-free, and on a unit-scaled complex the factor is 1.
     Python runs per corner only for the turns the float guard leaves to the
     exact test, and per face only for the simplicity test of a face that is
     neither a triangle nor a quad with four positive turns.
@@ -229,8 +226,8 @@ def face_geometries(complex: CellComplex) -> FaceTable:
     vertices = np.ldexp(np.where(finite, complex.vertices, 0.0), -e)
     unusable = ~finite.all(axis=1)
     n_faces, n_corners = complex.n_faces, len(complex.corners)
-    normal, basis = np.empty((n_faces, 3)), np.empty((n_faces, 2, 3))
-    offset, max_deviation, rel_deviation, diameter, orientation = np.empty((5, n_faces))
+    basis = np.empty((n_faces, 2, 3))
+    rel_deviation, orientation = np.empty((2, n_faces))
     simple, failed = np.empty(n_faces, dtype=bool), np.empty(n_faces, dtype=np.int8)
     angles, turns = np.empty(n_corners), np.empty(n_corners, dtype=np.int8)
     points2d = np.empty((n_corners, 2))
@@ -239,7 +236,7 @@ def face_geometries(complex: CellComplex) -> FaceTable:
         faces = np.flatnonzero(degree == k)
         at = complex.offsets[faces, None] + np.arange(k)        # (F_k, k) corner ids
         pts = vertices[complex.corners[at]]
-        diam, width, centered, normals, offs, devs = _plane_fits(pts)
+        diam, width, centered, normals, devs = _plane_fits(pts)
         # In-plane frame: two unit vectors orthogonal to the fitted normal.
         u = _any_perpendicular(normals)
         frame = np.stack((u, np.cross(normals, u)), axis=1)
@@ -264,15 +261,12 @@ def face_geometries(complex: CellComplex) -> FaceTable:
         for row in np.flatnonzero(~ok & (code == 0)).tolist():
             ok[row] = _is_simple(p2[row].tolist())
         raw = raw.reshape(-1, k)
-        normal[faces], basis[faces], failed[faces] = normals, frame, code
-        offset[faces], max_deviation[faces] = np.ldexp(offs, e), np.ldexp(devs, e)
-        diameter[faces], orientation[faces], simple[faces] = np.ldexp(diam, e), sign, ok
+        basis[faces], failed[faces], orientation[faces], simple[faces] = frame, code, sign, ok
         rel_deviation[faces] = devs / np.where(diam > 0.0, diam, 1.0)
         angles[at] = np.where(ok[:, None] & (turn < 0), TWO_PI - raw, raw)
         turns[at], points2d[at] = turn, np.ldexp(p2, e)
     bad = np.flatnonzero(failed)
-    return FaceTable(normal, offset, max_deviation, rel_deviation, diameter, simple, orientation,
-                     basis, angles, turns, points2d,
+    return FaceTable(rel_deviation, simple, orientation, basis, angles, turns, points2d,
                      tuple(zip(bad.tolist(), map(_DEGENERATE.__getitem__, failed[bad].tolist()))))
 
 
@@ -335,7 +329,6 @@ class LinkArc:
     end: Vec3
     axis: Vec3
     length: float
-    face: int
 
 
 @dataclass(frozen=True)
@@ -430,7 +423,7 @@ def _link(mesh: HalfEdgeMesh, vertex: int, table: FaceTable, stars: _Stars) -> S
                 axis = _divided(cross, nc)
             if theta > math.pi:
                 axis = (-axis[0], -axis[1], -axis[2])
-        arcs.append(LinkArc(start=d_start, end=d_end, axis=axis, length=theta, face=f))
+        arcs.append(LinkArc(start=d_start, end=d_end, axis=axis, length=theta))
 
     return SphericalLink(
         vertex=vertex,

@@ -56,11 +56,12 @@ def _data_lines(path: str | Path) -> tuple[list[int], list[str], tuple[str, str]
 
     Lines end at \n, \r\n or \r, as in text mode; str.splitlines would
     also split on \x0c and \x85 and shift the line numbers.  A byte that
-    is not UTF-8 fails at its line.
+    is not UTF-8 fails at its line.  A leading byte-order mark is dropped
+    after decoding, so an error's offset still counts from the first byte.
     """
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
         lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")

@@ -1,42 +1,42 @@
 """Global self-intersection detection for triangulated surfaces.
 
-The triangle soup is built once from a refinement, in array passes:
-corner coordinates (n, 3, 3), derived corner ids and source faces, the
-vertex and edge cells of every source face as sorted keys in CSR form
-(FaceCells, read off each face's triangles, whose sides that occur once
-are its boundary), the pairs of source faces that share a vertex, and per
-triangle which corners and opposite edges are cells of its source face;
-only the exact loop's rows read one face's cells.  Broad phase: one
-sort-and-sweep over the triangles' axis-aligned boxes, which yields
-exactly the pairs whose boxes meet.  Narrow phase, in
-two steps.  First a float pass decides, in blocks of pairs in NumPy, every
-pair whose answer it can prove.  With Shewchuk's static error bounds on the
-power-of-two scaled coordinates, it drops a pair when one triangle's
-remaining corners lie strictly on one side of the other's plane, or of an
-edge line in a coordinate projection, through the corners the two share;
-for free pairs that proves them disjoint, and for neighbours whose shared
-corner or edge is a cell both may share, that they meet only there.  When
-both triangles' scaled coordinates are multiples of 2^-15, its plane
-values and 2-d orientations are exact: three zero plane values prove a
-pair coplanar, and the orient2d signs of each triangle's corners against
-the other's edge lines give the contact's kind with no clip ring.  The pass
-reports the contacts of such pairs between faces that share no vertex, and
-their overlaps between faces that do, and drops a neighbours' touch that
-is exactly the corner or edge they may share.  Then every pair left is
-decided exactly: the soup's points are put once on one power-of-two grid,
-so every corner is an integer triple, and every sign is exact in Python
-integers.  Each pair goes to the contact kernel: each triangle's corners
-are evaluated once against the other triangle's plane; those two sign
-vectors reject separated pairs and decide transversality, and the same
-values build the contact as homogeneous integer points, so every reported
-contact is the true intersection of the given float coordinates; only
-triangle_contact turns them into Fractions, for its caller.  Contacts
-between triangles from the same or vertex-adjacent source faces are
-excluded from the self-intersection list, but flagged separately when
-they extend beyond the cells the faces legitimately share (a local
-embedding failure).  Reports: the float pass's contacts and the exact
-loop's few are rows (i, j, kind, local) of one integer array, kind an
-index into KINDS + ("transversal",); one lexsort orders them by pair,
+The triangle soup is built once from a refinement, in array passes: corner
+coordinates (n, 3, 3), derived corner ids and source faces, the vertex and
+edge cells of every source face as sorted keys in CSR form (FaceCells,
+read off each face's triangles, whose sides that occur once are its
+boundary), the pairs of source faces that share a vertex, and per triangle
+which opposite edges are edge cells of its source face (a corner two faces
+share is a vertex cell of both); only the exact loop's rows read one
+face's cells.  Broad phase: one sort-and-sweep over the triangles'
+axis-aligned boxes, which yields exactly the pairs whose boxes meet.
+Narrow phase, in two steps.  First a float pass decides, in blocks of
+pairs in NumPy, every pair whose answer it can prove.  With Shewchuk's
+static error bounds on the power-of-two scaled coordinates, it drops a
+pair when one triangle's remaining corners lie strictly on one side of the
+other's plane, or of an edge line in a coordinate projection, through the
+corners the two share; for free pairs that proves them disjoint, and for
+neighbours whose shared corner or edge is a cell both may share, that they
+meet only there.  When both triangles' scaled coordinates are multiples of
+2^-15, its plane values and 2-d orientations are exact: three zero plane
+values prove a pair coplanar, and the orient2d signs of each triangle's
+corners against the other's edge lines give the contact's kind with no
+clip ring.  The pass reports the contacts of such pairs between faces that
+share no vertex, and their overlaps between faces that do, and drops a
+neighbours' touch that is exactly the corner or edge they may share.  Then
+every pair left is decided exactly: the soup's points are put once on one
+power-of-two grid, so every corner is an integer triple, and every sign is
+exact in Python integers.  Each pair goes to the contact kernel: each
+triangle's corners are evaluated once against the other triangle's plane;
+those two sign vectors reject separated pairs and decide transversality,
+and the same values build the contact as homogeneous integer points, so
+every reported contact is the true intersection of the given float
+coordinates; only triangle_contact turns them into Fractions, for its
+caller.  Contacts between triangles from the same or vertex-adjacent
+source faces are excluded from the self-intersection list, but flagged
+separately when they extend beyond the cells the faces legitimately share
+(a local embedding failure).  Reports: the float pass's contacts and the
+exact loop's few are rows (i, j, kind, local) of one integer array, kind
+an index into KINDS + ("transversal",); one lexsort orders them by pair,
 local splits them into pairs and local overlaps, and each list becomes
 PairContact named tuples in one pass, which the certificate keeps as they
 are.
@@ -54,8 +54,7 @@ import numpy as np
 
 from .mesh import InvalidComplexError, MeshError
 from .predicates import (KINDS, NO_CONTACT, OVERLAP, PLANE, area_signs, coplanar_kinds,
-                         edge_separated, filter_scaled, normals, off_plane, on_grid, orient2d,
-                         plane_values)
+                         edge_separated, filter_scaled, normals, off_plane, on_grid, plane_values)
 from .refine import Refinement
 
 
@@ -100,9 +99,7 @@ class TriangleSoup:
     # and the derived edges u < v along its boundary, keyed u * len(points) + v
     face_vertices: FaceCells
     face_edges: FaceCells
-    # (n, 3) bool: corner k of the triangle is in its source face's
-    # face_vertices, and the edge opposite corner k is in its face_edges
-    corner_cells: np.ndarray
+    # (n, 3) bool: the edge opposite corner k is in its face's face_edges
     edge_cells: np.ndarray
     # sorted keys f * n_faces + g, f < g, of the source faces whose
     # face_vertices meet, once per vertex they share
@@ -110,28 +107,6 @@ class TriangleSoup:
 
     def __len__(self) -> int:
         return len(self.coords)
-
-
-def _is_degenerate(p0, p1, p2) -> bool:
-    """Exact zero-area test: the cross product (p1 - p0) x (p2 - p0)
-    vanishes iff its xy, yz and zx components, the orientations of the
-    three coordinate-plane projections, are all zero."""
-    return all(
-        orient2d((p0[a], p0[b]), (p1[a], p1[b]), (p2[a], p2[b])) == 0
-        for a, b in ((0, 1), (1, 2), (2, 0))
-    )
-
-
-def _pairs_in(f_t: np.ndarray, k_t: np.ndarray, f_s: np.ndarray, k_s: np.ndarray) -> np.ndarray:
-    """Whether each pair (f_t, k_t) occurs among the pairs (f_s, k_s), by
-    binary search: a key k is ranked among the sorted k_s, and a pair
-    becomes f * len(k_s) + rank."""
-    ranks = np.sort(k_s)
-    at_t = np.searchsorted(ranks, k_t).clip(max=len(ranks) - 1)
-    cells = np.sort(f_s * len(ranks) + np.searchsorted(ranks, k_s))
-    find = f_t * len(ranks) + at_t
-    at = np.searchsorted(cells, find).clip(max=len(cells) - 1)
-    return (ranks[at_t] == k_t) & (cells[at] == find)
 
 
 def _sharing(face: np.ndarray, key: np.ndarray, n_faces: int) -> np.ndarray:
@@ -186,6 +161,13 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
     non-finite coordinate, and DegenerateTriangleError if any derived
     triangle has zero area (exact test), since the narrow phase assumes
     proper triangles.
+
+    The float pass takes a corner that triangles of two source faces share
+    as a vertex cell of both, which every refinement keeps true:
+    triangulate_faces adds no vertex, and each corner of a face ends a
+    side that occurs once among its triangles; barycentric_subdivision's
+    only derived vertices that are not cells are the centroids V + E + f,
+    each a corner of face f's triangles only.
     """
     derived = refinement.derived
     pts = derived.vertices
@@ -197,10 +179,12 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
     corners = derived.corners.reshape(-1, 3)
     coords = pts[corners]
     # a certified nonzero normal component proves area; the rest (none on
-    # a proper mesh) take the exact test
+    # a proper mesh) take the exact test: a zero normal on their own grid
     scaled, unusable = filter_scaled(coords, pts)
-    area = area_signs(*normals(scaled)).any(axis=1) & ~unusable
-    bad = [ti for ti in np.flatnonzero(~area).tolist() if _is_degenerate(*coords[ti].tolist())]
+    unproved = np.flatnonzero(~area_signs(*normals(scaled)).any(axis=1) | unusable)
+    grid = _grid(coords[unproved].reshape(-1, 3))[0] if unproved.size else []
+    bad = [t for t, k in zip(unproved.tolist(), range(0, len(grid), 3))
+           if _cross(_sub(grid[k + 1], grid[k]), _sub(grid[k + 2], grid[k])) == (0, 0, 0)]
     if bad:
         raise DegenerateTriangleError(
             f"{len(bad)} zero-area derived triangle(s), first at index {bad[0]}"
@@ -208,10 +192,7 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
         )
     source_face = refinement.triangle_sources
     face_vertices, face_edges, edge_cells = _face_cells(refinement)
-    # the vertex cells as (face, key) rows against the triangles' corners
     cell_face = np.repeat(np.arange(len(face_vertices)), np.diff(face_vertices.offsets))
-    corner_cells = _pairs_in(np.repeat(source_face, 3), corners.ravel(), cell_face,
-                             face_vertices.keys)
     face_neighbours = _sharing(cell_face, face_vertices.keys, len(face_vertices))
     return TriangleSoup(
         coords=coords,
@@ -220,7 +201,6 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
         points=pts,
         face_vertices=face_vertices,
         face_edges=face_edges,
-        corner_cells=corner_cells.reshape(-1, 3),
         edge_cells=edge_cells,
         face_neighbours=face_neighbours,
     )
@@ -338,11 +318,10 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
     turn = area_signs(normal, permanent)
     edges = np.roll(x, -1, axis=1) - x
     # per triangle: corners, normal, permanent; the turned edges; and its
-    # corner ids, corner and edge cells, source face, unusable and on-grid
-    # flags
+    # corner ids, edge cells, source face, unusable and on-grid flags
     planes = np.concatenate((x.reshape(-1, 9), normal, permanent), axis=1)
     turned = (turn[:, :, None, None] * edges[:, None]).reshape(-1, 27)
-    ids = np.concatenate((soup.corners, soup.corner_cells, soup.edge_cells,
+    ids = np.concatenate((soup.corners, soup.edge_cells,
                           soup.source_face[:, None], unusable[:, None],
                           on_grid(x, unusable)[:, None]), axis=1)
     n_faces, neighbours = len(soup.face_vertices), soup.face_neighbours
@@ -357,20 +336,20 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
         same = ia[:3, None] == ib[None, :3]
         on_a, on_b = same.any(axis=1), same.any(axis=0)     # corners the other has
         shared = on_a.sum(axis=0)
-        cell = np.where(shared == 1,
-                        (on_a & ia[3:6]).any(axis=0) & (on_b & ib[3:6]).any(axis=0),
-                        (~on_a & ia[6:9]).any(axis=0) & (~on_b & ib[6:9]).any(axis=0))
-        eligible = ((shared == 0) | ((shared < 3) & ((ia[9] == ib[9]) | cell))) & (ia[10] + ib[10] == 0)
+        # one shared corner is a cell of both faces (see triangle_soup); two
+        # are one when both flag the edge opposite their unshared corner
+        cell = (shared < 2) | ((~on_a & ia[3:6]).any(axis=0) & (~on_b & ib[3:6]).any(axis=0))
+        eligible = (shared < 3) & ((ia[6] == ib[6]) | cell) & (ia[7] + ib[7] == 0)
         value, tol = plane_values(xa, pa[9:12], pa[12:], xb)    # b's corners, a's plane
         settled = eligible & (off_plane(value, tol, on_b)
                               | off_plane(*plane_values(xb, pb[9:12], pb[12:], xa), on_a))
         # both on the grid, where b's zero plane values are exact
-        flat = ~settled & (ia[11] + ib[11] == 2) & (value == 0).all(axis=0)
+        flat = ~settled & (ia[8] + ib[8] == 2) & (value == 0).all(axis=0)
         left = eligible & ~settled & ~flat
         if flat.any():
             kind = coplanar_kinds(*(v.compress(flat, axis=-1)
                                     for v in (xa, xb, pa[9:12], pb[9:12])))
-            fi, fj = ia[9, flat], ib[9, flat]
+            fi, fj = ia[6, flat], ib[6, flat]
             key = np.minimum(fi, fj) * n_faces + np.maximum(fi, fj)
             free = (fi != fj) & (np.searchsorted(neighbours, key)
                                  == np.searchsorted(neighbours, key, side="right"))

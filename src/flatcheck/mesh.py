@@ -135,21 +135,19 @@ class CellComplex:
 def build_complex(
     raw_vertices: Iterable[Sequence[float]],
     raw_faces: Iterable[Sequence[int]],
-    index_base: int = 0,
 ) -> CellComplex:
-    """Validate raw data and return a CellComplex.
+    """Validate raw data, faces numbering vertices from 0, and return a
+    CellComplex.
 
-    index_base says how the face indices count vertices: 1 for data coming
-    from interchange files that number vertices from one, 0 for data built
-    in memory.  Raises InvalidComplexError on NaN or infinite coordinates,
-    out-of-range indices, faces with fewer than three vertices, repeated
-    vertices inside a face, duplicate faces (up to rotation and reversal),
-    or no faces at all.  The error names the first bad vertex, else the
-    first bad face, and for that face the first of these checks it fails.
+    Raises InvalidComplexError on NaN or infinite coordinates, out-of-range
+    indices, faces with fewer than three vertices, repeated vertices inside
+    a face, duplicate faces (up to rotation and reversal), or no faces at
+    all.  The error names the first bad vertex, else the first bad face,
+    and for that face the first of these checks it fails.
     """
     faces = list(raw_faces)
     return complex_from_flat(raw_vertices, list(map(int, chain.from_iterable(faces))),
-                             list(map(len, faces)), index_base)
+                             list(map(len, faces)))
 
 
 def complex_from_flat(
@@ -159,7 +157,9 @@ def complex_from_flat(
     index_base: int = 0,
 ) -> CellComplex:
     """build_complex on faces given flat: the indices of every face in
-    turn, and the number of vertices of each face."""
+    turn, and the number of vertices of each face.  index_base says how the
+    indices count vertices: 1 for data coming from interchange files that
+    number vertices from one, 0 for data built in memory."""
     if index_base not in (0, 1):
         raise InvalidComplexError(f"index_base must be 0 or 1, got {index_base}")
     verts = np.array(raw_vertices if isinstance(raw_vertices, np.ndarray) else list(raw_vertices),

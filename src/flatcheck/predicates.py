@@ -8,10 +8,10 @@ coordinates put on one grid 2^-s are integers, and the returned sign is
 always the true sign of the determinant of the given coordinates.
 orient2d_rows gives the same sign for every row of three point arrays,
 with the exact test only for the rows the float guard leaves undecided.
-Refinement, flatness and the soup's zero-area test, for the triangles
-the batched filter below leaves uncertain, take their 2-d turns from
-them; the narrow phase computes its own exact signs in integers, in
-intersect.
+Refinement and flatness take their 2-d turns from them; intersect
+computes its own exact signs in integers, both the narrow phase's and
+the soup's zero-area test for the triangles the batched filter below
+leaves uncertain.
 
 The batched filters compute plane and edge-line signs over whole arrays of
 triangles in float64 with Shewchuk's static bounds ("Adaptive Precision

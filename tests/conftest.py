@@ -507,9 +507,10 @@ def _referee_fail(path, lineno, message):
 
 def _referee_lines(path):
     """(lineno, stripped content) of every line that is not blank or a
-    comment, and (path, sha256); lines end at \n, \r\n or \r."""
+    comment, and (path, sha256); lines end at \n, \r\n or \r, and a
+    leading byte-order mark is dropped."""
     data = Path(path).read_bytes()
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    text = data.decode("utf-8").removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     lines = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -56,6 +56,14 @@ def _polygon(points):
     return face_geometries(build_complex(points, [tuple(range(len(points)))]))
 
 
+def _fit(points):
+    """The plane fit the face table runs, on one polygon: its unit normal,
+    largest deviation and diameter."""
+    diameters, _, _, normals, deviations = flatness._plane_fits(
+        np.asarray(points, dtype=float)[None])
+    return normals[0], deviations[0], diameters[0]
+
+
 def _plane_cost(points, normal):
     """Best sum of squared orthogonal deviations for a fixed normal."""
     d = points @ normal
@@ -99,10 +107,10 @@ def _grid_search_plane(points):
 
 def test_plane_fit_exact_planar():
     pts = np.array([[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0]], dtype=float)
-    fit = _polygon(pts)
-    assert fit.max_deviation[0] <= 1e-15
-    assert fit.rel_deviation[0] <= 1e-15
-    assert abs(abs(fit.normal[0, 2]) - 1.0) <= 1e-15
+    normal, deviation, _ = _fit(pts)
+    assert deviation <= 1e-15
+    assert _polygon(pts).rel_deviation[0] <= 1e-15
+    assert abs(abs(normal[2]) - 1.0) <= 1e-15
 
 
 def test_plane_fit_rotated_planar():
@@ -110,25 +118,25 @@ def test_plane_fit_rotated_planar():
     base = rng.uniform(-1, 1, size=(8, 2))
     pts3 = np.column_stack([base, np.zeros(8)])
     rot = random_rotation(rng)
-    fit = _polygon(pts3 @ rot.T + np.array([3.0, -1.0, 2.0]))
-    assert fit.max_deviation[0] <= 1e-13
+    _, deviation, _ = _fit(pts3 @ rot.T + np.array([3.0, -1.0, 2.0]))
+    assert deviation <= 1e-13
 
 
 def test_lifted_corner_square_frozen_value():
-    fit = _polygon(LIFTED_SQUARE)
-    assert fit.max_deviation[0] == pytest.approx(0.025061798, abs=1e-9)
-    assert fit.rel_deviation[0] == pytest.approx(0.017677229528, abs=1e-9)
-    assert fit.diameter[0] == pytest.approx(math.sqrt(2.01), rel=1e-12)
+    _, deviation, diameter = _fit(LIFTED_SQUARE)
+    assert deviation == pytest.approx(0.025061798, abs=1e-9)
+    assert _polygon(LIFTED_SQUARE).rel_deviation[0] == pytest.approx(0.017677229528, abs=1e-9)
+    assert diameter == pytest.approx(math.sqrt(2.01), rel=1e-12)
 
 
 def test_lifted_corner_square_matches_grid_oracle():
-    fit = _polygon(LIFTED_SQUARE)
-    fit_cost, fit_dev = _plane_cost(LIFTED_SQUARE, fit.normal[0])
+    normal, deviation, _ = _fit(LIFTED_SQUARE)
+    fit_cost, fit_dev = _plane_cost(LIFTED_SQUARE, normal)
     oracle_cost, oracle_dev = _grid_search_plane(LIFTED_SQUARE)
     # the eigen solution must be at least as good as the brute search
     assert fit_cost <= oracle_cost + 1e-12
     assert fit_dev == pytest.approx(oracle_dev, abs=1e-6)
-    assert fit.max_deviation[0] == pytest.approx(fit_dev, abs=1e-15)
+    assert deviation == pytest.approx(fit_dev, abs=1e-15)
 
 
 def test_corner_angle_basics():
@@ -402,8 +410,7 @@ def _bits(table, complex, f):
             return ("error", message)
     at = slice(*complex.offsets[f:f + 2].tolist())
     return tuple(column[f].tobytes() for column in (
-        table.normal, table.offset, table.max_deviation, table.rel_deviation, table.diameter,
-        table.simple, table.orientation, table.basis)) + tuple(
+        table.rel_deviation, table.simple, table.orientation, table.basis)) + tuple(
         column[at].tobytes() for column in (table.angles, table.turns, table.points2d))
 
 

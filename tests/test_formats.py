@@ -115,6 +115,40 @@ def test_line_numbers_follow_text_mode_newlines(tmp_path):
     assert f"{path}:5: bad coordinate" in str(exc.value)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("marked", ["off", "obj", "faces", "vertices"])
+def test_byte_order_mark_reads_as_its_absence(tmp_path, marked):
+    """A leading UTF-8 byte-order mark is not data: an OFF header behind
+    it is found, an OBJ file keeps its first vertex, and either file of a
+    pair reads as it does without one.  The sha256 is of the bytes given."""
+    cx = _awkward_complex()
+    off, obj = tmp_path / "m.off", tmp_path / "m.obj"
+    fp, vp = tmp_path / "faces.txt", tmp_path / "vertices.txt"
+    write_off(cx, off)
+    write_obj(cx, obj)
+    write_pair(cx, fp, vp)
+    target = {"off": off, "obj": obj, "faces": fp, "vertices": vp}[marked]
+    paths = [target] if marked in ("off", "obj") else [fp, vp]
+    plain = read_mesh(paths).complex
+    target.write_bytes(BOM + target.read_bytes())
+    got = read_mesh(paths)
+    assert np.array_equal(got.complex.vertices, plain.vertices)
+    assert got.complex.faces == plain.faces
+    assert got.sources == tuple((str(p), hashlib.sha256(p.read_bytes()).hexdigest())
+                                for p in paths)
+
+
+def test_byte_order_mark_keeps_bad_byte_located(tmp_path):
+    """The mark is dropped after decoding, so a later byte that is not
+    UTF-8 is still named, on its own line, counted from the first byte."""
+    path = tmp_path / "bad.off"
+    path.write_bytes(BOM + b"OFF\n3 1 3\n0 0 0\n1 0 0\n\xff 1 0\n3 0 1 2\n")
+    with pytest.raises(FormatError, match=rf"^{path}:5: byte 0xff is not UTF-8"):
+        read_off(path)
+
+
 def test_obj_round_trip_exact(tmp_path):
     cx = _awkward_complex()
     path = tmp_path / "mesh.obj"

@@ -138,9 +138,10 @@ def test_soup_rejects_degenerate():
 def test_soup_zero_area_test_is_exact_only_where_the_filter_is_unsure():
     """A certified nonzero normal component proves area, so a proper mesh
     takes no exact test; a degenerate row still gets the first index, and
-    a row one ulp off a line goes to the exact test and passes."""
+    a row one ulp off a line goes to the exact test, alone, and passes.
+    The exact test puts the unproved rows' corners on their own grid."""
     refinement = triangulate_faces(grid_torus(12, 12))
-    with mock.patch.object(intersect, "_is_degenerate", wraps=intersect._is_degenerate) as exact:
+    with mock.patch.object(intersect, "_grid", wraps=intersect._grid) as exact:
         triangle_soup(refinement)
     assert exact.call_count == 0
     line = [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
@@ -149,9 +150,10 @@ def test_soup_zero_area_test_is_exact_only_where_the_filter_is_unsure():
                        match=r"^2 zero-area derived triangle\(s\), first at index 1 \(source face 1\)$"):
         independent_soup(coords)
     near = np.array([[[0, 0, 0], [1, 1, 1], [2, 2, 2 + 2.0**-51]], T_BASE])
-    with mock.patch.object(intersect, "_is_degenerate", wraps=intersect._is_degenerate) as exact:
+    with mock.patch.object(intersect, "_grid", wraps=intersect._grid) as exact:
         assert len(independent_soup(near)) == 2
     assert exact.call_count == 1
+    assert exact.call_args.args[0].tolist() == near[0].tolist()
 
 
 def _with_derived_vertex(refinement, v, value):
@@ -227,10 +229,12 @@ def _refinements(corpus_meshes, levels):
 @pytest.mark.parametrize("levels", [0, 1, 2], ids=["triangulated", "barycentric", "barycentric2"])
 def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
     """The soup's array-built cells against referee_cells' loop over the
-    source faces: each face's sorted keys, the corner and edge cell flags,
-    the neighbouring face pairs, and _shared_cells on every box-meeting
-    pair, among them every row the float pass leaves to the exact loop.
-    The barycentric refinements give every source edge a midpoint."""
+    source faces: each face's sorted keys, the edge cell flags, the
+    neighbouring face pairs, and _shared_cells on every box-meeting pair,
+    among them every row the float pass leaves to the exact loop.  The
+    barycentric refinements give every source edge a midpoint.  A derived
+    vertex that triangles of two source faces use is a vertex cell of
+    both, which the float pass takes for granted at a shared corner."""
     rows = 0
     for ref in _refinements(corpus_meshes, levels):
         soup = triangle_soup(ref)
@@ -242,8 +246,11 @@ def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
         assert [[divmod(k, n) for k in soup.face_edges[f].tolist()] for f in range(n_faces)] == [
             sorted(c) for c in face_edges]
         corners, faces = soup.corners.tolist(), soup.source_face.tolist()
-        assert soup.corner_cells.tolist() == [
-            [c in face_vertices[f] for c in tri] for tri, f in zip(corners, faces)]
+        users = {}
+        for tri, f in zip(corners, faces):
+            for c in tri:
+                users.setdefault(c, set()).add(f)
+        assert all(c in face_vertices[f] for c, fs in users.items() if len(fs) > 1 for f in fs)
         assert soup.edge_cells.tolist() == [
             [(min(tri[k - 2], tri[k - 1]), max(tri[k - 2], tri[k - 1])) in face_edges[f]
              for k in range(3)] for tri, f in zip(corners, faces)]
@@ -270,8 +277,8 @@ def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
 def test_soup_cells_ignore_triangle_order(corpus_meshes, seed, levels):
     """Permuting the derived triangles together with their sources, and
     rotating each triangle's corners, leaves every face's cells as they
-    are: they are read off the face's triangles in any order.  The corner
-    and edge cell flags move with their corners."""
+    are: they are read off the face's triangles in any order.  The edge
+    cell flags move with their corners."""
     rng = np.random.default_rng(seed)
     for ref in _refinements(corpus_meshes, levels):
         tri = ref.derived.corners.reshape(-1, 3)
@@ -286,9 +293,8 @@ def test_soup_cells_ignore_triangle_order(corpus_meshes, seed, levels):
                 assert (getattr(getattr(got, cells), part).tolist()
                         == getattr(getattr(want, cells), part).tolist())
         assert got.face_neighbours.tolist() == want.face_neighbours.tolist()
-        for flags in ("corner_cells", "edge_cells"):
-            assert (getattr(got, flags).tolist()
-                    == np.take_along_axis(getattr(want, flags)[perm], turn, axis=1).tolist())
+        assert (got.edge_cells.tolist()
+                == np.take_along_axis(want.edge_cells[perm], turn, axis=1).tolist())
 
 
 def _all_pairs_meeting(lo, hi):

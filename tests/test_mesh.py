@@ -17,6 +17,7 @@ from flatcheck import (
     euler_characteristic,
     orientability,
 )
+from flatcheck.mesh import complex_from_flat
 
 from conftest import (canonical_face, cube, grid_klein, grid_torus, icosa, referee_build,
                       referee_manifold, referee_orientability, tetra)
@@ -33,9 +34,10 @@ def test_build_complex_basic():
     assert cx.faces == ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2))
 
 
-def test_build_complex_one_based():
+def test_complex_from_flat_one_based():
     faces1 = [tuple(i + 1 for i in f) for f in TETRA_FACES]
-    cx = build_complex(TETRA_VERTS, faces1, index_base=1)
+    cx = complex_from_flat(TETRA_VERTS, [i for f in faces1 for i in f], [3] * len(faces1),
+                           index_base=1)
     assert cx.faces == ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2))
 
 
@@ -319,18 +321,25 @@ def _raw_complexes(draw):
 @example(raw=(np.zeros((4, 3)), [(1, 2, 3, 4), (4, 3, 2, 1), (1, 2)], 1))
 @example(raw=(np.zeros((3, 3)), [(0, 1, 2 ** 70)], 0))
 def test_build_complex_matches_referee(raw):
-    """build_complex returns the referee's faces or raises its exception
-    type with its message, for every face degree, index base and integer
-    type."""
+    """build_complex, or for 1-based faces complex_from_flat as the readers
+    call it, returns the referee's faces or raises its exception type with
+    its message, for every face degree, index base and integer type."""
     vertices, faces, base = raw
+
+    def build():
+        if base == 0:
+            return build_complex(vertices, faces)
+        return complex_from_flat(vertices, [int(i) for f in faces for i in f],
+                                 [len(f) for f in faces], index_base=base)
+
     try:
         expected = referee_build(vertices, faces, base)
     except InvalidComplexError as exc:
         with pytest.raises(InvalidComplexError) as got:
-            build_complex(vertices, faces, index_base=base)
+            build()
         assert str(got.value) == str(exc)
         return
-    cx = build_complex(vertices, faces, index_base=base)
+    cx = build()
     assert cx.faces == expected[1]
     assert np.array_equal(cx.vertices, expected[0])
     assert cx.corners.tolist() == [i for f in expected[1] for i in f]

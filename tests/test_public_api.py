@@ -1,8 +1,12 @@
-"""The package's public surface, pinned name by name."""
+"""The package's public surface, pinned name by name, and the shapes of
+its documented records, field by field."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import flatcheck
+from flatcheck import flatness, intersect
 
 # Every name `from flatcheck import *` binds, sorted.  __all__ is an
 # explicit list, so the package's submodules stay out of a star import.
@@ -37,3 +41,27 @@ def test_star_import_binds_no_submodule():
     exec("from flatcheck import *", namespace)
     namespace.pop("__builtins__")
     assert tuple(sorted(namespace)) == PUBLIC_NAMES
+
+
+# The field names, in order, of the records the README documents.
+# Changing a record's shape means editing this dict.
+RECORD_FIELDS = {
+    flatcheck.CellComplex: ("vertices", "corners", "offsets"),
+    flatcheck.Refinement: ("source", "derived", "triangle_sources", "fallbacks"),
+    flatcheck.TriangleSoup: ("coords", "corners", "source_face", "points", "face_vertices",
+                             "face_edges", "edge_cells", "face_neighbours"),
+    intersect.FaceCells: ("offsets", "keys"),
+    flatness.FaceTable: ("rel_deviation", "simple", "orientation", "basis", "angles", "turns",
+                         "points2d", "degenerate"),
+    flatcheck.FlatnessReport: ("rel_deviation", "simple", "defects", "links", "defect_total",
+                               "gauss_bonnet_reference", "gauss_bonnet_residual",
+                               "tolerances"),
+    flatcheck.IntersectionReport: ("pairs", "local_overlaps", "n_candidates", "kind_census"),
+    flatcheck.PairContact: ("i", "j", "kind"),
+}
+
+
+def test_record_fields_pinned():
+    for record, names in RECORD_FIELDS.items():
+        got = getattr(record, "_fields", None) or tuple(f.name for f in fields(record))
+        assert got == names, record.__name__
