@@ -11,7 +11,7 @@ from .formats import (FormatError, LoadedMesh, read_mesh, read_obj, read_off,
 from .homology import (BoundaryMatrices, HomologyProfile, SmithNormalForm,
                        SurfaceClass, boundary_matrices, classify_surface,
                        homology_profile)
-from .intersect import (Contact, DegenerateTriangleError, IntersectionReport,
+from .intersect import (Contact, ContactRows, DegenerateTriangleError, IntersectionReport,
                         PairContact, TriangleBoxes, TriangleSoup, build_hierarchy,
                         candidate_pairs, classify_immersion, self_intersections,
                         triangle_contact, triangle_soup)
@@ -26,7 +26,7 @@ __version__ = TOOL_VERSION
 
 # the public names, without the submodules a star import would otherwise bind
 __all__ = [
-    "BoundaryMatrices", "CellComplex", "Contact", "DegenerateFaceError",
+    "BoundaryMatrices", "CellComplex", "Contact", "ContactRows", "DegenerateFaceError",
     "DegenerateTriangleError", "FallbackRecord", "FlatnessReport", "FormatError",
     "GeneratorError", "GeneratorSpec", "HalfEdgeMesh", "HomologyProfile", "IntersectionReport",
     "InvalidComplexError", "LinkVerdict", "LoadedMesh", "ManifoldDefect", "MeshError",

@@ -17,8 +17,8 @@ import numpy as np
 from .flatness import (DegenerateFaceError, FlatnessReport, ToleranceProfile,
                        face_geometries, flatness_report)
 from .homology import boundary_matrices, classify_surface, homology_profile
-from .intersect import (DegenerateTriangleError, classify_immersion, self_intersections,
-                        triangle_soup)
+from .intersect import (ContactRows, DegenerateTriangleError, PairContact, classify_immersion,
+                        self_intersections, triangle_soup)
 from .mesh import (CellComplex, NotManifoldError, check_closed_manifold, edge_table,
                    euler_characteristic, orientability)
 from .refine import TriangulationError, triangulate_faces
@@ -31,11 +31,9 @@ def canonical_json(value, indent: int = 0) -> str:
     """Serialize to JSON with insertion-order keys and '.17g' reals.
 
     A named tuple is written exactly as the dict of its _fields would be.
-    A list whose items all share one named-tuple type is written through
-    one row template for the list: each column of exact ints is written
-    as str writes it, each column of exact strs is encoded once per
-    distinct value, any other column value by canonical_json, and the
-    rows are joined once.  The bytes are those of the same list of dicts.
+    A ContactRows is written from its integer rows, through one row
+    template per contact kind, which holds the kind already encoded; the
+    bytes are those of the same list of PairContact dicts.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -63,12 +61,11 @@ def canonical_json(value, indent: int = 0) -> str:
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, ContactRows)):
         if not value:
             return "[]"
-        row_types = set(map(type, value))
-        if len(row_types) == 1 and _is_named_tuple(*row_types):
-            parts = _named_rows(value, indent + 1)
+        if isinstance(value, ContactRows):
+            parts = _contact_lines(value, indent + 1)
         else:
             parts = [f"{inner}{canonical_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
@@ -79,25 +76,16 @@ def _is_named_tuple(t: type) -> bool:
     return issubclass(t, tuple) and bool(getattr(t, "_fields", ()))
 
 
-def _named_rows(rows, indent: int):
-    """The lines of a list's rows, all of one named-tuple type, each
-    written as the dict of its fields at the given indent."""
+def _contact_lines(contacts: ContactRows, indent: int):
+    """The lines of contacts' rows, each written as the dict of a
+    PairContact's fields at the given indent."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    # field names are identifiers, so the template's only % are its own
-    fields = ",\n".join(f"{inner}{encode_basestring_ascii(f)}: %s" for f in rows[0]._fields)
-    template = f"{pad}{{\n{fields}\n{pad}}}"
-    columns = []
-    for column in zip(*rows):
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            columns.append(column)      # %s writes an int as str does
-        elif kinds == {str}:
-            encoded = {v: encode_basestring_ascii(v) for v in set(column)}
-            columns.append(map(encoded.__getitem__, column))
-        else:
-            columns.append([canonical_json(v, indent + 1) for v in column])
-    return map(template.__mod__, zip(*columns))
+    i, j, kind = (f"{inner}{encode_basestring_ascii(f)}: " for f in PairContact._fields)
+    # kind names hold no %, so each template's only %d are its own
+    templates = [f"{pad}{{\n{i}%d,\n{j}%d,\n{kind}{canonical_json(name)}\n{pad}}}"
+                 for name in ContactRows.kinds]
+    return [templates[k] % (a, b) for a, b, k in zip(*contacts.rows.T.tolist())]
 
 
 def _geometry_section(report: FlatnessReport) -> dict:
@@ -259,7 +247,7 @@ def build_certificate(
         immersion["local_overlap_count"] = len(rep.local_overlaps)
         census = rep.kind_census
         immersion["kind_census"] = {k: census[k] for k in sorted(census)}
-        # PairContact rows, which canonical_json writes as {"i", "j", "kind"}
+        # ContactRows, which canonical_json writes as {"i", "j", "kind"} each
         immersion["pairs"] = rep.pairs
         immersion["local_overlaps"] = rep.local_overlaps
         immersion["classification"] = classification

@@ -202,11 +202,17 @@ def read_obj(path: str | Path) -> LoadedMesh:
     if vertices is None:
         vertices, indices, degrees = _obj_records(path, linenos, lines, records)
     else:
-        indices, degrees = [], []
         # accumulate(is_v) counts the vertices declared up to each line
-        for lineno, parts, declared in compress(zip(linenos, records, accumulate(is_v)), is_f):
-            indices += _obj_face(path, lineno, parts, declared)
-            degrees.append(len(parts) - 1)
+        declared = list(compress(accumulate(is_v), is_f))
+        faces = _obj_faces(list(compress(lines, is_f)), list(compress(records, is_f)), declared)
+        if faces is None:
+            indices, degrees = [], []
+            for lineno, parts, known in zip(compress(linenos, is_f), compress(records, is_f),
+                                            declared):
+                indices += _obj_face(path, lineno, parts, known)
+                degrees.append(len(parts) - 1)
+        else:
+            indices, degrees = faces
     complex = _build(vertices, indices, degrees, 1, path,
                      list(compress(linenos, is_v)), list(compress(linenos, is_f)))
     return LoadedMesh(complex=complex, sources=(source,))
@@ -223,6 +229,21 @@ def _obj_coordinates(lines: list[str], records: list[list[str]]) -> np.ndarray |
     if values is None:
         return None
     return values[(np.cumsum(counts) - counts)[:, None] + np.arange(3)]
+
+
+def _obj_faces(lines: list[str], records: list[list[str]], declared: list[int]):
+    """(indices, degrees) of the f lines from one bulk parse, when every
+    reference is a plain unsigned integer naming a vertex declared before
+    its line; None otherwise (v/vt forms, relative or signed references,
+    a reference out of range, a face of fewer than 3), for _obj_face."""
+    counts = np.fromiter(map(len, records), np.int64, len(records)) - 1
+    if not (counts >= 3).all() or "/" in "".join(lines):
+        return None
+    # each line starts with the one-letter token f
+    values = _bulk(list(map(itemgetter(slice(1, None)), lines)), int(counts.sum()), np.int64)
+    if values is None or not ((values >= 1) & (values <= np.repeat(declared, counts))).all():
+        return None
+    return values, counts
 
 
 def _obj_records(path, linenos: list[int], lines: list[str], records: list[list[str]]):

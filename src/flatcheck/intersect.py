@@ -4,7 +4,8 @@ The triangle soup is built once from a refinement, in array passes: corner
 coordinates (n, 3, 3), derived corner ids and source faces, the vertex and
 edge cells of every source face as sorted keys in CSR form (FaceCells,
 read off each face's triangles, whose sides that occur once are its
-boundary), the pairs of source faces that share a vertex, and per triangle
+boundary), the pairs of source faces that share a vertex and of those that
+share an edge, and per triangle
 which opposite edges are edge cells of its source face (a corner two faces
 share is a vertex cell of both); only the exact loop's rows read one
 face's cells.  Broad phase: one sort-and-sweep over the triangles'
@@ -22,7 +23,10 @@ values prove a pair coplanar, and the orient2d signs of each triangle's
 corners against the other's edge lines give the contact's kind with no
 clip ring.  The pass reports the contacts of such pairs between faces that
 share no vertex, and their overlaps between faces that do, and drops a
-neighbours' touch that is exactly the corner or edge they may share.  Then
+neighbours' touch that is exactly the corner or edge they may share; it
+reports as a local overlap a neighbours' touch-segment when they may share
+only finitely many points (at most one shared corner, and one face or
+faces with no common edge cell).  Then
 every pair left is decided exactly: the soup's points are put once on one
 power-of-two grid, so every corner is an integer triple, and every sign is
 exact in Python integers.  Each pair goes to the contact kernel: each
@@ -37,24 +41,26 @@ separately when they extend beyond the cells the faces legitimately share
 (a local embedding failure).  Reports: the float pass's contacts and the
 exact loop's few are rows (i, j, kind, local) of one integer array, kind
 an index into KINDS + ("transversal",); one lexsort orders them by pair,
-local splits them into pairs and local overlaps, and each list becomes
-PairContact named tuples in one pass, which the certificate keeps as they
-are.
+local splits them into pairs and local overlaps, and each list stays an
+(m, 3) integer array in a ContactRows, a read-only sequence that yields
+PairContact named tuples only when read item by item; the kind census
+and the certificate text are read off the array itself.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
 
 from .mesh import InvalidComplexError, MeshError
-from .predicates import (KINDS, NO_CONTACT, OVERLAP, PLANE, area_signs, coplanar_kinds,
-                         edge_separated, filter_scaled, normals, off_plane, on_grid, plane_values)
+from .predicates import (KINDS, NO_CONTACT, OVERLAP, PLANE, TOUCH_SEGMENT, area_signs,
+                         coplanar_kinds, edge_separated, filter_scaled, normals, off_plane,
+                         on_grid, plane_values)
 from .refine import Refinement
 
 
@@ -102,8 +108,10 @@ class TriangleSoup:
     # (n, 3) bool: the edge opposite corner k is in its face's face_edges
     edge_cells: np.ndarray
     # sorted keys f * n_faces + g, f < g, of the source faces whose
-    # face_vertices meet, once per vertex they share
+    # face_vertices meet, once per vertex they share, and of those whose
+    # face_edges meet, once per edge they share
     face_neighbours: np.ndarray
+    edge_neighbours: np.ndarray
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -192,8 +200,10 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
         )
     source_face = refinement.triangle_sources
     face_vertices, face_edges, edge_cells = _face_cells(refinement)
-    cell_face = np.repeat(np.arange(len(face_vertices)), np.diff(face_vertices.offsets))
-    face_neighbours = _sharing(cell_face, face_vertices.keys, len(face_vertices))
+    n_faces = len(face_vertices)
+    face_neighbours, edge_neighbours = (
+        _sharing(np.repeat(np.arange(n_faces), np.diff(cells.offsets)), cells.keys, n_faces)
+        for cells in (face_vertices, face_edges))
     return TriangleSoup(
         coords=coords,
         corners=corners,
@@ -203,6 +213,7 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
         face_edges=face_edges,
         edge_cells=edge_cells,
         face_neighbours=face_neighbours,
+        edge_neighbours=edge_neighbours,
     )
 
 
@@ -270,10 +281,15 @@ def candidate_pairs(boxes: TriangleBoxes) -> np.ndarray:
 # float filter: the box-meeting pairs whose answer static error bounds settle
 
 # Candidate rows filtered per block.  A block holds about 1.6 KB per row in
-# gathered columns and temporaries; 512 rows keep the filter's peak below
-# that of the exact loop on the contact-rich check meshes, at about 1 us
-# per row.
-_ROW_BLOCK = 1 << 9
+# gathered columns and temporaries, and each block pays NumPy's fixed cost
+# per call.  Measured on a shared 2-core Xeon with NumPy 2.4, 2,048 rows
+# cut the pass by about a third against 512: 4.8 to 3.1 ms on quad_torus
+# 16^2, 89 to 48 ms on grid_torus 64^2 and 1.38 to 0.91 s on grid_klein
+# 64^2.  On folded_flat_torus 12^2 x2, 1,024 and 2,048 tie and 4,096 is
+# slower; 4,096 is faster only on the large meshes, and it raises the
+# tracemalloc peak on grid_torus 64^2 from 6.8 MB to 8.9 MB (5.4 MB at
+# 512).
+_ROW_BLOCK = 1 << 11
 
 
 def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -281,6 +297,11 @@ def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     contiguous, so that every operation of the filters runs over whole
     blocks."""
     return np.ascontiguousarray(table.take(rows, axis=0).T)
+
+
+def _has_key(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Whether each of key is among the sorted keys."""
+    return np.searchsorted(keys, key) != np.searchsorted(keys, key, side="right")
 
 
 def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +332,13 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
     contact adds nothing, nor does a contact that is exactly the shared
     cell when the two may share it: a touch-point of a pair that shares a
     corner is that corner, and a touch-segment of a coplanar pair that
-    shares an edge is that edge.  Every other coplanar pair stays.
+    shares an edge is that edge.  A touch-segment of a pair that shares
+    at most one corner is a local overlap when its triangles come from
+    one source face, or from two faces that share no edge cell: the cells
+    the two may then share are finitely many points (the shared corner,
+    or the faces' common vertex cells), and a segment of positive length
+    never lies within them, which is what _beyond_allowed would find.
+    Every other coplanar pair stays.
     """
     x, unusable = filter_scaled(soup.coords, soup.points)
     normal, permanent = normals(x)
@@ -324,7 +351,7 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
     ids = np.concatenate((soup.corners, soup.edge_cells,
                           soup.source_face[:, None], unusable[:, None],
                           on_grid(x, unusable)[:, None]), axis=1)
-    n_faces, neighbours = len(soup.face_vertices), soup.face_neighbours
+    n_faces = len(soup.face_vertices)
     keep = [np.empty((0, 2), dtype=cands.dtype)]
     found = [np.empty((0, 4), dtype=cands.dtype)]
     for first in range(0, len(cands), _ROW_BLOCK):
@@ -351,13 +378,15 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
                                     for v in (xa, xb, pa[9:12], pb[9:12])))
             fi, fj = ia[6, flat], ib[6, flat]
             key = np.minimum(fi, fj) * n_faces + np.maximum(fi, fj)
-            free = (fi != fj) & (np.searchsorted(neighbours, key)
-                                 == np.searchsorted(neighbours, key, side="right"))
-            told = (kind != NO_CONTACT) & (free | (kind == OVERLAP))
+            free = (fi != fj) & ~_has_key(soup.face_neighbours, key)
+            # a touch-segment beyond the finitely many points the pair may share
+            segment = ((kind == TOUCH_SEGMENT) & (shared[flat] < 2)
+                       & ((fi == fj) | ~_has_key(soup.edge_neighbours, key)))
+            told = (kind != NO_CONTACT) & (free | (kind == OVERLAP) | segment)
             found.append(np.column_stack((rows[flat][told], kind[told], ~free[told])))
             # kind == shared: a touch at the one shared corner, or along
             # the shared edge, is that cell
-            settled[flat] = (free | (kind == NO_CONTACT) | (kind == OVERLAP)
+            settled[flat] = (free | (kind == NO_CONTACT) | (kind == OVERLAP) | segment
                              | (eligible[flat] & (kind == shared[flat])))
         if left.any():
             # compress keeps the row axis last and contiguous
@@ -719,32 +748,71 @@ class PairContact(NamedTuple):
     kind: str
 
 
-# every contact kind, by the index a report row carries: coplanar_kinds'
-# KINDS, then the one kind only the exact loop finds
-_KIND_NAMES = KINDS + ("transversal",)
-_KIND_INDEX = {name: k for k, name in enumerate(_KIND_NAMES)}
+class ContactRows(Sequence):
+    """A read-only sequence of PairContacts kept as one (m, 3) int64 array
+    of rows (i, j, kind index into KINDS + ("transversal",)).
+
+    It reads as the tuple of its PairContacts: indexing and iteration
+    build them, a slice is a ContactRows, and it equals, and hashes like,
+    any sequence of the same PairContacts."""
+
+    __slots__ = ("rows",)
+    # every contact kind, by the index a row carries: coplanar_kinds'
+    # KINDS, then the one kind only the exact loop finds
+    kinds = KINDS + ("transversal",)
+
+    def __init__(self, rows) -> None:
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return ContactRows(self.rows[k])
+        i, j, kind = self.rows[index(k)].tolist()
+        return PairContact(i, j, self.kinds[kind])
+
+    def __iter__(self):
+        i, j, kind = self.rows.T.tolist()
+        return map(PairContact._make, zip(i, j, map(self.kinds.__getitem__, kind)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ContactRows):
+            return np.array_equal(self.rows, other.rows)
+        if isinstance(other, (str, bytes)) or not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ContactRows({tuple(self)!r})"
+
+
+_KIND_INDEX = {name: k for k, name in enumerate(ContactRows.kinds)}
 
 
 @dataclass(frozen=True)
 class IntersectionReport:
-    pairs: tuple[PairContact, ...]
-    local_overlaps: tuple[PairContact, ...]
+    pairs: ContactRows
+    local_overlaps: ContactRows
     n_candidates: int
     kind_census: dict[str, int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        # the number of pairs of each kind that occurs, in kind order
+        kinds = ContactRows.kinds
+        counts = np.bincount(self.pairs.rows[:, 2], minlength=len(kinds)).tolist()
         object.__setattr__(self, "kind_census",
-                           dict(Counter(map(itemgetter(2), self.pairs))))
+                           {name: c for name, c in zip(kinds, counts) if c})
 
     @property
     def intersecting(self) -> bool:
         return bool(self.pairs)
-
-
-def _contacts(rows: np.ndarray) -> tuple[PairContact, ...]:
-    """The rows (i, j, kind index) as PairContacts, in order."""
-    i, j, kind = rows.T.tolist()
-    return tuple(map(PairContact._make, zip(i, j, map(_KIND_NAMES.__getitem__, kind))))
 
 
 def self_intersections(
@@ -756,7 +824,7 @@ def self_intersections(
     The result is a pure set function of the coordinates: pair lists are
     sorted by index.  The float pass's contacts and the exact loop's are
     rows (i, j, kind, local) of one array, ordered by one lexsort on
-    (i, j) and split on local.
+    (i, j) and split on local into two ContactRows.
     """
     if boxes is None:
         boxes = build_hierarchy(soup)
@@ -787,8 +855,8 @@ def self_intersections(
     merged = np.concatenate((decided, np.array(loop, dtype=decided.dtype).reshape(-1, 4)))
     merged = merged[np.lexsort((merged[:, 1], merged[:, 0]))]
     local = merged[:, 3].astype(bool)
-    return IntersectionReport(pairs=_contacts(merged[~local, :3]),
-                              local_overlaps=_contacts(merged[local, :3]),
+    return IntersectionReport(pairs=ContactRows(merged[~local, :3]),
+                              local_overlaps=ContactRows(merged[local, :3]),
                               n_candidates=len(cands))
 
 

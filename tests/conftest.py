@@ -14,13 +14,13 @@ import pytest
 
 from flatcheck import (
     CellComplex,
+    ContactRows,
     FormatError,
     GeneratorSpec,
     IntersectionReport,
     InvalidComplexError,
     LoadedMesh,
     ManifoldDefect,
-    PairContact,
     Refinement,
     SmithNormalForm,
     TriangulationError,
@@ -111,10 +111,10 @@ def brute_report(soup):
             cells = intersect._shared_cells(soup, grid, corners[i], corners[j],
                                             faces[i], faces[j])
             if cells is None:
-                pairs.append(PairContact(i, j, found[0]))
+                pairs.append((i, j, intersect._KIND_INDEX[found[0]]))
             elif intersect._beyond_allowed(*found, *cells):
-                overlaps.append(PairContact(i, j, found[0]))
-    return IntersectionReport(tuple(pairs), tuple(overlaps), n * (n - 1) // 2)
+                overlaps.append((i, j, intersect._KIND_INDEX[found[0]]))
+    return IntersectionReport(ContactRows(pairs), ContactRows(overlaps), n * (n - 1) // 2)
 
 
 def referee_cells(refinement):

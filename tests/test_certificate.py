@@ -9,16 +9,17 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatcheck import certificate
+from flatcheck import certificate, intersect
 from flatcheck import (
+    ContactRows,
     GeneratorSpec,
-    PairContact,
     ToleranceProfile,
     build_certificate,
     build_complex,
@@ -121,16 +122,16 @@ _VALUES = st.recursive(
 
 @contextmanager
 def _spy_rows():
-    """Record each list that canonical_json writes through its row template."""
+    """Record each ContactRows that canonical_json writes from its rows."""
     calls = []
-    real = certificate._named_rows
+    real = certificate._contact_lines
 
-    def spy(rows, indent):
-        calls.append(rows)
-        return real(rows, indent)
+    def spy(contacts, indent):
+        calls.append(contacts)
+        return real(contacts, indent)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certificate, "_named_rows", spy)
+        mp.setattr(certificate, "_contact_lines", spy)
         yield calls
 
 
@@ -141,28 +142,45 @@ def _spy_rows():
 @example(rows=[_Row(-1, 2**64, 'q"uo\\te\nline \u00e9\u4e2d\U0001f600')],
          cells=[_Cell("k", [_Row(0, -3, "x")])], indent=0)
 def test_named_tuple_rows_match_dicts(rows, cells, indent):
-    """A list of named tuples gives the bytes of the same list of dicts:
-    int and str columns through the row template, other columns (None,
-    bools, floats, lists, nested named tuples) value by value."""
+    """A list of named tuples gives the bytes of the same list of dicts,
+    alone, as a tuple, item by item, and beside a dict: int and str
+    fields, and other values (None, bools, floats, lists, nested named
+    tuples) too."""
+    for named in (rows, cells):
+        plain = [r._asdict() for r in named]
+        assert canonical_json(named, indent) == canonical_json(plain, indent)
+        assert canonical_json(tuple(named), indent) == canonical_json(plain, indent)
+        assert canonical_json(named[0], indent) == canonical_json(plain[0], indent)
+    mixed = [rows[0], {"i": 1, "j": 2, "kind": "touch-point"}, *rows[1:]]
+    assert canonical_json(mixed, indent) == canonical_json(
+        [r if isinstance(r, dict) else r._asdict() for r in mixed], indent)
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_INT64, _INT64, st.integers(0, len(ContactRows.kinds) - 1)),
+                     max_size=40),
+       indent=st.integers(0, 3))
+def test_contact_rows_match_dicts(rows, indent):
+    """A ContactRows, alone or inside a dict, is written from its integer
+    rows with the bytes of the same list of {"i", "j", "kind"} dicts, for
+    every kind index, the full int64 range and the empty list."""
+    contacts = ContactRows(rows)
+    plain = [{"i": i, "j": j, "kind": ContactRows.kinds[k]} for i, j, k in rows]
     with _spy_rows() as calls:
-        for named in (rows, cells):
-            plain = [r._asdict() for r in named]
-            assert canonical_json(named, indent) == canonical_json(plain, indent)
-            assert canonical_json(tuple(named), indent) == canonical_json(plain, indent)
-            assert canonical_json(named[0], indent) == canonical_json(plain[0], indent)
-        assert calls[:2] == [rows, tuple(rows)]
-        # a named tuple beside a dict takes the generic path, item by item
-        calls.clear()
-        mixed = [rows[0], {"i": 1, "j": 2, "kind": "touch-point"}, *rows[1:]]
-        assert canonical_json(mixed, indent) == canonical_json(
-            [r if isinstance(r, dict) else r._asdict() for r in mixed], indent)
-        assert calls == []
+        assert canonical_json(contacts, indent) == canonical_json(plain, indent)
+        assert (canonical_json({"pairs": contacts}, indent)
+                == canonical_json({"pairs": plain}, indent))
+    assert all(c is contacts for c in calls) and len(calls) == (2 if rows else 0)
 
 
 def _plain(value):
-    """value with every PairContact replaced by its dict."""
-    if isinstance(value, PairContact):
-        return value._asdict()
+    """value with every ContactRows replaced by the list of its
+    PairContacts' dicts, read item by item."""
+    if isinstance(value, ContactRows):
+        return [pc._asdict() for pc in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -185,19 +203,46 @@ def _crossing_tetrahedra():
     _crossing_tetrahedra(),
 ], ids=["folded_flat_torus_4x4_folds2", "grid_klein_3x3", "crossing_tetrahedra"])
 def test_certificate_text_matches_generic_path(cx):
-    """The pair lists go into the certificate as PairContact rows; their
-    text is that of the generic writer on dicts, and the counts and the
-    census are those of the lists."""
+    """The pair lists go into the certificate as ContactRows; their text,
+    written from the rows, is that of the generic writer on the dicts of
+    their PairContacts, and the counts and the census are those of the
+    lists."""
     cert = build_certificate(cx)
     imm = cert["immersion"]
     assert imm["pairs"] or imm["local_overlaps"]
+    assert isinstance(imm["pairs"], ContactRows) and isinstance(imm["local_overlaps"], ContactRows)
     with _spy_rows() as calls:
         assert certificate_text(cert) == canonical_json(_plain(cert)) + "\n"
-    assert calls == [c for c in (imm["pairs"], imm["local_overlaps"]) if c]
+    assert [id(c) for c in calls] == [id(c) for c in (imm["pairs"], imm["local_overlaps"]) if c]
     assert imm["pair_count"] == len(imm["pairs"])
     assert imm["local_overlap_count"] == len(imm["local_overlaps"])
     assert imm["kind_census"] == dict(sorted(Counter(p.kind for p in imm["pairs"]).items()))
     assert list(imm["kind_census"]) == sorted(imm["kind_census"])
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec("folded_flat_torus", m=12, n=12, folds=2),
+    GeneratorSpec("grid_klein", m=8, n=8),
+], ids=lambda spec: spec.label)
+def test_certificate_builds_no_pair_contact(spec):
+    """On the contact-rich check meshes, build_certificate and
+    certificate_text build no PairContact: the contacts stay integer rows
+    from the float pass to the text.  Reading a list item by item does
+    build them, which the same spy sees."""
+    cx = generate(spec)
+    refuse = mock.Mock(side_effect=AssertionError("PairContact built"),
+                       **{"_make.side_effect": AssertionError("PairContact built")})
+    with mock.patch.object(intersect, "PairContact", refuse):
+        cert = build_certificate(cx)
+        text = certificate_text(cert)
+        imm = cert["immersion"]
+        assert imm["pair_count"] + imm["local_overlap_count"] > 1000
+        for contacts in (imm["pairs"], imm["local_overlaps"]):
+            with pytest.raises(AssertionError, match="PairContact built"):
+                contacts[0]
+            with pytest.raises(AssertionError, match="PairContact built"):
+                list(contacts)
+    assert text == certificate_text(build_certificate(cx))
 
 
 def test_crossing_tetrahedra_cross_transversally():

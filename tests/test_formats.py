@@ -7,12 +7,14 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatcheck import formats
 from flatcheck import (
     FormatError,
     GeneratorSpec,
@@ -420,13 +422,19 @@ def test_readers_equal_line_by_line_referees(files):
     assert got == expected
 
 
-@pytest.mark.parametrize("token", EDGE_TOKENS)
+# OBJ face reference styles the bulk face parse leaves to the loop:
+# v/vt and v//vn forms, relative, signed and out-of-range references
+OBJ_REFERENCES = ["3/1", "3//1", "3/1/1", "3/", "/3", "-4", "-5", "+03", "0", "5", "03"]
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS + OBJ_REFERENCES)
 @pytest.mark.parametrize("fmt", ["off", "obj", "pair1"])
 @pytest.mark.parametrize("where", ["coordinate", "last coordinate", "index", "last index"])
 def test_edge_tokens_equal_referees(tmp_path, token, fmt, where):
     """Each odd token, as a coordinate or a face index, in the middle of
     its block or at its end, reads as the referee reads it: the fallback
-    parses what float()/int() accept."""
+    parses what float()/int() accept, and each OBJ reference style what
+    the loop over references accepts."""
     coords = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     faces = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
     base = 0 if fmt == "off" else 1
@@ -446,6 +454,26 @@ def test_edge_tokens_equal_referees(tmp_path, token, fmt, where):
                  ".f": "".join(" ".join(r) + "\n" for r in rows)}
     got, expected = _read_both(tmp_path, fmt, texts)
     assert got == expected
+
+
+def test_plain_obj_faces_take_the_bulk_parse(tmp_path, monkeypatch):
+    """Faces of plain 1-based references take one bulk parse, with no call
+    per line; a reference to a vertex declared only after its face line is
+    refused there and named by the loop, as the referee names it."""
+    cx = generate(GeneratorSpec("grid_klein", m=4, n=3))
+    plain, late = tmp_path / "plain.obj", tmp_path / "late.obj"
+    write_obj(cx, plain)
+    lines = plain.read_text().splitlines(keepends=True)
+    first_f = next(k for k, line in enumerate(lines) if line.startswith("f "))
+    late.write_text("".join(lines[:first_f - 1] + lines[first_f:] + lines[first_f - 1:first_f]))
+    expected = _outcome(referee_read_obj, late)
+    assert "out of range" in expected[1]
+    with monkeypatch.context() as mp:
+        mp.setattr(formats, "_obj_face", mock.Mock(side_effect=AssertionError("per-line parse")))
+        loaded = read_obj(plain)
+    assert loaded.complex.faces == cx.faces
+    assert loaded.complex.vertices.tobytes() == cx.vertices.tobytes()
+    assert _outcome(read_obj, late) == expected
 
 
 @pytest.mark.parametrize("wrong,warns", [("truncated", True), ("truncated", False),

@@ -15,6 +15,7 @@ import importlib
 import math
 import random
 import warnings
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -27,6 +28,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
+    ContactRows,
     DegenerateTriangleError,
     GeneratorSpec,
     MeshError,
@@ -229,9 +231,10 @@ def _refinements(corpus_meshes, levels):
 @pytest.mark.parametrize("levels", [0, 1, 2], ids=["triangulated", "barycentric", "barycentric2"])
 def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
     """The soup's array-built cells against referee_cells' loop over the
-    source faces: each face's sorted keys, the edge cell flags, the
-    neighbouring face pairs, and _shared_cells on every box-meeting pair,
-    among them every row the float pass leaves to the exact loop.  The
+    source faces: each face's sorted keys, the edge cell flags, the face
+    pairs that share a vertex cell and those that share an edge cell, and
+    _shared_cells on every box-meeting pair, among them every row the
+    float pass leaves to the exact loop.  The
     barycentric refinements give every source edge a midpoint.  A derived
     vertex that triangles of two source faces use is a vertex cell of
     both, which the float pass takes for granted at a shared corner."""
@@ -254,12 +257,14 @@ def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
         assert soup.edge_cells.tolist() == [
             [(min(tri[k - 2], tri[k - 1]), max(tri[k - 2], tri[k - 1])) in face_edges[f]
              for k in range(3)] for tri, f in zip(corners, faces)]
-        sharing = {}
-        for f, cells in enumerate(face_vertices):
-            for v in cells:
-                sharing.setdefault(v, []).append(f)
-        assert soup.face_neighbours.tolist() == sorted(
-            f * n_faces + g for fs in sharing.values() for f, g in combinations(sorted(fs), 2))
+        for keys, cells in ((soup.face_neighbours, face_vertices),
+                            (soup.edge_neighbours, face_edges)):
+            sharing = {}
+            for f, cell in enumerate(cells):
+                for c in cell:
+                    sharing.setdefault(c, []).append(f)
+            assert keys.tolist() == sorted(f * n_faces + g for fs in sharing.values()
+                                           for f, g in combinations(sorted(fs), 2))
         grid, _ = intersect._grid(soup.points)
         cands = candidate_pairs(build_hierarchy(soup))
         left = {tuple(r) for r in intersect._undecided_rows(soup, cands)[0].tolist()}
@@ -293,6 +298,7 @@ def test_soup_cells_ignore_triangle_order(corpus_meshes, seed, levels):
                 assert (getattr(getattr(got, cells), part).tolist()
                         == getattr(getattr(want, cells), part).tolist())
         assert got.face_neighbours.tolist() == want.face_neighbours.tolist()
+        assert got.edge_neighbours.tolist() == want.edge_neighbours.tolist()
         assert (got.edge_cells.tolist()
                 == np.take_along_axis(want.edge_cells[perm], turn, axis=1).tolist())
 
@@ -972,24 +978,24 @@ def test_most_adjacent_pairs_skip_the_kernel(cx, rows):
     assert kernel.call_count <= 0.02 * report.n_candidates
 
 
-@pytest.mark.parametrize("spec, rows, calls", [
-    (GeneratorSpec("folded_flat_torus", m=12, n=12, folds=2), 88, 88),
-    (GeneratorSpec("grid_klein", m=8, n=8), 32, 32),
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec("folded_flat_torus", m=12, n=12, folds=2),
+    GeneratorSpec("grid_klein", m=8, n=8),
 ], ids=["folded_flat_torus_12x12_folds2", "grid_klein_8x8"])
-def test_contact_kernel_sees_only_touching_pairs(spec, rows, calls):
-    """On the contact-rich check meshes the float pass drops every pair the
-    kernel would find disjoint and decides the coplanar ones itself: of
-    8,048 and 2,868 box-meeting pairs, 88 and 32 reach the exact loop, all
-    neighbours that touch along a segment, and every kernel call there
-    returns a contact."""
+def test_contact_kernel_sees_only_touching_pairs(spec):
+    """On the contact-rich check meshes the float pass decides every one of
+    the 8,048 and 2,868 box-meeting pairs: it drops every pair the kernel
+    would find disjoint, and decides the coplanar ones itself, among them
+    the touch-segments of neighbours that share one corner, which lie
+    beyond the points their faces may share.  No row reaches the exact
+    loop and the contact kernel is never called."""
     soup = _soup_for(spec)
     left, found = [], []
     with mock.patch.object(intersect, "_undecided_rows", _spy(intersect._undecided_rows, left)), \
             mock.patch.object(intersect, "_contact", _spy(intersect._contact, found)):
         report = self_intersections(soup)
-    assert len(left[0][0]) == rows and len(found) == calls
-    assert None not in found
-    assert len(report.pairs) + len(report.local_overlaps) <= len(left[0][0]) + len(left[0][1])
+    assert len(left[0][0]) == len(found) == 0
+    assert len(report.pairs) + len(report.local_overlaps) == len(left[0][1]) > 1000
 
 
 @pytest.mark.parametrize("name", ["folded_flat_torus_12x12_2", "grid_klein_8x8"])
@@ -1006,6 +1012,79 @@ def test_reports_sorted_by_pair(monkeypatch, name):
         for contacts in (report.pairs, report.local_overlaps):
             keys = [(pc.i, pc.j) for pc in contacts]
             assert keys and keys == sorted(set(keys))
+
+
+def _check_contacts_report(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    meshes = importlib.import_module("perfbench.meshes")
+    cx = dict(meshes.WORKLOADS["check_contacts"].meshes)[name]()
+    return self_intersections(triangle_soup(triangulate_faces(cx.unit_scaled()[0])))
+
+
+@pytest.mark.parametrize("name", ["folded_flat_torus_12x12_2", "grid_klein_8x8", "empty"])
+def test_contact_rows_read_as_tuple(monkeypatch, name):
+    """A report's ContactRows reads as the tuple of PairContacts it
+    replaces: length, truth, iteration, indexing from either end, slices,
+    == and != both ways against that tuple (and a list), the hash, and
+    the kind census of the pairs."""
+    if name == "empty":
+        report = self_intersections(_soup_for(GeneratorSpec("cube")))
+    else:
+        report = _check_contacts_report(monkeypatch, name)
+    kinds = ContactRows.kinds
+    for contacts in (report.pairs, report.local_overlaps):
+        rows = contacts.rows.tolist()
+        tup = tuple(intersect.PairContact(i, j, kinds[k]) for i, j, k in rows)
+        assert isinstance(contacts, ContactRows) and not contacts.rows.flags.writeable
+        assert len(contacts) == len(tup) and bool(contacts) == bool(tup)
+        assert tuple(iter(contacts)) == tup
+        assert all(type(pc) is intersect.PairContact for pc in contacts)
+        if tup:
+            assert contacts[0] == tup[0] and contacts[-1] == tup[-1]
+            assert contacts[len(tup) // 2] == tup[len(tup) // 2]
+            assert contacts[np.int64(1 % len(tup))] == tup[1 % len(tup)]
+            with pytest.raises(IndexError):
+                contacts[len(tup)]
+        for cut in (slice(1, 5), slice(None, None, -2), slice(3, 3)):
+            part = contacts[cut]
+            assert isinstance(part, ContactRows)
+            assert part == tup[cut] and tup[cut] == part and tuple(part) == tup[cut]
+        assert contacts == tup and tup == contacts and contacts == list(tup)
+        assert not (contacts != tup) and not (tup != contacts)
+        assert contacts == ContactRows(rows) and hash(contacts) == hash(tup)
+        other = tup[:-1] if tup else (intersect.PairContact(0, 1, "touch-point"),)
+        assert contacts != other and other != contacts and not (contacts == other)
+        assert contacts != "" and contacts != 0
+    assert report.kind_census == dict(Counter(pc.kind for pc in report.pairs))
+    assert all(report.kind_census.values())
+    assert report == replace(report) and hash(report) == hash(replace(report))
+    if name == "empty":
+        assert report.pairs == () and report.local_overlaps == () and not report.intersecting
+
+
+@pytest.mark.parametrize("name", ["folded_flat_torus_12x12_2", "grid_klein_8x8",
+                                  "quad_torus_16x16", "grid_klein_4x4_bary1"])
+def test_undecided_rows_independent_of_block(monkeypatch, name):
+    """The float pass decides each row on its own: blocks of 1, 7 and
+    2,048 rows give the same rows for the loop and the same contacts, in
+    the same order, on the check meshes, on quad_torus 16^2, and on a
+    subdivided Klein grid whose centroids leave the pass's 2^-15 grid."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    meshes = importlib.import_module("perfbench.meshes")
+    builds = dict(meshes.WORKLOADS["check_contacts"].meshes)
+    builds.update(meshes.WORKLOADS["check_embedded"].meshes)
+    if name in builds:
+        refinement = triangulate_faces(builds[name]().unit_scaled()[0])
+    else:
+        refinement = barycentric_subdivision(grid_klein(4, 4))
+    soup = triangle_soup(refinement)
+    cands = candidate_pairs(build_hierarchy(soup))
+    outputs = []
+    for block in (1, 7, 2048):
+        monkeypatch.setattr(intersect, "_ROW_BLOCK", block)
+        outputs.append([a.tolist() for a in intersect._undecided_rows(soup, cands)])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][1] or name == "quad_torus_16x16"
 
 
 def _pair_rows(n):

@@ -12,7 +12,7 @@ from flatcheck import flatness, intersect
 # explicit list, so the package's submodules stay out of a star import.
 # Adding or removing a public name means editing this tuple.
 PUBLIC_NAMES = (
-    "BoundaryMatrices", "CellComplex", "Contact", "DegenerateFaceError",
+    "BoundaryMatrices", "CellComplex", "Contact", "ContactRows", "DegenerateFaceError",
     "DegenerateTriangleError", "FallbackRecord", "FlatnessReport", "FormatError",
     "GeneratorError", "GeneratorSpec", "HalfEdgeMesh", "HomologyProfile", "IntersectionReport",
     "InvalidComplexError", "LinkVerdict", "LoadedMesh", "ManifoldDefect", "MeshError",
@@ -49,7 +49,7 @@ RECORD_FIELDS = {
     flatcheck.CellComplex: ("vertices", "corners", "offsets"),
     flatcheck.Refinement: ("source", "derived", "triangle_sources", "fallbacks"),
     flatcheck.TriangleSoup: ("coords", "corners", "source_face", "points", "face_vertices",
-                             "face_edges", "edge_cells", "face_neighbours"),
+                             "face_edges", "edge_cells", "face_neighbours", "edge_neighbours"),
     intersect.FaceCells: ("offsets", "keys"),
     flatness.FaceTable: ("rel_deviation", "simple", "orientation", "basis", "angles", "turns",
                          "points2d", "degenerate"),
