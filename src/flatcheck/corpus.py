@@ -194,7 +194,7 @@ def folded_flat_torus(m: int, n: int, folds: int) -> CellComplex:
     Both zigzags have unit slope, so every edge keeps its length and every
     angle its size: all faces stay planar and every vertex keeps angle
     defect zero.  On the fold lines the map doubles back, so vertex links
-    there are not embedded; see fold_vertex_ids.
+    there are not embedded.
     """
     if folds < 2 or folds % 2 != 0:
         raise GeneratorError(f"folds must be even and >= 2, got {folds}")
@@ -213,15 +213,6 @@ def folded_flat_torus(m: int, n: int, folds: int) -> CellComplex:
         return (j % n) * m + (i % m)
 
     return build_complex(v, _grid_triangles(m, n, cls))
-
-
-def fold_vertex_ids(m: int, n: int, folds: int) -> frozenset[int]:
-    """Vertices of folded_flat_torus(m, n, folds) lying on a fold line."""
-    lm, ln = m // folds, n // folds
-    return frozenset(
-        j * m + i for j in range(n) for i in range(m)
-        if i % lm == 0 or j % ln == 0
-    )
 
 
 def doubled_cone(total_angle: float, segments: int | None = None) -> CellComplex:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mesh import CellComplex, HalfEdgeMesh, MeshError, euler_characteristic
-from .predicates import orient2d, orient2d_rows
+from .predicates import cross, dot, orient2d, orient2d_rows, sub
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -277,22 +277,6 @@ def face_geometries(complex: CellComplex) -> FaceTable:
 Vec3 = tuple[float, float, float]
 
 
-def _sub(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _dot(a: Vec3, b: Vec3) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a: Vec3, b: Vec3) -> Vec3:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def _norm(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
@@ -302,21 +286,20 @@ def _divided(a: Vec3, s: float) -> Vec3:
 
 
 def _angular_distance(a: Vec3, b: Vec3) -> float:
-    return math.atan2(_norm(_cross(a, b)), _dot(a, b))
+    return math.atan2(_norm(cross(a, b)), dot(a, b))
 
 
 def _rotate(p: Vec3, axis: Vec3, angle: float) -> Vec3:
     """Rodrigues rotation of p around the unit axis."""
     c, s = math.cos(angle), math.sin(angle)
-    k = _cross(axis, p)
-    t = _dot(axis, p) * (1.0 - c)
+    k = cross(axis, p)
+    t = dot(axis, p) * (1.0 - c)
     return (p[0] * c + k[0] * s + axis[0] * t,
             p[1] * c + k[1] * s + axis[1] * t,
             p[2] * c + k[2] * s + axis[2] * t)
 
 
-@dataclass(frozen=True)
-class LinkArc:
+class LinkArc(NamedTuple):
     """Great-circle arc of a vertex link: one face corner seen on the sphere.
 
     The arc starts at `start`, sweeps `length` radians counterclockwise
@@ -372,7 +355,7 @@ def _link(mesh: HalfEdgeMesh, vertex: int, table: FaceTable, stars: _Stars) -> S
 
     directions: list[Vec3] = []
     for u, end in zip(neighbors, ends):
-        d = _sub(end, pos_v)
+        d = sub(end, pos_v)
         norm = _norm(d)
         if norm == 0.0:
             raise DegenerateFaceError(
@@ -403,24 +386,24 @@ def _link(mesh: HalfEdgeMesh, vertex: int, table: FaceTable, stars: _Stars) -> S
             # the midpoint construction below.
             b0, b1 = table.basis[f].tolist()
             w3 = (wx * b0[0] + wy * b1[0], wx * b0[1] + wy * b1[1], wx * b0[2] + wy * b1[2])
-            along = _dot(w3, d_start)
-            w3 = _sub(w3, (d_start[0] * along, d_start[1] * along, d_start[2] * along))
+            along = dot(w3, d_start)
+            w3 = sub(w3, (d_start[0] * along, d_start[1] * along, d_start[2] * along))
             nw = _norm(w3)
             if nw <= _PARALLEL_GUARD:
                 raise DegenerateFaceError(
                     f"face {f}: cannot orient straight corner {c - first} from its plane"
                 )
-            axis = _cross(d_start, _divided(w3, nw))
+            axis = cross(d_start, _divided(w3, nw))
             axis = _divided(axis, _norm(axis))
         else:
-            cross = _cross(d_start, d_end)
-            nc = _norm(cross)
+            normal = cross(d_start, d_end)
+            nc = _norm(normal)
             if nc <= _PARALLEL_GUARD:
                 # Directions (anti)parallel away from a straight corner:
                 # a zero-angle spike; callers flag it via the embedding test.
                 axis = tuple(_any_perpendicular(np.array([d_start]))[0].tolist())
             else:
-                axis = _divided(cross, nc)
+                axis = _divided(normal, nc)
             if theta > math.pi:
                 axis = (-axis[0], -axis[1], -axis[2])
         arcs.append(LinkArc(start=d_start, end=d_end, axis=axis, length=theta))
@@ -450,8 +433,8 @@ class _SubArc(NamedTuple):
     parent: int
 
 
-def _split_arcs(arcs: list[tuple[Vec3, Vec3, Vec3, float]]) -> list[_SubArc]:
-    """Cut every (start, end, axis, length) arc into pieces of length < pi/2.
+def _split_arcs(arcs: tuple[LinkArc, ...]) -> list[_SubArc]:
+    """Cut every arc into pieces of length < pi/2.
 
     Short pieces make the containment predicates unambiguous (a sub-arc
     never wraps past the antipode of its start), without changing the
@@ -464,14 +447,14 @@ def _split_arcs(arcs: list[tuple[Vec3, Vec3, Vec3, float]]) -> list[_SubArc]:
         p = start
         for j in range(pieces):
             q = end if j == pieces - 1 else _rotate(start, axis, step * (j + 1))
-            subs.append(_SubArc(p, q, axis, _cross(axis, p), step, idx))
+            subs.append(_SubArc(p, q, axis, cross(axis, p), step, idx))
             p = q
     return subs
 
 
-def _arc_frame_angle(p: Vec3, sub: _SubArc) -> float:
-    """Angle of p around sub's axis, measured from sub.start, in [0, 2*pi)."""
-    ang = math.atan2(_dot(p, sub.frame), _dot(p, sub.start))
+def _arc_frame_angle(p: Vec3, arc: _SubArc) -> float:
+    """Angle of p around arc's axis, measured from arc.start, in [0, 2*pi)."""
+    ang = math.atan2(dot(p, arc.frame), dot(p, arc.start))
     return ang + TWO_PI if ang < 0.0 else ang
 
 
@@ -481,14 +464,14 @@ def _subarc_contact(a: _SubArc, b: _SubArc, guard: float):
     Sign tests on triple products decide containment; guard only absorbs
     rounding at configuration boundaries (shared circles, shared endpoints).
     """
-    axis_cross = _cross(a.axis, b.axis)
+    axis_cross = cross(a.axis, b.axis)
     nc = _norm(axis_cross)
     if nc <= guard:
         # Same great circle (axes parallel or antiparallel): compare the
         # two angular intervals in a's frame.  b covers lo..lo+length going
         # counterclockwise around a's axis, starting from whichever of its
         # endpoints is the counterclockwise start.
-        same_way = _dot(b.axis, a.axis) > 0.0
+        same_way = dot(b.axis, a.axis) > 0.0
         lo = _arc_frame_angle(b.start if same_way else b.end, a)
         pieces = [(lo, lo + b.length)]
         if lo + b.length > TWO_PI:
@@ -509,18 +492,14 @@ def _subarc_contact(a: _SubArc, b: _SubArc, guard: float):
     return None
 
 
-def _contains(sub: _SubArc, p: Vec3, guard: float) -> bool:
+def _contains(arc: _SubArc, p: Vec3, guard: float) -> bool:
     """Is p on the sub-arc (inclusive of endpoints, up to guard)?"""
-    if abs(_dot(p, sub.axis)) > guard:
+    if abs(dot(p, arc.axis)) > guard:
         return False
-    ang = _arc_frame_angle(p, sub)
+    ang = _arc_frame_angle(p, arc)
     if ang > math.pi:
         ang -= TWO_PI   # treat near-start wraparound as small negative
-    return -guard <= ang <= sub.length + guard
-
-
-def _vec(v) -> Vec3:
-    return tuple(map(float, v))
+    return -guard <= ang <= arc.length + guard
 
 
 def link_is_embedded(link: SphericalLink, tol: float = 1e-9) -> LinkVerdict:
@@ -531,8 +510,7 @@ def link_is_embedded(link: SphericalLink, tol: float = 1e-9) -> LinkVerdict:
     arcs meeting only at their shared endpoint(s).  The witness names the
     first offending feature.
     """
-    directions = [_vec(d) for d in link.directions]
-    arcs = [(_vec(a.start), _vec(a.end), _vec(a.axis), float(a.length)) for a in link.arcs]
+    directions, arcs = link.directions, link.arcs
     n = len(directions)
     if n < 2:
         return LinkVerdict(link.vertex, False, "fewer than two link vertices")
@@ -578,11 +556,11 @@ def link_is_embedded(link: SphericalLink, tol: float = 1e-9) -> LinkVerdict:
             # allowance grows by that rounding.
             allowed = []
             if (pb - pa) % n_arcs == 1:
-                allowed.append(arcs[pa][1])
+                allowed.append(arcs[pa].end)
             if (pa - pb) % n_arcs == 1:
-                allowed.append(arcs[pb][1])
+                allowed.append(arcs[pb].end)
             slack = max(tol, 1e-9)
-            crossing = _norm(_cross(a.axis, b.axis))
+            crossing = _norm(cross(a.axis, b.axis))
             if crossing > guard:
                 slack += 16.0 * sys.float_info.epsilon / crossing
             if not any(_angular_distance(payload, q) <= slack for q in allowed):

@@ -158,10 +158,9 @@ def read_off(path: str | Path) -> LoadedMesh:
     linenos, lines, source = _data_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty file")
-    header = lines[0]
-    if not header.startswith("OFF"):
-        _fail(path, linenos[0], f"expected OFF header, got {header.split()[0]!r}")
-    tokens = header[3:].split()
+    first, *tokens = lines[0].split()
+    if first != "OFF":
+        _fail(path, linenos[0], f"expected OFF header, got {first!r}")
     body = 1
     if not tokens:
         if len(lines) < 2:

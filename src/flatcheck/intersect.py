@@ -59,8 +59,8 @@ import numpy as np
 
 from .mesh import InvalidComplexError, MeshError
 from .predicates import (KINDS, NO_CONTACT, OVERLAP, PLANE, TOUCH_SEGMENT, area_signs,
-                         coplanar_kinds, edge_separated, filter_scaled, normals, off_plane,
-                         on_grid, plane_values)
+                         coplanar_kinds, cross, dot, edge_separated, filter_scaled, normals,
+                         off_plane, on_grid, plane_values, sub, to_grid)
 from .refine import Refinement
 
 
@@ -82,14 +82,6 @@ class FaceCells:
 
     def __getitem__(self, face: int) -> np.ndarray:
         return self.keys[self.offsets[face]:self.offsets[face + 1]]
-
-    def of(self, faces: np.ndarray) -> np.ndarray:
-        """The keys of the given faces, face after face."""
-        starts = self.offsets[faces]
-        counts = self.offsets[faces + 1] - starts
-        # each key's place in the output, moved to its place in keys
-        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        return self.keys[np.arange(counts.sum()) + shift]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +184,7 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
     unproved = np.flatnonzero(~area_signs(*normals(scaled)).any(axis=1) | unusable)
     grid = _grid(coords[unproved].reshape(-1, 3))[0] if unproved.size else []
     bad = [t for t, k in zip(unproved.tolist(), range(0, len(grid), 3))
-           if _cross(_sub(grid[k + 1], grid[k]), _sub(grid[k + 2], grid[k])) == (0, 0, 0)]
+           if cross(sub(grid[k + 1], grid[k]), sub(grid[k + 2], grid[k])) == (0, 0, 0)]
     if bad:
         raise DegenerateTriangleError(
             f"{len(bad)} zero-area derived triangle(s), first at index {bad[0]}"
@@ -423,30 +415,12 @@ def _grid(values: np.ndarray) -> tuple[list[Hom], int]:
     """Rows of an (m, 3) float array as grid points (X, Y, Z, 1): the row is
     (X, Y, Z) / 2^s, exactly, with s the largest binary exponent that any
     coordinate's n / 2^k needs."""
-    ratios = [x.as_integer_ratio() for x in values.ravel().tolist()]
-    s = max((d.bit_length() - 1 for _, d in ratios), default=0)
-    ints = [n << (s - d.bit_length() + 1) for n, d in ratios]
+    ints, s = to_grid(values.ravel().tolist())
     return [(*ints[k:k + 3], 1) for k in range(0, len(ints), 3)], s
 
 
-def _sub(a, b) -> IVec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _cross(a, b) -> IVec3:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot(a, b) -> int:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _triangle(c0: Hom, c1: Hom, c2: Hom) -> Tri:
-    n = _cross(_sub(c1, c0), _sub(c2, c0))
+    n = cross(sub(c1, c0), sub(c2, c0))
     axis = _dominant_axis(n)
     i, j = PLANE[axis]
     # the projection's doubled signed area is n[axis]
@@ -456,7 +430,7 @@ def _triangle(c0: Hom, c1: Hom, c2: Hom) -> Tri:
         p, q = ring[e], ring[(e + 1) % 3]
         ex, ey = q[i] - p[i], q[j] - p[j]
         clip.append((ex, ey, ex * p[j] - ey * p[i]))
-    return c0, c1, c2, n, _dot(n, c0), axis, tuple(clip)
+    return c0, c1, c2, n, dot(n, c0), axis, tuple(clip)
 
 
 def _hom(x: int, y: int, z: int, w: int) -> Hom:
@@ -550,38 +524,29 @@ def _below(x, y) -> bool:
     return x[0] * y[1] < y[0] * x[1]
 
 
-def _collinear_extremes(pts: list[Hom]) -> tuple[Hom, Hom]:
-    """The two extreme points of distinct collinear points."""
-    base, ref = pts[0], pts[1]
-    d = tuple(ref[k] * base[3] - base[k] * ref[3] for k in range(3))
-    lo = hi = (_dot(d, base), base[3], base)
-    for p in pts[1:]:
-        key = (_dot(d, p), p[3], p)
-        if _below(key, lo):
-            lo = key
-        if _below(hi, key):
-            hi = key
-    return lo[2], hi[2]
-
-
 def _one_sign(d: tuple[int, int, int]) -> bool:
     """True when every plane value is strictly positive, or every one is
     strictly negative: the triangle lies off the plane, on one side."""
     return (d[0] > 0 and d[1] > 0 and d[2] > 0) or (d[0] < 0 and d[1] < 0 and d[2] < 0)
 
 
-def _span(section: list[Hom], u: IVec3):
-    """The ends of a section (one or two points) along u, low end first,
-    each as (u . P, W, point): its value along u is the fraction u . P / W."""
-    p, q = section[0], section[-1]
-    lo, hi = (_dot(u, p), p[3], p), (_dot(u, q), q[3], q)
-    return (hi, lo) if _below(hi, lo) else (lo, hi)
+def _span(pts: list[Hom], u: IVec3):
+    """The lowest and highest of pts along u, each as (u . P, W, point):
+    its value along u is the fraction u . P / W."""
+    lo = hi = (dot(u, pts[0]), pts[0][3], pts[0])
+    for p in pts[1:]:
+        key = (dot(u, p), p[3], p)
+        if _below(key, lo):
+            lo = key
+        if _below(hi, key):
+            hi = key
+    return lo, hi
 
 
 def _plane_values(t: Tri, c: Tri) -> tuple[int, int, int]:
     """c's corners against t's plane: n . corner - n . t's corner 0."""
     n, o = t[3], t[4]
-    return (_dot(n, c[0]) - o, _dot(n, c[1]) - o, _dot(n, c[2]) - o)
+    return (dot(n, c[0]) - o, dot(n, c[1]) - o, dot(n, c[2]) - o)
 
 
 def _contact(a: Tri, b: Tri) -> tuple[str, tuple[Hom, ...]] | None:
@@ -602,10 +567,10 @@ def _contact(a: Tri, b: Tri) -> tuple[str, tuple[Hom, ...]] | None:
             return "coplanar-overlap", tuple(poly)
         if len(poly) == 1:
             return "touch-point", (poly[0],)
-        lo, hi = _collinear_extremes(poly)
-        if lo == hi:
-            return "touch-point", (lo,)
-        return "touch-segment", (lo, hi)
+        # distinct points on one line: their extremes along it differ
+        p, q = poly[0], poly[1]
+        lo, hi = _span(poly, tuple(q[k] * p[3] - p[k] * q[3] for k in range(3)))
+        return "touch-segment", (lo[2], hi[2])
     if _one_sign(dq):
         return None
 
@@ -614,7 +579,7 @@ def _contact(a: Tri, b: Tri) -> tuple[str, tuple[Hom, ...]] | None:
         return None
     # neither vector is one-signed or all zero, so both sections are
     # non-empty: a point or a segment on the line the two planes share
-    u = _cross(n1, b[3])
+    u = cross(n1, b[3])
     lo1, hi1 = _span(_plane_section(a, dp), u)
     lo2, hi2 = _span(_plane_section(b, dq), u)
     lo = lo2 if _below(lo1, lo2) else lo1
@@ -665,12 +630,12 @@ def triangle_contact(p: np.ndarray, q: np.ndarray) -> Contact | None:
 # shared-cell exclusion, on integer points of one common grid
 
 def _point_on_segment(p: IVec3, s0: IVec3, s1: IVec3) -> bool:
-    d = _sub(s1, s0)
-    w = _sub(p, s0)
-    if _cross(w, d) != (0, 0, 0):
+    d = sub(s1, s0)
+    w = sub(p, s0)
+    if cross(w, d) != (0, 0, 0):
         return False
-    t = _dot(w, d)
-    return 0 <= t <= _dot(d, d)
+    t = dot(w, d)
+    return 0 <= t <= dot(d, d)
 
 
 def _point_allowed(p: IVec3, pts: list[IVec3], segs: list[tuple[IVec3, IVec3]]) -> bool:
@@ -681,17 +646,17 @@ def _point_allowed(p: IVec3, pts: list[IVec3], segs: list[tuple[IVec3, IVec3]]) 
 
 def _segment_allowed(p: IVec3, q: IVec3, segs: list[tuple[IVec3, IVec3]]) -> bool:
     """True when the whole segment [p, q] lies inside the union of segs."""
-    d = _sub(q, p)
+    d = sub(q, p)
     intervals = []
     for s0, s1 in segs:
-        if _cross(_sub(s0, p), d) != (0, 0, 0) or _cross(_sub(s1, p), d) != (0, 0, 0):
+        if cross(sub(s0, p), d) != (0, 0, 0) or cross(sub(s1, p), d) != (0, 0, 0):
             continue
-        t0, t1 = _dot(_sub(s0, p), d), _dot(_sub(s1, p), d)
+        t0, t1 = dot(sub(s0, p), d), dot(sub(s1, p), d)
         intervals.append((min(t0, t1), max(t0, t1)))
     if not intervals:
         return False
     intervals.sort()
-    need_lo, need_hi = 0, _dot(d, d)
+    need_lo, need_hi = 0, dot(d, d)
     covered = need_lo
     for lo, hi in intervals:
         if lo > covered:
@@ -831,19 +796,8 @@ def self_intersections(
     cands = candidate_pairs(boxes)
     rows, decided = _undecided_rows(soup, cands)
     corners, faces = soup.corners.tolist(), soup.source_face.tolist()
-    named = np.flatnonzero(np.bincount(rows.ravel(), minlength=len(corners)))
-    # the loop reads the grid points of the named triangles' corners and of
-    # their source faces' cells only
-    cells = soup.face_vertices.of(np.flatnonzero(np.bincount(
-        soup.source_face[named], minlength=len(soup.face_vertices))))
-    ids = np.flatnonzero(np.bincount(np.concatenate((soup.corners[named].ravel(), cells)),
-                                     minlength=len(soup.points)))
-    grid = dict(zip(ids.tolist(), _grid(soup.points[ids])[0]))
-    named = named.tolist()
-    tris: list[Tri | None] = [None] * len(corners)
-    for t in named:
-        a, b, c = corners[t]
-        tris[t] = _triangle(grid[a], grid[b], grid[c])
+    grid = _grid(soup.points)[0] if len(rows) else []
+    tris = {t: _triangle(*(grid[c] for c in corners[t])) for t in set(rows.ravel().tolist())}
     loop = []
     for i, j in rows.tolist():
         found = _contact(tris[i], tris[j])

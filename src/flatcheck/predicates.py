@@ -8,10 +8,12 @@ coordinates put on one grid 2^-s are integers, and the returned sign is
 always the true sign of the determinant of the given coordinates.
 orient2d_rows gives the same sign for every row of three point arrays,
 with the exact test only for the rows the float guard leaves undecided.
-Refinement and flatness take their 2-d turns from them; intersect
-computes its own exact signs in integers, both the narrow phase's and
-the soup's zero-area test for the triangles the batched filter below
-leaves uncertain.
+Refinement and flatness take their 2-d turns from them.  to_grid is the
+one conversion of doubles to integers on a common grid; orient2d_exact
+and intersect's exact stages use it (the narrow phase, and the soup's
+zero-area test for the triangles the batched filter below leaves
+uncertain).  sub, cross and dot are the tuple 3-vector operations of
+those integer stages and of flatness's float link tests.
 
 The batched filters compute plane and edge-line signs over whole arrays of
 triangles in float64 with Shewchuk's static bounds ("Adaptive Precision
@@ -83,11 +85,34 @@ def orient2d_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def orient2d_exact(a, b, c) -> int:
-    ratios = [float(x).as_integer_ratio() for x in (a[0], a[1], b[0], b[1], c[0], c[1])]
-    s = max(d.bit_length() for _, d in ratios)    # denominators are powers of two
-    ax, ay, bx, by, cx, cy = (n << (s - d.bit_length()) for n, d in ratios)
+    (ax, ay, bx, by, cx, cy), _ = to_grid((a[0], a[1], b[0], b[1], c[0], c[1]))
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (det > 0) - (det < 0)
+
+
+def to_grid(values) -> tuple[list[int], int]:
+    """Finite doubles as integers on one grid: value k is ints[k] / 2^s,
+    exactly, with s the largest binary exponent that any value's n / 2^k
+    needs."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    s = max((d.bit_length() - 1 for _, d in ratios), default=0)    # d is a power of two
+    return [n << (s - d.bit_length() + 1) for n, d in ratios], s
+
+
+def sub(a, b) -> tuple:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def cross(a, b) -> tuple:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 _EPS = 2.0 ** -53

@@ -81,6 +81,15 @@ def total_area(complex: CellComplex) -> float:
     return math.fsum(face_area(complex, f) for f in range(complex.n_faces))
 
 
+def fold_vertex_ids(m: int, n: int, folds: int) -> frozenset[int]:
+    """Vertices of folded_flat_torus(m, n, folds) lying on a fold line."""
+    lm, ln = m // folds, n // folds
+    return frozenset(
+        j * m + i for j in range(n) for i in range(m)
+        if i % lm == 0 or j % ln == 0
+    )
+
+
 def vertex_link(mesh, v):
     """The spherical link flatness_report builds for vertex v."""
     return flatness._link(mesh, v, flatness.face_geometries(mesh.complex), flatness._stars(mesh))
@@ -553,9 +562,9 @@ def referee_read_off(path):
         raise FormatError(f"{path}: empty file")
     lineno, header = lines[0]
     rest = lines[1:]
-    if not header.startswith("OFF"):
-        _referee_fail(path, lineno, f"expected OFF header, got {header.split()[0]!r}")
-    tail = header[3:].split()
+    first, *tail = header.split()
+    if first != "OFF":
+        _referee_fail(path, lineno, f"expected OFF header, got {first!r}")
     if tail:
         counts_line = (lineno, tail)
     else:

@@ -42,10 +42,9 @@ from flatcheck import (
     triangulate_faces,
     link_is_embedded,
 )
-from flatcheck.corpus import fold_vertex_ids
 from flatcheck.cli import main as cli_main
 
-from conftest import brute_report, independent_soup, total_area
+from conftest import brute_report, fold_vertex_ids, independent_soup, total_area
 
 
 def _gate(n: int, detail: str) -> None:

@@ -20,7 +20,8 @@ from flatcheck import (
     orientability,
     standard_corpus,
 )
-from flatcheck.corpus import fold_vertex_ids
+
+from conftest import fold_vertex_ids
 
 
 def _topology(cx):

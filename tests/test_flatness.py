@@ -39,11 +39,11 @@ from flatcheck import (
     triangulate_faces,
 )
 from flatcheck import certificate, flatness, refine
-from flatcheck.corpus import doubled_cone, fold_vertex_ids, folded_flat_torus
+from flatcheck.corpus import doubled_cone, folded_flat_torus
 from flatcheck.flatness import face_geometries
 
-from conftest import (TWO_PI, cube, grid_torus, random_rotation, referee_manifold, tetra,
-                      vertex_link)
+from conftest import (TWO_PI, cube, fold_vertex_ids, grid_torus, random_rotation,
+                      referee_manifold, tetra, vertex_link)
 
 LIFTED_SQUARE = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.1], [0.0, 1.0, 0.0]]
@@ -626,12 +626,22 @@ def _crosses(a, samples, b, margin=1e-7):
     return False
 
 
+def _jittered_fold_link():
+    """Fold vertex 11's link on the folded torus 4x4 with two folds, its
+    vertices moved by a normal jitter of scale 1e-9 (seed 0)."""
+    base = folded_flat_torus(4, 4, 2)
+    jitter = np.random.default_rng(0).normal(scale=1e-9, size=base.vertices.shape)
+    return vertex_link(check_closed_manifold(build_complex(base.vertices + jitter, base.faces)), 11)
+
+
 def test_sampling_oracle_decides_both_ways():
     cone = check_closed_manifold(doubled_cone(2 * math.pi, 8))
     assert _oracle_decision(vertex_link(cone, 0)) is True
     assert _oracle_decision(vertex_link(cone, 2)) is False
     folded = check_closed_manifold(folded_flat_torus(4, 4, 2))
     assert _oracle_decision(vertex_link(folded, 6)) is False
+    jittered = _jittered_fold_link()
+    assert _oracle_decision(jittered) is False and _oracle_decision(jittered, 32) is False
     torus = check_closed_manifold(grid_torus(4, 5))
     assert all(_oracle_decision(vertex_link(torus, v)) is True for v in range(20))
 
@@ -662,6 +672,17 @@ def test_link_verdict_matches_sampling_oracle(data):
     expect = _oracle_decision(link)
     if expect is not None:
         assert link_is_embedded(link).embedded == expect
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect, a FOUND line in CHANGES.md: link_is_embedded calls a fold vertex's link embedded on the"
+    " folded torus jittered by 1e-9, where sampling finds a contact; adjacent"
+    " arcs fold back at an angle near the guard and their computed crossing"
+    " fails _contains's off-circle test"))
+def test_jittered_fold_link_matches_sampling_oracle():
+    """The oracle finds a contact on this link (see
+    test_sampling_oracle_decides_both_ways)."""
+    assert not link_is_embedded(_jittered_fold_link()).embedded
 
 
 def test_link_witnesses_pinned():

@@ -89,14 +89,19 @@ def test_off_header_with_counts(tmp_path):
         ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", "face"),
         ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n", "face"),
         ("OFF\n4 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", ""),
+        # a header that merely starts with OFF is not one
+        ("OFF3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", ":1: expected OFF header, got 'OFF3'"),
+        ("OFFSET 3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+         ":1: expected OFF header, got 'OFFSET'"),
     ],
 )
 def test_off_diagnostics(tmp_path, text, fragment):
     path = tmp_path / "bad.off"
     path.write_text(text)
-    with pytest.raises(FormatError) as exc:
-        read_off(path)
-    assert fragment in str(exc.value)
+    for reader in (read_off, referee_read_off):
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert fragment in str(exc.value)
 
 
 def test_off_reports_line_numbers(tmp_path):

@@ -53,6 +53,8 @@ RECORD_FIELDS = {
     intersect.FaceCells: ("offsets", "keys"),
     flatness.FaceTable: ("rel_deviation", "simple", "orientation", "basis", "angles", "turns",
                          "points2d", "degenerate"),
+    flatness.LinkArc: ("start", "end", "axis", "length"),
+    flatcheck.SphericalLink: ("vertex", "directions", "arcs"),
     flatcheck.FlatnessReport: ("rel_deviation", "simple", "defects", "links", "defect_total",
                                "gauss_bonnet_reference", "gauss_bonnet_residual",
                                "tolerances"),
