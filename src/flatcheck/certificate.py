@@ -9,6 +9,7 @@ produce byte-identical text.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -141,11 +142,7 @@ def build_certificate(
         "tool": {
             "name": TOOL_NAME,
             "version": TOOL_VERSION,
-            "tolerances": {
-                "planarity_tol": tol.planarity_tol,
-                "defect_tol": tol.defect_tol,
-                "link_tol": tol.link_tol,
-            },
+            "tolerances": asdict(tol),
         },
         "input": {
             "sources": [{"path": p, "sha256": h} for p, h in sources],

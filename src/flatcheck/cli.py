@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .certificate import build_certificate, certificate_text, write_certificate
-from .corpus import GeneratorError, GeneratorSpec, generate
+from .corpus import GENERATORS, GeneratorError, GeneratorSpec, generate
 from .flatness import ToleranceProfile
 from .formats import FormatError, LoadedMesh, read_mesh, write_mesh
 from .mesh import MeshError
@@ -73,9 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", required=True, help="output mesh path (.off/.obj)")
 
     p = sub.add_parser("generate", help="emit a built-in test surface")
-    p.add_argument("kind", help="tetrahedron | cube | icosahedron | grid_torus m n | "
-                                "grid_klein m n | folded_flat_torus m n folds | "
-                                "doubled_cone angle [segments]")
+    p.add_argument("kind", help=" | ".join(map(_usage, GENERATORS)))
     p.add_argument("params", nargs="*", help="numeric parameters for the kind")
     p.add_argument("-o", "--output", required=True, help="output mesh path (.off/.obj)")
     return parser
@@ -87,42 +85,26 @@ def _load(args) -> LoadedMesh:
 
 
 def _tolerances(args) -> ToleranceProfile:
-    return ToleranceProfile(
-        planarity_tol=args.planarity_tol,
-        defect_tol=args.defect_tol,
-        link_tol=args.link_tol,
-    )
+    return ToleranceProfile(**{f.name: getattr(args, f.name) for f in fields(ToleranceProfile)})
+
+
+def _usage(kind: str) -> str:
+    """kind and the parameters it takes, an optional one in brackets."""
+    _, params, required = GENERATORS[kind]
+    return " ".join([kind] + [n if k < required else f"[{n}]" for k, (n, _) in enumerate(params)])
 
 
 def _spec_from_params(kind: str, params: list[str]) -> GeneratorSpec:
-    def ints(n):
-        if len(params) != n:
-            raise GeneratorError(f"{kind} takes {n} integer parameter(s), got {len(params)}")
-        try:
-            return [int(p) for p in params]
-        except ValueError:
-            raise GeneratorError(f"{kind} parameters must be integers: {params}")
-
-    if kind in ("tetrahedron", "cube", "icosahedron"):
-        if params:
-            raise GeneratorError(f"{kind} takes no parameters")
-        return GeneratorSpec(kind)
-    if kind in ("grid_torus", "grid_klein"):
-        m, n = ints(2)
-        return GeneratorSpec(kind, m=m, n=n)
-    if kind == "folded_flat_torus":
-        m, n, folds = ints(3)
-        return GeneratorSpec(kind, m=m, n=n, folds=folds)
-    if kind == "doubled_cone":
-        if len(params) not in (1, 2):
-            raise GeneratorError("doubled_cone takes: total_angle [segments]")
-        try:
-            angle = float(params[0])
-            segments = int(params[1]) if len(params) == 2 else None
-        except ValueError:
-            raise GeneratorError(f"bad doubled_cone parameters: {params}")
-        return GeneratorSpec(kind, total_angle=angle, segments=segments)
-    raise GeneratorError(f"unknown generator kind {kind!r}")
+    if kind not in GENERATORS:
+        raise GeneratorError(f"unknown generator kind {kind!r}")
+    _, takes, required = GENERATORS[kind]
+    try:
+        if required <= len(params) <= len(takes):
+            return GeneratorSpec(kind, **{name: parse(text)
+                                          for (name, parse), text in zip(takes, params)})
+    except ValueError:
+        pass    # a parameter that does not parse is the same usage error
+    raise GeneratorError(f"expected {_usage(kind)}, got {' '.join([kind, *params])}")
 
 
 def _flag(ok: bool | None) -> str:

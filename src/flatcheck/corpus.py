@@ -33,6 +33,13 @@ def _check_face_count(kind: str, n_faces: int) -> None:
         raise GeneratorError(f"{kind} would have {n_faces} faces, more than {_MAX_FACES}")
 
 
+def _check_grid(kind: str, m: int, n: int) -> None:
+    if m < 3 or n < 3:
+        # smaller quotients duplicate edges, which the manifold check rejects
+        raise GeneratorError(f"{kind} needs m, n >= 3, got {m}x{n}")
+    _check_face_count(kind, 2 * m * n)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Which surface to build and with what parameters."""
@@ -58,36 +65,13 @@ class GeneratorSpec:
 
 def generate(spec: GeneratorSpec) -> CellComplex:
     """Build the surface a GeneratorSpec describes."""
-    kind = spec.kind
-    if kind == "tetrahedron":
-        return tetrahedron()
-    if kind == "cube":
-        return cube()
-    if kind == "icosahedron":
-        return icosahedron()
-    if kind == "grid_torus":
-        return grid_torus(_require_grid(spec))
-    if kind == "grid_klein":
-        return grid_klein(_require_grid(spec))
-    if kind == "folded_flat_torus":
-        m, n = _require_grid(spec)
-        if spec.folds is None:
-            raise GeneratorError("folded_flat_torus needs folds")
-        return folded_flat_torus(m, n, spec.folds)
-    if kind == "doubled_cone":
-        if spec.total_angle is None:
-            raise GeneratorError("doubled_cone needs total_angle")
-        return doubled_cone(spec.total_angle, spec.segments)
-    raise GeneratorError(f"unknown generator kind {kind!r}")
-
-
-def _require_grid(spec: GeneratorSpec) -> tuple[int, int]:
-    if spec.m is None or spec.n is None:
-        raise GeneratorError(f"{spec.kind} needs grid sizes m and n")
-    if spec.m < 3 or spec.n < 3:
-        # smaller quotients duplicate edges, which the manifold check rejects
-        raise GeneratorError(f"{spec.kind} needs m, n >= 3, got {spec.m}x{spec.n}")
-    return spec.m, spec.n
+    if spec.kind not in GENERATORS:
+        raise GeneratorError(f"unknown generator kind {spec.kind!r}")
+    build, params, required = GENERATORS[spec.kind]
+    values = [getattr(spec, name) for name, _ in params]
+    if None in values[:required]:
+        raise GeneratorError(f"{spec.kind} needs {', '.join(n for n, _ in params[:required])}")
+    return build(*values)
 
 
 def tetrahedron() -> CellComplex:
@@ -143,7 +127,7 @@ def grid_torus(mn: tuple[int, int]) -> CellComplex:
     """Triangulated m x n torus grid on the round embedded torus of radii
     2 and 1."""
     m, n = mn
-    _check_face_count("grid_torus", 2 * m * n)
+    _check_grid("grid_torus", m, n)
     v = np.zeros((m * n, 3), dtype=np.float64)
     for j in range(n):
         phi = 2.0 * math.pi * j / n
@@ -173,7 +157,7 @@ def grid_klein(mn: tuple[int, int]) -> CellComplex:
     are meaningful for this surface.
     """
     m, n = mn
-    _check_face_count("grid_klein", 2 * m * n)
+    _check_grid("grid_klein", m, n)
     v = np.array([[i, j, 0.0] for j in range(n) for i in range(m)], dtype=np.float64)
 
     def cls(i: int, j: int) -> int:
@@ -200,9 +184,7 @@ def folded_flat_torus(m: int, n: int, folds: int) -> CellComplex:
         raise GeneratorError(f"folds must be even and >= 2, got {folds}")
     if m % folds != 0 or n % folds != 0:
         raise GeneratorError(f"folds must divide both grid sizes, got {m}x{n} with {folds}")
-    if m < 3 or n < 3:
-        raise GeneratorError(f"folded_flat_torus needs m, n >= 3, got {m}x{n}")
-    _check_face_count("folded_flat_torus", 2 * m * n)
+    _check_grid("folded_flat_torus", m, n)
     lm, ln = m // folds, n // folds
     v = np.array(
         [[_zigzag(i, folds, lm), _zigzag(j, folds, ln), 0.0] for j in range(n) for i in range(m)],
@@ -246,6 +228,22 @@ def doubled_cone(total_angle: float, segments: int | None = None) -> CellComplex
         faces.append((0, rim0, rim1))
         faces.append((1, rim1, rim0))
     return build_complex(v, faces)
+
+
+_GRID = (("m", int), ("n", int))
+
+# Every kind: its builder, the GeneratorSpec fields it is called with, in
+# order, each with the type a command-line value for it parses to, and how
+# many of them are required; the rest may be None
+GENERATORS = {
+    "tetrahedron": (tetrahedron, (), 0),
+    "cube": (cube, (), 0),
+    "icosahedron": (icosahedron, (), 0),
+    "grid_torus": (lambda m, n: grid_torus((m, n)), _GRID, 2),
+    "grid_klein": (lambda m, n: grid_klein((m, n)), _GRID, 2),
+    "folded_flat_torus": (folded_flat_torus, _GRID + (("folds", int),), 3),
+    "doubled_cone": (doubled_cone, (("total_angle", float), ("segments", int)), 1),
+}
 
 
 def standard_corpus() -> tuple[GeneratorSpec, ...]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -64,10 +64,10 @@ class ToleranceProfile:
     link_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("planarity_tol", "defect_tol", "link_tol"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+                raise ValueError(f"{f.name} must be positive and finite, got {v}")
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -736,6 +736,9 @@ def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None,
         face, message = table.degenerate[0]
         raise DegenerateFaceError(f"face {face}: {message}")
     defects = _defects(mesh, table.angles)
+    # the links are decided at unit scale, as the table is fitted, where no
+    # edge length underflows to zero and no square overflows
+    mesh = replace(mesh, complex=mesh.complex.unit_scaled()[0])
     links = []
     certified = _azimuth_certified(mesh, table.angles, tol.link_tol)
     stars = _stars(mesh)

@@ -1,14 +1,12 @@
 """Global self-intersection detection for triangulated surfaces.
 
 The triangle soup is built once from a refinement, in array passes: corner
-coordinates (n, 3, 3), derived corner ids and source faces, the vertex and
-edge cells of every source face as sorted keys in CSR form (FaceCells,
-read off each face's triangles, whose sides that occur once are its
-boundary), the pairs of source faces that share a vertex and of those that
-share an edge, and per triangle
-which opposite edges are edge cells of its source face (a corner two faces
-share is a vertex cell of both); only the exact loop's rows read one
-face's cells.  Broad phase: one sort-and-sweep over the triangles'
+coordinates (n, 3, 3), derived corner ids and source faces, per triangle
+which opposite edges are edge cells of its source face, and the pairs of
+source faces that share a vertex cell and of those that share an edge
+cell, as sorted keys, each beside the cell it shares; every face's cells
+are read off its own triangles, whose sides that occur once are its
+boundary (a corner two faces share is a vertex cell of both).  Broad phase: one sort-and-sweep over the triangles'
 axis-aligned boxes, which yields exactly the pairs whose boxes meet.
 Narrow phase, in two steps.  First a float pass decides, in blocks of
 pairs in NumPy, every pair whose answer it can prove.  With Shewchuk's
@@ -27,9 +25,9 @@ neighbours' touch that is exactly the corner or edge they may share; it
 reports as a local overlap a neighbours' touch-segment when they may share
 only finitely many points (at most one shared corner, and one face or
 faces with no common edge cell).  Then
-every pair left is decided exactly: the soup's points are put once on one
-power-of-two grid, so every corner is an integer triple, and every sign is
-exact in Python integers.  Each pair goes to the contact kernel: each
+every pair left is decided exactly: the points those pairs read are put
+once on one power-of-two grid, so every corner is an integer triple, and
+every sign is exact in Python integers.  Each pair goes to the contact kernel: each
 triangle's corners are evaluated once against the other triangle's plane;
 those two sign vectors reject separated pairs and decide transversality,
 and the same values build the contact as homogeneous integer points, so
@@ -70,21 +68,6 @@ class DegenerateTriangleError(MeshError):
 
 
 @dataclass(frozen=True, eq=False)
-class FaceCells:
-    """Sorted keys per source face, in CSR form: face f's keys are
-    keys[offsets[f]:offsets[f + 1]], which cells[f] returns."""
-
-    offsets: np.ndarray     # (n_faces + 1,)
-    keys: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, face: int) -> np.ndarray:
-        return self.keys[self.offsets[face]:self.offsets[face + 1]]
-
-
-@dataclass(frozen=True, eq=False)
 class TriangleSoup:
     """Triangles of a refinement, one row per triangle, with source-face
     adjacency data."""
@@ -93,39 +76,42 @@ class TriangleSoup:
     corners: np.ndarray                         # (n, 3) derived vertex ids
     source_face: np.ndarray                     # (n,) source face of each triangle
     points: np.ndarray                          # derived vertex coordinates
-    # per source face: the derived ids of its vertices and edge midpoints,
-    # and the derived edges u < v along its boundary, keyed u * len(points) + v
-    face_vertices: FaceCells
-    face_edges: FaceCells
-    # (n, 3) bool: the edge opposite corner k is in its face's face_edges
+    n_faces: int                                # source faces
+    # (n, 3) bool: the edge opposite corner k is an edge cell of its face
     edge_cells: np.ndarray
-    # sorted keys f * n_faces + g, f < g, of the source faces whose
-    # face_vertices meet, once per vertex they share, and of those whose
-    # face_edges meet, once per edge they share
+    # sorted keys f * n_faces + g, f < g, of the source faces that share a
+    # vertex cell, once per vertex, and beside each key that vertex's id;
+    # the same for an edge cell, the edge u < v keyed u * len(points) + v.
+    # The cells of one key ascend.
     face_neighbours: np.ndarray
+    shared_vertices: np.ndarray
     edge_neighbours: np.ndarray
+    shared_edges: np.ndarray
 
     def __len__(self) -> int:
         return len(self.coords)
 
 
-def _sharing(face: np.ndarray, key: np.ndarray, n_faces: int) -> np.ndarray:
+def _sharing(face: np.ndarray, key: np.ndarray, n_faces: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted keys f * n_faces + g, f < g, of the faces that share a
     key among the rows (face, key), each face's keys distinct, once per
-    key they share: in the rows sorted by key, each row meets the rest of
-    its key's run."""
+    key they share, and beside each that key, ascending within a pair: in
+    the rows sorted by key, each row meets the rest of its key's run."""
     order = np.lexsort((face, key))
     face, key = face[order], key[order]
     counts = np.searchsorted(key, key, side="right") - np.arange(1, len(key) + 1)
     first = np.repeat(np.arange(len(key)), counts)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.sort(face[first] * n_faces + face[second])
+    pairs = face[first] * n_faces + face[second]    # key[first] ascends
+    order = np.argsort(pairs, kind="stable")
+    return pairs[order], key[first[order]]
 
 
-def _face_cells(refinement: Refinement) -> tuple[FaceCells, FaceCells, np.ndarray]:
-    """The vertex and edge cells of every source face, read off its own
-    triangles, and per triangle whether the edge opposite each corner is
-    an edge cell of its source face.
+def _face_cells(refinement: Refinement) -> tuple[np.ndarray, ...]:
+    """The soup's edge cell flags, then the face pairs that share a vertex
+    cell with the vertices they share, and those that share an edge cell
+    with the edges they share (see TriangleSoup).  The cells of every
+    source face are read off its own triangles.
 
     A polygon triangulated without new vertices has each diagonal in two
     of its triangles and each side in one; barycentric subdivision splits
@@ -149,9 +135,9 @@ def _face_cells(refinement: Refinement) -> tuple[FaceCells, FaceCells, np.ndarra
     # each face's vertices, as the sorted distinct keys face * n + vertex
     vertex = np.sort(np.concatenate((face, face)) * n + np.concatenate(np.divmod(side, n)))
     vertex_face, vertex = np.divmod(vertex[np.diff(vertex, prepend=-1) != 0], n)
-    bounds = np.arange(refinement.source.n_faces + 1)
-    return (FaceCells(np.searchsorted(vertex_face, bounds), vertex),
-            FaceCells(np.searchsorted(face, bounds), side), edge_cells.reshape(-1, 3))
+    n_faces = refinement.source.n_faces
+    return (edge_cells.reshape(-1, 3), *_sharing(vertex_face, vertex, n_faces),
+            *_sharing(face, side, n_faces))
 
 
 def triangle_soup(refinement: Refinement) -> TriangleSoup:
@@ -190,23 +176,8 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
             f"{len(bad)} zero-area derived triangle(s), first at index {bad[0]}"
             f" (source face {refinement.triangle_sources[bad[0]]})"
         )
-    source_face = refinement.triangle_sources
-    face_vertices, face_edges, edge_cells = _face_cells(refinement)
-    n_faces = len(face_vertices)
-    face_neighbours, edge_neighbours = (
-        _sharing(np.repeat(np.arange(n_faces), np.diff(cells.offsets)), cells.keys, n_faces)
-        for cells in (face_vertices, face_edges))
-    return TriangleSoup(
-        coords=coords,
-        corners=corners,
-        source_face=source_face,
-        points=pts,
-        face_vertices=face_vertices,
-        face_edges=face_edges,
-        edge_cells=edge_cells,
-        face_neighbours=face_neighbours,
-        edge_neighbours=edge_neighbours,
-    )
+    return TriangleSoup(coords, corners, refinement.triangle_sources, pts,
+                        refinement.source.n_faces, *_face_cells(refinement))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +314,6 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
     ids = np.concatenate((soup.corners, soup.edge_cells,
                           soup.source_face[:, None], unusable[:, None],
                           on_grid(x, unusable)[:, None]), axis=1)
-    n_faces = len(soup.face_vertices)
     keep = [np.empty((0, 2), dtype=cands.dtype)]
     found = [np.empty((0, 4), dtype=cands.dtype)]
     for first in range(0, len(cands), _ROW_BLOCK):
@@ -369,7 +339,7 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
             kind = coplanar_kinds(*(v.compress(flat, axis=-1)
                                     for v in (xa, xb, pa[9:12], pb[9:12])))
             fi, fj = ia[6, flat], ib[6, flat]
-            key = np.minimum(fi, fj) * n_faces + np.maximum(fi, fj)
+            key = np.minimum(fi, fj) * soup.n_faces + np.maximum(fi, fj)
             free = (fi != fj) & ~_has_key(soup.face_neighbours, key)
             # a touch-segment beyond the finitely many points the pair may share
             segment = ((kind == TOUCH_SEGMENT) & (shared[flat] < 2)
@@ -667,23 +637,44 @@ def _segment_allowed(p: IVec3, q: IVec3, segs: list[tuple[IVec3, IVec3]]) -> boo
     return covered >= need_hi
 
 
-def _shared_cells(soup: TriangleSoup, grid, ci, cj, fi: int, fj: int):
+def _cell_runs(soup: TriangleSoup, rows: np.ndarray) -> tuple[list, np.ndarray]:
+    """Per row (i, j), None when its triangles come from one source face,
+    else the bounds (a, b, c, d) of its faces' runs in face_neighbours,
+    a:b, and in edge_neighbours, c:d; and a mask of the points that the
+    shared-cell test reads for the rows: the triangles' corners and the
+    runs' shared vertices, which end every shared edge."""
+    f, g = soup.source_face[rows[:, 0]], soup.source_face[rows[:, 1]]
+    key = np.minimum(f, g) * soup.n_faces + np.maximum(f, g)
+    # a key's run ends where key + 1 would go; one face's key f * n_faces + f
+    # is in neither array
+    (a, b), (c, d) = (np.searchsorted(keys, (key, key + 1))
+                      for keys in (soup.face_neighbours, soup.edge_neighbours))
+    runs = [None if fi == gi else run for fi, gi, run in
+            zip(f.tolist(), g.tolist(), np.column_stack((a, b, c, d)).tolist())]
+    used = np.zeros(len(soup.points), dtype=bool)
+    used[soup.corners[rows.ravel()]] = True
+    counts = b - a      # the runs a:b, laid end to end
+    shift = np.repeat(b - np.cumsum(counts), counts)
+    used[soup.shared_vertices[np.arange(len(shift)) + shift]] = True
+    return runs, used
+
+
+def _shared_cells(soup: TriangleSoup, grid, ci, cj, run):
     """Grid points and segments that two triangles, with corner ids ci and
-    cj and source faces fi and fj, may legitimately have in common, or None
-    when their source faces differ and share no vertex.  grid maps vertex
-    ids to grid points."""
-    if fi == fj:
+    cj and their faces' runs `run` (see _cell_runs), may legitimately have
+    in common, or None when their source faces differ and share no
+    vertex.  grid maps vertex ids to grid points."""
+    if run is None:
         shared = sorted(set(ci) & set(cj))
         pts = [grid[c] for c in shared]
         segs = [(pts[s], pts[t]) for s in range(len(pts)) for t in range(s + 1, len(pts))]
         return pts, segs
-    common = set(soup.face_vertices[fi].tolist()).intersection(soup.face_vertices[fj].tolist())
-    if not common:
+    a, b, c, d = run
+    if a == b:
         return None
-    pts = [grid[v] for v in sorted(common)]
     n = len(soup.points)
-    edges = set(soup.face_edges[fi].tolist()).intersection(soup.face_edges[fj].tolist())
-    segs = [(grid[u], grid[v]) for u, v in (divmod(key, n) for key in sorted(edges))]
+    pts = [grid[v] for v in soup.shared_vertices[a:b].tolist()]
+    segs = [(grid[u], grid[v]) for u, v in (divmod(k, n) for k in soup.shared_edges[c:d].tolist())]
     return pts, segs
 
 
@@ -795,15 +786,17 @@ def self_intersections(
         boxes = build_hierarchy(soup)
     cands = candidate_pairs(boxes)
     rows, decided = _undecided_rows(soup, cands)
-    corners, faces = soup.corners.tolist(), soup.source_face.tolist()
-    grid = _grid(soup.points)[0] if len(rows) else []
+    runs, used = _cell_runs(soup, rows)
+    # only the points the rows read go on the grid; every sign is scale-free
+    grid = dict(zip(np.flatnonzero(used).tolist(), _grid(soup.points[used])[0]))
+    corners = soup.corners.tolist()
     tris = {t: _triangle(*(grid[c] for c in corners[t])) for t in set(rows.ravel().tolist())}
     loop = []
-    for i, j in rows.tolist():
+    for (i, j), run in zip(rows.tolist(), runs):
         found = _contact(tris[i], tris[j])
         if found is None:
             continue
-        cells = _shared_cells(soup, grid, corners[i], corners[j], faces[i], faces[j])
+        cells = _shared_cells(soup, grid, corners[i], corners[j], run)
         if cells is None or _beyond_allowed(*found, *cells):
             loop.append((i, j, _KIND_INDEX[found[0]], cells is not None))
     merged = np.concatenate((decided, np.array(loop, dtype=decided.dtype).reshape(-1, 4)))

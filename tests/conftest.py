@@ -108,21 +108,20 @@ def brute_report(soup):
     pass, each classified by the contact kernel and then tested against
     the cells its source faces share."""
     grid, _ = intersect._grid(soup.points)
-    corners, faces = soup.corners.tolist(), soup.source_face.tolist()
+    corners = soup.corners.tolist()
     tris = [intersect._triangle(grid[a], grid[b], grid[c]) for a, b, c in corners]
     pairs, overlaps = [], []
     n = len(soup)
-    for i in range(n):
-        for j in range(i + 1, n):
-            found = intersect._contact(tris[i], tris[j])
-            if found is None:
-                continue
-            cells = intersect._shared_cells(soup, grid, corners[i], corners[j],
-                                            faces[i], faces[j])
-            if cells is None:
-                pairs.append((i, j, intersect._KIND_INDEX[found[0]]))
-            elif intersect._beyond_allowed(*found, *cells):
-                overlaps.append((i, j, intersect._KIND_INDEX[found[0]]))
+    rows = np.column_stack(np.triu_indices(n, 1))
+    for (i, j), run in zip(rows.tolist(), intersect._cell_runs(soup, rows)[0]):
+        found = intersect._contact(tris[i], tris[j])
+        if found is None:
+            continue
+        cells = intersect._shared_cells(soup, grid, corners[i], corners[j], run)
+        if cells is None:
+            pairs.append((i, j, intersect._KIND_INDEX[found[0]]))
+        elif intersect._beyond_allowed(*found, *cells):
+            overlaps.append((i, j, intersect._KIND_INDEX[found[0]]))
     return IntersectionReport(ContactRows(pairs), ContactRows(overlaps), n * (n - 1) // 2)
 
 

@@ -198,6 +198,30 @@ def test_bad_generate_params(capsys, tmp_path):
     assert rc2 == 2
 
 
+@pytest.mark.parametrize("spec", standard_corpus(), ids=lambda spec: spec.label)
+def test_generate_writes_each_corpus_spec(capsys, tmp_path, spec):
+    """`flatcheck generate kind params...` writes the bytes write_off
+    writes for generate(spec); the parameters are the spec's fields in
+    the order the kind takes them, a float as its repr."""
+    params = [str(v) for v in (spec.m, spec.n, spec.folds, spec.total_angle, spec.segments)
+              if v is not None]
+    rc, _, _ = run(capsys, "generate", spec.kind, *params, "-o", str(tmp_path / "cli.off"))
+    write_off(generate(spec), tmp_path / "api.off")
+    assert rc == 0
+    assert (tmp_path / "cli.off").read_bytes() == (tmp_path / "api.off").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("cube", "1"), ("grid_torus", "4", "x"), ("doubled_cone",), ("doubled_cone", "x"),
+    ("folded_flat_torus", "4", "4"), ("doubled_cone", "6.5", "2.5"),
+], ids=" ".join)
+def test_generate_bad_params_name_the_kind(capsys, tmp_path, argv):
+    rc, out, err = run(capsys, "generate", *argv, "-o", str(tmp_path / "x.off"))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and argv[0] in err
+    assert not (tmp_path / "x.off").exists()
+
+
 def test_oversized_generator_is_usage_error(capsys, tmp_path):
     # the face count is checked before any array is allocated
     rc, _, err = run(capsys, "generate", "doubled_cone", "1e300", "-o", str(tmp_path / "c.off"))

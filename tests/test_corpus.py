@@ -20,6 +20,7 @@ from flatcheck import (
     orientability,
     standard_corpus,
 )
+from flatcheck import corpus
 
 from conftest import fold_vertex_ids
 
@@ -93,11 +94,13 @@ def test_grid_klein_structure():
 
 
 def test_grid_requires_three():
-    for kind in ("grid_torus", "grid_klein"):
-        with pytest.raises(GeneratorError):
-            generate(GeneratorSpec(kind, m=2, n=5))
-        with pytest.raises(GeneratorError):
-            generate(GeneratorSpec(kind, m=4, n=2))
+    """Through generate, and from the builder called directly."""
+    for kind, build in (("grid_torus", corpus.grid_torus), ("grid_klein", corpus.grid_klein)):
+        for m, n in ((2, 5), (4, 2)):
+            with pytest.raises(GeneratorError, match=f"^{kind} needs m, n >= 3, got {m}x{n}$"):
+                generate(GeneratorSpec(kind, m=m, n=n))
+            with pytest.raises(GeneratorError, match=f"^{kind} needs m, n >= 3, got {m}x{n}$"):
+                build((m, n))
 
 
 def test_folded_torus_validation():

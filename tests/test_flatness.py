@@ -471,15 +471,16 @@ def test_one_face_table_per_certificate(monkeypatch, bench_meshes):
 
 
 def test_table_and_triangles_on_raw_extreme_coordinates(corpus_meshes):
-    """face_geometries and triangulate_faces on a corpus mesh times 2^1000,
-    or times 2^-1060 where that scaling is exact, called on the raw
-    coordinates: no RuntimeWarning (the test configuration makes one an
-    error), and the simple flags, turns, degenerate faces and triangles of
-    the unit-scaled run."""
+    """face_geometries, triangulate_faces and flatness_report on a corpus
+    mesh times 2^1000, or times 2^-1060 where that scaling is exact,
+    called on the raw coordinates: no RuntimeWarning (the test
+    configuration makes one an error), and the simple flags, turns,
+    degenerate faces, triangles and link verdicts of the unit-scaled run."""
     runs = 0
     for _, cx in corpus_meshes.values():
         unit = cx.unit_scaled()[0]
         want, tri = face_geometries(unit), triangulate_faces(unit)
+        links = flatness_report(check_closed_manifold(unit)).links
         for k in (1000, -1060):
             vertices = np.ldexp(unit.vertices, k)
             if not (np.ldexp(vertices, -k) == unit.vertices).all():
@@ -490,6 +491,7 @@ def test_table_and_triangles_on_raw_extreme_coordinates(corpus_meshes):
             assert got.turns.tolist() == want.turns.tolist()
             assert got.degenerate == want.degenerate
             assert triangulate_faces(scaled).derived.faces == tri.derived.faces
+            assert flatness_report(check_closed_manifold(scaled)).links == links
             runs += 1
     assert runs >= len(corpus_meshes) + 4
 

@@ -199,7 +199,7 @@ def test_soup_from_arrays_metadata():
     soup = independent_soup(coords)
     assert len(soup) == 2
     assert soup.corners[1].tolist() == [3, 4, 5]
-    assert set(soup.face_vertices[0].tolist()).isdisjoint(soup.face_vertices[1].tolist())
+    assert soup.n_faces == 2 and soup.face_neighbours.tolist() == []
 
 
 def _polygon_mesh():
@@ -231,10 +231,11 @@ def _refinements(corpus_meshes, levels):
 @pytest.mark.parametrize("levels", [0, 1, 2], ids=["triangulated", "barycentric", "barycentric2"])
 def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
     """The soup's array-built cells against referee_cells' loop over the
-    source faces: each face's sorted keys, the edge cell flags, the face
-    pairs that share a vertex cell and those that share an edge cell, and
-    _shared_cells on every box-meeting pair, among them every row the
-    float pass leaves to the exact loop.  The
+    source faces: the edge cell flags, the face pairs that share a vertex
+    cell and those that share an edge cell, each with the cell it shares,
+    and _shared_cells on every box-meeting pair, among them every row the
+    float pass leaves to the exact loop, reading only the points that
+    _cell_runs marks.  The
     barycentric refinements give every source edge a midpoint.  A derived
     vertex that triangles of two source faces use is a vertex cell of
     both, which the float pass takes for granted at a shared corner."""
@@ -243,11 +244,7 @@ def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
         soup = triangle_soup(ref)
         face_vertices, face_edges = referee_cells(ref)
         n, n_faces = len(soup.points), len(face_vertices)
-        assert len(soup.face_vertices) == len(soup.face_edges) == n_faces
-        assert [soup.face_vertices[f].tolist() for f in range(n_faces)] == [
-            sorted(c) for c in face_vertices]
-        assert [[divmod(k, n) for k in soup.face_edges[f].tolist()] for f in range(n_faces)] == [
-            sorted(c) for c in face_edges]
+        assert soup.n_faces == n_faces
         corners, faces = soup.corners.tolist(), soup.source_face.tolist()
         users = {}
         for tri, f in zip(corners, faces):
@@ -257,23 +254,27 @@ def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
         assert soup.edge_cells.tolist() == [
             [(min(tri[k - 2], tri[k - 1]), max(tri[k - 2], tri[k - 1])) in face_edges[f]
              for k in range(3)] for tri, f in zip(corners, faces)]
-        for keys, cells in ((soup.face_neighbours, face_vertices),
-                            (soup.edge_neighbours, face_edges)):
+        for keys, shared, cells in ((soup.face_neighbours, soup.shared_vertices, face_vertices),
+                                    (soup.edge_neighbours, soup.shared_edges,
+                                     [{u * n + v for u, v in c} for c in face_edges])):
             sharing = {}
             for f, cell in enumerate(cells):
                 for c in cell:
                     sharing.setdefault(c, []).append(f)
-            assert keys.tolist() == sorted(f * n_faces + g for fs in sharing.values()
-                                           for f, g in combinations(sorted(fs), 2))
-        grid, _ = intersect._grid(soup.points)
+            assert list(zip(keys.tolist(), shared.tolist())) == sorted(
+                (f * n_faces + g, c) for c, fs in sharing.items()
+                for f, g in combinations(sorted(fs), 2))
         cands = candidate_pairs(build_hierarchy(soup))
         left = {tuple(r) for r in intersect._undecided_rows(soup, cands)[0].tolist()}
         assert left <= {tuple(r) for r in cands.tolist()}
         rows += len(left)
-        for i, j in cands.tolist():
-            args = grid, corners[i], corners[j], faces[i], faces[j]
-            assert (intersect._shared_cells(soup, *args)
-                    == referee_shared_cells(face_vertices, face_edges, *args)), (i, j)
+        # the grid that maps each marked id, and only those, to itself
+        runs, used = intersect._cell_runs(soup, cands)
+        marked = {v: v for v in np.flatnonzero(used).tolist()}
+        for (i, j), run in zip(cands.tolist(), runs):
+            assert (intersect._shared_cells(soup, marked, corners[i], corners[j], run)
+                    == referee_shared_cells(face_vertices, face_edges, range(n),
+                                            corners[i], corners[j], faces[i], faces[j])), (i, j)
     assert rows > 0
 
 
@@ -293,12 +294,9 @@ def test_soup_cells_ignore_triangle_order(corpus_meshes, seed, levels):
                            replace(ref.derived, corners=np.take_along_axis(tri[perm], turn, axis=1)),
                            ref.triangle_sources[perm])
         got, want = triangle_soup(moved), triangle_soup(ref)
-        for cells in ("face_vertices", "face_edges"):
-            for part in ("offsets", "keys"):
-                assert (getattr(getattr(got, cells), part).tolist()
-                        == getattr(getattr(want, cells), part).tolist())
-        assert got.face_neighbours.tolist() == want.face_neighbours.tolist()
-        assert got.edge_neighbours.tolist() == want.edge_neighbours.tolist()
+        for name in ("n_faces", "face_neighbours", "shared_vertices", "edge_neighbours",
+                     "shared_edges"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert (got.edge_cells.tolist()
                 == np.take_along_axis(want.edge_cells[perm], turn, axis=1).tolist())
 
@@ -1103,16 +1101,16 @@ def _assert_filter_refereed(soup):
     left = {tuple(r) for r in rows.tolist()}
     told = {(i, j): (intersect.KINDS[kind], local) for i, j, kind, local in decided.tolist()}
     grid, _ = intersect._grid(soup.points)
-    corners, faces = soup.corners.tolist(), soup.source_face.tolist()
+    corners = soup.corners.tolist()
     tris = [intersect._triangle(grid[a], grid[b], grid[c]) for a, b, c in corners]
-    for i, j in pairs.tolist():
+    for (i, j), run in zip(pairs.tolist(), intersect._cell_runs(soup, pairs)[0]):
         if (i, j) in left:
             continue
         found = intersect._contact(tris[i], tris[j])
         if (i, j) not in told and set(corners[i]).isdisjoint(corners[j]):
             assert found is None, (i, j)
         elif found is not None:
-            cells = intersect._shared_cells(soup, grid, corners[i], corners[j], faces[i], faces[j])
+            cells = intersect._shared_cells(soup, grid, corners[i], corners[j], run)
             beyond = cells is None or intersect._beyond_allowed(*found, *cells)
             assert told.get((i, j)) == ((found[0], cells is not None) if beyond else None), (i, j)
         else:

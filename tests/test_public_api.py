@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 import flatcheck
-from flatcheck import flatness, intersect
+from flatcheck import flatness
 
 # Every name `from flatcheck import *` binds, sorted.  __all__ is an
 # explicit list, so the package's submodules stay out of a star import.
@@ -48,9 +48,9 @@ def test_star_import_binds_no_submodule():
 RECORD_FIELDS = {
     flatcheck.CellComplex: ("vertices", "corners", "offsets"),
     flatcheck.Refinement: ("source", "derived", "triangle_sources", "fallbacks"),
-    flatcheck.TriangleSoup: ("coords", "corners", "source_face", "points", "face_vertices",
-                             "face_edges", "edge_cells", "face_neighbours", "edge_neighbours"),
-    intersect.FaceCells: ("offsets", "keys"),
+    flatcheck.TriangleSoup: ("coords", "corners", "source_face", "points", "n_faces",
+                             "edge_cells", "face_neighbours", "shared_vertices",
+                             "edge_neighbours", "shared_edges"),
     flatness.FaceTable: ("rel_deviation", "simple", "orientation", "basis", "angles", "turns",
                          "points2d", "degenerate"),
     flatness.LinkArc: ("start", "end", "axis", "length"),
