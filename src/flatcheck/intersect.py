@@ -6,8 +6,9 @@ which opposite edges are edge cells of its source face, and the pairs of
 source faces that share a vertex cell and of those that share an edge
 cell, as sorted keys, each beside the cell it shares; every face's cells
 are read off its own triangles, whose sides that occur once are its
-boundary (a corner two faces share is a vertex cell of both).  Broad phase: one sort-and-sweep over the triangles'
-axis-aligned boxes, which yields exactly the pairs whose boxes meet.
+boundary (a corner two faces share is a vertex cell of both).  Broad
+phase: one sort-and-sweep over the triangles' axis-aligned boxes, which
+yields exactly the pairs whose boxes meet.
 Narrow phase, in two steps.  First a float pass decides, in blocks of
 pairs in NumPy, every pair whose answer it can prove.  With Shewchuk's
 static error bounds on the power-of-two scaled coordinates, it drops a

@@ -192,10 +192,14 @@ def test_not_utf8_is_located(capsys, tmp_path, reader):
 
 
 def test_bad_generate_params(capsys, tmp_path):
-    rc, _, err = run(capsys, "generate", "grid_torus", "4", "-o", str(tmp_path / "x.off"))
-    assert rc == 2
-    rc2, _, err2 = run(capsys, "generate", "nonagon", "-o", str(tmp_path / "y.off"))
-    assert rc2 == 2
+    """Each exits 2 with a message that names the kind, and writes no file."""
+    for argv in [("grid_torus", "4"), ("nonagon",), ("cube", "1"), ("grid_torus", "4", "x"),
+                 ("doubled_cone",), ("doubled_cone", "x"), ("folded_flat_torus", "4", "4"),
+                 ("doubled_cone", "6.5", "2.5")]:
+        rc, out, err = run(capsys, "generate", *argv, "-o", str(tmp_path / "x.off"))
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error: ") and argv[0] in err, argv
+    assert not (tmp_path / "x.off").exists()
 
 
 @pytest.mark.parametrize("spec", standard_corpus(), ids=lambda spec: spec.label)
@@ -209,17 +213,6 @@ def test_generate_writes_each_corpus_spec(capsys, tmp_path, spec):
     write_off(generate(spec), tmp_path / "api.off")
     assert rc == 0
     assert (tmp_path / "cli.off").read_bytes() == (tmp_path / "api.off").read_bytes()
-
-
-@pytest.mark.parametrize("argv", [
-    ("cube", "1"), ("grid_torus", "4", "x"), ("doubled_cone",), ("doubled_cone", "x"),
-    ("folded_flat_torus", "4", "4"), ("doubled_cone", "6.5", "2.5"),
-], ids=" ".join)
-def test_generate_bad_params_name_the_kind(capsys, tmp_path, argv):
-    rc, out, err = run(capsys, "generate", *argv, "-o", str(tmp_path / "x.off"))
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: ") and argv[0] in err
-    assert not (tmp_path / "x.off").exists()
 
 
 def test_oversized_generator_is_usage_error(capsys, tmp_path):
