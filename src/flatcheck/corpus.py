@@ -12,7 +12,7 @@ total_angle / 2pi times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,14 +60,21 @@ class GeneratorSpec:
             parts.append(f"folds{self.folds}")
         if self.total_angle is not None:
             parts.append(f"angle{self.total_angle:g}")
+        if self.segments is not None:
+            parts.append(f"segments{self.segments}")
         return "_".join(parts)
 
 
 def generate(spec: GeneratorSpec) -> CellComplex:
-    """Build the surface a GeneratorSpec describes."""
+    """Build the surface a GeneratorSpec describes.  A field its kind does
+    not take must be None."""
     if spec.kind not in GENERATORS:
         raise GeneratorError(f"unknown generator kind {spec.kind!r}")
     build, params, required = GENERATORS[spec.kind]
+    takes = {name for name, _ in params}
+    for f in fields(GeneratorSpec)[1:]:
+        if f.name not in takes and getattr(spec, f.name) is not None:
+            raise GeneratorError(f"{spec.kind} takes no {f.name}")
     values = [getattr(spec, name) for name, _ in params]
     if None in values[:required]:
         raise GeneratorError(f"{spec.kind} needs {', '.join(n for n, _ in params[:required])}")
@@ -181,9 +188,10 @@ def folded_flat_torus(m: int, n: int, folds: int) -> CellComplex:
     there are not embedded.
     """
     if folds < 2 or folds % 2 != 0:
-        raise GeneratorError(f"folds must be even and >= 2, got {folds}")
+        raise GeneratorError(f"folded_flat_torus folds must be even and >= 2, got {folds}")
     if m % folds != 0 or n % folds != 0:
-        raise GeneratorError(f"folds must divide both grid sizes, got {m}x{n} with {folds}")
+        raise GeneratorError(
+            f"folded_flat_torus folds must divide both grid sizes, got {m}x{n} with {folds}")
     _check_grid("folded_flat_torus", m, n)
     lm, ln = m // folds, n // folds
     v = np.array(
@@ -206,17 +214,19 @@ def doubled_cone(total_angle: float, segments: int | None = None) -> CellComplex
     times: embedded for total_angle 2pi, not embedded for 4pi.
     """
     if not 0.0 < total_angle < math.inf:
-        raise GeneratorError(f"total_angle must be positive and finite, got {total_angle}")
+        raise GeneratorError(
+            f"doubled_cone total_angle must be positive and finite, got {total_angle}")
     quarter_turns = 2.0 * total_angle / math.pi
     if quarter_turns == math.inf:
-        raise GeneratorError(f"total_angle {total_angle:g} is too large")
+        raise GeneratorError(f"doubled_cone total_angle {total_angle:g} is too large")
     k = segments if segments is not None else max(3, math.ceil(quarter_turns))
     _check_face_count("doubled_cone", 2 * k)
     if k < 3:
-        raise GeneratorError(f"segments must be >= 3, got {k}")
+        raise GeneratorError(f"doubled_cone segments must be >= 3, got {k}")
     if total_angle / k >= math.pi:
         raise GeneratorError(
-            f"segments={k} gives corner angle {total_angle / k:.3f} >= pi; increase segments"
+            f"doubled_cone segments={k} gives corner angle {total_angle / k:.3f} >= pi;"
+            " increase segments"
         )
     v = np.zeros((k + 2, 3), dtype=np.float64)
     for t in range(k):

@@ -16,31 +16,37 @@ pair when one triangle's remaining corners lie strictly on one side of the
 other's plane, or of an edge line in a coordinate projection, through the
 corners the two share; for free pairs that proves them disjoint, and for
 neighbours whose shared corner or edge is a cell both may share, that they
-meet only there.  When both triangles' scaled coordinates are multiples of
-2^-15, its plane values and 2-d orientations are exact: three zero plane
-values prove a pair coplanar, and the orient2d signs of each triangle's
-corners against the other's edge lines give the contact's kind with no
-clip ring.  The pass reports the contacts of such pairs between faces that
-share no vertex, and their overlaps between faces that do, and drops a
-neighbours' touch that is exactly the corner or edge they may share; it
-reports as a local overlap a neighbours' touch-segment when they may share
-only finitely many points (at most one shared corner, and one face or
-faces with no common edge cell).  Then
+meet only there.  Once per call it labels each triangle whose scaled
+coordinates are multiples of 2^-15 by its exact plane (the normal, below
+2^33 in units of 2^-30, and the offset n . c0, below 2^50 in units of
+2^-45, divided by their gcd), and, when some triangle has a label, gives
+each triangle its edge lines: the corners projected along its dominant
+normal axis, its edges turned counter-clockwise, and their line
+constants, so that a corner's turn is exact, below 2^33.  A pair with one
+label is exactly coplanar; its plane and edge tests are skipped, and the
+turns of each triangle's corners against the other's edge lines give the
+contact's kind with no clip ring.  The pass reports the contacts of such
+pairs between faces that share no vertex, and their overlaps between
+faces that do, and drops a neighbours' touch that is exactly the corner
+or edge they may share; it reports as a local overlap a neighbours'
+touch-segment when they may share only finitely many points (at most one
+shared corner, and one face or faces with no common edge cell).  Then
 every pair left is decided exactly: the points those pairs read are put
 once on one power-of-two grid, so every corner is an integer triple, and
-every sign is exact in Python integers.  Each pair goes to the contact kernel: each
-triangle's corners are evaluated once against the other triangle's plane;
-those two sign vectors reject separated pairs and decide transversality,
-and the same values build the contact as homogeneous integer points, so
-every reported contact is the true intersection of the given float
-coordinates; only triangle_contact turns them into Fractions, for its
-caller.  Contacts between triangles from the same or vertex-adjacent
-source faces are excluded from the self-intersection list, but flagged
-separately when they extend beyond the cells the faces legitimately share
-(a local embedding failure).  Reports: the float pass's contacts and the
+every sign is exact in Python integers.  Each pair goes to the contact
+kernel: each triangle's corners are evaluated once against the other
+triangle's plane; those two sign vectors reject separated pairs and
+decide transversality, and the same values build the contact as
+homogeneous integer points, so every reported contact is the true
+intersection of the given float coordinates; only triangle_contact turns
+them into Fractions, for its caller.  Contacts between triangles from the
+same or vertex-adjacent source faces are excluded from the
+self-intersection list, but flagged separately when they extend beyond
+the cells the faces legitimately share (a local embedding failure).  Reports: the float pass's contacts and the
 exact loop's few are rows (i, j, kind, local) of one integer array, kind
-an index into KINDS + ("transversal",); one lexsort orders them by pair,
-local splits them into pairs and local overlaps, and each list stays an
+an index into KINDS + ("transversal",); the float pass's come in pair
+order, and one lexsort merges the loop's, when there are any; local
+splits them into pairs and local overlaps, and each list stays an
 (m, 3) integer array in a ContactRows, a read-only sequence that yields
 PairContact named tuples only when read item by item; the kind census
 and the certificate text are read off the array itself.
@@ -58,8 +64,8 @@ import numpy as np
 
 from .mesh import InvalidComplexError, MeshError
 from .predicates import (KINDS, NO_CONTACT, OVERLAP, PLANE, TOUCH_SEGMENT, area_signs,
-                         coplanar_kinds, cross, dot, edge_separated, filter_scaled, normals,
-                         off_plane, on_grid, plane_values, sub, to_grid)
+                         coplanar_kinds, cross, dot, edge_lines, edge_separated, filter_scaled,
+                         normals, off_plane, plane_labels, plane_values, sub, to_grid)
 from .refine import Refinement
 
 
@@ -265,7 +271,30 @@ def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _has_key(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Whether each of key is among the sorted keys."""
-    return np.searchsorted(keys, key) != np.searchsorted(keys, key, side="right")
+    if not len(keys):
+        return np.zeros(key.shape, dtype=bool)
+    return keys.take(np.searchsorted(keys, key), mode="clip") == key
+
+
+def _separated(planes, turned, i, j, on_a, on_b, eligible) -> np.ndarray:
+    """(m,) whether the plane or the edge-line tests settle each eligible
+    row (i, j); on_a and on_b (3, m) flag the corners the other triangle
+    has (see _undecided_rows)."""
+    pa, pb = _columns(planes, i), _columns(planes, j)
+    xa, xb = pa[:9].reshape(3, 3, -1), pb[:9].reshape(3, 3, -1)
+    settled = eligible & (off_plane(*plane_values(xa, pa[9:12], pa[12:], xb), on_b)
+                          | off_plane(*plane_values(xb, pb[9:12], pb[12:], xa), on_a))
+    left = eligible & ~settled
+    if left.any():
+        # compress keeps the row axis last and contiguous
+        xl, yl, sa, sb = (v.compress(left, axis=-1) for v in (xa, xb, on_a, on_b))
+        ta = _columns(turned, i[left]).reshape(3, 3, 3, -1)
+        tb = _columns(turned, j[left]).reshape(3, 3, 3, -1)
+        # edge k passes through every shared corner iff corner k + 2 is
+        # not shared
+        settled[left] = (edge_separated(xl, ta, ~np.roll(sa, -2, axis=0), yl, sb)
+                         | edge_separated(yl, tb, ~np.roll(sb, -2, axis=0), xl, sa))
+    return settled
 
 
 def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,11 +318,15 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
     Every row with a triangle the bounds cannot serve (see filter_scaled)
     stays.
 
-    When both triangles are on_grid, every plane value is exact, and b's
-    three all zero prove the pair coplanar; coplanar_kinds then gives its
-    kind.  Source faces that share no vertex report it.  For one face or
-    faces that share a vertex, an overlap is a local overlap, and no
-    contact adds nothing, nor does a contact that is exactly the shared
+    A row is flat when both triangles have one plane label (see
+    plane_labels): they are exactly coplanar, and their plane values are
+    exact zeros, so neither test above settles it.  Those two tests run
+    only on the eligible rows that are not flat; a block with no flat row
+    runs them on the whole block, as a mesh with no triangle on the grid
+    does.  coplanar_kinds gives a flat row's kind from the two triangles'
+    edge lines.  Source faces that share no vertex report it.  For one
+    face or faces that share a vertex, an overlap is a local overlap, and
+    no contact adds nothing, nor does a contact that is exactly the shared
     cell when the two may share it: a touch-point of a pair that shares a
     corner is that corner, and a touch-segment of a coplanar pair that
     shares an edge is that edge.  A touch-segment of a pair that shares
@@ -302,27 +335,27 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
     the two may then share are finitely many points (the shared corner,
     or the faces' common vertex cells), and a segment of positive length
     never lies within them, which is what _beyond_allowed would find.
-    Every other coplanar pair stays.
+    Every other flat row stays.
     """
     x, unusable = filter_scaled(soup.coords, soup.points)
     normal, permanent = normals(x)
     turn = area_signs(normal, permanent)
     edges = np.roll(x, -1, axis=1) - x
-    # per triangle: corners, normal, permanent; the turned edges; and its
-    # corner ids, edge cells, source face, unusable and on-grid flags
+    labels = plane_labels(x, normal, unusable)
+    # per triangle: corners, normal, permanent; the turned edges; its edge
+    # lines, when some triangle has a plane label; and its corner ids,
+    # edge cells, source face, unusable flag and plane label
     planes = np.concatenate((x.reshape(-1, 9), normal, permanent), axis=1)
     turned = (turn[:, :, None, None] * edges[:, None]).reshape(-1, 27)
-    ids = np.concatenate((soup.corners, soup.edge_cells,
-                          soup.source_face[:, None], unusable[:, None],
-                          on_grid(x, unusable)[:, None]), axis=1)
+    lines = edge_lines(x, normal) if labels.max(initial=-1) >= 0 else None
+    ids = np.concatenate((soup.corners, soup.edge_cells, soup.source_face[:, None],
+                          unusable[:, None], labels[:, None]), axis=1)
     keep = [np.empty((0, 2), dtype=cands.dtype)]
     found = [np.empty((0, 4), dtype=cands.dtype)]
     for first in range(0, len(cands), _ROW_BLOCK):
         rows = cands[first:first + _ROW_BLOCK]
         i, j = rows[:, 0], rows[:, 1]
-        pa, pb = _columns(planes, i), _columns(planes, j)
         ia, ib = _columns(ids, i), _columns(ids, j)
-        xa, xb = pa[:9].reshape(3, 3, -1), pb[:9].reshape(3, 3, -1)
         same = ia[:3, None] == ib[None, :3]
         on_a, on_b = same.any(axis=1), same.any(axis=0)     # corners the other has
         shared = on_a.sum(axis=0)
@@ -330,36 +363,28 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
         # are one when both flag the edge opposite their unshared corner
         cell = (shared < 2) | ((~on_a & ia[3:6]).any(axis=0) & (~on_b & ib[3:6]).any(axis=0))
         eligible = (shared < 3) & ((ia[6] == ib[6]) | cell) & (ia[7] + ib[7] == 0)
-        value, tol = plane_values(xa, pa[9:12], pa[12:], xb)    # b's corners, a's plane
-        settled = eligible & (off_plane(value, tol, on_b)
-                              | off_plane(*plane_values(xb, pb[9:12], pb[12:], xa), on_a))
-        # both on the grid, where b's zero plane values are exact
-        flat = ~settled & (ia[8] + ib[8] == 2) & (value == 0).all(axis=0)
-        left = eligible & ~settled & ~flat
-        if flat.any():
-            kind = coplanar_kinds(*(v.compress(flat, axis=-1)
-                                    for v in (xa, xb, pa[9:12], pb[9:12])))
-            fi, fj = ia[6, flat], ib[6, flat]
-            key = np.minimum(fi, fj) * soup.n_faces + np.maximum(fi, fj)
-            free = (fi != fj) & ~_has_key(soup.face_neighbours, key)
-            # a touch-segment beyond the finitely many points the pair may share
-            segment = ((kind == TOUCH_SEGMENT) & (shared[flat] < 2)
-                       & ((fi == fj) | ~_has_key(soup.edge_neighbours, key)))
-            told = (kind != NO_CONTACT) & (free | (kind == OVERLAP) | segment)
-            found.append(np.column_stack((rows[flat][told], kind[told], ~free[told])))
-            # kind == shared: a touch at the one shared corner, or along
-            # the shared edge, is that cell
-            settled[flat] = (free | (kind == NO_CONTACT) | (kind == OVERLAP) | segment
-                             | (eligible[flat] & (kind == shared[flat])))
-        if left.any():
-            # compress keeps the row axis last and contiguous
-            xl, yl, sa, sb = (v.compress(left, axis=-1) for v in (xa, xb, on_a, on_b))
-            ta = _columns(turned, i[left]).reshape(3, 3, 3, -1)
-            tb = _columns(turned, j[left]).reshape(3, 3, 3, -1)
-            # edge k passes through every shared corner iff corner k + 2
-            # is not shared
-            settled[left] = (edge_separated(xl, ta, ~np.roll(sa, -2, axis=0), yl, sb)
-                             | edge_separated(yl, tb, ~np.roll(sb, -2, axis=0), xl, sa))
+        flat = (ia[8] >= 0) & (ia[8] == ib[8])
+        if not flat.any():
+            keep.append(rows[~_separated(planes, turned, i, j, on_a, on_b, eligible)])
+            continue
+        settled = np.zeros(len(rows), dtype=bool)
+        test = np.flatnonzero(eligible & ~flat)
+        if test.size:
+            settled[test] = _separated(planes, turned, i[test], j[test], on_a[:, test],
+                                       on_b[:, test], eligible[test])
+        kind = coplanar_kinds(_columns(lines, i[flat]), _columns(lines, j[flat]))
+        fi, fj = ia[6, flat], ib[6, flat]
+        key = np.minimum(fi, fj) * soup.n_faces + np.maximum(fi, fj)
+        free = (fi != fj) & ~_has_key(soup.face_neighbours, key)
+        # a touch-segment beyond the finitely many points the pair may share
+        segment = ((kind == TOUCH_SEGMENT) & (shared[flat] < 2)
+                   & ((fi == fj) | ~_has_key(soup.edge_neighbours, key)))
+        told = (kind != NO_CONTACT) & (free | (kind == OVERLAP) | segment)
+        found.append(np.column_stack((rows[flat][told], kind[told], ~free[told])))
+        # kind == shared: a touch at the one shared corner, or along the
+        # shared edge, is that cell
+        settled[flat] = (free | (kind == NO_CONTACT) | (kind == OVERLAP) | segment
+                         | (eligible[flat] & (kind == shared[flat])))
         keep.append(rows[~settled])
     return np.concatenate(keep), np.concatenate(found)
 
@@ -780,8 +805,9 @@ def self_intersections(
 
     The result is a pure set function of the coordinates: pair lists are
     sorted by index.  The float pass's contacts and the exact loop's are
-    rows (i, j, kind, local) of one array, ordered by one lexsort on
-    (i, j) and split on local into two ContactRows.
+    rows (i, j, kind, local) of one array, split on local into two
+    ContactRows.  The float pass's rows come in pair order; one lexsort on
+    (i, j) merges the loop's rows, when there are any.
     """
     if boxes is None:
         boxes = build_hierarchy(soup)
@@ -800,8 +826,10 @@ def self_intersections(
         cells = _shared_cells(soup, grid, corners[i], corners[j], run)
         if cells is None or _beyond_allowed(*found, *cells):
             loop.append((i, j, _KIND_INDEX[found[0]], cells is not None))
-    merged = np.concatenate((decided, np.array(loop, dtype=decided.dtype).reshape(-1, 4)))
-    merged = merged[np.lexsort((merged[:, 1], merged[:, 0]))]
+    merged = decided        # in pair order: blocks follow cands, compress keeps order
+    if loop:
+        merged = np.concatenate((decided, np.array(loop, dtype=decided.dtype)))
+        merged = merged[np.lexsort((merged[:, 1], merged[:, 0]))]
     local = merged[:, 3].astype(bool)
     return IntersectionReport(pairs=ContactRows(merged[~local, :3]),
                               local_overlaps=ContactRows(merged[local, :3]),

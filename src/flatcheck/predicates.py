@@ -32,17 +32,23 @@ below 2^-200 after scaling is marked unusable: a nonzero difference of
 usable coordinates is at least 2^-252, and every nonzero product formed
 from them stays far from the subnormal range.
 
-Where a pair's six scaled corners are all multiples of 2^-15 (on_grid),
-the filter's values are exact, not merely bounded: in units of 2^-15
-every coordinate is an integer X with |X| < 2^15, a difference is below
-2^16, a normal component or projected orient2d (two products of
-differences) below 2^33, and a plane value (three normal components
-times differences) below 2^51, all within float64's 53 bits, zeros
-included.  Three zero plane values then prove a pair coplanar, and
-coplanar_kinds reads its contact's kind off the exact orient2d signs, as
-in Guigue and Devillers' orientation-predicate triangle test ("Fast and
-robust triangle-triangle overlap test using orientation predicates", JGT
-2003).
+Where a triangle's scaled corners are all multiples of 2^-15, the
+filter's values are exact, not merely bounded: in units of 2^-15 every
+coordinate is an integer X with |X| < 2^15, a difference is below 2^16, a
+normal component or projected orient2d (two products of differences)
+below 2^33, and a plane value (three normal components times
+differences) below 2^51, all within float64's 53 bits, zeros included.
+Such triangles get exact plane labels, once per call: the normal and
+the offset n . c0 are integers (below 2^33 and 2^50), and divided by
+their gcd and signed they are one key per plane, so two triangles with
+one label are exactly coplanar.  Each triangle's edge lines, also once
+per call, are its corners projected along its dominant normal axis, its
+edges turned counter-clockwise, and their line constants; a corner's
+turn against an edge line is then below 2^33 and exact.  coplanar_kinds
+reads a coplanar pair's kind off these exact signs, as in Guigue and
+Devillers' orientation-predicate triangle test ("Fast and robust
+triangle-triangle overlap test using orientation predicates", JGT 2003),
+with no per-pair projection.
 """
 from __future__ import annotations
 
@@ -197,42 +203,77 @@ def edge_separated(x, turned, usable, pts, skip) -> np.ndarray:
     return out
 
 
-def on_grid(scaled: np.ndarray, unusable: np.ndarray) -> np.ndarray:
-    """(n,) whether every coordinate of a usable scaled triangle is an
-    integer multiple of 2^-15, on which every value the filter and
-    coplanar_kinds compute is exact."""
+def plane_labels(scaled: np.ndarray, normal: np.ndarray, unusable: np.ndarray) -> np.ndarray:
+    """(n,) int64 label of each usable scaled triangle whose coordinates are
+    all integer multiples of 2^-15: two such triangles get one label iff
+    they lie in one plane.  Every other triangle gets -1.
+
+    On the grid, normal (see normals) has integer components below 2^33
+    in units of 2^-30, and the offset n . c0 is an integer below 2^50 in
+    units of 2^-45, both exact in float64 and in int64.  Divided by their
+    gcd and signed so that the first nonzero normal component is
+    positive, the four integers are one key per plane; one lexsort
+    numbers the distinct keys."""
     units = scaled * _GRID
-    return (units == np.rint(units)).all(axis=(1, 2)) & ~unusable
+    on = np.flatnonzero((units == np.rint(units)).all(axis=(1, 2)) & ~unusable)
+    labels = np.full(len(scaled), -1, dtype=np.int64)
+    if not on.size:
+        return labels
+    n = normal[on]
+    key = np.empty((len(on), 4), dtype=np.int64)
+    key[:, :3] = np.ldexp(n, 30)
+    key[:, 3] = np.ldexp((n * scaled[on, 0]).sum(axis=1), 45)
+    key //= np.maximum(np.gcd.reduce(key, axis=1), 1)[:, None]
+    first = key[np.arange(len(on)), (key[:, :3] != 0).argmax(axis=1)]
+    key[first < 0] *= -1
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    new = np.ones(len(on), dtype=np.int64)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    labels[on[order]] = np.cumsum(new) - 1
+    return labels
 
 
-def _turns(p: np.ndarray, q: np.ndarray, turn: np.ndarray) -> np.ndarray:
-    """orient2d(p(k), p(k+1), q(l)) times turn at [k, l]: p and q are
-    projected triangles (3 corners, 2 coordinates, m)."""
-    e = np.roll(p, -1, axis=0) - p
-    w = q[None] - p[:, None]
-    return turn * (e[:, None, 0] * w[:, :, 1] - e[:, None, 1] * w[:, :, 0])
+def edge_lines(scaled: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """(n, 15) per triangle: its corners p_k projected along its normal's
+    dominant axis (3 x 2), its edges e_k = p(k+1) - p(k) times the sign of
+    its projected area (3 x 2), so that they run counter-clockwise, and
+    the line constants c_k = e_k x p_k (3).  A point q is on the inner
+    side of edge k iff e_k x q - c_k >= 0.
+
+    On the grid (see plane_labels) each value is exact: a projected
+    coordinate is below 2^15 in units of 2^-15, an edge component below
+    2^16, and c_k, like e_k x q, below 2^32 in units of 2^-30, so the
+    turn e_k x q - c_k is below 2^33.  Exactly coplanar triangles have
+    parallel exact normals, so both pick the same axis, ties included."""
+    m = len(scaled)
+    axis = np.abs(normal).argmax(axis=1)
+    p = np.take_along_axis(scaled, np.array(PLANE)[axis][:, None, :], axis=2)
+    e = (np.roll(p, -1, axis=1) - p) * np.sign(normal[np.arange(m), axis])[:, None, None]
+    c = e[:, :, 0] * p[:, :, 1] - e[:, :, 1] * p[:, :, 0]
+    return np.concatenate((p.reshape(m, 6), e.reshape(m, 6), c), axis=1)
 
 
-def coplanar_kinds(xa, xb, normal_a, normal_b) -> np.ndarray:
-    """(m,) contact kind of coplanar triangles whose values are exact
-    (on_grid), as an index into KINDS.  xa and xb are (3 corners,
-    3 coordinates, m), normal_a and normal_b (3, m).
+def _turns(lines: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """e_k x q_l - c_k at [k, l]: lines is a triangle's edge_lines row
+    (15, m), q a projected triangle (3 corners, 2 coordinates, m)."""
+    e, c = lines[6:12].reshape(3, 2, -1), lines[12:]
+    return e[:, None, 0] * q[None, :, 1] - e[:, None, 1] * q[None, :, 0] - c[:, None]
 
-    Both are projected along a's dominant normal axis and turned counter-
-    clockwise, so a corner is in the other closed triangle iff its three
-    turns against the other's edge lines are >= 0.  The interiors meet iff
-    no edge line of either has the other's corners all on or beyond it.
-    Otherwise two edges can meet only in a corner of one or along a common
-    line, so the contact is the hull of the corners of each that are in
-    the other: no point, one, or a segment."""
-    m = normal_a.shape[1]
-    axis = np.abs(normal_a).argmax(axis=0)
-    # flat indices into (3, m) of [axis, row] and of the two axes after it
-    at = axis * m + np.arange(m)
-    plane = np.stack(((at + m) % (3 * m), (at + 2 * m) % (3 * m)))
-    pa, pb = (x.reshape(3, -1).take(plane, axis=1) for x in (xa, xb))
-    ta, tb = (np.sign(n.take(at)) for n in (normal_a, normal_b))
-    on_a, on_b = _turns(pa, pb, ta), _turns(pb, pa, tb)     # [edge of a, corner of b]
+
+def coplanar_kinds(lines_a: np.ndarray, lines_b: np.ndarray) -> np.ndarray:
+    """(m,) contact kind of triangles with one plane label, as an index
+    into KINDS.  lines_a and lines_b are their edge_lines rows, (15, m).
+
+    Both are projected along their common dominant normal axis and turned
+    counter-clockwise, so a corner is in the other closed triangle iff its
+    three turns against the other's edge lines are >= 0.  The interiors
+    meet iff no edge line of either has the other's corners all on or
+    beyond it.  Otherwise two edges can meet only in a corner of one or
+    along a common line, so the contact is the hull of the corners of each
+    that are in the other: no point, one, or a segment."""
+    pa, pb = lines_a[:6].reshape(3, 2, -1), lines_b[:6].reshape(3, 2, -1)
+    on_a, on_b = _turns(lines_a, pb), _turns(lines_b, pa)   # [edge of a, corner of b]
     apart = (on_a <= 0).all(axis=1).any(axis=0) | (on_b <= 0).all(axis=1).any(axis=0)
     # a's corners in b, then b's in a; their hull is one point iff its
     # extent is 0 in both coordinates

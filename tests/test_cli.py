@@ -226,10 +226,10 @@ def test_oversized_generator_is_usage_error(capsys, tmp_path):
 
 def test_non_finite_cone_angle_is_usage_error(capsys, tmp_path):
     # 1e308 is finite, but twice it overflows to inf before the segment count
-    for angle in ("inf", "nan", "1e308"):
+    for angle in ("inf", "nan", "1e308", "0"):
         rc, _, err = run(capsys, "generate", "doubled_cone", angle, "-o", str(tmp_path / "c.off"))
         assert rc == 2, angle
-        assert "total_angle" in err, angle
+        assert err.startswith("error: doubled_cone total_angle "), angle
     assert not (tmp_path / "c.off").exists()
 
 

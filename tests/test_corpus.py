@@ -104,11 +104,12 @@ def test_grid_requires_three():
 
 
 def test_folded_torus_validation():
-    with pytest.raises(GeneratorError):
+    # each message names the kind
+    with pytest.raises(GeneratorError, match="^folded_flat_torus folds must be even"):
         generate(GeneratorSpec("folded_flat_torus", m=4, n=4, folds=3))  # odd
-    with pytest.raises(GeneratorError):
+    with pytest.raises(GeneratorError, match="^folded_flat_torus folds must divide"):
         generate(GeneratorSpec("folded_flat_torus", m=6, n=4, folds=4))  # 4 excl 6
-    with pytest.raises(GeneratorError):
+    with pytest.raises(GeneratorError, match="^folded_flat_torus folds must divide"):
         generate(GeneratorSpec("folded_flat_torus", m=3, n=3, folds=2))  # 2 excl 3
 
 
@@ -132,13 +133,13 @@ def test_folded_torus_unit_slope():
 
 
 def test_doubled_cone_validation():
-    with pytest.raises(GeneratorError):
-        generate(GeneratorSpec("doubled_cone", total_angle=0.0))
-    with pytest.raises(GeneratorError):
-        generate(GeneratorSpec("doubled_cone", total_angle=-1.0))
-    with pytest.raises(GeneratorError):
+    # each message names the kind
+    for angle in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(GeneratorError, match="^doubled_cone total_angle must be positive"):
+            generate(GeneratorSpec("doubled_cone", total_angle=angle))
+    with pytest.raises(GeneratorError, match="^doubled_cone segments must be >= 3, got 2$"):
         generate(GeneratorSpec("doubled_cone", total_angle=2 * math.pi, segments=2))
-    with pytest.raises(GeneratorError):
+    with pytest.raises(GeneratorError, match="^doubled_cone segments=4 gives corner angle"):
         # sector angle would reach pi
         generate(GeneratorSpec("doubled_cone", total_angle=4 * math.pi, segments=4))
 
@@ -175,6 +176,18 @@ def test_face_count_bound(spec):
         generate(spec)
 
 
+@pytest.mark.parametrize("spec, name", [
+    (GeneratorSpec("cube", m=3), "m"),
+    (GeneratorSpec("grid_torus", m=4, n=5, folds=3), "folds"),
+    (GeneratorSpec("grid_klein", m=3, n=3, total_angle=1.0), "total_angle"),
+    (GeneratorSpec("folded_flat_torus", m=4, n=4, folds=2, segments=8), "segments"),
+    (GeneratorSpec("doubled_cone", n=4, total_angle=2 * math.pi), "n"),
+])
+def test_generate_refuses_fields_the_kind_does_not_take(spec, name):
+    with pytest.raises(GeneratorError, match=f"^{spec.kind} takes no {name}$"):
+        generate(spec)
+
+
 def test_unknown_kind():
     with pytest.raises(GeneratorError):
         generate(GeneratorSpec("octahedron"))
@@ -196,3 +209,9 @@ def test_spec_labels():
         GeneratorSpec("folded_flat_torus", m=4, n=4, folds=2).label
         == "folded_flat_torus_4x4_folds2"
     )
+    # segments changes the surface, so it is part of the label
+    plain = GeneratorSpec("doubled_cone", total_angle=2 * math.pi)
+    split = GeneratorSpec("doubled_cone", total_angle=2 * math.pi, segments=8)
+    assert (plain.label, split.label) == ("doubled_cone_angle6.28319",
+                                          "doubled_cone_angle6.28319_segments8")
+    assert (generate(plain).n_faces, generate(split).n_faces) == (8, 16)

@@ -47,6 +47,7 @@ from flatcheck import (
     triangulate_faces,
 )
 from flatcheck import intersect
+from flatcheck.predicates import filter_scaled, normals, plane_labels
 
 from conftest import (brute_report, grid_klein, grid_torus, independent_soup, random_rotation,
                       referee_cells, referee_shared_cells)
@@ -1061,20 +1062,29 @@ def test_contact_rows_read_as_tuple(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["folded_flat_torus_12x12_2", "grid_klein_8x8",
-                                  "quad_torus_16x16", "grid_klein_4x4_bary1"])
+                                  "quad_torus_16x16", "grid_klein_4x4_bary1",
+                                  "grid_klein_8x8_part_off_grid"])
 def test_undecided_rows_independent_of_block(monkeypatch, name):
     """The float pass decides each row on its own: blocks of 1, 7 and
     2,048 rows give the same rows for the loop and the same contacts, in
-    the same order, on the check meshes, on quad_torus 16^2, and on a
-    subdivided Klein grid whose centroids leave the pass's 2^-15 grid."""
+    the same order, on the check meshes, on quad_torus 16^2, on a
+    subdivided Klein grid whose centroids leave the pass's 2^-15 grid, and
+    on the Klein grid with every fifth vertex moved off that grid within
+    its plane, so that blocks mix flat rows with coplanar rows that have
+    no plane label and take the plane and edge-line tests."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
     meshes = importlib.import_module("perfbench.meshes")
     builds = dict(meshes.WORKLOADS["check_contacts"].meshes)
     builds.update(meshes.WORKLOADS["check_embedded"].meshes)
     if name in builds:
         refinement = triangulate_faces(builds[name]().unit_scaled()[0])
-    else:
+    elif name == "grid_klein_4x4_bary1":
         refinement = barycentric_subdivision(grid_klein(4, 4))
+    else:
+        cx = grid_klein(8, 8).unit_scaled()[0]
+        points = cx.vertices.copy()
+        points[::5, 0] += 2.0**-20
+        refinement = triangulate_faces(replace(cx, vertices=points))
     soup = triangle_soup(refinement)
     cands = candidate_pairs(build_hierarchy(soup))
     outputs = []
@@ -1083,6 +1093,16 @@ def test_undecided_rows_independent_of_block(monkeypatch, name):
         outputs.append([a.tolist() for a in intersect._undecided_rows(soup, cands)])
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][1] or name == "quad_torus_16x16"
+    if name == "grid_klein_8x8_part_off_grid":
+        x, unusable = filter_scaled(soup.coords, soup.points)
+        labels = plane_labels(x, normals(x)[0], unusable)
+        flat = (labels[cands[:, 0]] >= 0) & (labels[cands[:, 0]] == labels[cands[:, 1]])
+        off = (labels[cands] < 0).any(axis=1)
+        # both kinds of row in one 2,048-row block, and rows of each left
+        assert flat[:2048].any() and off[:2048].any()
+        left = {tuple(r) for r in outputs[0][0]}
+        assert left & {tuple(r) for r in cands[off].tolist()}
+        assert _loop_report(soup) == self_intersections(soup)
 
 
 def _pair_rows(n):

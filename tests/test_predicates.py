@@ -5,13 +5,16 @@ and straddle the line y = x, so a float cross product taken relative to a
 far-away corner rounds some of them to the wrong side.  Every decision must
 match a Fraction evaluation of the same geometry, also after the grid is
 scaled by a power of two far into the overflow and subnormal ranges.
-The batched orient2d_rows is refereed by orient2d, row by row.
+The batched orient2d_rows is refereed by orient2d, row by row, and the
+float pass's plane labels by coplanarity of the triangles' integer
+corners.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -20,7 +23,8 @@ from hypothesis import strategies as st
 
 from flatcheck import predicates
 from flatcheck.flatness import _segments_properly_disjoint
-from flatcheck.predicates import orient2d, orient2d_rows
+from flatcheck.predicates import (cross, dot, filter_scaled, normals, orient2d, orient2d_rows,
+                                  plane_labels, sub, to_grid)
 from flatcheck.refine import _point_in_triangle
 
 STEP = 2.0 ** -53
@@ -157,3 +161,86 @@ def test_orient2d_rows_exact_fallback_on_near_collinear_rows():
     assert signs.tolist() == [_sign(*t) for t in triples]
     assert exact > 0
     assert {-1, 1} <= set(signs.tolist())
+
+
+# the largest grid coordinate in units of 2^-15
+M = 2**15 - 1
+# a triangle at the extremes of the grid, so that every scene is scaled by
+# the same power of two and a half unit is off the grid; its normal
+# components are 4 M^2 (nearly 2^32) and its offset 12 M^3 (above 2^48)
+ANCHOR = ((-M, -M, -M), (M, -M, M), (-M, M, M))
+EXTREMES = [
+    ((-M, 0, 0), (0, -M, 0), (-M, M, M)),      # the anchor's plane, other corners
+    ((-M, M, M), (M, -M, M), (-M, -M, -M)),    # the anchor reversed: normal times -1
+    ((-M, -M, 1 - M), (M, -M, M), (-M, M, M)),  # one unit off the anchor's plane
+    ((-M, -M, -M - 0.5), (M, -M, M - 0.5), (-M, M, M - 0.5)),   # off the grid
+]
+
+
+def _in_range(p) -> bool:
+    return all(abs(c) <= M for c in p)
+
+
+@st.composite
+def _plane_scene(draw):
+    """Triangles with integer coordinates of magnitude at most 2^15 - 1,
+    none of zero area: ANCHOR and some of EXTREMES, then a few planes,
+    axis planes and tilted ones, each holding triangles spanned from a
+    point p0 by integer steps along two directions (so that their normals
+    differ by integer factors and by sign), some moved one unit off the
+    plane and some by half a unit, off the grid."""
+    tris = [ANCHOR] + draw(st.lists(st.sampled_from(EXTREMES), max_size=4))
+    unit = st.integers(-M, M)
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            axis, level = draw(st.integers(0, 2)), draw(unit)
+
+            def point(axis=axis, level=level):
+                p = [draw(unit), draw(unit)]
+                p.insert(axis, level)
+                return tuple(p)
+        else:
+            p0 = draw(st.tuples(unit, unit, unit))
+            u, v = (draw(st.tuples(*[st.integers(-300, 300)] * 3)) for _ in range(2))
+            step = st.integers(-100, 100)
+
+            def point(p0=p0, u=u, v=v, step=step):
+                a, b = draw(step), draw(step)
+                return tuple(p0[k] + a * u[k] + b * v[k] for k in range(3))
+        for _ in range(draw(st.integers(1, 5))):
+            tri = [point(), point(), point()]
+            moved = draw(st.sampled_from((None, None, None, 1, 0.5)))
+            if moved is not None:
+                corner, axis = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+                tri[corner] = tuple(c + moved * (k == axis) for k, c in enumerate(tri[corner]))
+            # exact in floats: the products are below 2^35
+            if all(map(_in_range, tri)) and cross(sub(tri[1], tri[0]),
+                                                 sub(tri[2], tri[0])) != (0, 0, 0):
+                tris.append(tuple(tri))
+    return draw(st.permutations(tris))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tris=_plane_scene(), k=st.just(0) | st.integers(-1060, 1000))
+def test_plane_labels_equal_iff_coplanar(tris, k):
+    """At every binary scale 2^k, a triangle gets a label iff its scaled
+    coordinates are on the 2^-15 grid, and two labelled triangles get one
+    label iff their to_grid integer corners are coplanar."""
+    coords = np.ldexp(np.array(tris, dtype=np.float64), k)
+    x, unusable = filter_scaled(coords, coords.reshape(-1, 3))
+    labels = plane_labels(x, normals(x)[0], unusable).tolist()
+    unit = Fraction(2) ** (15 - math.frexp(np.abs(coords).max())[1])
+    on = [all((Fraction(c) * unit).denominator == 1 for c in tri.ravel().tolist())
+          for tri in coords]
+    assert [label >= 0 for label in labels] == on
+    assert True in on and (False in on) == any(c % 1 for c in np.ravel(tris))
+    ints, _ = to_grid(coords.ravel().tolist())
+    corners = [[tuple(ints[9 * t + 3 * c:9 * t + 3 * c + 3]) for c in range(3)]
+               for t in range(len(tris))]
+    for t, u in combinations(range(len(tris)), 2):
+        if on[t] and on[u]:
+            c0, c1, c2 = corners[t]
+            n = cross(sub(c1, c0), sub(c2, c0))
+            coplanar = all(dot(n, sub(q, c0)) == 0 for q in corners[u])
+            assert (labels[t] == labels[u]) == coplanar, (t, u)
+
