@@ -8,11 +8,18 @@ triple.  Readers attach the SHA-256 of every file they consumed;
 writers serialize coordinates with 17 significant digits so that a
 write/read round trip reproduces the float values bit for bit.
 
-Readers convert each block of numbers (the vertex lines, the face
-lines) with one C-level parse.  They trust that parse only where it
-reads every token exactly as float() or int() would; otherwise they
-parse the block line by line, which returns the same values for what
-the bulk parse refused, or raises a FormatError at the first bad line.
+A reader first builds the file's line index in whole-array passes over
+its bytes: where each line that is not blank or a comment starts and
+ends, its line number, and how many str.split() tokens it holds, counted
+from a table of the bytes str.split() separates on (in a file with
+non-ASCII text, the UTF-8 bytes of the other spaces it separates on are
+marked too).  Readers convert each block of numbers (the vertex lines,
+the face lines) with one C-level parse of the block's bytes.  They trust
+that parse only where it reads one value per token the index counts, as
+float() or int() would read it; otherwise they parse the block line by
+line, which returns the same values for what the bulk parse refused, or
+raises a FormatError at the first bad line.  Only that path and the OFF
+header make str lines.
 """
 from __future__ import annotations
 
@@ -20,8 +27,6 @@ import hashlib
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +34,15 @@ import numpy as np
 from .mesh import (CellComplex, InvalidComplexError, MeshError, by_degree, complex_from_flat,
                    edge_table)
 
-_COMMENT = re.compile(r"#[^\n]*")
 _INT64_MAX = np.iinfo(np.int64).max
+_BOM = b"\xef\xbb\xbf"
+# the bytes str.split() separates on in ASCII text, and the other
+# characters it separates on: every c > '\x7f' with c.isspace()
+_SEPARATOR = np.zeros(256, dtype=bool)
+_SEPARATOR[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_WIDE_SPACES = ("\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200b)))
+                + "\u2028\u2029\u202f\u205f\u3000")
+_WIDE_SPACE = re.compile(b"|".join(re.escape(c.encode("utf-8")) for c in _WIDE_SPACES))
 
 
 class FormatError(MeshError):
@@ -49,33 +61,90 @@ def _fail(path, lineno: int, message: str):
     raise FormatError(f"{path}:{lineno}: {message}")
 
 
-def _data_lines(path: str | Path) -> tuple[list[int], list[str], tuple[str, str]]:
-    """Read the file once: the line numbers and the stripped contents of
-    the lines that are not blank or a comment, and the (path, sha256) of
-    the bytes parsed.
+@dataclass(frozen=True, eq=False)
+class _Lines:
+    """The line index of a file: its lines that are not blank or a comment.
 
-    Lines end at \n, \r\n or \r, as in text mode; str.splitlines would
-    also split on \x0c and \x85 and shift the line numbers.  A byte that
-    is not UTF-8 fails at its line.  A leading byte-order mark is dropped
-    after decoding, so an error's offset still counts from the first byte.
+    Line k of the index is file line linenos[k]; its text, up to the
+    whitespace around it, is data[starts[k]:ends[k]], which starts at its
+    first token, and it holds tokens[k] str.split() tokens.  data is the
+    file's bytes after a leading byte-order mark, with every comment turned
+    into spaces, so the bytes between two lines of the index are
+    whitespace.  sep[p] says whether str.split() separates on data[p], and
+    sep[len(data)] is True.
+    """
+
+    data: bytes
+    sep: np.ndarray
+    linenos: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    tokens: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.linenos.size)
+
+    def text(self, rows) -> list[str]:
+        """The stripped text of the lines rows (a slice or an index array)."""
+        return [self.data[s:e].decode("utf-8").strip()
+                for s, e in zip(self.starts[rows].tolist(), self.ends[rows].tolist())]
+
+    def block(self, lo: int, hi: int) -> bytes:
+        """The bytes of lines lo .. hi - 1, from the first token of lo to
+        the end of hi - 1."""
+        return self.data[self.starts[lo]:self.ends[hi - 1]] if hi > lo else b""
+
+
+def _data_lines(path: str | Path) -> tuple[_Lines, tuple[str, str]]:
+    """The line index of the file and the (path, sha256) of its bytes.
+
+    Lines end at \\n, \\r\\n or \\r, as in text mode; a form feed or NEL
+    inside a line does not end it.  A comment runs from a line's first #
+    to its end.  A byte that is not UTF-8 fails at its line; a leading
+    byte-order mark is left out, so an error's offset still counts from
+    the first byte.
     """
     data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        _fail(path, lineno, f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})")
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if "#" in text:
-        text = _COMMENT.sub("", text)
-    stripped = list(map(str.strip, text.split("\n")))
-    return (list(compress(count(1), stripped)), list(filter(None, stripped)),
+    body = data[len(_BOM):] if data.startswith(_BOM) else data
+    wide = not body.isascii()
+    if wide:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+            lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            _fail(path, lineno, f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})")
+    raw = np.frombuffer(body, dtype=np.uint8)
+    lf, cr = raw == 10, raw == 13
+    cr[:-1] &= ~lf[1:]                    # the \r of \r\n ends no line
+    ends = np.append(np.flatnonzero(lf | cr), raw.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    hashes = np.flatnonzero(raw == 35)
+    if hashes.size:
+        cut = hashes[np.minimum(np.searchsorted(hashes, starts), hashes.size - 1)]
+        commented = (cut >= starts) & (cut < ends)
+        edge = np.zeros(raw.size + 1, dtype=np.int8)
+        edge[cut[commented]] = 1
+        edge[ends[commented]] = -1
+        raw = np.where(np.cumsum(edge[:-1], dtype=np.int8) > 0, np.uint8(32), raw)
+        body = raw.tobytes()
+    sep = np.append(_SEPARATOR[raw], True)
+    if wide:
+        for space in _WIDE_SPACE.finditer(body):
+            sep[space.start():space.end()] = True
+    # a token starts at a byte str.split() keeps, after one it separates on
+    word = ~sep[:-1]
+    word[1:] &= sep[:-2]
+    words = np.flatnonzero(word)
+    first = np.searchsorted(words, starts)
+    tokens = np.searchsorted(words, ends) - first
+    kept = np.flatnonzero(tokens)
+    return (_Lines(body, sep, kept + 1, words[first[kept]], ends[kept], tokens[kept]),
             (str(path), hashlib.sha256(data).hexdigest()))
 
 
-def _bulk(lines: list[str], n_tokens: int, dtype) -> np.ndarray | None:
-    """Every number on lines, in order, from one C-level parse; None when
+def _bulk(text: bytes, n_tokens: int, dtype) -> np.ndarray | None:
+    """Every number in text, in order, from one C-level parse; None when
     that parse might read a token otherwise than float() or int() does.
 
     It is trusted when it returns one value per token and warns of
@@ -84,9 +153,8 @@ def _bulk(lines: list[str], n_tokens: int, dtype) -> np.ndarray | None:
     NaN (it reads 'nan(1)'); integers must carry no sign (it reads a lone
     '-' as 0) and stop short of the int64 maximum (it saturates there).
     """
-    text = " ".join(lines)
     integer = dtype == np.int64
-    if integer and ("-" in text or "+" in text):
+    if integer and (b"-" in text or b"+" in text):
         return None
     try:
         with warnings.catch_warnings():
@@ -100,16 +168,15 @@ def _bulk(lines: list[str], n_tokens: int, dtype) -> np.ndarray | None:
     return None if bad.any() else values
 
 
-def _coordinates(path, linenos: list[int], lines: list[str]) -> np.ndarray:
-    """(n, 3) array of the coordinate triples on the given lines, or a
+def _coordinates(path, lines: _Lines, lo: int, hi: int) -> np.ndarray:
+    """(n, 3) array of the coordinate triples on lines lo .. hi - 1, or a
     FormatError naming the first line that is not three numbers."""
-    counts = list(map(len, map(str.split, lines)))
-    if counts.count(3) == len(counts):
-        values = _bulk(lines, 3 * len(lines), np.float64)
+    if (lines.tokens[lo:hi] == 3).all():
+        values = _bulk(lines.block(lo, hi), 3 * (hi - lo), np.float64)
         if values is not None:
             return values.reshape(-1, 3)
     rows = []
-    for lineno, line in zip(linenos, lines):
+    for lineno, line in zip(lines.linenos[lo:hi].tolist(), lines.text(slice(lo, hi))):
         parts = line.split()
         if len(parts) != 3:
             _fail(path, lineno, f"expected 3 coordinates, got {len(parts)}")
@@ -120,12 +187,12 @@ def _coordinates(path, linenos: list[int], lines: list[str]) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(rows), 3)
 
 
-def _face_indices(path, linenos: list[int], lines: list[str], counted: bool):
-    """(indices, degrees) of the faces on the given lines, or a
+def _face_indices(path, lines: _Lines, lo: int, hi: int, counted: bool):
+    """(indices, degrees) of the faces on lines lo .. hi - 1, or a
     FormatError naming the first bad line.  A counted line reads
     'k i0 .. i(k-1)' (OFF); otherwise a line lists at least 3 indices."""
-    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
-    values = _bulk(lines, int(counts.sum()), np.int64)
+    counts = lines.tokens[lo:hi]
+    values = _bulk(lines.block(lo, hi), int(counts.sum()), np.int64)
     if values is not None:
         if not counted:
             if (counts >= 3).all():
@@ -136,7 +203,7 @@ def _face_indices(path, linenos: list[int], lines: list[str], counted: bool):
                 return np.delete(values, heads), counts - 1
     indices: list[int] = []
     degrees: list[int] = []
-    for lineno, line in zip(linenos, lines):
+    for lineno, line in zip(lines.linenos[lo:hi].tolist(), lines.text(slice(lo, hi))):
         parts = line.split()
         if not counted and len(parts) < 3:
             _fail(path, lineno, f"face needs at least 3 vertices, got {len(parts)}")
@@ -155,17 +222,18 @@ def _face_indices(path, linenos: list[int], lines: list[str], counted: bool):
 
 def read_off(path: str | Path) -> LoadedMesh:
     """Parse an ASCII OFF file (header, counts, vertices, 0-based faces)."""
-    linenos, lines, source = _data_lines(path)
-    if not lines:
+    lines, source = _data_lines(path)
+    if not len(lines):
         raise FormatError(f"{path}: empty file")
-    first, *tokens = lines[0].split()
+    linenos = lines.linenos.tolist()
+    first, *tokens = lines.text(slice(0, 1))[0].split()
     if first != "OFF":
         _fail(path, linenos[0], f"expected OFF header, got {first!r}")
     body = 1
     if not tokens:
         if len(lines) < 2:
             _fail(path, linenos[0], "missing counts after OFF header")
-        tokens = lines[1].split()
+        tokens = lines.text(slice(1, 2))[0].split()
         body = 2
     lineno = linenos[body - 1]
     if len(tokens) != 3:
@@ -181,8 +249,8 @@ def read_off(path: str | Path) -> LoadedMesh:
                             f"file has {len(lines) - body} data line(s)")
 
     mid = body + nv
-    vertices = _coordinates(path, linenos[body:mid], lines[body:mid])
-    indices, degrees = _face_indices(path, linenos[mid:], lines[mid:], counted=True)
+    vertices = _coordinates(path, lines, body, mid)
+    indices, degrees = _face_indices(path, lines, mid, len(lines), counted=True)
     complex = _build(vertices, indices, degrees, 0, path, linenos[body:mid], linenos[mid:])
     return LoadedMesh(complex=complex, sources=(source,))
 
@@ -192,66 +260,74 @@ def read_obj(path: str | Path) -> LoadedMesh:
 
     Every other record type (vn, vt, usemtl, ...) is irrelevant here.
     """
-    linenos, lines, source = _data_lines(path)
-    records = list(map(str.split, lines))
-    kinds = list(map(itemgetter(0), records))
-    is_v = list(map("v".__eq__, kinds))
-    is_f = list(map("f".__eq__, kinds))
-    vertices = _obj_coordinates(list(compress(lines, is_v)), list(compress(records, is_v)))
+    lines, source = _data_lines(path)
+    # a record's kind is its first token; v and f are one letter long
+    letter = np.frombuffer(lines.data, dtype=np.uint8)[lines.starts]
+    one = lines.sep[lines.starts + 1]
+    v = np.flatnonzero(one & (letter == ord("v")))
+    f = np.flatnonzero(one & (letter == ord("f")))
+    vertices = _obj_coordinates(lines, v)
     if vertices is None:
-        vertices, indices, degrees = _obj_records(path, linenos, lines, records)
+        vertices, indices, degrees = _obj_records(path, lines)
     else:
-        # accumulate(is_v) counts the vertices declared up to each line
-        declared = list(compress(accumulate(is_v), is_f))
-        faces = _obj_faces(list(compress(lines, is_f)), list(compress(records, is_f)), declared)
+        # the number of vertices declared before each f line
+        declared = np.searchsorted(v, f)
+        faces = _obj_faces(lines, f, declared)
         if faces is None:
             indices, degrees = [], []
-            for lineno, parts, known in zip(compress(linenos, is_f), compress(records, is_f),
-                                            declared):
+            for lineno, line, known in zip(lines.linenos[f].tolist(), lines.text(f),
+                                           declared.tolist()):
+                parts = line.split()
                 indices += _obj_face(path, lineno, parts, known)
                 degrees.append(len(parts) - 1)
         else:
             indices, degrees = faces
     complex = _build(vertices, indices, degrees, 1, path,
-                     list(compress(linenos, is_v)), list(compress(linenos, is_f)))
+                     lines.linenos[v].tolist(), lines.linenos[f].tolist())
     return LoadedMesh(complex=complex, sources=(source,))
 
 
-def _obj_coordinates(lines: list[str], records: list[list[str]]) -> np.ndarray | None:
+def _records(lines: _Lines, rows: np.ndarray) -> bytes:
+    """The bytes of the records rows after their one-letter kind."""
+    return b" ".join(map(lines.data.__getitem__,
+                         map(slice, (lines.starts[rows] + 1).tolist(), lines.ends[rows].tolist())))
+
+
+def _obj_coordinates(lines: _Lines, v: np.ndarray) -> np.ndarray | None:
     """The (n, 3) coordinates of the v lines from one bulk parse, with a
     fourth (w) value ignored; None when that parse refuses them."""
-    counts = np.fromiter(map(len, records), np.int64, len(records)) - 1
+    counts = lines.tokens[v] - 1
     if not ((counts == 3) | (counts == 4)).all():
         return None
-    # each line starts with the one-letter token v
-    values = _bulk(list(map(itemgetter(slice(1, None)), lines)), int(counts.sum()), np.float64)
+    values = _bulk(_records(lines, v), int(counts.sum()), np.float64)
     if values is None:
         return None
     return values[(np.cumsum(counts) - counts)[:, None] + np.arange(3)]
 
 
-def _obj_faces(lines: list[str], records: list[list[str]], declared: list[int]):
+def _obj_faces(lines: _Lines, f: np.ndarray, declared: np.ndarray):
     """(indices, degrees) of the f lines from one bulk parse, when every
     reference is a plain unsigned integer naming a vertex declared before
     its line; None otherwise (v/vt forms, relative or signed references,
     a reference out of range, a face of fewer than 3), for _obj_face."""
-    counts = np.fromiter(map(len, records), np.int64, len(records)) - 1
-    if not (counts >= 3).all() or "/" in "".join(lines):
+    counts = lines.tokens[f] - 1
+    text = _records(lines, f)
+    if not (counts >= 3).all() or b"/" in text:
         return None
-    # each line starts with the one-letter token f
-    values = _bulk(list(map(itemgetter(slice(1, None)), lines)), int(counts.sum()), np.int64)
+    values = _bulk(text, int(counts.sum()), np.int64)
     if values is None or not ((values >= 1) & (values <= np.repeat(declared, counts))).all():
         return None
     return values, counts
 
 
-def _obj_records(path, linenos: list[int], lines: list[str], records: list[list[str]]):
+def _obj_records(path, lines: _Lines):
     """(vertices, indices, degrees) of the v and f records read line by
     line, or a FormatError naming the first bad one."""
     vertices: list[list[float]] = []
     indices: list[int] = []
     degrees: list[int] = []
-    for lineno, line, parts in zip(linenos, lines, records):
+    for lineno, line in zip(lines.linenos.tolist(), lines.text(slice(None))):
+        parts = line.split()
         if parts[0] == "v":
             if len(parts) not in (4, 5):
                 _fail(path, lineno, f"expected 'v x y z', got {line!r}")
@@ -290,12 +366,13 @@ def read_pair(faces_path: str | Path, vertices_path: str | Path,
               index_base: int = 1) -> LoadedMesh:
     """Parse the two-file form: one face per line in the first file, one
     coordinate triple per line in the second."""
-    vertex_lines, vertex_text, vertex_source = _data_lines(vertices_path)
-    vertices = _coordinates(vertices_path, vertex_lines, vertex_text)
-    face_lines, face_text, face_source = _data_lines(faces_path)
-    indices, degrees = _face_indices(faces_path, face_lines, face_text, counted=False)
+    vertex_lines, vertex_source = _data_lines(vertices_path)
+    vertices = _coordinates(vertices_path, vertex_lines, 0, len(vertex_lines))
+    face_lines, face_source = _data_lines(faces_path)
+    indices, degrees = _face_indices(faces_path, face_lines, 0, len(face_lines), counted=False)
     complex = _build(vertices, indices, degrees, index_base, faces_path,
-                     vertex_lines, face_lines, vertices_path=vertices_path)
+                     vertex_lines.linenos.tolist(), face_lines.linenos.tolist(),
+                     vertices_path=vertices_path)
     return LoadedMesh(complex=complex, sources=(face_source, vertex_source))
 
 

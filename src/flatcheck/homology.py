@@ -20,7 +20,8 @@ component therefore adds n_C - 1 factors of 1, then one more 1 if it has
 a boundary column, else a 2 if it has an unbalanced cycle, else nothing.
 A Klein bottle's Z/2 is its one unbalanced dual cycle.  The components
 and their balance come from one labelling of the signed double cover
-(mesh.signed_components).
+(mesh.signed_components), or of the graph itself when no column asks
+for opposite node signs, as in every d1.
 
 Any other matrix, such as d2 of a complex with an edge in three faces, is
 refused with a MeshError naming the edge or entry: its exact Smith form

@@ -8,7 +8,9 @@ cell, as sorted keys, each beside the cell it shares; every face's cells
 are read off its own triangles, whose sides that occur once are its
 boundary (a corner two faces share is a vertex cell of both).  Broad
 phase: one sort-and-sweep over the triangles' axis-aligned boxes, which
-yields exactly the pairs whose boxes meet.
+are finite with lo <= hi, on the axis whose runs hold the fewest pairs;
+the runs are expanded by np.repeat and masked on the two other axes,
+which yields exactly the pairs whose boxes meet.
 Narrow phase, in two steps.  First a float pass decides, in blocks of
 pairs in NumPy, every pair whose answer it can prove.  With Shewchuk's
 static error bounds on the power-of-two scaled coordinates, it drops a
@@ -207,42 +209,56 @@ def build_hierarchy(soup: TriangleSoup) -> TriangleBoxes:
 # many times the pairs whose boxes meet on all three axes: 1.87 million
 # against 53,029 on grid_torus 64^2, and 14.9 million at 128^2.  Expanding
 # them all at once peaked at 81 MB at 64^2 against 4.3 MB in blocks, so
-# fixed blocks bound the scratch memory and the kept pairs dominate the peak.
+# blocks of about this many pairs, each ending at the end of a run, bound
+# the scratch memory and the kept pairs dominate the peak.
 _PAIR_BLOCK = 1 << 16
 
 
 def candidate_pairs(boxes: TriangleBoxes) -> np.ndarray:
     """All triangle index pairs (i < j) whose boxes meet (inclusive), as an
-    (m, 2) array sorted lexicographically.
+    (m, 2) array sorted lexicographically.  Every box must be finite, with
+    lo <= hi on every axis.
 
     Sort and sweep: in the order of low ends on one axis, the boxes that
     meet box s on that axis and come after it are the contiguous run whose
-    low ends are at most s's high end, found by one searchsorted.  The axis
-    whose runs hold the fewest pairs is swept; its runs are expanded in
-    fixed blocks and masked on all three axes.
+    low ends are at most s's high end, found by one searchsorted.  The
+    axis whose runs hold the fewest pairs is swept: on axis a they hold
+    sum(searchsorted(sort(lo_a), hi_a, 'right')) - n(n + 1)/2 pairs, so
+    only that axis is argsorted.  Its runs are expanded by np.repeat, in
+    blocks that end at the end of a run, and masked on the two other axes,
+    one after the other; the sort and the run bound already prove the
+    sweep axis.
     """
     n = len(boxes.lo)
-    best = None
-    for axis in range(3):
-        order = np.argsort(boxes.lo[:, axis])
-        end = np.searchsorted(boxes.lo[order, axis], boxes.hi[order, axis], side="right")
-        counts = end - np.arange(1, n + 1)
-        total = int(counts.sum())
-        if best is None or total < best[0]:
-            best = (total, order, counts)
-    total, order, counts = best
-    lo, hi = boxes.lo[order].T.copy(), boxes.hi[order].T.copy()
+    totals = [int(np.searchsorted(np.sort(boxes.lo[:, a]), boxes.hi[:, a], side="right").sum())
+              for a in range(3)]
+    axis = totals.index(min(totals))
+    order = np.argsort(boxes.lo[:, axis])
+    end = np.searchsorted(boxes.lo[order, axis], boxes.hi[order, axis], side="right")
+    counts = end - np.arange(1, n + 1)
     starts = np.concatenate(([0], np.cumsum(counts)))
+    other = [a for a in range(3) if a != axis]
+    lo = [boxes.lo[order, a] for a in other]
+    hi = [boxes.hi[order, a] for a in other]
     keys = [np.empty(0, dtype=np.intp)]
-    for first in range(0, total, _PAIR_BLOCK):
-        k = np.arange(first, min(first + _PAIR_BLOCK, total))
-        s = np.searchsorted(starts, k, side="right") - 1
-        t = s + 1 + k - starts[s]
-        meet = np.ones(len(k), dtype=bool)
-        for axis in range(3):
-            meet &= (lo[axis, s] <= hi[axis, t]) & (lo[axis, t] <= hi[axis, s])
-        a, b = order[s[meet]], order[t[meet]]
+    first = 0
+    while first < n:
+        last = max(int(np.searchsorted(starts, starts[first] + _PAIR_BLOCK, side="right")) - 1,
+                   first + 1)
+        runs = counts[first:last]
+        s = np.repeat(np.arange(first, last), runs)
+        # t - s - 1 counts up from 0 along each run
+        t = np.arange(s.size) + np.repeat(np.arange(first + 1, last + 1)
+                                          - (starts[first:last] - starts[first]), runs)
+        # the first other axis on the whole block, the second on the pairs
+        # that meet on the first; s's own values repeat along its run
+        near = np.flatnonzero((np.repeat(lo[0][first:last], runs) <= hi[0].take(t))
+                              & (lo[0].take(t) <= np.repeat(hi[0][first:last], runs)))
+        s, t = s.take(near), t.take(near)
+        meet = (lo[1].take(s) <= hi[1].take(t)) & (lo[1].take(t) <= hi[1].take(s))
+        a, b = order.take(s[meet]), order.take(t[meet])
         keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+        first = last
     i, j = np.divmod(np.sort(np.concatenate(keys)), n)
     return np.column_stack((i, j))
 

@@ -2,14 +2,16 @@
 
 A complex is a list of points in R^3 plus faces given as one flat corner
 array of vertex indices with offsets, and the combinatorial checks run
-on that array: validation sorts a canonical row per face degree, and the
-half-edge structure comes from one stable sort of the undirected edge keys
-min(u, v) * V + max(u, v).  Adjacent rows of that sort are the sides of
-one edge, and the vertex stars are cycles of one permutation, walked for
-all vertices in lockstep.  Everything downstream (homology, flatness,
-intersection tests) is built on top of the validated half-edge structure
-constructed here.  Indices are 0-based internally; interchange formats
-convert on the way in.
+on that array: validation sorts a canonical row per face degree (for a
+triangle, its sorted corners), and the half-edge structure comes from
+one stable sort of the undirected edge keys min(u, v) * V + max(u, v).
+Adjacent rows of that sort are the sides of one edge, and the vertex
+stars are cycles of one permutation, walked for all vertices in
+lockstep.  Components of signed graphs are labelled by pointer jumping,
+on the signed double cover only when some link flips.  Everything
+downstream (homology, flatness, intersection tests) is built on top of
+the validated half-edge structure constructed here.  Indices are 0-based
+internally; interchange formats convert on the way in.
 """
 from __future__ import annotations
 
@@ -232,13 +234,17 @@ def _validate_faces(idx: np.ndarray, degree: np.ndarray, offsets: np.ndarray, n:
         repeats = fs[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
         if repeats.size:
             first["repeat"] = min(first.get("repeat", nf), int(repeats[0]))
-        # rotate each row to start at its smallest vertex, both ways round,
-        # and keep the direction whose second vertex is smaller
-        r = np.arange(fs.size)[:, None]
-        low = rows.argmin(axis=1)[:, None]
-        fwd = rows[r, (low + np.arange(k)) % k]
-        bwd = rows[r, (low - np.arange(k)) % k]
-        key = np.where((fwd[:, 1] < bwd[:, 1])[:, None], fwd, bwd)
+        if k == 3:
+            # every order of three corners is a rotation or a reversal
+            key = ordered
+        else:
+            # rotate each row to start at its smallest vertex, both ways
+            # round, and keep the direction whose second vertex is smaller
+            r = np.arange(fs.size)[:, None]
+            low = rows.argmin(axis=1)[:, None]
+            fwd = rows[r, (low + np.arange(k)) % k]
+            bwd = rows[r, (low - np.arange(k)) % k]
+            key = np.where((fwd[:, 1] < bwd[:, 1])[:, None], fwd, bwd)
         order = np.lexsort(key.T[::-1])      # stable: equal keys keep face order
         key = key[order]
         starts = np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)])
@@ -494,14 +500,18 @@ def signed_components(n: int, a: np.ndarray, b: np.ndarray,
     opposite ones where flip[k].  Returns, per node, the smallest node of
     its component, and whether the component is unbalanced: no choice of
     signs satisfies all its links, i.e. it has a cycle with an odd number
-    of flips.  Both come from the signed double cover, with nodes 2x and
-    2x + 1 for the two signs of x: a balanced component lifts to two
-    components, an unbalanced one to a single one, which holds both
-    copies of each of its nodes.
+    of flips.  With no flipped link every component is balanced, and
+    the graph itself is labelled.  Otherwise both come from the signed
+    double cover, with nodes 2x and 2x + 1 for the two signs of x: a
+    balanced component lifts to two components, an unbalanced one to a
+    single one, which holds both copies of each of its nodes.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    lift = 2 * b + np.asarray(flip, dtype=np.int64)
+    flip = np.asarray(flip, dtype=np.int64)
+    if not flip.any():
+        return _min_labels(n, a, b), np.zeros(n, dtype=bool)
+    lift = 2 * b + flip
     label = _min_labels(2 * n, np.concatenate([2 * a, 2 * a + 1]),
                         np.concatenate([lift, lift ^ 1]))
     return label[0::2] >> 1, label[0::2] == label[1::2]

@@ -354,6 +354,21 @@ def test_folded_torus_certificate_verdict():
     assert v["pass"] is False
 
 
+def test_small_angle_adjacent_arcs_keep_torus_embedded():
+    """grid_torus 4x5 moved by a 1e-6 jitter: two adjacent arcs of a
+    vertex link cross at a small angle, and their computed crossing misses
+    the shared endpoint by more than a fixed allowance would admit.  The
+    link is embedded, and the surface reads embedded."""
+    base = generate(GeneratorSpec("grid_torus", m=4, n=5))
+    jitter = np.random.default_rng(4113).normal(scale=1e-6, size=base.vertices.shape)
+    cert = build_certificate(build_complex(base.vertices + jitter, base.faces))
+    assert cert["geometry"]["link_failures"] == []
+    assert cert["immersion"]["pair_count"] == 0
+    assert cert["immersion"]["local_overlap_count"] == 0
+    assert cert["verdict"]["locally_embedded"] is True
+    assert cert["verdict"]["immersion"] == "embedded"
+
+
 def test_nonmanifold_certificate():
     cert = build_certificate(
         build_complex([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -325,8 +326,8 @@ _FACE_SETS = [
     [(0, 1, 2, 3), (0, 4, 1), (1, 4, 2), (2, 4, 3), (3, 4, 0)],
     [(0, 2, 1), (0, 1, 3)],
 ]
-_SEPARATORS = [" ", "  ", "\t", " \t ", "\x0c", " \x0b ", " \x85 "]
-_NOISE = ["", "   ", "# comment", "\t# indented comment", "\x0c"]
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\x0c", " \x0b ", " \x85 ", "\x1c", "\u3000"]
+_NOISE = ["", "   ", "# comment", "\t# indented comment", "\x0c", "\xa0\u2028"]
 
 
 def _outcome(read, *paths, **kw):
@@ -425,6 +426,64 @@ def test_readers_equal_line_by_line_referees(files):
     with tempfile.TemporaryDirectory() as d:
         got, expected = _read_both(Path(d), fmt, texts)
     assert got == expected
+
+
+_TETRA_OFF = ["OFF", "4 4 6", "0 0 0", "1 0 0", "0 1 0", "0 0 1",
+              "3 0 1 2", "3 0 2 3", "3 0 3 1", "3 1 3 2"]
+
+
+def _separated(sep):
+    return "\n".join([_TETRA_OFF[0]] + [line.replace(" ", sep) for line in _TETRA_OFF[1:]]) + "\n"
+
+
+_SPACED_OFF = [
+    # blank lines, and lines of separators only, inside both blocks
+    "\n".join(_TETRA_OFF[:4] + ["", "   ", "\t\x1c"] + _TETRA_OFF[4:8] + ["\x0c"]
+              + _TETRA_OFF[8:]) + "\n\n",
+    # whole-line and trailing comments, with signs, slashes and a second #
+    "\n".join(["# head -1/2"] + _TETRA_OFF[:3] + ["  # 1 2 3"] + _TETRA_OFF[3:7]
+              + [_TETRA_OFF[7] + " # -4 +5 / #"] + _TETRA_OFF[8:]) + "#",
+    _separated("\t"),
+    *[_separated(sep) for sep in ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " \x1f "]],
+    "\r".join(_TETRA_OFF) + "\r",
+    "\r\n".join(_TETRA_OFF),
+    "\r\n".join(_TETRA_OFF[:5]) + "\r" + "\n".join(_TETRA_OFF[5:]) + "\n\r",
+    # non-ASCII spaces separate tokens, and non-ASCII text in a comment
+    *[_separated(sep) for sep in ["\xa0", "\x85", " \u2003", "\u3000", "\u2028"]],
+    "\n".join(_TETRA_OFF[:6] + ["# \u00e9t\u00e9 \u2003"] + _TETRA_OFF[6:]),
+    "\n".join(_TETRA_OFF[:4] + ["\u3000\x85", " \xa0"] + _TETRA_OFF[4:]),
+]
+# (text, the line its error names), each error past lines like the above
+_SPACED_OFF_ERRORS = [
+    ("\r".join(_TETRA_OFF[:4] + ["# c", "0 1\x1c0 9", "0 0 1"] + _TETRA_OFF[6:]), 6),
+    ("\n".join(_TETRA_OFF[:5] + ["0\u20030 nope"] + _TETRA_OFF[6:]), 6),
+    ("\n".join(_TETRA_OFF[:6] + ["", "3\xa00 1 2 5"] + _TETRA_OFF[7:]), 8),
+    ("\r\n".join(_TETRA_OFF[:6] + ["3 0 1 2 # \u00e9", "3 0 2 3 4"] + _TETRA_OFF[8:]), 8),
+    ("\n".join(_TETRA_OFF[:9] + ["3 3\x1c1\x0b0"]), 10),
+]
+
+
+@pytest.mark.parametrize("text,line", [(t, None) for t in _SPACED_OFF] + _SPACED_OFF_ERRORS)
+def test_off_separators_and_line_ends_equal_referee(tmp_path, text, line):
+    """Blank lines, comments, every byte str.split() separates on, the
+    non-ASCII spaces, and CR, CRLF or LF line ends read as the line-by-line
+    referee reads them: the tetrahedron, or the same error at the same line."""
+    path = tmp_path / "mesh.off"
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome(read_off, path)
+    assert got == _outcome(referee_read_off, path)
+    if line is None:
+        assert got[1] == tuple(map(tuple, _FACE_SETS[0]))
+    else:
+        assert got[0] == "FormatError" and (f"{path}:{line}:" in got[1]
+                                            or got[1].endswith(f"(line {line})"))
+
+
+def test_wide_spaces_are_every_non_ascii_space():
+    """The line index marks as separators exactly the non-ASCII
+    characters that str.split() separates on."""
+    assert set(formats._WIDE_SPACES) == {c for c in map(chr, range(0x80, sys.maxunicode + 1))
+                                         if c.isspace()}
 
 
 # OBJ face reference styles the bulk face parse leaves to the loop:

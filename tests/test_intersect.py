@@ -329,11 +329,21 @@ _box = st.tuples(st.tuples(_coord, _coord, _coord), st.tuples(_extent, _extent, 
     boxes=st.lists(_box, min_size=1, max_size=50),
     repeats=st.integers(0, 10),
     block=st.sampled_from([1, 5, 64, intersect._PAIR_BLOCK]),
+    spanning=st.booleans(),
+    point=st.tuples(_coord, _coord, _coord),
+    points=st.integers(0, 4),
 )
-def test_candidate_pairs_equal_all_pairs_box_test(boxes, repeats, block):
+def test_candidate_pairs_equal_all_pairs_box_test(boxes, repeats, block, spanning, point,
+                                                  points):
     boxes = boxes + boxes[:repeats]     # duplicate boxes
+    # zero-extent boxes that share lo on every axis
+    boxes = boxes + [(point, (0.0, 0.0, 0.0))] * points
     lo = np.array([b[0] for b in boxes])
     hi = lo + np.array([b[1] for b in boxes])
+    if spanning:
+        # one box that meets every other: its run is longer than the block
+        lo = np.vstack([lo.min(axis=0) - 1.0, lo])
+        hi = np.vstack([hi.max(axis=0) + 1.0, hi])
     # small blocks split runs across block boundaries, as large meshes do
     with mock.patch.object(intersect, "_PAIR_BLOCK", block):
         _assert_sweep_exact(lo, hi)

@@ -17,7 +17,7 @@ from flatcheck import (
     euler_characteristic,
     orientability,
 )
-from flatcheck.mesh import complex_from_flat
+from flatcheck.mesh import _min_labels, complex_from_flat, signed_components
 
 from conftest import (canonical_face, cube, grid_klein, grid_torus, icosa, referee_build,
                       referee_manifold, referee_orientability, tetra)
@@ -318,6 +318,13 @@ def _raw_complexes(draw):
 @settings(max_examples=400, deadline=None)
 @given(raw=_raw_complexes())
 @example(raw=(np.zeros((3, 3)), [(0, 1, 2), (1, 2, 0)], 0))
+# a triangle repeated in each of the six orders of its corners
+@example(raw=(np.zeros((4, 3)), [(1, 2, 3), (0, 1, 2), (1, 2, 3)], 0))
+@example(raw=(np.zeros((4, 3)), [(1, 2, 3), (0, 1, 2), (2, 3, 1)], 0))
+@example(raw=(np.zeros((4, 3)), [(1, 2, 3), (0, 1, 2), (3, 1, 2)], 0))
+@example(raw=(np.zeros((4, 3)), [(1, 2, 3), (0, 1, 2), (1, 3, 2)], 0))
+@example(raw=(np.zeros((4, 3)), [(1, 2, 3), (0, 1, 2), (3, 2, 1)], 0))
+@example(raw=(np.zeros((4, 3)), [(1, 2, 3), (0, 1, 2), (2, 1, 3)], 0))
 @example(raw=(np.zeros((4, 3)), [(1, 2, 3, 4), (4, 3, 2, 1), (1, 2)], 1))
 @example(raw=(np.zeros((3, 3)), [(0, 1, 2 ** 70)], 0))
 def test_build_complex_matches_referee(raw):
@@ -343,3 +350,20 @@ def test_build_complex_matches_referee(raw):
     assert cx.faces == expected[1]
     assert np.array_equal(cx.vertices, expected[0])
     assert cx.corners.tolist() == [i for f in expected[1] for i in f]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), data=st.data())
+def test_unflipped_signed_components_equal_double_cover(n, data):
+    """With no flipped link, signed_components labels the graph itself;
+    its labels and balance are those read off the double cover, labelled
+    by _min_labels with nodes 2x and 2x + 1 for the two signs of x."""
+    node = st.integers(0, n - 1)
+    links = data.draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    a = np.array([x for x, _ in links], dtype=np.int64)
+    b = np.array([y for _, y in links], dtype=np.int64)
+    lifted = _min_labels(2 * n, np.concatenate([2 * a, 2 * a + 1]),
+                         np.concatenate([2 * b, 2 * b + 1]))
+    label, unbalanced = signed_components(n, a, b, np.zeros(a.size, dtype=bool))
+    assert label.tolist() == (lifted[0::2] >> 1).tolist()
+    assert unbalanced.tolist() == (lifted[0::2] == lifted[1::2]).tolist()
