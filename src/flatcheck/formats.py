@@ -11,9 +11,9 @@ write/read round trip reproduces the float values bit for bit.
 A reader first builds the file's line index in whole-array passes over
 its bytes: where each line that is not blank or a comment starts and
 ends, its line number, and how many str.split() tokens it holds, counted
-from a table of the bytes str.split() separates on (in a file with
-non-ASCII text, the UTF-8 bytes of the other spaces it separates on are
-marked too).  Readers convert each block of numbers (the vertex lines,
+from the ASCII bytes str.split() separates on (in a file with non-ASCII
+text, the UTF-8 bytes of the other spaces it separates on are marked
+too).  Readers convert each block of numbers (the vertex lines,
 the face lines) with one C-level parse of the block's bytes.  They trust
 that parse only where it reads one value per token the index counts, as
 float() or int() would read it; otherwise they parse the block line by
@@ -36,10 +36,8 @@ from .mesh import (CellComplex, InvalidComplexError, MeshError, by_degree, compl
 
 _INT64_MAX = np.iinfo(np.int64).max
 _BOM = b"\xef\xbb\xbf"
-# the bytes str.split() separates on in ASCII text, and the other
-# characters it separates on: every c > '\x7f' with c.isspace()
-_SEPARATOR = np.zeros(256, dtype=bool)
-_SEPARATOR[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+# the characters past ASCII that str.split() separates on: every
+# c > '\x7f' with c.isspace()
 _WIDE_SPACES = ("\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200b)))
                 + "\u2028\u2029\u202f\u205f\u3000")
 _WIDE_SPACE = re.compile(b"|".join(re.escape(c.encode("utf-8")) for c in _WIDE_SPACES))
@@ -128,7 +126,8 @@ def _data_lines(path: str | Path) -> tuple[_Lines, tuple[str, str]]:
         edge[ends[commented]] = -1
         raw = np.where(np.cumsum(edge[:-1], dtype=np.int8) > 0, np.uint8(32), raw)
         body = raw.tobytes()
-    sep = np.append(_SEPARATOR[raw], True)
+    # str.split() separates on \t \n \x0b \x0c \r, \x1c .. \x1f and space
+    sep = np.append((raw == 32) | ((raw - np.uint8(9)) < 5) | ((raw - np.uint8(28)) < 4), True)
     if wide:
         for space in _WIDE_SPACE.finditer(body):
             sep[space.start():space.end()] = True
