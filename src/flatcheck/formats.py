@@ -69,10 +69,13 @@ class _Lines:
     file's bytes after a leading byte-order mark, with every comment turned
     into spaces, so the bytes between two lines of the index are
     whitespace.  sep[p] says whether str.split() separates on data[p], and
-    sep[len(data)] is True.
+    sep[len(data)] is True.  spaced is data with every such byte turned
+    into a space, for np.fromstring, which stops at \x1c .. \x1f and at
+    non-ASCII spaces; it is data itself when the file holds none of those.
     """
 
     data: bytes
+    spaced: bytes
     sep: np.ndarray
     linenos: np.ndarray
     starts: np.ndarray
@@ -89,8 +92,8 @@ class _Lines:
 
     def block(self, lo: int, hi: int) -> bytes:
         """The bytes of lines lo .. hi - 1, from the first token of lo to
-        the end of hi - 1."""
-        return self.data[self.starts[lo]:self.ends[hi - 1]] if hi > lo else b""
+        the end of hi - 1, with every separator a space."""
+        return self.spaced[self.starts[lo]:self.ends[hi - 1]] if hi > lo else b""
 
 
 def _data_lines(path: str | Path) -> tuple[_Lines, tuple[str, str]]:
@@ -126,11 +129,16 @@ def _data_lines(path: str | Path) -> tuple[_Lines, tuple[str, str]]:
         edge[ends[commented]] = -1
         raw = np.where(np.cumsum(edge[:-1], dtype=np.int8) > 0, np.uint8(32), raw)
         body = raw.tobytes()
-    # str.split() separates on \t \n \x0b \x0c \r, \x1c .. \x1f and space
-    sep = np.append((raw == 32) | ((raw - np.uint8(9)) < 5) | ((raw - np.uint8(28)) < 4), True)
+    # str.split() separates on \t \n \x0b \x0c \r, \x1c .. \x1f and space;
+    # np.fromstring skips only the first six
+    unit = (raw - np.uint8(28)) < 4
+    sep = np.append((raw == 32) | ((raw - np.uint8(9)) < 5) | unit, True)
+    odd = unit.any()
     if wide:
         for space in _WIDE_SPACE.finditer(body):
             sep[space.start():space.end()] = True
+            odd = True
+    spaced = np.where(sep[:-1], np.uint8(32), raw).tobytes() if odd else body
     # a token starts at a byte str.split() keeps, after one it separates on
     word = ~sep[:-1]
     word[1:] &= sep[:-2]
@@ -138,7 +146,7 @@ def _data_lines(path: str | Path) -> tuple[_Lines, tuple[str, str]]:
     first = np.searchsorted(words, starts)
     tokens = np.searchsorted(words, ends) - first
     kept = np.flatnonzero(tokens)
-    return (_Lines(body, sep, kept + 1, words[first[kept]], ends[kept], tokens[kept]),
+    return (_Lines(body, spaced, sep, kept + 1, words[first[kept]], ends[kept], tokens[kept]),
             (str(path), hashlib.sha256(data).hexdigest()))
 
 
@@ -287,8 +295,9 @@ def read_obj(path: str | Path) -> LoadedMesh:
 
 
 def _records(lines: _Lines, rows: np.ndarray) -> bytes:
-    """The bytes of the records rows after their one-letter kind."""
-    return b" ".join(map(lines.data.__getitem__,
+    """The bytes of the records rows after their one-letter kind, with
+    every separator a space."""
+    return b" ".join(map(lines.spaced.__getitem__,
                          map(slice, (lines.starts[rows] + 1).tolist(), lines.ends[rows].tolist())))
 
 

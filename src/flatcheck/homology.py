@@ -4,8 +4,12 @@ Boundary matrices are built over Z with a fixed orientation convention
 (edges run from lower to higher vertex index, faces as listed) and kept
 as COO arrays: d2 has one (face, edge, +-1) entry per half-edge, read off
 the half-edge mesh's edge table, and d1 two entries per edge.  The
-constructor checks d2 d1 = 0 with one vectorised sum.  Betti numbers come
-from the ranks of d1 and d2, torsion from their invariant factors.
+constructor checks d2 d1 = 0 side by side: for the side of face f along
+edge e with d2 entry s, s times d1's row of e must be +1 at the side's
+head (the vertex of the next corner of f) and -1 at its tail, with no
+other entry.  Row f of d2 d1 then sums head minus tail around the cycle
+of f's corners, which is 0.  Betti numbers come from the ranks of d1 and
+d2, torsion from their invariant factors.
 
 On a complex whose every edge lies in at most two faces both matrices
 are incidence matrices of signed graphs: every column of d1 (read as
@@ -18,10 +22,19 @@ eliminations one row is left: 0 on a balanced non-tree column, +-2 on an
 unbalanced one and +-1 on a single-entry (boundary) column.  The
 component therefore adds n_C - 1 factors of 1, then one more 1 if it has
 a boundary column, else a 2 if it has an unbalanced cycle, else nothing.
-A Klein bottle's Z/2 is its one unbalanced dual cycle.  The components
-and their balance come from one labelling of the signed double cover
-(mesh.signed_components), or of the graph itself when no column asks
-for opposite node signs, as in every d1.
+A Klein bottle's Z/2 is its one unbalanced dual cycle.
+
+On a closed manifold both forms come from one labelling, the mesh's
+dual_components, which orientability reads too.  With c components, u
+of them unbalanced, d2 has F - c factors of 1, then u of 2.  The vertex
+graph of d1 has the same components as the dual graph, since no vertex
+is isolated and every vertex star is one cycle of faces that meet across
+edges, and it is balanced, so d1 has V - c factors of 1.  The matrices
+of a bare complex (open complexes, an edge in three faces) take the
+forest path instead: their own graphs' components and balance, from one
+labelling each of the signed double cover (mesh.signed_components), or of
+the graph itself when no column asks for opposite node signs, as in
+every d1.
 
 Any other matrix, such as d2 of a complex with an edge in three faces, is
 refused with a MeshError naming the edge or entry: its exact Smith form
@@ -36,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CellComplex, HalfEdgeMesh, MeshError, edge_table, signed_components
+from .mesh import (CellComplex, HalfEdgeMesh, MeshError, edge_table, next_corners,
+                   signed_components)
 
 Coo = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -50,7 +64,10 @@ class BoundaryMatrices:
     Each is a (row, column, entry) triple of equal-length integer arrays,
     one item per nonzero entry.  With chains as row vectors the boundary
     of a boundary being empty reads d2 @ d1 == 0, which boundary_matrices
-    verifies.
+    verifies.  dual is the (label, unbalanced) labelling of the signed
+    dual graph when the matrices come from a HalfEdgeMesh (its
+    dual_components), from which homology_profile reads both Smith forms;
+    it is None for a bare CellComplex.
     """
 
     d1: Coo
@@ -58,6 +75,7 @@ class BoundaryMatrices:
     edges: np.ndarray      # (n_edges, 2): row order of d1 / column order of d2
     n_vertices: int
     n_faces: int
+    dual: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_edges(self) -> int:
@@ -70,25 +88,31 @@ def boundary_matrices(mesh: HalfEdgeMesh | CellComplex) -> BoundaryMatrices:
     Each edge is oriented from its lower to its higher vertex index; each
     face is traversed in its listed direction, contributing +1 where it
     runs along an edge's orientation and -1 where it runs against it.
-    A half-edge mesh supplies its edge table; a bare complex gets one.
+    A half-edge mesh supplies its edge table and its dual_components; a
+    bare complex gets an edge table and no labelling.  Raises
+    AssertionError when some side fails the module docstring's check of
+    d2 d1 = 0.
     """
     if isinstance(mesh, HalfEdgeMesh):
-        complex, ends = mesh.complex, mesh.edge_ends
+        complex, ends, dual = mesh.complex, mesh.edge_ends, mesh.dual_components
         origin, face_of, edge_of = mesh.origin, mesh.face_of, mesh.edge_of
+        head = origin[next_corners(complex.offsets)]
     else:
-        complex = mesh
+        complex, dual = mesh, None
         t = edge_table(complex)
         ends, origin, face_of, edge_of = t.ends, t.origin, t.face_of, t.edge_of
-    n_edges, nv = len(ends), complex.n_vertices
+        head = t.dest
+    n_edges = len(ends)
+    lo, hi = ends[edge_of].T
+    forward = origin == lo
     d1 = (np.repeat(np.arange(n_edges), 2), ends.ravel(), np.tile(np.array([-1, 1]), n_edges))
-    d2 = (face_of, edge_of, np.where(origin == ends[edge_of, 0], 1, -1))
-    # d2 @ d1: each d2 entry s at (f, e) adds s * d1[e, x] at (f, x)
-    f, e, s = d2
-    key = (f[:, None] * nv + d1[1].reshape(-1, 2)[e]).ravel()
-    _, at = np.unique(key, return_inverse=True)
-    if np.bincount(at.reshape(-1), (s[:, None] * d1[2].reshape(-1, 2)[e]).ravel()).any():
+    d2 = (face_of, edge_of, np.where(forward, 1, -1))
+    # s * d1[e] is +1 at hi and -1 at lo where s = 1, the reverse where s = -1;
+    # head and tail must be those two vertices
+    if not np.where(forward, hi == head, (hi == origin) & (lo == head)).all():
         raise AssertionError("boundary of a boundary is nonzero; incidence build is broken")
-    return BoundaryMatrices(d1=d1, d2=d2, edges=ends, n_vertices=nv, n_faces=complex.n_faces)
+    return BoundaryMatrices(d1=d1, d2=d2, edges=ends, n_vertices=complex.n_vertices,
+                            n_faces=complex.n_faces, dual=dual)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +132,22 @@ class SmithNormalForm:
         return tuple(d for d in self.invariant_factors if d > 1)
 
 
+def _component_smith(n_nodes: int, label: np.ndarray, twisted: np.ndarray,
+                     bounded: np.ndarray) -> SmithNormalForm:
+    """The Smith form the module docstring's lemma gives a signed graph on
+    n_nodes nodes whose components are those of label: a labelling, by
+    the smallest node of each component, of this graph or of another with
+    the same components.  With c components that gives n_nodes - c
+    factors of 1, then one more 1 per component whose root bounded flags,
+    then a 2 per other component whose root twisted flags."""
+    roots = np.flatnonzero(label == np.arange(label.size))
+    n_bounded = int(np.count_nonzero(bounded[roots]))
+    n_twisted = int(np.count_nonzero(twisted[roots] & ~bounded[roots]))
+    ones = n_nodes - roots.size + n_bounded
+    return SmithNormalForm(invariant_factors=(1,) * ones + (2,) * n_twisted,
+                           rank=ones + n_twisted)
+
+
 def _forest_smith(n_nodes: int, node: np.ndarray, link: np.ndarray, entry: np.ndarray,
                   n_links: int) -> SmithNormalForm | None:
     """Smith normal form of a signed-graph incidence matrix, or None.
@@ -116,11 +156,11 @@ def _forest_smith(n_nodes: int, node: np.ndarray, link: np.ndarray, entry: np.nd
     entry is entry[k] at row node[k], column link[k].  A column with two
     entries joins two nodes, and is balanced when the nodes' signs make
     its entries cancel: entries of opposite sign ask for equal node signs,
-    equal entries for opposite ones.  Each component of the graph gives
-    one factor 1 per join of a spanning tree, by the lemma in the module
-    docstring, then a 1 if it has a single-entry column, else a 2 if it
-    is unbalanced.  Returns None when some column has more than two
-    entries or an entry other than +-1.
+    equal entries for opposite ones.  The components and their balance
+    come from one labelling of this graph, and _component_smith reads the
+    form off them, a component being bounded when it has a single-entry
+    column.  Returns None when some column has more than two entries or
+    an entry other than +-1.
     """
     node, link, entry = (np.asarray(x, dtype=np.int64) for x in (node, link, entry))
     counts = np.bincount(link, minlength=n_links)
@@ -131,14 +171,9 @@ def _forest_smith(n_nodes: int, node: np.ndarray, link: np.ndarray, entry: np.nd
     one, other = order[first[counts == 2]], order[first[counts == 2] + 1]
     label, unbalanced = signed_components(n_nodes, node[one], node[other],
                                           entry[one] == entry[other])
-    roots = np.flatnonzero(label == np.arange(n_nodes))
-    joins = n_nodes - roots.size
     bounded = np.zeros(n_nodes, dtype=bool)
     bounded[label[node[order[first[counts == 1]]]]] = True
-    n_bounded = int(np.count_nonzero(bounded))
-    n_twisted = int(np.count_nonzero(unbalanced[roots] & ~bounded[roots]))
-    return SmithNormalForm(invariant_factors=(1,) * (joins + n_bounded) + (2,) * n_twisted,
-                           rank=joins + n_bounded + n_twisted)
+    return _component_smith(n_nodes, label, unbalanced, bounded)
 
 
 def _refusal(b: BoundaryMatrices, k: int, node: np.ndarray, link: np.ndarray,
@@ -186,23 +221,33 @@ def homology_profile(b: BoundaryMatrices) -> HomologyProfile:
     b_k = (#k-cells) - rank d_k - rank d_{k+1}, with d_0 and d_3 zero;
     the torsion of H_k is carried by the invariant factors of d_{k+1}.
     Each Smith form comes from the signed-graph lemma of the module
-    docstring: d1 with the vertices as nodes and each edge's row as a
-    column, d2 with the faces as nodes and each edge's column.  Every
-    component of d2's dual graph adds one more invariant factor, 1 if it
-    has a boundary edge, else 2 if it has an orientation-reversing cycle.
-    A matrix that is not a signed graph's (an edge in three faces, an
-    entry other than +-1) is refused with a MeshError that names the edge
-    or the entry; the pipeline's closed manifolds never send one.
+    docstring.  When b carries the mesh's dual labelling (a closed
+    manifold), d2's form is F - c ones and u twos for its c components, u
+    of them unbalanced, and d1's is V - c ones.  Otherwise each matrix's
+    own graph is labelled: d1 with the vertices as nodes and each edge's
+    row as a column, d2 with the faces as nodes and each edge's column,
+    where every component of d2's dual graph adds one more invariant
+    factor, 1 if it has a boundary edge, else 2 if it has an
+    orientation-reversing cycle.  A matrix that is not a signed graph's
+    (an edge in three faces, an entry other than +-1) is refused with a
+    MeshError that names the edge or the entry; the pipeline's closed
+    manifolds never send one.
     """
-    forms = []
-    for k, n_nodes, (node, link, entry) in (
-        (1, b.n_vertices, (b.d1[1], b.d1[0], b.d1[2])),
-        (2, b.n_faces, b.d2),
-    ):
-        snf = _forest_smith(n_nodes, node, link, entry, b.n_edges)
-        if snf is None:
-            raise _refusal(b, k, node, link, entry)
-        forms.append(snf)
+    if b.dual is not None:
+        label, unbalanced = b.dual
+        none = np.zeros(label.size, dtype=bool)
+        forms = [_component_smith(b.n_vertices, label, none, none),
+                 _component_smith(b.n_faces, label, unbalanced, none)]
+    else:
+        forms = []
+        for k, n_nodes, (node, link, entry) in (
+            (1, b.n_vertices, (b.d1[1], b.d1[0], b.d1[2])),
+            (2, b.n_faces, b.d2),
+        ):
+            snf = _forest_smith(n_nodes, node, link, entry, b.n_edges)
+            if snf is None:
+                raise _refusal(b, k, node, link, entry)
+            forms.append(snf)
     snf1, snf2 = forms
     r1, r2 = snf1.rank, snf2.rank
     betti = (

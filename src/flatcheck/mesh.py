@@ -8,7 +8,8 @@ one stable sort of the undirected edge keys min(u, v) * V + max(u, v).
 Adjacent rows of that sort are the sides of one edge, and the vertex
 stars are cycles of one permutation, walked for all vertices in
 lockstep.  Components of signed graphs are labelled by pointer jumping,
-on the signed double cover only when some link flips.  Everything
+on the signed double cover only when some link flips; a half-edge mesh
+labels its signed dual graph once and keeps the labelling.  Everything
 downstream (homology, flatness, intersection tests) is built on top of
 the validated half-edge structure constructed here.  Indices are 0-based
 internally; interchange formats convert on the way in.
@@ -295,12 +296,19 @@ class EdgeTable(NamedTuple):
     ends: np.ndarray       # (n_edges, 2)
 
 
+def next_corners(offsets: np.ndarray) -> np.ndarray:
+    """The corner after each corner in its face, the last wrapping to the
+    first, for the faces that own corners[offsets[f]:offsets[f + 1]]."""
+    nxt = np.arange(1, offsets[-1] + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    return nxt
+
+
 def edge_table(complex: CellComplex) -> EdgeTable:
     """Build the EdgeTable of a complex from one stable sort."""
     origin, offsets = complex.corners, complex.offsets
     nh = origin.size
-    nxt = np.arange(1, nh + 1)
-    nxt[offsets[1:] - 1] = offsets[:-1]
+    nxt = next_corners(offsets)
     dest = origin[nxt]
     lo, hi = np.minimum(origin, dest), np.maximum(origin, dest)
     key = lo * complex.n_vertices + hi
@@ -348,6 +356,11 @@ class HalfEdgeMesh:
     face_of[corner] and its position in that face is corner minus the
     face's entry in complex.offsets.  The closed-manifold check guarantees
     each star is a single cycle.
+
+    dual_components, the one labelling of the signed dual graph that
+    orientability, connected_components and boundary_matrices read, is
+    made on first read and kept; a dataclasses.replace copy starts
+    without it.
     """
 
     complex: CellComplex
@@ -371,6 +384,19 @@ class HalfEdgeMesh:
     @property
     def n_faces(self) -> int:
         return self.complex.n_faces
+
+    @cached_property
+    def dual_components(self) -> tuple[np.ndarray, np.ndarray]:
+        """signed_components of the faces, linked across every edge; a
+        link flips when its two sides traverse the edge in the same
+        direction.  The arrays are read-only."""
+        h = np.flatnonzero(np.arange(self.twin.size) < self.twin)
+        t = self.twin[h]
+        label, unbalanced = signed_components(self.n_faces, self.face_of[h], self.face_of[t],
+                                              self.origin[h] == self.origin[t])
+        label.setflags(write=False)
+        unbalanced.setflags(write=False)
+        return label, unbalanced
 
 
 def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
@@ -532,15 +558,6 @@ class OrientabilityReport:
         return all(self.per_component)
 
 
-def _dual_components(mesh: HalfEdgeMesh) -> tuple[np.ndarray, np.ndarray]:
-    """signed_components of the faces, linked across every edge; a link
-    flips when its two sides traverse the edge in the same direction."""
-    h = np.flatnonzero(np.arange(mesh.twin.size) < mesh.twin)
-    t = mesh.twin[h]
-    return signed_components(mesh.n_faces, mesh.face_of[h], mesh.face_of[t],
-                             mesh.origin[h] == mesh.origin[t])
-
-
 def orientability(mesh: HalfEdgeMesh) -> OrientabilityReport:
     """Decide orientability per component of the face-adjacency graph.
 
@@ -548,15 +565,16 @@ def orientability(mesh: HalfEdgeMesh) -> OrientabilityReport:
     sides traverse it in opposite directions.  Giving each face a flip
     flag, a component is orientable iff flags exist that every edge
     accepts: its signed dual graph is balanced.  Disconnected input is
-    reported per component rather than rejected.
+    reported per component rather than rejected.  Reads the mesh's
+    dual_components, so it labels the dual graph only if nothing has yet.
     """
-    label, unbalanced = _dual_components(mesh)
+    label, unbalanced = mesh.dual_components
     roots = np.flatnonzero(label == np.arange(mesh.n_faces))
     return OrientabilityReport(per_component=tuple((~unbalanced[roots]).tolist()))
 
 
 def connected_components(mesh: HalfEdgeMesh) -> int:
     """Count the components of the face-adjacency graph (faces sharing an
-    edge), labelled as orientability labels them."""
-    label, _ = _dual_components(mesh)
+    edge), from the mesh's dual_components, which orientability reads too."""
+    label, _ = mesh.dual_components
     return int(np.count_nonzero(label == np.arange(mesh.n_faces)))

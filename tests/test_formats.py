@@ -452,6 +452,10 @@ _SPACED_OFF = [
     *[_separated(sep) for sep in ["\xa0", "\x85", " \u2003", "\u3000", "\u2028"]],
     "\n".join(_TETRA_OFF[:6] + ["# \u00e9t\u00e9 \u2003"] + _TETRA_OFF[6:]),
     "\n".join(_TETRA_OFF[:4] + ["\u3000\x85", " \xa0"] + _TETRA_OFF[4:]),
+    # a line of one separator np.fromstring does not skip, in the vertex
+    # block, and such separators between two tokens of one line
+    *["\n".join(_TETRA_OFF[:4] + [sep] + _TETRA_OFF[4:]) for sep in ["\x1c", "\u3000", " \x1f\t"]],
+    "\n".join(_TETRA_OFF[:3] + ["1\x1c0 0"] + _TETRA_OFF[4:7] + ["3 0\u30002 3"] + _TETRA_OFF[8:]),
 ]
 # (text, the line its error names), each error past lines like the above
 _SPACED_OFF_ERRORS = [
@@ -464,19 +468,47 @@ _SPACED_OFF_ERRORS = [
 
 
 @pytest.mark.parametrize("text,line", [(t, None) for t in _SPACED_OFF] + _SPACED_OFF_ERRORS)
-def test_off_separators_and_line_ends_equal_referee(tmp_path, text, line):
+def test_off_separators_and_line_ends_equal_referee(tmp_path, monkeypatch, text, line):
     """Blank lines, comments, every byte str.split() separates on, the
     non-ASCII spaces, and CR, CRLF or LF line ends read as the line-by-line
-    referee reads them: the tetrahedron, or the same error at the same line."""
+    referee reads them: the tetrahedron, or the same error at the same line.
+    The tetrahedron's two blocks each take the bulk parse, which reads the
+    separators np.fromstring does not skip as spaces."""
     path = tmp_path / "mesh.off"
     path.write_bytes(text.encode("utf-8"))
+    real, parsed = formats._bulk, []
+    monkeypatch.setattr(formats, "_bulk", lambda *args: parsed.append(real(*args)) or parsed[-1])
     got = _outcome(read_off, path)
     assert got == _outcome(referee_read_off, path)
     if line is None:
         assert got[1] == tuple(map(tuple, _FACE_SETS[0]))
+        assert len(parsed) == 2 and all(values is not None for values in parsed)
     else:
         assert got[0] == "FormatError" and (f"{path}:{line}:" in got[1]
                                             or got[1].endswith(f"(line {line})"))
+
+
+def test_odd_separators_keep_the_obj_bulk_parse(tmp_path, monkeypatch):
+    """The OBJ records' bytes get the same spaces."""
+    path = tmp_path / "mesh.obj"
+    path.write_bytes("v 0 0 0\nv 1\x1c0 0\n\x1d\nv 0 1 0\nv 0 0\u30001\n"
+                     "f 1 2 3\nf 1\x1e3 4\nf 1 4 2\nf 2 4 3\n".encode("utf-8"))
+    monkeypatch.setattr(formats, "_obj_records",
+                        mock.Mock(side_effect=AssertionError("per-line parse")))
+    monkeypatch.setattr(formats, "_obj_face", mock.Mock(side_effect=AssertionError("per-line")))
+    loaded = read_obj(path)
+    monkeypatch.undo()
+    assert _outcome(read_obj, path) == _outcome(referee_read_obj, path)
+    assert loaded.complex.faces == ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2))
+
+
+def test_plain_files_keep_their_bytes(tmp_path):
+    """A file with no separator np.fromstring stops at hands the bulk
+    parse its own bytes, with no spaced copy."""
+    path = tmp_path / "mesh.off"
+    path.write_bytes(_separated(" \t\x0b\x0c").encode("utf-8"))
+    lines, _ = formats._data_lines(path)
+    assert lines.spaced is lines.data
 
 
 def test_wide_spaces_are_every_non_ascii_space():

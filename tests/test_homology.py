@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -29,6 +30,7 @@ from flatcheck import (
     build_complex,
     check_closed_manifold,
     classify_surface,
+    connected_components,
     euler_characteristic,
     generate,
     homology_profile,
@@ -37,7 +39,7 @@ from flatcheck import (
 from flatcheck.homology import _forest_smith
 
 from conftest import (canonical_face, grid_klein, grid_torus, referee_manifold,
-                      smith_normal_form, tetra)
+                      referee_orientability, smith_normal_form, tetra)
 
 
 def _coo(items):
@@ -247,10 +249,9 @@ def test_forest_smith_refuses_other_matrices(columns):
     assert _forest_of_columns(3, columns) is None
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_sparse_smith_matches_dense_on_relabelled_klein(seed):
-    base = grid_klein(3, 3)
+def _relabelled(base, seed):
+    """base with its vertices permuted, each face rotated and the faces
+    shuffled, by a seeded generator."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(base.n_vertices)
     verts = [None] * base.n_vertices
@@ -262,12 +263,126 @@ def test_sparse_smith_matches_dense_on_relabelled_klein(seed):
         k = int(rng.integers(len(g)))
         faces.append(tuple(g[k:] + g[:k]))
     rng.shuffle(faces)
-    b = boundary_matrices(check_closed_manifold(build_complex(verts, faces)))
+    return build_complex(verts, faces)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sparse_smith_matches_dense_on_relabelled_klein(seed):
+    b = boundary_matrices(check_closed_manifold(_relabelled(grid_klein(3, 3), seed)))
     _assert_forest_matches(b.n_vertices, _d1_rows(b), "d1")
     _assert_forest_matches(b.n_faces, _d2_columns(b), "d2")
     prof = homology_profile(b)
     assert prof.betti == (1, 1, 0)
     assert prof.torsion == ((), (2,), ())
+
+
+def _union(*parts):
+    """The disjoint union of complexes, each moved apart from the last."""
+    verts, faces = [], []
+    for k, cx in enumerate(parts):
+        faces += [tuple(i + len(verts) for i in f) for f in cx.faces]
+        verts += [(x + 40.0 * k, y, z) for x, y, z in cx.vertices.tolist()]
+    return build_complex(verts, faces)
+
+
+def _assert_one_labelling_agrees(mesh, label):
+    """The profile read off the mesh's dual labelling equals the forest
+    path's on its bare complex and the dense referee's; orientability and
+    the component count equal the breadth-first referee's."""
+    b = boundary_matrices(mesh)
+    assert b.dual is mesh.dual_components, label
+    bare = boundary_matrices(mesh.complex)
+    assert bare.dual is None, label
+    prof = homology_profile(b)
+    assert prof == homology_profile(bare) == _dense_profile(b), label
+    per_component = referee_orientability(referee_manifold(mesh.complex), mesh.n_faces)
+    assert orientability(mesh).per_component == per_component, label
+    assert connected_components(mesh) == len(per_component), label
+
+
+def test_one_labelling_agrees_on_corpus(corpus_halfedge):
+    for label, mesh in corpus_halfedge.items():
+        _assert_one_labelling_agrees(mesh, label)
+
+
+@pytest.mark.parametrize("maker,betti,torsion,per_component", [
+    (lambda: _relabelled(grid_klein(3, 4), 7), (1, 1, 0), ((), (2,), ()), (False,)),
+    (lambda: _relabelled(grid_klein(4, 3), 8), (1, 1, 0), ((), (2,), ()), (False,)),
+    (lambda: _projective_plane(), (1, 0, 0), ((), (2,), ()), (False,)),
+    (lambda: _union(grid_torus(3, 3), grid_klein(3, 4)), (2, 3, 1), ((), (2,), ()),
+     (True, False)),
+    (lambda: _union(tetra(), _projective_plane()), (2, 0, 1), ((), (2,), ()), (True, False)),
+    (lambda: _union(_projective_plane(), grid_klein(3, 3), tetra()), (3, 1, 1),
+     ((), (2, 2), ()), (False, False, True)),
+], ids=["klein-relabelled-a", "klein-relabelled-b", "projective-plane", "torus+klein",
+        "sphere+projective-plane", "projective-plane+klein+sphere"])
+def test_one_labelling_agrees_on_mixed_unions(maker, betti, torsion, per_component):
+    """Relabelled Klein bottles, the projective plane, and disjoint unions
+    of orientable and nonorientable components."""
+    mesh = check_closed_manifold(maker())
+    _assert_one_labelling_agrees(mesh, "")
+    prof = homology_profile(boundary_matrices(mesh))
+    assert (prof.betti, prof.torsion) == (betti, torsion)
+    assert orientability(mesh).per_component == per_component
+
+
+def test_dual_labelling_made_once_per_mesh(monkeypatch):
+    """orientability, connected_components and boundary_matrices share one
+    labelling of the dual graph, and a replace() copy makes its own."""
+    from flatcheck import mesh as mesh_module
+    calls = []
+    real = mesh_module.signed_components
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(mesh_module, "signed_components", counting)
+    mesh = check_closed_manifold(grid_klein(3, 4))
+    b = boundary_matrices(mesh)
+    homology_profile(b)
+    orientability(mesh)
+    connected_components(mesh)
+    assert calls == [mesh.n_faces]
+    copy = replace(mesh)
+    assert "dual_components" not in vars(copy)
+    assert orientability(copy) == orientability(mesh)
+    assert len(calls) == 2
+
+
+def _old_check_fails(mesh) -> bool:
+    """Whether d2 @ d1 is nonzero with d2's signs read off the mesh's
+    origin and edge_of as boundary_matrices reads them, summed entry by
+    entry."""
+    total: dict = {}
+    for f, e, o in zip(mesh.face_of.tolist(), mesh.edge_of.tolist(), mesh.origin.tolist()):
+        lo, hi = mesh.edge_ends[e].tolist()
+        s = 1 if o == lo else -1
+        total[f, hi] = total.get((f, hi), 0) + s
+        total[f, lo] = total.get((f, lo), 0) - s
+    return any(total.values())
+
+
+@pytest.mark.parametrize("corrupt", ["edge_of", "sign"])
+def test_corrupted_incidence_fails_the_boundary_check(corpus_halfedge, corrupt):
+    """One side sent to another edge, or one d2 sign flipped (its origin
+    set to the other end of its edge), makes d2 @ d1 nonzero, and
+    boundary_matrices raises on it as it did with the summed check."""
+    for label, mesh in corpus_halfedge.items():
+        nh = mesh.twin.size
+        for h in (0, nh // 2, nh - 1):
+            if corrupt == "edge_of":
+                edge_of = mesh.edge_of.copy()
+                edge_of[h] = (edge_of[h] + 1) % mesh.n_edges
+                bad = replace(mesh, edge_of=edge_of)
+            else:
+                origin = mesh.origin.copy()
+                origin[h] = mesh.edge_ends[mesh.edge_of[h]].sum() - origin[h]
+                bad = replace(mesh, origin=origin)
+            assert _old_check_fails(bad), (label, h)
+            with pytest.raises(AssertionError, match="boundary of a boundary is nonzero"):
+                boundary_matrices(bad)
 
 
 def test_boundary_composition_is_zero(corpus_halfedge):
