@@ -36,6 +36,7 @@ from flatcheck import (
     homology_profile,
     orientability,
 )
+from flatcheck import mesh as mesh_module
 from flatcheck.homology import _forest_smith
 
 from conftest import (canonical_face, grid_klein, grid_torus, referee_manifold,
@@ -330,7 +331,6 @@ def test_one_labelling_agrees_on_mixed_unions(maker, betti, torsion, per_compone
 def test_dual_labelling_made_once_per_mesh(monkeypatch):
     """orientability, connected_components and boundary_matrices share one
     labelling of the dual graph, and a replace() copy makes its own."""
-    from flatcheck import mesh as mesh_module
     calls = []
     real = mesh_module.signed_components
 
