@@ -437,16 +437,17 @@ def test_sources_and_tolerances_recorded(tmp_path):
 _NO_MASKED_ARRAYS = """
 import sys, tempfile
 from pathlib import Path
-from flatcheck import (GeneratorSpec, boundary_matrices, build_certificate, certificate_text,
+from flatcheck import (boundary_matrices, build_certificate, certificate_text,
                        check_closed_manifold, classify_surface, euler_characteristic, generate,
-                       homology_profile, orientability, read_off, write_off)
+                       homology_profile, orientability, read_off, standard_corpus, write_off)
 path = Path(tempfile.mkdtemp()) / "mesh.off"
-write_off(generate(GeneratorSpec("grid_klein", m=4, n=4)), path)
-loaded = read_off(path)
-certificate_text(build_certificate(loaded.complex, sources=loaded.sources))
-mesh = check_closed_manifold(read_off(path).complex)
-classify_surface(homology_profile(boundary_matrices(mesh)), euler_characteristic(mesh),
-                 orientability(mesh).orientable)
+for spec in standard_corpus():
+    write_off(generate(spec), path)
+    loaded = read_off(path)
+    certificate_text(build_certificate(loaded.complex, sources=loaded.sources))
+    mesh = check_closed_manifold(read_off(path).complex)
+    classify_surface(homology_profile(boundary_matrices(mesh)), euler_characteristic(mesh),
+                     orientability(mesh).orientable)
 path.unlink()
 path.parent.rmdir()
 print("numpy.ma" in sys.modules)
@@ -455,11 +456,11 @@ print("numpy.ma" in sys.modules)
 
 def test_no_op_imports_masked_arrays():
     """NumPy imports numpy.ma on the first plain np.unique call, at a cost
-    of milliseconds and megabytes; a check op and the topology query, in a
-    fresh process, import it nowhere."""
+    of milliseconds and megabytes; check ops and topology queries on the
+    corpus meshes, in a fresh process, import it nowhere."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], capture_output=True,
-                          text=True, env=env, check=True)
+                          text=True, env=env, check=True, timeout=300)
     assert proc.stdout.split() == ["False"]
