@@ -15,25 +15,26 @@ refine.triangulate_faces share: per face the plane fit's relative
 deviation, simplicity, orientation and in-plane frame, per corner the
 interior angle, the signed turn and the projected point.  Faces of one
 degree are fitted as one NumPy stack, whose floats equal those of a
-one-face table bit for bit, and their turns are one batched orient2d.  The
-defects (_defects) and the azimuth pass read the per-corner angle column
-as it is.  Links are decided by one NumPy pass per vertex valence
-(_azimuth_certified) wherever an azimuth lemma proves them embedded by a
-margin; the other links are built (_link) and tested on plain float
-3-tuples, reading each star from lists made once per report, with no NumPy
-call per vector.
+one-face table bit for bit, and their turns are one batched orient2d.
+
+Each vertex star is gathered once, in one NumPy pass per valence on the
+unit-scaled vertices (_vertex_stars), which reads the per-corner angle
+column as it is.  It sums the defects, certifies every link that an
+azimuth lemma proves embedded by a margin, and builds each other link
+from the same direction and normal arrays as plain float 3-tuples, which
+link_is_embedded tests with no NumPy call per vector.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .mesh import CellComplex, HalfEdgeMesh, MeshError, euler_characteristic
-from .predicates import cross, dot, orient2d, orient2d_rows, sub
+from .predicates import cross, dot, orient2d, orient2d_rows
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -323,98 +324,6 @@ class SphericalLink:
     arcs: tuple[LinkArc, ...]
 
 
-class _Stars(NamedTuple):
-    """A mesh's vertex stars as plain lists: the corners around vertex v
-    are entries offsets[v] .. offsets[v + 1] - 1 of the other three."""
-
-    offsets: list[int]
-    entries: list[int]      # the neighbor crossed to enter the corner
-    corners: list[int]      # the corner, an index into complex.corners
-    faces: list[int]        # the corner's face
-
-
-def _stars(mesh: HalfEdgeMesh) -> _Stars:
-    return _Stars(mesh.star_offsets.tolist(), mesh.star_entries.tolist(),
-                  mesh.star_corners.tolist(), mesh.face_of[mesh.star_corners].tolist())
-
-
-def _link(mesh: HalfEdgeMesh, vertex: int, table: FaceTable, stars: _Stars) -> SphericalLink:
-    """Build the link of a vertex as a closed spherical polygon.
-
-    Link vertices are the unit directions of the incident edges in star
-    order; each face corner contributes the great-circle arc between its
-    two edge directions, of length equal to its interior angle in the
-    face table.  Straight corners (angle pi) are oriented using the face's
-    in-plane frame, since the two directions alone leave the great
-    semicircle ambiguous.
-    """
-    start, stop = stars.offsets[vertex], stars.offsets[vertex + 1]
-    neighbors = stars.entries[start:stop]
-    count = stop - start
-    pos_v, *ends = mesh.complex.vertices[[vertex, *neighbors]].tolist()
-
-    directions: list[Vec3] = []
-    for u, end in zip(neighbors, ends):
-        d = sub(end, pos_v)
-        norm = _norm(d)
-        if norm == 0.0:
-            raise DegenerateFaceError(
-                f"edge ({vertex}, {u}) has zero length; link is undefined"
-            )
-        directions.append(_divided(d, norm))
-
-    arcs: list[LinkArc] = []
-    for k in range(count):
-        c, f = stars.corners[start + k], stars.faces[start + k]
-        theta = float(table.angles[c])
-        d_start = directions[k]
-        d_end = directions[(k + 1) % count]
-        if theta >= math.pi - _PARALLEL_GUARD and theta <= math.pi + _PARALLEL_GUARD:
-            # Straight corner: orient the semicircle through the face's
-            # interior.  The interior side of the (projected) straight edge
-            # is the left side for positive orientation.
-            first, stop = mesh.complex.offsets[f:f + 2].tolist()
-            (x0, y0), (x1, y1) = table.points2d[[c, c + 1 if c + 1 < stop else first]].tolist()
-            ex, ey = x1 - x0, y1 - y0
-            nrm = math.hypot(ex, ey)
-            if nrm == 0.0:
-                raise DegenerateFaceError("straight corner with zero-length projected edge")
-            orientation = float(table.orientation[f])
-            wx, wy = orientation * -(ey / nrm), orientation * (ex / nrm)
-            # The interior normal must point away from the direction we
-            # start at; which of +-exit matches d_start is irrelevant for
-            # the midpoint construction below.
-            b0, b1 = table.basis[f].tolist()
-            w3 = (wx * b0[0] + wy * b1[0], wx * b0[1] + wy * b1[1], wx * b0[2] + wy * b1[2])
-            along = dot(w3, d_start)
-            w3 = sub(w3, (d_start[0] * along, d_start[1] * along, d_start[2] * along))
-            nw = _norm(w3)
-            if nw <= _PARALLEL_GUARD:
-                raise DegenerateFaceError(
-                    f"face {f}: cannot orient straight corner {c - first} from its plane"
-                )
-            axis = cross(d_start, _divided(w3, nw))
-            axis = _divided(axis, _norm(axis))
-        else:
-            normal = cross(d_start, d_end)
-            nc = _norm(normal)
-            if nc <= _PARALLEL_GUARD:
-                # Directions (anti)parallel away from a straight corner:
-                # a zero-angle spike; callers flag it via the embedding test.
-                axis = tuple(_any_perpendicular(np.array([d_start]))[0].tolist())
-            else:
-                axis = _divided(normal, nc)
-            if theta > math.pi:
-                axis = (-axis[0], -axis[1], -axis[2])
-        arcs.append(LinkArc(start=d_start, end=d_end, axis=axis, length=theta))
-
-    return SphericalLink(
-        vertex=vertex,
-        directions=tuple(directions),
-        arcs=tuple(arcs),
-    )
-
-
 @dataclass(frozen=True)
 class LinkVerdict:
     """Embedding verdict for one vertex link, with a witness on failure."""
@@ -579,74 +488,150 @@ _LINK_MARGIN = 1e-3
 _COORD_BOUND = 2.0 ** 500
 
 
-def _azimuth_certified(mesh: HalfEdgeMesh, angles: np.ndarray, link_tol: float) -> list[bool]:
-    """Which vertex links the azimuth lemma proves embedded, in one NumPy
-    pass per valence; link_is_embedded calls each of them embedded.
-    angles holds the face table's interior angle of every corner.
+def _lengths(a: np.ndarray) -> np.ndarray:
+    """Lengths of the rows of a (..., 3) stack, summed left to right as
+    _norm sums a float 3-tuple, so each rounds as its tuple's does."""
+    x, y, z = a[..., 0], a[..., 1], a[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
 
-    Lemma: let n be a unit vector, every corner at v shorter than pi, every
-    corner normal d_k x d_k+1 have a positive component along n, and no
-    edge direction d_k be parallel to n.  A great-circle arc shorter than
-    pi whose circle misses +-n sweeps its azimuth interval around n
-    monotonically, so if the azimuth steps sum to 2*pi the link is a graph
-    over the azimuth circle, hence embedded.  n is the normalised sum of
-    the unit corner normals.
 
-    Every bound holds by the margin m, so the features link_is_embedded
-    compares are at least m^2 apart, and its guard (link_tol, at most
-    m^2 / 100 here) cannot join them.  Each face-table angle must equal the
-    angle between its two directions to within guard / 8, so no reflex or
-    straight corner is certified and adjacent arcs on one great circle do
-    not overlap by a guard.  The sub-arc test's one rounding-sensitive
-    case is left to it: adjacent arcs whose circles cross at an angle
-    between about the guard and 1e-4, where the crossing point it computes
-    strays from the shared endpoint by about eps / (crossing angle).
+def _vertex_stars(mesh: HalfEdgeMesh, table: FaceTable, link_tol: float
+                  ) -> tuple[np.ndarray, dict[int, SphericalLink | str]]:
+    """Gather every vertex star once, in one NumPy pass per valence on the
+    unit-scaled vertices, and read three facts off it.
+
+    Defects: 2*pi minus the star's interior angles, added one column at a
+    time from 0.0, in star order: the IEEE additions of a left-to-right
+    loop, which Python's sum() (compensated from 3.12) and np.sum
+    (pairwise) are not.
+
+    Links: returned, by vertex, for every vertex the azimuth lemma below
+    does not certify.  Link vertices are the unit directions d_k of the
+    incident edges in star order; corner k is the great-circle arc from
+    d_k to d_k+1 of the face table's interior angle, around the unit
+    normal of d_k x d_k+1, reversed at a reflex corner.  A straight corner
+    (angle pi) is turned through the face's interior by its in-plane
+    frame, since the two directions alone leave the semicircle ambiguous;
+    a zero-angle spike elsewhere gets any perpendicular axis, for
+    link_is_embedded to reject.  In place of an undefined link stands its
+    witness: the first zero-length edge, else the first corner in star
+    order that cannot be oriented.  Lengths, crosses and dots are taken
+    elementwise in the order predicates.cross, dot and _norm take them,
+    so every link equals one built from float 3-tuples bit for bit.
+    Coordinates that are not finite or beyond _COORD_BOUND are read as 0;
+    flatness_report passes none.
+
+    Azimuth lemma: let n be a unit vector, every corner at v shorter than
+    pi, every corner normal d_k x d_k+1 have a positive component along n,
+    and no d_k be parallel to n.  A great-circle arc shorter than pi whose
+    circle misses +-n sweeps its azimuth interval around n monotonically,
+    so if the azimuth steps sum to 2*pi the link is a graph over the
+    azimuth circle, hence embedded.  n is the normalised sum of the unit
+    corner normals.  Every bound holds by the margin m, so the features
+    link_is_embedded compares are at least m^2 apart, and its guard
+    (link_tol, at most m^2 / 100 here) cannot join them.  Each face-table
+    angle must equal the angle between its two directions to within
+    guard / 8, so no reflex or straight corner is certified and adjacent
+    arcs on one great circle do not overlap by a guard.  The sub-arc
+    test's one rounding-sensitive case is left to it: adjacent arcs whose
+    circles cross at an angle between about the guard and 1e-4, where the
+    crossing point it computes strays from the shared endpoint by about
+    eps / (crossing angle).
     """
-    certified = [False] * mesh.n_vertices
-    m = _LINK_MARGIN
-    if not link_tol < 1e-2 * m * m:
-        return certified     # a coarse link_tol is link_is_embedded's to apply
-    guard = max(link_tol, 1e-13)
-    pts = mesh.complex.vertices
+    m, guard = _LINK_MARGIN, max(link_tol, 1e-13)
+    pts = mesh.complex.unit_scaled()[0].vertices
     usable = (np.abs(pts) <= _COORD_BOUND).all(axis=1)    # False on nan and inf too
     pts = np.where(usable[:, None], pts, 0.0)
+    defects, links = np.empty(mesh.n_vertices), {}
     valences = np.diff(mesh.star_offsets)
-    for valence in (np.flatnonzero(np.bincount(valences)[3:]) + 3).tolist():
+    for valence in np.flatnonzero(np.bincount(valences)).tolist():
         centers = np.flatnonzero(valences == valence)
         star = mesh.star_offsets[centers, None] + np.arange(valence)
-        ends = mesh.star_entries[star]
-        theta = angles[mesh.star_corners[star]]
+        ends, corners = mesh.star_entries[star], mesh.star_corners[star]
+        theta = table.angles[corners]
+        total = np.zeros(centers.size)
+        for column in theta.T:
+            total += column
+        defects[centers] = TWO_PI - total
         edges = pts[ends] - pts[centers][:, None, :]
-        lengths = _norms(edges)
-        long = lengths >= 1.0 / _COORD_BOUND
-        ok = usable[centers] & usable[ends].all(axis=1) & long.all(axis=1)
-        d = edges / np.where(long, lengths, 1.0)[..., None]
+        lengths = _lengths(edges)
+        d = edges / np.where(lengths > 0.0, lengths, 1.0)[..., None]
         d_next = np.roll(d, -1, axis=1)
         normals = np.cross(d, d_next)
-        sines = _norms(normals)
-        wide = sines >= m
-        ok &= (wide & (theta < math.pi - m)
-               & (np.abs(theta - np.arctan2(sines, _dots(d, d_next))) <= guard / 8)).all(axis=1)
-        normals /= np.where(wide, sines, 1.0)[..., None]
-        total = normals.sum(axis=1)
-        size = _norms(total)
-        ok &= size >= m
-        n = (total / np.where(size >= m, size, 1.0)[:, None])[:, None, :]
-        tilts = _dots(normals, n)
-        flat = d - _dots(d, n)[..., None] * n
-        flat_next = np.roll(flat, -1, axis=1)
-        steps = np.arctan2(_dots(np.cross(flat, flat_next), n), _dots(flat, flat_next))
-        ok &= ((tilts >= m) & (_norms(flat) >= m) & (steps > 0.0)).all(axis=1)
-        ok &= np.abs(steps.sum(axis=1) - TWO_PI) < math.pi
-        # Non-adjacent arcs lie in azimuth sectors a whole step apart, at
-        # distance >= min tilt from +-n.
-        ok &= tilts.min(axis=1) * np.sin(np.minimum(steps.min(axis=1), HALF_PI)) >= m * m
-        # Adjacent arcs: one great circle up to the guard, or clearly two
-        bends = _norms(np.cross(normals, np.roll(normals, -1, axis=1)))
-        ok &= ((bends <= guard / 4) | (bends >= 1e-4)).all(axis=1)
-        for v in centers[ok].tolist():
-            certified[v] = True
-    return certified
+        sines = _lengths(normals)
+        normals /= np.where(sines > _PARALLEL_GUARD, sines, 1.0)[..., None]
+        certified = np.zeros(centers.size, dtype=bool)
+        if valence >= 3 and link_tol < 1e-2 * m * m:   # a coarser one is the sub-arc test's
+            wide = sines >= m
+            drift = np.abs(theta - np.arctan2(sines, _dots(d, d_next)))
+            ok = (usable[centers] & usable[ends].all(axis=1)
+                  & (lengths >= 1.0 / _COORD_BOUND).all(axis=1)
+                  & (wide & (theta < math.pi - m) & (drift <= guard / 8)).all(axis=1))
+            summed = normals.sum(axis=1)
+            size = _norms(summed)
+            ok &= size >= m
+            n = (summed / np.where(size >= m, size, 1.0)[:, None])[:, None, :]
+            tilts = _dots(normals, n)
+            flat = d - _dots(d, n)[..., None] * n
+            flat_next = np.roll(flat, -1, axis=1)
+            steps = np.arctan2(_dots(np.cross(flat, flat_next), n), _dots(flat, flat_next))
+            ok &= ((tilts >= m) & (_norms(flat) >= m) & (steps > 0.0)).all(axis=1)
+            ok &= np.abs(steps.sum(axis=1) - TWO_PI) < math.pi
+            # Non-adjacent arcs lie in azimuth sectors a whole step apart, at
+            # distance >= min tilt from +-n.
+            ok &= tilts.min(axis=1) * np.sin(np.minimum(steps.min(axis=1), HALF_PI)) >= m * m
+            # Adjacent arcs: one great circle up to the guard, or clearly two
+            bends = _norms(np.cross(normals, np.roll(normals, -1, axis=1)))
+            certified = ok & ((bends <= guard / 4) | (bends >= 1e-4)).all(axis=1)
+
+        rows = np.flatnonzero(~certified)
+        if not rows.size:
+            continue
+        centers, ends, corners = centers[rows].tolist(), ends[rows], corners[rows]
+        d, theta, axes, short = d[rows], theta[rows], normals[rows], lengths[rows] == 0.0
+        spike = (sines[rows] <= _PARALLEL_GUARD) & ~short
+        axes[spike] = _any_perpendicular(d[spike])
+        axes = np.where((theta > math.pi)[..., None], -axes, axes)
+        straight = (theta >= math.pi - _PARALLEL_GUARD) & (theta <= math.pi + _PARALLEL_GUARD)
+        fault = np.zeros(theta.shape, dtype=np.int8)
+        if straight.any():
+            c = corners[straight]
+            f = mesh.face_of[c]
+            first, stop = mesh.complex.offsets[f], mesh.complex.offsets[f + 1]
+            x0, y0 = table.points2d[c].T
+            x1, y1 = table.points2d[np.where(c + 1 < stop, c + 1, first)].T
+            ex, ey = x1 - x0, y1 - y0
+            nrm = np.fromiter(map(math.hypot, ex.tolist(), ey.tolist()), np.float64, c.size)
+            o, safe = table.orientation[f], np.where(nrm > 0.0, nrm, 1.0)
+            wx, wy = o * -(ey / safe), o * (ex / safe)
+            w3 = wx[:, None] * table.basis[f, 0] + wy[:, None] * table.basis[f, 1]
+            ds = d[straight]
+            w3 -= ds * (w3[:, 0] * ds[:, 0] + w3[:, 1] * ds[:, 1] + w3[:, 2] * ds[:, 2])[:, None]
+            nw = _lengths(w3)
+            fault[straight] = np.select([nrm == 0.0, nw <= _PARALLEL_GUARD], [1, 2], 0)
+            axis = np.cross(ds, w3 / np.where(nw > _PARALLEL_GUARD, nw, 1.0)[:, None])
+            size = _lengths(axis)
+            axes[straight] = axis / np.where(size > 0.0, size, 1.0)[:, None]
+        broken = short.any(axis=1) | fault.any(axis=1)
+        for r in np.flatnonzero(broken).tolist():
+            v = centers[r]
+            if short[r].any():
+                u = int(ends[r, short[r].argmax()])
+                links[v] = f"edge ({v}, {u}) has zero length; link is undefined"
+                continue
+            k = int((fault[r] > 0).argmax())
+            c = int(corners[r, k])
+            f = int(mesh.face_of[c])
+            links[v] = ("straight corner with zero-length projected edge" if fault[r, k] == 1
+                        else f"face {f}: cannot orient straight corner "
+                             f"{c - int(mesh.complex.offsets[f])} from its plane")
+        keep = np.flatnonzero(~broken)
+        for r, dirs, turns, angles in zip(keep.tolist(), d[keep].tolist(), axes[keep].tolist(),
+                                          theta[keep].tolist()):
+            dirs = tuple(map(tuple, dirs))
+            arcs = map(LinkArc, dirs, dirs[1:] + dirs[:1], map(tuple, turns), angles)
+            links[centers[r]] = SphericalLink(centers[r], dirs, tuple(arcs))
+    return defects, links
 
 
 # ---------------------------------------------------------------------------
@@ -705,25 +690,6 @@ class FlatnessReport:
         return float(np.abs(self.defects).max(initial=0.0))
 
 
-def _defects(mesh: HalfEdgeMesh, angles: np.ndarray) -> np.ndarray:
-    """2*pi minus the sum of the interior angles around each vertex.
-
-    Per valence, the star's angles are added one column at a time from
-    0.0, in star order: the IEEE additions of a left-to-right loop, which
-    Python's sum() (compensated from 3.12) and np.sum (pairwise) are not.
-    """
-    defects = np.empty(mesh.n_vertices)
-    valences = np.diff(mesh.star_offsets)
-    for valence in np.flatnonzero(np.bincount(valences)).tolist():
-        centers = np.flatnonzero(valences == valence)
-        theta = angles[mesh.star_corners[mesh.star_offsets[centers, None] + np.arange(valence)]]
-        total = np.zeros(centers.size)
-        for column in theta.T:
-            total += column
-        defects[centers] = TWO_PI - total
-    return defects
-
-
 def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None,
                     geos: FaceTable | None = None) -> FlatnessReport:
     """Run every geometric check once and collect the results.
@@ -735,22 +701,12 @@ def flatness_report(mesh: HalfEdgeMesh, tol: ToleranceProfile | None = None,
     if table.degenerate:
         face, message = table.degenerate[0]
         raise DegenerateFaceError(f"face {face}: {message}")
-    defects = _defects(mesh, table.angles)
-    # the links are decided at unit scale, as the table is fitted, where no
-    # edge length underflows to zero and no square overflows
-    mesh = replace(mesh, complex=mesh.complex.unit_scaled()[0])
+    defects, found = _vertex_stars(mesh, table, tol.link_tol)
     links = []
-    certified = _azimuth_certified(mesh, table.angles, tol.link_tol)
-    stars = _stars(mesh)
-    for v in range(mesh.n_vertices):
-        if certified[v]:
-            continue
-        try:
-            link = _link(mesh, v, table, stars)
-        except MeshError as exc:
-            links.append(LinkVerdict(vertex=v, embedded=False, witness=str(exc)))
-            continue
-        verdict = link_is_embedded(link, tol.link_tol)
+    for v in sorted(found):
+        link = found[v]
+        verdict = (LinkVerdict(v, False, link) if isinstance(link, str)
+                   else link_is_embedded(link, tol.link_tol))
         if not verdict.embedded:
             links.append(verdict)
 

@@ -7,7 +7,7 @@ import math
 from collections import deque
 from math import gcd
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -32,7 +32,10 @@ from flatcheck import (
     triangulate_faces,
 )
 from flatcheck import flatness, intersect
-from flatcheck.mesh import complex_from_flat, edge_table
+from flatcheck.flatness import (_PARALLEL_GUARD, DegenerateFaceError, FaceTable, LinkArc,
+                                SphericalLink, Vec3, _any_perpendicular, _divided, _norm)
+from flatcheck.mesh import HalfEdgeMesh, complex_from_flat, edge_table
+from flatcheck.predicates import cross, dot, sub
 
 
 def make_complex(vertices, faces) -> CellComplex:
@@ -91,8 +94,110 @@ def fold_vertex_ids(m: int, n: int, folds: int) -> frozenset[int]:
 
 
 def vertex_link(mesh, v):
-    """The spherical link flatness_report builds for vertex v."""
-    return flatness._link(mesh, v, flatness.face_geometries(mesh.complex), flatness._stars(mesh))
+    """The spherical link flatness_report builds for vertex v, at unit
+    scale, or the witness of why it is undefined.  A link_tol far above
+    the azimuth certificate's leaves every vertex to the sub-arc test, so
+    the star pass builds every link."""
+    return flatness._vertex_stars(mesh, flatness.face_geometries(mesh.complex), 1.0)[1][v]
+
+
+# ---------------------------------------------------------------------------
+# Vertex links built one at a time on float 3-tuples, the referee of
+# flatness._vertex_stars
+
+class ReferenceStars(NamedTuple):
+    """A mesh's vertex stars as plain lists: the corners around vertex v
+    are entries offsets[v] .. offsets[v + 1] - 1 of the other three."""
+
+    offsets: list[int]
+    entries: list[int]      # the neighbor crossed to enter the corner
+    corners: list[int]      # the corner, an index into complex.corners
+    faces: list[int]        # the corner's face
+
+
+def referee_stars(mesh: HalfEdgeMesh) -> ReferenceStars:
+    return ReferenceStars(mesh.star_offsets.tolist(), mesh.star_entries.tolist(),
+                          mesh.star_corners.tolist(), mesh.face_of[mesh.star_corners].tolist())
+
+
+def referee_link(mesh: HalfEdgeMesh, vertex: int, table: FaceTable,
+                 stars: ReferenceStars) -> SphericalLink:
+    """Build the link of a vertex as a closed spherical polygon.
+
+    Link vertices are the unit directions of the incident edges in star
+    order; each face corner contributes the great-circle arc between its
+    two edge directions, of length equal to its interior angle in the
+    face table.  Straight corners (angle pi) are oriented using the face's
+    in-plane frame, since the two directions alone leave the great
+    semicircle ambiguous.  An undefined link raises DegenerateFaceError.
+    flatness_report builds links at unit scale, so a comparison passes
+    the mesh of complex.unit_scaled().
+    """
+    start, stop = stars.offsets[vertex], stars.offsets[vertex + 1]
+    neighbors = stars.entries[start:stop]
+    count = stop - start
+    pos_v, *ends = mesh.complex.vertices[[vertex, *neighbors]].tolist()
+
+    directions: list[Vec3] = []
+    for u, end in zip(neighbors, ends):
+        d = sub(end, pos_v)
+        norm = _norm(d)
+        if norm == 0.0:
+            raise DegenerateFaceError(
+                f"edge ({vertex}, {u}) has zero length; link is undefined"
+            )
+        directions.append(_divided(d, norm))
+
+    arcs: list[LinkArc] = []
+    for k in range(count):
+        c, f = stars.corners[start + k], stars.faces[start + k]
+        theta = float(table.angles[c])
+        d_start = directions[k]
+        d_end = directions[(k + 1) % count]
+        if theta >= math.pi - _PARALLEL_GUARD and theta <= math.pi + _PARALLEL_GUARD:
+            # Straight corner: orient the semicircle through the face's
+            # interior.  The interior side of the (projected) straight edge
+            # is the left side for positive orientation.
+            first, stop = mesh.complex.offsets[f:f + 2].tolist()
+            (x0, y0), (x1, y1) = table.points2d[[c, c + 1 if c + 1 < stop else first]].tolist()
+            ex, ey = x1 - x0, y1 - y0
+            nrm = math.hypot(ex, ey)
+            if nrm == 0.0:
+                raise DegenerateFaceError("straight corner with zero-length projected edge")
+            orientation = float(table.orientation[f])
+            wx, wy = orientation * -(ey / nrm), orientation * (ex / nrm)
+            # The interior normal must point away from the direction we
+            # start at; which of +-exit matches d_start is irrelevant for
+            # the midpoint construction below.
+            b0, b1 = table.basis[f].tolist()
+            w3 = (wx * b0[0] + wy * b1[0], wx * b0[1] + wy * b1[1], wx * b0[2] + wy * b1[2])
+            along = dot(w3, d_start)
+            w3 = sub(w3, (d_start[0] * along, d_start[1] * along, d_start[2] * along))
+            nw = _norm(w3)
+            if nw <= _PARALLEL_GUARD:
+                raise DegenerateFaceError(
+                    f"face {f}: cannot orient straight corner {c - first} from its plane"
+                )
+            axis = cross(d_start, _divided(w3, nw))
+            axis = _divided(axis, _norm(axis))
+        else:
+            normal = cross(d_start, d_end)
+            nc = _norm(normal)
+            if nc <= _PARALLEL_GUARD:
+                # Directions (anti)parallel away from a straight corner:
+                # a zero-angle spike; callers flag it via the embedding test.
+                axis = tuple(_any_perpendicular(np.array([d_start]))[0].tolist())
+            else:
+                axis = _divided(normal, nc)
+            if theta > math.pi:
+                axis = (-axis[0], -axis[1], -axis[2])
+        arcs.append(LinkArc(start=d_start, end=d_end, axis=axis, length=theta))
+
+    return SphericalLink(
+        vertex=vertex,
+        directions=tuple(directions),
+        arcs=tuple(arcs),
+    )
 
 
 def independent_soup(coords):

@@ -2,12 +2,13 @@
 
 Every fact is read from the producer the certificate reads: plane fits
 and interior angles from the face table (face_geometries), defects and
-the Gauss-Bonnet balance from flatness_report, links from flatness._link
-through conftest.vertex_link.  Three independent referees live here: a
-spherical grid search for the orthogonal least-squares plane, a dense
-arc-sampling test for link embeddedness, and a left-to-right loop over
-referee_manifold's stars for the defects, bit for bit.  The batched face
-table is refereed by its own one-face tables, bit for bit.
+the Gauss-Bonnet balance from flatness_report, links from the star pass
+(flatness._vertex_stars) through conftest.vertex_link.  Three independent
+referees live here: a spherical grid search for the orthogonal
+least-squares plane, a dense arc-sampling test for link embeddedness, and
+a left-to-right loop over referee_manifold's stars for the defects, bit
+for bit.  The batched face table is refereed by its own one-face tables,
+and the star pass's links by conftest.referee_link, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from flatcheck import certificate, flatness, refine
 from flatcheck.corpus import doubled_cone, folded_flat_torus
 from flatcheck.flatness import face_geometries
 
-from conftest import (TWO_PI, cube, fold_vertex_ids, grid_torus, random_rotation,
-                      referee_manifold, tetra, vertex_link)
+from conftest import (TWO_PI, cube, fold_vertex_ids, grid_torus, random_rotation, referee_link,
+                      referee_manifold, referee_stars, tetra, vertex_link)
 
 LIFTED_SQUARE = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.1], [0.0, 1.0, 0.0]]
@@ -703,15 +704,17 @@ def test_link_witnesses_pinned():
 # Links certified by the azimuth pass against the sub-arc test
 
 def _subarc_links(mesh, tol=None):
-    """link_is_embedded's verdict on every vertex link that is not
-    embedded, in vertex order, with _link's error as the witness where
-    the link is undefined."""
+    """link_is_embedded's verdict on every referee_link that is not
+    embedded, in vertex order, built at unit scale as flatness_report
+    builds its links, with the referee's error as the witness where the
+    link is undefined."""
     tol = tol or ToleranceProfile()
-    table, stars = face_geometries(mesh.complex), flatness._stars(mesh)
+    mesh = replace(mesh, complex=mesh.complex.unit_scaled()[0])
+    table, stars = face_geometries(mesh.complex), referee_stars(mesh)
     out = []
     for v in range(mesh.n_vertices):
         try:
-            link = flatness._link(mesh, v, table, stars)
+            link = referee_link(mesh, v, table, stars)
         except MeshError as exc:
             out.append(LinkVerdict(v, False, str(exc)))
         else:
@@ -782,8 +785,8 @@ def test_azimuth_pass_leaves_unusable_rows_uncertified(bad):
     vertices = cx.vertices.copy()
     vertices[0] = vertices[1] if bad is None else bad
     mesh = replace(check_closed_manifold(cx), complex=replace(cx, vertices=vertices))
-    angles = face_geometries(cx).angles
-    assert flatness._azimuth_certified(mesh, angles, 1e-9) == [False] * 4
+    _, links = flatness._vertex_stars(mesh, face_geometries(cx), 1e-9)
+    assert sorted(links) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("name, failures", [
@@ -795,10 +798,93 @@ def test_azimuth_pass_leaves_unusable_rows_uncertified(bad):
 ])
 def test_subarc_test_runs_only_on_link_failures(bench_meshes, name, failures):
     """On the benchmark's check meshes the azimuth pass certifies every
-    embedded link, so the sub-arc test runs only where a link fails."""
-    report, tested = _subarc_tested(check_closed_manifold(bench_meshes[name]))
+    embedded link, so the sub-arc test runs only where a link fails, and
+    one flatness_report builds a SphericalLink for those vertices alone."""
+    mesh = check_closed_manifold(bench_meshes[name])
+    with mock.patch.object(flatness, "SphericalLink", wraps=flatness.SphericalLink) as built:
+        report, tested = _subarc_tested(mesh)
     assert tested == [lv.vertex for lv in report.links if not lv.embedded]
     assert len(tested) == failures
+    assert built.call_count == failures
+
+
+# ---------------------------------------------------------------------------
+# The star pass's links against referee_link
+
+def _split_cube():
+    """The cube with its edge (0, 1) split at the midpoint, vertex 8, whose
+    two corners are straight."""
+    cx = cube()
+    faces = [list(face) for face in cx.faces]
+    for face in faces:
+        for i, u in enumerate(face):
+            if {u, face[(i + 1) % len(face)]} == {0, 1}:
+                face.insert(i + 1, 8)
+                break
+    return build_complex(np.vstack([cx.vertices, 0.5 * (cx.vertices[0] + cx.vertices[1])]), faces)
+
+
+def _referee_links(mesh, table):
+    """referee_link of every vertex, at unit scale, or its error message."""
+    unit = replace(mesh, complex=mesh.complex.unit_scaled()[0])
+    stars, out = referee_stars(unit), {}
+    for v in range(mesh.n_vertices):
+        try:
+            out[v] = referee_link(unit, v, table, stars)
+        except MeshError as exc:
+            out[v] = str(exc)
+    return out
+
+
+def test_straight_corner_link():
+    """Vertex 8 of the split cube has valence 2 and two straight corners,
+    each a link arc of length pi oriented by its face's plane; the azimuth
+    pass leaves it to the sub-arc test, which calls it embedded."""
+    mesh = check_closed_manifold(_split_cube())
+    link = vertex_link(mesh, 8)
+    assert [arc.length for arc in link.arcs] == pytest.approx([math.pi, math.pi])
+    assert link_is_embedded(link).embedded
+    report, tested = _subarc_tested(mesh)
+    assert report.links == ()
+    assert 8 in tested
+    assert link == _referee_links(mesh, face_geometries(mesh.complex))[8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_star_pass_links_equal_referee(data, corpus_meshes, perfbench_meshes):
+    """Every link and undefined-link witness the star pass builds equals
+    referee_link's, tuple for tuple: on the corpus, the benchmark meshes,
+    the folded torus 4x4 with two folds jittered by 1e-9, the folded 6x6
+    scaled far up, into the subnormals and by 0.1 and 3, and the split
+    cube, each maybe under a seeded symmetry.  The links a report builds
+    at the default link_tol are the same ones."""
+    kind = data.draw(st.sampled_from(["corpus", "bench", "jittered", "scaled", "split"]))
+    if kind == "corpus":
+        cx = corpus_meshes[data.draw(st.sampled_from(sorted(corpus_meshes)))][1]
+    elif kind == "bench":
+        cx = data.draw(st.sampled_from([build for workload in perfbench_meshes.WORKLOADS.values()
+                                        for _, build in workload.meshes]))()
+    elif kind == "jittered":
+        base = folded_flat_torus(4, 4, 2)
+        jitter = np.random.default_rng(data.draw(st.integers(0, 39))).normal(
+            scale=1e-9, size=base.vertices.shape)
+        cx = build_complex(base.vertices + jitter, base.faces)
+    elif kind == "scaled":
+        base = folded_flat_torus(6, 6, 2)
+        cx = build_complex(base.vertices * data.draw(st.sampled_from(
+            [2.0 ** 1000, 2.0 ** -1060, 0.1, 3.0])), base.faces)
+    else:
+        cx = _split_cube()
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 2**16)))
+    if seed is not None:
+        cx = perfbench_meshes.transformed(cx, random.Random(seed))
+    mesh = check_closed_manifold(cx)
+    table = face_geometries(mesh.complex)
+    _, links = flatness._vertex_stars(mesh, table, 1.0)
+    assert links == _referee_links(mesh, table)
+    _, uncertified = flatness._vertex_stars(mesh, table, ToleranceProfile().link_tol)
+    assert uncertified == {v: links[v] for v in uncertified}
 
 
 # A prism of height 1 over a convex hexagon (0-5 below, 7-12 above), its
