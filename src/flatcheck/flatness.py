@@ -626,10 +626,10 @@ def _vertex_stars(mesh: HalfEdgeMesh, table: FaceTable, link_tol: float
                         else f"face {f}: cannot orient straight corner "
                              f"{c - int(mesh.complex.offsets[f])} from its plane")
         keep = np.flatnonzero(~broken)
-        for r, dirs, turns, angles in zip(keep.tolist(), d[keep].tolist(), axes[keep].tolist(),
+        for r, dirs, poles, angles in zip(keep.tolist(), d[keep].tolist(), axes[keep].tolist(),
                                           theta[keep].tolist()):
             dirs = tuple(map(tuple, dirs))
-            arcs = map(LinkArc, dirs, dirs[1:] + dirs[:1], map(tuple, turns), angles)
+            arcs = map(LinkArc, dirs, dirs[1:] + dirs[:1], map(tuple, poles), angles)
             links[centers[r]] = SphericalLink(centers[r], dirs, tuple(arcs))
     return defects, links
 

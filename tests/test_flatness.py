@@ -787,6 +787,8 @@ def test_azimuth_pass_leaves_unusable_rows_uncertified(bad):
     mesh = replace(check_closed_manifold(cx), complex=replace(cx, vertices=vertices))
     _, links = flatness._vertex_stars(mesh, face_geometries(cx), 1e-9)
     assert sorted(links) == [0, 1, 2, 3]
+    if bad is None:
+        assert links == _referee_links(mesh, face_geometries(cx))
 
 
 @pytest.mark.parametrize("name, failures", [
@@ -850,14 +852,36 @@ def test_straight_corner_link():
     assert link == _referee_links(mesh, face_geometries(mesh.complex))[8]
 
 
+@pytest.mark.parametrize("fault, witness", [
+    ("projected edge", "straight corner with zero-length projected edge"),
+    ("frame", "face 2: cannot orient straight corner 4 from its plane"),
+])
+def test_straight_corner_witnesses_equal_referee(fault, witness):
+    """The split cube's face table, doctored at corner 13, the straight
+    corner of vertex 8 and the last of face 2: the projected point of the
+    next corner (the face's first, 9) moved onto it, or the face's in-plane
+    frame turned along the corner's first edge.
+    The star pass then gives vertex 8 referee_link's witness."""
+    mesh = check_closed_manifold(_split_cube())
+    table = face_geometries(mesh.complex)
+    points2d, basis = table.points2d.copy(), table.basis.copy()
+    if fault == "projected edge":
+        points2d[9] = points2d[13]
+    else:
+        basis[2] = vertex_link(mesh, 8).directions[1]
+    doctored = replace(table, points2d=points2d, basis=basis)
+    assert flatness._vertex_stars(mesh, doctored, 1.0)[1][8] == witness
+    assert _referee_links(mesh, doctored)[8] == witness
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_star_pass_links_equal_referee(data, corpus_meshes, perfbench_meshes):
     """Every link and undefined-link witness the star pass builds equals
     referee_link's, tuple for tuple: on the corpus, the benchmark meshes,
     the folded torus 4x4 with two folds jittered by 1e-9, the folded 6x6
-    scaled far up, into the subnormals and by 0.1 and 3, and the split
-    cube, each maybe under a seeded symmetry.  The links a report builds
+    scaled far up, into the subnormals and by 0.1 and 3, the split cube
+    and the notched prism, each maybe under a seeded symmetry.  The links a report builds
     at the default link_tol are the same ones."""
     kind = data.draw(st.sampled_from(["corpus", "bench", "jittered", "scaled", "split"]))
     if kind == "corpus":
@@ -875,7 +899,7 @@ def test_star_pass_links_equal_referee(data, corpus_meshes, perfbench_meshes):
         cx = build_complex(base.vertices * data.draw(st.sampled_from(
             [2.0 ** 1000, 2.0 ** -1060, 0.1, 3.0])), base.faces)
     else:
-        cx = _split_cube()
+        cx = data.draw(st.sampled_from([_split_cube(), NOTCHED_PRISM]))
     seed = data.draw(st.one_of(st.none(), st.integers(0, 2**16)))
     if seed is not None:
         cx = perfbench_meshes.transformed(cx, random.Random(seed))
