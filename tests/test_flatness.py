@@ -703,24 +703,30 @@ def test_link_witnesses_pinned():
 # ---------------------------------------------------------------------------
 # Links certified by the azimuth pass against the sub-arc test
 
-def _subarc_links(mesh, tol=None):
-    """link_is_embedded's verdict on every referee_link that is not
-    embedded, in vertex order, built at unit scale as flatness_report
-    builds its links, with the referee's error as the witness where the
-    link is undefined."""
-    tol = tol or ToleranceProfile()
-    mesh = replace(mesh, complex=mesh.complex.unit_scaled()[0])
-    table, stars = face_geometries(mesh.complex), referee_stars(mesh)
-    out = []
+def _referee_links(mesh, table):
+    """referee_link of every vertex, built at unit scale as flatness_report
+    builds its links, or its error message."""
+    unit = replace(mesh, complex=mesh.complex.unit_scaled()[0])
+    stars, out = referee_stars(unit), {}
     for v in range(mesh.n_vertices):
         try:
-            link = referee_link(mesh, v, table, stars)
+            out[v] = referee_link(unit, v, table, stars)
         except MeshError as exc:
-            out.append(LinkVerdict(v, False, str(exc)))
-        else:
-            verdict = link_is_embedded(link, tol.link_tol)
-            if not verdict.embedded:
-                out.append(verdict)
+            out[v] = str(exc)
+    return out
+
+
+def _subarc_links(mesh, tol=None):
+    """link_is_embedded's verdict on every referee_link that is not
+    embedded, in vertex order, with the referee's error as the witness
+    where the link is undefined."""
+    tol = tol or ToleranceProfile()
+    out = []
+    for v, link in _referee_links(mesh, face_geometries(mesh.complex)).items():
+        verdict = (LinkVerdict(v, False, link) if isinstance(link, str)
+                   else link_is_embedded(link, tol.link_tol))
+        if not verdict.embedded:
+            out.append(verdict)
     return tuple(out)
 
 
@@ -824,18 +830,6 @@ def _split_cube():
                 face.insert(i + 1, 8)
                 break
     return build_complex(np.vstack([cx.vertices, 0.5 * (cx.vertices[0] + cx.vertices[1])]), faces)
-
-
-def _referee_links(mesh, table):
-    """referee_link of every vertex, at unit scale, or its error message."""
-    unit = replace(mesh, complex=mesh.complex.unit_scaled()[0])
-    stars, out = referee_stars(unit), {}
-    for v in range(mesh.n_vertices):
-        try:
-            out[v] = referee_link(unit, v, table, stars)
-        except MeshError as exc:
-            out[v] = str(exc)
-    return out
 
 
 def test_straight_corner_link():
