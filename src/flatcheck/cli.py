@@ -1,6 +1,6 @@
 """Command-line interface orchestrating the verification pipeline.
 
-Exit codes: 0 when every requested check passes, 1 when a check fails
+Exit codes: 0 when the certificate's verdict passes, 1 when it fails
 (the certificate is still written), 2 on usage or input errors.
 """
 from __future__ import annotations
@@ -53,15 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, blurb in (
-        ("check", "run the full pipeline and emit a certificate"),
-        ("topology", "Euler characteristic, orientability, homology, surface type"),
-        ("flatness", "face planarity, angle defects, vertex link embedding"),
-        ("intersections", "global self-intersection report"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        _add_mesh_arguments(p)
-        _add_check_arguments(p)
+    p = sub.add_parser("check", help="run the full pipeline and emit a certificate")
+    _add_mesh_arguments(p)
+    _add_check_arguments(p)
 
     for name, blurb in (
         ("triangulate", "triangulate all faces, write the result"),
@@ -113,7 +107,7 @@ def _flag(ok: bool | None) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _summarize(cert: dict, scope: str, out) -> None:
+def _summarize(cert: dict, out) -> None:
     verdict = cert["verdict"]
     inp = cert["input"]
     print(f"vertices {inp['n_vertices']}  edges {inp['n_edges']}  faces {inp['n_faces']}",
@@ -124,64 +118,45 @@ def _summarize(cert: dict, scope: str, out) -> None:
             print(f"  defect: {d['kind']} at {d['location']}: {d['detail']}", file=out)
         return
     combi = cert["combinatorics"]
-    if scope in ("check", "topology"):
-        topo = cert["topology"]
-        print(f"components {combi['components']}  "
-              f"euler characteristic {combi['euler_characteristic']}  "
-              f"orientable {combi['orientable']}", file=out)
-        print(f"homology: H0={topo['homology'][0]}  H1={topo['homology'][1]}  "
-              f"H2={topo['homology'][2]}", file=out)
-        cls = topo["classification"]
-        tail = "" if cls["consistent"] else f"  (inconsistent: {'; '.join(cls['problems'])})"
-        print(f"surface: {cls['name']}{tail}", file=out)
-    if scope in ("check", "flatness"):
-        geo = cert["geometry"]
-        if "error" in geo:
-            print(f"geometry: FAIL ({geo['error']})", file=out)
-        else:
-            print(f"faces planar: {_flag(geo['all_faces_planar'])} "
-                  f"(max deviation {geo['max_planarity_deviation']:.3g})", file=out)
-            print(f"defects zero: {_flag(geo['all_defects_zero'])} "
-                  f"(max |defect| {geo['max_abs_defect']:.3g})", file=out)
-            print(f"links embedded: {_flag(geo['all_links_embedded'])}"
-                  + (f" (failures at {geo['link_failures'][:8]})" if geo["link_failures"] else ""),
-                  file=out)
-    if scope in ("check", "intersections"):
-        imm = cert["immersion"]
-        if imm.get("error"):
-            print(f"self-intersections: SKIP ({imm['error']})", file=out)
-        else:
-            print(f"self-intersections: {imm['pair_count']} pair(s), "
-                  f"{imm['local_overlap_count']} local overlap(s)", file=out)
-            print(f"classification: {imm['classification']}", file=out)
+    topo = cert["topology"]
+    print(f"components {combi['components']}  "
+          f"euler characteristic {combi['euler_characteristic']}  "
+          f"orientable {combi['orientable']}", file=out)
+    print(f"homology: H0={topo['homology'][0]}  H1={topo['homology'][1]}  "
+          f"H2={topo['homology'][2]}", file=out)
+    cls = topo["classification"]
+    tail = "" if cls["consistent"] else f"  (inconsistent: {'; '.join(cls['problems'])})"
+    print(f"surface: {cls['name']}{tail}", file=out)
+    geo = cert["geometry"]
+    if "error" in geo:
+        print(f"geometry: FAIL ({geo['error']})", file=out)
+    else:
+        print(f"faces planar: {_flag(geo['all_faces_planar'])} "
+              f"(max deviation {geo['max_planarity_deviation']:.3g})", file=out)
+        print(f"defects zero: {_flag(geo['all_defects_zero'])} "
+              f"(max |defect| {geo['max_abs_defect']:.3g})", file=out)
+        print(f"links embedded: {_flag(geo['all_links_embedded'])}"
+              + (f" (failures at {geo['link_failures'][:8]})" if geo["link_failures"] else ""),
+              file=out)
+    imm = cert["immersion"]
+    if imm.get("error"):
+        print(f"self-intersections: SKIP ({imm['error']})", file=out)
+    else:
+        print(f"self-intersections: {imm['pair_count']} pair(s), "
+              f"{imm['local_overlap_count']} local overlap(s)", file=out)
+        print(f"classification: {imm['classification']}", file=out)
 
 
-def _scope_pass(cert: dict, scope: str) -> bool:
-    verdict = cert["verdict"]
-    if not verdict["closed_manifold"]:
-        return False
-    if scope == "check":
-        return bool(verdict["pass"])
-    if scope == "flatness":
-        return bool(verdict["flat"] and verdict["locally_embedded"])
-    if scope == "intersections":
-        return cert["immersion"].get("error") is None
-    return True     # topology: computable once the mesh is a closed manifold
-
-
-def _run_check(args, scope: str) -> int:
+def _run_check(args) -> int:
     loaded = _load(args)
     cert = build_certificate(loaded.complex, _tolerances(args), sources=loaded.sources)
     if args.report:
         write_certificate(cert, args.report)
-    elif scope == "check" and args.quiet:
-        # certificate is the only output in quiet check mode
-        sys.stdout.write(certificate_text(cert))
     if not args.quiet:
-        _summarize(cert, scope, sys.stdout)
-        if scope == "check" and not args.report:
-            sys.stdout.write(certificate_text(cert))
-    return 0 if _scope_pass(cert, scope) else 1
+        _summarize(cert, sys.stdout)
+    if not args.report:
+        sys.stdout.write(certificate_text(cert))
+    return 0 if cert["verdict"]["pass"] else 1
 
 
 def _run_refine(args, subdivide: bool) -> int:
@@ -210,8 +185,8 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        if args.command in ("check", "topology", "flatness", "intersections"):
-            return _run_check(args, args.command)
+        if args.command == "check":
+            return _run_check(args)
         if args.command == "triangulate":
             return _run_refine(args, subdivide=False)
         if args.command == "subdivide":

@@ -81,6 +81,15 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _crosses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (..., 3) stacks, each component
+    a1*b2 - a2*b1 rounded as np.cross and predicates.cross round it,
+    without np.cross's per-call axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(a, a))
 
@@ -115,7 +124,7 @@ def _corner_angles(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     math.atan2, since np.arctan2 need not round as libm does.
     """
     zero = (_norms(u) == 0.0) | (_norms(v) == 0.0)
-    angles = np.fromiter(map(math.atan2, _norms(np.cross(u, v)).tolist(), _dots(u, v).tolist()),
+    angles = np.fromiter(map(math.atan2, _norms(_crosses(u, v)).tolist(), _dots(u, v).tolist()),
                          np.float64, len(u))
     return angles, zero
 
@@ -123,7 +132,7 @@ def _corner_angles(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _any_perpendicular(d: np.ndarray) -> np.ndarray:
     """A unit vector perpendicular to each unit row of an (n, 3) stack."""
     seeds = np.where(np.abs(d[:, :1]) <= 0.9, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    p = np.cross(d, seeds)
+    p = _crosses(d, seeds)
     return p / _norms(p)[:, None]
 
 
@@ -240,7 +249,7 @@ def face_geometries(complex: CellComplex) -> FaceTable:
         diam, width, centered, normals, devs = _plane_fits(pts)
         # In-plane frame: two unit vectors orthogonal to the fitted normal.
         u = _any_perpendicular(normals)
-        frame = np.stack((u, np.cross(normals, u)), axis=1)
+        frame = np.stack((u, _crosses(normals, u)), axis=1)
         p2 = centered @ frame.transpose(0, 2, 1)
         before, after = np.roll(p2, 1, axis=1), np.roll(p2, -1, axis=1)
         raw, zero = _corner_angles((np.roll(pts, 1, axis=1) - pts).reshape(-1, 3),
@@ -557,7 +566,7 @@ def _vertex_stars(mesh: HalfEdgeMesh, table: FaceTable, link_tol: float
         lengths = _lengths(edges)
         d = edges / np.where(lengths > 0.0, lengths, 1.0)[..., None]
         d_next = np.roll(d, -1, axis=1)
-        normals = np.cross(d, d_next)
+        normals = _crosses(d, d_next)
         sines = _lengths(normals)
         normals /= np.where(sines > _PARALLEL_GUARD, sines, 1.0)[..., None]
         certified = np.zeros(centers.size, dtype=bool)
@@ -574,14 +583,14 @@ def _vertex_stars(mesh: HalfEdgeMesh, table: FaceTable, link_tol: float
             tilts = _dots(normals, n)
             flat = d - _dots(d, n)[..., None] * n
             flat_next = np.roll(flat, -1, axis=1)
-            steps = np.arctan2(_dots(np.cross(flat, flat_next), n), _dots(flat, flat_next))
+            steps = np.arctan2(_dots(_crosses(flat, flat_next), n), _dots(flat, flat_next))
             ok &= ((tilts >= m) & (_norms(flat) >= m) & (steps > 0.0)).all(axis=1)
             ok &= np.abs(steps.sum(axis=1) - TWO_PI) < math.pi
             # Non-adjacent arcs lie in azimuth sectors a whole step apart, at
             # distance >= min tilt from +-n.
             ok &= tilts.min(axis=1) * np.sin(np.minimum(steps.min(axis=1), HALF_PI)) >= m * m
             # Adjacent arcs: one great circle up to the guard, or clearly two
-            bends = _norms(np.cross(normals, np.roll(normals, -1, axis=1)))
+            bends = _norms(_crosses(normals, np.roll(normals, -1, axis=1)))
             certified = ok & ((bends <= guard / 4) | (bends >= 1e-4)).all(axis=1)
 
         rows = np.flatnonzero(~certified)
@@ -609,7 +618,7 @@ def _vertex_stars(mesh: HalfEdgeMesh, table: FaceTable, link_tol: float
             w3 -= ds * (w3[:, 0] * ds[:, 0] + w3[:, 1] * ds[:, 1] + w3[:, 2] * ds[:, 2])[:, None]
             nw = _lengths(w3)
             fault[straight] = np.select([nrm == 0.0, nw <= _PARALLEL_GUARD], [1, 2], 0)
-            axis = np.cross(ds, w3 / np.where(nw > _PARALLEL_GUARD, nw, 1.0)[:, None])
+            axis = _crosses(ds, w3 / np.where(nw > _PARALLEL_GUARD, nw, 1.0)[:, None])
             size = _lengths(axis)
             axes[straight] = axis / np.where(size > 0.0, size, 1.0)[:, None]
         broken = short.any(axis=1) | fault.any(axis=1)

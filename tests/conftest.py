@@ -35,7 +35,7 @@ from flatcheck import flatness, intersect
 from flatcheck.flatness import (_PARALLEL_GUARD, DegenerateFaceError, FaceTable, LinkArc,
                                 SphericalLink, Vec3, _any_perpendicular, _divided, _norm)
 from flatcheck.mesh import HalfEdgeMesh, complex_from_flat, edge_table
-from flatcheck.predicates import cross, dot, sub
+from flatcheck.predicates import cross, dot, sub, to_grid
 
 
 def make_complex(vertices, faces) -> CellComplex:
@@ -198,6 +198,58 @@ def referee_link(mesh: HalfEdgeMesh, vertex: int, table: FaceTable,
         directions=tuple(directions),
         arcs=tuple(arcs),
     )
+
+
+def _in_sector(x, p, q, n) -> bool:
+    """Whether x, in the plane of the sector from p to q (narrower than
+    pi, normal n = p x q), lies in it, boundary rays included."""
+    return dot(cross(p, x), n) >= 0 and dot(cross(x, q), n) >= 0
+
+
+def exact_link_contact(mesh: HalfEdgeMesh, vertex: int) -> bool:
+    """Whether two arcs of a vertex link share a direction, decided in
+    integers, with no tolerance.  Triangle stars only.
+
+    The arc of face (v, a, b) is the cone of directions s (a - v) +
+    t (b - v), s, t >= 0, a sector narrower than pi.  Two arcs share a
+    direction iff their cones meet beyond v.  Two cones on distinct
+    planes can meet only on the planes' common line, which is w = nA x nB
+    for the normals n = (a - v) x (b - v); cones on one plane meet iff
+    one holds a boundary ray of the other.  Adjacent arcs share the ray
+    of their common edge; off it they meet only on one plane, with their
+    other rays on the same side of it.  Every sign is that of an integer
+    triple product on predicates.to_grid coordinates.
+    """
+    start, stop = mesh.star_offsets[vertex:vertex + 2].tolist()
+    corners = mesh.star_corners[start:stop]
+    if (np.diff(mesh.complex.offsets)[mesh.face_of[corners]] != 3).any():
+        raise ValueError(f"vertex {vertex}: the star holds a face that is not a triangle")
+    ids = [vertex, *mesh.star_entries[start:stop].tolist()]
+    grid, _ = to_grid(mesh.complex.vertices[ids].ravel().tolist())
+    pts = [tuple(grid[3 * k:3 * k + 3]) for k in range(len(ids))]
+    rays = [sub(p, pts[0]) for p in pts[1:]]
+    count = len(rays)
+    cones = [(rays[k], rays[(k + 1) % count], cross(rays[k], rays[(k + 1) % count]))
+             for k in range(count)]
+    if any(n == (0, 0, 0) for *_, n in cones):
+        raise ValueError(f"vertex {vertex}: a corner of its star is degenerate")
+    for i in range(count):
+        for j in range(i + 1, count):
+            (p0, p1, na), (q0, q1, nb) = cones[i], cones[j]
+            w = cross(na, nb)
+            if j == i + 1 or (i, j) == (0, count - 1):
+                # adjacent: r is the shared ray, b and c the other two
+                r, b, c = (p1, p0, q1) if j == i + 1 else (p0, p1, q0)
+                if w == (0, 0, 0) and dot(cross(r, b), cross(r, c)) > 0:
+                    return True
+            elif w == (0, 0, 0):
+                if (any(_in_sector(x, p0, p1, na) for x in (q0, q1))
+                        or any(_in_sector(x, q0, q1, nb) for x in (p0, p1))):
+                    return True
+            elif any(_in_sector(x, p0, p1, na) and _in_sector(x, q0, q1, nb)
+                     for x in (w, (-w[0], -w[1], -w[2]))):
+                return True
+    return False
 
 
 def independent_soup(coords):

@@ -52,10 +52,14 @@ def test_generate_writes_mesh(klein_off):
 
 
 def test_topology_klein(capsys, klein_off):
-    rc, out, _ = run(capsys, "topology", str(klein_off))
-    assert rc == 0
-    assert "Klein bottle" in out
-    assert "PASS" in out
+    # grid_klein meets itself in R^3, so the verdict fails after the
+    # topology lines and the self-intersection report
+    rc, out, _ = run(capsys, "check", str(klein_off))
+    assert rc == 1
+    assert "closed manifold: PASS" in out
+    assert "surface: Klein bottle" in out
+    assert "pair(s)" in out
+    assert "classification: not-an-immersion" in out
 
 
 def test_check_tetra_fails_flatness(capsys, tetra_off, tmp_path):
@@ -81,19 +85,6 @@ def test_check_report_deterministic(capsys, klein_off, tmp_path):
     run(capsys, "check", str(klein_off), "--report", str(a), "--quiet")
     run(capsys, "check", str(klein_off), "--report", str(b), "--quiet")
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_flatness_exit_code(capsys, tetra_off):
-    rc, out, _ = run(capsys, "flatness", str(tetra_off))
-    assert rc == 1
-    assert "FAIL" in out
-
-
-def test_intersections_report_only(capsys, klein_off):
-    rc, out, _ = run(capsys, "intersections", str(klein_off))
-    assert rc == 0
-    assert "pair(s)" in out
-    assert "not-an-immersion" in out
 
 
 def test_triangulate_roundtrip(capsys, tmp_path):
@@ -155,11 +146,11 @@ def test_pair_input_index_base(capsys, tmp_path):
     cx = generate(GeneratorSpec("tetrahedron"))
     fp, vp = tmp_path / "f.txt", tmp_path / "v.txt"
     write_pair(cx, fp, vp, index_base=0)
-    rc, out, _ = run(capsys, "topology", str(fp), str(vp), "--zero-based")
-    assert rc == 0
-    assert "sphere" in out
+    rc, out, _ = run(capsys, "check", str(fp), str(vp), "--zero-based")
+    assert rc == 1      # the tetrahedron is not flat
+    assert "surface: sphere" in out
     # wrong base shifts every index and must be rejected loudly
-    rc2, _, err2 = run(capsys, "topology", str(fp), str(vp))
+    rc2, _, err2 = run(capsys, "check", str(fp), str(vp))
     assert rc2 == 2
     assert "error" in err2.lower()
 
@@ -238,21 +229,30 @@ def test_unknown_subcommand(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["topology", "flatness", "intersections"])
+def test_scoped_subcommands_are_gone(capsys, tetra_off, command):
+    # check is the one verifying command
+    rc, out, err = run(capsys, command, str(tetra_off))
+    assert (rc, out) == (2, "")
+    assert f"invalid choice: '{command}'" in err
+    assert "Traceback" not in err
+
+
 def test_tolerance_flags_change_verdict(capsys, tetra_off):
     # a huge defect tolerance declares the tetrahedron flat
-    rc, out, _ = run(capsys, "flatness", str(tetra_off), "--defect-tol", "10")
+    rc, out, _ = run(capsys, "check", str(tetra_off), "--defect-tol", "10")
     assert rc == 0
-    assert "PASS" in out
+    assert "defects zero: PASS" in out
 
 
 def test_console_script_wiring(tetra_off):
     proc = subprocess.run(
-        [sys.executable, "-m", "flatcheck.cli", "topology", str(tetra_off)],
+        [sys.executable, "-m", "flatcheck.cli", "check", str(tetra_off), "--defect-tol", "10"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
-    assert "sphere" in proc.stdout
+    assert "surface: sphere" in proc.stdout
 
 
 def test_pair_nonmanifold_certificate(capsys, tmp_path):
@@ -263,6 +263,7 @@ def test_pair_nonmanifold_certificate(capsys, tmp_path):
     report = tmp_path / "cert.json"
     rc, out, _ = run(capsys, "check", str(fp), str(vp), "--report", str(report))
     assert rc == 1
+    assert "closed manifold: FAIL" in out
     assert "boundary-edge" in out
     cert = json.loads(report.read_text())
     assert cert["verdict"]["closed_manifold"] is False
@@ -315,8 +316,7 @@ def test_zero_length_edge_is_located_in_certificate(capsys, tmp_path):
     assert cert["immersion"]["error"] is not None
 
 
-@pytest.mark.parametrize("command", ["check", "flatness"])
-def test_geometry_error_in_summary(capsys, tmp_path, command):
+def test_geometry_error_in_summary(capsys, tmp_path):
     # the pinched cube again, with the summary lines: the geometry section
     # holds only its error, which takes the place of the flatness lines
     cx = cube()
@@ -324,7 +324,7 @@ def test_geometry_error_in_summary(capsys, tmp_path, command):
     verts[1] = verts[0]
     path = tmp_path / "pinched.off"
     write_off(build_complex(verts, cx.faces), path)
-    rc, out, err = run(capsys, command, str(path))
+    rc, out, err = run(capsys, "check", str(path))
     assert (rc, err) == (1, "")
     assert "geometry: FAIL (face 0: corner has a zero-length incident edge)\n" in out
     assert "faces planar" not in out
@@ -367,16 +367,6 @@ def test_repeated_derived_triangle_names_source_faces(capsys, tmp_path):
     rc, _, err = run(capsys, "triangulate", str(off), "-o", str(out_path))
     assert (rc, err) == (1, f"error: {message}\n")
     assert not out_path.exists()
-
-
-def test_intersections_fails_on_nonmanifold_input(capsys, tmp_path):
-    # two triangles sharing one edge: four boundary edges, no soup is tested
-    off = tmp_path / "pair.off"
-    off.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n3 0 1 3\n")
-    rc, out, _ = run(capsys, "intersections", str(off))
-    assert rc == 1
-    assert "closed manifold: FAIL" in out
-    assert "boundary-edge" in out
 
 
 def test_empty_input_is_located(capsys, tmp_path):
@@ -426,13 +416,13 @@ def _off_text(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=_off_text(), command=st.sampled_from(["check", "topology", "flatness",
-                                                  "intersections"]), quiet=st.booleans())
-def test_check_never_raises_on_fuzzed_off(text, command, quiet):
+@given(text=_off_text(), report=st.booleans(), quiet=st.booleans())
+def test_check_never_raises_on_fuzzed_off(text, report, quiet):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "fuzz.off"
         path.write_text(text)
+        argv = ["check", str(path)] + (["--report", str(Path(d) / "cert.json")] if report else [])
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            rc = main([command, str(path)] + (["--quiet"] if quiet else []))
+            rc = main(argv + (["--quiet"] if quiet else []))
     assert rc in (0, 1, 2)

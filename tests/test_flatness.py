@@ -3,9 +3,10 @@
 Every fact is read from the producer the certificate reads: plane fits
 and interior angles from the face table (face_geometries), defects and
 the Gauss-Bonnet balance from flatness_report, links from the star pass
-(flatness._vertex_stars) through conftest.vertex_link.  Three independent
+(flatness._vertex_stars) through conftest.vertex_link.  Four independent
 referees live here: a spherical grid search for the orthogonal
-least-squares plane, a dense arc-sampling test for link embeddedness, and
+least-squares plane, a dense arc-sampling test for link embeddedness,
+conftest.exact_link_contact's integer cone test for link contacts, and
 a left-to-right loop over referee_manifold's stars for the defects, bit
 for bit.  The batched face table is refereed by its own one-face tables,
 and the star pass's links by conftest.referee_link, bit for bit.
@@ -43,8 +44,9 @@ from flatcheck import certificate, flatness, refine
 from flatcheck.corpus import doubled_cone, folded_flat_torus
 from flatcheck.flatness import face_geometries
 
-from conftest import (TWO_PI, cube, fold_vertex_ids, grid_torus, random_rotation, referee_link,
-                      referee_manifold, referee_stars, tetra, vertex_link)
+from conftest import (TWO_PI, cube, exact_link_contact, fold_vertex_ids, grid_torus,
+                      random_rotation, referee_link, referee_manifold, referee_stars, tetra,
+                      vertex_link)
 
 LIFTED_SQUARE = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.1], [0.0, 1.0, 0.0]]
@@ -629,22 +631,12 @@ def _crosses(a, samples, b, margin=1e-7):
     return False
 
 
-def _jittered_fold_link():
-    """Fold vertex 11's link on the folded torus 4x4 with two folds, its
-    vertices moved by a normal jitter of scale 1e-9 (seed 0)."""
-    base = folded_flat_torus(4, 4, 2)
-    jitter = np.random.default_rng(0).normal(scale=1e-9, size=base.vertices.shape)
-    return vertex_link(check_closed_manifold(build_complex(base.vertices + jitter, base.faces)), 11)
-
-
 def test_sampling_oracle_decides_both_ways():
     cone = check_closed_manifold(doubled_cone(2 * math.pi, 8))
     assert _oracle_decision(vertex_link(cone, 0)) is True
     assert _oracle_decision(vertex_link(cone, 2)) is False
     folded = check_closed_manifold(folded_flat_torus(4, 4, 2))
     assert _oracle_decision(vertex_link(folded, 6)) is False
-    jittered = _jittered_fold_link()
-    assert _oracle_decision(jittered) is False and _oracle_decision(jittered, 32) is False
     torus = check_closed_manifold(grid_torus(4, 5))
     assert all(_oracle_decision(vertex_link(torus, v)) is True for v in range(20))
 
@@ -677,17 +669,6 @@ def test_link_verdict_matches_sampling_oracle(data):
         assert link_is_embedded(link).embedded == expect
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect, a FOUND line in CHANGES.md: link_is_embedded calls a fold vertex's link embedded on the"
-    " folded torus jittered by 1e-9, where sampling finds a contact; adjacent"
-    " arcs fold back at an angle near the guard and their computed crossing"
-    " fails _contains's off-circle test"))
-def test_jittered_fold_link_matches_sampling_oracle():
-    """The oracle finds a contact on this link (see
-    test_sampling_oracle_decides_both_ways)."""
-    assert not link_is_embedded(_jittered_fold_link()).embedded
-
-
 def test_link_witnesses_pinned():
     cone = check_closed_manifold(generate(GeneratorSpec("doubled_cone", total_angle=4 * math.pi)))
     assert link_is_embedded(vertex_link(cone, 0)).witness == (
@@ -698,6 +679,41 @@ def test_link_witnesses_pinned():
     klein = check_closed_manifold(generate(GeneratorSpec("grid_klein", m=5, n=4)))
     assert link_is_embedded(vertex_link(klein, 3)).witness == (
         "arcs 0 and 3 are not adjacent but intersect (overlap)")
+
+
+# ---------------------------------------------------------------------------
+# Link verdicts against the exact cone test
+
+def _jittered_fold(seed):
+    """The folded torus 4x4 with two folds, its vertices moved by a normal
+    jitter of scale 1e-9."""
+    base = folded_flat_torus(4, 4, 2)
+    jitter = np.random.default_rng(seed).normal(scale=1e-9, size=base.vertices.shape)
+    return check_closed_manifold(build_complex(base.vertices + jitter, base.faces))
+
+
+def test_jittered_fold_link_has_the_exact_verdict():
+    """Fold vertex 11 at seed 0, where sampling finds two arcs within
+    1e-10: adjacent arcs that fold back at an angle above 0 share only the
+    ray of their common edge, so the link is embedded, exactly."""
+    mesh = _jittered_fold(0)
+    assert not exact_link_contact(mesh, 11)
+    assert link_is_embedded(vertex_link(mesh, 11)).embedded
+
+
+def test_exact_link_contacts_are_read_not_embedded():
+    """Soundness over every link of the jittered folded torus, seeds 0-39:
+    wherever two arcs exactly share a direction, link_is_embedded says
+    not embedded.  The fold makes such contacts common (373 of 640)."""
+    contacts = 0
+    for seed in range(40):
+        mesh = _jittered_fold(seed)
+        links = flatness._vertex_stars(mesh, face_geometries(mesh.complex), 1.0)[1]
+        for v, link in links.items():
+            if exact_link_contact(mesh, v):
+                contacts += 1
+                assert not link_is_embedded(link).embedded, (seed, v)
+    assert contacts == 373
 
 
 # ---------------------------------------------------------------------------
