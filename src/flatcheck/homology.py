@@ -1,4 +1,4 @@
-"""Integral cellular homology of a polygonal complex.
+"""Integral cellular homology of a closed polygonal surface.
 
 Boundary matrices are built over Z with a fixed orientation convention
 (edges run from lower to higher vertex index, faces as listed) and kept
@@ -11,37 +11,27 @@ other entry.  Row f of d2 d1 then sums head minus tail around the cycle
 of f's corners, which is 0.  Betti numbers come from the ranks of d1 and
 d2, torsion from their invariant factors.
 
-On a complex whose every edge lies in at most two faces both matrices
-are incidence matrices of signed graphs: every column of d1 (read as
-vertices by edges) and of d2 (faces by edges) holds at most two entries,
-each +-1.  Their Smith normal form then comes from the components of the
-graph and their balance (Zaslavsky, "Signed graphs", 1982; the
-tree-cotree idea of Eppstein, 2003).  Within one component of n_C rows
-the columns of a spanning tree give n_C - 1 unit pivots, and after those
-eliminations one row is left: 0 on a balanced non-tree column, +-2 on an
-unbalanced one and +-1 on a single-entry (boundary) column.  The
-component therefore adds n_C - 1 factors of 1, then one more 1 if it has
-a boundary column, else a 2 if it has an unbalanced cycle, else nothing.
-A Klein bottle's Z/2 is its one unbalanced dual cycle.
+Homology is computed for closed manifolds only: a bare CellComplex goes
+through check_closed_manifold first, whose NotManifoldError names every
+boundary or over-used edge and every isolated or pinched vertex, the
+defects the certificate records.  On a closed manifold both matrices are
+incidence matrices of signed graphs: every column of d1 (read as
+vertices by edges) and of d2 (faces by edges) holds two entries, each
++-1.  Their Smith normal form then comes from the components of the graph
+and their balance (Zaslavsky, "Signed graphs", 1982; the tree-cotree idea
+of Eppstein, 2003).  Within one component of n_C rows the columns of a
+spanning tree give n_C - 1 unit pivots, and after those eliminations one
+row is left: 0 on a balanced non-tree column, +-2 on an unbalanced one.
+The component therefore adds n_C - 1 factors of 1, then a 2 if it has an
+unbalanced cycle.  A Klein bottle's Z/2 is its one unbalanced dual cycle.
 
-On a closed manifold both forms come from one labelling, the mesh's
-dual_components, which orientability reads too.  With c components, u
-of them unbalanced, d2 has F - c factors of 1, then u of 2.  The vertex
-graph of d1 has the same components as the dual graph, since no vertex
-is isolated and every vertex star is one cycle of faces that meet across
-edges, and it is balanced, so d1 has V - c factors of 1.  The matrices
-of a bare complex (open complexes, an edge in three faces) take the
-forest path instead: their own graphs' components and balance, from one
-labelling each of the signed double cover (mesh.signed_components), or of
-the graph itself when no column asks for opposite node signs, as in
-every d1.
-
-Any other matrix, such as d2 of a complex with an edge in three faces, is
-refused with a MeshError naming the edge or entry: its exact Smith form
-would need a dense elimination, whose memory grows with the product of
-the matrix's sides.  The pipeline computes homology only of closed
-manifolds, whose matrices are always signed graphs'.  The dense form
-lives in the test suite, as the referee of the forest form.
+Both forms come from one labelling, the mesh's dual_components, which
+orientability reads too.  With c components, u of them unbalanced, d2
+has F - c factors of 1, then u of 2.  The vertex graph of d1 has the same
+components as the dual graph, since no vertex is isolated and every
+vertex star is one cycle of faces that meet across edges, and it is
+balanced, so d1 has V - c factors of 1.  The dense Smith form lives in
+the test suite, as the referee of these forms.
 """
 from __future__ import annotations
 
@@ -49,15 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (CellComplex, HalfEdgeMesh, MeshError, edge_table, next_corners,
-                   signed_components)
+from .mesh import CellComplex, HalfEdgeMesh, check_closed_manifold, next_corners
 
 Coo = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryMatrices:
-    """Signed incidence matrices of a 2-complex, as COO arrays.
+    """Signed incidence matrices of a closed 2-manifold, as COO arrays.
 
     d1 has one row per edge over the vertex columns (boundary of the
     oriented 1-cells); d2 has one row per face over the edge columns.
@@ -65,9 +54,8 @@ class BoundaryMatrices:
     one item per nonzero entry.  With chains as row vectors the boundary
     of a boundary being empty reads d2 @ d1 == 0, which boundary_matrices
     verifies.  dual is the (label, unbalanced) labelling of the signed
-    dual graph when the matrices come from a HalfEdgeMesh (its
-    dual_components), from which homology_profile reads both Smith forms;
-    it is None for a bare CellComplex.
+    dual graph (the mesh's dual_components), from which homology_profile
+    reads both Smith forms.
     """
 
     d1: Coo
@@ -75,7 +63,7 @@ class BoundaryMatrices:
     edges: np.ndarray      # (n_edges, 2): row order of d1 / column order of d2
     n_vertices: int
     n_faces: int
-    dual: tuple[np.ndarray, np.ndarray] | None = None
+    dual: tuple[np.ndarray, np.ndarray]
 
     @property
     def n_edges(self) -> int:
@@ -83,36 +71,32 @@ class BoundaryMatrices:
 
 
 def boundary_matrices(mesh: HalfEdgeMesh | CellComplex) -> BoundaryMatrices:
-    """Build d1 and d2 for a complex (open complexes are accepted).
+    """Build d1 and d2 for a closed 2-manifold.
 
     Each edge is oriented from its lower to its higher vertex index; each
     face is traversed in its listed direction, contributing +1 where it
     runs along an edge's orientation and -1 where it runs against it.
-    A half-edge mesh supplies its edge table and its dual_components; a
-    bare complex gets an edge table and no labelling.  Raises
+    The mesh supplies its edge table and its dual_components.  A bare
+    CellComplex goes through check_closed_manifold first, so an open or
+    non-manifold complex raises its NotManifoldError.  Raises
     AssertionError when some side fails the module docstring's check of
     d2 d1 = 0.
     """
-    if isinstance(mesh, HalfEdgeMesh):
-        complex, ends, dual = mesh.complex, mesh.edge_ends, mesh.dual_components
-        origin, face_of, edge_of = mesh.origin, mesh.face_of, mesh.edge_of
-        head = origin[next_corners(complex.offsets)]
-    else:
-        complex, dual = mesh, None
-        t = edge_table(complex)
-        ends, origin, face_of, edge_of = t.ends, t.origin, t.face_of, t.edge_of
-        head = t.dest
+    if not isinstance(mesh, HalfEdgeMesh):
+        mesh = check_closed_manifold(mesh)
+    complex, ends, origin, edge_of = mesh.complex, mesh.edge_ends, mesh.origin, mesh.edge_of
+    head = origin[next_corners(complex.offsets)]
     n_edges = len(ends)
     lo, hi = ends[edge_of].T
     forward = origin == lo
     d1 = (np.repeat(np.arange(n_edges), 2), ends.ravel(), np.tile(np.array([-1, 1]), n_edges))
-    d2 = (face_of, edge_of, np.where(forward, 1, -1))
+    d2 = (mesh.face_of, edge_of, np.where(forward, 1, -1))
     # s * d1[e] is +1 at hi and -1 at lo where s = 1, the reverse where s = -1;
     # head and tail must be those two vertices
     if not np.where(forward, hi == head, (hi == origin) & (lo == head)).all():
         raise AssertionError("boundary of a boundary is nonzero; incidence build is broken")
     return BoundaryMatrices(d1=d1, d2=d2, edges=ends, n_vertices=complex.n_vertices,
-                            n_faces=complex.n_faces, dual=dual)
+                            n_faces=complex.n_faces, dual=mesh.dual_components)
 
 
 # ---------------------------------------------------------------------------
@@ -132,70 +116,18 @@ class SmithNormalForm:
         return tuple(d for d in self.invariant_factors if d > 1)
 
 
-def _component_smith(n_nodes: int, label: np.ndarray, twisted: np.ndarray,
-                     bounded: np.ndarray) -> SmithNormalForm:
+def _component_smith(n_nodes: int, label: np.ndarray, twisted: np.ndarray) -> SmithNormalForm:
     """The Smith form the module docstring's lemma gives a signed graph on
-    n_nodes nodes whose components are those of label: a labelling, by
-    the smallest node of each component, of this graph or of another with
-    the same components.  With c components that gives n_nodes - c
-    factors of 1, then one more 1 per component whose root bounded flags,
-    then a 2 per other component whose root twisted flags."""
+    n_nodes nodes with no single-entry column, whose components are those
+    of label: a labelling, by the smallest node of each component, of this
+    graph or of another with the same components.  With c components that
+    gives n_nodes - c factors of 1, then a 2 per component whose root
+    twisted flags."""
     roots = np.flatnonzero(label == np.arange(label.size))
-    n_bounded = int(np.count_nonzero(bounded[roots]))
-    n_twisted = int(np.count_nonzero(twisted[roots] & ~bounded[roots]))
-    ones = n_nodes - roots.size + n_bounded
+    n_twisted = int(np.count_nonzero(twisted[roots]))
+    ones = n_nodes - roots.size
     return SmithNormalForm(invariant_factors=(1,) * ones + (2,) * n_twisted,
                            rank=ones + n_twisted)
-
-
-def _forest_smith(n_nodes: int, node: np.ndarray, link: np.ndarray, entry: np.ndarray,
-                  n_links: int) -> SmithNormalForm | None:
-    """Smith normal form of a signed-graph incidence matrix, or None.
-
-    The matrix has n_nodes rows and n_links columns, and its k-th nonzero
-    entry is entry[k] at row node[k], column link[k].  A column with two
-    entries joins two nodes, and is balanced when the nodes' signs make
-    its entries cancel: entries of opposite sign ask for equal node signs,
-    equal entries for opposite ones.  The components and their balance
-    come from one labelling of this graph, and _component_smith reads the
-    form off them, a component being bounded when it has a single-entry
-    column.  Returns None when some column has more than two entries or
-    an entry other than +-1.
-    """
-    node, link, entry = (np.asarray(x, dtype=np.int64) for x in (node, link, entry))
-    counts = np.bincount(link, minlength=n_links)
-    if (counts > 2).any() or (np.abs(entry) != 1).any():
-        return None
-    order = np.argsort(link, kind="stable")
-    first = np.cumsum(counts) - counts       # each column's first entry in order
-    one, other = order[first[counts == 2]], order[first[counts == 2] + 1]
-    label, unbalanced = signed_components(n_nodes, node[one], node[other],
-                                          entry[one] == entry[other])
-    bounded = np.zeros(n_nodes, dtype=bool)
-    bounded[label[node[order[first[counts == 1]]]]] = True
-    return _component_smith(n_nodes, label, unbalanced, bounded)
-
-
-def _refusal(b: BoundaryMatrices, k: int, node: np.ndarray, link: np.ndarray,
-             entry: np.ndarray) -> MeshError:
-    """Why d_k is no signed graph's incidence matrix, with the edge, face
-    or vertex that shows it."""
-    odd = np.flatnonzero(np.abs(entry) != 1)
-    if odd.size:
-        row, col = (link, node) if k == 1 else (node, link)
-        j = odd[0]
-        where = (f"edge {int(row[j])}, vertex {int(col[j])}" if k == 1
-                 else f"face {int(row[j])}, edge {int(col[j])}")
-        return MeshError(f"d{k} has entry {int(entry[j])} at {where}; homology needs every "
-                         "boundary entry to be +-1")
-    counts = np.bincount(link, minlength=b.n_edges)
-    e = int(np.argmax(counts > 2))
-    edge = tuple(b.edges[e].tolist()) if e < b.n_edges else e
-    if k == 1:
-        return MeshError(f"d1 has {counts[e]} entries in the row of edge {edge}; an edge has "
-                         "two ends")
-    return MeshError(f"edge {edge} lies in {counts[e]} faces; homology is computed only for "
-                     "complexes whose every edge lies in at most two faces")
 
 
 # ---------------------------------------------------------------------------
@@ -216,39 +148,17 @@ class HomologyProfile:
 
 
 def homology_profile(b: BoundaryMatrices) -> HomologyProfile:
-    """Integral homology from the boundary matrices.
+    """Integral homology from the boundary matrices of a closed manifold.
 
     b_k = (#k-cells) - rank d_k - rank d_{k+1}, with d_0 and d_3 zero;
     the torsion of H_k is carried by the invariant factors of d_{k+1}.
-    Each Smith form comes from the signed-graph lemma of the module
-    docstring.  When b carries the mesh's dual labelling (a closed
-    manifold), d2's form is F - c ones and u twos for its c components, u
-    of them unbalanced, and d1's is V - c ones.  Otherwise each matrix's
-    own graph is labelled: d1 with the vertices as nodes and each edge's
-    row as a column, d2 with the faces as nodes and each edge's column,
-    where every component of d2's dual graph adds one more invariant
-    factor, 1 if it has a boundary edge, else 2 if it has an
-    orientation-reversing cycle.  A matrix that is not a signed graph's
-    (an edge in three faces, an entry other than +-1) is refused with a
-    MeshError that names the edge or the entry; the pipeline's closed
-    manifolds never send one.
+    Both Smith forms are read off b's dual labelling by the module
+    docstring's lemma: d2's is F - c ones and u twos for its c components,
+    u of them unbalanced, and d1's is V - c ones.
     """
-    if b.dual is not None:
-        label, unbalanced = b.dual
-        none = np.zeros(label.size, dtype=bool)
-        forms = [_component_smith(b.n_vertices, label, none, none),
-                 _component_smith(b.n_faces, label, unbalanced, none)]
-    else:
-        forms = []
-        for k, n_nodes, (node, link, entry) in (
-            (1, b.n_vertices, (b.d1[1], b.d1[0], b.d1[2])),
-            (2, b.n_faces, b.d2),
-        ):
-            snf = _forest_smith(n_nodes, node, link, entry, b.n_edges)
-            if snf is None:
-                raise _refusal(b, k, node, link, entry)
-            forms.append(snf)
-    snf1, snf2 = forms
+    label, unbalanced = b.dual
+    snf1 = _component_smith(b.n_vertices, label, np.zeros(label.size, dtype=bool))
+    snf2 = _component_smith(b.n_faces, label, unbalanced)
     r1, r2 = snf1.rank, snf2.rank
     betti = (
         b.n_vertices - r1,

@@ -391,7 +391,7 @@ def referee_barycentric(complex: CellComplex) -> Refinement:
 
 
 # ---------------------------------------------------------------------------
-# Dense Smith normal form, the referee of homology's signed-forest form
+# Dense Smith normal form, the referee of homology's dual-labelling form
 # ---------------------------------------------------------------------------
 
 def _find_pivot(rows: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:

@@ -5,7 +5,7 @@ and interior angles from the face table (face_geometries), defects and
 the Gauss-Bonnet balance from flatness_report, links from the star pass
 (flatness._vertex_stars) through conftest.vertex_link.  Four independent
 referees live here: a spherical grid search for the orthogonal
-least-squares plane, a dense arc-sampling test for link embeddedness,
+least-squares plane, a dense arc-sampling proof that link arcs are apart,
 conftest.exact_link_contact's integer cone test for link contacts, and
 a left-to-right loop over referee_manifold's stars for the defects, bit
 for bit.  The batched face table is refereed by its own one-face tables,
@@ -567,23 +567,21 @@ def test_defects_match_star_loop(corpus_meshes, bench_meshes, perfbench_meshes):
 # Link verdicts against the sampling oracle
 
 def _oracle_decision(link, n=64):
-    """The sampling oracle's verdict where sampling decides it, else None.
+    """True where sampling proves the link's arcs pairwise apart, else None.
 
     Distances are taken between n + 1 samples per arc.  A contact puts a
     sample of each arc within half a step of it, so a smallest distance
-    above the two arcs' steps proves the arcs apart; one below 1e-10, far
-    under the link tolerance, proves a contact, and so does a clear
-    crossing (see _crosses).  Consecutive arcs share an
-    endpoint e; pairs of their samples both near e are left out, since two
-    distinct great circles meet only at e and -e.  Where the arcs leave e
-    along one circle they may overlap from e on, so apartness stays
-    undecided there.
+    above the two arcs' steps proves the arcs apart.  Consecutive arcs
+    share an endpoint e; pairs of their samples both near e are left out,
+    since two distinct great circles meet only at e and -e.  Where the
+    arcs leave e along one circle they may overlap from e on, so apartness
+    stays undecided there.  Contacts are left to the exact test,
+    conftest.exact_link_contact.
     """
     arcs = link.arcs
     k = len(arcs)
     samples = [_sample_arc(a, n) for a in arcs]
     steps = [2.0 * math.sin(a.length / (2 * n)) for a in arcs]
-    apart = True
     for i in range(k):
         for j in range(i + 1, k):
             d = np.sqrt(((samples[i][:, None, :] - samples[j][None, :, :]) ** 2).sum(axis=2))
@@ -597,46 +595,25 @@ def _oracle_decision(link, n=64):
                 cos = float(ta @ tb) / float(np.linalg.norm(ta) * np.linalg.norm(tb))
                 sin = math.sqrt(max(0.0, 1.0 - cos * cos))
                 if cos > 0.0 and sin < 1e-6:
-                    radius = 1e-8
-                    apart = False
-                else:
-                    radius = min(1.0, 2.0 * (steps[a] + steps[b]) / (sin if cos > 0.0 else 1.0))
+                    return None
+                radius = min(1.0, 2.0 * (steps[a] + steps[b]) / (sin if cos > 0.0 else 1.0))
                 near = np.outer(np.linalg.norm(samples[a] - e, axis=1) <= radius,
                                 np.linalg.norm(samples[b] - e, axis=1) <= radius)
                 d[near if a == i else near.T] = math.inf
-            low = d.min()
-            if low < 1e-10 or _crosses(arcs[i], samples[i], arcs[j]) \
-                    or _crosses(arcs[j], samples[j], arcs[i]):
-                return False
-            apart = apart and low > steps[i] + steps[j]
-    return True if apart else None
-
-
-def _crosses(a, samples, b, margin=1e-7):
-    """True when arc a, between two of its samples on strictly opposite
-    sides of b's great circle, crosses that circle at least margin inside
-    arc b: a contact well inside both arcs, away from any shared endpoint."""
-    kb = np.asarray(b.axis, dtype=float)
-    side = samples @ kb
-    flips = ((side[:-1] > margin) & (side[1:] < -margin)) | ((side[:-1] < -margin) & (side[1:] > margin))
-    for p in np.nonzero(flips)[0]:
-        x = np.cross(np.asarray(a.axis, dtype=float), kb)
-        x /= np.linalg.norm(x)
-        if x @ (samples[p] + samples[p + 1]) < 0.0:
-            x = -x
-        start = np.asarray(b.start, dtype=float)
-        ang = math.atan2(float(x @ np.cross(kb, start)), float(x @ start)) % (2.0 * math.pi)
-        if margin <= ang <= b.length - margin:
-            return True
-    return False
+            if d.min() <= steps[i] + steps[j]:
+                return None
+    return True
 
 
 def test_sampling_oracle_decides_both_ways():
+    """The oracle proves the doubled cone's apex link and every grid torus
+    link apart; the exact test finds the contacts of the cone's vertex 2
+    and the fold's vertex 6, which the oracle leaves undecided."""
     cone = check_closed_manifold(doubled_cone(2 * math.pi, 8))
     assert _oracle_decision(vertex_link(cone, 0)) is True
-    assert _oracle_decision(vertex_link(cone, 2)) is False
+    assert exact_link_contact(cone, 2) and _oracle_decision(vertex_link(cone, 2)) is None
     folded = check_closed_manifold(folded_flat_torus(4, 4, 2))
-    assert _oracle_decision(vertex_link(folded, 6)) is False
+    assert exact_link_contact(folded, 6) and _oracle_decision(vertex_link(folded, 6)) is None
     torus = check_closed_manifold(grid_torus(4, 5))
     assert all(_oracle_decision(vertex_link(torus, v)) is True for v in range(20))
 
@@ -645,9 +622,11 @@ def test_sampling_oracle_decides_both_ways():
 @given(data=st.data())
 def test_link_verdict_matches_sampling_oracle(data):
     """Vertex stars of doubled cones of any total angle and of jittered
-    torus, Klein and folded grids: wherever sampling decides the link,
-    link_is_embedded agrees, and flatness_report's verdicts on the whole
-    mesh, certified in advance or not, are link_is_embedded's."""
+    torus, Klein and folded grids, all triangles: where the exact test
+    finds a contact, link_is_embedded says not embedded, and where
+    sampling proves the arcs apart, it says embedded.  flatness_report's
+    verdicts on the whole mesh, certified in advance or not, are
+    link_is_embedded's."""
     kind = data.draw(st.sampled_from(["cone", "grid_torus", "grid_klein", "folded"]))
     if kind == "cone":
         cx = doubled_cone(data.draw(st.floats(0.05, 6 * math.pi - 0.05)))
@@ -663,10 +642,12 @@ def test_link_verdict_matches_sampling_oracle(data):
                            base.faces)
     mesh = check_closed_manifold(cx)
     assert flatness_report(mesh).links == _subarc_links(mesh)
-    link = vertex_link(mesh, data.draw(st.integers(0, mesh.n_vertices - 1)))
-    expect = _oracle_decision(link)
-    if expect is not None:
-        assert link_is_embedded(link).embedded == expect
+    v = data.draw(st.integers(0, mesh.n_vertices - 1))
+    link = vertex_link(mesh, v)
+    if exact_link_contact(mesh, v):
+        assert not link_is_embedded(link).embedded
+    elif _oracle_decision(link):
+        assert link_is_embedded(link).embedded
 
 
 def test_link_witnesses_pinned():

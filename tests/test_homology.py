@@ -3,30 +3,31 @@
 The dense Smith form is cross-checked against the determinantal-divisor
 definition: the k-th invariant factor equals gcd(k-minors) / gcd((k-1)-minors),
 computed here by brute cofactor expansion over all k-by-k submatrices.  The
-dense form referees the signed-forest form of a signed graph's incidence
-matrix, which homology_profile uses for d1 and d2; homology_profile refuses
-any other matrix, and the dense form gives its explicit Betti numbers and
-torsion here.
+dense form referees the profile homology_profile reads off a closed
+manifold's dual labelling.  Homology is computed for closed manifolds
+only: boundary_matrices sends a bare complex through
+check_closed_manifold, and an open or non-manifold one raises the
+NotManifoldError whose defects the certificate records.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
     BoundaryMatrices,
     GeneratorSpec,
     HomologyProfile,
-    MeshError,
+    NotManifoldError,
     boundary_matrices,
+    build_certificate,
     build_complex,
     check_closed_manifold,
     classify_surface,
@@ -37,16 +38,9 @@ from flatcheck import (
     orientability,
 )
 from flatcheck import mesh as mesh_module
-from flatcheck.homology import _forest_smith
 
 from conftest import (canonical_face, grid_klein, grid_torus, referee_manifold,
                       referee_orientability, smith_normal_form, tetra)
-
-
-def _coo(items):
-    """(row, column, entry) arrays of (row, column, entry) triples."""
-    row, col, entry = zip(*items) if items else ((), (), ())
-    return tuple(np.array(x, dtype=np.int64) for x in (row, col, entry))
 
 
 def _dense(coo, shape) -> np.ndarray:
@@ -55,39 +49,6 @@ def _dense(coo, shape) -> np.ndarray:
     for i, j, a in zip(*(x.tolist() for x in coo)):
         out[i, j] += a
     return out
-
-
-def _forest_of_columns(n_nodes, columns):
-    """_forest_smith of columns given as column -> entry maps or
-    (row, entry) pairs."""
-    coo = _coo([(i, j, a) for j, col in enumerate(columns) for i, a in dict(col).items()])
-    return _forest_smith(n_nodes, coo[0], coo[1], coo[2], len(columns))
-
-
-def _assert_forest_matches(n_nodes, columns, label=""):
-    """The forest form of the columns (column -> entry maps) equals the
-    dense form of their transpose (the columns read as rows), which has
-    the same Smith form."""
-    forest = _forest_of_columns(n_nodes, columns)
-    assert forest is not None, label
-    rows = _coo([(j, i, a) for j, col in enumerate(columns) for i, a in col.items()])
-    assert forest == smith_normal_form(_dense(rows, (len(columns), n_nodes))), label
-
-
-def _d1_rows(b: BoundaryMatrices):
-    """d1's rows as column -> entry maps: the columns of its signed graph."""
-    rows = [{} for _ in range(b.n_edges)]
-    for e, v, a in zip(*(x.tolist() for x in b.d1)):
-        rows[e][v] = a
-    return rows
-
-
-def _d2_columns(b: BoundaryMatrices):
-    """d2's columns as row -> entry maps."""
-    cols = [{} for _ in range(b.n_edges)]
-    for f, e, a in zip(*(x.tolist() for x in b.d2)):
-        cols[e][f] = a
-    return cols
 
 
 def _dense_profile(b: BoundaryMatrices) -> HomologyProfile:
@@ -192,64 +153,6 @@ def test_smith_invariant_under_permutation_and_transpose(seed):
     assert smith_normal_form(mat.T).invariant_factors == base
 
 
-def test_sparse_smith_matches_dense_on_corpus(corpus_halfedge):
-    """The forest forms of d1 and d2 equal their dense forms on every
-    corpus mesh."""
-    for label, mesh in corpus_halfedge.items():
-        b = boundary_matrices(mesh)
-        _assert_forest_matches(b.n_vertices, _d1_rows(b), f"{label} d1")
-        _assert_forest_matches(b.n_faces, _d2_columns(b), f"{label} d2")
-
-
-@st.composite
-def _signed_graph(draw):
-    """(n_nodes, columns): columns with no entry, one +-1 entry (a boundary
-    column) or two on distinct nodes, so nodes without columns, several
-    components, odd cycles and boundary columns beside them all occur."""
-    n = draw(st.integers(0, 8))
-    sign = st.sampled_from((1, -1))
-    columns = []
-    for _ in range(draw(st.integers(0, 14))):
-        kind = draw(st.sampled_from(("edge", "edge", "edge", "end", "empty")))
-        if kind == "empty" or n == 0:
-            columns.append({})
-        elif kind == "end" or n == 1:
-            columns.append({draw(st.integers(0, n - 1)): draw(sign)})
-        else:
-            i = draw(st.integers(0, n - 1))
-            j = draw(st.integers(0, n - 2))
-            j += j >= i
-            columns.append({i: draw(sign), j: draw(sign)})
-    return n, columns
-
-
-_TRIANGLE_ODD = [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: 1}]
-
-
-@settings(max_examples=400, deadline=None)
-@given(graph=_signed_graph())
-@example(graph=(3, _TRIANGLE_ODD))                                   # Z/2
-@example(graph=(3, [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: -1}]))   # balanced cycle
-@example(graph=(4, _TRIANGLE_ODD + [{3: -1}]))                      # two components
-@example(graph=(3, _TRIANGLE_ODD + [{1: -1}]))                      # boundary beside odd cycle
-@example(graph=(6, _TRIANGLE_ODD + [{3: 1, 4: 1}, {4: -1, 3: -1}, {5: 1}, {}]))
-def test_forest_smith_matches_sparse_and_dense(graph):
-    """The forest form of a signed graph's incidence matrix equals the
-    dense form."""
-    n, columns = graph
-    _assert_forest_matches(n, columns)
-
-
-@pytest.mark.parametrize("columns", [
-    [((0, 1), (1, 1), (2, -1))],   # three entries: an edge in three faces
-    [((0, 2),)],
-    [((0, 1), (1, -2))],
-    [((0, 1), (1, -1)), ((0, 3),)],
-])
-def test_forest_smith_refuses_other_matrices(columns):
-    assert _forest_of_columns(3, columns) is None
-
-
 def _relabelled(base, seed):
     """base with its vertices permuted, each face rotated and the faces
     shuffled, by a seeded generator."""
@@ -271,9 +174,8 @@ def _relabelled(base, seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_sparse_smith_matches_dense_on_relabelled_klein(seed):
     b = boundary_matrices(check_closed_manifold(_relabelled(grid_klein(3, 3), seed)))
-    _assert_forest_matches(b.n_vertices, _d1_rows(b), "d1")
-    _assert_forest_matches(b.n_faces, _d2_columns(b), "d2")
     prof = homology_profile(b)
+    assert prof == _dense_profile(b)
     assert prof.betti == (1, 1, 0)
     assert prof.torsion == ((), (2,), ())
 
@@ -288,13 +190,12 @@ def _union(*parts):
 
 
 def _assert_one_labelling_agrees(mesh, label):
-    """The profile read off the mesh's dual labelling equals the forest
-    path's on its bare complex and the dense referee's; orientability and
-    the component count equal the breadth-first referee's."""
+    """The profile read off the mesh's dual labelling equals the one read
+    off its bare complex's and the dense referee's; orientability and the
+    component count equal the breadth-first referee's."""
     b = boundary_matrices(mesh)
     assert b.dual is mesh.dual_components, label
     bare = boundary_matrices(mesh.complex)
-    assert bare.dual is None, label
     prof = homology_profile(b)
     assert prof == homology_profile(bare) == _dense_profile(b), label
     per_component = referee_orientability(referee_manifold(mesh.complex), mesh.n_faces)
@@ -440,34 +341,30 @@ def test_homology_profiles_at_64(maker, betti, torsion):
     assert prof.torsion == torsion
 
 
+def _assert_refused_as_certified(cx):
+    """boundary_matrices raises NotManifoldError on cx, with the defects
+    build_certificate records for it; returns them."""
+    with pytest.raises(NotManifoldError) as info:
+        boundary_matrices(cx)
+    defects = [{"kind": d.kind, "location": list(d.location), "detail": d.detail}
+               for d in info.value.defects]
+    assert defects == build_certificate(cx)["combinatorics"]["defects"]
+    return defects
+
+
 def test_open_complexes():
+    """An open triangle and a ring of four quads between an inner and an
+    outer square are refused, each boundary edge named."""
     triangle = build_complex([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
-    assert homology_profile(boundary_matrices(triangle)).betti == (1, 0, 0)
-    # a ring of four quads between an inner and an outer square
+    assert [d["location"] for d in _assert_refused_as_certified(triangle)] == [
+        [0, 1], [0, 2], [1, 2]]
     n = 4
     ring = [(math.cos(a), math.sin(a), 0.0) for a in (2 * math.pi * i / n for i in range(n))]
     verts = ring + [(2 * x, 2 * y, 0.0) for x, y, _ in ring]
     faces = [(i, (i + 1) % n, n + (i + 1) % n, n + i) for i in range(n)]
-    annulus = homology_profile(boundary_matrices(build_complex(verts, faces)))
-    assert annulus.betti == (1, 1, 0)
-    assert annulus.torsion == ((), (), ())
-
-
-@pytest.mark.parametrize("maker,betti,torsion", [
-    (grid_torus, (1, 2, 1), ((), (), ())),
-    (grid_klein, (1, 1, 0), ((), (2,), ())),
-], ids=["grid_torus", "grid_klein"])
-def test_edge_in_three_faces_takes_sparse_path(maker, betti, torsion):
-    """d2 of a complex with an edge in three faces is no signed graph's, so
-    homology_profile refuses it, naming the edge; the dense form gives its
-    explicit profile."""
-    fin = _with_fin(maker(3, 3))
-    b = boundary_matrices(fin)
-    assert _forest_of_columns(b.n_faces, _d2_columns(b)) is None
-    with pytest.raises(MeshError, match=r"^edge \(0, 1\) lies in 3 faces; "):
-        homology_profile(b)
-    prof = _dense_profile(b)
-    assert (prof.betti, prof.torsion) == (betti, torsion)
+    defects = _assert_refused_as_certified(build_complex(verts, faces))
+    assert len(defects) == 2 * n
+    assert {d["kind"] for d in defects} == {"boundary-edge"}
 
 
 def _with_fin(base):
@@ -477,33 +374,30 @@ def _with_fin(base):
     return build_complex(verts, list(base.faces) + [(0, 1, base.n_vertices)])
 
 
+def _fin_defects(base):
+    """The defects of _with_fin(base): edge (0, 1) in three faces, then
+    the fin's two free edges to its new vertex."""
+    tip = base.n_vertices
+    return [
+        {"kind": "nonmanifold-edge", "location": [0, 1], "detail": "used by 3 face sides"},
+        {"kind": "boundary-edge", "location": [0, tip], "detail": "used by only one face"},
+        {"kind": "boundary-edge", "location": [1, tip], "detail": "used by only one face"},
+    ]
+
+
+@pytest.mark.parametrize("maker", [grid_torus, grid_klein], ids=["grid_torus", "grid_klein"])
+def test_edge_in_three_faces_is_refused(maker):
+    """A fin on edge (0, 1) of a torus or a Klein bottle is refused with
+    that edge named."""
+    base = maker(3, 3)
+    assert _assert_refused_as_certified(_with_fin(base)) == _fin_defects(base)
+
+
 def test_fin_on_large_torus_is_refused_quickly():
     """grid_torus 32^2 with a fin (2,049 faces) is refused in linear time
-    and memory, with the edge named; a dense Smith form of its d2 took
-    seconds and grows with the product of the matrix's sides."""
-    fin = _with_fin(grid_torus(32, 32))
-    with pytest.raises(MeshError, match=r"^edge \(0, 1\) lies in 3 faces; "):
-        homology_profile(boundary_matrices(fin))
-
-
-@pytest.mark.parametrize("d1,d2,betti,torsion,refusal", [
-    # the cell structure of the projective plane: one vertex, one loop
-    # edge, one face wrapping twice around it
-    ([], [(0, 0, 2)], (1, 0, 0), ((), (2,), ()), "d2 has entry 2 at face 0, edge 0; "),
-    ([], [(0, 0, -3)], (1, 0, 0), ((), (3,), ()), "d2 has entry -3 at face 0, edge 0; "),
-    # a chain complex whose d1 is no graph's: H0 = Z/2
-    ([(0, 0, 2)], [], (0, 0, 0), ((2,), (), ()), "d1 has entry 2 at edge 0, vertex 0; "),
-], ids=["projective-plane", "z3-torsion", "h0-torsion"])
-def test_non_unit_entry_takes_sparse_path(d1, d2, betti, torsion, refusal):
-    """An entry other than +-1 makes homology_profile refuse its matrix,
-    naming the entry; the dense form gives the explicit profile."""
-    b = BoundaryMatrices(d1=_coo(d1), d2=_coo(d2), edges=np.array([[0, 0]]), n_vertices=1,
-                         n_faces=len(d2))
-    assert (_forest_of_columns(b.n_vertices, _d1_rows(b)) is None
-            or _forest_of_columns(b.n_faces, _d2_columns(b)) is None)
-    with pytest.raises(MeshError, match="^" + re.escape(refusal)):
-        homology_profile(b)
-    assert _dense_profile(b) == HomologyProfile(betti=betti, torsion=torsion)
+    and memory, with the edge named."""
+    base = grid_torus(32, 32)
+    assert _assert_refused_as_certified(_with_fin(base)) == _fin_defects(base)
 
 
 def test_euler_poincare_on_corpus(corpus_halfedge):
