@@ -4,7 +4,9 @@ A certificate is a nested dict with a fixed key order covering input
 identity, combinatorics, topology, geometry, immersion and the derived
 verdict.  canonical_json writes it with 17-significant-digit reals and
 stable formatting, so two runs over the same input and tolerances
-produce byte-identical text.
+produce byte-identical text.  One writer appends fragments to a single
+list, joined once, so no nested value's text is copied into its
+parent's; write_certificate writes the text's UTF-8 bytes as they are.
 """
 from __future__ import annotations
 
@@ -31,62 +33,78 @@ TOOL_VERSION = "0.1.0"
 def canonical_json(value, indent: int = 0) -> str:
     """Serialize to JSON with insertion-order keys and '.17g' reals.
 
-    A named tuple is written exactly as the dict of its _fields would be.
-    A ContactRows is written from its integer rows, through one row
-    template per contact kind, which holds the kind already encoded; the
-    bytes are those of the same list of PairContact dicts.
+    A named tuple is written exactly as the dict of its _fields would be,
+    and a ContactRows exactly as the list of its PairContacts' dicts.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    out: list[str] = []
+    _write(value, indent, out)
+    return "".join(out)
+
+
+def _write(value, indent: int, out: list[str]) -> None:
+    """Append value's canonical_json text at indent to out, in fragments."""
     if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite number in certificate: {value}")
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if _is_named_tuple(type(value)):
-        return canonical_json(value._asdict(), indent)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f"{inner}{encode_basestring_ascii(str(k))}: {canonical_json(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple, ContactRows)):
-        if not value:
-            return "[]"
+        out.append(format(value, ".17g"))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif _is_named_tuple(type(value)):
+        _write(value._asdict(), indent, out)
+    elif isinstance(value, (dict, list, tuple, ContactRows)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner, sep = "  " * (indent + 1), "{\n"
+        for k, v in value.items():
+            out += (sep, inner, encode_basestring_ascii(str(k)), ": ")
+            _write(v, indent + 1, out)
+            sep = ",\n"
+        out += ("\n", "  " * indent, "}")
+    elif isinstance(value, (list, tuple, ContactRows)):
+        out.append("[\n")
         if isinstance(value, ContactRows):
-            parts = _contact_lines(value, indent + 1)
+            _contact_lines(value, indent + 1, out)
         else:
-            parts = [f"{inner}{canonical_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value).__name__} in certificate")
+            inner, sep = "  " * (indent + 1), ""
+            for v in value:
+                out += (sep, inner)
+                _write(v, indent + 1, out)
+                sep = ",\n"
+        out += ("\n", "  " * indent, "]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} in certificate")
 
 
 def _is_named_tuple(t: type) -> bool:
     return issubclass(t, tuple) and bool(getattr(t, "_fields", ()))
 
 
-def _contact_lines(contacts: ContactRows, indent: int):
-    """The lines of contacts' rows, each written as the dict of a
-    PairContact's fields at the given indent."""
+def _contact_lines(contacts: ContactRows, indent: int, out: list[str]) -> None:
+    """Append to out the lines of contacts' rows, joined by ",\n", each
+    written as the dict of a PairContact's fields at the given indent:
+    one (m, 6) object array of a separator, the row head, i, the "j" key,
+    j and the tail that holds the kind, with each distinct index written
+    once."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     i, j, kind = (f"{inner}{encode_basestring_ascii(f)}: " for f in PairContact._fields)
-    # kind names hold no %, so each template's only %d are its own
-    templates = [f"{pad}{{\n{i}%d,\n{j}%d,\n{kind}{canonical_json(name)}\n{pad}}}"
-                 for name in ContactRows.kinds]
-    return [templates[k] % (a, b) for a, b, k in zip(*contacts.rows.T.tolist())]
+    tails = np.array([f",\n{kind}{canonical_json(name)}\n{pad}}}" for name in ContactRows.kinds],
+                     dtype=object)
+    rows = contacts.rows
+    # return_inverse also keeps np.unique from importing numpy.ma
+    values, slots = np.unique(rows[:, :2].ravel(), return_inverse=True)
+    pieces = np.empty((len(rows), 6), dtype=object)
+    pieces[:] = np.array([",\n", f"{pad}{{\n{i}", None, f",\n{j}", None, None], dtype=object)
+    pieces[0, 0] = ""
+    pieces[:, [2, 4]] = np.array(list(map(str, values.tolist())), dtype=object)[slots.reshape(-1, 2)]
+    pieces[:, 5] = tails[rows[:, 2]]
+    out += pieces.ravel().tolist()
 
 
 def _geometry_section(report: FlatnessReport) -> dict:
@@ -264,8 +282,12 @@ def build_certificate(
 
 
 def certificate_text(cert: dict) -> str:
-    return canonical_json(cert) + "\n"
+    out: list[str] = []
+    _write(cert, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_certificate(cert: dict, path: str | Path) -> None:
-    Path(path).write_text(certificate_text(cert), encoding="utf-8")
+    """Write certificate_text's UTF-8 bytes, with no newline translation."""
+    Path(path).write_bytes(certificate_text(cert).encode("utf-8"))

@@ -155,7 +155,14 @@ def _run_check(args) -> int:
     if not args.quiet:
         _summarize(cert, sys.stdout)
     if not args.report:
-        sys.stdout.write(certificate_text(cert))
+        # certificate_text's bytes, no newline translated, after the summary
+        text = certificate_text(cert)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            out.write(text.encode("utf-8"))
     return 0 if cert["verdict"]["pass"] else 1
 
 

@@ -271,15 +271,17 @@ def coplanar_kinds(lines_a: np.ndarray, lines_b: np.ndarray) -> np.ndarray:
     meet iff no edge line of either has the other's corners all on or
     beyond it.  Otherwise two edges can meet only in a corner of one or
     along a common line, so the contact is the hull of the corners of each
-    that are in the other: no point, one, or a segment."""
-    pa, pb = lines_a[:6].reshape(3, 2, -1), lines_b[:6].reshape(3, 2, -1)
-    on_a, on_b = _turns(lines_a, pb), _turns(lines_b, pa)   # [edge of a, corner of b]
+    that are in the other: no point, one, or a segment.  A triangle's
+    corners are distinct, so it is one point iff one corner is in the
+    other triangle, or one of each is and a's is b's, that is, has two
+    zero turns against b's edge lines (they meet only in b's corners, and
+    a corner of b that is a's is in a); on the grid the turns are exact."""
+    on_a = _turns(lines_a, lines_b[:6].reshape(3, 2, -1))   # [edge of a, corner of b]
+    on_b = _turns(lines_b, lines_a[:6].reshape(3, 2, -1))
     apart = (on_a <= 0).all(axis=1).any(axis=0) | (on_b <= 0).all(axis=1).any(axis=0)
-    # a's corners in b, then b's in a; their hull is one point iff its
-    # extent is 0 in both coordinates
-    inside = np.concatenate(((on_b >= 0).all(axis=0), (on_a >= 0).all(axis=0)))
-    pts = np.concatenate((pa, pb))
-    lo = np.where(inside[:, None], pts, np.inf).min(axis=0)
-    one = (lo == np.where(inside[:, None], pts, -np.inf).max(axis=0)).all(axis=0)
-    kind = np.where(inside.any(axis=0), np.where(one, TOUCH_POINT, TOUCH_SEGMENT), NO_CONTACT)
+    a_in = (on_b >= 0).all(axis=0)          # a's corners in b, (3, m)
+    n_a, n_b = a_in.sum(axis=0), (on_a >= 0).all(axis=0).sum(axis=0)
+    at_corner = (a_in & ((on_b == 0).sum(axis=0) == 2)).any(axis=0)
+    one = (n_a + n_b == 1) | ((n_a == 1) & (n_b == 1) & at_corner)
+    kind = np.where(n_a + n_b > 0, np.where(one, TOUCH_POINT, TOUCH_SEGMENT), NO_CONTACT)
     return np.where(apart, kind, OVERLAP).astype(np.int8)

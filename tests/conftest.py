@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -21,6 +22,7 @@ from flatcheck import (
     InvalidComplexError,
     LoadedMesh,
     ManifoldDefect,
+    PairContact,
     Refinement,
     SmithNormalForm,
     TriangulationError,
@@ -811,6 +813,72 @@ def referee_read_pair(faces_path, vertices_path, index_base=1):
                              [n for n, _ in vertex_lines], [n for n, _ in face_lines],
                              vertices_path=vertices_path)
     return LoadedMesh(complex=complex, sources=(face_source, vertex_source))
+
+
+# ---------------------------------------------------------------------------
+# The recursive string-returning serializer, the referee of
+# certificate.canonical_json's one-list writer
+# ---------------------------------------------------------------------------
+
+def referee_canonical_json(value, indent: int = 0) -> str:
+    """Serialize to JSON with insertion-order keys and '.17g' reals.
+
+    A named tuple is written exactly as the dict of its _fields would be.
+    A ContactRows is written from its integer rows, through one row
+    template per contact kind, which holds the kind already encoded; the
+    bytes are those of the same list of PairContact dicts.
+    """
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number in certificate: {value}")
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if _is_named_tuple(type(value)):
+        return referee_canonical_json(value._asdict(), indent)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [
+            f"{inner}{encode_basestring_ascii(str(k))}: {referee_canonical_json(v, indent + 1)}"
+            for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple, ContactRows)):
+        if not value:
+            return "[]"
+        if isinstance(value, ContactRows):
+            parts = _referee_contact_lines(value, indent + 1)
+        else:
+            parts = [f"{inner}{referee_canonical_json(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(value).__name__} in certificate")
+
+
+def _is_named_tuple(t: type) -> bool:
+    return issubclass(t, tuple) and bool(getattr(t, "_fields", ()))
+
+
+def _referee_contact_lines(contacts: ContactRows, indent: int):
+    """The lines of contacts' rows, each written as the dict of a
+    PairContact's fields at the given indent."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    i, j, kind = (f"{inner}{encode_basestring_ascii(f)}: " for f in PairContact._fields)
+    # kind names hold no %, so each template's only %d are its own
+    templates = [f"{pad}{{\n{i}%d,\n{j}%d,\n{kind}{referee_canonical_json(name)}\n{pad}}}"
+                 for name in ContactRows.kinds]
+    return [templates[k] % (a, b) for a, b, k in zip(*contacts.rows.T.tolist())]
 
 
 @pytest.fixture(scope="session")

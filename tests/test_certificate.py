@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -36,6 +37,8 @@ from flatcheck import (
     orientability,
     write_certificate,
 )
+
+from conftest import referee_canonical_json
 
 GOLDEN = Path(__file__).parent / "golden" / "tetrahedron_certificate.json"
 
@@ -129,9 +132,9 @@ def _spy_rows():
     calls = []
     real = certificate._contact_lines
 
-    def spy(contacts, indent):
+    def spy(contacts, indent, out):
         calls.append(contacts)
-        return real(contacts, indent)
+        return real(contacts, indent, out)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certificate, "_contact_lines", spy)
@@ -177,6 +180,38 @@ def test_contact_rows_match_dicts(rows, indent):
         assert (canonical_json({"pairs": contacts}, indent)
                 == canonical_json({"pairs": plain}, indent))
     assert all(c is contacts for c in calls) and len(calls) == (2 if rows else 0)
+
+
+_INDEX = st.one_of(st.sampled_from([-2**63, 2**63 - 1, 0]), st.integers(-2, 2), _INT64)
+_CONTACTS = st.builds(ContactRows, st.lists(
+    st.tuples(_INDEX, _INDEX, st.integers(0, len(ContactRows.kinds) - 1)), max_size=12))
+_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INT64, _INTS, _TEXT,
+              st.floats(allow_nan=False, allow_infinity=False), _CONTACTS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=3),
+                            st.builds(_Cell, _TEXT, inner), st.builds(_Row, _INTS, _INTS, _TEXT)),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_TREES, contacts=_CONTACTS, key=_TEXT, indent=st.integers(0, 3))
+@example(value={"\u00e9\u4e2d": ContactRows([(2**63 - 1, -2**63, 4), (2**63 - 1, 2**63 - 1, 0)])},
+         contacts=ContactRows([(1, 1, 1), (1, 2, 3), (2, 1, 2)]), key="k\U0001f600", indent=3)
+def test_writer_matches_referee(value, contacts, key, indent):
+    """The one-list writer gives the recursive referee's bytes on nested
+    dicts, lists, tuples and named tuples, a ContactRows two levels deep
+    and an empty one, and raises the referee's error on a value that has
+    no JSON form, nested."""
+    for v in (value, {key: [contacts, {key: contacts}], "": ContactRows([])}):
+        assert canonical_json(v, indent) == referee_canonical_json(v, indent)
+    assert certificate_text({key: value}) == referee_canonical_json({key: value}) + "\n"
+    for bad in (math.inf, math.nan, {1}, object()):
+        with pytest.raises((TypeError, ValueError)) as want:
+            referee_canonical_json({key: [value, bad]}, indent)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            canonical_json({key: [value, bad]}, indent)
 
 
 def _plain(value):
@@ -245,7 +280,7 @@ def test_certificate_builds_no_pair_contact(spec):
                 contacts[0]
             with pytest.raises(AssertionError, match="PairContact built"):
                 list(contacts)
-    assert text == certificate_text(build_certificate(cx))
+    assert text == certificate_text(build_certificate(cx)) == referee_canonical_json(cert) + "\n"
 
 
 def test_crossing_tetrahedra_cross_transversally():
@@ -267,6 +302,7 @@ def test_certificate_bytes_pinned_over_corpus(corpus_meshes):
         cert = build_certificate(cx)
         text = certificate_text(cert)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERTIFICATE_SHA256[label], label
+        assert text == referee_canonical_json(cert) + "\n", label
         # the public functions agree, bit for bit, with what the
         # certificate reads from its single producer of each fact
         mesh = check_closed_manifold(cx)
@@ -303,13 +339,16 @@ def test_closed_input_counts_edges_once(monkeypatch):
 
 
 def test_certificate_deterministic_bytes(tmp_path):
+    """The file holds certificate_text's UTF-8 bytes, with no newline
+    translated, so its sha256 is that of the text on every platform."""
     cx = generate(GeneratorSpec("grid_klein", m=4, n=4))
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    write_certificate(build_certificate(cx), a)
+    cert = build_certificate(cx)
+    write_certificate(cert, a)
     write_certificate(build_certificate(cx), b)
-    assert a.read_bytes() == b.read_bytes()
-    assert a.read_bytes().endswith(b"\n")
+    assert a.read_bytes() == b.read_bytes() == certificate_text(cert).encode("utf-8")
+    assert a.read_bytes().endswith(b"\n") and b"\r" not in a.read_bytes()
 
 
 def test_certificate_is_valid_json():

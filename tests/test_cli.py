@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -253,6 +254,24 @@ def test_console_script_wiring(tetra_off):
     )
     assert proc.returncode == 0
     assert "surface: sphere" in proc.stdout
+
+
+def test_check_stdout_is_report_bytes(tmp_path):
+    """check without --report writes the summary, then the exact bytes
+    that --report writes to its file, also when standard output is
+    block-buffered."""
+    klein = tmp_path / "klein.off"
+    assert main(["generate", "grid_klein", "4", "4", "-o", str(klein)]) == 0
+    report = tmp_path / "klein.json"
+    cli = [sys.executable, "-m", "flatcheck.cli", "check", str(klein)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    assert subprocess.run([*cli, "--quiet", "--report", str(report)], env=env).returncode == 1
+    text = report.read_bytes()
+    proc = subprocess.run(cli, capture_output=True, env=env)
+    assert proc.returncode == 1 and proc.stdout.endswith(text)
+    summary = proc.stdout[:-len(text)].decode("ascii")
+    assert summary.startswith("vertices 16") and summary.endswith("not-an-immersion\n")
+    assert subprocess.run([*cli, "--quiet"], capture_output=True, env=env).stdout == text
 
 
 def test_pair_nonmanifold_certificate(capsys, tmp_path):

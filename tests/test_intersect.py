@@ -24,7 +24,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from flatcheck import (
@@ -907,6 +907,10 @@ def test_adjacent_decisions_match_kernel(cx, k):
     k=st.just(0) | st.integers(-1060, 1000),
     jitter=st.none() | st.integers(0, 2**10),
 )
+# edges along one line, overlapping in a segment whose ends are one
+# corner of each: not a point
+@example(cx=([(0, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 0), (3, 0, 0), (2, -1, 0)],
+             [(0, 1, 2), (3, 4, 5)], triangulate_faces), k=0, jitter=None)
 def test_coplanar_pass_matches_kernel(cx, k, jitter):
     """The float pass decides exactly coplanar pairs on the 2^-15 grid by
     their orient2d signs: free, shared-corner, shared-edge and same-face
