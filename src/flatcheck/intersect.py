@@ -26,8 +26,12 @@ each triangle its edge lines: the corners projected along its dominant
 normal axis, its edges turned counter-clockwise, and their line
 constants, so that a corner's turn is exact, below 2^33.  A pair with one
 label is exactly coplanar; its plane and edge tests are skipped, and the
-turns of each triangle's corners against the other's edge lines give the
-contact's kind with no clip ring.  The pass reports the contacts of such
+signs of the turns of each triangle's corners against the other's edge
+lines, taken once into int8, give the contact's kind with no clip ring.
+A block gathers each per-triangle table it reads, the ids (int32) and
+the edge lines, with one take for both triangles of every row; the plane
+and edge-line tables are built only when a block first has a row without
+one plane label.  The pass reports the contacts of such
 pairs between faces that share no vertex, and their overlaps between
 faces that do, and drops a neighbours' touch that is exactly the corner
 or edge they may share; it reports as a local overlap a neighbours'
@@ -266,23 +270,31 @@ def candidate_pairs(boxes: TriangleBoxes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # float filter: the box-meeting pairs whose answer static error bounds settle
 
-# Candidate rows filtered per block.  A block holds about 1.6 KB per row in
-# gathered columns and temporaries, and each block pays NumPy's fixed cost
-# per call.  Measured on a shared 2-core Xeon with NumPy 2.4, 2,048 rows
-# cut the pass by about a third against 512: 4.8 to 3.1 ms on quad_torus
-# 16^2, 89 to 48 ms on grid_torus 64^2 and 1.38 to 0.91 s on grid_klein
-# 64^2.  On folded_flat_torus 12^2 x2, 1,024 and 2,048 tie and 4,096 is
-# slower; 4,096 is faster only on the large meshes, and it raises the
-# tracemalloc peak on grid_torus 64^2 from 6.8 MB to 8.9 MB (5.4 MB at
-# 512).
+# Candidate rows filtered per block.  A block holds about 0.5 KB per row
+# in gathered columns and temporaries (tracemalloc peak 1.1 MB on
+# folded_flat_torus 12^2 x2, 1.4 MB on quad_torus 16^2), and each block
+# pays NumPy's fixed cost per call.  Measured on a shared 2-core Xeon with
+# NumPy 2.4, ms per call at 512 / 1,024 / 2,048 / 4,096 rows: folded torus
+# 4.6 / 3.9 / 3.4 / 3.5, quad_torus 16^2 4.2 / 2.9 / 2.6 / 2.5, grid_torus
+# 64^2 42 / 32 / 25 / 20, grid_klein 64^2 345 / 216 / 189 / 140.  4,096
+# helps the large meshes, but it raises the peak to 1.9 MB on the folded
+# torus and from 5.6 MB to 6.8 MB on grid_torus 64^2, and it more than
+# doubles the minor page faults of the pass in a benchmark op on
+# quad_torus 16^2 (148 to 389).
 _ROW_BLOCK = 1 << 11
 
 
 def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """table's rows at `rows`, transposed: the row axis comes last and is
-    contiguous, so that every operation of the filters runs over whole
-    blocks."""
-    return np.ascontiguousarray(table.take(rows, axis=0).T)
+    """table's rows at `rows`, with its column axis first: the row axes
+    come last and are contiguous, so that every operation of the filters
+    runs over whole blocks."""
+    return np.ascontiguousarray(table.take(rows, axis=0).transpose(-1, *range(rows.ndim)))
+
+
+def _subset(mask: np.ndarray):
+    """An index of mask's true rows: the whole block, a view with no copy,
+    when every row is."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 def _has_key(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -292,11 +304,22 @@ def _has_key(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
     return keys.take(np.searchsorted(keys, key), mode="clip") == key
 
 
-def _separated(planes, turned, i, j, on_a, on_b, eligible) -> np.ndarray:
+def _separation_tables(x, normal, permanent) -> tuple[np.ndarray, np.ndarray]:
+    """The plane and edge-line tests' tables, (n, 15) and (n, 27): per
+    triangle its corners, normal and permanent, and its edges times the
+    filtered sign of its area projected along each axis."""
+    turn = area_signs(normal, permanent)
+    edges = np.roll(x, -1, axis=1) - x
+    return (np.concatenate((x.reshape(-1, 9), normal, permanent), axis=1),
+            (turn[:, :, None, None] * edges[:, None]).reshape(-1, 27))
+
+
+def _separated(planes, turned, ij, on_a, on_b, eligible) -> np.ndarray:
     """(m,) whether the plane or the edge-line tests settle each eligible
-    row (i, j); on_a and on_b (3, m) flag the corners the other triangle
-    has (see _undecided_rows)."""
-    pa, pb = _columns(planes, i), _columns(planes, j)
+    row (i, j) of ij (2, m); on_a and on_b (3, m) flag the corners the
+    other triangle has (see _undecided_rows), and planes and turned are
+    _separation_tables."""
+    pa, pb = (_columns(planes, k) for k in ij)
     xa, xb = pa[:9].reshape(3, 3, -1), pb[:9].reshape(3, 3, -1)
     settled = eligible & (off_plane(*plane_values(xa, pa[9:12], pa[12:], xb), on_b)
                           | off_plane(*plane_values(xb, pb[9:12], pb[12:], xa), on_a))
@@ -304,13 +327,33 @@ def _separated(planes, turned, i, j, on_a, on_b, eligible) -> np.ndarray:
     if left.any():
         # compress keeps the row axis last and contiguous
         xl, yl, sa, sb = (v.compress(left, axis=-1) for v in (xa, xb, on_a, on_b))
-        ta = _columns(turned, i[left]).reshape(3, 3, 3, -1)
-        tb = _columns(turned, j[left]).reshape(3, 3, 3, -1)
+        ta, tb = (_columns(turned, k).reshape(3, 3, 3, -1) for k in ij.compress(left, axis=1))
         # edge k passes through every shared corner iff corner k + 2 is
         # not shared
         settled[left] = (edge_separated(xl, ta, ~np.roll(sa, -2, axis=0), yl, sb)
                          | edge_separated(yl, tb, ~np.roll(sb, -2, axis=0), xl, sa))
     return settled
+
+
+def _pair_flags(ids: np.ndarray, ij: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row (i, j) of ij (2, m), read off one gather of the ids table
+    (see _undecided_rows): on_a and on_b (3, m), the corners of each
+    triangle that the other has; how many they share; whether the row is
+    eligible for the plane and edge-line tests; whether it is flat; and
+    its two source faces (2, m), in int64 for their pair keys.  The
+    gathered ids are freed on return, before the block gathers its edge
+    lines."""
+    ia, ib = _columns(ids, ij).transpose(1, 0, 2)
+    same = ia[:3, None] == ib[None, :3]
+    on_a, on_b = same.any(axis=1), same.any(axis=0)
+    shared = on_a.sum(axis=0, dtype=np.int8)
+    # one shared corner is a cell of both faces (see triangle_soup); two
+    # are one when both flag the edge opposite their unshared corner (a
+    # flag of 1 where on_a or on_b is 0)
+    cell = (shared < 2) | ((ia[3:6] > on_a).any(axis=0) & (ib[3:6] > on_b).any(axis=0))
+    eligible = (shared < 3) & ((ia[6] == ib[6]) | cell) & (ia[7] + ib[7] == 0)
+    flat = (ia[8] >= 0) & (ia[8] == ib[8])
+    return on_a, on_b, shared, eligible, flat, np.stack((ia[6], ib[6]), dtype=np.int64)
 
 
 def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,72 +380,77 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
     A row is flat when both triangles have one plane label (see
     plane_labels): they are exactly coplanar, and their plane values are
     exact zeros, so neither test above settles it.  Those two tests run
-    only on the eligible rows that are not flat; a block with no flat row
-    runs them on the whole block, as a mesh with no triangle on the grid
-    does.  coplanar_kinds gives a flat row's kind from the two triangles'
-    edge lines.  Source faces that share no vertex report it.  For one
-    face or faces that share a vertex, an overlap is a local overlap, and
-    no contact adds nothing, nor does a contact that is exactly the shared
-    cell when the two may share it: a touch-point of a pair that shares a
-    corner is that corner, and a touch-segment of a coplanar pair that
-    shares an edge is that edge.  A touch-segment of a pair that shares
-    at most one corner is a local overlap when its triangles come from
-    one source face, or from two faces that share no edge cell: the cells
-    the two may then share are finitely many points (the shared corner,
-    or the faces' common vertex cells), and a segment of positive length
-    never lies within them, which is what _beyond_allowed would find.
-    Every other flat row stays.
+    only on the rows that are not flat, and their tables are built when a
+    block first has such a row; coplanar_kinds gives a flat row's kind
+    from the two triangles' edge lines.  Source faces that share no vertex
+    report it.  For one face or faces that share a vertex, an overlap is a
+    local overlap, and no contact adds nothing, nor does a contact that is
+    exactly the shared cell when the two may share it: a touch-point of a
+    pair that shares a corner is that corner, and a touch-segment of a
+    coplanar pair that shares an edge is that edge.  A touch-segment of a
+    pair that shares at most one corner is a local overlap when its
+    triangles come from one source face, or from two faces that share no
+    edge cell: the cells the two may then share are finitely many points
+    (the shared corner, or the faces' common vertex cells), and a segment
+    of positive length never lies within them, which is what
+    _beyond_allowed would find.  Every other flat row stays.
+
+    A block takes the ids of both triangles of every row at once, row by
+    row, and transposes them once (_columns); the edge lines are held
+    with the triangle axis last and taken column by column.  Each layout
+    measured the faster for its table, as did the plane and edge-line
+    tables' two takes per side.  A block whose rows are all flat, or all
+    not, is read as it is, with no compressed copy.
     """
     x, unusable = filter_scaled(soup.coords, soup.points)
     normal, permanent = normals(x)
-    turn = area_signs(normal, permanent)
-    edges = np.roll(x, -1, axis=1) - x
     labels = plane_labels(x, normal, unusable)
-    # per triangle: corners, normal, permanent; the turned edges; its edge
-    # lines, when some triangle has a plane label; and its corner ids,
-    # edge cells, source face, unusable flag and plane label
-    planes = np.concatenate((x.reshape(-1, 9), normal, permanent), axis=1)
-    turned = (turn[:, :, None, None] * edges[:, None]).reshape(-1, 27)
-    lines = edge_lines(x, normal) if labels.max(initial=-1) >= 0 else None
+    # per triangle: its corner ids, edge cells, source face, unusable flag
+    # and plane label, in int32 when every id fits, which halves the
+    # block's gather; its edge lines, when some triangle has a label; the
+    # separation tables when a block first needs them
+    id_type = np.int32 if max(len(soup.points), len(soup)) < 2**31 else np.int64
     ids = np.concatenate((soup.corners, soup.edge_cells, soup.source_face[:, None],
-                          unusable[:, None], labels[:, None]), axis=1)
-    keep = [np.empty((0, 2), dtype=cands.dtype)]
-    found = [np.empty((0, 4), dtype=cands.dtype)]
+                          unusable[:, None], labels[:, None]), axis=1, dtype=id_type)
+    lines = edge_lines(x, normal) if labels.max(initial=-1) >= 0 else None
+    tables = None
+    # per row: settled, and the kind of a contact the pass reports (else
+    # -1) and whether it is local
+    settled = np.zeros(len(cands), dtype=bool)
+    reported = np.full(len(cands), -1, dtype=np.int8)
+    local = np.zeros(len(cands), dtype=bool)
     for first in range(0, len(cands), _ROW_BLOCK):
-        rows = cands[first:first + _ROW_BLOCK]
-        i, j = rows[:, 0], rows[:, 1]
-        ia, ib = _columns(ids, i), _columns(ids, j)
-        same = ia[:3, None] == ib[None, :3]
-        on_a, on_b = same.any(axis=1), same.any(axis=0)     # corners the other has
-        shared = on_a.sum(axis=0)
-        # one shared corner is a cell of both faces (see triangle_soup); two
-        # are one when both flag the edge opposite their unshared corner
-        cell = (shared < 2) | ((~on_a & ia[3:6]).any(axis=0) & (~on_b & ib[3:6]).any(axis=0))
-        eligible = (shared < 3) & ((ia[6] == ib[6]) | cell) & (ia[7] + ib[7] == 0)
-        flat = (ia[8] >= 0) & (ia[8] == ib[8])
-        if not flat.any():
-            keep.append(rows[~_separated(planes, turned, i, j, on_a, on_b, eligible)])
-            continue
-        settled = np.zeros(len(rows), dtype=bool)
-        test = np.flatnonzero(eligible & ~flat)
-        if test.size:
-            settled[test] = _separated(planes, turned, i[test], j[test], on_a[:, test],
-                                       on_b[:, test], eligible[test])
-        kind = coplanar_kinds(_columns(lines, i[flat]), _columns(lines, j[flat]))
-        fi, fj = ia[6, flat], ib[6, flat]
-        key = np.minimum(fi, fj) * soup.n_faces + np.maximum(fi, fj)
-        free = (fi != fj) & ~_has_key(soup.face_neighbours, key)
-        # a touch-segment beyond the finitely many points the pair may share
-        segment = ((kind == TOUCH_SEGMENT) & (shared[flat] < 2)
-                   & ((fi == fj) | ~_has_key(soup.edge_neighbours, key)))
-        told = (kind != NO_CONTACT) & (free | (kind == OVERLAP) | segment)
-        found.append(np.column_stack((rows[flat][told], kind[told], ~free[told])))
-        # kind == shared: a touch at the one shared corner, or along the
-        # shared edge, is that cell
-        settled[flat] = (free | (kind == NO_CONTACT) | (kind == OVERLAP) | segment
-                         | (eligible[flat] & (kind == shared[flat])))
-        keep.append(rows[~settled])
-    return np.concatenate(keep), np.concatenate(found)
+        block = slice(first, first + _ROW_BLOCK)
+        ij = np.ascontiguousarray(cands[block].T)     # take is fastest on contiguous indices
+        on_a, on_b, shared, eligible, flat, faces = _pair_flags(ids, ij)
+        done = settled[block]
+        if not flat.all():
+            if tables is None:
+                tables = _separation_tables(x, normal, permanent)
+            t = _subset(~flat)
+            done[t] = _separated(*tables, ij[:, t], on_a[:, t], on_b[:, t], eligible[t])
+        if flat.any():
+            f = _subset(flat)
+            kind = coplanar_kinds(lines.take(ij[:, f], axis=1))
+            fi, fj = faces[:, f]
+            key = np.minimum(fi, fj) * soup.n_faces + np.maximum(fi, fj)
+            # faces are looked up only where they change the answer; a shared
+            # corner is a vertex cell of both faces (see triangle_soup)
+            free = (kind != NO_CONTACT) & (shared[f] == 0) & (fi != fj)
+            free[free] = ~_has_key(soup.face_neighbours, key[free])
+            # a touch-segment beyond the finitely many points the pair may share
+            segment = (kind == TOUCH_SEGMENT) & (shared[f] < 2)
+            ask = segment & (fi != fj)
+            segment[ask] = ~_has_key(soup.edge_neighbours, key[ask])
+            told = (kind != NO_CONTACT) & (free | (kind == OVERLAP) | segment)
+            reported[block][f] = np.where(told, kind, np.int8(-1))
+            local[block][f] = ~free
+            # kind == shared: a touch at the one shared corner, or along the
+            # shared edge, is that cell
+            done[f] = (free | (kind == NO_CONTACT) | (kind == OVERLAP) | segment
+                       | (eligible[f] & (kind == shared[f])))
+    at = np.flatnonzero(reported >= 0)
+    return cands[~settled], np.column_stack((cands[at], reported[at], local[at]))
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,14 @@ Such triangles get exact plane labels, once per call: the normal and
 the offset n . c0 are integers (below 2^33 and 2^50), and divided by
 their gcd and signed they are one key per plane, so two triangles with
 one label are exactly coplanar.  Each triangle's edge lines, also once
-per call, are its corners projected along its dominant normal axis, its
-edges turned counter-clockwise, and their line constants; a corner's
-turn against an edge line is then below 2^33 and exact.  coplanar_kinds
-reads a coplanar pair's kind off these exact signs, as in Guigue and
-Devillers' orientation-predicate triangle test ("Fast and robust
-triangle-triangle overlap test using orientation predicates", JGT 2003),
-with no per-pair projection.
+per call and with the triangle axis last, are its corners projected
+along its dominant normal axis, its edges turned counter-clockwise, and
+their line constants; a corner's turn against an edge line is then below
+2^33 and exact.  coplanar_kinds signs a coplanar pair's 18 turns once,
+into int8, and reads its kind off max, min and sum reductions of those
+signs, as in Guigue and Devillers' orientation-predicate triangle test
+("Fast and robust triangle-triangle overlap test using orientation
+predicates", JGT 2003), with no per-pair projection.
 """
 from __future__ import annotations
 
@@ -133,6 +134,9 @@ NO_CONTACT, TOUCH_POINT, TOUCH_SEGMENT, OVERLAP = range(4)
 
 # coordinates (first, second) of the projection along each axis
 PLANE = ((1, 2), (2, 0), (0, 1))
+# per axis, where a triangle's (3, 3) corners hold its projected corners
+# p0, p1, p2, each as (first, second), flattened
+_PROJECTED = np.array([[3 * k + c for k in range(3) for c in pair] for pair in PLANE])
 
 
 def filter_scaled(coords: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +219,7 @@ def plane_labels(scaled: np.ndarray, normal: np.ndarray, unusable: np.ndarray) -
     positive, the four integers are one key per plane; one lexsort
     numbers the distinct keys."""
     units = scaled * _GRID
-    on = np.flatnonzero((units == np.rint(units)).all(axis=(1, 2)) & ~unusable)
+    on = np.flatnonzero((units == np.rint(units)).reshape(-1, 9).all(axis=1) & ~unusable)
     labels = np.full(len(scaled), -1, dtype=np.int64)
     if not on.size:
         return labels
@@ -225,7 +229,7 @@ def plane_labels(scaled: np.ndarray, normal: np.ndarray, unusable: np.ndarray) -
     key[:, 3] = np.ldexp((n * scaled[on, 0]).sum(axis=1), 45)
     key //= np.maximum(np.gcd.reduce(key, axis=1), 1)[:, None]
     first = key[np.arange(len(on)), (key[:, :3] != 0).argmax(axis=1)]
-    key[first < 0] *= -1
+    key *= np.where(first < 0, -1, 1)[:, None]
     order = np.lexsort(key.T[::-1])
     key = key[order]
     new = np.ones(len(on), dtype=np.int64)
@@ -235,35 +239,46 @@ def plane_labels(scaled: np.ndarray, normal: np.ndarray, unusable: np.ndarray) -
 
 
 def edge_lines(scaled: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """(n, 15) per triangle: its corners p_k projected along its normal's
-    dominant axis (3 x 2), its edges e_k = p(k+1) - p(k) times the sign of
-    its projected area (3 x 2), so that they run counter-clockwise, and
-    the line constants c_k = e_k x p_k (3).  A point q is on the inner
-    side of edge k iff e_k x q - c_k >= 0.
+    """(15, n), the triangle axis last: per triangle, its corners p_k
+    projected along its normal's dominant axis (3 x 2), its edges
+    e_k = p(k+1) - p(k) times the sign of its projected area (3 x 2), so
+    that they run counter-clockwise, and the line constants c_k = e_k x p_k
+    (3).  A point q is on the inner side of edge k iff e_k x q - c_k >= 0.
 
     On the grid (see plane_labels) each value is exact: a projected
     coordinate is below 2^15 in units of 2^-15, an edge component below
     2^16, and c_k, like e_k x q, below 2^32 in units of 2^-30, so the
     turn e_k x q - c_k is below 2^33.  Exactly coplanar triangles have
     parallel exact normals, so both pick the same axis, ties included."""
-    m = len(scaled)
+    n = len(scaled)
     axis = np.abs(normal).argmax(axis=1)
-    p = np.take_along_axis(scaled, np.array(PLANE)[axis][:, None, :], axis=2)
-    e = (np.roll(p, -1, axis=1) - p) * np.sign(normal[np.arange(m), axis])[:, None, None]
-    c = e[:, :, 0] * p[:, :, 1] - e[:, :, 1] * p[:, :, 0]
-    return np.concatenate((p.reshape(m, 6), e.reshape(m, 6), c), axis=1)
+    p = scaled.reshape(-1).take(_PROJECTED[axis].T + 9 * np.arange(n))
+    e = (p[[2, 3, 4, 5, 0, 1]] - p) * np.sign(normal.reshape(-1).take(3 * np.arange(n) + axis))
+    c = e[0::2] * p[1::2] - e[1::2] * p[0::2]
+    return np.concatenate((p, e, c))
 
 
-def _turns(lines: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """e_k x q_l - c_k at [k, l]: lines is a triangle's edge_lines row
-    (15, m), q a projected triangle (3 corners, 2 coordinates, m)."""
-    e, c = lines[6:12].reshape(3, 2, -1), lines[12:]
-    return e[:, None, 0] * q[None, :, 1] - e[:, None, 1] * q[None, :, 0] - c[:, None]
+def _turn_signs(lines: np.ndarray) -> np.ndarray:
+    """int8 sign of e_k x q_l - c_k at [k, l, t, row]: the turn of corner
+    l of the other triangle against edge line k of triangle t.  lines
+    (15, 2, m) holds the edge_lines of the two triangles of each row.  On
+    the grid e_k x q_l and c_k are exact, so the two comparisons give the
+    exact sign of the turn.  One corner at a time keeps each float
+    temporary at a third of the block's turns."""
+    e, c = lines[6:12].reshape(3, 2, 2, -1), lines[12:]
+    q = lines[:6].reshape(3, 2, 2, -1)[:, :, ::-1]      # the other triangle's corners
+    sign = np.empty((3, 3) + lines.shape[1:], dtype=np.int8)
+    for corner in range(3):
+        d = e[:, 0] * q[corner, 1]
+        d -= e[:, 1] * q[corner, 0]
+        np.subtract((d > c).view(np.int8), (d < c).view(np.int8), out=sign[:, corner])
+    return sign
 
 
-def coplanar_kinds(lines_a: np.ndarray, lines_b: np.ndarray) -> np.ndarray:
-    """(m,) contact kind of triangles with one plane label, as an index
-    into KINDS.  lines_a and lines_b are their edge_lines rows, (15, m).
+def coplanar_kinds(lines: np.ndarray) -> np.ndarray:
+    """(m,) contact kind of triangles a and b with one plane label, as an
+    index into KINDS.  lines is (15, 2, m): lines[:, 0] and lines[:, 1] are
+    a's and b's edge_lines columns.
 
     Both are projected along their common dominant normal axis and turned
     counter-clockwise, so a corner is in the other closed triangle iff its
@@ -275,13 +290,17 @@ def coplanar_kinds(lines_a: np.ndarray, lines_b: np.ndarray) -> np.ndarray:
     corners are distinct, so it is one point iff one corner is in the
     other triangle, or one of each is and a's is b's, that is, has two
     zero turns against b's edge lines (they meet only in b's corners, and
-    a corner of b that is a's is in a); on the grid the turns are exact."""
-    on_a = _turns(lines_a, lines_b[:6].reshape(3, 2, -1))   # [edge of a, corner of b]
-    on_b = _turns(lines_b, lines_a[:6].reshape(3, 2, -1))
-    apart = (on_a <= 0).all(axis=1).any(axis=0) | (on_b <= 0).all(axis=1).any(axis=0)
-    a_in = (on_b >= 0).all(axis=0)          # a's corners in b, (3, m)
-    n_a, n_b = a_in.sum(axis=0), (on_a >= 0).all(axis=0).sum(axis=0)
-    at_corner = (a_in & ((on_b == 0).sum(axis=0) == 2)).any(axis=0)
-    one = (n_a + n_b == 1) | ((n_a == 1) & (n_b == 1) & at_corner)
-    kind = np.where(n_a + n_b > 0, np.where(one, TOUCH_POINT, TOUCH_SEGMENT), NO_CONTACT)
-    return np.where(apart, kind, OVERLAP).astype(np.int8)
+    a corner of b that is a's is in a); on the grid the turns are exact.
+    The 18 turns of a row are signed once, into int8, and every test is a
+    max, min or sum of those signs: a corner in the other triangle has
+    turn signs 0 or 1, so two zero turns are a sum of 1."""
+    sign = _turn_signs(lines)
+    apart = (sign.max(axis=1).min(axis=0) <= 0).any(axis=0)
+    inside = sign.min(axis=0) >= 0          # [corner, t, row]: in triangle t
+    n_b, n_a = inside.sum(axis=0, dtype=np.int8)
+    at_corner = (inside[:, 1] & (sign[:, :, 1].sum(axis=0, dtype=np.int8) == 1)).any(axis=0)
+    # KINDS runs no contact, touch-point, touch-segment: the kind is the
+    # number of inside corners, at most 2, but for one of each that coincide
+    kind = np.minimum(n_a + n_b, TOUCH_SEGMENT)
+    kind -= (n_a == 1) & (n_b == 1) & at_corner
+    return np.where(apart, kind, np.int8(OVERLAP))

@@ -37,7 +37,8 @@ from flatcheck import flatness, intersect
 from flatcheck.flatness import (_PARALLEL_GUARD, DegenerateFaceError, FaceTable, LinkArc,
                                 SphericalLink, Vec3, _any_perpendicular, _divided, _norm)
 from flatcheck.mesh import HalfEdgeMesh, complex_from_flat, edge_table
-from flatcheck.predicates import cross, dot, sub, to_grid
+from flatcheck.predicates import (NO_CONTACT, OVERLAP, TOUCH_POINT, TOUCH_SEGMENT, cross, dot,
+                                  sub, to_grid)
 
 
 def make_complex(vertices, faces) -> CellComplex:
@@ -813,6 +814,32 @@ def referee_read_pair(faces_path, vertices_path, index_base=1):
                              [n for n, _ in vertex_lines], [n for n, _ in face_lines],
                              vertices_path=vertices_path)
     return LoadedMesh(complex=complex, sources=(face_source, vertex_source))
+
+
+# ---------------------------------------------------------------------------
+# The float-comparison coplanar kernel, the referee of predicates.coplanar_kinds
+# ---------------------------------------------------------------------------
+
+def _referee_turns(lines: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """e_k x q_l - c_k at [k, l]: lines is a triangle's edge_lines columns
+    (15, m), q a projected triangle (3 corners, 2 coordinates, m)."""
+    e, c = lines[6:12].reshape(3, 2, -1), lines[12:]
+    return e[:, None, 0] * q[None, :, 1] - e[:, None, 1] * q[None, :, 0] - c[:, None]
+
+
+def referee_coplanar_kinds(lines_a: np.ndarray, lines_b: np.ndarray) -> np.ndarray:
+    """(m,) contact kind of triangles a and b with one plane label, from
+    their edge_lines columns (15, m) each: the float turns compared with 0
+    one test at a time (see predicates.coplanar_kinds for the lemma)."""
+    on_a = _referee_turns(lines_a, lines_b[:6].reshape(3, 2, -1))   # [edge of a, corner of b]
+    on_b = _referee_turns(lines_b, lines_a[:6].reshape(3, 2, -1))
+    apart = (on_a <= 0).all(axis=1).any(axis=0) | (on_b <= 0).all(axis=1).any(axis=0)
+    a_in = (on_b >= 0).all(axis=0)          # a's corners in b, (3, m)
+    n_a, n_b = a_in.sum(axis=0), (on_a >= 0).all(axis=0).sum(axis=0)
+    at_corner = (a_in & ((on_b == 0).sum(axis=0) == 2)).any(axis=0)
+    one = (n_a + n_b == 1) | ((n_a == 1) & (n_b == 1) & at_corner)
+    kind = np.where(n_a + n_b > 0, np.where(one, TOUCH_POINT, TOUCH_SEGMENT), NO_CONTACT)
+    return np.where(apart, kind, OVERLAP).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

@@ -1075,48 +1075,80 @@ def test_contact_rows_read_as_tuple(monkeypatch, name):
         assert report.pairs == () and report.local_overlaps == () and not report.intersecting
 
 
-@pytest.mark.parametrize("name", ["folded_flat_torus_12x12_2", "grid_klein_8x8",
-                                  "quad_torus_16x16", "grid_klein_4x4_bary1",
-                                  "grid_klein_8x8_part_off_grid"])
-def test_undecided_rows_independent_of_block(monkeypatch, name):
-    """The float pass decides each row on its own: blocks of 1, 7 and
-    2,048 rows give the same rows for the loop and the same contacts, in
-    the same order, on the check meshes, on quad_torus 16^2, on a
-    subdivided Klein grid whose centroids leave the pass's 2^-15 grid, and
-    on the Klein grid with every fifth vertex moved off that grid within
-    its plane, so that blocks mix flat rows with coplanar rows that have
-    no plane label and take the plane and edge-line tests."""
+def _float_pass_soup(monkeypatch, name):
+    """The soup of a benchmark check mesh, unit-scaled; grid_klein 4^2
+    barycentrically subdivided; or grid_klein_8x8_part_off_grid, the Klein
+    grid with every fifth vertex moved off the 2^-15 grid within its plane."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
     meshes = importlib.import_module("perfbench.meshes")
     builds = dict(meshes.WORKLOADS["check_contacts"].meshes)
     builds.update(meshes.WORKLOADS["check_embedded"].meshes)
     if name in builds:
-        refinement = triangulate_faces(builds[name]().unit_scaled()[0])
-    elif name == "grid_klein_4x4_bary1":
-        refinement = barycentric_subdivision(grid_klein(4, 4))
-    else:
-        cx = grid_klein(8, 8).unit_scaled()[0]
-        points = cx.vertices.copy()
-        points[::5, 0] += 2.0**-20
-        refinement = triangulate_faces(replace(cx, vertices=points))
-    soup = triangle_soup(refinement)
+        return triangle_soup(triangulate_faces(builds[name]().unit_scaled()[0]))
+    if name == "grid_klein_4x4_bary1":
+        return triangle_soup(barycentric_subdivision(grid_klein(4, 4)))
+    cx = grid_klein(8, 8).unit_scaled()[0]
+    points = cx.vertices.copy()
+    points[::5, 0] += 2.0**-20
+    return triangle_soup(triangulate_faces(replace(cx, vertices=points)))
+
+
+def _flat_rows(soup, cands):
+    """Which rows of cands have both triangles on one plane label."""
+    x, unusable = filter_scaled(soup.coords, soup.points)
+    labels = plane_labels(x, normals(x)[0], unusable)
+    return (labels[cands[:, 0]] >= 0) & (labels[cands[:, 0]] == labels[cands[:, 1]])
+
+
+@pytest.mark.parametrize("name", ["folded_flat_torus_12x12_2", "grid_klein_8x8",
+                                  "quad_torus_16x16", "grid_klein_4x4_bary1",
+                                  "grid_klein_8x8_part_off_grid"])
+def test_undecided_rows_independent_of_block(monkeypatch, name):
+    """The float pass decides each row on its own: blocks of 1, 4, 7, 64
+    and 2,048 rows give the same rows for the loop and the same contacts,
+    in the same order, on the check meshes, on quad_torus 16^2, on a
+    subdivided Klein grid whose centroids leave the pass's 2^-15 grid, and
+    on the Klein grid with every fifth vertex moved off that grid within
+    its plane, so that blocks mix flat rows with coplanar rows that have
+    no plane label and take the plane and edge-line tests: in blocks of 4
+    one call meets all-flat, mixed and unflat blocks."""
+    soup = _float_pass_soup(monkeypatch, name)
     cands = candidate_pairs(build_hierarchy(soup))
     outputs = []
-    for block in (1, 7, 2048):
+    for block in (1, 4, 7, 64, 2048):
         monkeypatch.setattr(intersect, "_ROW_BLOCK", block)
         outputs.append([a.tolist() for a in intersect._undecided_rows(soup, cands)])
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert all(out == outputs[0] for out in outputs)
     assert outputs[0][1] or name == "quad_torus_16x16"
     if name == "grid_klein_8x8_part_off_grid":
-        x, unusable = filter_scaled(soup.coords, soup.points)
-        labels = plane_labels(x, normals(x)[0], unusable)
-        flat = (labels[cands[:, 0]] >= 0) & (labels[cands[:, 0]] == labels[cands[:, 1]])
-        off = (labels[cands] < 0).any(axis=1)
+        flat = _flat_rows(soup, cands)
+        off = ~flat
         # both kinds of row in one 2,048-row block, and rows of each left
         assert flat[:2048].any() and off[:2048].any()
+        blocks = [flat[k:k + 4] for k in range(0, len(flat), 4)]
+        assert {(b.all(), b.any()) for b in blocks} == {(True, True), (False, True), (False, False)}
         left = {tuple(r) for r in outputs[0][0]}
         assert left & {tuple(r) for r in cands[off].tolist()}
         assert _loop_report(soup) == self_intersections(soup)
+
+
+@pytest.mark.parametrize("name, off_grid", [("folded_flat_torus_12x12_2", False),
+                                            ("grid_klein_8x8", False),
+                                            ("grid_klein_8x8_part_off_grid", True)])
+def test_separation_tables_built_on_first_need(monkeypatch, name, off_grid):
+    """Every row of the contact-rich check meshes is flat, so the float
+    pass never builds the plane and edge-line tables nor calls their
+    tests; the Klein grid partly off the 2^-15 grid has unflat rows, and
+    the pass builds the tables once and runs the tests."""
+    soup = _float_pass_soup(monkeypatch, name)
+    cands = candidate_pairs(build_hierarchy(soup))
+    assert _flat_rows(soup, cands).all() != off_grid
+    with mock.patch.object(intersect, "_separation_tables",
+                           wraps=intersect._separation_tables) as tables, \
+            mock.patch.object(intersect, "_separated", wraps=intersect._separated) as tests:
+        intersect._undecided_rows(soup, cands)
+    assert tables.call_count == (1 if off_grid else 0)
+    assert (tests.call_count > 0) == off_grid
 
 
 def _pair_rows(n):

@@ -5,9 +5,10 @@ and straddle the line y = x, so a float cross product taken relative to a
 far-away corner rounds some of them to the wrong side.  Every decision must
 match a Fraction evaluation of the same geometry, also after the grid is
 scaled by a power of two far into the overflow and subnormal ranges.
-The batched orient2d_rows is refereed by orient2d, row by row, and the
+The batched orient2d_rows is refereed by orient2d, row by row, the
 float pass's plane labels by coplanarity of the triangles' integer
-corners.
+corners, and its int8 coplanar kernel by the float-comparison one it
+replaced (conftest.referee_coplanar_kinds).
 """
 
 from __future__ import annotations
@@ -18,14 +19,18 @@ from itertools import combinations
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flatcheck import predicates
+from flatcheck import (GeneratorSpec, build_hierarchy, candidate_pairs, generate, predicates,
+                       standard_corpus, triangle_soup, triangulate_faces)
 from flatcheck.flatness import _segments_properly_disjoint
-from flatcheck.predicates import (cross, dot, filter_scaled, normals, orient2d, orient2d_rows,
-                                  plane_labels, sub, to_grid)
+from flatcheck.predicates import (coplanar_kinds, cross, dot, edge_lines, filter_scaled, normals,
+                                  orient2d, orient2d_rows, plane_labels, sub, to_grid)
 from flatcheck.refine import _point_in_triangle
+
+from conftest import _referee_turns, referee_coplanar_kinds
 
 STEP = 2.0 ** -53
 GRID = [(0.5 + i * STEP, 0.5 + j * STEP) for i in range(64) for j in range(64)]
@@ -244,3 +249,82 @@ def test_plane_labels_equal_iff_coplanar(tris, k):
             coplanar = all(dot(n, sub(q, c0)) == 0 for q in corners[u])
             assert (labels[t] == labels[u]) == coplanar, (t, u)
 
+
+
+def _lines_and_labels(coords, points):
+    """Edge lines (15, n) and plane labels of the triangles coords (n, 3, 3)."""
+    x, unusable = filter_scaled(coords, points)
+    normal = normals(x)[0]
+    return edge_lines(x, normal), plane_labels(x, normal, unusable)
+
+
+def _assert_kinds_refereed(lines, i, j):
+    """coplanar_kinds of the rows (i, j), and of (j, i), is the referee's."""
+    for a, b in ((i, j), (j, i)):
+        got = coplanar_kinds(lines.take(np.stack((a, b)), axis=1))
+        assert np.array_equal(got, referee_coplanar_kinds(lines[:, a], lines[:, b]))
+
+
+@pytest.mark.parametrize("spec", [*standard_corpus(),
+                                  GeneratorSpec("folded_flat_torus", m=12, n=12, folds=2),
+                                  GeneratorSpec("grid_klein", m=8, n=8)],
+                         ids=lambda spec: spec.label)
+def test_coplanar_kinds_match_referee_on_meshes(spec):
+    """On every flat row (one plane label) among the box-meeting pairs of
+    the corpus meshes and of the two contact-rich check meshes, where all
+    8,048 and 2,868 rows are flat."""
+    soup = triangle_soup(triangulate_faces(generate(spec)))
+    i, j = candidate_pairs(build_hierarchy(soup)).T
+    lines, labels = _lines_and_labels(soup.coords, soup.points)
+    flat = (labels[i] >= 0) & (labels[i] == labels[j])
+    _assert_kinds_refereed(lines, i[flat], j[flat])
+    if spec.label in ("folded_flat_torus_12x12_folds2", "grid_klein_8x8"):
+        assert flat.all() and len(i) in (8048, 2868)
+
+
+_UV = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+
+
+@st.composite
+def _touching_coplanar_pair(draw):
+    """Triangles a and b with integer coordinates (u, v) on a plane through
+    the origin spanned by integer vectors s and t: b shares a corner of a,
+    has two corners on the line of an edge of a, is a with its corners in
+    any order, or rests a corner on the midpoint of an edge of a.  Each
+    gives exact zero turns."""
+    s, t = (draw(st.tuples(*[st.integers(-3, 3)] * 3)) for _ in range(2))
+    assume(cross(s, t) != (0, 0, 0))
+    a = [draw(_UV) for _ in range(3)]
+    k = draw(st.integers(0, 2))
+    p, q = a[k], a[(k + 1) % 3]
+    how = draw(st.sampled_from(("corner", "collinear", "identical", "on edge")))
+    if how == "corner":
+        b = [p, draw(_UV), draw(_UV)]
+    elif how == "collinear":
+        steps = draw(st.lists(st.integers(-2, 3), min_size=2, max_size=2, unique=True))
+        b = [(p[0] + n * (q[0] - p[0]), p[1] + n * (q[1] - p[1])) for n in steps] + [draw(_UV)]
+    elif how == "identical":
+        b = list(a)
+    else:       # coordinates doubled, so that the midpoint p + q is a grid point
+        a = [(2 * u, 2 * v) for u, v in a]
+        b = [(p[0] + q[0], p[1] + q[1]), draw(_UV), draw(_UV)]
+    b = draw(st.permutations(b))
+    for (u0, v0), (u1, v1), (u2, v2) in (a, b):
+        assume((u1 - u0) * (v2 - v0) != (v1 - v0) * (u2 - u0))
+    return np.array([[[u * s[c] + v * t[c] for c in range(3)] for u, v in tri] for tri in (a, b)],
+                    dtype=np.float64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=_touching_coplanar_pair(), k=st.integers(-40, 40))
+def test_coplanar_kinds_match_referee_on_exact_zero_turns(pair, k):
+    """Pairs whose turns are exact zeros (shared corners, collinear edges,
+    identical triangles, a corner resting on an edge), at binary scales:
+    the two get one plane label, some turn is 0, and the kernel is the
+    referee's in both argument orders."""
+    coords = np.ldexp(pair, k)
+    lines, labels = _lines_and_labels(coords, coords.reshape(-1, 3))
+    assert labels[0] >= 0 and labels[0] == labels[1]
+    a, b = lines[:, :1], lines[:, 1:]
+    assert (_referee_turns(a, b[:6].reshape(3, 2, -1)) == 0).any()
+    _assert_kinds_refereed(lines, np.array([0]), np.array([1]))
