@@ -28,13 +28,14 @@ constants, so that a corner's turn is exact, below 2^33.  A pair with one
 label is exactly coplanar; its plane and edge tests are skipped, and the
 signs of the turns of each triangle's corners against the other's edge
 lines, taken once into int8, give the contact's kind with no clip ring.
-A block gathers each per-triangle table it reads, the ids (int32) and
-the edge lines, with one take for both triangles of every row; the plane
-and edge-line tables are built only when a block first has a row without
-one plane label.  The pass reports the contacts of such
-pairs between faces that share no vertex, and their overlaps between
-faces that do, and drops a neighbours' touch that is exactly the corner
-or edge they may share; it reports as a local overlap a neighbours'
+A block gathers the ids (int32) and the edge lines with one take for
+both triangles of every row, and for its rows without one plane label
+the soup's filter table (scaled corners, normal, permanent) with one
+take per side; the edge-line test turns their edges by the signs of
+their areas.  The pass reports the contacts of pairs with one label
+between faces that share no vertex, and their overlaps between faces
+that do, and drops a neighbours' touch that is exactly the corner or
+edge they may share; it reports as a local overlap a neighbours'
 touch-segment when they may share only finitely many points (at most one
 shared corner, and one face or faces with no common edge cell).  Then
 every pair left is decided exactly: the points those pairs read are put
@@ -62,6 +63,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import index
 from typing import NamedTuple
@@ -83,7 +85,7 @@ class DegenerateTriangleError(MeshError):
 @dataclass(frozen=True, eq=False)
 class TriangleSoup:
     """Triangles of a refinement, one row per triangle, with source-face
-    adjacency data."""
+    adjacency data and, derived on first read, the float filter's table."""
 
     coords: np.ndarray                          # (n, 3, 3) float64 corner rows
     corners: np.ndarray                         # (n, 3) derived vertex ids
@@ -103,6 +105,16 @@ class TriangleSoup:
 
     def __len__(self) -> int:
         return len(self.coords)
+
+    @cached_property
+    def filter_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float filter's (n, 15) float64 rows, the corners scaled by
+        filter_scaled, then their normal and its permanent (see normals),
+        and its (n,) unusable mask, whose rows are zeroed; read-only."""
+        scaled, unusable = filter_scaled(self.coords, self.points)
+        table = np.concatenate((scaled.reshape(-1, 9), *normals(scaled)), axis=1)
+        table.flags.writeable = unusable.flags.writeable = False
+        return table, unusable
 
 
 def _sharing(face: np.ndarray, key: np.ndarray, n_faces: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,10 +189,12 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
             f"derived vertex {v} has a non-finite coordinate: {pts[v].tolist()}")
     corners = derived.corners.reshape(-1, 3)
     coords = pts[corners]
+    soup = TriangleSoup(coords, corners, refinement.triangle_sources, pts,
+                        refinement.source.n_faces, *_face_cells(refinement))
     # a certified nonzero normal component proves area; the rest (none on
     # a proper mesh) take the exact test: a zero normal on their own grid
-    scaled, unusable = filter_scaled(coords, pts)
-    unproved = np.flatnonzero(~area_signs(*normals(scaled)).any(axis=1) | unusable)
+    table, unusable = soup.filter_table
+    unproved = np.flatnonzero(~area_signs(table[:, 9:12], table[:, 12:]).any(axis=1) | unusable)
     grid = _grid(coords[unproved].reshape(-1, 3))[0] if unproved.size else []
     bad = [t for t, k in zip(unproved.tolist(), range(0, len(grid), 3))
            if cross(sub(grid[k + 1], grid[k]), sub(grid[k + 2], grid[k])) == (0, 0, 0)]
@@ -189,8 +203,7 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
             f"{len(bad)} zero-area derived triangle(s), first at index {bad[0]}"
             f" (source face {refinement.triangle_sources[bad[0]]})"
         )
-    return TriangleSoup(coords, corners, refinement.triangle_sources, pts,
-                        refinement.source.n_faces, *_face_cells(refinement))
+    return soup
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +317,11 @@ def _has_key(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
     return keys.take(np.searchsorted(keys, key), mode="clip") == key
 
 
-def _separation_tables(x, normal, permanent) -> tuple[np.ndarray, np.ndarray]:
-    """The plane and edge-line tests' tables, (n, 15) and (n, 27): per
-    triangle its corners, normal and permanent, and its edges times the
-    filtered sign of its area projected along each axis."""
-    turn = area_signs(normal, permanent)
-    edges = np.roll(x, -1, axis=1) - x
-    return (np.concatenate((x.reshape(-1, 9), normal, permanent), axis=1),
-            (turn[:, :, None, None] * edges[:, None]).reshape(-1, 27))
-
-
-def _separated(planes, turned, ij, on_a, on_b, eligible) -> np.ndarray:
+def _separated(planes, ij, on_a, on_b, eligible) -> np.ndarray:
     """(m,) whether the plane or the edge-line tests settle each eligible
     row (i, j) of ij (2, m); on_a and on_b (3, m) flag the corners the
-    other triangle has (see _undecided_rows), and planes and turned are
-    _separation_tables."""
+    other triangle has (see _undecided_rows), and planes is the soup's
+    filter table."""
     pa, pb = (_columns(planes, k) for k in ij)
     xa, xb = pa[:9].reshape(3, 3, -1), pb[:9].reshape(3, 3, -1)
     settled = eligible & (off_plane(*plane_values(xa, pa[9:12], pa[12:], xb), on_b)
@@ -326,12 +329,13 @@ def _separated(planes, turned, ij, on_a, on_b, eligible) -> np.ndarray:
     left = eligible & ~settled
     if left.any():
         # compress keeps the row axis last and contiguous
-        xl, yl, sa, sb = (v.compress(left, axis=-1) for v in (xa, xb, on_a, on_b))
-        ta, tb = (_columns(turned, k).reshape(3, 3, 3, -1) for k in ij.compress(left, axis=1))
+        xl, yl, sa, sb, na, nb = (v.compress(left, axis=-1)
+                                  for v in (xa, xb, on_a, on_b, pa[9:], pb[9:]))
         # edge k passes through every shared corner iff corner k + 2 is
         # not shared
-        settled[left] = (edge_separated(xl, ta, ~np.roll(sa, -2, axis=0), yl, sb)
-                         | edge_separated(yl, tb, ~np.roll(sb, -2, axis=0), xl, sa))
+        settled[left] = (
+            edge_separated(xl, area_signs(na[:3], na[3:]), ~np.roll(sa, -2, axis=0), yl, sb)
+            | edge_separated(yl, area_signs(nb[:3], nb[3:]), ~np.roll(sb, -2, axis=0), xl, sa))
     return settled
 
 
@@ -380,12 +384,12 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
     A row is flat when both triangles have one plane label (see
     plane_labels): they are exactly coplanar, and their plane values are
     exact zeros, so neither test above settles it.  Those two tests run
-    only on the rows that are not flat, and their tables are built when a
-    block first has such a row; coplanar_kinds gives a flat row's kind
-    from the two triangles' edge lines.  Source faces that share no vertex
-    report it.  For one face or faces that share a vertex, an overlap is a
-    local overlap, and no contact adds nothing, nor does a contact that is
-    exactly the shared cell when the two may share it: a touch-point of a
+    only on the rows that are not flat, on the soup's filter table;
+    coplanar_kinds gives a flat row's kind from the two triangles' edge
+    lines.  Source faces that share no vertex report it.  For one face or
+    faces that share a vertex, an overlap is a local overlap, and no
+    contact adds nothing, nor does a contact that is exactly the shared
+    cell when the two may share it: a touch-point of a
     pair that shares a corner is that corner, and a touch-segment of a
     coplanar pair that shares an edge is that edge.  A touch-segment of a
     pair that shares at most one corner is a local overlap when its
@@ -398,22 +402,20 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
     A block takes the ids of both triangles of every row at once, row by
     row, and transposes them once (_columns); the edge lines are held
     with the triangle axis last and taken column by column.  Each layout
-    measured the faster for its table, as did the plane and edge-line
-    tables' two takes per side.  A block whose rows are all flat, or all
-    not, is read as it is, with no compressed copy.
+    measured the faster for its table, as did the filter table's two
+    takes per side.  A block whose rows are all flat, or all not, is read
+    as it is, with no compressed copy.
     """
-    x, unusable = filter_scaled(soup.coords, soup.points)
-    normal, permanent = normals(x)
+    planes, unusable = soup.filter_table
+    x, normal = planes[:, :9].reshape(-1, 3, 3), planes[:, 9:12]
     labels = plane_labels(x, normal, unusable)
     # per triangle: its corner ids, edge cells, source face, unusable flag
     # and plane label, in int32 when every id fits, which halves the
-    # block's gather; its edge lines, when some triangle has a label; the
-    # separation tables when a block first needs them
+    # block's gather; its edge lines, when some triangle has a label
     id_type = np.int32 if max(len(soup.points), len(soup)) < 2**31 else np.int64
     ids = np.concatenate((soup.corners, soup.edge_cells, soup.source_face[:, None],
                           unusable[:, None], labels[:, None]), axis=1, dtype=id_type)
     lines = edge_lines(x, normal) if labels.max(initial=-1) >= 0 else None
-    tables = None
     # per row: settled, and the kind of a contact the pass reports (else
     # -1) and whether it is local
     settled = np.zeros(len(cands), dtype=bool)
@@ -425,10 +427,8 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
         on_a, on_b, shared, eligible, flat, faces = _pair_flags(ids, ij)
         done = settled[block]
         if not flat.all():
-            if tables is None:
-                tables = _separation_tables(x, normal, permanent)
             t = _subset(~flat)
-            done[t] = _separated(*tables, ij[:, t], on_a[:, t], on_b[:, t], eligible[t])
+            done[t] = _separated(planes, ij[:, t], on_a[:, t], on_b[:, t], eligible[t])
         if flat.any():
             f = _subset(flat)
             kind = coplanar_kinds(lines.take(ij[:, f], axis=1))

@@ -187,19 +187,19 @@ def off_plane(value, tol, skip) -> np.ndarray:
     return ((value > tol) | skip).all(axis=0) | ((value < -tol) | skip).all(axis=0)
 
 
-def edge_separated(x, turned, usable, pts, skip) -> np.ndarray:
+def edge_separated(x, area, usable, pts, skip) -> np.ndarray:
     """(m,) whether, in some coordinate projection, a usable edge line of
     triangle x certainly has x's third corner strictly on one side and
     every corner of pts not flagged in skip (3, m) strictly on the other.
-    turned (3 axes, 3 edges, 3 coordinates, m) holds the edge vectors
-    c(k+1) - c(k) times the filtered sign of x's area projected along each
-    axis, which is the side of every third corner; usable is (3 edges, m)."""
+    area (3 axes, m) is area_signs of x's normal: the edges c(k+1) - c(k)
+    times it have every third corner on their left.  usable is (3 edges, m)."""
     w = pts[None] - x[:, None]                      # q - c(k) at [k, q]
+    edges = np.roll(x, -1, axis=0) - x              # c(k+1) - c(k) at [k]
     out = np.zeros(x.shape[-1], dtype=bool)
     for axis, (i, j) in enumerate(PLANE):
-        e = turned[axis, :, None]
-        if not e.any():
+        if not area[axis].any():
             continue        # no triangle of the block has area along this axis
+        e = (area[axis] * edges)[:, None]
         # orient2d(c(k), c(k+1), q) times the turn, certified negative
         left, right = e[:, :, i] * w[:, :, j], e[:, :, j] * w[:, :, i]
         beyond = left - right < -_O2D_BOUND * (np.abs(left) + np.abs(right))
@@ -250,10 +250,10 @@ def edge_lines(scaled: np.ndarray, normal: np.ndarray) -> np.ndarray:
     2^16, and c_k, like e_k x q, below 2^32 in units of 2^-30, so the
     turn e_k x q - c_k is below 2^33.  Exactly coplanar triangles have
     parallel exact normals, so both pick the same axis, ties included."""
-    n = len(scaled)
+    rows = np.arange(len(scaled))
     axis = np.abs(normal).argmax(axis=1)
-    p = scaled.reshape(-1).take(_PROJECTED[axis].T + 9 * np.arange(n))
-    e = (p[[2, 3, 4, 5, 0, 1]] - p) * np.sign(normal.reshape(-1).take(3 * np.arange(n) + axis))
+    p = scaled.reshape(-1, 9)[rows, _PROJECTED[axis].T]
+    e = (p[[2, 3, 4, 5, 0, 1]] - p) * np.sign(normal[rows, axis])
     c = e[0::2] * p[1::2] - e[1::2] * p[0::2]
     return np.concatenate((p, e, c))
 

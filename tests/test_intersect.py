@@ -1095,8 +1095,8 @@ def _float_pass_soup(monkeypatch, name):
 
 def _flat_rows(soup, cands):
     """Which rows of cands have both triangles on one plane label."""
-    x, unusable = filter_scaled(soup.coords, soup.points)
-    labels = plane_labels(x, normals(x)[0], unusable)
+    table, unusable = soup.filter_table
+    labels = plane_labels(table[:, :9].reshape(-1, 3, 3), table[:, 9:12], unusable)
     return (labels[cands[:, 0]] >= 0) & (labels[cands[:, 0]] == labels[cands[:, 1]])
 
 
@@ -1135,20 +1135,55 @@ def test_undecided_rows_independent_of_block(monkeypatch, name):
 @pytest.mark.parametrize("name, off_grid", [("folded_flat_torus_12x12_2", False),
                                             ("grid_klein_8x8", False),
                                             ("grid_klein_8x8_part_off_grid", True)])
-def test_separation_tables_built_on_first_need(monkeypatch, name, off_grid):
+def test_separation_tests_run_only_on_unflat_rows(monkeypatch, name, off_grid):
     """Every row of the contact-rich check meshes is flat, so the float
-    pass never builds the plane and edge-line tables nor calls their
-    tests; the Klein grid partly off the 2^-15 grid has unflat rows, and
-    the pass builds the tables once and runs the tests."""
+    pass never calls the plane and edge-line tests; the Klein grid partly
+    off the 2^-15 grid has unflat rows, and the pass runs the tests."""
     soup = _float_pass_soup(monkeypatch, name)
     cands = candidate_pairs(build_hierarchy(soup))
     assert _flat_rows(soup, cands).all() != off_grid
-    with mock.patch.object(intersect, "_separation_tables",
-                           wraps=intersect._separation_tables) as tables, \
-            mock.patch.object(intersect, "_separated", wraps=intersect._separated) as tests:
+    with mock.patch.object(intersect, "_separated", wraps=intersect._separated) as tests:
         intersect._undecided_rows(soup, cands)
-    assert tables.call_count == (1 if off_grid else 0)
     assert (tests.call_count > 0) == off_grid
+
+
+def test_filter_table_built_once_per_check(monkeypatch):
+    """triangle_soup and then self_intersections scale the corners and take
+    their normals once, on a mesh whose unflat rows take the plane and
+    edge-line tests: both read the soup's one filter table."""
+    with mock.patch.object(intersect, "filter_scaled", wraps=filter_scaled) as scale, \
+            mock.patch.object(intersect, "normals", wraps=normals) as normal:
+        soup = _float_pass_soup(monkeypatch, "grid_klein_8x8_part_off_grid")
+        report = self_intersections(soup)
+    assert scale.call_count == normal.call_count == 1
+    assert report.pairs
+
+
+def _assert_filter_table(soup):
+    """The soup's filter table is filter_scaled's corners beside normals'
+    normal and permanent, bit for bit, with filter_scaled's mask."""
+    table, unusable = soup.filter_table
+    scaled, mask = filter_scaled(soup.coords, soup.points)
+    want = np.concatenate((scaled.reshape(-1, 9), *normals(scaled)), axis=1)
+    assert table.dtype == want.dtype and table.shape == want.shape
+    assert table.tobytes() == want.tobytes() and np.array_equal(unusable, mask)
+    return table, unusable
+
+
+@pytest.mark.parametrize("spec", standard_corpus(), ids=lambda spec: spec.label)
+def test_filter_table_matches_filter_scaled_and_normals(spec):
+    """On every corpus mesh, and on a replace()d soup with one coordinate
+    moved to 2^-1060: the moved soup builds its own table, not the first
+    soup's, and the moved vertex's triangles come out zeroed and
+    unusable."""
+    soup = _soup_for(spec)
+    assert not _assert_filter_table(soup)[1].any()
+    points = soup.points.copy()
+    points[0, 0] = 2.0**-1060
+    moved = replace(soup, coords=points[soup.corners], points=points)
+    table, unusable = _assert_filter_table(moved)
+    named = (soup.corners == 0).any(axis=1)
+    assert np.array_equal(unusable, named) and not table[named].any()
 
 
 def _pair_rows(n):

@@ -250,14 +250,6 @@ def test_plane_labels_equal_iff_coplanar(tris, k):
             assert (labels[t] == labels[u]) == coplanar, (t, u)
 
 
-
-def _lines_and_labels(coords, points):
-    """Edge lines (15, n) and plane labels of the triangles coords (n, 3, 3)."""
-    x, unusable = filter_scaled(coords, points)
-    normal = normals(x)[0]
-    return edge_lines(x, normal), plane_labels(x, normal, unusable)
-
-
 def _assert_kinds_refereed(lines, i, j):
     """coplanar_kinds of the rows (i, j), and of (j, i), is the referee's."""
     for a, b in ((i, j), (j, i)):
@@ -275,7 +267,9 @@ def test_coplanar_kinds_match_referee_on_meshes(spec):
     8,048 and 2,868 rows are flat."""
     soup = triangle_soup(triangulate_faces(generate(spec)))
     i, j = candidate_pairs(build_hierarchy(soup)).T
-    lines, labels = _lines_and_labels(soup.coords, soup.points)
+    table, unusable = soup.filter_table
+    x, normal = table[:, :9].reshape(-1, 3, 3), table[:, 9:12]
+    lines, labels = edge_lines(x, normal), plane_labels(x, normal, unusable)
     flat = (labels[i] >= 0) & (labels[i] == labels[j])
     _assert_kinds_refereed(lines, i[flat], j[flat])
     if spec.label in ("folded_flat_torus_12x12_folds2", "grid_klein_8x8"):
@@ -323,7 +317,9 @@ def test_coplanar_kinds_match_referee_on_exact_zero_turns(pair, k):
     the two get one plane label, some turn is 0, and the kernel is the
     referee's in both argument orders."""
     coords = np.ldexp(pair, k)
-    lines, labels = _lines_and_labels(coords, coords.reshape(-1, 3))
+    x, unusable = filter_scaled(coords, coords.reshape(-1, 3))
+    normal = normals(x)[0]
+    lines, labels = edge_lines(x, normal), plane_labels(x, normal, unusable)
     assert labels[0] >= 0 and labels[0] == labels[1]
     a, b = lines[:, :1], lines[:, 1:]
     assert (_referee_turns(a, b[:6].reshape(3, 2, -1)) == 0).any()
