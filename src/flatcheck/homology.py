@@ -55,7 +55,7 @@ class BoundaryMatrices:
     of a boundary being empty reads d2 @ d1 == 0, which boundary_matrices
     verifies.  dual is the (label, unbalanced) labelling of the signed
     dual graph (the mesh's dual_components), from which homology_profile
-    reads both Smith forms.
+    reads both ranks and the torsion.
     """
 
     d1: Coo
@@ -116,20 +116,6 @@ class SmithNormalForm:
         return tuple(d for d in self.invariant_factors if d > 1)
 
 
-def _component_smith(n_nodes: int, label: np.ndarray, twisted: np.ndarray) -> SmithNormalForm:
-    """The Smith form the module docstring's lemma gives a signed graph on
-    n_nodes nodes with no single-entry column, whose components are those
-    of label: a labelling, by the smallest node of each component, of this
-    graph or of another with the same components.  With c components that
-    gives n_nodes - c factors of 1, then a 2 per component whose root
-    twisted flags."""
-    roots = np.flatnonzero(label == np.arange(label.size))
-    n_twisted = int(np.count_nonzero(twisted[roots]))
-    ones = n_nodes - roots.size
-    return SmithNormalForm(invariant_factors=(1,) * ones + (2,) * n_twisted,
-                           rank=ones + n_twisted)
-
-
 # ---------------------------------------------------------------------------
 # Homology profile and surface classification
 # ---------------------------------------------------------------------------
@@ -152,14 +138,15 @@ def homology_profile(b: BoundaryMatrices) -> HomologyProfile:
 
     b_k = (#k-cells) - rank d_k - rank d_{k+1}, with d_0 and d_3 zero;
     the torsion of H_k is carried by the invariant factors of d_{k+1}.
-    Both Smith forms are read off b's dual labelling by the module
-    docstring's lemma: d2's is F - c ones and u twos for its c components,
-    u of them unbalanced, and d1's is V - c ones.
+    Both ranks and the torsion are read off b's dual labelling by the
+    module docstring's lemma: with c components, u of them unbalanced,
+    rank d1 = V - c, rank d2 = F - c + u, and H1's torsion is u twos.
     """
     label, unbalanced = b.dual
-    snf1 = _component_smith(b.n_vertices, label, np.zeros(label.size, dtype=bool))
-    snf2 = _component_smith(b.n_faces, label, unbalanced)
-    r1, r2 = snf1.rank, snf2.rank
+    # each component is labelled by its smallest face
+    roots = np.flatnonzero(label == np.arange(label.size))
+    n_twisted = int(np.count_nonzero(unbalanced[roots]))
+    r1, r2 = b.n_vertices - roots.size, b.n_faces - roots.size + n_twisted
     betti = (
         b.n_vertices - r1,
         b.n_edges - r1 - r2,
@@ -167,7 +154,7 @@ def homology_profile(b: BoundaryMatrices) -> HomologyProfile:
     )
     if min(betti) < 0:
         raise AssertionError(f"negative Betti number {betti}; rank bookkeeping is broken")
-    return HomologyProfile(betti=betti, torsion=(snf1.torsion, snf2.torsion, ()))
+    return HomologyProfile(betti=betti, torsion=((), (2,) * n_twisted, ()))
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,18 @@
 
 The triangle soup is built once from a refinement, in array passes: corner
 coordinates (n, 3, 3), derived corner ids and source faces, per triangle
-which opposite edges are edge cells of its source face, and the pairs of
-source faces that share a vertex cell and of those that share an edge
-cell, as sorted keys, each beside the cell it shares; every face's cells
-are read off its own triangles, whose sides that occur once are its
-boundary (a corner two faces share is a vertex cell of both).  Broad
-phase: one sort-and-sweep over the triangles' axis-aligned boxes, which
-are finite with lo <= hi, on the axis whose runs hold the fewest pairs;
-the runs are expanded by np.repeat and masked on the two other axes,
-which yields exactly the pairs whose boxes meet.
+which opposite edges are edge cells of its source face, and each source
+face's own cells as sorted keys, face * len(points) + vertex per vertex
+cell and face * len(edges) + k per edge cell, edge k the k-th of the
+sorted distinct keys u * len(points) + v, u < v; every face's cells are
+read off its own triangles, whose sides that occur once are its boundary
+(a corner two faces share is a vertex cell of both).  The cells two faces
+both have are looked up only for the rows that ask, by expanding one
+face's keys and searching for the other's.  Broad phase: one
+sort-and-sweep over the triangles' axis-aligned boxes, which are finite
+with lo <= hi, on the axis whose runs hold the fewest pairs; the runs are
+expanded by np.repeat and masked on the two other axes, which yields
+exactly the pairs whose boxes meet.
 Narrow phase, in two steps.  First a float pass decides, in blocks of
 pairs in NumPy, every pair whose answer it can prove.  With Shewchuk's
 static error bounds on the power-of-two scaled coordinates, it drops a
@@ -84,24 +87,21 @@ class DegenerateTriangleError(MeshError):
 
 @dataclass(frozen=True, eq=False)
 class TriangleSoup:
-    """Triangles of a refinement, one row per triangle, with source-face
-    adjacency data and, derived on first read, the float filter's table."""
+    """Triangles of a refinement, one row per triangle, with each source
+    face's cells and, derived on first read, the float filter's table."""
 
     coords: np.ndarray                          # (n, 3, 3) float64 corner rows
     corners: np.ndarray                         # (n, 3) derived vertex ids
     source_face: np.ndarray                     # (n,) source face of each triangle
     points: np.ndarray                          # derived vertex coordinates
-    n_faces: int                                # source faces
     # (n, 3) bool: the edge opposite corner k is an edge cell of its face
     edge_cells: np.ndarray
-    # sorted keys f * n_faces + g, f < g, of the source faces that share a
-    # vertex cell, once per vertex, and beside each key that vertex's id;
-    # the same for an edge cell, the edge u < v keyed u * len(points) + v.
-    # The cells of one key ascend.
-    face_neighbours: np.ndarray
-    shared_vertices: np.ndarray
-    edge_neighbours: np.ndarray
-    shared_edges: np.ndarray
+    # each source face's cells, as sorted int64 keys: face * len(points) +
+    # vertex per vertex cell, and face * len(edges) + k per edge cell, edge
+    # k the k-th of the sorted distinct keys u * len(points) + v, u < v
+    face_vertices: np.ndarray
+    edges: np.ndarray
+    face_edges: np.ndarray
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -117,26 +117,10 @@ class TriangleSoup:
         return table, unusable
 
 
-def _sharing(face: np.ndarray, key: np.ndarray, n_faces: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted keys f * n_faces + g, f < g, of the faces that share a
-    key among the rows (face, key), each face's keys distinct, once per
-    key they share, and beside each that key, ascending within a pair: in
-    the rows sorted by key, each row meets the rest of its key's run."""
-    order = np.lexsort((face, key))
-    face, key = face[order], key[order]
-    counts = np.searchsorted(key, key, side="right") - np.arange(1, len(key) + 1)
-    first = np.repeat(np.arange(len(key)), counts)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
-    pairs = face[first] * n_faces + face[second]    # key[first] ascends
-    order = np.argsort(pairs, kind="stable")
-    return pairs[order], key[first[order]]
-
-
 def _face_cells(refinement: Refinement) -> tuple[np.ndarray, ...]:
-    """The soup's edge cell flags, then the face pairs that share a vertex
-    cell with the vertices they share, and those that share an edge cell
-    with the edges they share (see TriangleSoup).  The cells of every
-    source face are read off its own triangles.
+    """The soup's edge cell flags, then each face's vertex cells, the
+    edges, and each face's edge cells (see TriangleSoup).  The cells of
+    every source face are read off its own triangles.
 
     A polygon triangulated without new vertices has each diagonal in two
     of its triangles and each side in one; barycentric subdivision splits
@@ -159,14 +143,15 @@ def _face_cells(refinement: Refinement) -> tuple[np.ndarray, ...]:
     face, side = face[once], side[once]
     # each face's vertices, as the sorted distinct keys face * n + vertex
     vertex = np.sort(np.concatenate((face, face)) * n + np.concatenate(np.divmod(side, n)))
-    vertex_face, vertex = np.divmod(vertex[np.diff(vertex, prepend=-1) != 0], n)
-    n_faces = refinement.source.n_faces
-    return (edge_cells.reshape(-1, 3), *_sharing(vertex_face, vertex, n_faces),
-            *_sharing(face, side, n_faces))
+    edges = np.sort(side)
+    edges = edges[np.diff(edges, prepend=-1) != 0]
+    # the sides ascend within each face, and so do their indices in edges
+    return (edge_cells.reshape(-1, 3), vertex[np.diff(vertex, prepend=-1) != 0], edges,
+            face * len(edges) + np.searchsorted(edges, side))
 
 
 def triangle_soup(refinement: Refinement) -> TriangleSoup:
-    """Triangle soup of a refinement, with source-face adjacency data.
+    """Triangle soup of a refinement, with each source face's cells.
 
     Raises InvalidComplexError naming the first derived vertex with a
     non-finite coordinate, and DegenerateTriangleError if any derived
@@ -189,8 +174,7 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
             f"derived vertex {v} has a non-finite coordinate: {pts[v].tolist()}")
     corners = derived.corners.reshape(-1, 3)
     coords = pts[corners]
-    soup = TriangleSoup(coords, corners, refinement.triangle_sources, pts,
-                        refinement.source.n_faces, *_face_cells(refinement))
+    soup = TriangleSoup(coords, corners, refinement.triangle_sources, pts, *_face_cells(refinement))
     # a certified nonzero normal component proves area; the rest (none on
     # a proper mesh) take the exact test: a zero normal on their own grid
     table, unusable = soup.filter_table
@@ -310,11 +294,20 @@ def _subset(mask: np.ndarray):
     return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-def _has_key(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Whether each of key is among the sorted keys."""
-    if not len(keys):
-        return np.zeros(key.shape, dtype=bool)
-    return keys.take(np.searchsorted(keys, key), mode="clip") == key
+def _common_cells(keys: np.ndarray, width: int, f: np.ndarray,
+                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells that faces f[r] and g[r] both have, given every face's
+    cells as the sorted keys face * width + cell (see TriangleSoup): rows
+    r, ascending, and beside each a cell, ascending within a row.  Each
+    f[r]'s keys are expanded, and g[r]'s same cells searched for."""
+    start, end = np.searchsorted(keys, (f * width, (f + 1) * width))
+    counts = end - start
+    row = np.repeat(np.arange(len(f)), counts)
+    # start[r] + (place in r's run), the runs laid end to end
+    at = np.arange(len(row)) + np.repeat(start - np.cumsum(counts) + counts, counts)
+    want = keys.take(at) + np.repeat((g - f) * width, counts)
+    found = keys.take(np.searchsorted(keys, want), mode="clip") == want
+    return row[found], want[found] % width
 
 
 def _separated(planes, ij, on_a, on_b, eligible) -> np.ndarray:
@@ -344,7 +337,7 @@ def _pair_flags(ids: np.ndarray, ij: np.ndarray) -> tuple[np.ndarray, ...]:
     (see _undecided_rows): on_a and on_b (3, m), the corners of each
     triangle that the other has; how many they share; whether the row is
     eligible for the plane and edge-line tests; whether it is flat; and
-    its two source faces (2, m), in int64 for their pair keys.  The
+    its two source faces (2, m), in int64 for their cell keys.  The
     gathered ids are freed on return, before the block gathers its edge
     lines."""
     ia, ib = _columns(ids, ij).transpose(1, 0, 2)
@@ -416,6 +409,7 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
     ids = np.concatenate((soup.corners, soup.edge_cells, soup.source_face[:, None],
                           unusable[:, None], labels[:, None]), axis=1, dtype=id_type)
     lines = edge_lines(x, normal) if labels.max(initial=-1) >= 0 else None
+    lone = np.bincount(soup.source_face) == 1      # faces of one triangle
     # per row: settled, and the kind of a contact the pass reports (else
     # -1) and whether it is local
     settled = np.zeros(len(cands), dtype=bool)
@@ -433,15 +427,19 @@ def _undecided_rows(soup: TriangleSoup, cands: np.ndarray) -> tuple[np.ndarray, 
             f = _subset(flat)
             kind = coplanar_kinds(lines.take(ij[:, f], axis=1))
             fi, fj = faces[:, f]
-            key = np.minimum(fi, fj) * soup.n_faces + np.maximum(fi, fj)
-            # faces are looked up only where they change the answer; a shared
-            # corner is a vertex cell of both faces (see triangle_soup)
+            # a shared corner is a vertex cell of both faces (see triangle_soup)
             free = (kind != NO_CONTACT) & (shared[f] == 0) & (fi != fj)
-            free[free] = ~_has_key(soup.face_neighbours, key[free])
             # a touch-segment beyond the finitely many points the pair may share
             segment = (kind == TOUCH_SEGMENT) & (shared[f] < 2)
-            ask = segment & (fi != fj)
-            segment[ask] = ~_has_key(soup.edge_neighbours, key[ask])
+            # two faces' common cells are looked up only where they change the
+            # answer, and not for two one-triangle faces: their cells are
+            # their corners and sides, so the shared corners tell
+            for mask, keys, width in ((free, soup.face_vertices, len(soup.points)),
+                                      (segment, soup.face_edges, len(soup.edges))):
+                r = np.flatnonzero(mask & (fi != fj))
+                r = r[~(lone.take(fi[r]) & lone.take(fj[r]))]
+                if r.size:
+                    mask[r[_common_cells(keys, width, fi[r], fj[r])[0]]] = False
             told = (kind != NO_CONTACT) & (free | (kind == OVERLAP) | segment)
             reported[block][f] = np.where(told, kind, np.int8(-1))
             local[block][f] = ~free
@@ -729,42 +727,46 @@ def _segment_allowed(p: IVec3, q: IVec3, segs: list[tuple[IVec3, IVec3]]) -> boo
 
 def _cell_runs(soup: TriangleSoup, rows: np.ndarray) -> tuple[list, np.ndarray]:
     """Per row (i, j), None when its triangles come from one source face,
-    else the bounds (a, b, c, d) of its faces' runs in face_neighbours,
-    a:b, and in edge_neighbours, c:d; and a mask of the points that the
-    shared-cell test reads for the rows: the triangles' corners and the
-    runs' shared vertices, which end every shared edge."""
+    else the vertex cells its two faces both have and the keys u *
+    len(points) + v of the edge cells they both have, as two ascending
+    sequences; and a mask of the points that the shared-cell test reads for
+    the rows: the triangles' corners and the shared vertices, which end
+    every shared edge."""
     f, g = soup.source_face[rows[:, 0]], soup.source_face[rows[:, 1]]
-    key = np.minimum(f, g) * soup.n_faces + np.maximum(f, g)
-    # a key's run ends where key + 1 would go; one face's key f * n_faces + f
-    # is in neither array
-    (a, b), (c, d) = (np.searchsorted(keys, (key, key + 1))
-                      for keys in (soup.face_neighbours, soup.edge_neighbours))
-    runs = [None if fi == gi else run for fi, gi, run in
-            zip(f.tolist(), g.tolist(), np.column_stack((a, b, c, d)).tolist())]
+    two = np.flatnonzero(f != g)
+    (vr, v), (er, e) = (_common_cells(keys, width, f[two], g[two]) for keys, width in
+                        ((soup.face_vertices, len(soup.points)),
+                         (soup.face_edges, len(soup.edges))))
     used = np.zeros(len(soup.points), dtype=bool)
     used[soup.corners[rows.ravel()]] = True
-    counts = b - a      # the runs a:b, laid end to end
-    shift = np.repeat(b - np.cumsum(counts), counts)
-    used[soup.shared_vertices[np.arange(len(shift)) + shift]] = True
+    used[v] = True
+    # faces with no common vertex have no common edge; the cells of the
+    # rest are slices of the lists of all of them
+    runs = [None if same else ((), ()) for same in (f == g).tolist()]
+    at = vr[np.diff(vr, prepend=-1) != 0]
+    bounds = (np.searchsorted(r, at, side).tolist() for r in (vr, er) for side in ("left", "right"))
+    v, e = v.tolist(), soup.edges[e].tolist()
+    for k, a, b, c, d in zip(two[at].tolist(), *bounds):
+        runs[k] = (v[a:b], e[c:d])
     return runs, used
 
 
 def _shared_cells(soup: TriangleSoup, grid, ci, cj, run):
     """Grid points and segments that two triangles, with corner ids ci and
-    cj and their faces' runs `run` (see _cell_runs), may legitimately have
-    in common, or None when their source faces differ and share no
-    vertex.  grid maps vertex ids to grid points."""
+    cj and their faces' common cells `run` (see _cell_runs), may
+    legitimately have in common, or None when their source faces differ
+    and share no vertex.  grid maps vertex ids to grid points."""
     if run is None:
         shared = sorted(set(ci) & set(cj))
         pts = [grid[c] for c in shared]
         segs = [(pts[s], pts[t]) for s in range(len(pts)) for t in range(s + 1, len(pts))]
         return pts, segs
-    a, b, c, d = run
-    if a == b:
+    vertices, edges = run
+    if not vertices:
         return None
     n = len(soup.points)
-    pts = [grid[v] for v in soup.shared_vertices[a:b].tolist()]
-    segs = [(grid[u], grid[v]) for u, v in (divmod(k, n) for k in soup.shared_edges[c:d].tolist())]
+    pts = [grid[v] for v in vertices]
+    segs = [(grid[u], grid[v]) for u, v in (divmod(k, n) for k in edges)]
     return pts, segs
 
 

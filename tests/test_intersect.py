@@ -14,11 +14,11 @@ import functools
 import importlib
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -47,6 +47,7 @@ from flatcheck import (
     triangulate_faces,
 )
 from flatcheck import intersect
+from flatcheck.corpus import _klein_class, doubled_cone
 from flatcheck.predicates import filter_scaled, normals, plane_labels
 
 from conftest import (brute_report, grid_klein, grid_torus, independent_soup, random_rotation,
@@ -200,7 +201,6 @@ def test_soup_from_arrays_metadata():
     soup = independent_soup(coords)
     assert len(soup) == 2
     assert soup.corners[1].tolist() == [3, 4, 5]
-    assert soup.n_faces == 2 and soup.face_neighbours.tolist() == []
 
 
 def _polygon_mesh():
@@ -232,11 +232,10 @@ def _refinements(corpus_meshes, levels):
 @pytest.mark.parametrize("levels", [0, 1, 2], ids=["triangulated", "barycentric", "barycentric2"])
 def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
     """The soup's array-built cells against referee_cells' loop over the
-    source faces: the edge cell flags, the face pairs that share a vertex
-    cell and those that share an edge cell, each with the cell it shares,
-    and _shared_cells on every box-meeting pair, among them every row the
-    float pass leaves to the exact loop, reading only the points that
-    _cell_runs marks.  The
+    source faces: the edge cell flags, each face's vertex cells and edge
+    cells as keys, the edges they index, and _shared_cells on every
+    box-meeting pair, among them every row the float pass leaves to the
+    exact loop, reading only the points that _cell_runs marks.  The
     barycentric refinements give every source edge a midpoint.  A derived
     vertex that triangles of two source faces use is a vertex cell of
     both, which the float pass takes for granted at a shared corner."""
@@ -244,8 +243,7 @@ def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
     for ref in _refinements(corpus_meshes, levels):
         soup = triangle_soup(ref)
         face_vertices, face_edges = referee_cells(ref)
-        n, n_faces = len(soup.points), len(face_vertices)
-        assert soup.n_faces == n_faces
+        n = len(soup.points)
         corners, faces = soup.corners.tolist(), soup.source_face.tolist()
         users = {}
         for tri, f in zip(corners, faces):
@@ -255,16 +253,15 @@ def test_soup_cells_match_frozenset_loop(corpus_meshes, levels):
         assert soup.edge_cells.tolist() == [
             [(min(tri[k - 2], tri[k - 1]), max(tri[k - 2], tri[k - 1])) in face_edges[f]
              for k in range(3)] for tri, f in zip(corners, faces)]
-        for keys, shared, cells in ((soup.face_neighbours, soup.shared_vertices, face_vertices),
-                                    (soup.edge_neighbours, soup.shared_edges,
-                                     [{u * n + v for u, v in c} for c in face_edges])):
-            sharing = {}
-            for f, cell in enumerate(cells):
-                for c in cell:
-                    sharing.setdefault(c, []).append(f)
-            assert list(zip(keys.tolist(), shared.tolist())) == sorted(
-                (f * n_faces + g, c) for c, fs in sharing.items()
-                for f, g in combinations(sorted(fs), 2))
+        edges = sorted({u * n + v for cells in face_edges for u, v in cells})
+        at = {e: k for k, e in enumerate(edges)}
+        assert soup.edges.tolist() == edges
+        assert soup.face_vertices.tolist() == sorted(
+            f * n + v for f, cells in enumerate(face_vertices) for v in cells)
+        assert soup.face_edges.tolist() == sorted(
+            f * len(edges) + at[u * n + v] for f, cells in enumerate(face_edges) for u, v in cells)
+        keys = (soup.face_vertices, soup.edges, soup.face_edges)
+        assert all(a.dtype == np.int64 for a in keys)
         cands = candidate_pairs(build_hierarchy(soup))
         left = {tuple(r) for r in intersect._undecided_rows(soup, cands)[0].tolist()}
         assert left <= {tuple(r) for r in cands.tolist()}
@@ -295,11 +292,55 @@ def test_soup_cells_ignore_triangle_order(corpus_meshes, seed, levels):
                            replace(ref.derived, corners=np.take_along_axis(tri[perm], turn, axis=1)),
                            ref.triangle_sources[perm])
         got, want = triangle_soup(moved), triangle_soup(ref)
-        for name in ("n_faces", "face_neighbours", "shared_vertices", "edge_neighbours",
-                     "shared_edges"):
+        for name in ("face_vertices", "edges", "face_edges"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert (got.edge_cells.tolist()
                 == np.take_along_axis(want.edge_cells[perm], turn, axis=1).tolist())
+
+
+def test_soup_size_linear_at_high_valence(corpus_meshes):
+    """Each source face keeps its own cells, so the soup grows with its
+    triangles and not with the square of a vertex's valence: each apex of
+    the doubled cone is a corner of 1,000 triangles, and a table of the
+    face pairs that share a vertex would hold about 10^6 rows.  The two
+    key arrays hold at most 6 entries per triangle: a triangulated k-gon
+    has k - 2 triangles, k vertex cells and k edge cells, and a subdivided
+    one 2k triangles and 2k of each."""
+    ref = triangulate_faces(doubled_cone(2 * math.pi, 1000))
+    tracemalloc.start()
+    try:
+        triangle_soup(ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    for levels in (0, 1):
+        for ref in _refinements(corpus_meshes, levels):
+            soup = triangle_soup(ref)
+            assert len(soup.face_vertices) + len(soup.face_edges) <= 6 * len(soup)
+
+
+def _quad_klein(m, n):
+    """The m x n Klein grid of quads, on grid_klein's vertices (i, j, 0)."""
+    faces = [tuple(_klein_class(m, n, i + di, j + dj)
+                   for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)))
+             for j in range(n) for i in range(m)]
+    return build_complex(grid_klein(m, n).vertices, faces)
+
+
+def test_flat_rows_of_two_quads_look_up_common_cells():
+    """The quad Klein grid lies in one plane on integer coordinates, so
+    every row is flat, and its rows between triangles of two quads make
+    the float pass look up the cells the quads share; the report is the
+    all-pairs referee's."""
+    soup = triangle_soup(triangulate_faces(_quad_klein(5, 5)))
+    cands = candidate_pairs(build_hierarchy(soup))
+    with mock.patch.object(intersect, "_common_cells", wraps=intersect._common_cells) as spy:
+        intersect._undecided_rows(soup, cands)
+    assert any(len(call.args[2]) for call in spy.call_args_list)
+    fast, brute = self_intersections(soup), brute_report(soup)
+    assert (fast.pairs, fast.local_overlaps) == (brute.pairs, brute.local_overlaps)
+    assert fast.pairs and fast.local_overlaps
 
 
 def _all_pairs_meeting(lo, hi):

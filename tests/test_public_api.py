@@ -48,9 +48,8 @@ def test_star_import_binds_no_submodule():
 RECORD_FIELDS = {
     flatcheck.CellComplex: ("vertices", "corners", "offsets"),
     flatcheck.Refinement: ("source", "derived", "triangle_sources", "fallbacks"),
-    flatcheck.TriangleSoup: ("coords", "corners", "source_face", "points", "n_faces",
-                             "edge_cells", "face_neighbours", "shared_vertices",
-                             "edge_neighbours", "shared_edges"),
+    flatcheck.TriangleSoup: ("coords", "corners", "source_face", "points", "edge_cells",
+                             "face_vertices", "edges", "face_edges"),
     flatness.FaceTable: ("rel_deviation", "simple", "orientation", "basis", "angles", "turns",
                          "points2d", "degenerate"),
     flatness.LinkArc: ("start", "end", "axis", "length"),
