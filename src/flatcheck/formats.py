@@ -204,6 +204,11 @@ def _face_indices(path, lines: _Lines, lo: int, hi: int, counted: bool):
         if not counted:
             if (counts >= 3).all():
                 return values, counts
+        elif counts.size and (counts == counts[0]).all():
+            # every line 'k i0 .. i(k-1)' with one k: a table with k in front
+            rows = values.reshape(counts.size, -1)
+            if (rows[:, 0] == counts[0] - 1).all():
+                return rows[:, 1:].ravel(), counts - 1
         else:
             heads = np.cumsum(counts) - counts
             if (values[heads] == counts - 1).all():
@@ -232,17 +237,17 @@ def read_off(path: str | Path) -> LoadedMesh:
     lines, source = _data_lines(path)
     if not len(lines):
         raise FormatError(f"{path}: empty file")
-    linenos = lines.linenos.tolist()
+    linenos = lines.linenos
     first, *tokens = lines.text(slice(0, 1))[0].split()
     if first != "OFF":
-        _fail(path, linenos[0], f"expected OFF header, got {first!r}")
+        _fail(path, int(linenos[0]), f"expected OFF header, got {first!r}")
     body = 1
     if not tokens:
         if len(lines) < 2:
-            _fail(path, linenos[0], "missing counts after OFF header")
+            _fail(path, int(linenos[0]), "missing counts after OFF header")
         tokens = lines.text(slice(1, 2))[0].split()
         body = 2
-    lineno = linenos[body - 1]
+    lineno = int(linenos[body - 1])
     if len(tokens) != 3:
         _fail(path, lineno, f"expected 'V F E' counts, got {len(tokens)} token(s)")
     try:
@@ -289,8 +294,7 @@ def read_obj(path: str | Path) -> LoadedMesh:
                 degrees.append(len(parts) - 1)
         else:
             indices, degrees = faces
-    complex = _build(vertices, indices, degrees, 1, path,
-                     lines.linenos[v].tolist(), lines.linenos[f].tolist())
+    complex = _build(vertices, indices, degrees, 1, path, lines.linenos[v], lines.linenos[f])
     return LoadedMesh(complex=complex, sources=(source,))
 
 
@@ -379,13 +383,12 @@ def read_pair(faces_path: str | Path, vertices_path: str | Path,
     face_lines, face_source = _data_lines(faces_path)
     indices, degrees = _face_indices(faces_path, face_lines, 0, len(face_lines), counted=False)
     complex = _build(vertices, indices, degrees, index_base, faces_path,
-                     vertex_lines.linenos.tolist(), face_lines.linenos.tolist(),
-                     vertices_path=vertices_path)
+                     vertex_lines.linenos, face_lines.linenos, vertices_path=vertices_path)
     return LoadedMesh(complex=complex, sources=(face_source, vertex_source))
 
 
-def _build(vertices, indices, degrees, index_base: int, path, vertex_lines: list[int],
-           face_lines: list[int], vertices_path=None) -> CellComplex:
+def _build(vertices, indices, degrees, index_base: int, path, vertex_lines: np.ndarray,
+           face_lines: np.ndarray, vertices_path=None) -> CellComplex:
     """complex_from_flat, with a build error located at the file line of
     the vertex or face it names (vertex_lines[k] and face_lines[k] are the
     lines of vertex k and face k; vertices_path is the vertices' file when
@@ -395,9 +398,9 @@ def _build(vertices, indices, degrees, index_base: int, path, vertex_lines: list
     except InvalidComplexError as exc:
         where = ""
         if exc.face is not None:
-            where = f" (line {face_lines[exc.face]})"
+            where = f" (line {int(face_lines[exc.face])})"
         elif exc.vertex is not None:
-            lineno = vertex_lines[exc.vertex]
+            lineno = int(vertex_lines[exc.vertex])
             where = f" ({vertices_path} line {lineno})" if vertices_path else f" (line {lineno})"
         raise FormatError(f"{path}: {exc}{where}") from exc
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .flatness import FaceTable, ToleranceProfile, face_geometries
-from .mesh import CellComplex, MeshError, _frozen, complex_from_flat, edge_table
+from .mesh import CellComplex, MeshError, _frozen, complex_from_flat, edge_table, triangle_key
 from .predicates import orient2d
 
 
@@ -185,9 +185,11 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
         triangles[first[fi]:first[fi + 1]] = ears
 
     # the triangles reuse the validated vertices of distinct-vertex faces,
-    # so a repeated triangle is the only way the derived complex can fail
+    # so a repeated triangle is the only way the derived complex can fail;
+    # validation told the source triangles apart, so a repeat needs an ear
     sources = _frozen(np.repeat(np.arange(complex.n_faces), degree - 2))
-    _reject_repeats(triangles, sources)
+    if (degree > 3).any():
+        _reject_repeats(triangles, sources)
     fanned = np.flatnonzero(reason)
     return Refinement(
         source=complex,
@@ -204,15 +206,16 @@ def _reject_repeats(corners: np.ndarray, sources: np.ndarray) -> None:
     repeats an earlier one up to rotation and reversal, naming the source
     faces of both.
 
-    Two triangles are equal up to rotation and reversal iff their sorted
-    corners are.  A stable sort of those rows puts each run of equal rows
-    in triangle order, so the first repeat is the least second row of a
-    run, and the row before it is the run's first.
+    Two triangles are equal up to rotation and reversal iff their
+    triangle_key is.  A stable sort on that key puts each run of equal
+    triangles in triangle order, so the first repeat is the least second
+    row of a run, and the row before it is the run's first.
     """
-    key = np.sort(corners, axis=1)
-    order = np.lexsort(key.T[::-1])
-    key = key[order]
-    repeat = np.flatnonzero((key[1:] == key[:-1]).all(axis=1))
+    key, hi, _ = triangle_key(corners[:, 0], corners[:, 1], corners[:, 2],
+                              int(corners.max()) + 1)
+    order = np.lexsort((hi, key))
+    key, hi = key[order], hi[order]
+    repeat = np.flatnonzero((key[1:] == key[:-1]) & (hi[1:] == hi[:-1]))
     if repeat.size:
         at = repeat[np.argmin(order[repeat + 1])]
         first, later = order[at], order[at + 1]

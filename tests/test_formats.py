@@ -282,6 +282,32 @@ def test_off_build_error_names_line(tmp_path):
     assert str(exc.value) == f"{path}: vertex 1 has a non-finite coordinate: [1.0, nan, 0.0] (line 5)"
 
 
+@pytest.mark.parametrize("faces,message", [
+    (["3 0 1 2", "3 0 2 3", "3 4 0 1", "3 2 1 0"],
+     "face 3 duplicates face 0 (identical up to rotation/reversal) (line 14)"),
+    (["3 0 1 2", "3 0 2 3", "3 0 1 5", "3 2 1 0"],
+     "face 2 references vertex 5, valid range is 0..4 (line 13)"),
+    (["4 0 1 2 3", "3 0 1 4", "3 1 2 4", "4 2 3 0 1"],
+     "face 3 duplicates face 0 (identical up to rotation/reversal) (line 14)"),
+    (["4 0 1 2 3", "3 0 1 4", "3 1 2 7", "4 2 3 0 1"],
+     "face 2 references vertex 7, valid range is 0..4 (line 13)"),
+])
+def test_off_face_block_errors_name_lines(tmp_path, monkeypatch, faces, message):
+    """A face block of one degree is read as one table, a block of mixed
+    degrees with its count tokens deleted (np.delete); both take the bulk
+    parse, and a build error names the file line of its face."""
+    path = tmp_path / "block.off"
+    path.write_text("OFF\n5 4 0\n0 0 0\n1 0 0\n# moved\n1 1 0\n0 1 0\n\n0 0 1\n"
+                    + "\n".join(faces[:2] + ["# moved"] + faces[2:]) + "\n")
+    assert _outcome(referee_read_off, path) == ("FormatError", f"{path}: {message}")
+    delete, text, rows = mock.Mock(wraps=np.delete), formats._Lines.text, []
+    monkeypatch.setattr(np, "delete", delete)
+    monkeypatch.setattr(formats._Lines, "text", lambda lines, r: rows.append(r) or text(lines, r))
+    assert _outcome(read_off, path) == ("FormatError", f"{path}: {message}")
+    assert rows == [slice(0, 1), slice(1, 2)]          # the header lines only
+    assert delete.call_count == len({len(f.split()) for f in faces}) - 1
+
+
 def test_obj_build_error_names_line(tmp_path):
     # records interleave, and other records take lines too
     path = tmp_path / "rep.obj"

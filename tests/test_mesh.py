@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,9 @@ from flatcheck import (
     euler_characteristic,
     orientability,
 )
-from flatcheck.mesh import _min_labels, complex_from_flat, signed_components
+from flatcheck.corpus import doubled_cone
+from flatcheck.mesh import (_min_labels, complex_from_flat, signed_components,
+                            triangle_key)
 
 from conftest import (canonical_face, cube, grid_klein, grid_torus, icosa, referee_build,
                       referee_manifold, referee_orientability, tetra)
@@ -254,10 +258,40 @@ def _combinatorial_cases(draw):
     return nv, draw(st.permutations(out))
 
 
+def _joined(nv, faces, v, other_nv, other_faces, w):
+    """(nv, faces) of two complexes joined at their vertices v and w: the
+    second one's vertices follow the first's, w becoming v."""
+    def label(i):
+        return v if i == w else nv + i - (i > w)
+    return nv + other_nv - 1, list(faces) + [tuple(map(label, f)) for f in other_faces]
+
+
+def _torus_with_two_quads():
+    """grid_torus(3, 3) with the two triangles of one square replaced by
+    two quads around a new vertex that meets the square's diagonal ends:
+    the new vertex has valence 2 and every other vertex 6."""
+    cx = grid_torus(3, 3)
+    (a, x, b), *rest = cx.faces
+    (y,) = [next(i for i in f if i not in (a, b)) for f in rest
+            if {a, b} <= set(f)]
+    rest = [f for f in rest if not {a, b} <= set(f)]
+    v = cx.n_vertices
+    return v + 1, rest + [(v, a, x, b), (v, b, y, a)], v
+
+
+_QUAD_NV, _QUAD_FACES, _QUAD_APEX = _torus_with_two_quads()
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_combinatorial_cases())
 @example(case=(7, [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2),
                    (0, 4, 5), (0, 5, 6), (0, 6, 4), (4, 6, 5)]))   # two tetrahedra at a vertex
+# pinched at the lowest valence, 4, where every other vertex has 6
+@example(case=_joined(_QUAD_NV, _QUAD_FACES, _QUAD_APEX, _QUAD_NV, _QUAD_FACES, _QUAD_APEX))
+# pinched at the highest valence, 7, from cycles of 3 and 4
+@example(case=_joined(4, tetra().faces, 0, 6, doubled_cone(2 * math.pi, 4).faces, 0))
+# the two apexes walk 50 steps, the other 50 vertices stop at 4
+@example(case=(52, list(doubled_cone(2 * math.pi, 50).faces)))
 def test_manifold_check_matches_referee(case):
     """check_closed_manifold raises the referee's defects, equal in kind,
     location, detail and order; on success its twins, edges and stars,
@@ -277,6 +311,24 @@ def test_manifold_check_matches_referee(case):
     per_component = referee_orientability(ref, cx.n_faces)
     assert orientability(mesh).per_component == per_component
     assert connected_components(mesh) == len(per_component)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([2 ** 31 + 3, 3_000_000_000]), data=st.data())
+def test_triangle_key_orders_sorted_corners(n, data):
+    """triangle_key at vertex ids near 2^31 and near the n < 3.03e9 bound
+    of its exactness: equal keys are equal sorted corners, a sort on the
+    key sorts the sorted corners, and it flags a repeated id."""
+    ids = st.sampled_from([0, 1, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, n - 2, n - 1])
+    triangles = data.draw(st.lists(st.tuples(ids, ids, ids), min_size=1, max_size=12))
+    a, b, c = np.array(triangles, dtype=np.int64).T
+    key, hi, repeated = triangle_key(a, b, c, n)
+    corners = [tuple(sorted(t)) for t in triangles]
+    assert [(k, h) for k, h in zip(key.tolist(), hi.tolist())] == [
+        (lo * n + mid, top) for lo, mid, top in corners]
+    assert repeated.tolist() == [len(set(t)) < 3 for t in triangles]
+    order = np.lexsort((hi, key)).tolist()
+    assert order == sorted(range(len(corners)), key=corners.__getitem__)
 
 
 def _index_forms(draw, face):

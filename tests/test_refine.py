@@ -61,7 +61,9 @@ def _assert_no_interior_overlap(refinement):
                 assert c is None or c.kind in ("touch-point", "touch-segment")
 
 
-def test_triangles_pass_through():
+def test_triangles_pass_through(monkeypatch):
+    # validation told the source triangles apart, so no repeat check runs
+    monkeypatch.setattr(refine, "_reject_repeats", mock.Mock(side_effect=AssertionError))
     ref = triangulate_faces(tetra())
     assert ref.derived.faces == ref.source.faces
     assert ref.fallbacks == ()
@@ -378,3 +380,21 @@ def test_repeat_check_matches_dict_loop(case):
     with pytest.raises(TriangulationError) as got:
         refine._reject_repeats(np.array(triangles, dtype=np.int64), sources)
     assert str(got.value) == str(want.value)
+
+
+# the unit square 0 1 2 3, apex 4 above it, and 5 beyond the square's
+# corner 2, so that the quad (0, 3, 5, 1) is convex
+_EAR_POINTS = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1.2, 1.2, 0)]
+
+
+@pytest.mark.parametrize("faces", [
+    [(4, 1, 2), (0, 1, 2, 3), (1, 0, 3)],       # a quad's ear is an input triangle
+    [(4, 1, 2), (0, 1, 2, 3), (0, 3, 5, 1)],    # two quads' ears at tip 0 coincide
+])
+def test_repeated_ear_names_source_faces(faces):
+    """An ear clipped from a quad that repeats a triangle of another face
+    is rejected, naming both source faces and the later triangle."""
+    with pytest.raises(TriangulationError) as got:
+        triangulate_faces(build_complex(_EAR_POINTS, faces))
+    assert str(got.value) == ("faces 1 and 2 both yield triangle (1, 0, 3) "
+                              "(identical up to rotation/reversal)")
