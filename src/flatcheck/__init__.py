@@ -8,11 +8,10 @@ from .flatness import (DegenerateFaceError, FlatnessReport, LinkVerdict, Spheric
                        ToleranceProfile, flatness_report, link_is_embedded)
 from .formats import (FormatError, LoadedMesh, read_mesh, read_obj, read_off,
                       read_pair, write_mesh, write_obj, write_off, write_pair)
-from .homology import (BoundaryMatrices, HomologyProfile, SmithNormalForm,
-                       SurfaceClass, boundary_matrices, classify_surface,
-                       homology_profile)
+from .homology import (BoundaryMatrices, HomologyProfile, SurfaceClass, boundary_matrices,
+                       classify_surface, homology_profile)
 from .intersect import (Contact, ContactRows, DegenerateTriangleError, IntersectionReport,
-                        PairContact, TriangleBoxes, TriangleSoup, build_hierarchy,
+                        PairContact, TriangleSoup, build_hierarchy,
                         candidate_pairs, classify_immersion, self_intersections,
                         triangle_contact, triangle_soup)
 from .mesh import (CellComplex, HalfEdgeMesh, InvalidComplexError, ManifoldDefect,
@@ -30,9 +29,8 @@ __all__ = [
     "DegenerateTriangleError", "FallbackRecord", "FlatnessReport", "FormatError",
     "GeneratorError", "GeneratorSpec", "HalfEdgeMesh", "HomologyProfile", "IntersectionReport",
     "InvalidComplexError", "LinkVerdict", "LoadedMesh", "ManifoldDefect", "MeshError",
-    "NotManifoldError", "OrientabilityReport", "PairContact", "Refinement", "SmithNormalForm",
-    "SphericalLink", "SurfaceClass",
-    "TOOL_VERSION", "ToleranceProfile", "TriangleBoxes", "TriangleSoup", "TriangulationError",
+    "NotManifoldError", "OrientabilityReport", "PairContact", "Refinement", "SphericalLink",
+    "SurfaceClass", "TOOL_VERSION", "ToleranceProfile", "TriangleSoup", "TriangulationError",
     "barycentric_subdivision", "boundary_matrices", "build_certificate", "build_complex",
     "build_hierarchy", "candidate_pairs", "canonical_json", "certificate_text",
     "check_closed_manifold", "classify_immersion", "classify_surface", "connected_components",

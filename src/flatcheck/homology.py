@@ -25,9 +25,10 @@ row is left: 0 on a balanced non-tree column, +-2 on an unbalanced one.
 The component therefore adds n_C - 1 factors of 1, then a 2 if it has an
 unbalanced cycle.  A Klein bottle's Z/2 is its one unbalanced dual cycle.
 
-Both forms come from one labelling, the mesh's dual_components, which
-orientability reads too.  With c components, u of them unbalanced, d2
-has F - c factors of 1, then u of 2.  The vertex graph of d1 has the same
+Both forms come from one labelling, kept as the mesh's dual_components:
+one flag per component, whether it is unbalanced, which orientability
+reads too.  With c components, u of them unbalanced, d2 has F - c
+factors of 1, then u of 2.  The vertex graph of d1 has the same
 components as the dual graph, since no vertex is isolated and every
 vertex star is one cycle of faces that meet across edges, and it is
 balanced, so d1 has V - c factors of 1.  The dense Smith form lives in
@@ -53,9 +54,9 @@ class BoundaryMatrices:
     Each is a (row, column, entry) triple of equal-length integer arrays,
     one item per nonzero entry.  With chains as row vectors the boundary
     of a boundary being empty reads d2 @ d1 == 0, which boundary_matrices
-    verifies.  dual is the (label, unbalanced) labelling of the signed
-    dual graph (the mesh's dual_components), from which homology_profile
-    reads both ranks and the torsion.
+    verifies.  dual holds, per component of the signed dual graph,
+    whether it is unbalanced (the mesh's dual_components), from which
+    homology_profile reads both ranks and the torsion.
     """
 
     d1: Coo
@@ -63,7 +64,7 @@ class BoundaryMatrices:
     edges: np.ndarray      # (n_edges, 2): row order of d1 / column order of d2
     n_vertices: int
     n_faces: int
-    dual: tuple[np.ndarray, np.ndarray]
+    dual: np.ndarray       # bool, one flag per component
 
     @property
     def n_edges(self) -> int:
@@ -100,23 +101,6 @@ def boundary_matrices(mesh: HalfEdgeMesh | CellComplex) -> BoundaryMatrices:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SmithNormalForm:
-    """Invariant factors d1 | d2 | ... | dr and the rank r."""
-
-    invariant_factors: tuple[int, ...]
-    rank: int
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        """Invariant factors larger than one, i.e. the torsion coefficients."""
-        return tuple(d for d in self.invariant_factors if d > 1)
-
-
-# ---------------------------------------------------------------------------
 # Homology profile and surface classification
 # ---------------------------------------------------------------------------
 
@@ -138,15 +122,12 @@ def homology_profile(b: BoundaryMatrices) -> HomologyProfile:
 
     b_k = (#k-cells) - rank d_k - rank d_{k+1}, with d_0 and d_3 zero;
     the torsion of H_k is carried by the invariant factors of d_{k+1}.
-    Both ranks and the torsion are read off b's dual labelling by the
-    module docstring's lemma: with c components, u of them unbalanced,
+    Both ranks and the torsion are read off b's dual flags by the module
+    docstring's lemma: with c components, u of them unbalanced,
     rank d1 = V - c, rank d2 = F - c + u, and H1's torsion is u twos.
     """
-    label, unbalanced = b.dual
-    # each component is labelled by its smallest face
-    roots = np.flatnonzero(label == np.arange(label.size))
-    n_twisted = int(np.count_nonzero(unbalanced[roots]))
-    r1, r2 = b.n_vertices - roots.size, b.n_faces - roots.size + n_twisted
+    n_components, n_twisted = b.dual.size, int(np.count_nonzero(b.dual))
+    r1, r2 = b.n_vertices - n_components, b.n_faces - n_components + n_twisted
     betti = (
         b.n_vertices - r1,
         b.n_edges - r1 - r2,

@@ -193,17 +193,11 @@ def triangle_soup(refinement: Refinement) -> TriangleSoup:
 # ---------------------------------------------------------------------------
 # broad phase
 
-@dataclass(frozen=True, eq=False)
-class TriangleBoxes:
-    """Axis-aligned bounding box of every soup triangle."""
-
-    lo: np.ndarray      # (n, 3) low corners
-    hi: np.ndarray      # (n, 3) high corners
-
-
-def build_hierarchy(soup: TriangleSoup) -> TriangleBoxes:
-    """Bounding boxes of the soup's triangles, the broad phase's input."""
-    return TriangleBoxes(lo=soup.coords.min(axis=1), hi=soup.coords.max(axis=1))
+def build_hierarchy(soup: TriangleSoup) -> tuple[np.ndarray, np.ndarray]:
+    """The axis-aligned bounding boxes of the soup's triangles, the broad
+    phase's input, as the pair (lo, hi) of their (n, 3) low and high
+    corners."""
+    return soup.coords.min(axis=1), soup.coords.max(axis=1)
 
 
 # Pairs expanded per block of the sweep.  The runs on the sweep axis hold
@@ -215,10 +209,10 @@ def build_hierarchy(soup: TriangleSoup) -> TriangleBoxes:
 _PAIR_BLOCK = 1 << 16
 
 
-def candidate_pairs(boxes: TriangleBoxes) -> np.ndarray:
-    """All triangle index pairs (i < j) whose boxes meet (inclusive), as an
-    (m, 2) array sorted lexicographically.  Every box must be finite, with
-    lo <= hi on every axis.
+def candidate_pairs(boxes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """All triangle index pairs (i < j) whose boxes (lo, hi) meet
+    (inclusive), as an (m, 2) array sorted lexicographically.  Every box
+    must be finite, with lo <= hi on every axis.
 
     Sort and sweep: in the order of low ends on one axis, the boxes that
     meet box s on that axis and come after it are the contiguous run whose
@@ -230,17 +224,18 @@ def candidate_pairs(boxes: TriangleBoxes) -> np.ndarray:
     one after the other; the sort and the run bound already prove the
     sweep axis.
     """
-    n = len(boxes.lo)
-    totals = [int(np.searchsorted(np.sort(boxes.lo[:, a]), boxes.hi[:, a], side="right").sum())
+    box_lo, box_hi = boxes
+    n = len(box_lo)
+    totals = [int(np.searchsorted(np.sort(box_lo[:, a]), box_hi[:, a], side="right").sum())
               for a in range(3)]
     axis = totals.index(min(totals))
-    order = np.argsort(boxes.lo[:, axis])
-    end = np.searchsorted(boxes.lo[order, axis], boxes.hi[order, axis], side="right")
+    order = np.argsort(box_lo[:, axis])
+    end = np.searchsorted(box_lo[order, axis], box_hi[order, axis], side="right")
     counts = end - np.arange(1, n + 1)
     starts = np.concatenate(([0], np.cumsum(counts)))
     other = [a for a in range(3) if a != axis]
-    lo = [boxes.lo[order, a] for a in other]
-    hi = [boxes.hi[order, a] for a in other]
+    lo = [box_lo[order, a] for a in other]
+    hi = [box_hi[order, a] for a in other]
     keys = [np.empty(0, dtype=np.intp)]
     first = 0
     while first < n:
@@ -864,7 +859,7 @@ class IntersectionReport:
 
 
 def self_intersections(
-    soup: TriangleSoup, boxes: TriangleBoxes | None = None
+    soup: TriangleSoup, boxes: tuple[np.ndarray, np.ndarray] | None = None
 ) -> IntersectionReport:
     """All contacts between triangles of non-adjacent source faces, plus
     local overlaps of adjacent ones beyond their shared cells.

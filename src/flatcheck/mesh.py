@@ -10,10 +10,11 @@ one edge, and the vertex stars are cycles of one permutation, walked in
 order of valence, so that the vertices still walking form a suffix.
 Components of signed graphs are labelled by pointer jumping, on the
 signed double cover only when some link flips; a half-edge mesh labels
-its signed dual graph once and keeps the labelling.  Everything
-downstream (homology, flatness, intersection tests) is built on top of
-the validated half-edge structure constructed here.  Indices are 0-based
-internally; interchange formats convert on the way in.
+its signed dual graph once and keeps one flag per component, whether it
+is unbalanced.  Everything downstream (homology, flatness, intersection
+tests) is built on top of the validated half-edge structure constructed
+here.  Indices are 0-based internally; interchange formats convert on
+the way in.
 """
 from __future__ import annotations
 
@@ -385,10 +386,10 @@ class HalfEdgeMesh:
     face's entry in complex.offsets.  The closed-manifold check guarantees
     each star is a single cycle.
 
-    dual_components, the one labelling of the signed dual graph that
-    orientability, connected_components and boundary_matrices read, is
-    made on first read and kept; a dataclasses.replace copy starts
-    without it.
+    dual_components, one flag per component of the signed dual graph
+    saying whether it is unbalanced, which orientability,
+    connected_components and boundary_matrices read, is made on first
+    read and kept; a dataclasses.replace copy starts without it.
     """
 
     complex: CellComplex
@@ -414,17 +415,22 @@ class HalfEdgeMesh:
         return self.complex.n_faces
 
     @cached_property
-    def dual_components(self) -> tuple[np.ndarray, np.ndarray]:
-        """signed_components of the faces, linked across every edge; a
-        link flips when its two sides traverse the edge in the same
-        direction.  The arrays are read-only."""
+    def dual_components(self) -> np.ndarray:
+        """Per component of the signed dual graph, in order of its lowest
+        face, whether it is unbalanced, as a read-only bool array.
+
+        The graph is signed_components' on the faces, linked across every
+        edge; a link flips when its two sides traverse the edge in the
+        same direction.
+        """
         h = np.flatnonzero(np.arange(self.twin.size) < self.twin)
         t = self.twin[h]
         label, unbalanced = signed_components(self.n_faces, self.face_of[h], self.face_of[t],
                                               self.origin[h] == self.origin[t])
-        label.setflags(write=False)
-        unbalanced.setflags(write=False)
-        return label, unbalanced
+        # each component is labelled by its lowest face
+        flags = unbalanced[label == np.arange(self.n_faces)]
+        flags.setflags(write=False)
+        return flags
 
 
 def check_closed_manifold(complex: CellComplex) -> HalfEdgeMesh:
@@ -596,13 +602,10 @@ def orientability(mesh: HalfEdgeMesh) -> OrientabilityReport:
     reported per component rather than rejected.  Reads the mesh's
     dual_components, so it labels the dual graph only if nothing has yet.
     """
-    label, unbalanced = mesh.dual_components
-    roots = np.flatnonzero(label == np.arange(mesh.n_faces))
-    return OrientabilityReport(per_component=tuple((~unbalanced[roots]).tolist()))
+    return OrientabilityReport(per_component=tuple((~mesh.dual_components).tolist()))
 
 
 def connected_components(mesh: HalfEdgeMesh) -> int:
     """Count the components of the face-adjacency graph (faces sharing an
     edge), from the mesh's dual_components, which orientability reads too."""
-    label, _ = mesh.dual_components
-    return int(np.count_nonzero(label == np.arange(mesh.n_faces)))
+    return mesh.dual_components.size

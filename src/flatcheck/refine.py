@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .flatness import FaceTable, ToleranceProfile, face_geometries
-from .mesh import CellComplex, MeshError, _frozen, complex_from_flat, edge_table, triangle_key
+from .mesh import (CellComplex, InvalidComplexError, MeshError, _frozen, _validate_faces,
+                   complex_from_flat, edge_table)
 from .predicates import orient2d
 
 
@@ -34,7 +35,9 @@ class FallbackRecord:
 class Refinement:
     """A derived triangulated complex plus provenance back to its source.
 
-    The derived complex starts with the source's vertices, in order.
+    The derived complex starts with the source's vertices, in order.  A
+    source whose faces are all triangles is its own triangulation:
+    triangulate_faces returns it as derived.
     """
 
     source: CellComplex
@@ -132,13 +135,15 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
                       geos: FaceTable | None = None) -> Refinement:
     """Triangulate every face without introducing new vertices.
 
-    Triangles pass through unchanged.  Larger faces are ear-clipped in
+    Triangles pass through unchanged, and a complex of triangles only is
+    its own derived complex.  Larger faces are ear-clipped in
     their fitted plane when they are planar (within tol) and simple there;
     otherwise the face falls back to the fan from its lowest-index corner
     and the substitution is recorded in `fallbacks`.  An n-gon always
     yields n-2 triangles.  TriangulationError is raised when a face cannot
     be triangulated at all (no ear exists even though the polygon passed
-    the simplicity test) and when two faces yield the same triangle.
+    the simplicity test) and when two faces yield the same triangle, which
+    the triangles' validation as faces of a complex finds.
 
     Faces of one degree are triangulated as arrays: fans, and the ears of
     faces whose every turn is positive, which _convex_ears gives in closed
@@ -151,16 +156,17 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
     tol = tol or ToleranceProfile()
     offsets = complex.offsets
     degree = np.diff(offsets)
+    sources = _frozen(np.repeat(np.arange(complex.n_faces), degree - 2))
+    if not (degree > 3).any():      # triangles pass through without a table
+        return Refinement(source=complex, derived=complex, triangle_sources=sources)
+    table = face_geometries(complex) if geos is None else geos
     reason = np.zeros(complex.n_faces, dtype=np.int8)
-    clip = convex = degree > 3
-    if clip.any():      # triangles pass through without a table
-        table = face_geometries(complex) if geos is None else geos
-        reason[~table.simple] = 3
-        reason[table.rel_deviation > tol.planarity_tol] = 2
-        reason[[face for face, _ in table.degenerate]] = 1
-        reason[degree == 3] = 0
-        clip = clip & (reason == 0)
-        convex = clip & (np.minimum.reduceat(table.turns, offsets[:-1]) > 0)
+    reason[~table.simple] = 3
+    reason[table.rel_deviation > tol.planarity_tol] = 2
+    reason[[face for face, _ in table.degenerate]] = 1
+    reason[degree == 3] = 0
+    clip = (degree > 3) & (reason == 0)
+    convex = clip & (np.minimum.reduceat(table.turns, offsets[:-1]) > 0)
     first = np.concatenate(([0], np.cumsum(degree - 2)))    # each face's first triangle
     triangles = np.empty((first[-1], 3), dtype=np.int64)
     for k in np.flatnonzero(np.bincount(degree)).tolist():
@@ -184,12 +190,7 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
             )
         triangles[first[fi]:first[fi + 1]] = ears
 
-    # the triangles reuse the validated vertices of distinct-vertex faces,
-    # so a repeated triangle is the only way the derived complex can fail;
-    # validation told the source triangles apart, so a repeat needs an ear
-    sources = _frozen(np.repeat(np.arange(complex.n_faces), degree - 2))
-    if (degree > 3).any():
-        _reject_repeats(triangles, sources)
+    _reject_repeats(triangles, sources)
     fanned = np.flatnonzero(reason)
     return Refinement(
         source=complex,
@@ -201,28 +202,28 @@ def triangulate_faces(complex: CellComplex, tol: ToleranceProfile | None = None,
     )
 
 
-def _reject_repeats(corners: np.ndarray, sources: np.ndarray) -> None:
+def _reject_repeats(triangles: np.ndarray, sources: np.ndarray) -> None:
     """Raise TriangulationError for the first triangle, in order, that
     repeats an earlier one up to rotation and reversal, naming the source
     faces of both.
 
-    Two triangles are equal up to rotation and reversal iff their
-    triangle_key is.  A stable sort on that key puts each run of equal
-    triangles in triangle order, so the first repeat is the least second
-    row of a run, and the row before it is the run's first.
+    The triangles reuse the validated vertices of distinct-vertex faces,
+    so a repeat is the only way they can fail mesh's validation as the
+    faces of a complex, which names the first face that repeats an
+    earlier one.  The first triangle of its run is the first with the
+    same three corners.
     """
-    key, hi, _ = triangle_key(corners[:, 0], corners[:, 1], corners[:, 2],
-                              int(corners.max()) + 1)
-    order = np.lexsort((hi, key))
-    key, hi = key[order], hi[order]
-    repeat = np.flatnonzero((key[1:] == key[:-1]) & (hi[1:] == hi[:-1]))
-    if repeat.size:
-        at = repeat[np.argmin(order[repeat + 1])]
-        first, later = order[at], order[at + 1]
+    corners = triangles.ravel()
+    try:
+        _validate_faces(corners, np.full(len(triangles), 3), np.arange(0, corners.size + 1, 3),
+                        int(corners.max()) + 1, corners, 0)
+    except InvalidComplexError as error:
+        later = triangles[error.face]
+        first = np.argmax(np.isin(triangles, later).all(axis=1))
         raise TriangulationError(
-            f"faces {sources[first]} and {sources[later]} both yield triangle "
-            f"{tuple(corners[later].tolist())} (identical up to rotation/reversal)"
-        )
+            f"faces {sources[first]} and {sources[error.face]} both yield triangle "
+            f"{tuple(later.tolist())} (identical up to rotation/reversal)"
+        ) from None
 
 
 def barycentric_subdivision(complex: CellComplex) -> Refinement:

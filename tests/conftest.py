@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from pathlib import Path
@@ -24,7 +25,6 @@ from flatcheck import (
     ManifoldDefect,
     PairContact,
     Refinement,
-    SmithNormalForm,
     TriangulationError,
     build_complex,
     check_closed_manifold,
@@ -343,8 +343,9 @@ def canonical_face(face: Sequence[int]) -> tuple[int, ...]:
 
 
 def referee_repeats(triangles, sources):
-    """Referee of refine's one-sort duplicate check: one canonical_face
-    key and dict lookup per triangle, in order; raises the
+    """Referee of refine's duplicate check, mesh's face validation run on
+    the triangles: one canonical_face key and dict lookup per triangle,
+    in order; raises the
     TriangulationError triangulate_faces must raise for the first
     repeated triangle."""
     seen = {}
@@ -396,6 +397,19 @@ def referee_barycentric(complex: CellComplex) -> Refinement:
 # ---------------------------------------------------------------------------
 # Dense Smith normal form, the referee of homology's dual-labelling form
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SmithNormalForm:
+    """Invariant factors d1 | d2 | ... | dr and the rank r."""
+
+    invariant_factors: tuple[int, ...]
+    rank: int
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        """Invariant factors larger than one, i.e. the torsion coefficients."""
+        return tuple(d for d in self.invariant_factors if d > 1)
+
 
 def _find_pivot(rows: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
     """Nonzero entry of minimum absolute value in the trailing submatrix.

@@ -190,16 +190,19 @@ def _union(*parts):
 
 
 def _assert_one_labelling_agrees(mesh, label):
-    """The profile read off the mesh's dual labelling equals the one read
-    off its bare complex's and the dense referee's; orientability and the
-    component count equal the breadth-first referee's."""
+    """The profile read off the mesh's dual flags equals the one read off
+    its bare complex's and the dense referee's; the flags, one read-only
+    bool per component, orientability and the component count agree with
+    the breadth-first referee's."""
     b = boundary_matrices(mesh)
     assert b.dual is mesh.dual_components, label
+    assert b.dual.dtype == bool and not b.dual.flags.writeable, label
     bare = boundary_matrices(mesh.complex)
     prof = homology_profile(b)
     assert prof == homology_profile(bare) == _dense_profile(b), label
     per_component = referee_orientability(referee_manifold(mesh.complex), mesh.n_faces)
     assert orientability(mesh).per_component == per_component, label
+    assert b.dual.tolist() == [not o for o in per_component], label
     assert connected_components(mesh) == len(per_component), label
 
 
@@ -479,6 +482,47 @@ def test_classify_surface_flags_mismatch():
     cls = classify_surface(klein, 0, True)  # orientability contradicts H2 = 0
     assert not cls.consistent
     assert cls.problems
+
+
+@pytest.mark.parametrize("betti,torsion,chi,orientable,genus,problems", [
+    ((1, 0, 1), ((), (), ()), 0, True, 1,
+     ("b0 - b1 + b2 = 2 disagrees with Euler characteristic 0",
+      "b1 = 0, expected 2 for orientable genus 1")),
+    ((1, 0, 1), ((3,), (), ()), 2, True, 0, ("H0 has torsion (3,)",)),
+    ((1, 1, 1), ((), (), ()), 1, True, 0,
+     ("orientable surface cannot have odd chi = 1", "b1 = 1, expected 0 for orientable genus 0")),
+    ((1, 0, 1), ((), (), ()), 2, False, 1,
+     ("chi = 2 is impossible for a closed nonorientable surface",
+      "b2 = 1, expected 0 for a closed nonorientable surface", "H1 torsion (), expected (2,)")),
+], ids=["euler-mismatch", "h0-torsion", "odd-orientable-chi", "nonorientable-chi-2"])
+def test_classify_surface_cross_checks_no_mesh_reaches(betti, torsion, chi, orientable, genus,
+                                                       problems):
+    """Profiles that no closed surface mesh has: every disagreement with
+    (chi, orientability) is listed, in check order."""
+    cls = classify_surface(HomologyProfile(betti=betti, torsion=torsion), chi, orientable)
+    assert (cls.name, cls.orientable, cls.genus, cls.consistent, cls.problems) == (
+        "inconsistent", orientable, genus, False, problems)
+
+
+@pytest.mark.parametrize("maker,per_component,problems", [
+    (lambda: _union(grid_klein(3, 3), grid_klein(3, 3)), [False, False],
+     ["b0 = 2, expected 1 for a connected surface",
+      "b1 = 2, expected 1 for nonorientable genus 2", "H1 torsion (2, 2), expected (2,)"]),
+    (lambda: _union(grid_klein(3, 3), grid_torus(3, 3)), [False, True],
+     ["b0 = 2, expected 1 for a connected surface",
+      "b1 = 3, expected 1 for nonorientable genus 2",
+      "b2 = 1, expected 0 for a closed nonorientable surface"]),
+], ids=["klein+klein", "klein+torus"])
+def test_disconnected_nonorientable_certificate_problems(maker, per_component, problems):
+    """A closed but disconnected nonorientable mesh is classified as the
+    one surface of its Euler characteristic, and the certificate lists
+    the cross-checks its homology fails."""
+    cert = build_certificate(maker())
+    assert cert["combinatorics"]["orientable_per_component"] == per_component
+    assert cert["topology"]["classification"] == {
+        "name": "inconsistent", "orientable": False, "genus": 2, "consistent": False,
+        "problems": problems}
+    assert cert["verdict"]["connected"] is False and cert["verdict"]["surface"] == "inconsistent"
 
 
 @settings(max_examples=20, deadline=None)

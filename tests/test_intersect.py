@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import functools
 import importlib
+import inspect
 import math
 import random
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -33,7 +35,6 @@ from flatcheck import (
     GeneratorSpec,
     MeshError,
     Refinement,
-    TriangleBoxes,
     barycentric_subdivision,
     build_complex,
     build_hierarchy,
@@ -48,7 +49,7 @@ from flatcheck import (
 )
 from flatcheck import intersect
 from flatcheck.corpus import _klein_class, doubled_cone
-from flatcheck.predicates import filter_scaled, normals, plane_labels
+from flatcheck.predicates import cross, filter_scaled, normals, plane_labels
 
 from conftest import (brute_report, grid_klein, grid_torus, independent_soup, random_rotation,
                       referee_cells, referee_shared_cells)
@@ -351,7 +352,7 @@ def _all_pairs_meeting(lo, hi):
 
 
 def _assert_sweep_exact(lo, hi):
-    got = candidate_pairs(TriangleBoxes(lo=lo, hi=hi))
+    got = candidate_pairs((lo, hi))
     assert got.dtype == np.intp and got.shape == (len(got), 2)
     assert np.all(got[:, 0] < got[:, 1])
     keys = got[:, 0] * len(lo) + got[:, 1]
@@ -392,8 +393,7 @@ def test_candidate_pairs_equal_all_pairs_box_test(boxes, repeats, block, spannin
 
 def test_candidate_pairs_exact_on_corpus():
     for spec in standard_corpus():
-        h = build_hierarchy(_soup_for(spec))
-        _assert_sweep_exact(h.lo, h.hi)
+        _assert_sweep_exact(*build_hierarchy(_soup_for(spec)))
 
 
 def test_hierarchy_candidates_cover_contacts():
@@ -1381,3 +1381,149 @@ def test_report_census():
     census = report.kind_census
     assert sum(census.values()) == len(report.pairs)
     assert report.n_candidates >= len(report.pairs)
+
+
+# ---------------------------------------------------------------------------
+# shared-cell exclusion against a Fraction referee
+
+def _referee_allowed(points, pts, segs) -> bool:
+    """Whether a contact, one point or a segment's two ends as homogeneous
+    (x, y, z, w), lies in the union of the shared points and segments, in
+    Fraction.  A point lies on a segment when it is collinear with it and
+    inside its bounding box; a contact segment lies in the union when each
+    end of a piece of its line inside it, and each midpoint between two
+    such ends, lies on a segment of that line."""
+    def frac(p):
+        return tuple(Fraction(c, p[3]) for c in p[:3])
+
+    def collinear(x, a, b):
+        u = [bi - ai for ai, bi in zip(a, b)]
+        v = [xi - ai for ai, xi in zip(a, x)]
+        return all(v[i] * u[j] == v[j] * u[i] for i, j in ((0, 1), (1, 2), (0, 2)))
+
+    def on(x, a, b):
+        return collinear(x, a, b) and all(min(s, t) <= c <= max(s, t)
+                                          for s, t, c in zip(a, b, x))
+
+    cells = [frac(p) for p in pts]
+    lines = [(frac(a), frac(b)) for a, b in segs]
+    if len(points) == 1:
+        x = frac(points[0])
+        return x in cells or any(on(x, a, b) for a, b in lines)
+    p, q = map(frac, points)
+    axis = max(range(3), key=lambda k: abs(q[k] - p[k]))
+    along = [(a, b) for a, b in lines if collinear(a, p, q) and collinear(b, p, q)]
+    ends = sorted({Fraction(0), Fraction(1)} | {
+        t for a, b in along for t in ((a[axis] - p[axis]) / (q[axis] - p[axis]),
+                                      (b[axis] - p[axis]) / (q[axis] - p[axis])) if 0 < t < 1})
+    ts = ends + [(s + t) / 2 for s, t in zip(ends, ends[1:])]
+    return all(any(on(tuple(pk + t * (qk - pk) for pk, qk in zip(p, q)), a, b)
+                   for a, b in along) for t in ts)
+
+
+@st.composite
+def _contact_and_cells(draw):
+    """A contact on the line b + t d, its points at t = a / w with w > 1
+    and not reduced to lowest terms, some moved off the line by e, and
+    the cells two faces may share: segments of the line between whole t,
+    in either direction, some with one end or both moved off by e, and
+    points on and off the line."""
+    coord = st.integers(-3, 3)
+    b = draw(st.tuples(coord, coord, coord))
+    d = draw(st.tuples(coord, coord, coord).filter(any))
+    e = draw(st.tuples(coord, coord, coord).filter(lambda e: cross(e, d) != (0, 0, 0)))
+    w = draw(st.integers(2, 5))
+
+    def at(t, off, scale=1):
+        return tuple(scale * bi + t * di + off * ei for bi, di, ei in zip(b, d, e)) + (scale,)
+
+    off = st.sampled_from((0, 0, 0, 1, -1))
+    n_points = draw(st.integers(1, 2))
+    ts = draw(st.lists(st.integers(-2 * w, 6 * w), min_size=n_points, max_size=n_points,
+                       unique=True))
+    points = tuple(at(t, draw(off), w) for t in ts)
+    segs = []
+    for _ in range(draw(st.integers(0, 4))):
+        t0, t1 = draw(st.lists(st.integers(-2, 6), min_size=2, max_size=2, unique=True))
+        segs.append((at(t0, draw(off)), at(t1, draw(off))))
+    pts = [at(draw(st.integers(-2, 6)), draw(off)) for _ in range(draw(st.integers(0, 2)))]
+    return points, pts, segs
+
+
+def _x(*ts, w=2):
+    """Points at t = ts on the x axis, in units of 1/w."""
+    return tuple((t, 0, 0, w) for t in ts)
+
+
+def _xs(*spans):
+    """Segments of the x axis between whole t."""
+    return [((s, 0, 0, 1), (t, 0, 0, 1)) for s, t in spans]
+
+
+# (points, pts, segs) that reach each branch of the point and segment tests
+_SHARED_CELL_CASES = [
+    (_x(0), [], _xs((0, 2))),                   # a point at a segment's start
+    (_x(3), [], _xs((2, 1))),                   # inside a reversed segment
+    (_x(5), [], _xs((0, 2))),                   # on the line, beyond the segment
+    (((2, 1, 0, 2),), [], _xs((0, 2))),         # beside the segment
+    (_x(1, 3), [], _xs((0, 1), (1, 2))),        # two abutting segments
+    (_x(1, 3), [], _xs((2, 0), (1, 2))),        # overlapping, one reversed
+    (_x(1, 5), [], _xs((0, 1), (2, 3))),        # a gap between them
+    (_x(1, 5), [], _xs((0, 2))),                # the segments end short
+    (_x(0, 4), [], _xs((0, 2))),                # exactly one segment
+    (_x(0, 4), [], [((0, 0, 0, 1), (2, 1, 0, 1)), ((0, 0, 0, 1), (2, 0, 0, 1))]),
+    (_x(0, 4), [], [((0, 0, 0, 1), (2, 1, 0, 1))]),         # only partly collinear
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_contact_and_cells())
+@example(case=_SHARED_CELL_CASES[0])
+@example(case=_SHARED_CELL_CASES[4])
+@example(case=_SHARED_CELL_CASES[6])
+def test_beyond_allowed_matches_fraction_referee(case):
+    """_beyond_allowed, which scales everything to one denominator and
+    walks the contact's line by dot products, says a point or segment
+    contact leaves the shared cells exactly when the Fraction referee
+    does."""
+    points, pts, segs = case
+    kind = "touch-point" if len(points) == 1 else "touch-segment"
+    assert intersect._beyond_allowed(kind, points, pts, segs) == (
+        not _referee_allowed(points, pts, segs))
+
+
+def _line_after(fn, text: str, skip: int = 0) -> int:
+    """The number of the line `skip` lines after fn's line that reads text."""
+    lines, start = inspect.getsourcelines(fn)
+    [k] = [k for k, line in enumerate(lines) if line.strip() == text]
+    return start + k + skip
+
+
+def test_shared_cell_branches_run():
+    """The cases above run the point test on a segment's line, the
+    segment test's return at a gap and its return after the last
+    interval, and each agrees with the referee."""
+    codes = {intersect._point_on_segment.__code__, intersect._segment_allowed.__code__}
+    ran = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code not in codes:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return tracer
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = [intersect._beyond_allowed("touch-point" if len(c[0]) == 1 else "touch-segment", *c)
+               for c in _SHARED_CELL_CASES]
+    finally:
+        sys.settrace(before)
+    assert got == [not _referee_allowed(*c) for c in _SHARED_CELL_CASES]
+    assert got == [False, False, True, True, False, False, True, True, False, False, True]
+    want = {_line_after(intersect._point_on_segment, "t = dot(w, d)"),
+            _line_after(intersect._point_on_segment, "return 0 <= t <= dot(d, d)"),
+            _line_after(intersect._segment_allowed, "if lo > covered:", 1),
+            _line_after(intersect._segment_allowed, "return covered >= need_hi")}
+    assert want <= ran

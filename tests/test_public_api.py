@@ -16,9 +16,8 @@ PUBLIC_NAMES = (
     "DegenerateTriangleError", "FallbackRecord", "FlatnessReport", "FormatError",
     "GeneratorError", "GeneratorSpec", "HalfEdgeMesh", "HomologyProfile", "IntersectionReport",
     "InvalidComplexError", "LinkVerdict", "LoadedMesh", "ManifoldDefect", "MeshError",
-    "NotManifoldError", "OrientabilityReport", "PairContact", "Refinement", "SmithNormalForm",
-    "SphericalLink", "SurfaceClass",
-    "TOOL_VERSION", "ToleranceProfile", "TriangleBoxes", "TriangleSoup", "TriangulationError",
+    "NotManifoldError", "OrientabilityReport", "PairContact", "Refinement", "SphericalLink",
+    "SurfaceClass", "TOOL_VERSION", "ToleranceProfile", "TriangleSoup", "TriangulationError",
     "barycentric_subdivision", "boundary_matrices", "build_certificate", "build_complex",
     "build_hierarchy", "candidate_pairs", "canonical_json", "certificate_text",
     "check_closed_manifold", "classify_immersion", "classify_surface", "connected_components",

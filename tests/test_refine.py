@@ -20,7 +20,9 @@ from flatcheck import (
     build_complex,
     check_closed_manifold,
     euler_characteristic,
+    generate,
     orientability,
+    standard_corpus,
     triangle_contact,
     triangle_soup,
     triangulate_faces,
@@ -70,6 +72,35 @@ def test_triangles_pass_through(monkeypatch):
     assert ref.derived.vertices.tobytes() == ref.source.vertices.tobytes()
     assert ref.triangle_sources.tolist() == [0, 1, 2, 3]
     assert ref.triangle_sources.dtype == np.int64 and not ref.triangle_sources.flags.writeable
+
+
+def test_triangle_complex_is_its_own_triangulation(monkeypatch):
+    """A complex of triangles only comes back as its own derived complex,
+    with no face table and no repeat check."""
+    monkeypatch.setattr(refine, "face_geometries", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(refine, "_reject_repeats", mock.Mock(side_effect=AssertionError))
+    for spec in standard_corpus():
+        cx = generate(spec)
+        if cx.face_degree_census().keys() == {3}:
+            ref = triangulate_faces(cx)
+            assert ref.derived is cx and ref.source is cx, spec.label
+            assert ref.triangle_sources.tolist() == list(range(cx.n_faces)), spec.label
+            assert ref.fallbacks == ()
+
+
+def test_subnormal_dart_admits_no_ear():
+    """face_geometries decides simplicity on unit-scaled points, but hands
+    _ear_clip the points scaled back, which round at subnormal scale: the
+    dart's corners 0 and 2 land on one point, no ear is left, and
+    triangulate_faces raises.  Unit-scaled first, as the certificate and
+    the command line run it, the dart splits along its diagonal 0-2."""
+    units = np.array([(2, 2, -4), (4, 3, -6), (1, 2, -4), (-1, -1, 2)], dtype=float)
+    dart = build_complex(np.ldexp(units, -1074), [(0, 1, 2, 3)])
+    assert face_geometries(dart).simple.tolist() == [True]
+    with pytest.raises(TriangulationError, match=r"^face 0 is simple and planar but admits no "
+                                                 r"ear \(collinear degeneracy\)$"):
+        triangulate_faces(dart)
+    assert triangulate_faces(dart.unit_scaled()[0]).derived.faces == ((0, 1, 2), (0, 2, 3))
 
 
 def test_cube_triangulation():
@@ -371,9 +402,9 @@ def _repeated_triangles(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_repeated_triangles())
 def test_repeat_check_matches_dict_loop(case):
-    """The one-sort check names the faces and the triangle that the dict
-    loop names: the first repeat in order, and the first triangle it
-    repeats."""
+    """The repeat check, mesh's face validation run on the triangles,
+    names the faces and the triangle that the dict loop names: the first
+    repeat in order, and the first triangle it repeats."""
     triangles, sources = case
     with pytest.raises(TriangulationError) as want:
         referee_repeats(triangles, sources)
