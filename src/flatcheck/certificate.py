@@ -136,13 +136,12 @@ def build_certificate(
     Non-manifold input still yields a certificate: the combinatorics
     section carries the defects and the dependent sections are null.
 
-    The pipeline runs on complex.unit_scaled().  Every float in the
-    certificate is dimensionless, so a mesh scaled by a power of two gets
-    the same certificate.  Stage functions called directly still see raw
-    coordinates.
+    The stages get the raw coordinates.  Each stage that does float
+    arithmetic on them scales what it reads by predicates.unit_exponent's
+    power of two, and the exact stages are scale-free, so a mesh scaled
+    by a power of two gets the same certificate.
     """
     tol = tolerances or ToleranceProfile()
-    complex, _ = complex.unit_scaled()
     census = complex.face_degree_census()
     try:
         mesh = check_closed_manifold(complex)

@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
-
-import numpy as np
+from dataclasses import fields
 
 from .certificate import build_certificate, certificate_text, write_certificate
 from .corpus import GENERATORS, GeneratorError, GeneratorSpec, generate
@@ -167,13 +165,11 @@ def _run_check(args) -> int:
 
 
 def _run_refine(args, subdivide: bool) -> int:
-    # refine at unit scale, like the check, then scale the result back
-    scaled, exponent = _load(args).complex.unit_scaled()
-    refinement = triangulate_faces(scaled, ToleranceProfile(planarity_tol=args.planarity_tol))
+    refinement = triangulate_faces(_load(args).complex,
+                                   ToleranceProfile(planarity_tol=args.planarity_tol))
     if subdivide:
         refinement = barycentric_subdivision(refinement.derived)
-    derived = refinement.derived
-    write_mesh(replace(derived, vertices=np.ldexp(derived.vertices, exponent)), args.output)
+    write_mesh(refinement.derived, args.output)
     return 0
 
 

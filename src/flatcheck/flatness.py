@@ -18,7 +18,7 @@ degree are fitted as one NumPy stack, whose floats equal those of a
 one-face table bit for bit, and their turns are one batched orient2d.
 
 Each vertex star is gathered once, in one NumPy pass per valence on the
-unit-scaled vertices (_vertex_stars), which reads the per-corner angle
+vertices at unit scale (_vertex_stars), which reads the per-corner angle
 column as it is.  It sums the defects, certifies every link that an
 azimuth lemma proves embedded by a margin, and builds each other link
 from the same direction and normal arrays as plain float 3-tuples, which
@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mesh import CellComplex, HalfEdgeMesh, MeshError, euler_characteristic
-from .predicates import cross, dot, orient2d, orient2d_rows
+from .predicates import cross, dot, orient2d, orient2d_rows, unit_exponent
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -147,7 +147,8 @@ class FaceTable:
     frame, two unit vectors orthogonal to the plane's normal.  Per corner,
     in complex.corners order: the interior angle, the signed turn (orient2d
     of the corner between its two neighbours in the plane, times the
-    orientation: +1 convex, -1 reflex, 0 straight) and the projected point.
+    orientation: +1 convex, -1 reflex, 0 straight) and the projected point,
+    at the unit scale face_geometries fits at.
     For a simple face the interior angles are true interior angles (a
     reflex corner's exceeds pi); a non-simple face has no interior, and its
     raw unsigned corner angles stand in, with simple False flagging the
@@ -166,7 +167,7 @@ class FaceTable:
     basis: np.ndarray           # (F, 2, 3) in-plane coordinate frame
     angles: np.ndarray          # (C,) interior angle of each corner
     turns: np.ndarray           # (C,) int8 signed turn of each corner
-    points2d: np.ndarray        # (C, 2) each corner in the in-plane frame
+    points2d: np.ndarray        # (C, 2) each corner in the in-plane frame, unit scale
     degenerate: tuple[tuple[int, str], ...]
 
 
@@ -220,10 +221,10 @@ def face_geometries(complex: CellComplex) -> FaceTable:
 
     Faces of one degree k are one (F_k, k, 3) stack, so every float equals
     that of the face's own one-face table.  The stacks are taken from the
-    complex scaled, as unit_scaled does, by the power of two that brings
-    its largest finite |coordinate| into [0.5, 1), so no square overflows
-    or underflows, and the projected points are scaled back; every sign
-    and ratio is scale-free, and on a unit-scaled complex the factor is 1.
+    vertices scaled by 2^-unit_exponent(vertices), so no square overflows
+    or underflows, and the projected points stay at that unit scale, where
+    only their turns and ratios are read.  Every sign and ratio is
+    scale-free, so a complex scaled by a power of two has the same table.
     Python runs per corner only for the turns the float guard leaves to the
     exact test, and per face only for the simplicity test of a face that is
     neither a triangle nor a quad with four positive turns.
@@ -231,9 +232,7 @@ def face_geometries(complex: CellComplex) -> FaceTable:
     # a non-finite coordinate is zeroed, so no fit sees it, and its faces
     # are listed as degenerate
     finite = np.isfinite(complex.vertices)
-    _, e = np.frexp(np.abs(complex.vertices).max(initial=0.0, where=finite))
-    e = int(e)
-    vertices = np.ldexp(np.where(finite, complex.vertices, 0.0), -e)
+    vertices = np.ldexp(np.where(finite, complex.vertices, 0.0), -unit_exponent(complex.vertices))
     unusable = ~finite.all(axis=1)
     n_faces, n_corners = complex.n_faces, len(complex.corners)
     basis = np.empty((n_faces, 2, 3))
@@ -274,7 +273,7 @@ def face_geometries(complex: CellComplex) -> FaceTable:
         basis[faces], failed[faces], orientation[faces], simple[faces] = frame, code, sign, ok
         rel_deviation[faces] = devs / np.where(diam > 0.0, diam, 1.0)
         angles[at] = np.where(ok[:, None] & (turn < 0), TWO_PI - raw, raw)
-        turns[at], points2d[at] = turn, np.ldexp(p2, e)
+        turns[at], points2d[at] = turn, p2
     bad = np.flatnonzero(failed)
     return FaceTable(rel_deviation, simple, orientation, basis, angles, turns, points2d,
                      tuple(zip(bad.tolist(), map(_DEGENERATE.__getitem__, failed[bad].tolist()))))
@@ -492,9 +491,9 @@ def link_is_embedded(link: SphericalLink, tol: float = 1e-9) -> LinkVerdict:
 # Margin of the azimuth certificate: a link it certifies has corners with
 # sine >= _LINK_MARGIN, and features _LINK_MARGIN^2 or more apart.
 _LINK_MARGIN = 1e-3
-# Coordinates beyond this bound, and edges shorter than its inverse, leave
-# a vertex to the sub-arc test, so no square over- or underflows.
-_COORD_BOUND = 2.0 ** 500
+# Edges shorter than this, at unit scale, leave a vertex to the sub-arc
+# test, so no square underflows.
+_SHORT_EDGE = 2.0 ** -500
 
 
 def _lengths(a: np.ndarray) -> np.ndarray:
@@ -507,7 +506,7 @@ def _lengths(a: np.ndarray) -> np.ndarray:
 def _vertex_stars(mesh: HalfEdgeMesh, table: FaceTable, link_tol: float
                   ) -> tuple[np.ndarray, dict[int, SphericalLink | str]]:
     """Gather every vertex star once, in one NumPy pass per valence on the
-    unit-scaled vertices, and read three facts off it.
+    vertices times 2^-unit_exponent(vertices), and read three facts off it.
 
     Defects: 2*pi minus the star's interior angles, added one column at a
     time from 0.0, in star order: the IEEE additions of a left-to-right
@@ -527,8 +526,8 @@ def _vertex_stars(mesh: HalfEdgeMesh, table: FaceTable, link_tol: float
     order that cannot be oriented.  Lengths, crosses and dots are taken
     elementwise in the order predicates.cross, dot and _norm take them,
     so every link equals one built from float 3-tuples bit for bit.
-    Coordinates that are not finite or beyond _COORD_BOUND are read as 0;
-    flatness_report passes none.
+    Coordinates that are not finite are read as 0; flatness_report passes
+    none.
 
     Azimuth lemma: let n be a unit vector, every corner at v shorter than
     pi, every corner normal d_k x d_k+1 have a positive component along n,
@@ -548,9 +547,9 @@ def _vertex_stars(mesh: HalfEdgeMesh, table: FaceTable, link_tol: float
     eps / (crossing angle).
     """
     m, guard = _LINK_MARGIN, max(link_tol, 1e-13)
-    pts = mesh.complex.unit_scaled()[0].vertices
-    usable = (np.abs(pts) <= _COORD_BOUND).all(axis=1)    # False on nan and inf too
-    pts = np.where(usable[:, None], pts, 0.0)
+    pts = mesh.complex.vertices
+    usable = np.isfinite(pts).all(axis=1)
+    pts = np.ldexp(np.where(usable[:, None], pts, 0.0), -unit_exponent(pts))
     defects, links = np.empty(mesh.n_vertices), {}
     valences = np.diff(mesh.star_offsets)
     for valence in np.flatnonzero(np.bincount(valences)).tolist():
@@ -574,7 +573,7 @@ def _vertex_stars(mesh: HalfEdgeMesh, table: FaceTable, link_tol: float
             wide = sines >= m
             drift = np.abs(theta - np.arctan2(sines, _dots(d, d_next)))
             ok = (usable[centers] & usable[ends].all(axis=1)
-                  & (lengths >= 1.0 / _COORD_BOUND).all(axis=1)
+                  & (lengths >= _SHORT_EDGE).all(axis=1)
                   & (wide & (theta < math.pi - m) & (drift <= guard / 8)).all(axis=1))
             summed = normals.sum(axis=1)
             size = _norms(summed)

@@ -25,6 +25,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .predicates import unit_exponent
+
 
 class MeshError(Exception):
     """Base class for all mesh construction and validation failures."""
@@ -123,17 +125,11 @@ class CellComplex:
         return dict(zip(degrees.tolist(), counts[degrees].tolist()))
 
     def unit_scaled(self) -> tuple[CellComplex, int]:
-        """This complex times the power of two 2^-e that brings its largest
-        |coordinate| into [0.5, 1), and e.
-
-        The scaling is exact unless a nonzero coordinate is 2^1021 times
-        smaller than the largest, and every predicate sign is scale-free,
-        so a stage run on the scaled complex decides as on the original,
-        while squares of coordinate differences cannot overflow.
-        np.ldexp(x, e) maps a derived point back.
-        """
-        _, exponent = np.frexp(np.abs(self.vertices).max(initial=0.0))
-        e = int(exponent)
+        """This complex times 2^-e, e = predicates.unit_exponent(vertices),
+        and e: exact unless a nonzero coordinate is 2^1021 times smaller
+        than the largest.  A stage that makes new points from it maps them
+        back by np.ldexp(x, e); no caller of a stage scales."""
+        e = unit_exponent(self.vertices)
         return replace(self, vertices=np.ldexp(self.vertices, -e)), e
 
 

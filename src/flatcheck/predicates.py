@@ -25,9 +25,9 @@ point d against triangle c0 c1 c2 is n . (d - c0) with n = (c1 - c0) x
 (c2 - c0): rounded differences, 2x2 minors of them, each times a rounded
 difference, three terms summed; that is the expression tree of his
 orient3d, so its bound applies, and each minor is his orient2d.  The
-bounds assume no overflow and no subnormal result, so the coordinates are
-first scaled by the power of two CellComplex.unit_scaled would use, which
-keeps every value below 2^6, and a triangle with a nonzero coordinate
+bounds assume no overflow and no subnormal result, so filter_scaled first
+scales the raw coordinates by unit_exponent's power of two, which keeps
+every value below 2^6, and a triangle with a nonzero coordinate
 below 2^-200 after scaling is marked unusable: a nonzero difference of
 usable coordinates is at least 2^-252, and every nonzero product formed
 from them stays far from the subnormal range.
@@ -106,6 +106,13 @@ def to_grid(values) -> tuple[list[int], int]:
     return [n << (s - d.bit_length() + 1) for n, d in ratios], s
 
 
+def unit_exponent(points) -> int:
+    """e such that 2^-e brings the largest finite |coordinate| of points
+    into [0.5, 1), or 0 if none is finite and nonzero: the one unit scale
+    of every stage that computes with coordinates in floats."""
+    return int(np.frexp(np.abs(points).max(initial=0.0, where=np.isfinite(points)))[1])
+
+
 def sub(a, b) -> tuple:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
@@ -140,13 +147,11 @@ _PROJECTED = np.array([[3 * k + c for k in range(3) for c in pair] for pair in P
 
 
 def filter_scaled(coords: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triangles coords (n, 3, 3) scaled by 2^-e, 2^e the power of two that
-    brings the largest finite |coordinate| of points into [0.5, 1), and the
-    (n,) mask of the triangles the bounds cannot serve: a coordinate that
-    is not finite, or nonzero and below 2^-200 after scaling.  Those are
-    zeroed."""
-    _, e = np.frexp(np.abs(points).max(initial=0.0, where=np.isfinite(points)))
-    scaled = np.ldexp(coords, -int(e))
+    """Triangles coords (n, 3, 3) scaled by 2^-unit_exponent(points), and
+    the (n,) mask of the triangles the bounds cannot serve: a coordinate
+    that is not finite, or nonzero and below 2^-200 after scaling.  Those
+    are zeroed."""
+    scaled = np.ldexp(coords, -unit_exponent(points))
     usable = np.isfinite(scaled) & ((coords == 0) | (np.abs(scaled) >= _TINY))
     unusable = ~usable.all(axis=(1, 2))
     scaled[unusable] = 0.0

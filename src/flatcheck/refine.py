@@ -236,6 +236,8 @@ def barycentric_subdivision(complex: CellComplex) -> Refinement:
     vertex V + E + f at the centroid of face f.
     Orientation follows the source triangle.  Raises if any face is not a
     triangle.
+    Midpoints and centroids are taken on complex.unit_scaled(), where no
+    sum overflows, and scaled back; the source's vertices are copied.
     """
     degree = np.diff(complex.offsets)
     odd = np.flatnonzero(degree != 3)
@@ -244,19 +246,20 @@ def barycentric_subdivision(complex: CellComplex) -> Refinement:
         raise TriangulationError(
             f"barycentric subdivision needs a triangulated complex; face {fi} has degree {degree[fi]}"
         )
-    pts = complex.vertices
+    unit, e = complex.unit_scaled()
+    pts = unit.vertices
     t = edge_table(complex)
     tri = complex.corners.reshape(-1, 3)
     nv, ne, nf = complex.n_vertices, len(t.ends), len(tri)
     u, v = t.ends.T
-    coords = np.concatenate([pts, 0.5 * (pts[u] + pts[v]), pts[tri].mean(axis=1)])
+    made = np.concatenate([0.5 * (pts[u] + pts[v]), pts[tri].mean(axis=1)])
+    coords = np.concatenate([complex.vertices, np.ldexp(made, e)])
     a, b, c = tri.T
     mab, mbc, mca = (nv + t.edge_of).reshape(-1, 3).T
     g = np.arange(nv + ne, nv + ne + nf)
     triangles = np.stack([a, mab, g, mab, b, g, b, mbc, g, mbc, c, g, c, mca, g, mca, a, g], axis=1)
     return Refinement(
         source=complex,
-        # a midpoint or centroid can overflow to inf, which validation rejects
         derived=complex_from_flat(coords, triangles.ravel(), np.full(6 * nf, 3)),
         triangle_sources=_frozen(np.repeat(np.arange(nf), 6)),
     )

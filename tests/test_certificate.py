@@ -316,10 +316,10 @@ def test_certificate_bytes_pinned_over_corpus(corpus_meshes):
 
 @pytest.mark.parametrize("k", [-900, -300, -3, 3, 600, 900])
 def test_power_of_two_scale_keeps_certificate(corpus_meshes, k):
-    # build_certificate's own scaling is exact, so a scaled mesh reaches
-    # every stage with the coordinates of the unscaled one; on raw
-    # coordinates, 2^-300 made the folded torus non-flat (defect 2 pi) and
-    # 2^600 made the tetrahedron's plane fit raise LinAlgError
+    # each stage's own unit scaling is exact, so the float stages compute
+    # with the coordinates of the unscaled mesh; unscaled, 2^-300 made the
+    # folded torus non-flat (defect 2 pi) and 2^600 made the tetrahedron's
+    # plane fit raise LinAlgError
     meshes = {label: cx for label, (_, cx) in corpus_meshes.items()}
     meshes["two_tetrahedra"] = _two_tetrahedra()
     for label, cx in meshes.items():

@@ -697,6 +697,26 @@ def test_exact_link_contacts_are_read_not_embedded():
     assert contacts == 373
 
 
+@pytest.mark.parametrize("k", [0, 900, -900])
+def test_exact_link_contacts_are_reported_at_any_scale(k):
+    """Soundness through flatness_report, on the jittered folded tori of
+    seeds 0-39 times 2^k where that scaling is exact: every vertex whose
+    link has an exact contact is listed in the report's links."""
+    contacts = 0
+    for seed in range(40):
+        base = _jittered_fold(seed)
+        vertices = np.ldexp(base.complex.vertices, k)
+        if not (np.ldexp(vertices, -k) == base.complex.vertices).all():
+            continue
+        mesh = check_closed_manifold(build_complex(vertices, base.complex.faces))
+        reported = {lv.vertex for lv in flatness_report(mesh).links}
+        for v in range(mesh.n_vertices):
+            if exact_link_contact(mesh, v):
+                contacts += 1
+                assert v in reported, (seed, v)
+    assert contacts == 373
+
+
 # ---------------------------------------------------------------------------
 # Links certified by the azimuth pass against the sub-arc test
 

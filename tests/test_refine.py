@@ -88,19 +88,50 @@ def test_triangle_complex_is_its_own_triangulation(monkeypatch):
             assert ref.fallbacks == ()
 
 
-def test_subnormal_dart_admits_no_ear():
-    """face_geometries decides simplicity on unit-scaled points, but hands
-    _ear_clip the points scaled back, which round at subnormal scale: the
-    dart's corners 0 and 2 land on one point, no ear is left, and
-    triangulate_faces raises.  Unit-scaled first, as the certificate and
-    the command line run it, the dart splits along its diagonal 0-2."""
+def test_subnormal_dart_triangulates():
+    """At 2^-1074 the dart's projected corners 0 and 2 would round onto one
+    point and leave no ear; face_geometries keeps the projected points at
+    the unit scale it fits at, so the dart splits along its diagonal 0-2
+    as at any scale."""
     units = np.array([(2, 2, -4), (4, 3, -6), (1, 2, -4), (-1, -1, 2)], dtype=float)
     dart = build_complex(np.ldexp(units, -1074), [(0, 1, 2, 3)])
     assert face_geometries(dart).simple.tolist() == [True]
-    with pytest.raises(TriangulationError, match=r"^face 0 is simple and planar but admits no "
-                                                 r"ear \(collinear degeneracy\)$"):
-        triangulate_faces(dart)
-    assert triangulate_faces(dart.unit_scaled()[0]).derived.faces == ((0, 1, 2), (0, 2, 3))
+    assert triangulate_faces(dart).derived.faces == ((0, 1, 2), (0, 2, 3))
+
+
+def _tilted_star_polygon(rng: np.random.Generator) -> np.ndarray:
+    """A star-shaped 4- to 7-gon: corners at sorted angles and radii in
+    [1, 6], rounded to integers, on the plane spanned by two small integer
+    vectors, so its integer 3-d corners lie exactly in one plane."""
+    k = int(rng.integers(4, 8))
+    theta = np.sort(rng.uniform(0.0, 2 * math.pi, k))
+    r = rng.uniform(1.0, 6.0, k)
+    xy = np.rint(np.column_stack((r * np.cos(theta), r * np.sin(theta))))
+    while True:
+        a, b = rng.integers(-3, 4, (2, 3))
+        if np.cross(a, b).any():
+            return xy[:, :1] * a + xy[:, 1:] * b
+
+
+def test_subnormal_polygons_triangulate_as_unit_scaled():
+    """Seeded search: every simple polygon of 2,000 tilted star-shaped 4-
+    to 7-gons with integer corners, taken at 2^-1074, where a projected
+    point rounded to the input's grid can land on or across a diagonal,
+    triangulates as its unit-scaled copy does."""
+    rng = np.random.default_rng(7)
+    simple = ear_clipped = 0
+    for _ in range(2000):
+        units = _tilted_star_polygon(rng)
+        cx = build_complex(np.ldexp(units, -1074), [tuple(range(len(units)))])
+        unit = cx.unit_scaled()[0]
+        table = face_geometries(unit)
+        if table.degenerate or not table.simple[0]:
+            continue
+        simple += 1
+        ear_clipped += bool((table.turns <= 0).any())     # not in closed form
+        got, want = triangulate_faces(cx), triangulate_faces(unit, geos=table)
+        assert (got.derived.faces, got.fallbacks) == (want.derived.faces, want.fallbacks), units
+    assert (simple, ear_clipped) == (1622, 1199)
 
 
 def test_cube_triangulation():
@@ -369,6 +400,23 @@ def test_triangulate_then_subdivide_cube():
     assert euler_characteristic(mesh) == 2
     assert total_area(sub.derived) == pytest.approx(6.0, rel=1e-12)
     assert orientability(mesh).orientable
+
+
+@pytest.mark.parametrize("k", [1023, -1060])
+def test_subdivision_at_the_ends_of_the_double_range(k):
+    """The triangulated cube times 2^k subdivides to 2^k times its
+    unit-scale subdivision: midpoints and centroids are taken at unit
+    scale, so at 2^1023 no sum overflows, and at 2^-1060 they round as
+    the unit-scale ones scaled down."""
+    tri = triangulate_faces(cube()).derived
+    vertices = np.ldexp(tri.vertices, k)
+    assert (np.ldexp(vertices, -k) == tri.vertices).all()
+    scaled = build_complex(vertices, tri.faces)
+    unit, e = scaled.unit_scaled()
+    got, want = barycentric_subdivision(scaled), barycentric_subdivision(unit)
+    assert got.derived.faces == want.derived.faces
+    assert got.derived.vertices.tobytes() == np.ldexp(want.derived.vertices, e).tobytes()
+    assert got.derived.vertices[:8].tobytes() == vertices.tobytes()
 
 
 def test_refinement_preserves_klein_topology():
